@@ -9,16 +9,19 @@ imported into :mod:`repro.uarch.machine`, so they are wrapped there).
 Every wrapped call is a span.  A span's self time is its duration minus
 the durations of the wrapped spans directly nested in it (walk contains
 splice and readout; an interpreter shot contains plant gates and
-measurements).  Per layer the tracer keeps
+measurements), and minus the wrapper's own cost around each of those
+nested calls.  That cost — the bookkeeping a caller pays outside a
+wrapped call's span — is measured once per install on an empty wrapped
+function.  Per layer the tracer keeps
 
 * ``calls``  — wrapped calls, nested same-layer calls included;
 * ``time_s`` — inclusive time of the layer's outermost calls (a layer
   nested in itself is not counted twice);
 * ``self_s`` — summed self time, so the self times of all layers add up
-  to the wall time the wrappers cover.
+  to the wall time the wrappers cover, less the wrapper cost.
 
-A hook whose target no longer exists is skipped and reported by
-:meth:`LayerTracer.install`; its layer then reads zero.
+:meth:`LayerTracer.install` returns the hooks whose target no longer
+exists; the benchmark fails a traced run that has any.
 
 Worker processes of the sweep service are forked from the traced
 process and inherit the wrappers.  An ``os.register_at_fork`` hook
@@ -88,6 +91,12 @@ HOOKS = (
 #: Index of each field in a layer's totals list.
 CALLS, TIME, SELF, HITS, DEPTH = range(5)
 
+#: Wrapper-cost calibration: a private layer, timed loops of this many
+#: calls, the best of this many loops.
+CALIBRATION = "perfbench.calibration"
+CALIBRATION_CALLS = 20000
+CALIBRATION_REPEATS = 5
+
 
 def _resolve(module_name: str, path: str):
     """``(owner, attribute name, current value)`` of a hook target."""
@@ -108,20 +117,22 @@ class LayerTracer:
         self._child_dir = child_dir
         self._child_file: Path | None = None
         self._forks_traced = child_dir is not None
+        #: Wrapper cost per nested call, measured by :meth:`install`.
+        self.call_cost = 0.0
         os.register_at_fork(after_in_child=self._after_fork_in_child)
 
     # -- installation --------------------------------------------------
     def install(self) -> list[str]:
         """Wrap every hook target; returns the hooks not found."""
+        self.call_cost = self._calibrate()
         missing = []
         for layer, module_name, path in HOOKS:
             try:
                 owner, name, original = _resolve(module_name, path)
             except (ImportError, AttributeError, KeyError):
                 missing.append(f"{layer} ({module_name}.{path})")
-                self.totals.setdefault(layer, [0, 0.0, 0.0, 0, 0])
                 continue
-            wrapper = self._wrap(layer, original)
+            wrapper = self._wrap(layer, original, self.call_cost)
             setattr(owner, name, wrapper)
             self._installed.append((owner, name, original))
         return missing
@@ -133,7 +144,31 @@ class LayerTracer:
         self._installed.clear()
         self._forks_traced = False
 
-    def _wrap(self, layer: str, function):
+    def _calibrate(self) -> float:
+        """Seconds a caller pays per wrapped call outside the call's own
+        span: the wrapper's bookkeeping before its first clock read and
+        after its second.  The best of several timed loops over an empty
+        wrapped function, less the bare loop and the recorded spans."""
+        totals = self.totals.setdefault(CALIBRATION, [0, 0.0, 0.0, 0, 0])
+        wrapped = self._wrap(CALIBRATION, lambda: None, 0.0)
+        clock = time.perf_counter
+        best = float("inf")
+        for _ in range(CALIBRATION_REPEATS):
+            start = clock()
+            for _ in range(CALIBRATION_CALLS):
+                pass
+            loop = clock() - start
+            inside = totals[TIME]
+            start = clock()
+            for _ in range(CALIBRATION_CALLS):
+                wrapped()
+            outer = clock() - start
+            inside = totals[TIME] - inside
+            best = min(best, (outer - loop - inside) / CALIBRATION_CALLS)
+        del self.totals[CALIBRATION]
+        return max(best, 0.0)
+
+    def _wrap(self, layer: str, function, call_cost: float):
         totals = self.totals.setdefault(layer, [0, 0.0, 0.0, 0, 0])
         stack = self._stack
         clock = time.perf_counter
@@ -157,7 +192,9 @@ class LayerTracer:
                 if not totals[DEPTH]:
                     totals[TIME] += elapsed
                 if stack:
-                    stack[-1][0] += elapsed
+                    # The parent's self time excludes this span and the
+                    # wrapper's own cost around it.
+                    stack[-1][0] += elapsed + call_cost
             if is_walk and result[0] is not None:
                 totals[HITS] += 1
             if is_point and self._child_file is not None:

@@ -39,10 +39,13 @@ SRC = ROOT / "src"
 
 WORKLOADS = ("reset_replay", "s17_frame", "s17_feedback", "sweep_mixed")
 
-#: In-process set-ups per machine-workload run, each from its own
-#: derived seed (growth-shot counts are seed-dependent); setup_s is
-#: their median.
-SETUP_REPEATS = 7
+#: First seed of the timed in-process set-ups of a machine-workload run
+#: (``setup_repeats`` of them); setup_s is their median.  The number of
+#: warm-up runs before a run has zero growth shots depends on the seed,
+#: so these are the same in every run: each run does identical set-up
+#: work, and the machine measured afterwards is set up again from
+#: ``--seed``.
+SETUP_SEED_BASE = 1000
 
 
 def peak_rss_mb(children: bool) -> float:
@@ -188,16 +191,23 @@ def run_machine(workload, seed: int, seconds: float, trace: bool):
         return counts, elapsed
 
     if not trace:
-        for repeat in range(SETUP_REPEATS):
+        before = run.setup_speed.sample()
+        for setup_seed in range(SETUP_SEED_BASE,
+                                SETUP_SEED_BASE + workload.setup_repeats):
             start = time.perf_counter()
-            setup = workload.set_up(seed * SETUP_REPEATS + repeat)
-            run.setup_times.append(time.perf_counter() - start)
-            run.setup_speed.sample()
+            workload.set_up(setup_seed)
+            elapsed = time.perf_counter() - start
+            after = run.setup_speed.sample()
+            run.setups.append((elapsed, (before + after) / 2))
+            before = after
+        setup = workload.set_up(seed)
+        before = run.request_speed.sample()
         deadline = time.perf_counter() + seconds
         while time.perf_counter() < deadline:
             counts, elapsed = operation(setup)
-            run.requests.append((counts.shots, elapsed))
-            run.request_speed.sample()
+            after = run.request_speed.sample()
+            run.requests.append((counts.shots, elapsed, (before + after) / 2))
+            before = after
         workload.check_outputs(setup, seed, _rates(window), run)
         return run, None
 
@@ -213,8 +223,7 @@ def run_machine(workload, seed: int, seconds: float, trace: bool):
         return setup, results, time.perf_counter() - start
 
     _, untraced, untraced_s = fixed_work()
-    tracer = LayerTracer()
-    missing = tracer.install()
+    tracer = install(LayerTracer())
     try:
         setup, traced, traced_s = fixed_work()
     finally:
@@ -223,11 +232,24 @@ def run_machine(workload, seed: int, seconds: float, trace: bool):
         raise CheckFailure(f"{workload.name}: the traced run's counts "
                            f"differ from the untraced run's")
     workload.check_outputs(setup, seed, _rates(window), run)
-    return run, (tracer, traced_s, untraced_s, 1, missing, {})
+    return run, (tracer, traced_s, untraced_s, 1, {})
 
 
 def _rates(window: dict) -> dict:
     return {qubit: tuple(totals) for qubit, totals in window.items()}
+
+
+def install(tracer):
+    """Install the tracer's wrappers, or fail the run if a hook target
+    is gone: its layer would read zero and look like a gain."""
+    from workloads import CheckFailure
+
+    missing = tracer.install()
+    if missing:
+        tracer.uninstall()
+        raise CheckFailure("hook targets not found, update layers.HOOKS: "
+                           + ", ".join(missing))
+    return tracer
 
 
 # ----------------------------------------------------------------------
@@ -256,14 +278,16 @@ def run_sweep(workload, seed: int, seconds: float, trace: bool):
             return specs, wall, first
 
         if not trace:
+            before = run.request_speed.sample()
             deadline = time.perf_counter() + seconds
             while time.perf_counter() < deadline:
                 specs, wall, first = one_iteration(iteration)
                 iteration += 1
                 shots = sum(spec.num_points * spec.shots for spec in specs)
-                run.requests.append((shots, wall))
-                run.setup_times.append(first)
-                run.request_speed.sample()
+                after = run.request_speed.sample()
+                run.requests.append((shots, wall, (before + after) / 2))
+                run.setups.append((first, (before + after) / 2))
+                before = after
             run.setup_speed = run.request_speed
             workload.check_inline(specs, served, run)
             return run, None
@@ -282,8 +306,7 @@ def run_sweep(workload, seed: int, seconds: float, trace: bool):
         extra = {"p50_ms": 1e3 * quantile(latencies, 0.5),
                  "p90_ms": 1e3 * quantile(latencies, 0.9),
                  "vs_inline": inline_s / walls[-1]}
-        tracer = LayerTracer(child_dir=workdir)
-        missing = tracer.install()
+        tracer = install(LayerTracer(child_dir=workdir))
         traced_s = 0.0
         try:
             for index in range(iterations):
@@ -297,8 +320,7 @@ def run_sweep(workload, seed: int, seconds: float, trace: bool):
             raise CheckFailure(f"{workload.name}: the traced sweep's counts "
                                f"differ from the untraced sweep's")
         processes = 1 + workload.num_workers
-        return run, (tracer, traced_s, untraced_s, processes, missing,
-                     extra)
+        return run, (tracer, traced_s, untraced_s, processes, extra)
     finally:
         remove(workdir)
 
@@ -338,16 +360,18 @@ def run_one(name: str, seed: int, seconds: float, trace: bool) -> int:
           f"sim_ns_per_shot {run.sim_ns:.1f} (simulated), "
           f"instructions/shot {run.instructions_per_shot:.1f}")
     if traced is None:
-        setups = run.setup_times
-        total_shots = sum(shots for shots, _ in run.requests)
-        total_s = sum(elapsed for _, elapsed in run.requests)
-        rates = [shots / elapsed for shots, elapsed in run.requests]
-        setup_s = quantile(setups, 0.5)
+        total_shots = sum(shots for shots, _, _ in run.requests)
+        total_s = sum(elapsed for _, elapsed, _ in run.requests)
+        rates = [shots / elapsed for shots, elapsed, _ in run.requests]
+        setup_s = quantile([elapsed for elapsed, _ in run.setups], 0.5)
         metrics = {
-            "shots_per_s": metric(
-                total_shots / total_s * run.request_speed.slowdown,
+            "shots_per_s": metric(quantile(
+                [shots / elapsed * REFERENCE_RATE / speed
+                 for shots, elapsed, speed in run.requests], 0.5),
                 "shots/s"),
-            "setup_s": metric(setup_s / run.setup_speed.slowdown, "s"),
+            "setup_s": metric(quantile(
+                [elapsed * speed / REFERENCE_RATE
+                 for elapsed, speed in run.setups], 0.5), "s"),
             "peak_rss_mb": metric(peak_rss_mb(name == "sweep_mixed"),
                                   "MB"),
         }
@@ -356,14 +380,14 @@ def run_one(name: str, seed: int, seconds: float, trace: bool) -> int:
               f"requests (per request: p25 {quantile(rates, 0.25):.1f}, "
               f"p50 {quantile(rates, 0.5):.1f}, "
               f"p75 {quantile(rates, 0.75):.1f}); raw setup_s "
-              f"{setup_s:.4f}, median of {len(setups)} set-ups; host "
+              f"{setup_s:.4f}, median of {len(run.setups)} set-ups; host "
               f"speed {run.request_speed.rate:.4g} (requests), "
               f"{run.setup_speed.rate:.4g} (set-ups) against the "
               f"reference {REFERENCE_RATE:.4g} kernel iterations/s")
     else:
-        tracer, traced_s, untraced_s, processes, missing, extra = traced
-        for hook in missing:
-            print(f"  hook not found, layer reads zero: {hook}")
+        tracer, traced_s, untraced_s, processes, extra = traced
+        print(f"  wrapper cost {1e9 * tracer.call_cost:.0f} ns per nested "
+              f"call, taken out of the parent's self time")
         print("\n".join(layer_table(tracer, traced_s, processes)))
         metrics = layer_metrics(tracer, traced_s, untraced_s, processes,
                                 run, extra)

@@ -1,27 +1,28 @@
 """The benchmark's own self-test.
 
-Runs two back-to-back sets of untraced runs of every workload (one run
-per seed, each in its own process, exactly as ``BENCHMARK.json``'s
-command is invoked), then checks, per workload and end-to-end metric:
+Runs two back-to-back sets of untraced runs of every workload in
+``BENCHMARK.json`` (seeds 1-10, one run per seed, each in its own
+process, exactly as ``BENCHMARK.json``'s command is invoked), then
+checks, per workload and end-to-end metric:
 
 * the spread of each set — the distance between the first and third
-  quartile as a share of the median — stays within the metric's bound
-  (``setup_s`` is exempt, as it is the set-up time);
+  quartile as a share of the median — stays within the metric's bound;
 * the second set's median is not worse than the first's by more than
   the bound;
 
 and finally that one held-out seed, used by neither set, passes every
 output check on every workload with tracing on and off.
 
+It prints one markdown table row per workload and metric (the medians
+and spreads of both sets; ``perfbench/BASELINE.md`` records them).
+
 Usage (from the repository root)::
 
-    python3 perfbench/selftest.py [--seeds 10] [--sets 2]
-        [--workloads reset_replay ...] [--output results.json]
+    python3 perfbench/selftest.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -29,6 +30,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(1, 11)
+SETS = 2
 HELD_OUT_SEED = 9973
 
 
@@ -58,24 +61,16 @@ def worse_by(first: float, second: float, better: str) -> float:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=10)
-    parser.add_argument("--sets", type=int, default=2)
-    parser.add_argument("--workloads", nargs="*")
-    parser.add_argument("--output", type=Path)
-    parser.add_argument("--skip-held-out", action="store_true")
-    args = parser.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     bounds = {m["name"]: m for m in spec["end_to_end"]}
     failures = []
-    record = {}
-    for workload in workloads:
+    rows = []
+    for workload in [w["name"] for w in spec["workloads"]]:
         sets = []
-        for set_index in range(args.sets):
+        for set_index in range(SETS):
             values = {name: [] for name in bounds}
-            for seed in range(1, args.seeds + 1):
+            for seed in SEEDS:
                 result = invoke(workload, seed, seconds, 0)
                 if not result["correct"]:
                     failures.append(f"{workload} seed {seed}: incorrect")
@@ -83,32 +78,34 @@ def main() -> int:
                     values[name].append(result["metrics"][name]["value"])
             sets.append(values)
             for name, metric in bounds.items():
-                median = statistics.median(values[name])
                 share = spread(values[name])
                 print(f"{workload:13s} set {set_index} {name:12s} "
-                      f"median {median:12.4f} spread {share:7.2%} "
-                      f"(bound {metric['bound']:.0%})", flush=True)
-                if name != "setup_s" and share > metric["bound"]:
+                      f"median {statistics.median(values[name]):12.6g} "
+                      f"spread {share:7.2%} (bound {metric['bound']:.0%})",
+                      flush=True)
+                if share > metric["bound"]:
                     failures.append(f"{workload} {name}: spread "
                                     f"{share:.2%} > bound")
         for name, metric in bounds.items():
-            for later in sets[1:]:
-                drift = worse_by(statistics.median(sets[0][name]),
-                                 statistics.median(later[name]),
-                                 metric["better"])
-                if drift > metric["bound"]:
-                    failures.append(f"{workload} {name}: later set worse "
-                                    f"by {drift:.2%}")
-        record[workload] = sets
-    if not args.skip_held_out:
-        for workload in workloads:
-            for trace in (0, 1):
-                if not invoke(workload, HELD_OUT_SEED, seconds,
-                              trace)["correct"]:
-                    failures.append(f"{workload} held-out seed, trace "
-                                    f"{trace}: incorrect")
-    if args.output is not None:
-        args.output.write_text(json.dumps(record, indent=1) + "\n")
+            medians = [statistics.median(values[name]) for values in sets]
+            drift = worse_by(medians[0], medians[1], metric["better"])
+            if drift > metric["bound"]:
+                failures.append(f"{workload} {name}: later set worse "
+                                f"by {drift:.2%}")
+            cells = [f"{median:.6g} | {spread(values[name]):.1%}"
+                     for median, values in zip(medians, sets)]
+            rows.append(f"| {workload} | {name} | {metric['unit']} | "
+                        + " | ".join(cells) + f" | {metric['bound']} |")
+    for workload in [w["name"] for w in spec["workloads"]]:
+        for trace in (0, 1):
+            if not invoke(workload, HELD_OUT_SEED, seconds,
+                          trace)["correct"]:
+                failures.append(f"{workload} held-out seed, trace "
+                                f"{trace}: incorrect")
+    print("| workload | metric | unit | set 1 median | set 1 spread | "
+          "set 2 median | set 2 spread | bound |")
+    print("|---|---|---|---|---|---|---|---|")
+    print("\n".join(rows))
     for failure in failures:
         print(f"FAIL: {failure}")
     print("self-test", "failed" if failures else "passed")

@@ -15,6 +15,7 @@ Importing this module requires ``repro`` on ``sys.path``
 
 from __future__ import annotations
 
+import gc
 import math
 import shutil
 import tempfile
@@ -99,8 +100,9 @@ def pauli_noise() -> NoiseModel:
 
 #: Calibration-kernel iterations per sample (about 15 ms).
 CALIBRATION_ITERATIONS = 20000
-#: Kernel speed (iterations per second) of the reference host that
-#: host-time metrics are scaled to: a quiet 2-vCPU Xeon virtual machine.
+#: Kernel speed (iterations per second) of the nominal reference host
+#: that host-time metrics are scaled to, about that of a quiet 2-vCPU
+#: Xeon virtual machine.
 REFERENCE_RATE = 2.5e6
 
 
@@ -110,35 +112,46 @@ class HostSpeed:
     On a shared virtual machine, neighbours slow every process by tens
     of percent for seconds to minutes at a time, so a run measured
     through such an episode reads slower for reasons that have nothing
-    to do with the program.  A fixed pure-Python kernel, independent of
-    the program, run between requests sees the same slowdown; host-time
-    metrics are reported scaled to the reference host speed, and the
-    raw figures are printed beside them.
+    to do with the program.  A fixed pure-Python kernel run between
+    requests sees the same slowdown; host-time metrics are reported
+    scaled to the reference host speed, and the raw figures are printed
+    beside them.
+
+    The kernel must not depend on the program's heap.  It runs with the
+    cyclic garbage collector off, so no collection it triggers walks the
+    program's objects, and it frees everything it allocates before the
+    collector is switched back on, so it leaves no allocation count
+    behind to trigger one later.
     """
 
     def __init__(self):
         self.iterations = 0
         self.seconds = 0.0
 
-    def sample(self) -> None:
-        start = time.perf_counter()
-        table: dict = {}
-        for i in range(CALIBRATION_ITERATIONS):
-            key = (i & 255, i >> 8)
-            table[key] = table.get(key, 0) + 1
-            items = [i, i + 1, i + 2]
-            items.append(sum(items))
-        self.seconds += time.perf_counter() - start
+    def sample(self) -> float:
+        """Run the kernel once; returns this sample's speed."""
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            table: dict = {}
+            for i in range(CALIBRATION_ITERATIONS):
+                key = (i & 255, i >> 8)
+                table[key] = table.get(key, 0) + 1
+                items = [i, i + 1, i + 2]
+                items.append(sum(items))
+            del table, items
+            seconds = time.perf_counter() - start
+        finally:
+            if collecting:
+                gc.enable()
+        self.seconds += seconds
         self.iterations += CALIBRATION_ITERATIONS
+        return CALIBRATION_ITERATIONS / seconds
 
     @property
     def rate(self) -> float:
         return self.iterations / self.seconds
-
-    @property
-    def slowdown(self) -> float:
-        """Reference speed / measured speed (above 1 on a slow host)."""
-        return REFERENCE_RATE / self.rate
 
 
 @dataclass
@@ -147,10 +160,14 @@ class Run:
 
     attempted: int = 0
     failed: int = 0
-    #: (shots delivered, wall seconds) of every timed request.
-    requests: list[tuple[int, float]] = field(default_factory=list)
-    setup_times: list[float] = field(default_factory=list)
-    #: Host speed sampled after every set-up and after every request.
+    #: (shots delivered, wall seconds, host speed) of every timed
+    #: request, and (wall seconds, host speed) of every timed set-up.
+    #: The host speed is the mean of the samples just before and just
+    #: after: a host slowdown episode can be shorter than a run, so each
+    #: interval is scaled by the samples around it alone.
+    requests: list[tuple[int, float, float]] = field(default_factory=list)
+    setups: list[tuple[float, float]] = field(default_factory=list)
+    #: Host speed sampled around every set-up and every request.
     setup_speed: HostSpeed = field(default_factory=HostSpeed)
     request_speed: HostSpeed = field(default_factory=HostSpeed)
     sim_ns: float = 0.0
@@ -174,6 +191,8 @@ class MachineWorkload:
     shots_per_op: int
     warm_shots: int
     reference_shots: int
+    #: Timed set-ups per untraced run (more where a set-up is short).
+    setup_repeats: int
     #: Traced-run size: run_counts calls per second of ``--seconds``.
     trace_ops_per_second: float
 
@@ -249,21 +268,24 @@ RESET_REPLAY = MachineWorkload(
                                                seed=seed),
     program=lambda setup: setup.assemble_text(FIG4_PROGRAM),
     engine="replay", backend="dense", shots_per_op=20000,
-    warm_shots=10000, reference_shots=1000, trace_ops_per_second=1.0)
+    warm_shots=10000, reference_shots=1000, setup_repeats=15,
+    trace_ops_per_second=1.0)
 
 S17_FRAME = MachineWorkload(
     name="s17_frame", create=surface17_setup,
     program=lambda setup: setup.compile_circuit(
         surface17_circuit(rounds=2, reset=False)),
     engine="frame", backend="stabilizer", shots_per_op=20000,
-    warm_shots=2000, reference_shots=300, trace_ops_per_second=0.6)
+    warm_shots=2000, reference_shots=300, setup_repeats=45,
+    trace_ops_per_second=0.6)
 
 S17_FEEDBACK = MachineWorkload(
     name="s17_feedback", create=surface17_setup,
     program=lambda setup: setup.compile_circuit(
         surface17_circuit(rounds=2, reset=True)),
     engine="interpreter", backend="stabilizer", shots_per_op=50,
-    warm_shots=10, reference_shots=200, trace_ops_per_second=0.4)
+    warm_shots=10, reference_shots=200, setup_repeats=31,
+    trace_ops_per_second=0.4)
 
 
 # ----------------------------------------------------------------------
