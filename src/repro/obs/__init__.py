@@ -10,10 +10,10 @@ plant) and the supervised serving stack.
 
 Layer contract
 --------------
-* **Overhead guarantee.**  Observability is *off by default*.  Every
-  hook in the instrumented code is guarded by a single
-  ``if obs is not None`` branch on a plain attribute — no allocation,
-  no call, no clock read when disabled.  Enabled, hot per-shot paths
+* **Overhead guarantee.**  Observability is *off by default*.  A
+  disabled hook is one ``if obs is not None`` branch (for the engine
+  loops, inside the one timing helper ``QuMAv2._timed``) — no clock
+  read, nothing recorded.  Enabled, hot per-shot paths
   record into histograms (two clock reads + one bucket increment per
   shot) rather than allocating spans; spans mark phases and rare
   events.  The feedback bench gates enabled-mode overhead (<= 5%

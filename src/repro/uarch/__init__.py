@@ -29,7 +29,6 @@ from repro.uarch.replay import (
     MeasurementSample,
     ReplayError,
     TimelineTree,
-    replay_unsupported_reason,
     replay_unsupported_reasons,
 )
 from repro.uarch.trace import (
@@ -71,7 +70,6 @@ __all__ = [
     "TriggerRecord",
     "UarchConfig",
     "analyze_data_memory",
-    "replay_unsupported_reason",
     "replay_unsupported_reasons",
     "slip_config",
 ]

@@ -80,7 +80,6 @@ from repro.core.registers import (
     ExecutionFlagsFile,
     GPRFile,
     MeasurementResultRegisters,
-    to_signed32,
     to_unsigned32,
 )
 from repro.quantum.pauli_frame import FrameRecorder, propagate_frames
@@ -104,7 +103,6 @@ from repro.uarch.replay import (
     MeasurementSample,
     ReplayAudit,
     TimelineTree,
-    replay_unsupported_reason,
     replay_unsupported_reasons,
 )
 
@@ -130,6 +128,19 @@ _FRAME_CHUNK_SHOTS = 16384
 #: recomputing the exploded graph per load().
 _DATAFLOW_CACHE_CAPACITY = 64
 
+#: Cached tree walks are timed on every 16th shot only, into this
+#: counter pair (``.time_ns`` + ``.timed_shots``): a cached shot is so
+#: cheap (~10 us) that even two clock reads per shot would blow the <=5%
+#: overhead budget.  The expensive shot kinds (growth, audit,
+#: interpreter) keep full per-shot histograms.
+_WALK_COUNTER = "engine.replay.walk"
+
+#: The machine-level replay blocker: trajectory-sampled Pauli gate noise
+#: on the stabilizer backend (the regime the Pauli-frame batch serves).
+_TRAJECTORY_BLOCKER = ("stochastic Pauli gate noise on the stabilizer "
+                       "backend (per-shot trajectory sampling outside the "
+                       "outcome history)")
+
 
 #: Events at equal timestamps resolve by priority: measurement results
 #: and the flag/Q-register updates they cause settle within the cycle,
@@ -138,6 +149,13 @@ _DATAFLOW_CACHE_CAPACITY = 64
 #: fast conditional execution unit immediately updates the execution
 #: flags", Section 4.3).
 _EVENT_PRIORITY = {"result": 0, "flag": 1, "qreg": 1, "trigger": 2}
+
+
+def _stats_view(field_name: str, doc: str) -> property:
+    """A read-only ``QuMAv2`` attribute reading one field of
+    :attr:`QuMAv2.engine_stats`."""
+    return property(
+        lambda machine: getattr(machine.engine_stats, field_name), doc=doc)
 
 
 @dataclass(order=True, slots=True)
@@ -192,20 +210,12 @@ class QuMAv2:
         # Per-instance handler cache: starts as the class dispatch
         # table and absorbs subclass resolutions as they are seen.
         self._dispatch: dict[type, Callable] = dict(self._DISPATCH)
-        #: Which engine the last run() used ("interpreter" | "replay").
-        self.last_run_engine: str | None = None
-        #: Why the last run() could not use replay (None when it did).
-        self.replay_fallback_reason: str | None = None
         #: Plant-backend policy: "auto" (static Clifford/noise pass per
         #: run — the default), or "dense"/"stabilizer" to pin a backend.
         self.plant_backend_policy = plant_backend
-        #: Which plant backend the last run() selected
-        #: ("stabilizer" | "dense"), mirroring :attr:`last_run_engine`.
-        self.last_plant_backend: str | None = None
-        #: Why the last run() kept the dense backend (None on tableau).
-        self.plant_backend_reason: str | None = None
-        #: Per-run engine statistics (shots per engine, segment-cache
-        #: hits/misses, fallback reasons); replaced by each run_iter().
+        #: Per-run engine statistics (engine and backend chosen and why,
+        #: shots per engine, segment-cache hits/misses); replaced by
+        #: each run_iter().  The engine/backend labels below read it.
         self.engine_stats = EngineStats()
         #: Cross-run replay cache: saturated timeline trees keyed by
         #: (binary words, noise model, config) so repeated sweeps over
@@ -251,6 +261,21 @@ class QuMAv2:
         self._obs = obs
         self.plant.observability = obs
 
+    # The engine/backend labels of the last run are views of its
+    # EngineStats, never a second copy.
+    last_run_engine = _stats_view(
+        "engine", 'Which engine the last run used ("interpreter" | '
+        '"replay" | "frame").')
+    replay_fallback_reason = _stats_view(
+        "fallback_reason", "Why the last run ended up on the interpreter "
+        "(None when a fast path served it).")
+    last_plant_backend = _stats_view(
+        "plant_backend", 'Which plant backend the last run selected '
+        '("stabilizer" | "dense").')
+    plant_backend_reason = _stats_view(
+        "plant_backend_reason", "Why the last run kept the dense backend "
+        "(None on the tableau).")
+
     def arm_faults(self, plan: FaultPlan | None) -> None:
         """Arm a deterministic fault-injection plan (None disarms).
 
@@ -281,26 +306,22 @@ class QuMAv2:
         decoded through the instantiation's decoder, so the machine
         genuinely runs the binary encoding.
         """
-        obs = self._obs
-        load_start = obs.clock() if obs is not None else 0
         if isinstance(program, AssembledProgram):
             words = program.words
         else:
             words = list(program)
-        decoder = InstructionDecoder(self.isa)
-        self._instructions = [decoder.decode(word) for word in words]
+        decode = InstructionDecoder(self.isa).decode
+        self._instructions = self._timed(list, map(decode, words),
+                                         span="machine.load",
+                                         instructions=len(words))
         self._binary_key = tuple(words)
         self._data_memory_report = self._dataflow_cache.get(
             self._binary_key)
         if self._data_memory_report is not None:
             self._dataflow_cache.move_to_end(self._binary_key)
         self._plant_backend_reasons = None
-        if obs is not None:
-            obs.tracer.record_span(
-                "machine.load", load_start, obs.clock(),
-                instructions=len(self._instructions))
-            if self._data_memory_report is not None:
-                obs.metrics.inc("machine.dataflow_cache.hits")
+        if self._obs is not None and self._data_memory_report is not None:
+            self._obs.metrics.inc("machine.dataflow_cache.hits")
 
     # ------------------------------------------------------------------
     # Shot state
@@ -407,10 +428,14 @@ class QuMAv2:
         :meth:`run`), so high-shot callers can aggregate on the fly
         instead of holding every trace in memory.
 
-        Engine metadata (:attr:`last_run_engine`,
-        :attr:`replay_fallback_reason`, :attr:`engine_stats`) is set
+        A run selects the plant backend once, runs the static analyses
+        once (:meth:`_choose_engine`) and drains one engine generator —
+        :meth:`_replay_shots`, :meth:`_frame_shots` or
+        :meth:`_interpreter_shots`; a fast path that degrades mid-run
+        finishes on the same interpreter loop.  :attr:`engine_stats`
+        (which the engine/backend label properties read) is replaced
         when the first trace is produced, since generators run on
-        demand; :attr:`engine_stats` keeps updating as shots are drawn.
+        demand, and keeps updating as shots are drawn.
 
         With an attached :attr:`observability` handle the whole run is
         wrapped in a ``machine.run`` span, phase spans mark backend
@@ -419,30 +444,9 @@ class QuMAv2:
         :class:`EngineStats` fold into the metrics registry.
         """
         obs = self._obs
-        if obs is None:
-            return self._run_iter_impl(shots, max_instructions,
-                                       use_replay)
-        return self._run_iter_traced(shots, max_instructions,
-                                     use_replay, obs)
-
-    def _run_iter_traced(self, shots: int, max_instructions: int,
-                         use_replay: bool, obs) -> Iterator[ShotTrace]:
-        """The traced run wrapper: one root span per run, engine stats
-        published on completion (including generator abandonment)."""
-        span = obs.begin("machine.run", shots=shots)
-        try:
-            yield from self._run_iter_impl(shots, max_instructions,
-                                           use_replay)
-        finally:
-            stats = self.engine_stats
-            obs.record_engine_run(stats)
-            obs.end(span, engine=stats.engine,
-                    plant_backend=stats.plant_backend)
-
-    def _run_iter_impl(self, shots: int, max_instructions: int,
-                       use_replay: bool) -> Iterator[ShotTrace]:
-        stats = EngineStats()
-        self.engine_stats = stats
+        span = None if obs is None else obs.begin("machine.run",
+                                                   shots=shots)
+        stats = self.engine_stats = EngineStats()
         self._audit_credit = 0.0
         # Forced outcomes are a per-run_shot driving aid; a queue left
         # over from an earlier run_shot() would silently bias the first
@@ -450,248 +454,220 @@ class QuMAv2:
         # onto the wrong measurements), so multi-shot runs always start
         # from a clean slate.
         self.measurement_unit.clear_forced_results()
-        if shots <= 0:
-            self.last_run_engine = None
-            self.replay_fallback_reason = None
-            self.last_plant_backend = None
-            self.plant_backend_reason = None
-            return
-        # Plant-backend selection comes first: both engines execute
-        # their (growth) shots against whichever backend is live, and
-        # the replay blocker analysis below depends on the choice
-        # (trajectory-sampled Pauli noise only exists on the tableau).
-        obs = self._obs
-        if obs is None:
-            backend_kind, backend_reason = self._select_plant_backend()
-        else:
-            phase_start = obs.clock()
-            backend_kind, backend_reason = self._select_plant_backend()
-            obs.tracer.record_span("machine.select_backend",
-                                   phase_start, obs.clock())
-        self.plant.use_backend(backend_kind)
-        self.last_plant_backend = backend_kind
-        self.plant_backend_reason = backend_reason
-        stats.plant_backend = backend_kind
-        stats.plant_backend_reason = backend_reason
         plan = self.fault_plan
-        if plan is not None:
-            plan.begin_run()
-            self._fault_record_base = len(plan.records)
-        if obs is None:
-            reasons = (["replay disabled by caller"] if not use_replay
-                       else self.replay_unsupported_reasons())
-        else:
-            phase_start = obs.clock()
-            reasons = (["replay disabled by caller"] if not use_replay
-                       else self.replay_unsupported_reasons())
-            obs.tracer.record_span("machine.replay_analysis",
-                                   phase_start, obs.clock())
-        if reasons:
-            # Stochastic Pauli gate noise blocks the outcome-keyed
-            # replay tree, but on a feedback-free Clifford program the
-            # Pauli-frame batched engine handles exactly that case: one
-            # reference tableau shot plus vectorised per-shot frames
-            # (see repro.quantum.pauli_frame).  Selection mirrors the
-            # replay pattern — a static eligibility pass, transparent
-            # reporting, graceful fallback.
-            if (use_replay and backend_kind == "stabilizer" and
-                    not self.plant.noise.gate_error.is_zero and
-                    not self.frame_batch_unsupported_reasons()):
-                yield from self._run_frame_batched(
-                    shots, max_instructions, stats, plan)
+        try:
+            if shots <= 0:
                 return
-            reason = "; ".join(reasons)
-            self.last_run_engine = "interpreter"
-            self.replay_fallback_reason = reason
-            stats.engine = "interpreter"
-            stats.fallback_reason = reason
-            shot_time = (None if obs is None else obs.metrics.histogram(
-                "engine.interpreter.shot.time_ns"))
-            clock = None if obs is None else obs.tracer.clock
+            # Plant-backend selection comes first: every engine runs its
+            # (reference/growth) shots against whichever backend is
+            # live, and the replay blockers depend on the choice
+            # (trajectory-sampled Pauli noise only exists on the tableau).
+            kind, reason = self._timed(self._select_plant_backend,
+                                       span="machine.select_backend")
+            self.plant.use_backend(kind)
+            stats.plant_backend = kind
+            stats.plant_backend_reason = reason
+            if plan is not None:
+                plan.begin_run()
+                self._fault_record_base = len(plan.records)
+            engine = self._timed(
+                self._choose_engine, kind, use_replay, shots,
+                max_instructions, stats, plan,
+                span="machine.replay_analysis")
             try:
-                for shot_index in range(shots):
-                    if plan is not None:
-                        plan.begin_shot(shot_index)
-                    stats.shots_total += 1
-                    stats.interpreter_shots += 1
-                    if shot_time is None:
-                        yield self.run_shot(max_instructions)
-                    else:
-                        shot_start = clock()
-                        trace = self.run_shot(max_instructions)
-                        shot_time.record(clock() - shot_start)
-                        yield trace
+                yield from engine
             finally:
                 self._sync_faults(stats, plan)
-            return
-        self.last_run_engine = "replay"
-        self.replay_fallback_reason = None
+        finally:
+            if obs is not None:
+                obs.record_engine_run(stats)
+                obs.end(span, engine=stats.engine,
+                        plant_backend=stats.plant_backend)
+
+    def _choose_engine(self, kind: str, use_replay: bool, shots: int,
+                       max_instructions: int, stats: EngineStats,
+                       plan: FaultPlan | None) -> Iterator[ShotTrace]:
+        """The (unstarted) shot generator of the engine the loaded
+        program can use on backend ``kind``.  The fast paths label
+        ``stats`` themselves; an interpreter run is labelled here, with
+        every blocker as its reason.
+
+        The dataflow report is read once and feeds the replay blockers,
+        the replay engine's stats, tree cacheability and mock clamp.
+        Stochastic Pauli gate noise blocks the outcome-keyed replay
+        tree, but when it is the *only* blocker a feedback-free Clifford
+        program rides the Pauli-frame batch (one reference tableau shot
+        plus vectorised per-shot frames, see
+        :mod:`repro.quantum.pauli_frame`) — so the frame engine's own
+        checks run only then.
+        """
+        if not use_replay:
+            reasons = ["replay disabled by caller"]
+        else:
+            report = self.data_memory_report()
+            reasons = self._replay_blockers(kind, report)
+            if reasons == [_TRAJECTORY_BLOCKER] and \
+                    not self._frame_blockers():
+                return self._frame_shots(shots, max_instructions, stats,
+                                         plan)
+            if not reasons:
+                return self._replay_shots(shots, max_instructions, stats,
+                                          plan, report)
+        stats.engine = "interpreter"
+        stats.fallback_reason = "; ".join(reasons)
+        return self._interpreter_shots(0, shots, max_instructions, stats,
+                                       plan)
+
+    def _interpreter_shots(self, first_shot: int, shots: int,
+                           max_instructions: int, stats: EngineStats,
+                           plan: FaultPlan | None) -> Iterator[ShotTrace]:
+        """Shots ``first_shot`` .. ``shots - 1``, one full interpreter
+        shot each: the whole run when a hard blocker rules the fast
+        paths out, the rest of the run when one degrades."""
+        for shot_index in range(first_shot, shots):
+            if plan is not None:
+                plan.begin_shot(shot_index)
+            stats.shots_total += 1
+            stats.interpreter_shots += 1
+            yield self._timed(self.run_shot, max_instructions,
+                              histogram="engine.interpreter.shot.time_ns")
+
+    def _replay_shots(self, shots: int, max_instructions: int,
+                      stats: EngineStats, plan: FaultPlan | None,
+                      report: DataMemoryReport) -> Iterator[ShotTrace]:
+        """Serve the run from the branch-resolved timeline tree (see
+        :mod:`repro.uarch.replay`): a cached outcome path is a pure tree
+        walk, an unseen one a growth shot on the interpreter.  An audit
+        divergence evicts the tree and hands the rest of the run to
+        :meth:`_interpreter_shots`; a run whose every shot was a growth
+        shot is labelled "interpreter", consistent with its split."""
         stats.engine = "replay"
-        report = self.data_memory_report()  # memoised: reasons used it
         stats.dead_stores = report.dead_store_count
         stats.killed_loads = report.killed_load_count
         stats.bounded_loops = report.bounded_loop_count
         tree, stats.tree_reused = self._replay_tree(
             cacheable=report.cross_run_cacheable)
-        stats.tree_nodes = tree.node_count
-        stats.tree_paths = tree.path_count
-        stats.tree_roots = tree.root_count
-        stats.growth_stopped_reason = tree.growth_stopped_reason
+
+        def track_tree() -> None:
+            stats.tree_nodes = tree.node_count
+            stats.tree_paths = tree.path_count
+            stats.tree_roots = tree.root_count
+            stats.growth_stopped_reason = tree.growth_stopped_reason
+
+        track_tree()
         measurement_unit = self.measurement_unit
-        mock_clamp = self._mock_fingerprint_clamp(tree.max_depth)
-        degraded_reason = None
-        walk_total_ns = 0
-        walk_timed = 0
-        walk_stride = 0
-        if obs is not None:
-            # Hoisted out of the shot loop: the histogram objects and
-            # the raw nanosecond clock.  Tree-walk time is measured on
-            # every 16th shot and published once as a pair of counters
-            # (total ns + shots timed) — a cached shot is so cheap
-            # (~10 us) that even two clock reads per shot would blow
-            # the <=5% overhead budget, let alone a histogram record.
-            # The expensive shot kinds (interpreter, growth, audit)
-            # keep full per-shot distributions.
-            audit_time = obs.metrics.histogram(
-                "engine.replay.audit.time_ns")
-            growth_time = obs.metrics.histogram(
-                "engine.replay.growth_shot.time_ns")
-            clock = obs.tracer.clock
+        mock_clamp = self._mock_fingerprint_clamp(report, tree.max_depth)
         try:
             for shot_index in range(shots):
                 if plan is not None:
                     plan.begin_shot(shot_index)
+                    if plan.would_fire("tree_bitflip"):
+                        detail = tree.corrupt_random_template(plan.rng)
+                        if detail is not None:
+                            plan.fire("tree_bitflip", detail=detail)
                 stats.shots_total += 1
-                if degraded_reason is not None:
-                    # A confirmed audit divergence invalidated the
-                    # tree; the rest of the run is interpreter-only.
-                    stats.interpreter_shots += 1
-                    yield self.run_shot(max_instructions)
-                    continue
-                if plan is not None and plan.would_fire("tree_bitflip"):
-                    detail = tree.corrupt_random_template(plan.rng)
-                    if detail is not None:
-                        plan.fire("tree_bitflip", detail=detail)
                 mock_view = measurement_unit.mock_view(mock_clamp)
-                if obs is None:
-                    trace, outcome_prefix = tree.sample_shot(mock_view)
-                elif walk_stride & 0xF:
-                    walk_stride += 1
+                if shot_index & 0xF:
                     trace, outcome_prefix = tree.sample_shot(mock_view)
                 else:
-                    walk_stride += 1
-                    walk_start = clock()
-                    trace, outcome_prefix = tree.sample_shot(mock_view)
-                    walk_total_ns += clock() - walk_start
-                    walk_timed += 1
-                if trace is not None:
-                    stats.segment_cache_hits += 1
-                    if self._audit_due():
-                        if obs is None:
-                            shadow, mismatched, detail = \
-                                self._audit_replay_shot(trace,
-                                                        max_instructions)
-                        else:
-                            audit_start = clock()
-                            shadow, mismatched, detail = \
-                                self._audit_replay_shot(trace,
-                                                        max_instructions)
-                            audit_time.record(clock() - audit_start)
-                        stats.replay_audits += 1
-                        if mismatched:
-                            if not detail:
-                                detail = ("cached replay trace diverged "
-                                          "from its interpreter shadow")
-                            stats.audit_divergences += 1
-                            stats.last_audit = ReplayAudit(
-                                shot_index=shot_index,
-                                mismatched_fields=tuple(mismatched),
-                                tree_evicted=True, detail=detail)
-                            degraded_reason = (
-                                f"replay audit divergence at shot "
-                                f"{shot_index} "
-                                f"({', '.join(mismatched)})")
-                            stats.degradations.append(
-                                f"replay -> interpreter: "
-                                f"{degraded_reason}")
-                            if obs is not None:
-                                obs.event("machine.degradation",
-                                          engine="replay",
-                                          detail=degraded_reason)
-                            self._evict_tree(tree)
-                            stats.interpreter_shots += 1
-                            if shadow is None:
-                                shadow = self.run_shot(max_instructions)
-                            yield shadow
-                            continue
-                        stats.last_audit = ReplayAudit(
-                            shot_index=shot_index, mismatched_fields=(),
-                            tree_evicted=False)
-                        # The shadow interpreter shot consumed the real
-                        # mock cursors itself — committing the view too
-                        # would double-drain the queues.
-                        stats.replay_shots += 1
-                        stats.mock_results_replayed += mock_view.consumed
-                        yield trace
-                        continue
-                    mock_view.commit()
-                    stats.replay_shots += 1
-                    stats.mock_results_replayed += mock_view.consumed
+                    trace, outcome_prefix = self._timed(
+                        tree.sample_shot, mock_view, counter=_WALK_COUNTER)
+                if trace is None:
+                    stats.segment_cache_misses += 1
+                    stats.interpreter_shots += 1
+                    trace = self._timed(
+                        self._grow_tree_shot, tree, mock_view.fingerprint,
+                        outcome_prefix, max_instructions,
+                        histogram="engine.replay.growth_shot.time_ns")
+                    track_tree()
                     yield trace
                     continue
-                stats.segment_cache_misses += 1
-                stats.interpreter_shots += 1
-                if obs is None:
-                    grown = self._grow_tree_shot(tree,
-                                                 mock_view.fingerprint,
-                                                 outcome_prefix,
-                                                 max_instructions)
+                stats.segment_cache_hits += 1
+                if not self._audit_due():
+                    mock_view.commit()
                 else:
-                    growth_start = clock()
-                    grown = self._grow_tree_shot(tree,
-                                                 mock_view.fingerprint,
-                                                 outcome_prefix,
-                                                 max_instructions)
-                    growth_time.record(clock() - growth_start)
-                yield grown
-                stats.tree_nodes = tree.node_count
-                stats.tree_paths = tree.path_count
-                stats.tree_roots = tree.root_count
-                stats.growth_stopped_reason = tree.growth_stopped_reason
+                    # The shadow interpreter shot consumes the real mock
+                    # cursors itself — committing the view too would
+                    # double-drain the queues.
+                    shadow, mismatched, detail = self._timed(
+                        self._audit_replay_shot, trace, max_instructions,
+                        histogram="engine.replay.audit.time_ns")
+                    stats.replay_audits += 1
+                    stats.last_audit = ReplayAudit(
+                        shot_index=shot_index,
+                        mismatched_fields=tuple(mismatched),
+                        tree_evicted=bool(mismatched), detail=detail)
+                    if mismatched:
+                        stats.audit_divergences += 1
+                        self._degrade(stats, "replay", (
+                            f"replay audit divergence at shot "
+                            f"{shot_index} ({', '.join(mismatched)})"))
+                        self._evict_tree(tree)
+                        # The audited shot is served from the trusted
+                        # shadow, the rest of the run by the interpreter.
+                        stats.interpreter_shots += 1
+                        yield (shadow if shadow is not None
+                               else self.run_shot(max_instructions))
+                        yield from self._interpreter_shots(
+                            shot_index + 1, shots, max_instructions,
+                            stats, plan)
+                        return
+                stats.replay_shots += 1
+                stats.mock_results_replayed += mock_view.consumed
+                yield trace
+            if stats.replay_shots == 0:
+                # Every shot was a growth shot — e.g. the outcome paths
+                # exceed the tree caps from shot one.  Reporting
+                # "replay" for a 100%-interpreter run would be a lie.
+                reason = ("replay selected but every shot ran as an "
+                          "interpreter growth shot")
+                if tree.growth_stopped_reason is not None:
+                    reason += f" ({tree.growth_stopped_reason})"
+                stats.engine = "interpreter"
+                stats.fallback_reason = reason
         finally:
-            if walk_timed:
-                obs.metrics.inc("engine.replay.walk.time_ns",
-                                walk_total_ns)
-                obs.metrics.inc("engine.replay.walk.timed_shots",
-                                walk_timed)
-            self._sync_faults(stats, plan)
             if plan is not None and plan.fired_this_run:
                 # A fault that fired during this run may have stopped
                 # tree growth early or corrupted cached state; never
                 # let the tree leak into later runs through the
                 # cross-run cache.
                 self._evict_tree(tree)
-        if degraded_reason is not None:
-            self.replay_fallback_reason = degraded_reason
-            stats.fallback_reason = degraded_reason
-            if stats.replay_shots == 0:
-                stats.engine = "interpreter"
-                self.last_run_engine = "interpreter"
-            return
-        if stats.replay_shots == 0 and stats.interpreter_shots > 0:
-            # The replay engine was selected but every shot ended up a
-            # growth (interpreter) shot — e.g. the outcome paths exceed
-            # the tree caps from shot one.  Reporting "replay" for a
-            # 100%-interpreter run would be a lie; keep the engine
-            # label consistent with the EngineStats split.
-            reason = ("replay selected but every shot ran as an "
-                      "interpreter growth shot")
-            if tree.growth_stopped_reason is not None:
-                reason += f" ({tree.growth_stopped_reason})"
+
+    def _timed(self, call, *args, span: str | None = None,
+               histogram: str | None = None, counter: str | None = None,
+               **attributes):
+        """``call(*args)``, the one engine timing hook.  With
+        observability attached its wall time also lands in ``span``
+        (with ``attributes``), in the ``histogram`` time histogram
+        and/or in the ``counter`` pair ``<counter>.time_ns`` +
+        ``<counter>.timed_shots``; otherwise it is a plain call."""
+        obs = self._obs
+        if obs is None or not (span or histogram or counter):
+            return call(*args)
+        start_ns = obs.clock()
+        result = call(*args)
+        end_ns = obs.clock()
+        if span is not None:
+            obs.tracer.record_span(span, start_ns, end_ns, **attributes)
+        if histogram is not None:
+            obs.metrics.observe(histogram, end_ns - start_ns)
+        if counter is not None:
+            obs.metrics.inc(f"{counter}.time_ns", end_ns - start_ns)
+            obs.metrics.inc(f"{counter}.timed_shots")
+        return result
+
+    def _degrade(self, stats: EngineStats, engine: str,
+                 reason: str) -> None:
+        """Record that ``engine`` handed the rest of the run to the
+        interpreter (and, when tracing, emit it as an event).  The run
+        keeps its fast-path label only if that path served any shot."""
+        stats.degradations.append(f"{engine} -> interpreter: {reason}")
+        stats.fallback_reason = reason
+        if stats.replay_shots == 0 and stats.frame_batched == 0:
             stats.engine = "interpreter"
-            stats.fallback_reason = reason
-            self.last_run_engine = "interpreter"
-            self.replay_fallback_reason = reason
+        if self._obs is not None:
+            self._obs.event("machine.degradation", engine=engine,
+                            detail=reason)
 
     #: Trace fields the self-verifying audit compares bit-for-bit.
     _AUDIT_FIELDS = ("triggers", "results", "slips",
@@ -738,7 +714,9 @@ class QuMAv2:
             self.measurement_unit.clear_forced_results()
         mismatched = [name for name in self._AUDIT_FIELDS
                       if getattr(shadow, name) != getattr(trace, name)]
-        return shadow, mismatched, ""
+        return shadow, mismatched, (
+            "cached replay trace diverged from its interpreter shadow"
+            if mismatched else "")
 
     def _evict_tree(self, tree: TimelineTree) -> None:
         """Drop one tree from the cross-run cache (identity match).
@@ -781,38 +759,44 @@ class QuMAv2:
         few — never recompute the exploded graph for a binary this
         machine has already analysed."""
         if self._data_memory_report is None:
-            obs = self._obs
-            dataflow_start = obs.clock() if obs is not None else 0
-            slots = [self._measurement_slot_count(instruction)
+            # Measurement micro-operations per instruction execution
+            # (untranslatable slots count zero — such programs are
+            # blocked from replay elsewhere).
+            table = self._slot_micro_ops()
+            slots = [sum(op.is_measurement for slot in instruction.operations
+                         for op in table[slot.name] or ())
+                     if isinstance(instruction, Bundle) else 0
                      for instruction in self._instructions]
-            self._data_memory_report = analyze_data_memory(
-                self._instructions, measurement_slots=slots)
+            self._data_memory_report = self._timed(
+                analyze_data_memory, self._instructions, slots,
+                span="machine.dataflow")
             self._dataflow_cache[self._binary_key] = \
                 self._data_memory_report
             while len(self._dataflow_cache) > _DATAFLOW_CACHE_CAPACITY:
                 self._dataflow_cache.popitem(last=False)
-            if obs is not None:
-                obs.tracer.record_span("machine.dataflow",
-                                       dataflow_start, obs.clock())
-                obs.metrics.inc("machine.dataflow_cache.misses")
+            if self._obs is not None:
+                self._obs.metrics.inc("machine.dataflow_cache.misses")
         return self._data_memory_report
 
-    def _measurement_slot_count(self, instruction: Instruction) -> int:
-        """Measurement micro-operations one execution of the
-        instruction triggers (untranslatable slots count zero — such
-        programs are blocked from replay elsewhere)."""
-        if not isinstance(instruction, Bundle):
-            return 0
-        total = 0
-        for slot in instruction.operations:
-            try:
-                micro_ops = self.microcode.translate_name(slot.name)
-            except Exception:
+    def _slot_micro_ops(self) -> dict[str, list | None]:
+        """Each distinct operation name in the loaded binary's bundles,
+        in program order, mapped to its micro-operations (None when the
+        microcode cannot translate it)."""
+        table: dict[str, list | None] = {}
+        for instruction in self._instructions:
+            if not isinstance(instruction, Bundle):
                 continue
-            total += sum(op.is_measurement for op in micro_ops)
-        return total
+            for slot in instruction.operations:
+                if slot.name not in table:
+                    try:
+                        table[slot.name] = self.microcode.translate_name(
+                            slot.name)
+                    except Exception:
+                        table[slot.name] = None
+        return table
 
-    def _mock_fingerprint_clamp(self, max_depth: int) -> int:
+    def _mock_fingerprint_clamp(self, report: DataMemoryReport,
+                                max_depth: int) -> int:
         """Per-qubit clamp for mock-cursor fingerprints (see
         :meth:`MeasurementUnit.mock_fingerprint`).
 
@@ -827,7 +811,7 @@ class QuMAv2:
         roots.  Only a genuinely unbounded loop falls back to the tree
         depth cap (paths longer than that are uncacheable anyway).
         """
-        bound = self.data_memory_report().max_measurements_per_shot
+        bound = report.max_measurements_per_shot
         if bound is None:
             return max_depth
         return min(max_depth, bound)
@@ -851,34 +835,20 @@ class QuMAv2:
             reasons: list[str] = []
             if not self._instructions:
                 reasons.append("no program loaded")
-            checked: set[str] = set()
-            for instruction in self._instructions:
-                if not isinstance(instruction, Bundle):
+            for name, micro_ops in self._slot_micro_ops().items():
+                if micro_ops is None:
+                    reasons.append(f"operation {name!r} is not translatable")
                     continue
-                for slot in instruction.operations:
-                    if slot.name in checked:
+                for micro_op in micro_ops:
+                    if micro_op.is_measurement:
                         continue
-                    checked.add(slot.name)
-                    try:
-                        micro_ops = self.microcode.translate_name(
-                            slot.name)
-                    except Exception:
-                        reasons.append(
-                            f"operation {slot.name!r} is not translatable")
+                    operation = self.isa.operations.get(micro_op.operation)
+                    if operation.unitary is None:
                         continue
-                    for micro_op in micro_ops:
-                        if micro_op.is_measurement:
-                            continue
-                        operation = self.isa.operations.get(
-                            micro_op.operation)
-                        if operation.unitary is None:
-                            continue
-                        if cached_clifford_action(
-                                operation.unitary) is None:
-                            reasons.append(
-                                f"operation {micro_op.operation!r} is "
-                                f"not Clifford")
-                            break
+                    if cached_clifford_action(operation.unitary) is None:
+                        reasons.append(f"operation {micro_op.operation!r} "
+                                       f"is not Clifford")
+                        break
             self._plant_backend_reasons = reasons
         reasons = list(self._plant_backend_reasons)
         if not self.plant.noise.is_pauli_plus_readout:
@@ -1035,25 +1005,19 @@ class QuMAv2:
         on the interpreter (which the tableau still accelerates).  With
         zero gate error the tableau is deterministic given the outcome
         history and both fast paths compound."""
-        reasons = replay_unsupported_reasons(
-            self._instructions, self.microcode, self.measurement_unit,
-            self.isa.topology.qubits,
-            data_memory_report=self.data_memory_report())
         kind, _ = self._select_plant_backend()
+        return self._replay_blockers(kind, self.data_memory_report())
+
+    def _replay_blockers(self, kind: str,
+                         report: DataMemoryReport) -> list[str]:
+        """:meth:`replay_unsupported_reasons` for an already selected
+        backend ``kind`` and dataflow ``report``."""
+        reasons = replay_unsupported_reasons(
+            self._instructions, self.microcode, data_memory_report=report)
         if kind == "stabilizer" and \
                 not self.plant.noise.gate_error.is_zero:
-            reasons.append(
-                "stochastic Pauli gate noise on the stabilizer backend "
-                "(per-shot trajectory sampling outside the outcome "
-                "history)")
+            reasons.append(_TRAJECTORY_BLOCKER)
         return reasons
-
-    def replay_unsupported_reason(self) -> str | None:
-        """All blocking reasons joined with "; ", or None when the
-        program is replayable."""
-        return replay_unsupported_reason(
-            self._instructions, self.microcode, self.measurement_unit,
-            self.isa.topology.qubits)
 
     def frame_batch_unsupported_reasons(self) -> list[str]:
         """Every reason the loaded program cannot use the Pauli-frame
@@ -1070,44 +1034,36 @@ class QuMAv2:
         stabilizer backend with nonzero Pauli gate error — the one
         regime replay cannot serve.
         """
-        reasons = replay_unsupported_reasons(
-            self._instructions, self.microcode, self.measurement_unit,
-            self.isa.topology.qubits,
-            data_memory_report=self.data_memory_report())
-        conditional: list[str] = []
-        has_fmr = False
-        for instruction in self._instructions:
-            if isinstance(instruction, Fmr):
-                has_fmr = True
-                continue
-            if not isinstance(instruction, Bundle):
-                continue
-            for slot in instruction.operations:
-                try:
-                    micro_ops = self.microcode.translate_name(slot.name)
-                except Exception:
-                    continue  # already a replay blocker above
-                for micro_op in micro_ops:
-                    if micro_op.condition is not ExecutionFlag.ALWAYS \
-                            and slot.name not in conditional:
-                        conditional.append(slot.name)
-        if has_fmr:
+        return replay_unsupported_reasons(
+            self._instructions, self.microcode,
+            data_memory_report=self.data_memory_report()) + \
+            self._frame_blockers()
+
+    def _frame_blockers(self) -> list[str]:
+        """The frame engine's own blockers (FMR, conditional
+        micro-operations, mock results) — see
+        :meth:`frame_batch_unsupported_reasons`."""
+        reasons: list[str] = []
+        if any(isinstance(instruction, Fmr)
+               for instruction in self._instructions):
             reasons.append(
                 "FMR feedback can fork the Clifford sequence on "
                 "per-shot outcomes")
-        for name in conditional:
-            reasons.append(
-                f"operation {name!r} executes conditionally (the gate "
-                f"sequence forks on per-shot outcomes)")
+        for name, micro_ops in self._slot_micro_ops().items():
+            if any(micro_op.condition is not ExecutionFlag.ALWAYS
+                   for micro_op in micro_ops or ()):
+                reasons.append(
+                    f"operation {name!r} executes conditionally (the "
+                    f"gate sequence forks on per-shot outcomes)")
         if self.measurement_unit.has_any_mock_results():
             reasons.append(
                 "injected mock results vary across shots as their "
                 "queues drain")
         return reasons
 
-    def _run_frame_batched(self, shots: int, max_instructions: int,
-                           stats: EngineStats,
-                           plan) -> Iterator[ShotTrace]:
+    def _frame_shots(self, shots: int, max_instructions: int,
+                     stats: EngineStats,
+                     plan: FaultPlan | None) -> Iterator[ShotTrace]:
         """Serve ``shots`` traces through the Pauli-frame batched
         engine (see :mod:`repro.quantum.pauli_frame`).
 
@@ -1125,20 +1081,15 @@ class QuMAv2:
         recorded in :attr:`EngineStats.degradations`.
         """
         stats.engine = "frame"
-        stats.fallback_reason = None
-        self.last_run_engine = "frame"
-        self.replay_fallback_reason = None
-        obs = self._obs
         backend = self.plant.backend
         recorder = FrameRecorder()
         if plan is not None:
             plan.begin_shot(0)
         degraded_reason = None
-        template = None
         backend.frame_recorder = recorder
-        reference_start = obs.clock() if obs is not None else 0
         try:
-            template = self.run_shot(max_instructions)
+            template = self._timed(self.run_shot, max_instructions,
+                                   span="engine.frame.reference_shot")
             backend.frame_recorder = None
             # Round-trip a snapshot so the frame path exercises the
             # same state-integrity machinery (and fault site) the
@@ -1149,9 +1100,6 @@ class QuMAv2:
                                f"({type(error).__name__}: {error})")
         finally:
             backend.frame_recorder = None
-            if obs is not None:
-                obs.tracer.record_span("engine.frame.reference_shot",
-                                       reference_start, obs.clock())
         if degraded_reason is None and \
                 recorder.measure_count != len(template.results):
             # Forced/mocked results would bypass the backend recorder;
@@ -1162,59 +1110,28 @@ class QuMAv2:
                 f"measurements but the reference trace holds "
                 f"{len(template.results)}")
         if degraded_reason is not None:
-            stats.degradations.append(
-                f"frame -> interpreter: {degraded_reason}")
-            if obs is not None:
-                obs.event("machine.degradation", engine="frame",
-                          detail=degraded_reason)
-            stats.engine = "interpreter"
-            stats.fallback_reason = degraded_reason
-            self.last_run_engine = "interpreter"
-            self.replay_fallback_reason = degraded_reason
-            try:
-                for shot_index in range(shots):
-                    if plan is not None:
-                        plan.begin_shot(shot_index)
-                    stats.shots_total += 1
-                    stats.interpreter_shots += 1
-                    yield self.run_shot(max_instructions)
-            finally:
-                self._sync_faults(stats, plan)
+            self._degrade(stats, "frame", degraded_reason)
+            yield from self._interpreter_shots(0, shots, max_instructions,
+                                               stats, plan)
             return
         stats.frame_reference_shots += 1
         readout = self.plant.noise.readout
         num_qubits = self.plant.num_qubits
-        shot_index = 0
-        try:
-            while shot_index < shots:
-                chunk = min(shots - shot_index, _FRAME_CHUNK_SHOTS)
-                if obs is None:
-                    raw, reported = propagate_frames(
-                        recorder.steps, num_qubits, chunk,
-                        self.plant.rng, readout)
-                else:
-                    batch_start = obs.clock()
-                    raw, reported = propagate_frames(
-                        recorder.steps, num_qubits, chunk,
-                        self.plant.rng, readout)
-                    batch_end = obs.clock()
-                    obs.tracer.record_span("engine.frame.batch",
-                                           batch_start, batch_end,
-                                           shots=chunk)
-                    obs.metrics.observe("engine.frame.batch.time_ns",
-                                        batch_end - batch_start)
-                raw_rows = raw.tolist()
-                reported_rows = reported.tolist()
-                for row in range(chunk):
-                    if plan is not None:
-                        plan.begin_shot(shot_index)
-                    stats.shots_total += 1
-                    stats.frame_batched += 1
-                    shot_index += 1
-                    yield template.with_sampled_results(
-                        list(zip(raw_rows[row], reported_rows[row])))
-        finally:
-            self._sync_faults(stats, plan)
+        for first in range(0, shots, _FRAME_CHUNK_SHOTS):
+            chunk = min(shots - first, _FRAME_CHUNK_SHOTS)
+            raw, reported = self._timed(
+                propagate_frames, recorder.steps, num_qubits, chunk,
+                self.plant.rng, readout, span="engine.frame.batch",
+                histogram="engine.frame.batch.time_ns", shots=chunk)
+            for shot_index, raw_row, reported_row in zip(
+                    range(first, first + chunk), raw.tolist(),
+                    reported.tolist()):
+                if plan is not None:
+                    plan.begin_shot(shot_index)
+                stats.shots_total += 1
+                stats.frame_batched += 1
+                yield template.with_sampled_results(
+                    list(zip(raw_row, reported_row)))
 
     # ------------------------------------------------------------------
     # Classical pipeline

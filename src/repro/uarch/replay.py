@@ -102,7 +102,6 @@ from repro.core.instructions import (
 from repro.core.microcode import MicrocodeUnit
 from repro.quantum.plant import QuantumPlant
 from repro.uarch.dataflow import analyze_data_memory
-from repro.uarch.measurement import MeasurementUnit
 from repro.uarch.trace import ShotTrace
 
 #: Name under which the plant logs projective measurements.
@@ -331,8 +330,6 @@ class MeasurementSample:
 def replay_unsupported_reasons(
         instructions: Iterable[Instruction],
         microcode: MicrocodeUnit,
-        measurement_unit: MeasurementUnit,
-        qubit_addresses: Iterable[int],
         data_memory_report=None) -> list[str]:
     """Every reason a loaded binary cannot take the replay fast path.
 
@@ -344,14 +341,12 @@ def replay_unsupported_reasons(
     (:mod:`repro.uarch.dataflow` — un-killed loads aliasing a store,
     unknown addresses, loops it cannot unroll), and
     operations the analysis cannot model.  Injected mock results are
-    *not* blockers any more — their queues are replayed through
-    cursor-keyed tree roots; the ``measurement_unit`` parameter is kept
-    for signature stability.  All blockers present in the program are
+    *not* blockers — their queues are replayed through cursor-keyed
+    tree roots.  All blockers present in the program are
     reported, not just the first one found.  ``data_memory_report``
     lets a caller that already ran the dataflow pass (the machine
     memoises it per binary) avoid recomputing it.
     """
-    del measurement_unit, qubit_addresses  # no longer blockers
     instructions = list(instructions)
     if not instructions:
         return ["no program loaded"]
@@ -377,18 +372,6 @@ def replay_unsupported_reasons(
     for name in unsupported:
         reasons.append(f"unsupported instruction {name}")
     return reasons
-
-
-def replay_unsupported_reason(
-        instructions: Iterable[Instruction],
-        microcode: MicrocodeUnit,
-        measurement_unit: MeasurementUnit,
-        qubit_addresses: Iterable[int]) -> str | None:
-    """All blocking reasons joined with "; ", or None when replayable."""
-    reasons = replay_unsupported_reasons(instructions, microcode,
-                                         measurement_unit,
-                                         qubit_addresses)
-    return "; ".join(reasons) if reasons else None
 
 
 class _TreeNode:

@@ -470,6 +470,21 @@ CHAOS_SITES = ("backend_gate", "measurement_stall", "timing_overflow",
 CHAOS_SHOTS = 40
 
 
+def reachable_chaos_sites(machine, mock_plan) -> list[str]:
+    """The :data:`CHAOS_SITES` a loaded case can actually fire.
+
+    Every generated program runs gates, measurements and timing points
+    on each shot, so the first three sites are always reachable.  A
+    tree bit-flip needs a replay tree (a replay-eligible program), and
+    a mock-queue wipe needs injected mock results."""
+    sites = ["backend_gate", "measurement_stall", "timing_overflow"]
+    if not machine.replay_unsupported_reasons():
+        sites.append("tree_bitflip")
+    if mock_plan:
+        sites.append("mock_exhaust")
+    return sites
+
+
 @pytest.mark.parametrize("seed", range(SEED_COUNT))
 def test_fault_injection_chaos(seed):
     """Random programs x random fault plans, self-verifying replay on.
@@ -479,18 +494,25 @@ def test_fault_injection_chaos(seed):
     with a *structured* :class:`EQASMError` — never silent corruption,
     never a bare non-library exception — and a disarmed re-run of the
     same program is healthy again (no degradations, every audit
-    clean).
+    clean).  The fault site is drawn from the sites the case can reach,
+    so a delivered run must have actually fired its fault.
     """
     text, mock_plan, clifford_only = generate_case(seed)
     noise = clifford_only_noise() if clifford_only else NoiseModel()
-    rng = np.random.default_rng(77_000 + seed)
-    site = CHAOS_SITES[int(rng.integers(len(CHAOS_SITES)))]
-    shot = int(rng.integers(0, 20)) if rng.random() < 0.7 else None
     setup = ExperimentSetup.create(noise=noise, seed=30_000 + seed,
                                    audit_fraction=1.0)
     if mock_plan:
         setup.machine.measurement_unit.inject_mock_results(2, mock_plan)
     assembled = setup.assemble_text(text)
+    setup.machine.load(assembled)
+    sites = reachable_chaos_sites(setup.machine, mock_plan)
+    rng = np.random.default_rng(77_000 + seed)
+    site = sites[int(rng.integers(len(sites)))]
+    # Shot 0 is the first growth shot: the tree has no terminal
+    # template to corrupt before it.
+    first_shot = 1 if site == "tree_bitflip" else 0
+    shot = (int(rng.integers(first_shot, 20)) if rng.random() < 0.7
+            else None)
     plan = FaultPlan([FaultSpec(site, shot=shot)], seed=seed)
     setup.machine.arm_faults(plan)
     try:
@@ -506,8 +528,8 @@ def test_fault_injection_chaos(seed):
         CHAOS_MIX[f"aborted ({site})"] += 1
     else:
         assert len(traces) == CHAOS_SHOTS
-        CHAOS_MIX[(f"recovered ({site})" if plan.records
-                   else "fault never fired")] += 1
+        assert plan.records, f"{site} fault (shot {shot}) never fired"
+        CHAOS_MIX[f"recovered ({site})"] += 1
 
     # Recovery: disarm, reset caches and queues, re-run clean.
     setup.machine.disarm_faults()

@@ -1,0 +1,196 @@
+"""Seeded output pins for every engine route of ``QuMAv2.run_iter``.
+
+The machine drives one run through one of seven routes: the
+static-blocker interpreter, the caller-forced interpreter, warm replay,
+the Pauli-frame batch, and three ways a selected fast path ends up on
+the interpreter (a faulted frame reference shot, an audit divergence,
+a replay run whose every shot was a growth shot).  Each route consumes
+the plant RNG in its own order, so the SHA-256 of the run's
+``ShotCounts`` and ``EngineStats`` on a fixed seed pins both the
+physics the route delivered and the draw order that produced it — a
+refactor of the engine loop that reorders a single draw changes the
+digest.
+
+The four engine labels on the machine (``last_run_engine``,
+``replay_fallback_reason``, ``last_plant_backend``,
+``plant_backend_reason``) must read exactly the run's ``engine_stats``.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from repro.core import Assembler, two_qubit_instantiation
+from repro.experiments.reset import FIG4_PROGRAM as ACTIVE_RESET
+from repro.quantum import NoiseModel, QuantumPlant
+from repro.quantum.noise import DecoherenceModel, GateErrorModel
+from repro.uarch import FaultPlan, FaultSpec, QuMAv2
+
+#: LD above the only ST to its address: the load observes the previous
+#: shot, a hard replay blocker.
+LIVE_LOAD = """
+SMIS S2, {2}
+LDI R6, 256
+QWAIT 10000
+LD R7, R6(0)
+ST R0, R6(0)
+X90 S2
+MEASZ S2
+QWAIT 50
+C_X S2
+MEASZ S2
+STOP
+"""
+
+#: Feedback-free Clifford program (frame-batch eligible under Pauli
+#: gate noise).
+FRAME_CLIFFORD = """
+SMIS S0, {0}
+SMIS S2, {2}
+SMIS S3, {0, 2}
+SMIT T0, {(0, 2)}
+QWAIT 10000
+H S0
+QWAIT 10
+CZ T0
+QWAIT 10
+X90 S2
+QWAIT 10
+MEASZ S3
+QWAIT 50
+STOP
+"""
+
+#: 70 measurements per shot: beyond the tree's depth cap, so every
+#: shot of a replay run is a growth shot.
+DEEP_LOOP = """
+SMIS S2, {2}
+LDI R0, 70
+LDI R1, 1
+QWAIT 10000
+loop:
+MEASZ S2
+QWAIT 50
+SUB R0, R0, R1
+CMP R0, R1
+BR GE, loop
+QWAIT 50
+STOP
+"""
+
+
+def pauli_noise() -> NoiseModel:
+    return NoiseModel(
+        decoherence=DecoherenceModel(t1_ns=1e15, t2_ns=1e15),
+        gate_error=GateErrorModel(single_qubit_error=0.03,
+                                  two_qubit_error=0.05))
+
+
+def make_machine(text, seed, noise=None, audit_fraction=0.0):
+    isa = two_qubit_instantiation()
+    plant = QuantumPlant(isa.topology, noise=noise or NoiseModel(),
+                         rng=np.random.default_rng(seed))
+    machine = QuMAv2(isa, plant, audit_fraction=audit_fraction)
+    machine.load(Assembler(isa).assemble_text(text))
+    return machine
+
+
+def route_static_blocker():
+    machine = make_machine(LIVE_LOAD, seed=101)
+    return machine, machine.run_counts(200)
+
+
+def route_replay_disabled():
+    machine = make_machine(ACTIVE_RESET, seed=102)
+    return machine, machine.run_counts(200, use_replay=False)
+
+
+def route_warm_replay():
+    machine = make_machine(ACTIVE_RESET, seed=103)
+    machine.run_counts(200)
+    return machine, machine.run_counts(2000)
+
+
+def route_frame_batch():
+    machine = make_machine(FRAME_CLIFFORD, seed=104, noise=pauli_noise())
+    return machine, machine.run_counts(500)
+
+
+def route_frame_reference_fault():
+    machine = make_machine(FRAME_CLIFFORD, seed=105, noise=pauli_noise())
+    machine.arm_faults(FaultPlan([FaultSpec("backend_gate", shot=0)]))
+    return machine, machine.run_counts(100)
+
+
+def route_audit_divergence():
+    machine = make_machine(ACTIVE_RESET, seed=106, audit_fraction=1.0)
+    machine.run_counts(50)
+    machine.arm_faults(FaultPlan([FaultSpec("tree_bitflip")], seed=9))
+    return machine, machine.run_counts(120)
+
+
+def route_all_growth():
+    machine = make_machine(DEEP_LOOP, seed=107)
+    return machine, machine.run_counts(3)
+
+
+#: route -> (run function, expected engine, SHA-256 of ShotCounts.as_dict(),
+#: SHA-256 of EngineStats.as_dict()), captured before the engine loops
+#: were merged.
+ROUTES = {
+    "static-blocker": (
+        route_static_blocker, "interpreter",
+        "99b5ed961746ac202ae56a1bb7f78510375b8c06b0e0040304985a24867cfde4",
+        "207ed671b75320638ca3b1cf75def542a7ac34134478af10e70dcf62b339fe44"),
+    "replay-disabled": (
+        route_replay_disabled, "interpreter",
+        "84c7e5a42ad5b6b11e53b06a1fe98dd3fdc9d98f032b888750d500bcaa89a98b",
+        "423257897cb29f2bd16b44313623fd5ef897e0409186425551a5a50e8b6e2c0c"),
+    "warm-replay": (
+        route_warm_replay, "replay",
+        "f1e467143c2e7df03fb5aee1f49bd4758b3981fb3aa8622ba29f58ede9cb7d44",
+        "906c6b03d0eb77e85268a4b7f4f7baa0b3e8b2800d9a560a8dd2113aee9f0102"),
+    "frame-batch": (
+        route_frame_batch, "frame",
+        "92b6050f4b7760cc53e79f89f43076348ddeb03429a0b5e1460439429ec37a5e",
+        "bc17cc1f3e2073fd8eafca7ce27a9b5d6138c070ba13f57483ad4ea29615cab3"),
+    "frame-reference-fault": (
+        route_frame_reference_fault, "interpreter",
+        "d9f3dcb227ae397ac7aaeb1e65a0422a2fe64bfd3178f3fa4a0698d46bfffdab",
+        "e485696409888a1f1342ed5988f8c3555fc6e4e7fa2b7a97b203008eeda12a41"),
+    "audit-divergence": (
+        route_audit_divergence, "replay",
+        "d13325cb1e7f72cd7813f1c8cc78adf4084cca95d87cf19825a1f8b4e40d894d",
+        "b4c90d1ec531cffea7b3f2a7d52598f3154549dc26dd1b48be7f31a800fac19c"),
+    "all-growth": (
+        route_all_growth, "interpreter",
+        "202c51821aec9b8b1532dbc102df7a2c964d9c467cf010c11ba4e9213c0006b8",
+        "7b34ae3c5ddd958be826115e1bfab56bf9fab9902512aa9b271186515590310b"),
+}
+
+
+def digest(payload: dict) -> str:
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_route_output_is_pinned(route):
+    run_route, engine, counts_digest, stats_digest = ROUTES[route]
+    machine, counts = run_route()
+    stats = machine.engine_stats
+    assert stats.engine == engine
+    assert digest(counts.as_dict()) == counts_digest
+    assert digest(stats.as_dict()) == stats_digest
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_labels_read_engine_stats(route):
+    machine, _ = ROUTES[route][0]()
+    stats = machine.engine_stats
+    assert machine.last_run_engine == stats.engine
+    assert machine.replay_fallback_reason == stats.fallback_reason
+    assert machine.last_plant_backend == stats.plant_backend
+    assert machine.plant_backend_reason == stats.plant_backend_reason

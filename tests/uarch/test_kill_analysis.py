@@ -305,7 +305,7 @@ class TestTripCountResolution:
         """)
         assert report.bounded_loop_count == 1
         assert report.max_measurements_per_shot == 4
-        assert machine._mock_fingerprint_clamp(64) == 4
+        assert machine._mock_fingerprint_clamp(report, 64) == 4
 
     def test_loop_free_bound_matches_slot_count(self):
         machine, report = machine_report("""
@@ -403,7 +403,7 @@ class TestTripCountResolution:
         BR ALWAYS, loop
         """)
         assert report.max_measurements_per_shot is None
-        assert machine._mock_fingerprint_clamp(64) == 64
+        assert machine._mock_fingerprint_clamp(report, 64) == 64
         # Regression: the branch resolves (ALWAYS) on every visit, but
         # it never exits — it must not be counted as a bounded loop.
         assert report.bounded_loop_count == 0
