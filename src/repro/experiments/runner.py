@@ -235,9 +235,11 @@ class ExperimentSetup:
                    shots: int) -> ShotCounts:
         """Load the binary and stream N shots into an aggregate.
 
-        Unlike :meth:`run`, memory stays O(qubits): traces are folded
-        into a :class:`~repro.uarch.trace.ShotCounts` as the machine
-        produces them (replay fast path included).
+        Unlike :meth:`run`, memory does not grow with the shot count:
+        the machine folds each shot into a
+        :class:`~repro.uarch.trace.ShotCounts` as it is produced,
+        without building a trace for cached replay walks or Pauli-frame
+        chunks (see :meth:`repro.uarch.machine.QuMAv2.run_counts`).
         """
         self.machine.load(assembled)
         return self.machine.run_counts(shots)

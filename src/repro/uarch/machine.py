@@ -37,6 +37,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import OrderedDict
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -120,7 +121,10 @@ _TREE_CACHE_CAPACITY = 16
 #: Shots per vectorised Pauli-frame propagation batch: large enough to
 #: amortise the per-step numpy dispatch, small enough that the frame
 #: and outcome matrices stay cache-friendly and the first traces reach
-#: a streaming run_iter consumer promptly.
+#: a streaming run_iter consumer promptly.  Each chunk leaves the frame
+#: engine as one outcome batch — run_counts folds it whole, run_iter
+#: splices its rows one trace at a time — and the run's EngineStats and
+#: fault-plan shot index advance once per chunk.
 _FRAME_CHUNK_SHOTS = 16384
 
 #: Bound on retained dataflow analyses (LRU keyed by binary words), so
@@ -432,10 +436,17 @@ class QuMAv2:
         once (:meth:`_choose_engine`) and drains one engine generator —
         :meth:`_replay_shots`, :meth:`_frame_shots` or
         :meth:`_interpreter_shots`; a fast path that degrades mid-run
-        finishes on the same interpreter loop.  :attr:`engine_stats`
-        (which the engine/backend label properties read) is replaced
-        when the first trace is produced, since generators run on
-        demand, and keeps updating as shots are drawn.
+        finishes on the same interpreter loop.  Cached replay walks and
+        Pauli-frame chunks arrive as templates plus sampled outcomes
+        and are spliced here (:meth:`ShotTrace.with_sampled_results`),
+        one trace at a time in shot order.  :attr:`engine_stats` (which
+        the engine/backend label properties read) is replaced when the
+        first trace is produced, since generators run on demand, and
+        keeps updating as shots are drawn: per shot on the interpreter
+        and replay engines, per chunk of up to ``_FRAME_CHUNK_SHOTS``
+        shots on the frame engine (counted before the chunk's first
+        trace is yielded, so ``shots_total`` is never below the number
+        of traces delivered).
 
         With an attached :attr:`observability` handle the whole run is
         wrapped in a ``machine.run`` span, phase spans mark backend
@@ -443,6 +454,29 @@ class QuMAv2:
         in ``engine.*.time_ns`` histograms, and the finished run's
         :class:`EngineStats` fold into the metrics registry.
         """
+        with closing(self._shot_items(shots, max_instructions,
+                                      use_replay)) as items:
+            for item in items:
+                if isinstance(item, ShotTrace):
+                    yield item
+                elif len(item) == 2:
+                    template, outcomes = item
+                    yield template.with_sampled_results(outcomes)
+                else:
+                    template, raw, reported = item
+                    for raw_row, reported_row in zip(raw.tolist(),
+                                                     reported.tolist()):
+                        yield template.with_sampled_results(
+                            list(zip(raw_row, reported_row)))
+
+    def _shot_items(self, shots: int, max_instructions: int,
+                    use_replay: bool) -> Iterator:
+        """The one place a run's engine generator is drained.  Yields,
+        in shot order, a :class:`ShotTrace` per interpreter, growth or
+        audited shot, a ``(template, outcomes)`` pair per cached replay
+        walk and a ``(template, raw, reported)`` outcome batch per
+        Pauli-frame chunk; :meth:`run_iter` splices the last two into
+        traces, :meth:`run_counts` folds them directly."""
         obs = self._obs
         span = None if obs is None else obs.begin("machine.run",
                                                    shots=shots)
@@ -486,7 +520,7 @@ class QuMAv2:
 
     def _choose_engine(self, kind: str, use_replay: bool, shots: int,
                        max_instructions: int, stats: EngineStats,
-                       plan: FaultPlan | None) -> Iterator[ShotTrace]:
+                       plan: FaultPlan | None) -> Iterator:
         """The (unstarted) shot generator of the engine the loaded
         program can use on backend ``kind``.  The fast paths label
         ``stats`` themselves; an interpreter run is labelled here, with
@@ -534,13 +568,16 @@ class QuMAv2:
 
     def _replay_shots(self, shots: int, max_instructions: int,
                       stats: EngineStats, plan: FaultPlan | None,
-                      report: DataMemoryReport) -> Iterator[ShotTrace]:
+                      report: DataMemoryReport) -> Iterator:
         """Serve the run from the branch-resolved timeline tree (see
         :mod:`repro.uarch.replay`): a cached outcome path is a pure tree
-        walk, an unseen one a growth shot on the interpreter.  An audit
-        divergence evicts the tree and hands the rest of the run to
-        :meth:`_interpreter_shots`; a run whose every shot was a growth
-        shot is labelled "interpreter", consistent with its split."""
+        walk, yielded unspliced as ``(template, outcomes)``, an unseen
+        one a growth shot on the interpreter, yielded as its trace (as
+        is an audited walk, which the shadow comparison splices).  An
+        audit divergence evicts the tree and hands the rest of the run
+        to :meth:`_interpreter_shots`; a run whose every shot was a
+        growth shot is labelled "interpreter", consistent with its
+        split."""
         stats.engine = "replay"
         stats.dead_stores = report.dead_store_count
         stats.killed_loads = report.killed_load_count
@@ -568,16 +605,16 @@ class QuMAv2:
                 stats.shots_total += 1
                 mock_view = measurement_unit.mock_view(mock_clamp)
                 if shot_index & 0xF:
-                    trace, outcome_prefix = tree.sample_shot(mock_view)
+                    template, outcomes = tree.sample_shot(mock_view)
                 else:
-                    trace, outcome_prefix = self._timed(
+                    template, outcomes = self._timed(
                         tree.sample_shot, mock_view, counter=_WALK_COUNTER)
-                if trace is None:
+                if template is None:
                     stats.segment_cache_misses += 1
                     stats.interpreter_shots += 1
                     trace = self._timed(
                         self._grow_tree_shot, tree, mock_view.fingerprint,
-                        outcome_prefix, max_instructions,
+                        outcomes, max_instructions,
                         histogram="engine.replay.growth_shot.time_ns")
                     track_tree()
                     yield trace
@@ -585,12 +622,14 @@ class QuMAv2:
                 stats.segment_cache_hits += 1
                 if not self._audit_due():
                     mock_view.commit()
+                    item = template, outcomes
                 else:
                     # The shadow interpreter shot consumes the real mock
                     # cursors itself — committing the view too would
                     # double-drain the queues.
+                    item = template.with_sampled_results(outcomes)
                     shadow, mismatched, detail = self._timed(
-                        self._audit_replay_shot, trace, max_instructions,
+                        self._audit_replay_shot, item, max_instructions,
                         histogram="engine.replay.audit.time_ns")
                     stats.replay_audits += 1
                     stats.last_audit = ReplayAudit(
@@ -614,7 +653,7 @@ class QuMAv2:
                         return
                 stats.replay_shots += 1
                 stats.mock_results_replayed += mock_view.consumed
-                yield trace
+                yield item
             if stats.replay_shots == 0:
                 # Every shot was a growth shot — e.g. the outcome paths
                 # exceed the tree caps from shot one.  Reporting
@@ -984,14 +1023,27 @@ class QuMAv2:
                    use_replay: bool = True) -> ShotCounts:
         """Execute ``shots`` shots and return the streaming aggregate.
 
-        Memory stays O(qubits) regardless of the shot count — the
-        traces are folded into a :class:`~repro.uarch.trace.ShotCounts`
-        as they are produced.
+        Same run as :meth:`run_iter` (same engine, draws and
+        :attr:`engine_stats`), but counts-first: interpreter, growth
+        and audited shots fold their traces
+        (:meth:`ShotCounts.add`), a cached replay walk folds its
+        template and outcomes (:meth:`ShotCounts.add_outcomes`) and a
+        Pauli-frame chunk folds its whole reported-outcome matrix
+        (:meth:`ShotCounts.add_batch`) — no trace is spliced.  Memory
+        stays O(qubits + replay-tree size) regardless of the shot
+        count.
         """
         counts = ShotCounts()
-        for trace in self.run_iter(shots, max_instructions,
-                                   use_replay=use_replay):
-            counts.add(trace)
+        with closing(self._shot_items(shots, max_instructions,
+                                      use_replay)) as items:
+            for item in items:
+                if isinstance(item, ShotTrace):
+                    counts.add(item)
+                elif len(item) == 2:
+                    counts.add_outcomes(*item)
+                else:
+                    template, _, reported = item
+                    counts.add_batch(template, reported)
         return counts
 
     def replay_unsupported_reasons(self) -> list[str]:
@@ -1063,22 +1115,24 @@ class QuMAv2:
 
     def _frame_shots(self, shots: int, max_instructions: int,
                      stats: EngineStats,
-                     plan: FaultPlan | None) -> Iterator[ShotTrace]:
-        """Serve ``shots`` traces through the Pauli-frame batched
+                     plan: FaultPlan | None) -> Iterator:
+        """Serve ``shots`` shots through the Pauli-frame batched
         engine (see :mod:`repro.quantum.pauli_frame`).
 
         One noise-free interpreter shot runs with a
         :class:`FrameRecorder` installed on the stabilizer backend,
         capturing the Clifford sequence, every deferred gate-error site
         and the measurement structure; its trace becomes the frozen
-        timeline template.  Batches of per-shot frames then propagate
-        through the recording with vectorised column operations, and
-        each shot's sampled ``(raw, reported)`` row is spliced into the
-        template.  A fault during the reference shot (the
-        ``backend_gate`` site, or ``snapshot_corrupt`` via the
-        post-reference snapshot integrity round-trip) degrades the
-        whole run gracefully to the per-shot tableau interpreter,
-        recorded in :attr:`EngineStats.degradations`.
+        timeline template.  Chunks of per-shot frames then propagate
+        through the recording with vectorised column operations; each
+        chunk is yielded as one ``(template, raw, reported)`` batch of
+        ``(chunk, measurements)`` outcome matrices, and stats and the
+        fault plan's shot index advance per chunk.  A fault during the
+        reference shot (the ``backend_gate`` site, or
+        ``snapshot_corrupt`` via the post-reference snapshot integrity
+        round-trip) degrades the whole run gracefully to the per-shot
+        tableau interpreter, recorded in
+        :attr:`EngineStats.degradations`.
         """
         stats.engine = "frame"
         backend = self.plant.backend
@@ -1119,19 +1173,15 @@ class QuMAv2:
         num_qubits = self.plant.num_qubits
         for first in range(0, shots, _FRAME_CHUNK_SHOTS):
             chunk = min(shots - first, _FRAME_CHUNK_SHOTS)
+            if plan is not None:
+                plan.begin_shot(first)
             raw, reported = self._timed(
                 propagate_frames, recorder.steps, num_qubits, chunk,
                 self.plant.rng, readout, span="engine.frame.batch",
                 histogram="engine.frame.batch.time_ns", shots=chunk)
-            for shot_index, raw_row, reported_row in zip(
-                    range(first, first + chunk), raw.tolist(),
-                    reported.tolist()):
-                if plan is not None:
-                    plan.begin_shot(shot_index)
-                stats.shots_total += 1
-                stats.frame_batched += 1
-                yield template.with_sampled_results(
-                    list(zip(raw_row, reported_row)))
+            stats.shots_total += chunk
+            stats.frame_batched += chunk
+            yield template, raw, reported
 
     # ------------------------------------------------------------------
     # Classical pipeline

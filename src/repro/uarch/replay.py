@@ -29,10 +29,13 @@ outcome history:
 
 Replaying a shot is a pure tree walk: sample each measurement from the
 stored ``P(1)`` (and the readout-error model), follow the matching
-edge, and splice the sampled outcomes into the terminal template
-(:meth:`ShotTrace.with_sampled_results`).  No plant state is touched at
-all — the chain rule over per-node conditional probabilities reproduces
-the interpreter's joint outcome distribution exactly.
+edge, and hand out the terminal template with the sampled outcomes.
+``run_iter`` splices them into a trace
+(:meth:`ShotTrace.with_sampled_results`); ``run_counts`` folds them
+straight into its aggregate (:meth:`ShotCounts.add_outcomes`).  No
+plant state is touched at all — the chain rule over per-node
+conditional probabilities reproduces the interpreter's joint outcome
+distribution exactly.
 
 When the walk reaches a not-yet-seen outcome edge, the engine *grows*
 the tree: it re-runs the full interpreter with the already-sampled
@@ -154,7 +157,12 @@ class EngineStats:
     :attr:`repro.uarch.machine.QuMAv2.engine_stats` and
     :attr:`repro.experiments.runner.ExperimentSetup.last_engine_stats`.
     The object updates *live* while ``run_iter`` streams — long sweeps
-    can report the engine mix mid-flight via :meth:`snapshot`.
+    can report the engine mix mid-flight via :meth:`snapshot`.  The
+    interpreter and replay engines count each shot as it is drawn; the
+    Pauli-frame engine counts a whole chunk of shots (up to
+    ``_FRAME_CHUNK_SHOTS`` in :mod:`repro.uarch.machine`) when the chunk
+    is propagated, before its first trace is delivered — so mid-stream
+    ``shots_total`` may run ahead of the traces consumed, never behind.
     """
 
     #: "replay" when the branch-resolved engine drove the run, "frame"
@@ -184,7 +192,7 @@ class EngineStats:
     #: Shots served purely from the timeline-segment tree.
     replay_shots: int = 0
     #: Shots served by the Pauli-frame batched engine (vectorised frame
-    #: rows spliced into the reference shot's frozen timeline).  The
+    #: rows over the reference shot's frozen timeline).  The
     #: delivered-shot invariant is ``shots_total == interpreter_shots +
     #: replay_shots + frame_batched``.
     frame_batched: int = 0
@@ -460,10 +468,14 @@ class TimelineTree:
         the joint distribution is exact.  Mocked nodes instead read the
         fabricated bit from the cursor view (raw == reported, no
         readout error — mocks bypass the analog chain).  Returns
-        ``(trace, outcomes)`` on a complete cached path, or
-        ``(None, outcome_prefix)`` when an unexplored edge is reached;
-        the caller then runs an interpreter shot with that prefix
-        forced (and, on success, commits the view's mock consumption).
+        ``(template, outcomes)`` on a complete cached path — the
+        terminal's frozen trace, *not* spliced, and the sampled
+        ``(raw, reported)`` pairs in result order (splice them with
+        :meth:`ShotTrace.with_sampled_results`, or fold them with
+        :meth:`ShotCounts.add_outcomes`) — or ``(None, outcome_prefix)``
+        when an unexplored edge is reached; the caller then runs an
+        interpreter shot with that prefix forced (and, on success,
+        commits the view's mock consumption).
         """
         rng = self._plant.rng
         readout = self._readout
@@ -497,7 +509,7 @@ class TimelineTree:
             if child is None:
                 return None, outcomes    # unexplored branch: grow here
             node = child
-        return node.template.with_sampled_results(outcomes), outcomes
+        return node.template, outcomes
 
     # ------------------------------------------------------------------
     # Fault injection (chaos testing of the audit machinery)

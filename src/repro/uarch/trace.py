@@ -10,6 +10,9 @@ when the reserve phase fell behind.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.core.errors import InvalidRequestError
 
@@ -72,8 +75,11 @@ class ShotTrace:
             self, outcomes: list[tuple[int, int]]) -> "ShotTrace":
         """Splice freshly sampled outcomes into this frozen timeline.
 
-        The replay engines build each replayed shot from a captured
-        template: the timing-domain records (triggers, slips, classical
+        The fast engines hand out each replayed or frame-batched shot
+        as a captured template plus its sampled outcomes;
+        :meth:`repro.uarch.machine.QuMAv2.run_iter` builds the shot's
+        trace here (``run_counts`` folds the outcomes directly and never
+        splices).  The timing-domain records (triggers, slips, classical
         time, instruction count) are *shared copy-on-write* — the
         returned trace references the template's own ``triggers`` and
         ``slips`` lists, because only the k-th result record differs
@@ -130,15 +136,35 @@ class ShotTrace:
         return max((record.slip_ns for record in self.slips), default=0.0)
 
 
+class _FoldPlan(NamedTuple):
+    """What folding a shot of one frozen template needs: its measured
+    qubits in sorted order, the result index holding each one's final
+    result, and its slip summary.  Holding the template keeps its
+    ``id`` (the plan's key) from being reused."""
+
+    template: ShotTrace
+    qubits: tuple[int, ...]
+    columns: list[int]
+    slips: int
+    max_slip_ns: float
+
+
 @dataclass(slots=True)
 class ShotCounts:
-    """Streaming aggregate over many shots — O(qubits) memory.
+    """Streaming aggregate over many shots — memory independent of the
+    shot count.
 
     High-shot callers (excited fractions, outcome histograms) do not
-    need every :class:`ShotTrace`; feeding traces into a
-    :class:`ShotCounts` as they are produced keeps memory flat no
-    matter the shot count.  Only the *final* result of each qubit per
-    shot is aggregated, matching :func:`repro.experiments.runner.excited_fraction`.
+    need every :class:`ShotTrace`.  A shot folds in as a full trace
+    (:meth:`add`), as a frozen template plus its sampled outcomes
+    (:meth:`add_outcomes`, a cached replay walk) or as a whole batch of
+    reported-outcome rows sharing one template (:meth:`add_batch`, a
+    Pauli-frame chunk); all three give the same aggregate.  Only the
+    *final* result of each qubit per shot is aggregated, matching
+    :func:`repro.experiments.runner.excited_fraction`.  Besides the
+    per-qubit counters the aggregate keeps one small fold plan per
+    distinct template (at most one per replay-tree terminal), never
+    one per shot.
     """
 
     shots: int = 0
@@ -152,6 +178,9 @@ class ShotCounts:
     #: Reused per-shot scratch buffer (qubit -> last reported result),
     #: preallocated once so 10k+-shot runs do not churn a dict per shot.
     _last: dict = field(default_factory=dict, repr=False, compare=False)
+    #: Fold plans of the templates seen by :meth:`add_outcomes` and
+    #: :meth:`add_batch`, keyed by ``id(template)``.
+    _plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add(self, trace: ShotTrace) -> None:
         """Fold one shot into the aggregate."""
@@ -171,6 +200,82 @@ class ShotCounts:
         slip = trace.max_slip_ns()
         if slip > self.max_slip_ns:
             self.max_slip_ns = slip
+
+    def _fold_template(self, template: ShotTrace,
+                       shots: int) -> _FoldPlan:
+        """Count ``shots`` shots of ``template`` and their slips;
+        returns the template's fold plan (built on first sight)."""
+        plan = self._plans.get(id(template))
+        if plan is None:
+            final = {record.qubit: index
+                     for index, record in enumerate(template.results)}
+            qubits = tuple(sorted(final))
+            plan = _FoldPlan(template, qubits,
+                             [final[qubit] for qubit in qubits],
+                             len(template.slips), template.max_slip_ns())
+            self._plans[id(template)] = plan
+        self.shots += shots
+        self.total_slips += plan.slips * shots
+        if plan.max_slip_ns > self.max_slip_ns:
+            self.max_slip_ns = plan.max_slip_ns
+        return plan
+
+    def add_outcomes(self, template: ShotTrace,
+                     outcomes: list[tuple[int, int]]) -> None:
+        """Fold one shot given as a frozen template and its sampled
+        ``(raw, reported)`` outcomes, in result order — the same as
+        ``add(template.with_sampled_results(outcomes))`` without
+        building the trace."""
+        _, qubits, columns, _, _ = self._fold_template(template, 1)
+        if qubits:
+            bits = [outcomes[column][1] for column in columns]
+            measured = self.measured
+            ones = self.ones
+            for qubit, bit in zip(qubits, bits):
+                measured[qubit] = measured.get(qubit, 0) + 1
+                if bit:
+                    ones[qubit] = ones.get(qubit, 0) + 1
+            key = tuple(zip(qubits, bits))
+            self.joint[key] = self.joint.get(key, 0) + 1
+
+    def add_batch(self, template: ShotTrace, reported: np.ndarray) -> None:
+        """Fold a batch of shots sharing one frozen template.
+
+        ``reported`` is a ``(shots, len(template.results))`` matrix of
+        0/1 reported outcomes, one row per shot in result order (a
+        Pauli-frame chunk).  The final-result columns are read once;
+        the joint histogram comes from ``np.unique`` over the final
+        columns packed into machine words.  Equal to :meth:`add` over
+        the spliced rows.
+        """
+        shots = len(reported)
+        if not shots:
+            return
+        _, qubits, columns, _, _ = self._fold_template(template, shots)
+        if qubits:
+            packed = np.packbits(reported[:, columns], axis=1,
+                                 bitorder="little")
+            words = np.zeros((shots, -(-packed.shape[1] // 8) * 8),
+                             dtype=np.uint8)
+            words[:, :packed.shape[1]] = packed
+            words = words.view(np.uint64)
+            if words.shape[1] == 1:
+                codes, counts = np.unique(words[:, 0], return_counts=True)
+                codes = codes.reshape(-1, 1)
+            else:
+                codes, counts = np.unique(words, axis=0,
+                                          return_counts=True)
+            rows = np.unpackbits(codes.view(np.uint8), axis=1,
+                                 count=len(qubits), bitorder="little")
+            joint = self.joint
+            for row, count in zip(rows.tolist(), counts.tolist()):
+                key = tuple(zip(qubits, row))
+                joint[key] = joint.get(key, 0) + count
+            column_ones = (counts @ rows).tolist()
+            for qubit, ones in zip(qubits, column_ones):
+                self.measured[qubit] = self.measured.get(qubit, 0) + shots
+                if ones:
+                    self.ones[qubit] = self.ones.get(qubit, 0) + ones
 
     def excited_fraction(self, qubit: int) -> float:
         """Fraction of shots whose last result on ``qubit`` was 1."""

@@ -16,7 +16,11 @@ cross-checks:
 * per-path timing-bit identity on every outcome path both engines
   produced (there must be at least one);
 * chi-squared agreement of the joint final-outcome histograms;
-* identical mock-queue draining (cursor bookkeeping cannot skew).
+* identical mock-queue draining (cursor bookkeeping cannot skew);
+* counts-path agreement — ``run_counts`` on a same-seeded twin of the
+  replay-side (and, for the Pauli-frame shape, the frame-side) machine
+  equals that run's traces folded one by one, with identical
+  ``EngineStats``.
 
 Tier-1 runs ``DEFAULT_SEED_COUNT`` seeded cases; the nightly CI job
 widens the range via ``EQASM_FUZZ_SEEDS=500``.  Every machine and the
@@ -40,7 +44,7 @@ from repro.core.errors import EQASMError, TimingViolationError
 from repro.experiments.runner import ExperimentSetup, RetryPolicy
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
-from repro.uarch import FAULT_SITES, FaultPlan, FaultSpec, QuMAv2
+from repro.uarch import FAULT_SITES, FaultPlan, FaultSpec, QuMAv2, ShotCounts
 
 DEFAULT_SEED_COUNT = 25
 SEED_COUNT = int(os.environ.get("EQASM_FUZZ_SEEDS", DEFAULT_SEED_COUNT))
@@ -183,11 +187,14 @@ def generate_case(seed: int) -> tuple[str, list[int], bool]:
 
 
 def run_engine(text: str, mock_plan: list[int], seed: int,
-               use_replay: bool, noise: NoiseModel | None = None):
+               use_replay: bool, noise: NoiseModel | None = None,
+               counts: bool = False):
     """Run one program on one engine; returns (machine, traces|None).
 
     ``traces`` is None when the run raised a timing violation — the
-    differential property is then that *both* engines raise it.
+    differential property is then that *both* engines raise it.  With
+    ``counts`` the run is ``run_counts`` and its ``ShotCounts`` stands
+    in for the traces.
     """
     isa = two_qubit_instantiation()
     plant = QuantumPlant(isa.topology,
@@ -198,11 +205,22 @@ def run_engine(text: str, mock_plan: list[int], seed: int,
     if mock_plan:
         machine.measurement_unit.inject_mock_results(2, mock_plan)
     machine.load(Assembler(isa).assemble_text(text))
+    run = machine.run_counts if counts else machine.run
     try:
-        traces = machine.run(SHOTS, use_replay=use_replay)
+        traces = run(SHOTS, use_replay=use_replay)
     except TimingViolationError:
         return machine, None
     return machine, traces
+
+
+def assert_counts_fold_traces(twin, counts, machine, traces):
+    """``run_counts`` on a same-seeded twin equals the traces of the
+    ``run`` folded one by one, with identical engine statistics."""
+    folded = ShotCounts()
+    for trace in traces:
+        folded.add(trace)
+    assert counts.as_dict() == folded.as_dict()
+    assert twin.engine_stats.as_dict() == machine.engine_stats.as_dict()
 
 
 def assert_timing_identical(trace_a, trace_b):
@@ -263,12 +281,18 @@ def test_interpreter_and_replay_are_equivalent(seed):
                                        use_replay=True,
                                        noise=noise)
 
+    twin, twin_counts = run_engine(text, mock_plan, seed=20_000 + seed,
+                                   use_replay=True, noise=noise,
+                                   counts=True)
+
     # Engine agreement on timing violations.
     assert (interp_traces is None) == (replay_traces is None), \
         "one engine raised a timing violation, the other did not"
+    assert (twin_counts is None) == (replay_traces is None)
     if interp_traces is None:
         ENGINE_MIX["timing-violation"] += 1
         return
+    assert_counts_fold_traces(twin, twin_counts, replay, replay_traces)
 
     # Plant-backend selection must agree across engines and match the
     # generated shape: the clifford_only cases (Clifford gate pool,
@@ -377,14 +401,16 @@ def generate_frame_case(seed: int) -> tuple[str, bool]:
 
 
 def run_frame_engine(text: str, seed: int, use_replay: bool,
-                     plant_backend: str = "auto"):
-    """One run of a frame-shape program on one engine/backend."""
+                     plant_backend: str = "auto", counts: bool = False):
+    """One run of a frame-shape program on one engine/backend (its
+    ``run_counts`` aggregate instead of its traces with ``counts``)."""
     isa = two_qubit_instantiation()
     plant = QuantumPlant(isa.topology, noise=pauli_gate_noise(),
                          rng=np.random.default_rng(seed))
     machine = QuMAv2(isa, plant, plant_backend=plant_backend)
     machine.load(Assembler(isa).assemble_text(text))
-    return machine, machine.run(SHOTS, use_replay=use_replay)
+    run = machine.run_counts if counts else machine.run
+    return machine, run(SHOTS, use_replay=use_replay)
 
 
 @pytest.mark.parametrize("seed", range(SEED_COUNT))
@@ -399,6 +425,9 @@ def test_frame_batched_equivalence(seed):
 
     frame, frame_traces = run_frame_engine(text, seed=40_000 + seed,
                                            use_replay=True)
+    twin, twin_counts = run_frame_engine(text, seed=40_000 + seed,
+                                         use_replay=True, counts=True)
+    assert_counts_fold_traces(twin, twin_counts, frame, frame_traces)
     tableau, tableau_traces = run_frame_engine(text, seed=50_000 + seed,
                                                use_replay=False)
     dense, dense_traces = run_frame_engine(text, seed=60_000 + seed,

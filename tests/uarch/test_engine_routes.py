@@ -11,6 +11,10 @@ physics the route delivered and the draw order that produced it — a
 refactor of the engine loop that reorders a single draw changes the
 digest.
 
+``run_counts`` folds engine outcomes without building a trace per
+shot; on every route it must equal ``run_iter``'s traces folded one by
+one on a same-seeded twin, with identical ``EngineStats``.
+
 The four engine labels on the machine (``last_run_engine``,
 ``replay_fallback_reason``, ``last_plant_backend``,
 ``plant_backend_reason``) must read exactly the run's ``engine_stats``.
@@ -26,7 +30,8 @@ from repro.core import Assembler, two_qubit_instantiation
 from repro.experiments.reset import FIG4_PROGRAM as ACTIVE_RESET
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
-from repro.uarch import FaultPlan, FaultSpec, QuMAv2
+from repro.uarch import FaultPlan, FaultSpec, QuMAv2, ShotCounts
+from repro.uarch.machine import _FRAME_CHUNK_SHOTS
 
 #: LD above the only ST to its address: the load observes the previous
 #: shot, a hard replay blocker.
@@ -97,43 +102,52 @@ def make_machine(text, seed, noise=None, audit_fraction=0.0):
     return machine
 
 
-def route_static_blocker():
+def fold_run_iter(machine, shots, **kwargs):
+    """The spliced-trace twin of ``run_counts``: every trace of
+    ``run_iter`` folded with ``ShotCounts.add``."""
+    counts = ShotCounts()
+    for trace in machine.run_iter(shots, **kwargs):
+        counts.add(trace)
+    return counts
+
+
+def route_static_blocker(count=QuMAv2.run_counts):
     machine = make_machine(LIVE_LOAD, seed=101)
-    return machine, machine.run_counts(200)
+    return machine, count(machine, 200)
 
 
-def route_replay_disabled():
+def route_replay_disabled(count=QuMAv2.run_counts):
     machine = make_machine(ACTIVE_RESET, seed=102)
-    return machine, machine.run_counts(200, use_replay=False)
+    return machine, count(machine, 200, use_replay=False)
 
 
-def route_warm_replay():
+def route_warm_replay(count=QuMAv2.run_counts):
     machine = make_machine(ACTIVE_RESET, seed=103)
-    machine.run_counts(200)
-    return machine, machine.run_counts(2000)
+    count(machine, 200)
+    return machine, count(machine, 2000)
 
 
-def route_frame_batch():
+def route_frame_batch(count=QuMAv2.run_counts):
     machine = make_machine(FRAME_CLIFFORD, seed=104, noise=pauli_noise())
-    return machine, machine.run_counts(500)
+    return machine, count(machine, 500)
 
 
-def route_frame_reference_fault():
+def route_frame_reference_fault(count=QuMAv2.run_counts):
     machine = make_machine(FRAME_CLIFFORD, seed=105, noise=pauli_noise())
     machine.arm_faults(FaultPlan([FaultSpec("backend_gate", shot=0)]))
-    return machine, machine.run_counts(100)
+    return machine, count(machine, 100)
 
 
-def route_audit_divergence():
+def route_audit_divergence(count=QuMAv2.run_counts):
     machine = make_machine(ACTIVE_RESET, seed=106, audit_fraction=1.0)
-    machine.run_counts(50)
+    count(machine, 50)
     machine.arm_faults(FaultPlan([FaultSpec("tree_bitflip")], seed=9))
-    return machine, machine.run_counts(120)
+    return machine, count(machine, 120)
 
 
-def route_all_growth():
+def route_all_growth(count=QuMAv2.run_counts):
     machine = make_machine(DEEP_LOOP, seed=107)
-    return machine, machine.run_counts(3)
+    return machine, count(machine, 3)
 
 
 #: route -> (run function, expected engine, SHA-256 of ShotCounts.as_dict(),
@@ -194,3 +208,55 @@ def test_labels_read_engine_stats(route):
     assert machine.replay_fallback_reason == stats.fallback_reason
     assert machine.last_plant_backend == stats.plant_backend
     assert machine.plant_backend_reason == stats.plant_backend_reason
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_run_counts_equals_folded_run_iter(route):
+    run_route = ROUTES[route][0]
+    machine, counts = run_route()
+    twin, folded = run_route(fold_run_iter)
+    assert json.dumps(counts.as_dict(), sort_keys=True) == \
+        json.dumps(folded.as_dict(), sort_keys=True)
+    assert machine.engine_stats.as_dict() == twin.engine_stats.as_dict()
+
+
+def test_run_counts_keeps_no_per_shot_state():
+    """Fold plans are kept per template (at most one per tree terminal),
+    none on an interpreter run."""
+    _, counts = route_static_blocker()
+    assert not counts._plans
+    machine, counts = route_warm_replay()
+    assert 0 < len(counts._plans) <= machine.engine_stats.tree_paths
+
+
+def frame_machine():
+    return make_machine(FRAME_CLIFFORD, seed=108, noise=pauli_noise())
+
+
+def test_frame_chunk_boundary_counts_equal_folded_run_iter():
+    shots = _FRAME_CHUNK_SHOTS + 100
+    machine = frame_machine()
+    counts = machine.run_counts(shots)
+    twin = frame_machine()
+    folded = fold_run_iter(twin, shots)
+    assert machine.engine_stats.engine == "frame"
+    assert counts.shots == shots
+    assert counts.as_dict() == folded.as_dict()
+    assert machine.engine_stats.as_dict() == twin.engine_stats.as_dict()
+
+
+def test_frame_stats_never_trail_delivered_traces():
+    """Frame stats advance per chunk, before the chunk's first trace:
+    mid-stream, shots_total is never below the traces delivered."""
+    shots = _FRAME_CHUNK_SHOTS + 100
+    machine = frame_machine()
+    delivered = 0
+    seen = set()
+    for _ in machine.run_iter(shots):
+        delivered += 1
+        snapshot = machine.engine_stats_snapshot()
+        assert snapshot.shots_total >= delivered
+        assert snapshot.frame_batched == snapshot.shots_total
+        seen.add(snapshot.shots_total)
+    assert delivered == shots
+    assert seen == {_FRAME_CHUNK_SHOTS, shots}
