@@ -86,9 +86,8 @@ except ImportError:  # script mode without PYTHONPATH=src
 
 import numpy as np
 
-from repro.core import Assembler, forty_nine_qubit_instantiation, \
-    seven_qubit_instantiation, seventeen_qubit_instantiation, \
-    two_qubit_instantiation
+from repro.core import Assembler, rotated_surface_instantiation, \
+    seven_qubit_instantiation, two_qubit_instantiation
 from repro.experiments.cfc import (
     CFC_SCRATCH_PROGRAM,
     CFC_TWO_ROUND_PROGRAM,
@@ -99,15 +98,9 @@ from repro.experiments.runner import ExperimentSetup
 from repro.experiments.surface_code import looped_surface_code_program
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
+from repro.topology.library import rotated_surface_layout
 from repro.uarch import QuMAv2
-from repro.workloads.surface17 import (
-    SURFACE17_Z_ANCILLAS,
-    surface17_circuit,
-)
-from repro.workloads.surface49 import (
-    SURFACE49_Z_ANCILLAS,
-    surface49_circuit,
-)
+from repro.workloads.rotated_surface import rotated_surface_circuit
 
 #: Required end-to-end speedup when recording BENCH_ numbers.
 SPEEDUP_TARGET = 5.0
@@ -240,6 +233,49 @@ def _time_run(machine: QuMAv2, shots: int, use_replay: bool):
     return traces, elapsed
 
 
+def _check_paths(reference_traces, traces) -> int:
+    """Per-outcome-path timing identity between two engines.
+
+    Every trace whose reported outcomes the reference run also produced
+    must carry bit-identical trigger, slip and classical-time records.
+    Returns how many traces were checked (at least one must be).
+    """
+    by_path = {}
+    for trace in reference_traces:
+        by_path.setdefault(trace.outcome_path(), trace)
+    checked = 0
+    for trace in traces:
+        reference = by_path.get(trace.outcome_path())
+        if reference is None:
+            continue
+        assert reference.triggers == trace.triggers
+        assert reference.slips == trace.slips
+        assert reference.classical_time_ns == trace.classical_time_ns
+        checked += 1
+    assert checked > 0, "no outcome path common to both engines"
+    return checked
+
+
+def _check_syndrome_rates(reference_traces, traces, ancillas,
+                          rounds: int, label: str = "") -> None:
+    """Per-ancilla, per-round reported-bit rates agree within ~4.5
+    sigma of the difference of two p=0.5 samples (the smaller run sets
+    the tolerance, so low-shot smoke runs stay sound)."""
+    tolerance = 4.5 * math.sqrt(
+        0.5 / min(len(reference_traces), len(traces)))
+
+    def rate(run, ancilla, round_index):
+        return sum([r.reported_result for r in t.results
+                    if r.qubit == ancilla][round_index]
+                   for t in run) / len(run)
+
+    for ancilla in ancillas:
+        for round_index in range(rounds):
+            assert abs(rate(reference_traces, ancilla, round_index)
+                       - rate(traces, ancilla, round_index)) < tolerance, \
+                f"{label}ancilla {ancilla} round {round_index}"
+
+
 def _measure_frame_engine(make, shots: int, interp_shots: int,
                           ancillas, rounds: int) -> dict:
     """Per-shot tableau interpreter vs the Pauli-frame batch.
@@ -276,30 +312,8 @@ def _measure_frame_engine(make, shots: int, interp_shots: int,
 
     # Feedback-free programs have one timing path; every frame trace
     # must splice onto it bit-identically.
-    interp_by_path = {}
-    for trace in interp_traces:
-        interp_by_path.setdefault(trace.outcome_path(), trace)
-    checked = 0
-    for trace in frame_traces:
-        reference = interp_by_path.get(trace.outcome_path())
-        if reference is None:
-            continue
-        assert reference.triggers == trace.triggers
-        assert reference.classical_time_ns == trace.classical_time_ns
-        checked += 1
-    assert checked > 0, "no outcome path common to both engines"
-
-    tolerance = 4.5 * math.sqrt(0.5 / min(interp_shots, shots))
-    for ancilla in ancillas:
-        for round_index in range(rounds):
-            def rate(traces):
-                fired = sum(
-                    [r.reported_result for r in t.results
-                     if r.qubit == ancilla][round_index]
-                    for t in traces)
-                return fired / len(traces)
-            assert abs(rate(interp_traces) - rate(frame_traces)) < \
-                tolerance, f"ancilla {ancilla} round {round_index}"
+    checked = _check_paths(interp_traces, frame_traces)
+    _check_syndrome_rates(interp_traces, frame_traces, ancillas, rounds)
 
     interp_rate = interp_shots / interp_s
     frame_rate = shots / frame_s
@@ -331,19 +345,7 @@ def measure_program(name: str, shots: int = 2000, seed: int = 13) -> dict:
     # Per-outcome-path timing equivalence: every path the replay engine
     # produced must have bit-identical timing records to an interpreter
     # trace that followed the same reported outcomes.
-    interp_by_path = {}
-    for trace in interp_traces:
-        interp_by_path.setdefault(trace.outcome_path(), trace)
-    checked = 0
-    for trace in replay_traces:
-        reference = interp_by_path.get(trace.outcome_path())
-        if reference is None:
-            continue
-        assert reference.triggers == trace.triggers
-        assert reference.slips == trace.slips
-        assert reference.classical_time_ns == trace.classical_time_ns
-        checked += 1
-    assert checked > 0, "no outcome path common to both engines"
+    checked = _check_paths(interp_traces, replay_traces)
 
     # Statistical equivalence of the final per-qubit outcome (~4.5
     # sigma of the difference of two p=0.5 samples, so low-shot smoke
@@ -450,18 +452,7 @@ def measure_sweep_reuse(shots: int = 2000, seed: int = 13) -> dict:
     assert growth_after_first == 0, \
         f"{growth_after_first} growth shots after the first run"
 
-    interp_by_path = {}
-    for trace in interp_traces:
-        interp_by_path.setdefault(trace.outcome_path(), trace)
-    checked = 0
-    for trace in replay_traces:
-        reference = interp_by_path.get(trace.outcome_path())
-        if reference is None:
-            continue
-        assert reference.triggers == trace.triggers
-        assert reference.classical_time_ns == trace.classical_time_ns
-        checked += 1
-    assert checked > 0, "no outcome path common to both engines"
+    checked = _check_paths(interp_traces, replay_traces)
 
     total = SWEEP_RUNS * per_run
     return {
@@ -524,41 +515,15 @@ def measure_looped_surface_code(shots: int = 2000, seed: int = 13) -> dict:
     for trace in dense_traces + tableau_traces + replay_traces:
         assert len(trace.results) == 2 * SURFACE_CODE_ROUNDS
 
-    interp_by_path = {}
-    for trace in tableau_traces:
-        interp_by_path.setdefault(trace.outcome_path(), trace)
-    checked = 0
-    for trace in replay_traces:
-        reference = interp_by_path.get(trace.outcome_path())
-        if reference is None:
-            continue
-        assert reference.triggers == trace.triggers
-        assert reference.slips == trace.slips
-        assert reference.classical_time_ns == trace.classical_time_ns
-        checked += 1
-    assert checked > 0, "no outcome path common to both engines"
+    checked = _check_paths(tableau_traces, replay_traces)
 
     # Per-ancilla, per-round syndrome rates must agree statistically —
     # across engines *and* across plant backends (the dense run has
     # fewer shots, so its sampling error dominates the tolerance).
-    def rate(traces, ancilla, round_index):
-        fired = sum(
-            [r.reported_result for r in t.results
-             if r.qubit == ancilla][round_index]
-            for t in traces)
-        return fired / len(traces)
-
-    for ancilla in (2, 4):
-        for round_index in range(SURFACE_CODE_ROUNDS):
-            reference = rate(tableau_traces, ancilla, round_index)
-            assert abs(reference -
-                       rate(replay_traces, ancilla, round_index)) < \
-                4.5 * math.sqrt(0.5 / shots), \
-                f"ancilla {ancilla} round {round_index} (replay)"
-            assert abs(reference -
-                       rate(dense_traces, ancilla, round_index)) < \
-                4.5 * math.sqrt(0.5 / dense_shots), \
-                f"ancilla {ancilla} round {round_index} (dense)"
+    _check_syndrome_rates(tableau_traces, replay_traces, (2, 4),
+                          SURFACE_CODE_ROUNDS, "replay ")
+    _check_syndrome_rates(tableau_traces, dense_traces, (2, 4),
+                          SURFACE_CODE_ROUNDS, "dense ")
 
     # Pauli-frame batch: under stochastic gate noise the replay tree
     # is blocked (per-shot trajectory sampling), and the feedback-free
@@ -596,144 +561,47 @@ def measure_looped_surface_code(shots: int = 2000, seed: int = 13) -> dict:
     }
 
 
-#: Syndrome rounds of the distance-3 surface-17 scenario (kept at 2 so
-#: the 8-measurement outcome tree saturates within a smoke run).
-SURFACE17_ROUNDS = 2
+#: Syndrome rounds of the rotated-surface scenarios, by distance.
+#: Distance 3 keeps 2 rounds, so its 8-measurement outcome tree
+#: saturates within a smoke run; distance 5 keeps 1, so the tree stays
+#: at 12 reported bits (two rounds would give 2^24 possible paths).
+SURFACE_ROUNDS = {3: 2, 5: 1}
 
 
-def measure_surface17(shots: int = 2000, seed: int = 13) -> dict:
-    """Distance-3 syndrome extraction on the 17-qubit chip.
+def measure_rotated_surface(distance: int, rounds: int,
+                            shots: int = 2000, seed: int = 13,
+                            interp_shots: int | None = None,
+                            frame_interp_shots: int | None = None) -> dict:
+    """Distance-``d`` syndrome extraction on the rotated surface chip.
 
     This scenario has no dense baseline by construction: a 17-qubit
-    density matrix is a 2^17 x 2^17 complex array (~256 GB), which is
-    exactly why the stabilizer backend exists.  Measured
-    tableau-interpreter vs tableau-replay through the compiled 64-bit
-    binary, with the usual timing-bit and statistics cross-checks.
+    density matrix is a 2^17 x 2^17 complex array (~256 GB), a 49-qubit
+    one ~2^101 bytes, which is exactly why the stabilizer backend
+    exists.  Measured tableau-interpreter vs tableau-replay through the
+    compiled wide binary (64-bit words at d=3; 192-bit words and
+    160-bit pair masks from ``specs/surface49-192bit.json`` at d=5),
+    with the usual timing-bit and statistics cross-checks.  The
+    interpreter baseline runs ``interp_shots`` shots (default: all of
+    them) and is compared as a rate — a 49-qubit tableau interpreter
+    shot is expensive, which is what the replay tree and the
+    Pauli-frame batch amortise.
     """
-    setup = ExperimentSetup.create(isa=seventeen_qubit_instantiation(),
-                                   noise=_readout_only_noise(),
-                                   seed=seed)
+    interp_shots = interp_shots or shots
+    setup = ExperimentSetup.create(
+        isa=rotated_surface_instantiation(distance),
+        noise=_readout_only_noise(), seed=seed)
+    ancillas = rotated_surface_layout(distance).z_ancillas
     assembled = setup.compile_circuit(
-        surface17_circuit(rounds=SURFACE17_ROUNDS))
+        rotated_surface_circuit(distance, rounds=rounds))
 
     def make(machine_seed):
-        isa = seventeen_qubit_instantiation()
+        isa = rotated_surface_instantiation(distance)
         plant = QuantumPlant(isa.topology, noise=_readout_only_noise(),
                              rng=np.random.default_rng(machine_seed))
         machine = QuMAv2(isa, plant)
         machine.load(assembled)
         return machine
 
-    interpreter = make(seed)
-    interp_traces, interp_s = _time_run(interpreter, shots,
-                                        use_replay=False)
-    assert interpreter.last_run_engine == "interpreter"
-    assert interpreter.last_plant_backend == "stabilizer", \
-        f"tableau refused: {interpreter.plant_backend_reason}"
-
-    replay = make(seed + 1)
-    replay_traces, replay_s = _time_run(replay, shots, use_replay=True)
-    assert replay.last_run_engine == "replay", \
-        f"replay refused: {replay.replay_fallback_reason}"
-    assert replay.last_plant_backend == "stabilizer"
-    stats = replay.engine_stats
-
-    for trace in interp_traces + replay_traces:
-        assert len(trace.results) == \
-            len(SURFACE17_Z_ANCILLAS) * SURFACE17_ROUNDS
-
-    interp_by_path = {}
-    for trace in interp_traces:
-        interp_by_path.setdefault(trace.outcome_path(), trace)
-    checked = 0
-    for trace in replay_traces:
-        reference = interp_by_path.get(trace.outcome_path())
-        if reference is None:
-            continue
-        assert reference.triggers == trace.triggers
-        assert reference.classical_time_ns == trace.classical_time_ns
-        checked += 1
-    assert checked > 0, "no outcome path common to both engines"
-
-    tolerance = 4.5 * math.sqrt(0.5 / shots)
-    for ancilla in SURFACE17_Z_ANCILLAS:
-        for round_index in range(SURFACE17_ROUNDS):
-            def rate(traces):
-                fired = sum(
-                    [r.reported_result for r in t.results
-                     if r.qubit == ancilla][round_index]
-                    for t in traces)
-                return fired / len(traces)
-            assert abs(rate(interp_traces) - rate(replay_traces)) < \
-                tolerance, f"ancilla {ancilla} round {round_index}"
-
-    # Pauli-frame batch on the 17-qubit chip: the feedback-free
-    # variant (reset=False) under stochastic Pauli gate noise — the
-    # regime where neither replay (trajectory sampling) nor the
-    # noise-free template applies, so before the frame engine every
-    # shot paid the full tableau interpreter.
-    frame_assembled = setup.compile_circuit(
-        surface17_circuit(rounds=SURFACE17_ROUNDS, reset=False))
-
-    def make_frame(offset):
-        isa = seventeen_qubit_instantiation()
-        plant = QuantumPlant(isa.topology, noise=_pauli_noise(),
-                             rng=np.random.default_rng(seed + 3 + offset))
-        machine = QuMAv2(isa, plant)
-        machine.load(frame_assembled)
-        return machine
-
-    frame = _measure_frame_engine(make_frame, shots=shots,
-                                  interp_shots=max(100, shots // 10),
-                                  ancillas=SURFACE17_Z_ANCILLAS,
-                                  rounds=SURFACE17_ROUNDS)
-
-    return {
-        "shots": shots,
-        "rounds": SURFACE17_ROUNDS,
-        "qubits": 17,
-        "interpreter_shots_per_sec": round(shots / interp_s, 1),
-        "replay_shots_per_sec": round(shots / replay_s, 1),
-        "speedup": round(interp_s / replay_s, 2),
-        "paths_checked": checked,
-        "engine_stats": stats.as_dict(),
-        **frame,
-    }
-
-
-#: Syndrome rounds of the distance-5 surface-49 scenario.  One round
-#: keeps the outcome tree at 12 reported bits, so the readout-noise
-#: paths still concentrate enough for the tree to saturate in a smoke
-#: run (two rounds would give 2^24 possible paths).
-SURFACE49_ROUNDS = 1
-
-
-def measure_surface49(shots: int = 2000, seed: int = 13) -> dict:
-    """Distance-5 syndrome extraction on the 49-qubit chip.
-
-    The widest instantiation the spec-driven encoder serves: 192-bit
-    words, 160-bit pair masks (``specs/surface49-192bit.json``).  A
-    dense 49-qubit state is ~2^101 bytes, so as with surface-17 the
-    tableau is the only baseline; it is sampled at a reduced shot
-    count and compared as a rate (a 49-qubit tableau interpreter shot
-    is expensive — which is exactly what the replay tree and the
-    Pauli-frame batch amortise).
-    """
-    setup = ExperimentSetup.create(isa=forty_nine_qubit_instantiation(),
-                                   noise=_readout_only_noise(),
-                                   seed=seed)
-    assembled = setup.compile_circuit(
-        surface49_circuit(rounds=SURFACE49_ROUNDS))
-
-    def make(machine_seed):
-        isa = forty_nine_qubit_instantiation()
-        plant = QuantumPlant(isa.topology, noise=_readout_only_noise(),
-                             rng=np.random.default_rng(machine_seed))
-        machine = QuMAv2(isa, plant)
-        machine.load(assembled)
-        return machine
-
-    interp_shots = max(100, shots // 4)
     interpreter = make(seed)
     interp_traces, interp_s = _time_run(interpreter, interp_shots,
                                         use_replay=False)
@@ -749,67 +617,59 @@ def measure_surface49(shots: int = 2000, seed: int = 13) -> dict:
     stats = replay.engine_stats
 
     for trace in interp_traces + replay_traces:
-        assert len(trace.results) == \
-            len(SURFACE49_Z_ANCILLAS) * SURFACE49_ROUNDS
+        assert len(trace.results) == len(ancillas) * rounds
 
-    interp_by_path = {}
-    for trace in interp_traces:
-        interp_by_path.setdefault(trace.outcome_path(), trace)
-    checked = 0
-    for trace in replay_traces:
-        reference = interp_by_path.get(trace.outcome_path())
-        if reference is None:
-            continue
-        assert reference.triggers == trace.triggers
-        assert reference.classical_time_ns == trace.classical_time_ns
-        checked += 1
-    assert checked > 0, "no outcome path common to both engines"
+    checked = _check_paths(interp_traces, replay_traces)
 
-    tolerance = 4.5 * math.sqrt(0.5 / min(interp_shots, shots))
-    for ancilla in SURFACE49_Z_ANCILLAS:
-        for round_index in range(SURFACE49_ROUNDS):
-            def rate(traces):
-                fired = sum(
-                    [r.reported_result for r in t.results
-                     if r.qubit == ancilla][round_index]
-                    for t in traces)
-                return fired / len(traces)
-            assert abs(rate(interp_traces) - rate(replay_traces)) < \
-                tolerance, f"ancilla {ancilla} round {round_index}"
+    _check_syndrome_rates(interp_traces, replay_traces, ancillas, rounds)
 
-    # Pauli-frame batch at distance 5: the feedback-free variant under
-    # stochastic Pauli gate noise.  The per-shot tableau interpreter
-    # pays ~49^2 tableau bits per gate per shot; the frame engine pays
-    # one reference shot plus vectorised frame propagation, so the
-    # batching advantage *grows* with the chip.
+    # Pauli-frame batch on the wide chip: the feedback-free variant
+    # (reset=False) under stochastic Pauli gate noise — the regime
+    # where neither replay (trajectory sampling) nor the noise-free
+    # template applies, so before the frame engine every shot paid the
+    # full tableau interpreter (~n^2 tableau bits per gate).  The frame
+    # engine pays one reference shot plus vectorised frame
+    # propagation, so the batching advantage *grows* with the chip.
     frame_assembled = setup.compile_circuit(
-        surface49_circuit(rounds=SURFACE49_ROUNDS, reset=False))
+        rotated_surface_circuit(distance, rounds=rounds, reset=False))
 
     def make_frame(offset):
-        isa = forty_nine_qubit_instantiation()
+        isa = rotated_surface_instantiation(distance)
         plant = QuantumPlant(isa.topology, noise=_pauli_noise(),
                              rng=np.random.default_rng(seed + 3 + offset))
         machine = QuMAv2(isa, plant)
         machine.load(frame_assembled)
         return machine
 
-    frame = _measure_frame_engine(make_frame, shots=shots,
-                                  interp_shots=max(50, shots // 10),
-                                  ancillas=SURFACE49_Z_ANCILLAS,
-                                  rounds=SURFACE49_ROUNDS)
+    frame = _measure_frame_engine(
+        make_frame, shots=shots,
+        interp_shots=frame_interp_shots or max(100, shots // 10),
+        ancillas=ancillas, rounds=rounds)
 
     interp_rate = interp_shots / interp_s
     replay_rate = shots / replay_s
     return {
         "shots": shots,
-        "rounds": SURFACE49_ROUNDS,
-        "qubits": 49,
+        "rounds": rounds,
+        "qubits": setup.isa.topology.num_qubits,
         "interpreter_shots_per_sec": round(interp_rate, 1),
         "replay_shots_per_sec": round(replay_rate, 1),
         "speedup": round(replay_rate / interp_rate, 2),
         "paths_checked": checked,
         "engine_stats": stats.as_dict(),
         **frame,
+    }
+
+
+def measure_surface_scenarios(shots: int = 2000) -> dict:
+    """The ``surface17`` (d=3) and ``surface49`` (d=5) scenarios."""
+    return {
+        "surface17": measure_rotated_surface(3, SURFACE_ROUNDS[3],
+                                             shots=shots),
+        "surface49": measure_rotated_surface(
+            5, SURFACE_ROUNDS[5], shots=shots,
+            interp_shots=max(100, shots // 4),
+            frame_interp_shots=max(50, shots // 10)),
     }
 
 
@@ -843,18 +703,7 @@ def measure_scratch_spill_reload(shots: int = 2000, seed: int = 13) -> dict:
         assert applied == [expected], \
             "replayed feedback diverged from the reloaded value"
 
-    interp_by_path = {}
-    for trace in interp_traces:
-        interp_by_path.setdefault(trace.outcome_path(), trace)
-    checked = 0
-    for trace in replay_traces:
-        reference = interp_by_path.get(trace.outcome_path())
-        if reference is None:
-            continue
-        assert reference.triggers == trace.triggers
-        assert reference.classical_time_ns == trace.classical_time_ns
-        checked += 1
-    assert checked > 0, "no outcome path common to both engines"
+    checked = _check_paths(interp_traces, replay_traces)
 
     tolerance = 4.5 * math.sqrt(0.5 / shots)
     for qubit in (0, 2):
@@ -1066,28 +915,18 @@ def _audited_machines(shots: int, seed: int):
         audit_fraction=1.0)
     yield "scratch_spill_reload", _make_machine(
         CFC_SCRATCH_PROGRAM, seed, audit_fraction=1.0)
-    setup = ExperimentSetup.create(isa=seventeen_qubit_instantiation(),
-                                   noise=_readout_only_noise(),
-                                   seed=seed)
-    assembled = setup.compile_circuit(
-        surface17_circuit(rounds=SURFACE17_ROUNDS))
-    isa = seventeen_qubit_instantiation()
-    plant = QuantumPlant(isa.topology, noise=_readout_only_noise(),
-                         rng=np.random.default_rng(seed))
-    machine = QuMAv2(isa, plant, audit_fraction=1.0)
-    machine.load(assembled)
-    yield "surface17", machine
-    setup49 = ExperimentSetup.create(
-        isa=forty_nine_qubit_instantiation(),
-        noise=_readout_only_noise(), seed=seed)
-    assembled49 = setup49.compile_circuit(
-        surface49_circuit(rounds=SURFACE49_ROUNDS))
-    isa49 = forty_nine_qubit_instantiation()
-    plant49 = QuantumPlant(isa49.topology, noise=_readout_only_noise(),
-                           rng=np.random.default_rng(seed))
-    machine49 = QuMAv2(isa49, plant49, audit_fraction=1.0)
-    machine49.load(assembled49)
-    yield "surface49", machine49
+    for distance, rounds in SURFACE_ROUNDS.items():
+        isa = rotated_surface_instantiation(distance)
+        setup = ExperimentSetup.create(
+            isa=rotated_surface_instantiation(distance),
+            noise=_readout_only_noise(), seed=seed)
+        assembled = setup.compile_circuit(
+            rotated_surface_circuit(distance, rounds=rounds))
+        plant = QuantumPlant(isa.topology, noise=_readout_only_noise(),
+                             rng=np.random.default_rng(seed))
+        machine = QuMAv2(isa, plant, audit_fraction=1.0)
+        machine.load(assembled)
+        yield f"surface{isa.topology.num_qubits}", machine
 
 
 def verify_full_audit_identity(shots: int = 400, seed: int = 13) -> dict:
@@ -1131,8 +970,7 @@ def run_benchmark(shots: int = 2000,
         measure_looped_surface_code(shots=shots)
     programs["scratch_spill_reload"] = \
         measure_scratch_spill_reload(shots=shots)
-    programs["surface17"] = measure_surface17(shots=shots)
-    programs["surface49"] = measure_surface49(shots=shots)
+    programs.update(measure_surface_scenarios(shots=shots))
     return {
         "benchmark": "bench_feedback_throughput",
         "description": "interpreter vs branch-resolved replay tree, "
@@ -1204,18 +1042,11 @@ def test_looped_surface_code_speedup():
         TABLEAU_SPEEDUP_TARGET
 
 
-def test_surface17_speedup():
-    result = measure_surface17(shots=2000)
-    print(f"\nsurface17: {result}")
-    assert result["speedup"] >= SPEEDUP_TARGET
-    assert result["frame_speedup"] >= FRAME_SPEEDUP_TARGET
-
-
-def test_surface49_speedup():
-    result = measure_surface49(shots=2000)
-    print(f"\nsurface49: {result}")
-    assert result["speedup"] >= SPEEDUP_TARGET
-    assert result["frame_speedup"] >= FRAME_SPEEDUP_TARGET
+def test_rotated_surface_speedups():
+    for name, result in measure_surface_scenarios(shots=2000).items():
+        print(f"\n{name}: {result}")
+        assert result["speedup"] >= SPEEDUP_TARGET, name
+        assert result["frame_speedup"] >= FRAME_SPEEDUP_TARGET, name
 
 
 def test_scratch_spill_reload_speedup():

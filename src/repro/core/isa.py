@@ -20,7 +20,12 @@ from repro.core.isaspec.registry import load_registered_spec
 from repro.core.isaspec.validate import ensure_valid
 from repro.core.operations import OperationSet, default_operation_set
 from repro.topology.chip import QuantumChipTopology
-from repro.topology.library import surface7, surface17, surface49, two_qubit_chip
+from repro.topology.library import (
+    rotated_surface_chip,
+    rotated_surface_layout,
+    surface7,
+    two_qubit_chip,
+)
 
 
 @dataclass
@@ -232,53 +237,36 @@ def seven_qubit_instantiation(
     )
 
 
-def seventeen_qubit_instantiation(
+def rotated_surface_instantiation(
+        distance: int,
         operations: OperationSet | None = None) -> EQASMInstantiation:
-    """A 64-bit instantiation for the distance-3 surface-17 chip.
+    """The instantiation for the rotated distance-``d`` surface-code chip.
 
-    The paper's 32-bit format cannot address this chip: 24 couplings x
-    2 directions need a 48-bit pair mask, far past the 16 bits of
-    Fig. 8 (the paper itself notes the instantiation — word width
-    included — is free per platform).  Doubling the word width keeps
-    every format rule intact (the field layout scales with the width;
-    see :mod:`repro.core.encoding`) while fitting the 17-bit qubit
-    mask and the 48-bit pair mask.
+    The paper's 32-bit format cannot address these chips: ``d = 3`` has
+    24 couplings x 2 directions (a 48-bit pair mask), ``d = 5`` has 80
+    (160 bits), far past the 16 bits of Fig. 8 — and the paper itself
+    notes the instantiation, word width included, is free per platform.
+    The chip's layout names its registered encoding spec (64-bit words
+    at ``d = 3``; 192 bits at ``d = 5``, whose spec also widens the FMR
+    Qi field for qubit addresses up to 48); the mask widths come from
+    the chip and the word width from the spec.
     """
+    chip = rotated_surface_chip(distance)
+    spec = load_registered_spec(rotated_surface_layout(distance).spec_name)
     return EQASMInstantiation(
-        name="eqasm-17q-64bit",
-        topology=surface17(),
+        name=f"eqasm-{chip.num_qubits}q-{spec.instruction_width}bit",
+        topology=chip,
         operations=operations or default_operation_set(),
-        instruction_width=64,
-        qubit_mask_field_width=17,
-        pair_mask_field_width=48,
-        encoding_spec=load_registered_spec("surface17-64bit"),
+        instruction_width=spec.instruction_width,
+        qubit_mask_field_width=chip.qubit_mask_width,
+        pair_mask_field_width=chip.pair_mask_width,
+        encoding_spec=spec,
     )
 
 
-def forty_nine_qubit_instantiation(
-        operations: OperationSet | None = None) -> EQASMInstantiation:
-    """A 192-bit instantiation for the distance-5 surface-49 chip.
-
-    The rotated distance-5 code has 25 data + 24 ancilla qubits and 80
-    couplings — 160 directed pairs, so SMIT needs a 160-bit pair mask.
-    Under the family layout (masks live in the bits below the
-    target-register field, 12 bits down from the word top) the smallest
-    byte-multiple word with that much room is 192 bits.  The chip also
-    has qubit addresses up to 48, past a 5-bit FMR Qi field; the
-    registered ``surface49-192bit`` spec widens Qi to 6 bits (moved to
-    offset 14 so it stays clear of Rd at bit 20 — the overlap the spec
-    validator would otherwise reject).  No hand-written layout exists
-    for this width: the format is entirely the spec value.
-    """
-    return EQASMInstantiation(
-        name="eqasm-49q-192bit",
-        topology=surface49(),
-        operations=operations or default_operation_set(),
-        instruction_width=192,
-        qubit_mask_field_width=49,
-        pair_mask_field_width=160,
-        encoding_spec=load_registered_spec("surface49-192bit"),
-    )
+def seventeen_qubit_instantiation() -> EQASMInstantiation:
+    # Kept because perfbench/workloads.py imports it by this name.
+    return rotated_surface_instantiation(3)
 
 
 def two_qubit_instantiation(

@@ -37,12 +37,9 @@ from repro.experiments.rb_timing import (
 )
 from repro.experiments.reset import ResetResult, run_active_reset_experiment
 from repro.experiments.surface_code import (
-    Surface17Result,
-    Surface49Result,
     SurfaceCodeResult,
     run_looped_surface_code_experiment,
-    run_surface17_experiment,
-    run_surface49_experiment,
+    run_rotated_surface_experiment,
     run_surface_code_experiment,
 )
 from repro.experiments.runner import (
@@ -88,12 +85,9 @@ __all__ = [
     "run_ramsey_experiment",
     "run_rb_timing_experiment",
     "run_looped_surface_code_experiment",
-    "run_surface17_experiment",
-    "run_surface49_experiment",
+    "run_rotated_surface_experiment",
     "run_surface_code_experiment",
     "run_t1_experiment",
-    "Surface17Result",
-    "Surface49Result",
     "SurfaceCodeResult",
     "staircase_rms_error",
 ]

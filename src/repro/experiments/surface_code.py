@@ -1,11 +1,11 @@
-"""Distance-2 surface-code error detection on the full stack.
+"""Surface-code error detection on the full stack.
 
-Runs repeated syndrome extraction on the seven-qubit instantiation —
-the machine compiles and executes the rounds, ancilla measurement
-results stream back per round, and an injected data-qubit error must
-flip exactly the stabilizers it anticommutes with.
+Runs repeated syndrome extraction — the machine compiles and executes
+the rounds, ancilla measurement results stream back per round, and an
+injected data-qubit error must flip exactly the stabilizers it
+anticommutes with.  Every runner returns a :class:`SurfaceCodeResult`.
 
-Two program shapes are covered:
+Three program shapes are covered:
 
 * the **compiler path** (:func:`run_surface_code_experiment`):
   :func:`~repro.workloads.surface_code.surface_code_circuit` unrolls
@@ -16,33 +16,29 @@ Two program shapes are covered:
   ``BR`` loop — the instruction-memory-friendly form a real control
   processor would run for many rounds.  The dataflow pass unrolls the
   counter statically, so the looping binary still rides the
-  branch-resolved replay engine (``EngineStats.bounded_loops``).
+  branch-resolved replay engine (``EngineStats.bounded_loops``);
+* the **rotated distance-3/5 chips**
+  (:func:`run_rotated_surface_experiment`): surface-17 and surface-49
+  on their wide instantiations, where only the stabilizer tableau can
+  hold the state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.errors import ExperimentIntegrityError, InvalidRequestError
 from repro.core.isa import (
-    forty_nine_qubit_instantiation,
+    rotated_surface_instantiation,
     seven_qubit_instantiation,
-    seventeen_qubit_instantiation,
 )
 from repro.experiments.runner import ExperimentSetup
 from repro.quantum.noise import NoiseModel
+from repro.topology.library import rotated_surface_layout
 from repro.uarch.replay import EngineStats
-from repro.workloads.surface17 import (
-    SURFACE17_Z_ANCILLAS,
-    Syndrome17,
-    surface17_circuit,
-)
-from repro.workloads.surface49 import (
-    SURFACE49_Z_ANCILLAS,
-    Syndrome49,
-    surface49_circuit,
+from repro.workloads.rotated_surface import (
+    RotatedSyndrome,
+    rotated_surface_circuit,
 )
 from repro.workloads.surface_code import (
     Syndrome,
@@ -102,17 +98,48 @@ class SurfaceCodeResult:
     """Per-round syndromes over all shots."""
 
     rounds: int
-    syndromes_per_shot: list[list[Syndrome]]
+    #: One :class:`Syndrome` (distance 2) or :class:`RotatedSyndrome`
+    #: (distances 3 and 5) per round, per shot.
+    syndromes_per_shot: list[list[Syndrome | RotatedSyndrome]]
     #: Per-run engine statistics — repeated syndrome extraction rides
     #: the branch-resolved replay tree (one cached path per observed
     #: ancilla-outcome history).
     engine_stats: EngineStats = field(default_factory=EngineStats)
+    #: Which plant backend held the state ("stabilizer" for the rotated
+    #: chips — a dense matrix cannot even be allocated at 17 qubits).
+    plant_backend: str | None = None
 
     def detection_fraction(self, round_index: int) -> float:
         """Fraction of shots whose syndrome fired in a given round."""
         fired = sum(1 for shot in self.syndromes_per_shot
                     if shot[round_index].fired())
         return fired / len(self.syndromes_per_shot)
+
+
+def _round_bits(trace, ancillas: tuple[int, ...],
+                rounds: int) -> list[tuple[int, ...]]:
+    """Per round, the reported bits of ``ancillas`` in one shot."""
+    per_ancilla = [[r.reported_result for r in trace.results_for(ancilla)]
+                   for ancilla in ancillas]
+    for ancilla, results in zip(ancillas, per_ancilla):
+        if len(results) != rounds:
+            raise ExperimentIntegrityError(
+                f"expected {rounds} results on ancilla {ancilla} per "
+                f"shot, got {len(results)}",
+                expected=rounds, got=len(results), ancilla=ancilla)
+    return list(zip(*per_ancilla))
+
+
+def _surface_code_result(setup: ExperimentSetup, traces,
+                         rounds: int) -> SurfaceCodeResult:
+    """Reduce streamed distance-2 shots to per-round Z syndromes."""
+    syndromes_per_shot = [
+        [Syndrome(*bits) for bits in _round_bits(trace, (2, 4), rounds)]
+        for trace in traces]
+    return SurfaceCodeResult(rounds=rounds,
+                             syndromes_per_shot=syndromes_per_shot,
+                             engine_stats=setup.last_engine_stats,
+                             plant_backend=setup.last_plant_backend)
 
 
 def run_surface_code_experiment(
@@ -133,22 +160,8 @@ def run_surface_code_experiment(
         seed=seed)
     circuit = surface_code_circuit(rounds=rounds, error=error,
                                    error_after_round=error_after_round)
-    syndromes_per_shot: list[list[Syndrome]] = []
-    for trace in setup.run_circuit_iter(circuit, shots):
-        results_2 = [r.reported_result for r in trace.results_for(2)]
-        results_4 = [r.reported_result for r in trace.results_for(4)]
-        if len(results_2) != rounds or len(results_4) != rounds:
-            raise ExperimentIntegrityError(
-                f"expected {rounds} ancilla results per shot, got "
-                f"{len(results_2)}/{len(results_4)}",
-                expected=rounds, got=(len(results_2), len(results_4)))
-        shot_syndromes = [Syndrome(z_check_2=results_2[i],
-                                   z_check_4=results_4[i])
-                          for i in range(rounds)]
-        syndromes_per_shot.append(shot_syndromes)
-    return SurfaceCodeResult(rounds=rounds,
-                             syndromes_per_shot=syndromes_per_shot,
-                             engine_stats=setup.last_engine_stats)
+    return _surface_code_result(
+        setup, setup.run_circuit_iter(circuit, shots), rounds)
 
 
 def run_looped_surface_code_experiment(
@@ -168,158 +181,51 @@ def run_looped_surface_code_experiment(
         noise=noise if noise is not None else NoiseModel.noiseless(),
         seed=seed)
     assembled = setup.assemble_text(looped_surface_code_program(rounds))
-    syndromes_per_shot: list[list[Syndrome]] = []
-    for trace in setup.run_iter(assembled, shots):
-        results_2 = [r.reported_result for r in trace.results_for(2)]
-        results_4 = [r.reported_result for r in trace.results_for(4)]
-        if len(results_2) != rounds or len(results_4) != rounds:
-            raise ExperimentIntegrityError(
-                f"expected {rounds} ancilla results per shot, got "
-                f"{len(results_2)}/{len(results_4)}",
-                expected=rounds, got=(len(results_2), len(results_4)))
-        syndromes_per_shot.append(
-            [Syndrome(z_check_2=results_2[i], z_check_4=results_4[i])
-             for i in range(rounds)])
-    return SurfaceCodeResult(rounds=rounds,
-                             syndromes_per_shot=syndromes_per_shot,
-                             engine_stats=setup.last_engine_stats)
+    return _surface_code_result(
+        setup, setup.run_iter(assembled, shots), rounds)
 
 
-@dataclass
-class Surface17Result:
-    """Per-round distance-3 Z syndromes over all shots."""
-
-    rounds: int
-    syndromes_per_shot: list[list[Syndrome17]]
-    #: Which plant backend held the 17-qubit state ("stabilizer" —
-    #: the dense matrix cannot even be allocated at this width).
-    plant_backend: str | None = None
-    engine_stats: EngineStats = field(default_factory=EngineStats)
-
-    def detection_fraction(self, round_index: int) -> float:
-        """Fraction of shots whose syndrome fired in a given round."""
-        fired = sum(1 for shot in self.syndromes_per_shot
-                    if shot[round_index].fired())
-        return fired / len(self.syndromes_per_shot)
-
-
-def run_surface17_experiment(
+def run_rotated_surface_experiment(
+        distance: int,
         rounds: int = 2,
         error: tuple[str, int] | None = None,
         error_after_round: int = 0,
         shots: int = 50, seed: int = 29,
         noise: NoiseModel | None = None,
-        plant_backend: str = "auto") -> Surface17Result:
-    """Distance-3 syndrome extraction on the 17-qubit chip.
+        plant_backend: str = "auto") -> SurfaceCodeResult:
+    """Distance-``d`` syndrome extraction on the rotated surface chip.
 
     This experiment is *only* runnable on the stabilizer-tableau plant
-    backend — a 17-qubit density matrix is ~256 GB — so the noise model
-    must stay Pauli/readout-only (the default is noiseless); the
-    machine's automatic backend selection then picks the tableau, and
-    with zero gate error the branch-resolved replay tree compounds on
-    top.  Shots are streamed and reduced to per-round Z syndromes
-    exactly like the distance-2 experiment.
+    backend — a 17-qubit density matrix is ~256 GB, a 49-qubit one
+    ~2^100 bytes — so the noise model must stay Pauli/readout-only (the
+    default is noiseless); the machine's automatic backend selection
+    then picks the tableau, and with zero gate error the
+    branch-resolved replay tree compounds on top.  Shots are streamed
+    and reduced to per-round Z syndromes exactly like the distance-2
+    experiment.
 
     ``plant_backend`` is forwarded to the machine.  Pinning ``"dense"``
-    does *not* OOM the host: admission control refuses the ~256 GB
-    density matrix up front with a structured
+    does *not* OOM the host: admission control refuses the density
+    matrix up front with a structured
     :class:`~repro.core.errors.ResourceError` whose context carries the
     byte estimate, the budget, and the suggestion to use
     ``plant_backend='stabilizer'``.
     """
     setup = ExperimentSetup.create(
-        isa=seventeen_qubit_instantiation(),
+        isa=rotated_surface_instantiation(distance),
         noise=noise if noise is not None else NoiseModel.noiseless(),
         seed=seed, plant_backend=plant_backend)
-    circuit = surface17_circuit(rounds=rounds, error=error,
-                                error_after_round=error_after_round)
-    syndromes_per_shot: list[list[Syndrome17]] = []
-    for trace in setup.run_circuit_iter(circuit, shots):
-        per_ancilla = {
-            ancilla: [r.reported_result
-                      for r in trace.results_for(ancilla)]
-            for ancilla in SURFACE17_Z_ANCILLAS}
-        for ancilla, results in per_ancilla.items():
-            if len(results) != rounds:
-                raise ExperimentIntegrityError(
-                    f"expected {rounds} results on ancilla {ancilla} "
-                    f"per shot, got {len(results)}",
-                    expected=rounds, got=len(results), ancilla=ancilla)
-        syndromes_per_shot.append([
-            Syndrome17(z_checks=tuple(
-                (ancilla, per_ancilla[ancilla][index])
-                for ancilla in SURFACE17_Z_ANCILLAS))
-            for index in range(rounds)])
-    return Surface17Result(rounds=rounds,
-                           syndromes_per_shot=syndromes_per_shot,
-                           plant_backend=setup.last_plant_backend,
-                           engine_stats=setup.last_engine_stats)
-
-
-@dataclass
-class Surface49Result:
-    """Per-round distance-5 Z syndromes over all shots."""
-
-    rounds: int
-    syndromes_per_shot: list[list[Syndrome49]]
-    #: Which plant backend held the 49-qubit state ("stabilizer" —
-    #: ~10k bit-packed tableau bits; a dense matrix is unthinkable).
-    plant_backend: str | None = None
-    engine_stats: EngineStats = field(default_factory=EngineStats)
-
-    def detection_fraction(self, round_index: int) -> float:
-        """Fraction of shots whose syndrome fired in a given round."""
-        fired = sum(1 for shot in self.syndromes_per_shot
-                    if shot[round_index].fired())
-        return fired / len(self.syndromes_per_shot)
-
-
-def run_surface49_experiment(
-        rounds: int = 1,
-        error: tuple[str, int] | None = None,
-        error_after_round: int = 0,
-        shots: int = 20, seed: int = 29,
-        noise: NoiseModel | None = None,
-        plant_backend: str = "auto") -> Surface49Result:
-    """Distance-5 syndrome extraction on the 49-qubit chip.
-
-    The full scaling exercise: the 192-bit spec-driven instantiation
-    encodes the program, and the plant must be the bit-packed
-    stabilizer tableau (a 49-qubit density matrix is ~2^100 bytes —
-    pinning ``plant_backend="dense"`` gets a structured
-    :class:`~repro.core.errors.ResourceError` with the byte estimate
-    and the ``plant_backend='stabilizer'`` suggestion, not an OOM).
-    The noise model must stay Pauli/readout-only for tableau
-    eligibility; shots are streamed and reduced to the 12 per-round
-    Z syndromes exactly like the smaller distances.
-    """
-    setup = ExperimentSetup.create(
-        isa=forty_nine_qubit_instantiation(),
-        noise=noise if noise is not None else NoiseModel.noiseless(),
-        seed=seed, plant_backend=plant_backend)
-    circuit = surface49_circuit(rounds=rounds, error=error,
-                                error_after_round=error_after_round)
-    syndromes_per_shot: list[list[Syndrome49]] = []
-    for trace in setup.run_circuit_iter(circuit, shots):
-        per_ancilla = {
-            ancilla: [r.reported_result
-                      for r in trace.results_for(ancilla)]
-            for ancilla in SURFACE49_Z_ANCILLAS}
-        for ancilla, results in per_ancilla.items():
-            if len(results) != rounds:
-                raise ExperimentIntegrityError(
-                    f"expected {rounds} results on ancilla {ancilla} "
-                    f"per shot, got {len(results)}",
-                    expected=rounds, got=len(results), ancilla=ancilla)
-        syndromes_per_shot.append([
-            Syndrome49(z_checks=tuple(
-                (ancilla, per_ancilla[ancilla][index])
-                for ancilla in SURFACE49_Z_ANCILLAS))
-            for index in range(rounds)])
-    return Surface49Result(rounds=rounds,
-                           syndromes_per_shot=syndromes_per_shot,
-                           plant_backend=setup.last_plant_backend,
-                           engine_stats=setup.last_engine_stats)
+    circuit = rotated_surface_circuit(distance, rounds=rounds, error=error,
+                                      error_after_round=error_after_round)
+    ancillas = rotated_surface_layout(distance).z_ancillas
+    syndromes_per_shot = [
+        [RotatedSyndrome(z_checks=tuple(zip(ancillas, bits)))
+         for bits in _round_bits(trace, ancillas, rounds)]
+        for trace in setup.run_circuit_iter(circuit, shots)]
+    return SurfaceCodeResult(rounds=rounds,
+                             syndromes_per_shot=syndromes_per_shot,
+                             engine_stats=setup.last_engine_stats,
+                             plant_backend=setup.last_plant_backend)
 
 
 def format_surface_code_report(clean: SurfaceCodeResult,

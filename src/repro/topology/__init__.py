@@ -7,6 +7,7 @@ from repro.topology.library import (
     get_chip,
     ibm_qx2,
     linear_chain,
+    rotated_surface_chip,
     surface7,
     two_qubit_chip,
 )
@@ -19,6 +20,7 @@ __all__ = [
     "get_chip",
     "ibm_qx2",
     "linear_chain",
+    "rotated_surface_chip",
     "surface7",
     "two_qubit_chip",
 ]

@@ -3,6 +3,9 @@
 * :func:`surface7` — the seven-qubit superconducting chip of Fig. 6
   (a distance-2 surface-code patch with 16 directed allowed pairs and
   two feedlines).
+* :func:`rotated_surface_chip` — the rotated distance-3/5 surface-code
+  chips (surface-17 and surface-49), one family read from
+  :data:`ROTATED_SURFACE_LAYOUTS`.
 * :func:`two_qubit_chip` — the two-transmon processor used for the
   Section 5 experiments (qubits renamed 0 and 2, single feedline).
 * :func:`ibm_qx2` — IBM Q 5 "Yorktown": five qubits, six allowed pairs
@@ -15,7 +18,23 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+from repro.core.errors import InvalidRequestError
 from repro.topology.chip import QuantumChipTopology, QubitPair
+
+
+def _both_directions(
+        couplings: list[tuple[int, int]]) -> tuple[QubitPair, ...]:
+    """Directed pairs for ``n`` couplings: ``(source, target)`` at
+    address ``i`` and the reverse at ``i + n``."""
+    pairs = []
+    for address, (source, target) in enumerate(couplings):
+        pairs.append(QubitPair(address=address, source=source,
+                               target=target))
+        pairs.append(QubitPair(address=address + len(couplings),
+                               source=target, target=source))
+    return tuple(pairs)
 
 
 def surface7() -> QuantumChipTopology:
@@ -38,69 +57,11 @@ def surface7() -> QuantumChipTopology:
         (3, 6),   # edge 6
         (4, 6),   # edge 7
     ]
-    pairs = []
-    for address, (source, target) in enumerate(forward):
-        pairs.append(QubitPair(address=address, source=source, target=target))
-        pairs.append(QubitPair(address=address + 8, source=target,
-                               target=source))
     return QuantumChipTopology(
         name="surface-7",
         qubits=(0, 1, 2, 3, 4, 5, 6),
-        pairs=tuple(pairs),
+        pairs=_both_directions(forward),
         feedlines={0: (0, 2, 3, 5, 6), 1: (1, 4)},
-    )
-
-
-#: Surface-17 layout: 3x3 data-qubit grid (addresses 0..8, row-major)
-#: plus eight ancillas (9..16), one per stabilizer of the rotated
-#: distance-3 surface code.  Z ancillas first, X ancillas second; the
-#: weight-4 plaquettes sit in the bulk, the weight-2 checks on the
-#: boundary (Versluis et al., "Scalable quantum circuit and control
-#: for a superconducting surface code" — the chip the CC-Light eQASM
-#: instantiation targets next).
-SURFACE17_DATA_QUBITS = (0, 1, 2, 3, 4, 5, 6, 7, 8)
-SURFACE17_Z_CHECKS = {
-    9: (0, 1, 3, 4),    # Z plaquette, upper-left bulk
-    10: (4, 5, 7, 8),   # Z plaquette, lower-right bulk
-    11: (2, 5),         # Z boundary, right edge
-    12: (3, 6),         # Z boundary, left edge
-}
-SURFACE17_X_CHECKS = {
-    13: (1, 2, 4, 5),   # X plaquette, upper-right bulk
-    14: (3, 4, 6, 7),   # X plaquette, lower-left bulk
-    15: (0, 1),         # X boundary, top edge
-    16: (7, 8),         # X boundary, bottom edge
-}
-
-
-def surface17() -> QuantumChipTopology:
-    """The 17-qubit distance-3 surface-code chip.
-
-    Each ancilla couples to its stabilizer's data qubits (24 couplings
-    in total).  Mirroring :func:`surface7`'s addressing, every coupling
-    contributes two directed allowed pairs — ancilla-as-source at
-    address ``i``, the reverse at ``i + 24`` — for a 48-bit pair mask,
-    which is why this chip needs the 64-bit eQASM instantiation
-    (:func:`repro.core.isa.seventeen_qubit_instantiation`).  Readout is
-    frequency-multiplexed over three feedlines, as on the real device.
-    """
-    forward: list[tuple[int, int]] = []
-    for checks in (SURFACE17_Z_CHECKS, SURFACE17_X_CHECKS):
-        for ancilla, data in checks.items():
-            forward.extend((ancilla, qubit) for qubit in data)
-    pairs = []
-    for address, (source, target) in enumerate(forward):
-        pairs.append(QubitPair(address=address, source=source,
-                               target=target))
-        pairs.append(QubitPair(address=address + len(forward),
-                               source=target, target=source))
-    return QuantumChipTopology(
-        name="surface-17",
-        qubits=tuple(range(17)),
-        pairs=tuple(pairs),
-        feedlines={0: (0, 1, 2, 9, 11, 13, 15),
-                   1: (3, 4, 5, 10, 12, 14),
-                   2: (6, 7, 8, 16)},
     )
 
 
@@ -116,9 +77,10 @@ def rotated_surface_checks(
     qubits around it and measures Z when ``r + c`` is even, X when odd;
     the bulk keeps every weight-4 plaquette, the boundary keeps the
     weight-2 X checks on the top/bottom rows and the weight-2 Z checks
-    on the left/right columns.  ``rotated_surface_checks(3)``
-    reproduces :data:`SURFACE17_Z_CHECKS` / :data:`SURFACE17_X_CHECKS`
-    exactly (up to the hand-chosen ancilla order).
+    on the left/right columns.  At ``d = 3`` this yields the same
+    stabilizers as the hand-written surface-17 address map, but numbers
+    the ancillas differently (ancilla 10 measures ``(2, 5)`` here,
+    ``(4, 5, 7, 8)`` there), so the distance-3 layout keeps its own map.
     """
     z_plaquettes: list[tuple[int, ...]] = []
     x_plaquettes: list[tuple[int, ...]] = []
@@ -139,54 +101,111 @@ def rotated_surface_checks(
                     z_plaquettes.append(data)
                 elif not is_z and row in (0, distance):
                     x_plaquettes.append(data)
-    ancilla = distance * distance
-    z_checks = {}
-    for data in z_plaquettes:
-        z_checks[ancilla] = data
-        ancilla += 1
-    x_checks = {}
-    for data in x_plaquettes:
-        x_checks[ancilla] = data
-        ancilla += 1
-    return z_checks, x_checks
+    first_z = distance * distance
+    first_x = first_z + len(z_plaquettes)
+    return (dict(enumerate(z_plaquettes, start=first_z)),
+            dict(enumerate(x_plaquettes, start=first_x)))
 
 
-#: Surface-49 layout: 5x5 data-qubit grid (addresses 0..24, row-major)
-#: plus 24 ancillas (25..36 Z, 37..48 X), one per stabilizer of the
-#: rotated distance-5 surface code.
-SURFACE49_DATA_QUBITS = tuple(range(25))
-SURFACE49_Z_CHECKS, SURFACE49_X_CHECKS = rotated_surface_checks(5)
+@dataclass(frozen=True)
+class RotatedSurfaceLayout:
+    """One rotated surface-code chip: its checks, readout and format.
 
-
-def surface49() -> QuantumChipTopology:
-    """The 49-qubit distance-5 surface-code chip.
-
-    The scaling step past :func:`surface17`: 80 ancilla-data couplings
-    (16 weight-4 plaquettes plus 8 weight-2 boundary checks), so the
-    same two-directions-per-coupling addressing — ancilla-as-source at
-    address ``i``, the reverse at ``i + 80`` — needs a 160-bit pair
-    mask.  No hand-written word layout covers that; the chip is served
-    by the 192-bit spec-driven instantiation
-    (:func:`repro.core.isa.forty_nine_qubit_instantiation`).  Readout
-    is frequency-multiplexed over five feedlines of at most ten qubits.
+    Data qubits are ``0 .. d*d - 1`` (row-major); ``z_checks`` and
+    ``x_checks`` map each ancilla address to the data qubits of its
+    stabilizer, and ``spec_name`` names the registered encoding spec
+    wide enough for the chip's pair mask.
     """
-    forward: list[tuple[int, int]] = []
-    for checks in (SURFACE49_Z_CHECKS, SURFACE49_X_CHECKS):
-        for ancilla, data in checks.items():
-            forward.extend((ancilla, qubit) for qubit in data)
-    pairs = []
-    for address, (source, target) in enumerate(forward):
-        pairs.append(QubitPair(address=address, source=source,
-                               target=target))
-        pairs.append(QubitPair(address=address + len(forward),
-                               source=target, target=source))
-    qubits = tuple(range(49))
-    return QuantumChipTopology(
-        name="surface-49",
-        qubits=qubits,
-        pairs=tuple(pairs),
-        feedlines={line: qubits[line * 10:(line + 1) * 10]
+
+    distance: int
+    z_checks: dict[int, tuple[int, ...]]
+    x_checks: dict[int, tuple[int, ...]]
+    feedlines: dict[int, tuple[int, ...]]
+    spec_name: str
+
+    @property
+    def data_qubits(self) -> tuple[int, ...]:
+        return tuple(range(self.distance * self.distance))
+
+    @property
+    def z_ancillas(self) -> tuple[int, ...]:
+        """Z ancillas in measurement order."""
+        return tuple(sorted(self.z_checks))
+
+    @property
+    def num_qubits(self) -> int:
+        return (self.distance * self.distance + len(self.z_checks)
+                + len(self.x_checks))
+
+
+#: The rotated surface-code chips, by distance.
+#:
+#: * ``d = 3`` (surface-17) keeps its hand-written address map: Z
+#:   ancillas first, bulk plaquettes before the boundary (Versluis et
+#:   al., "Scalable quantum circuit and control for a superconducting
+#:   surface code" — the chip the CC-Light eQASM instantiation targets
+#:   next), read out over three feedlines as on the real device.  The
+#:   feedlines group measurements into device operations and queues,
+#:   and the numbering fixes the binary, so neither is regenerated.
+#: * ``d = 5`` (surface-49) is :func:`rotated_surface_checks` output,
+#:   read out over five feedlines of at most ten qubits.  Renumbering
+#:   it bulk-first like ``d = 3`` adds four words to a one-round binary.
+ROTATED_SURFACE_LAYOUTS = {
+    3: RotatedSurfaceLayout(
+        distance=3,
+        z_checks={
+            9: (0, 1, 3, 4),    # Z plaquette, upper-left bulk
+            10: (4, 5, 7, 8),   # Z plaquette, lower-right bulk
+            11: (2, 5),         # Z boundary, right edge
+            12: (3, 6),         # Z boundary, left edge
+        },
+        x_checks={
+            13: (1, 2, 4, 5),   # X plaquette, upper-right bulk
+            14: (3, 4, 6, 7),   # X plaquette, lower-left bulk
+            15: (0, 1),         # X boundary, top edge
+            16: (7, 8),         # X boundary, bottom edge
+        },
+        feedlines={0: (0, 1, 2, 9, 11, 13, 15),
+                   1: (3, 4, 5, 10, 12, 14),
+                   2: (6, 7, 8, 16)},
+        spec_name="surface17-64bit"),
+    5: RotatedSurfaceLayout(
+        5, *rotated_surface_checks(5),
+        feedlines={line: tuple(range(10 * line, min(10 * line + 10, 49)))
                    for line in range(5)},
+        spec_name="surface49-192bit"),
+}
+
+
+def rotated_surface_layout(distance: int) -> RotatedSurfaceLayout:
+    """The layout of the distance-``d`` rotated surface-code chip."""
+    try:
+        return ROTATED_SURFACE_LAYOUTS[distance]
+    except KeyError:
+        known = ", ".join(map(str, ROTATED_SURFACE_LAYOUTS))
+        raise InvalidRequestError(
+            f"no rotated surface-code chip at distance {distance}; "
+            f"known distances: {known}") from None
+
+
+def rotated_surface_chip(distance: int) -> QuantumChipTopology:
+    """The ``2d^2 - 1``-qubit rotated distance-``d`` surface-code chip.
+
+    Each ancilla couples to its stabilizer's data qubits (24 couplings
+    at ``d = 3``, 80 at ``d = 5``), each coupling addressed in both
+    directions as on :func:`surface7`.  The pair mask (48 / 160 bits)
+    is what needs the wider instantiations of
+    :func:`repro.core.isa.rotated_surface_instantiation`.
+    """
+    layout = rotated_surface_layout(distance)
+    couplings = [(ancilla, qubit)
+                 for checks in (layout.z_checks, layout.x_checks)
+                 for ancilla, data in checks.items() for qubit in data]
+    return QuantumChipTopology(
+        name=f"surface-{layout.num_qubits}",
+        qubits=tuple(range(layout.num_qubits)),
+        pairs=_both_directions(couplings),
+        feedlines=dict(layout.feedlines),
     )
 
 
@@ -262,8 +281,8 @@ def linear_chain(num_qubits: int) -> QuantumChipTopology:
 
 CHIP_LIBRARY = {
     "surface-7": surface7,
-    "surface-17": surface17,
-    "surface-49": surface49,
+    "surface-17": lambda: rotated_surface_chip(3),
+    "surface-49": lambda: rotated_surface_chip(5),
     "two-qubit": two_qubit_chip,
     "ibm-qx2": ibm_qx2,
     "ion-trap-5": fully_connected_ion_trap,

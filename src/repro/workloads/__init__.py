@@ -40,23 +40,11 @@ from repro.workloads.rabi import (
     rabi_ideal_curve,
     rabi_step_circuit,
 )
-from repro.workloads.surface17 import (
-    SURFACE17_DATA_QUBITS,
-    SURFACE17_X_ANCILLAS,
-    SURFACE17_Z_ANCILLAS,
-    Syndrome17,
-    expected_z_syndrome17,
-    surface17_circuit,
-    surface17_syndrome_round,
-)
-from repro.workloads.surface49 import (
-    SURFACE49_DATA_QUBITS,
-    SURFACE49_X_ANCILLAS,
-    SURFACE49_Z_ANCILLAS,
-    Syndrome49,
-    expected_z_syndrome49,
-    surface49_circuit,
-    surface49_syndrome_round,
+from repro.workloads.rotated_surface import (
+    RotatedSyndrome,
+    expected_rotated_z_syndrome,
+    rotated_surface_circuit,
+    rotated_syndrome_round,
 )
 from repro.workloads.surface_code import (
     Syndrome,
@@ -100,25 +88,15 @@ __all__ = [
     "rb_primitive_count",
     "rb_sequence_circuit",
     "recovery_clifford",
-    "SURFACE17_DATA_QUBITS",
-    "SURFACE17_X_ANCILLAS",
-    "SURFACE17_Z_ANCILLAS",
+    "RotatedSyndrome",
+    "expected_rotated_z_syndrome",
+    "rotated_surface_circuit",
+    "rotated_syndrome_round",
     "Syndrome",
-    "Syndrome17",
     "survival_reference",
-    "surface17_circuit",
-    "surface17_syndrome_round",
-    "SURFACE49_DATA_QUBITS",
-    "SURFACE49_X_ANCILLAS",
-    "SURFACE49_Z_ANCILLAS",
-    "Syndrome49",
-    "expected_z_syndrome49",
-    "surface49_circuit",
-    "surface49_syndrome_round",
     "surface_code_circuit",
     "syndrome_round",
     "expected_z_syndrome",
-    "expected_z_syndrome17",
     "sweep_waits",
     "t1_program",
     "t1_reference",

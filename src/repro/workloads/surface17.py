@@ -1,132 +1,11 @@
-"""Distance-3 surface code on the 17-qubit chip.
-
-The distance-2 patch of Section 4.1 detects one error; the natural next
-step — and the chip the CC-Light control architecture was built toward
-— is the distance-3 *surface-17* layout: nine data qubits in a 3x3
-grid, four Z-stabilizer and four X-stabilizer ancillas
-(:mod:`repro.topology.library` holds the couplings).  This workload
-could not run on the repository's plant at all before the stabilizer
-tableau backend existed: the dense density matrix for 17 qubits is a
-2^17 x 2^17 complex array (~256 GB).  Every gate in a syndrome round is
-Clifford, so the tableau backend runs it in polynomial time and the
-machine's automatic backend selection picks it whenever the noise
-model is Pauli/readout-only.
-
-Check construction reuses the distance-2 building blocks
-(:func:`repro.workloads.surface_code.z_check_circuit` /
-:func:`x_check_circuit` are layout-agnostic): ancilla in |+> via Y90,
-CZ to each data qubit, decode, measure, actively reset via the
-conditional ``C_X`` — the paper's own Fig. 4 mechanism.
-
-With data prepared in |0...0> the Z syndromes are deterministic and an
-injected X error must fire exactly the Z-checks whose plaquette
-contains it; the X-check outcomes on |0...0> are intrinsically random,
-so the default experiment omits them (same convention as distance 2).
-"""
+"""The distance-3 member of :mod:`repro.workloads.rotated_surface`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.compiler.ir import Circuit
-from repro.core.errors import InvalidRequestError
-from repro.topology.library import (
-    SURFACE17_DATA_QUBITS,
-    SURFACE17_X_CHECKS,
-    SURFACE17_Z_CHECKS,
-)
-from repro.workloads.surface_code import (
-    x_check_circuit,
-    z_check_circuit,
-)
-
-#: Ancillas in measurement order (Z checks, then optional X checks).
-SURFACE17_Z_ANCILLAS = tuple(sorted(SURFACE17_Z_CHECKS))
-SURFACE17_X_ANCILLAS = tuple(sorted(SURFACE17_X_CHECKS))
+from repro.workloads.rotated_surface import rotated_surface_circuit
 
 
-def surface17_syndrome_round(circuit: Circuit,
-                             include_x_checks: bool = False,
-                             reset: bool = True) -> None:
-    """Append one full distance-3 syndrome-extraction round.
-
-    The two bulk Z-plaquettes share data qubit 4, so their CZ layers
-    serialise there; everything else schedules in parallel and the
-    compiler's SOMQ merging packs the identical Y90/measure layers
-    into masked operations exactly as on the distance-2 patch.
-    ``reset=False`` omits the conditional ``C_X`` ancilla reset — the
-    feedback-free variant whose gate sequence cannot fork on per-shot
-    outcomes (what the Pauli-frame batched engine requires; with data
-    in |0...0> the noise-free Z ancillas end in |0> anyway).
-    """
-    for ancilla in SURFACE17_Z_ANCILLAS:
-        z_check_circuit(circuit, ancilla, SURFACE17_Z_CHECKS[ancilla],
-                        reset=reset)
-    if include_x_checks:
-        for ancilla in SURFACE17_X_ANCILLAS:
-            x_check_circuit(circuit, ancilla,
-                            SURFACE17_X_CHECKS[ancilla], reset=reset)
-
-
-def surface17_circuit(rounds: int = 2,
-                      error: tuple[str, int] | None = None,
-                      error_after_round: int = 0,
-                      include_x_checks: bool = False,
-                      reset: bool = True) -> Circuit:
-    """Distance-3 syndrome-extraction experiment circuit.
-
-    ``error`` optionally injects a Pauli (``("X", data_qubit)`` or
-    ``("Z", data_qubit)``) after round ``error_after_round``; a data
-    X error must flip exactly the Z-stabilizers whose plaquette
-    contains the qubit (one or two of them — distance 3 separates
-    every single error).  ``reset=False`` builds the feedback-free
-    variant (see :func:`surface17_syndrome_round`).
-    """
-    if rounds < 1:
-        raise InvalidRequestError(
-            f"need at least one round, got {rounds}")
-    circuit = Circuit(name="surface-code-d3", num_qubits=17)
-    for round_index in range(rounds):
-        surface17_syndrome_round(circuit,
-                                 include_x_checks=include_x_checks,
-                                 reset=reset)
-        if error is not None and round_index == error_after_round:
-            pauli, qubit = error
-            if qubit not in SURFACE17_DATA_QUBITS:
-                raise InvalidRequestError(
-                    f"errors are injected on data qubits, got {qubit}")
-            if pauli == "Z":
-                circuit.add("Y", qubit)   # Z = X . Y up to phase
-                circuit.add("X", qubit)
-            else:
-                circuit.add(pauli, qubit)
-    return circuit
-
-
-@dataclass(frozen=True)
-class Syndrome17:
-    """One round's Z-check outcomes, keyed by ancilla address."""
-
-    z_checks: tuple[tuple[int, int], ...]   # (ancilla, bit), sorted
-
-    def bit(self, ancilla: int) -> int:
-        for address, value in self.z_checks:
-            if address == ancilla:
-                return value
-        raise KeyError(f"no Z check on ancilla {ancilla}")
-
-    def fired(self) -> bool:
-        """Whether any deterministic (Z) check flagged an error."""
-        return any(value for _, value in self.z_checks)
-
-
-def expected_z_syndrome17(
-        error: tuple[str, int] | None) -> Syndrome17:
-    """Which Z-checks an injected error must fire (data from |0...0>)."""
-    if error is None or error[0] != "X":
-        return Syndrome17(z_checks=tuple(
-            (ancilla, 0) for ancilla in SURFACE17_Z_ANCILLAS))
-    qubit = error[1]
-    return Syndrome17(z_checks=tuple(
-        (ancilla, int(qubit in SURFACE17_Z_CHECKS[ancilla]))
-        for ancilla in SURFACE17_Z_ANCILLAS))
+def surface17_circuit(**kwargs) -> Circuit:
+    # Kept because perfbench/workloads.py imports it by this name.
+    return rotated_surface_circuit(3, **kwargs)

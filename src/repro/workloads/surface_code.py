@@ -29,6 +29,7 @@ merging packs the identical Y90/measure layers into masked operations
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.compiler.ir import Circuit
 from repro.core.errors import InvalidRequestError
@@ -86,18 +87,65 @@ def x_check_circuit(circuit: Circuit, ancilla: int,
         ancilla_reset(circuit, ancilla)
 
 
-def syndrome_round(circuit: Circuit, include_x_check: bool = True) -> None:
-    """Append one full syndrome-extraction round.
+def checks_round(circuit: Circuit, z_checks: dict[int, tuple[int, ...]],
+                 x_checks: dict[int, tuple[int, ...]],
+                 reset: bool = True) -> None:
+    """Append every Z check, then every X check, each in ancilla order.
 
-    The two Z-checks are emitted first (they share no qubits and
-    schedule in parallel), then the X-check (its plaquette overlaps
-    both Z-checks' data, so it serialises after them).
+    Grouping the Z checks lets the disjoint ones schedule in parallel;
+    an X check whose plaquette overlaps their data serialises after
+    them.  ``reset`` appends each ancilla's conditional reset.
     """
-    for ancilla, data in Z_CHECKS.items():
-        z_check_circuit(circuit, ancilla, data)
-    if include_x_check:
-        for ancilla, data in X_CHECK.items():
-            x_check_circuit(circuit, ancilla, data)
+    for ancilla, data in sorted(z_checks.items()):
+        z_check_circuit(circuit, ancilla, data, reset=reset)
+    for ancilla, data in sorted(x_checks.items()):
+        x_check_circuit(circuit, ancilla, data, reset=reset)
+
+
+def syndrome_round(circuit: Circuit, include_x_check: bool = True) -> None:
+    """Append one full syndrome-extraction round: both Z-checks (they
+    share no qubits), then the X-check (see :func:`checks_round`)."""
+    checks_round(circuit, Z_CHECKS, X_CHECK if include_x_check else {})
+
+
+def syndrome_rounds_circuit(
+        name: str, num_qubits: int, data_qubits: tuple[int, ...],
+        append_round: Callable[[Circuit], None], rounds: int,
+        error: tuple[str, int] | None, error_after_round: int) -> Circuit:
+    """``rounds`` syndrome rounds with an optional injected data error.
+
+    ``append_round(circuit)`` emits one round.  ``error`` is a Pauli
+    (``("X" | "Y" | "Z", data_qubit)``) applied after round
+    ``error_after_round`` — emulating a physical fault the code must
+    detect.  The native set has no Z gate, so Z is emitted as Y then X
+    (equal up to a global phase).  Requests the circuit could not honour
+    (no rounds, a non-Pauli, a non-data qubit, or an injection round
+    past the last one) raise :class:`InvalidRequestError` instead of
+    silently building a different experiment.
+    """
+    if rounds < 1:
+        raise InvalidRequestError(
+            f"need at least one round, got {rounds}")
+    if error is not None:
+        pauli, qubit = error
+        if pauli not in ("X", "Y", "Z"):
+            raise InvalidRequestError(
+                f"injected errors are Paulis X, Y or Z, got {pauli!r}")
+        if qubit not in data_qubits:
+            raise InvalidRequestError(
+                f"errors are injected on data qubits, got {qubit}")
+        if not 0 <= error_after_round < rounds:
+            raise InvalidRequestError(
+                f"error_after_round must lie in [0, {rounds}), got "
+                f"{error_after_round}")
+    circuit = Circuit(name=name, num_qubits=num_qubits)
+    for round_index in range(rounds):
+        append_round(circuit)
+        if error is not None and round_index == error_after_round:
+            pauli, qubit = error
+            for gate in (("Y", "X") if pauli == "Z" else (pauli,)):
+                circuit.add(gate, qubit)
+    return circuit
 
 
 def surface_code_circuit(rounds: int = 1,
@@ -106,28 +154,16 @@ def surface_code_circuit(rounds: int = 1,
                          include_x_check: bool = False) -> Circuit:
     """Syndrome-extraction experiment circuit.
 
-    ``error`` optionally injects a Pauli (``("X", data_qubit)`` or
-    ``("Z", data_qubit)``) after round ``error_after_round`` —
-    emulating a physical fault the code must detect.  With data
-    prepared in |0000> the Z-check outcomes are deterministic, so the
-    default experiment omits the X-check (whose outcome on |0000> is
-    intrinsically random); set ``include_x_check`` for full rounds.
+    ``error`` optionally injects a Pauli after round
+    ``error_after_round`` (see :func:`syndrome_rounds_circuit`).  With
+    data prepared in |0000> the Z-check outcomes are deterministic, so
+    the default experiment omits the X-check (whose outcome on |0000>
+    is intrinsically random); set ``include_x_check`` for full rounds.
     """
-    circuit = Circuit(name="surface-code-d2", num_qubits=7)
-    for round_index in range(rounds):
-        syndrome_round(circuit, include_x_check=include_x_check)
-        if error is not None and round_index == error_after_round:
-            pauli, qubit = error
-            if qubit not in DATA_QUBITS:
-                raise InvalidRequestError(
-                    f"errors are injected on data qubits, got {qubit}")
-            if pauli == "Z":
-                # Z = X . Y up to phase in the native set.
-                circuit.add("Y", qubit)
-                circuit.add("X", qubit)
-            else:
-                circuit.add(pauli, qubit)
-    return circuit
+    return syndrome_rounds_circuit(
+        "surface-code-d2", 7, DATA_QUBITS,
+        lambda circuit: syndrome_round(circuit, include_x_check),
+        rounds, error, error_after_round)
 
 
 @dataclass(frozen=True)
@@ -143,10 +179,13 @@ class Syndrome:
         return bool(self.z_check_2 or self.z_check_4)
 
 
+def flips_z_checks(error: tuple[str, int] | None) -> bool:
+    """Whether an injected Pauli anticommutes with Z (X and Y do)."""
+    return error is not None and error[0] in ("X", "Y")
+
+
 def expected_z_syndrome(error: tuple[str, int] | None) -> Syndrome:
     """Which Z-checks an injected error must fire (data from |0000>)."""
-    if error is None or error[0] != "X":
-        return Syndrome(z_check_2=0, z_check_4=0)
-    qubit = error[1]
-    return Syndrome(z_check_2=int(qubit in Z_CHECKS[2]),
-                    z_check_4=int(qubit in Z_CHECKS[4]))
+    flips = flips_z_checks(error)
+    return Syndrome(z_check_2=int(flips and error[1] in Z_CHECKS[2]),
+                    z_check_4=int(flips and error[1] in Z_CHECKS[4]))

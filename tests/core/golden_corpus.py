@@ -46,8 +46,8 @@ from repro.core.instructions import (
 )
 from repro.core.isa import (
     EQASMInstantiation,
+    rotated_surface_instantiation,
     seven_qubit_instantiation,
-    seventeen_qubit_instantiation,
 )
 from repro.core.registers import ComparisonFlag
 
@@ -116,7 +116,7 @@ def corpus_for(isa: EQASMInstantiation) -> list[tuple[str, object]]:
 
 GOLDEN_ISAS = {
     32: seven_qubit_instantiation,
-    64: seventeen_qubit_instantiation,
+    64: lambda: rotated_surface_instantiation(3),
 }
 
 

@@ -10,8 +10,8 @@ import pytest
 
 from repro.core import (
     Assembler,
+    rotated_surface_instantiation,
     seven_qubit_instantiation,
-    seventeen_qubit_instantiation,
 )
 from repro.core.encoding import InstructionDecoder, InstructionEncoder
 from repro.core.errors import ConfigurationError, DecodingError
@@ -50,7 +50,7 @@ STOP
 
 class TestSixtyFourBitRoundTrip:
     def test_assemble_decode_reencode(self):
-        isa = seventeen_qubit_instantiation()
+        isa = rotated_surface_instantiation(3)
         assembled = Assembler(isa).assemble_text(SIXTY_FOUR_BIT_PROGRAM)
         decoder = InstructionDecoder(isa)
         encoder = InstructionEncoder(isa)
@@ -58,7 +58,7 @@ class TestSixtyFourBitRoundTrip:
         assert [encoder.encode(ins) for ins in decoded] == assembled.words
 
     def test_word_bytes_are_eight_per_word(self):
-        isa = seventeen_qubit_instantiation()
+        isa = rotated_surface_instantiation(3)
         assembled = Assembler(isa).assemble_text(SIXTY_FOUR_BIT_PROGRAM)
         assert assembled.word_size == 8
         assert len(assembled.word_bytes()) == 8 * len(assembled.words)
@@ -66,7 +66,7 @@ class TestSixtyFourBitRoundTrip:
     def test_wide_masks_encode(self):
         """Pair addresses past bit 31 — impossible in 32-bit words —
         must encode and decode exactly."""
-        isa = seventeen_qubit_instantiation()
+        isa = rotated_surface_instantiation(3)
         encoder = InstructionEncoder(isa)
         decoder = InstructionDecoder(isa)
         # (8, 16) is the reverse of coupling (16, 8): address >= 24.
@@ -79,7 +79,7 @@ class TestSixtyFourBitRoundTrip:
         assert round_tripped.pairs == smit.pairs
 
     def test_full_qubit_mask(self):
-        isa = seventeen_qubit_instantiation()
+        isa = rotated_surface_instantiation(3)
         encoder = InstructionEncoder(isa)
         decoder = InstructionDecoder(isa)
         smis = SMIS(sd=31, qubits=frozenset(range(17)))
@@ -91,7 +91,7 @@ class TestSixtyFourBitRoundTrip:
         decoder_32 = InstructionDecoder(seven_qubit_instantiation())
         with pytest.raises(DecodingError):
             decoder_32.decode(1 << 32)
-        decoder_64 = InstructionDecoder(seventeen_qubit_instantiation())
+        decoder_64 = InstructionDecoder(rotated_surface_instantiation(3))
         decoder_64.decode(1 << 33)   # in range for 64-bit words
         with pytest.raises(DecodingError):
             decoder_64.decode(1 << 64)
@@ -103,11 +103,11 @@ class TestInstantiationValidation:
         instantiation must reject it up front."""
         from repro.core.isa import EQASMInstantiation
         from repro.core.operations import default_operation_set
-        from repro.topology.library import surface17
+        from repro.topology.library import rotated_surface_chip
 
         with pytest.raises(ConfigurationError, match="widen"):
             EQASMInstantiation(
-                name="bad", topology=surface17(),
+                name="bad", topology=rotated_surface_chip(3),
                 operations=default_operation_set(),
                 qubit_mask_field_width=17,
                 pair_mask_field_width=48)   # default 32-bit words

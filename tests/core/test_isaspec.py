@@ -187,13 +187,13 @@ class TestInstantiationCrossValidation:
     def test_chip_qubits_must_fit_fmr_field(self):
         from repro.core.operations import default_operation_set
         from repro.core.isa import EQASMInstantiation
-        from repro.topology.library import surface49
+        from repro.topology.library import rotated_surface_chip
 
         # 192-bit parameters but the default-built spec keeps the
         # 5-bit Qi field — qubit 48 is unaddressable.
         with pytest.raises(ConfigurationError, match="FMR Qi"):
             EQASMInstantiation(
-                name="bad", topology=surface49(),
+                name="bad", topology=rotated_surface_chip(5),
                 operations=default_operation_set(),
                 instruction_width=192,
                 qubit_mask_field_width=49,

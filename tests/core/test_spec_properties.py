@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 
 from repro.core.encoding import InstructionDecoder, InstructionEncoder
 from repro.core.isa import (
-    forty_nine_qubit_instantiation,
+    rotated_surface_instantiation,
     seven_qubit_instantiation,
-    seventeen_qubit_instantiation,
     two_qubit_instantiation,
 )
 from repro.core.isaspec.bindings import FORMAT_BINDINGS
@@ -29,8 +28,8 @@ ISAS = {
     isa.name: isa
     for isa in (
         seven_qubit_instantiation(),
-        seventeen_qubit_instantiation(),
-        forty_nine_qubit_instantiation(),
+        rotated_surface_instantiation(3),
+        rotated_surface_instantiation(5),
         two_qubit_instantiation(),
     )
 }

@@ -2,6 +2,7 @@
 and the README quickstart works as written."""
 
 import importlib
+import re
 
 import pytest
 
@@ -34,6 +35,23 @@ class TestExports:
         exported = list(getattr(module, "__all__", []))
         assert len(exported) == len(set(exported)), \
             f"{package}.__all__ has duplicates"
+
+    @pytest.mark.parametrize("package, family", [
+        ("repro.core", {"rotated_surface_instantiation"}),
+        ("repro.topology", {"rotated_surface_chip"}),
+        ("repro.workloads", {"RotatedSyndrome",
+                             "expected_rotated_z_syndrome",
+                             "rotated_surface_circuit",
+                             "rotated_syndrome_round"}),
+        ("repro.experiments", {"run_rotated_surface_experiment"}),
+    ])
+    def test_one_rotated_surface_family(self, package, family):
+        """Distances 3 and 5 are one family: its names are exported and
+        no per-distance (surface-17/49) clone is."""
+        exported = importlib.import_module(package).__all__
+        assert family <= set(exported)
+        assert not [name for name in exported
+                    if re.search("17|49|seventeen|forty", name)]
 
     def test_version(self):
         import repro

@@ -278,8 +278,8 @@ class TestMockExhaustFault:
 
 class TestAdmissionControl:
     def test_dense_request_past_budget_fails_fast(self):
-        from repro.core.isa import seventeen_qubit_instantiation
-        isa = seventeen_qubit_instantiation()
+        from repro.core.isa import rotated_surface_instantiation
+        isa = rotated_surface_instantiation(3)
         plant = QuantumPlant(isa.topology,
                              noise=NoiseModel.noiseless(),
                              rng=np.random.default_rng(0))
@@ -293,16 +293,16 @@ class TestAdmissionControl:
 
     def test_surface17_dense_pin_raises_with_hint(self):
         from repro.experiments.surface_code import \
-            run_surface17_experiment
+            run_rotated_surface_experiment
         with pytest.raises(ResourceError) as info:
-            run_surface17_experiment(rounds=1, shots=1,
-                                     plant_backend="dense")
+            run_rotated_surface_experiment(3, rounds=1, shots=1,
+                                           plant_backend="dense")
         assert "plant_backend='stabilizer'" in info.value.suggestion
 
     def test_ladder_degrades_resource_error_to_stabilizer(self):
-        from repro.core.isa import seventeen_qubit_instantiation
+        from repro.core.isa import rotated_surface_instantiation
         setup = ExperimentSetup.create(
-            isa=seventeen_qubit_instantiation(),
+            isa=rotated_surface_instantiation(3),
             noise=NoiseModel.noiseless(), seed=1,
             plant_backend="dense")
         assembled = setup.assemble_text("""

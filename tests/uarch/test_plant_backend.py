@@ -15,7 +15,6 @@ import pytest
 from repro.core import (
     Assembler,
     seven_qubit_instantiation,
-    seventeen_qubit_instantiation,
     two_qubit_instantiation,
 )
 from repro.core.errors import PlantError, ResourceError
@@ -23,14 +22,13 @@ from repro.experiments.cfc import CFC_TWO_ROUND_PROGRAM
 from repro.experiments.reset import FIG4_PROGRAM
 from repro.experiments.surface_code import (
     looped_surface_code_program,
-    run_surface17_experiment,
-    run_surface49_experiment,
+    run_rotated_surface_experiment,
 )
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
+from repro.topology.library import rotated_surface_chip, rotated_surface_layout
 from repro.uarch import QuMAv2
-from repro.workloads.surface17 import expected_z_syndrome17
-from repro.workloads.surface49 import expected_z_syndrome49
+from repro.workloads.rotated_surface import expected_rotated_z_syndrome
 
 T_GATE_PROGRAM = """
 SMIS S2, {2}
@@ -214,92 +212,84 @@ class TestBackendEquivalence:
         assert checked > 0
 
 
-class TestSurface17:
-    def test_distance3_runs_on_tableau(self):
-        result = run_surface17_experiment(rounds=2, shots=40)
-        assert result.plant_backend == "stabilizer"
-        assert len(result.syndromes_per_shot) == 40
-        assert result.detection_fraction(0) == 0.0   # noiseless, clean
+class RotatedSurfaceOnTableau:
+    """The rotated surface chips, bound per distance below: the tableau
+    is the *only* viable plant at 17 and 49 qubits, so backend
+    selection, dense refusal, and syndrome correctness all matter."""
 
-    def test_injected_error_fires_expected_checks(self):
-        for error in [("X", 0), ("X", 4), ("X", 8), ("X", 2)]:
-            result = run_surface17_experiment(
-                rounds=2, error=error, error_after_round=0, shots=20)
-            expected = expected_z_syndrome17(error)
-            assert expected.fired()
-            for shot in result.syndromes_per_shot:
-                assert shot[1].z_checks == expected.z_checks
-            # Distance 3 localises: distinct errors, distinct syndromes.
+    distance: int
 
-    def test_z_error_invisible_to_z_checks(self):
-        result = run_surface17_experiment(
-            rounds=2, error=("Z", 4), error_after_round=0, shots=20)
-        assert result.detection_fraction(1) == 0.0
+    def run(self, **options):
+        return run_rotated_surface_experiment(self.distance, rounds=2,
+                                              **options)
 
-    def test_dense_state_unavailable_at_width_17(self):
-        """The accessor that would materialise the 256 GB matrix must
-        refuse on the tableau — the whole point of the backend."""
-        isa = seventeen_qubit_instantiation()
-        plant = QuantumPlant(isa.topology, noise=NoiseModel.noiseless(),
-                             backend="stabilizer")
-        with pytest.raises(PlantError, match="does not expose"):
-            plant.state
-
-    def test_readout_noise_syndromes_flip(self):
-        result = run_surface17_experiment(
-            rounds=2, shots=200, noise=readout_only_noise())
-        assert result.plant_backend == "stabilizer"
-        # ~9.5% per-check flip probability: some syndromes must fire.
-        assert 0.0 < result.detection_fraction(0) < 0.9
-
-
-class TestSurface49:
-    """Distance 5 on the 192-bit instantiation: the tableau backend is
-    the *only* viable plant at 49 qubits, so backend selection, dense
-    admission refusal, and syndrome correctness all matter here."""
-
-    def test_distance5_selects_tableau(self):
-        result = run_surface49_experiment(rounds=2, shots=10)
+    def check_selects_tableau(self):
+        result = self.run(shots=10)
+        z_ancillas = rotated_surface_layout(self.distance).z_ancillas
         assert result.plant_backend == "stabilizer"
         assert len(result.syndromes_per_shot) == 10
         for shot in result.syndromes_per_shot:
             assert len(shot) == 2                    # one entry per round
-            assert len(shot[0].z_checks) == 12       # 12 Z ancillas
+            assert len(shot[0].z_checks) == len(z_ancillas)
         assert result.detection_fraction(0) == 0.0   # noiseless, clean
 
     def test_injected_error_fires_expected_checks(self):
-        # A bulk qubit (two Z plaquettes), a corner, and an edge qubit.
-        for error in [("X", 12), ("X", 0), ("X", 4), ("X", 24)]:
-            result = run_surface49_experiment(
-                rounds=2, error=error, error_after_round=0, shots=10)
-            expected = expected_z_syndrome49(error)
+        # Two corners, an edge and the bulk centre of the data grid.
+        d = self.distance
+        for qubit in (0, d - 1, d * d // 2, d * d - 1):
+            error = ("X", qubit)
+            result = self.run(error=error, shots=10)
+            expected = expected_rotated_z_syndrome(d, error)
             assert expected.fired()
             for shot in result.syndromes_per_shot:
                 assert shot[1].z_checks == expected.z_checks
 
     def test_z_error_invisible_to_z_checks(self):
-        result = run_surface49_experiment(
-            rounds=2, error=("Z", 12), error_after_round=0, shots=10)
+        centre = self.distance ** 2 // 2
+        result = self.run(error=("Z", centre), shots=10)
         assert result.detection_fraction(1) == 0.0
 
-    def test_dense_admission_refused_at_width_49(self):
-        """A dense 49-qubit state is ~2^101 bytes; admission must refuse
-        it up front and point at the stabilizer backend."""
-        from repro.topology.library import surface49
-
-        plant = QuantumPlant(surface49(), noise=NoiseModel.noiseless(),
+    def check_dense_refused(self):
+        """The accessor that would materialise the dense matrix must
+        refuse on the tableau, and a dense plant must be refused up
+        front with a pointer at the stabilizer backend."""
+        chip = rotated_surface_chip(self.distance)
+        tableau = QuantumPlant(chip, noise=NoiseModel.noiseless(),
+                               backend="stabilizer")
+        with pytest.raises(PlantError, match="does not expose"):
+            tableau.state
+        dense = QuantumPlant(chip, noise=NoiseModel.noiseless(),
                              backend="dense")
         with pytest.raises(ResourceError,
                            match="plant_backend='stabilizer'"):
-            plant.state
+            dense.state
 
     def test_readout_noise_syndromes_flip(self):
-        result = run_surface49_experiment(
-            rounds=2, shots=50, noise=readout_only_noise())
+        result = self.run(shots=50, noise=readout_only_noise())
         assert result.plant_backend == "stabilizer"
-        # 12 checks per round at ~9.5% flip each: most shots fire, but
-        # noise must not fire everything deterministically.
-        assert 0.0 < result.detection_fraction(0) < 1.0
+        # ~9.5% per-check flip probability: some syndromes must fire,
+        # but noise must not fire everything deterministically.
+        assert 0.0 < result.detection_fraction(0) < 0.9
+
+
+class TestSurface17(RotatedSurfaceOnTableau):
+    distance = 3
+
+    def test_distance3_runs_on_tableau(self):
+        self.check_selects_tableau()
+
+    def test_dense_state_unavailable_at_width_17(self):
+        self.check_dense_refused()
+
+
+class TestSurface49(RotatedSurfaceOnTableau):
+    distance = 5
+
+    def test_distance5_selects_tableau(self):
+        self.check_selects_tableau()
+
+    def test_dense_admission_refused_at_width_49(self):
+        self.check_dense_refused()
 
 
 class TestRunCaches:

@@ -1,109 +1,18 @@
-"""Distance-3 surface-17 workload and topology checks."""
+"""The rotated surface-code family cases at distance 3 (surface-17)."""
 
-import pytest
-
-from repro.core import seventeen_qubit_instantiation
-from repro.topology.library import (
-    SURFACE17_DATA_QUBITS,
-    SURFACE17_X_CHECKS,
-    SURFACE17_Z_CHECKS,
-    surface17,
-)
-from repro.workloads.surface17 import (
-    Syndrome17,
-    expected_z_syndrome17,
-    surface17_circuit,
-)
+from test_rotated_surface import CircuitCases, SyndromeCases, TopologyCases
 
 
-class TestSurface17Topology:
-    def test_counts(self):
-        chip = surface17()
-        assert chip.num_qubits == 17
-        assert chip.num_pairs == 48          # 24 couplings x 2 directions
-        assert chip.pair_mask_width == 48
-
-    def test_every_data_qubit_in_two_or_three_checks(self):
-        """Rotated d-3 layout: every data qubit sits in 1-2 Z checks and
-        1-2 X checks, 2-4 stabilizers in total."""
-        for qubit in SURFACE17_DATA_QUBITS:
-            z_count = sum(qubit in data
-                          for data in SURFACE17_Z_CHECKS.values())
-            x_count = sum(qubit in data
-                          for data in SURFACE17_X_CHECKS.values())
-            assert 1 <= z_count <= 2
-            assert 1 <= x_count <= 2
-
-    def test_all_couplings_are_allowed_pairs(self):
-        chip = surface17()
-        for checks in (SURFACE17_Z_CHECKS, SURFACE17_X_CHECKS):
-            for ancilla, data in checks.items():
-                for qubit in data:
-                    assert chip.is_allowed_pair(ancilla, qubit)
-                    assert chip.is_allowed_pair(qubit, ancilla)
-
-    def test_every_qubit_has_a_feedline(self):
-        chip = surface17()
-        for qubit in chip.qubits:
-            assert chip.feedline_of(qubit) is not None
-
-    def test_distinct_single_errors_have_distinct_syndromes(self):
-        """Distance 3: the full (Z + X) syndrome separates every
-        single-qubit X error; the Z half alone separates most."""
-        syndromes = {}
-        for qubit in SURFACE17_DATA_QUBITS:
-            key = expected_z_syndrome17(("X", qubit)).z_checks
-            syndromes.setdefault(key, []).append(qubit)
-            assert expected_z_syndrome17(("X", qubit)).fired()
-        # Every X error is detected, and at least 6 distinct Z-syndrome
-        # patterns exist across the 9 data qubits.
-        assert len(syndromes) >= 6
+class TestSurface17Topology(TopologyCases):
+    distance = 3
 
 
-class TestSurface17Circuit:
-    def test_round_structure(self):
-        circuit = surface17_circuit(rounds=2)
-        measurements = [op for op in circuit.operations
-                        if op.name == "MEASZ"]
-        assert len(measurements) == 8          # 4 Z ancillas x 2 rounds
-        assert circuit.num_qubits == 17
-
-    def test_x_checks_optional(self):
-        circuit = surface17_circuit(rounds=1, include_x_checks=True)
-        measurements = [op for op in circuit.operations
-                        if op.name == "MEASZ"]
-        assert len(measurements) == 8          # 4 Z + 4 X ancillas
-
-    def test_error_validation(self):
-        with pytest.raises(ValueError, match="data qubits"):
-            surface17_circuit(rounds=1, error=("X", 9))
-        with pytest.raises(ValueError, match="at least one round"):
-            surface17_circuit(rounds=0)
+class TestSurface17Circuit(CircuitCases):
+    distance = 3
 
     def test_compiles_and_assembles_on_the_64bit_instantiation(self):
-        from repro.compiler.codegen import EQASMCodeGenerator
-        from repro.compiler.scheduler import schedule_asap
-        from repro.core.assembler import Assembler
-
-        isa = seventeen_qubit_instantiation()
-        circuit = surface17_circuit(rounds=1)
-        schedule = schedule_asap(circuit, isa.operations)
-        program = EQASMCodeGenerator(isa).generate(schedule)
-        assembled = Assembler(isa).assemble_program(program)
-        assert assembled.word_size == 8
-        assert all(0 <= word < (1 << 64) for word in assembled.words)
-        # Wider than 32 bits must actually be used (the pair masks).
-        assert any(word >= (1 << 32) for word in assembled.words)
+        self.check_compiles_and_assembles()
 
 
-class TestSyndrome17:
-    def test_bit_lookup(self):
-        syndrome = Syndrome17(z_checks=((9, 1), (10, 0)))
-        assert syndrome.bit(9) == 1
-        assert syndrome.bit(10) == 0
-        with pytest.raises(KeyError):
-            syndrome.bit(11)
-
-    def test_fired(self):
-        assert Syndrome17(z_checks=((9, 0), (10, 1))).fired()
-        assert not Syndrome17(z_checks=((9, 0), (10, 0))).fired()
+class TestSyndrome17(SyndromeCases):
+    distance = 3

@@ -1,47 +1,31 @@
-"""Distance-5 surface-49 workload and topology checks.
+"""The rotated surface-code family cases at distance 5 (surface-49),
+plus the stabilizer generator they are built from."""
 
-The layout comes from the generic rotated-surface generator
-(:func:`repro.topology.library.rotated_surface_checks`), so the first
-class here pins the generator against the hand-written distance-3
-tables before trusting its distance-5 output.
-"""
+from test_rotated_surface import CircuitCases, SyndromeCases, TopologyCases
 
-import pytest
-
-from repro.core import forty_nine_qubit_instantiation
 from repro.topology.library import (
-    SURFACE17_X_CHECKS,
-    SURFACE17_Z_CHECKS,
-    SURFACE49_DATA_QUBITS,
-    SURFACE49_X_CHECKS,
-    SURFACE49_Z_CHECKS,
     rotated_surface_checks,
-    surface49,
-)
-from repro.workloads.surface49 import (
-    SURFACE49_Z_ANCILLAS,
-    Syndrome49,
-    expected_z_syndrome49,
-    surface49_circuit,
+    rotated_surface_layout,
 )
 
 
 class TestRotatedSurfaceGenerator:
     def test_distance3_reproduces_surface17_tables(self):
-        """The generator at d=3 must give the hand-written surface-17
-        stabilizers (ancilla numbering may differ within each group)."""
+        """At d=3 the generator gives the hand-written surface-17
+        stabilizers, numbered differently within each group — which is
+        why the distance-3 layout keeps its own address map."""
         z_checks, x_checks = rotated_surface_checks(3)
+        layout = rotated_surface_layout(3)
         assert set(z_checks) | set(x_checks) == set(range(9, 17))
-        assert (sorted(z_checks.values())
-                == sorted(SURFACE17_Z_CHECKS.values()))
-        assert (sorted(x_checks.values())
-                == sorted(SURFACE17_X_CHECKS.values()))
+        assert sorted(z_checks.values()) == sorted(layout.z_checks.values())
+        assert sorted(x_checks.values()) == sorted(layout.x_checks.values())
+        assert z_checks != layout.z_checks
 
     def test_distance5_counts(self):
-        assert len(SURFACE49_Z_CHECKS) == 12
-        assert len(SURFACE49_X_CHECKS) == 12
-        weights = sorted(len(data) for checks in (SURFACE49_Z_CHECKS,
-                                                  SURFACE49_X_CHECKS)
+        z_checks, x_checks = rotated_surface_checks(5)
+        assert len(z_checks) == 12
+        assert len(x_checks) == 12
+        weights = sorted(len(data) for checks in (z_checks, x_checks)
                          for data in checks.values())
         assert weights.count(2) == 8       # boundary checks
         assert weights.count(4) == 16      # bulk plaquettes
@@ -49,113 +33,23 @@ class TestRotatedSurfaceGenerator:
     def test_stabilizers_commute(self):
         """Every Z check must share an even number of qubits with every
         X check — the commutation condition of the stabilizer group."""
-        for z_data in SURFACE49_Z_CHECKS.values():
-            for x_data in SURFACE49_X_CHECKS.values():
-                assert len(set(z_data) & set(x_data)) % 2 == 0
+        for distance in (3, 5):
+            layout = rotated_surface_layout(distance)
+            for z_data in layout.z_checks.values():
+                for x_data in layout.x_checks.values():
+                    assert len(set(z_data) & set(x_data)) % 2 == 0
 
 
-class TestSurface49Topology:
-    def test_counts(self):
-        chip = surface49()
-        assert chip.num_qubits == 49
-        assert chip.num_pairs == 160        # 80 couplings x 2 directions
-        assert chip.pair_mask_width == 160
-
-    def test_every_data_qubit_covered(self):
-        for qubit in SURFACE49_DATA_QUBITS:
-            z_count = sum(qubit in data
-                          for data in SURFACE49_Z_CHECKS.values())
-            x_count = sum(qubit in data
-                          for data in SURFACE49_X_CHECKS.values())
-            assert 1 <= z_count <= 2
-            assert 1 <= x_count <= 2
-
-    def test_all_couplings_are_allowed_pairs(self):
-        chip = surface49()
-        for checks in (SURFACE49_Z_CHECKS, SURFACE49_X_CHECKS):
-            for ancilla, data in checks.items():
-                for qubit in data:
-                    assert chip.is_allowed_pair(ancilla, qubit)
-                    assert chip.is_allowed_pair(qubit, ancilla)
-
-    def test_every_qubit_has_a_feedline(self):
-        chip = surface49()
-        for qubit in chip.qubits:
-            assert chip.feedline_of(qubit) is not None
-
-    def test_single_x_errors_detected_and_mostly_separated(self):
-        """Every single data X error fires the Z syndrome.  The Z half
-        alone leaves a few boundary-row pairs degenerate (qubits whose
-        only Z check is the same plaquette); the X checks, which a Z
-        error would fire symmetrically, complete the separation."""
-        syndromes = {}
-        for qubit in SURFACE49_DATA_QUBITS:
-            syndrome = expected_z_syndrome49(("X", qubit))
-            assert syndrome.fired()
-            syndromes.setdefault(syndrome.z_checks, []).append(qubit)
-        assert len(syndromes) == 21           # 25 qubits, 4 merged pairs
-        for qubits in syndromes.values():
-            if len(qubits) == 1:
-                continue
-            assert len(qubits) == 2
-            # The full stabilizer group tells the pair apart: their X
-            # memberships differ.
-            first, second = qubits
-            x_of = lambda q: {a for a, d in SURFACE49_X_CHECKS.items()
-                              if q in d}
-            assert x_of(first) != x_of(second)
+class TestSurface49Topology(TopologyCases):
+    distance = 5
 
 
-class TestSurface49Circuit:
-    def test_round_structure(self):
-        circuit = surface49_circuit(rounds=2)
-        measurements = [op for op in circuit.operations
-                        if op.name == "MEASZ"]
-        assert len(measurements) == 24        # 12 Z ancillas x 2 rounds
-        assert circuit.num_qubits == 49
-
-    def test_x_checks_optional(self):
-        circuit = surface49_circuit(rounds=1, include_x_checks=True)
-        measurements = [op for op in circuit.operations
-                        if op.name == "MEASZ"]
-        assert len(measurements) == 24        # 12 Z + 12 X ancillas
-
-    def test_error_validation(self):
-        with pytest.raises(ValueError, match="data qubits"):
-            surface49_circuit(rounds=1, error=("X", 25))
-        with pytest.raises(ValueError, match="at least one round"):
-            surface49_circuit(rounds=0)
+class TestSurface49Circuit(CircuitCases):
+    distance = 5
 
     def test_compiles_and_assembles_on_the_192bit_instantiation(self):
-        from repro.compiler.codegen import EQASMCodeGenerator
-        from repro.compiler.scheduler import schedule_asap
-        from repro.core.assembler import Assembler
-
-        isa = forty_nine_qubit_instantiation()
-        circuit = surface49_circuit(rounds=1)
-        schedule = schedule_asap(circuit, isa.operations)
-        program = EQASMCodeGenerator(isa).generate(schedule)
-        assembled = Assembler(isa).assemble_program(program)
-        assert assembled.word_size == 24
-        assert all(0 <= word < (1 << 192) for word in assembled.words)
-        # The wide pair masks must actually use the extra width.
-        assert any(word >= (1 << 64) for word in assembled.words)
+        self.check_compiles_and_assembles()
 
 
-class TestSyndrome49:
-    def test_bit_lookup(self):
-        syndrome = Syndrome49(z_checks=((25, 1), (26, 0)))
-        assert syndrome.bit(25) == 1
-        assert syndrome.bit(26) == 0
-        with pytest.raises(KeyError):
-            syndrome.bit(37)
-
-    def test_fired(self):
-        assert Syndrome49(z_checks=((25, 0), (26, 1))).fired()
-        assert not Syndrome49(z_checks=((25, 0), (26, 0))).fired()
-
-    def test_expected_syndrome_covers_all_z_ancillas(self):
-        syndrome = expected_z_syndrome49(None)
-        assert tuple(a for a, _ in syndrome.z_checks) \
-            == SURFACE49_Z_ANCILLAS
-        assert not syndrome.fired()
+class TestSyndrome49(SyndromeCases):
+    distance = 5
