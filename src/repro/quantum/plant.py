@@ -327,17 +327,20 @@ class QuantumPlant:
     # ------------------------------------------------------------------
     # Idling
     # ------------------------------------------------------------------
-    def _advance_qubit(self, address: int, to_time_ns: float) -> None:
-        """Apply idle decoherence to one qubit up to ``to_time_ns``."""
+    def _advance_qubit(self, address: int, to_time_ns: float) -> int:
+        """Apply idle decoherence to one qubit up to ``to_time_ns``;
+        returns its dense index (an off-chip address raises
+        :class:`~repro.core.errors.PlantError`)."""
+        index = self.qubit_index(address)
         free_at = self._qubit_free_at[address]
         if to_time_ns < free_at - 1e-9:
             raise PlantError(
                 f"operation on qubit {address} at t={to_time_ns} ns "
                 f"overlaps previous operation ending at {free_at} ns")
-        idle = max(to_time_ns - free_at, 0.0)
-        if idle > 0:
-            self.backend.apply_idle(self.qubit_index(address), idle,
+        if to_time_ns > free_at:
+            self.backend.apply_idle(index, to_time_ns - free_at,
                                     self.noise.decoherence)
+        return index
 
     def idle_all_until(self, time_ns: float) -> None:
         """Idle every qubit up to ``time_ns`` (end-of-program flush)."""
@@ -369,26 +372,19 @@ class QuantumPlant:
                 f"qubits {qubits} on the {self._backend_kind} backend",
                 backend=self._backend_kind, operation=name,
                 qubits=qubits, site="backend_gate")
-        for address in qubits:
-            self._advance_qubit(address, start_ns)
-        indices = tuple(self.qubit_index(address) for address in qubits)
+        indices = tuple([self._advance_qubit(address, start_ns)
+                         for address in qubits])
         backend = self.backend
         obs = self.observability
-        if obs is None:
-            backend.apply_gate(name, unitary, indices)
-            if apply_gate_error:
-                backend.apply_gate_error(indices,
-                                         self.noise.gate_error,
-                                         self.rng)
-        else:
-            clock = obs.tracer.clock
-            gate_start = clock()
-            backend.apply_gate(name, unitary, indices)
-            if apply_gate_error:
-                backend.apply_gate_error(indices,
-                                         self.noise.gate_error,
-                                         self.rng)
-            self._obs_kernels(obs)[1].record(clock() - gate_start)
+        if obs is not None:
+            gate_start = obs.tracer.clock()
+        backend.apply_gate(name, unitary, indices)
+        if apply_gate_error:
+            backend.apply_gate_error(indices, self.noise.gate_error,
+                                     self.rng)
+        if obs is not None:
+            self._obs_kernels(obs)[1].record(
+                obs.tracer.clock() - gate_start)
         for address in qubits:
             self._qubit_free_at[address] = start_ns + duration_ns
         self.operations_log.append(
@@ -409,28 +405,22 @@ class QuantumPlant:
         prefix (the forced outcome was itself drawn from this state's
         pre-collapse distribution, so the statistics stay exact).
         """
-        self._advance_qubit(qubit, start_ns)
-        index = self.qubit_index(qubit)
+        index = self._advance_qubit(qubit, start_ns)
         backend = self.backend
         if self.measure_observer is not None:
             self.measure_observer(qubit, start_ns,
                                   backend.probability_one(index))
         obs = self.observability
-        if obs is None:
-            if forced is None:
-                result = backend.measure(index, self.rng)
-            else:
-                backend.collapse(index, forced)
-                result = forced
+        if obs is not None:
+            measure_start = obs.tracer.clock()
+        if forced is None:
+            result = backend.measure(index, self.rng)
         else:
-            clock = obs.tracer.clock
-            measure_start = clock()
-            if forced is None:
-                result = backend.measure(index, self.rng)
-            else:
-                backend.collapse(index, forced)
-                result = forced
-            self._obs_kernels(obs)[2].record(clock() - measure_start)
+            backend.collapse(index, forced)
+            result = forced
+        if obs is not None:
+            self._obs_kernels(obs)[2].record(
+                obs.tracer.clock() - measure_start)
         self._qubit_free_at[qubit] = start_ns + duration_ns
         self.operations_log.append(
             AppliedOperation(name="MEASZ", qubits=(qubit,),

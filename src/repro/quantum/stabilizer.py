@@ -381,26 +381,43 @@ class StabilizerTableau:
         self.xw[:, h >> 6] ^= src_x << shift_h
         self.zw[:, h >> 6] ^= src_z << shift_h
 
-    def _deterministic_outcome(self, a: int) -> int:
-        """Outcome of measuring qubit ``a`` when no stabilizer
-        anticommutes with Z_a: multiply out the stabilizer rows whose
-        destabilizer partners anticommute and read the product's sign."""
+    def _deterministic_outcome(self, column: int) -> int:
+        """Outcome of measuring the qubit whose packed X column is
+        ``column`` when no stabilizer anticommutes with its Z: the sign
+        of the product of the stabilizer rows S whose destabilizer
+        partners anticommute (the product is +/-Z_a).
+
+        Writing each row as ``(-1)^r prod_q i^(x_q z_q) X_q^x_q Z_q^z_q``
+        and ordering the X factors of the product ahead of its Z
+        factors, the product's phase is ``i`` to the power
+        ``2|r & S| + sum_q (|X_q & Z_q & S| + 2 #{m < l in S : z_mq = 1,
+        x_lq = 1})``; the outcome is bit 1 of that exponent mod 4.  The
+        pair count only matters mod 2, which is the parity of the rows
+        of ``X_q & S`` that sit above an odd number of rows of
+        ``Z_q & S`` — a prefix-XOR scan of the packed column.
+        """
         n = self.num_qubits
-        sx = np.zeros(n, dtype=np.int8)
-        sz = np.zeros(n, dtype=np.int8)
-        total = 0
-        remaining = self._col_int(self.xw, a) & ((1 << n) - 1)
-        while remaining:
-            i = (remaining & -remaining).bit_length() - 1
-            remaining &= remaining - 1
-            row = i + n
-            xr = self._row_bits(self.xw, row)
-            zr = self._row_bits(self.zw, row)
-            total += (2 * self._r_bit(row) +
-                      self._phase_exponent(xr, zr, sx, sz))
-            sx ^= xr
-            sz ^= zr
-        return (total % 4) // 2
+        selected = (column & ((1 << n) - 1)) << n
+        total = 2 * (self._r_int() & selected).bit_count()
+        pairs = 0
+        for q in range(n):
+            z = self._col_int(self.zw, q) & selected
+            if not z:
+                continue
+            x = self._col_int(self.xw, q) & selected
+            if not x:
+                continue
+            total += (x & z).bit_count()
+            # Prefix bit j: parity of the z rows at or below row j (the
+            # selected rows span n positions).
+            prefix = z
+            shift = 1
+            while shift < n:
+                prefix ^= prefix << shift
+                shift <<= 1
+            pairs ^= x & (prefix << 1)
+        total += 2 * pairs.bit_count()
+        return (total >> 1) & 1
 
     # ------------------------------------------------------------------
     # Measurement
@@ -410,9 +427,10 @@ class StabilizerTableau:
         with Z_a (random outcome), else exactly 0.0 or 1.0."""
         if not 0 <= a < self.num_qubits:
             raise PlantError(f"qubit {a} out of range")
-        if self._col_int(self.xw, a) >> self.num_qubits:
+        column = self._col_int(self.xw, a)
+        if column >> self.num_qubits:
             return 0.5
-        return float(self._deterministic_outcome(a))
+        return float(self._deterministic_outcome(column))
 
     def pivot_stabilizer(self, a: int) -> int | None:
         """Row index of the first stabilizer anticommuting with Z_a,
@@ -438,13 +456,18 @@ class StabilizerTableau:
             raise PlantError(f"result {result} is not a bit")
         if not 0 <= a < self.num_qubits:
             raise PlantError(f"qubit {a} out of range")
-        n = self.num_qubits
         column = self._col_int(self.xw, a)
-        if not column >> n:
-            if self._deterministic_outcome(a) != result:
+        if not column >> self.num_qubits:
+            if self._deterministic_outcome(column) != result:
                 raise PlantError(
                     f"collapse of qubit {a} to {result} has probability 0")
             return
+        self._collapse_random(a, column, result)
+
+    def _collapse_random(self, a: int, column: int, result: int) -> None:
+        """Project qubit ``a`` (packed X column ``column``, some
+        stabilizer anticommuting with Z_a) onto ``result``."""
+        n = self.num_qubits
         p = self.pivot_stabilizer(a)
         remaining = column & ~(1 << p)
         while remaining:
@@ -475,13 +498,17 @@ class StabilizerTableau:
         self._set_r_bit(row, 0)
 
     def measure(self, a: int, rng: np.random.Generator) -> int:
-        """Sample a projective z-measurement and collapse the state."""
-        p_one = self.probability_one(a)
-        if p_one == 0.5:
-            result = 1 if rng.random() < 0.5 else 0
-        else:
-            result = int(p_one)
-        self.collapse(a, result)
+        """Sample a projective z-measurement and collapse the state.
+
+        A deterministic outcome is evaluated once and draws nothing (it
+        leaves the state unchanged); a random one draws exactly once."""
+        if not 0 <= a < self.num_qubits:
+            raise PlantError(f"qubit {a} out of range")
+        column = self._col_int(self.xw, a)
+        if not column >> self.num_qubits:
+            return self._deterministic_outcome(column)
+        result = 1 if rng.random() < 0.5 else 0
+        self._collapse_random(a, column, result)
         return result
 
     # ------------------------------------------------------------------

@@ -14,7 +14,8 @@ unit, completing the three-way consistency requirement of Section 3.2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +23,11 @@ from repro.core.errors import ConfigurationError
 from repro.core.microcode import DeviceKind, MicroOperation, MicroOpRole
 from repro.core.operations import OperationSet
 from repro.topology.chip import QuantumChipTopology
+
+#: Cached groupings kept before :meth:`DeviceEventDistributor.route`
+#: starts over (a looping shot meets a new timing-point cycle per
+#: iteration).
+_ROUTE_CACHE_CAPACITY = 4096
 
 
 @dataclass(frozen=True)
@@ -106,10 +112,39 @@ class DeviceEventDistributor:
     * measurement micro-ops -> the UHFQC of the qubit's feedline
       (multiple qubits on one feedline share one device operation —
       frequency-multiplexed readout).
+
+    :meth:`route` is the machine's cached form of :meth:`distribute`.
     """
 
     def __init__(self, topology: QuantumChipTopology):
         self.topology = topology
+        # (cycle, *ids of the micro-ops) -> (the micro-ops, the routes);
+        # holding the micro-ops keeps their ids from being reused.
+        self._routes: dict[tuple, tuple] = {}
+
+    def clear_route_cache(self) -> None:
+        """Forget every cached grouping (a new binary was loaded)."""
+        self._routes.clear()
+
+    def route(self, cycle: int, qubit_micro_ops: list[QubitMicroOp]
+              ) -> tuple[tuple[tuple[str, int], DeviceOperation], ...]:
+        """:meth:`distribute`, cached per cycle and micro-op objects,
+        with each device operation's queue key: the device as the plain
+        ``(kind value, index)`` pair, cheap to hash.  The device
+        operations are shared by every shot that reserves the same
+        point; the machine's decoded micro-ops are themselves cached,
+        so a repeated shot routes nothing."""
+        key = (cycle, *map(id, qubit_micro_ops))
+        cached = self._routes.get(key)
+        if cached is None:
+            if len(self._routes) >= _ROUTE_CACHE_CAPACITY:
+                self._routes.clear()
+            routes = tuple(
+                ((operation.device.kind.value, operation.device.index),
+                 operation)
+                for operation in self.distribute(cycle, qubit_micro_ops))
+            cached = self._routes[key] = (tuple(qubit_micro_ops), routes)
+        return cached[1]
 
     def distribute(self, cycle: int,
                    qubit_micro_ops: list[QubitMicroOp]
@@ -145,7 +180,7 @@ class EventQueue:
 
     def __init__(self, depth: int):
         self.depth = depth
-        self._entries: list[DeviceOperation] = []
+        self._entries: deque[DeviceOperation] = deque()
 
     def push(self, operation: DeviceOperation) -> None:
         """Append an operation; caller must check :meth:`full` first."""
@@ -155,7 +190,7 @@ class EventQueue:
 
     def pop(self) -> DeviceOperation:
         """Remove and return the oldest operation."""
-        return self._entries.pop(0)
+        return self._entries.popleft()
 
     @property
     def full(self) -> bool:

@@ -38,7 +38,6 @@ import heapq
 import itertools
 from collections import OrderedDict
 from contextlib import closing
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.core.assembler import AssembledProgram
@@ -89,7 +88,6 @@ from repro.quantum.stabilizer import cached_clifford_action
 from repro.uarch.config import UarchConfig
 from repro.uarch.devices import (
     DeviceEventDistributor,
-    DeviceId,
     DeviceOperation,
     EventQueue,
     PulseLibrary,
@@ -146,12 +144,15 @@ _TRAJECTORY_BLOCKER = ("stochastic Pauli gate noise on the stabilizer "
                        "outcome history)")
 
 
-#: Events at equal timestamps resolve by priority: measurement results
-#: and the flag/Q-register updates they cause settle within the cycle,
-#: before the timing controller's trigger of that cycle evaluates any
-#: execution flag ("once there returns a measurement result ... the
-#: fast conditional execution unit immediately updates the execution
-#: flags", Section 4.3).
+#: Deterministic-domain events are heap tuples ``(time_ns, priority,
+#: sequence, kind, payload)``; the unique push sequence breaks every
+#: tie, so the payload is never compared.  Events at equal timestamps
+#: resolve by priority: measurement results and the flag/Q-register
+#: updates they cause settle within the cycle, before the timing
+#: controller's trigger of that cycle evaluates any execution flag
+#: ("once there returns a measurement result ... the fast conditional
+#: execution unit immediately updates the execution flags", Section
+#: 4.3).
 _EVENT_PRIORITY = {"result": 0, "flag": 1, "qreg": 1, "trigger": 2}
 
 
@@ -160,17 +161,6 @@ def _stats_view(field_name: str, doc: str) -> property:
     :attr:`QuMAv2.engine_stats`."""
     return property(
         lambda machine: getattr(machine.engine_stats, field_name), doc=doc)
-
-
-@dataclass(order=True, slots=True)
-class _Event:
-    """A deterministic-domain event, ordered by time, priority, sequence."""
-
-    time_ns: float
-    priority: int
-    sequence: int
-    kind: str = field(compare=False)       # trigger | result | flag | qreg
-    payload: object = field(compare=False, default=None)
 
 
 class QuMAv2:
@@ -318,6 +308,8 @@ class QuMAv2:
         self._instructions = self._timed(list, map(decode, words),
                                          span="machine.load",
                                          instructions=len(words))
+        self.quantum_pipeline.clear_decode_cache()
+        self.distributor.clear_route_cache()
         self._binary_key = tuple(words)
         self._data_memory_report = self._dataflow_cache.get(
             self._binary_key)
@@ -333,13 +325,15 @@ class QuMAv2:
     def _reset_shot_state(self) -> None:
         self._pc = 0
         self._classical_time_ns = 0.0
-        self._events: list[_Event] = []
+        self._events: list[tuple] = []
         self._event_sequence = itertools.count()
         self._timeline_origin_ns: float | None = None
         self._outstanding_triggers = 0
-        self._pending_pairs: dict[tuple[int, tuple[int, int]], set] = {}
+        # (cycle, pair) -> halves released so far (source 1 | target 2).
+        self._pending_pairs: dict[tuple[int, tuple[int, int]], int] = {}
         self._last_qreg_write_ns: dict[int, float] = {}
-        self._device_queues: dict[DeviceId, EventQueue] = {}
+        # Keyed by the distributor's plain (kind value, index) pairs.
+        self._device_queues: dict[tuple[str, int], EventQueue] = {}
         self._trace = ShotTrace()
 
     def reset_shot(self) -> None:
@@ -1424,68 +1418,69 @@ class QuMAv2:
             if not self._events:
                 break
             event = heapq.heappop(self._events)
-            self._classical_time_ns = max(self._classical_time_ns,
-                                          event.time_ns)
+            self._classical_time_ns = max(self._classical_time_ns, event[0])
             self._process_event(event)
-        for device_op in self.distributor.distribute(point.cycle,
-                                                     point.micro_ops):
-            queue = self._device_queues.setdefault(
-                device_op.device, EventQueue(config.event_queue_depth))
+        queues = self._device_queues
+        for queue_key, device_op in self.distributor.route(point.cycle,
+                                                           point.micro_ops):
+            queue = queues.get(queue_key)
+            if queue is None:
+                queue = queues[queue_key] = EventQueue(
+                    config.event_queue_depth)
             # Per-device event-queue backpressure (Fig. 9's FIFOs).
             while queue.full and self._events:
                 event = heapq.heappop(self._events)
                 self._classical_time_ns = max(self._classical_time_ns,
-                                              event.time_ns)
+                                              event[0])
                 self._process_event(event)
             queue.push(device_op)
-            self._push_event(due, "trigger", device_op)
+            self._push_event(due, "trigger", (queue, device_op))
             self._outstanding_triggers += 1
 
     # ------------------------------------------------------------------
     # Deterministic-domain event machinery
     # ------------------------------------------------------------------
     def _push_event(self, time_ns: float, kind: str, payload) -> None:
-        heapq.heappush(self._events, _Event(
-            time_ns=time_ns, priority=_EVENT_PRIORITY[kind],
-            sequence=next(self._event_sequence), kind=kind,
-            payload=payload))
+        heapq.heappush(self._events, (
+            time_ns, _EVENT_PRIORITY[kind], next(self._event_sequence),
+            kind, payload))
 
     def _drain_events_until(self, time_ns: float) -> None:
-        while self._events and self._events[0].time_ns <= time_ns:
-            self._process_event(heapq.heappop(self._events))
+        events = self._events
+        while events and events[0][0] <= time_ns:
+            self._process_event(heapq.heappop(events))
 
     def _drain_all_events(self) -> None:
-        while self._events:
-            self._process_event(heapq.heappop(self._events))
+        events = self._events
+        while events:
+            self._process_event(heapq.heappop(events))
 
-    def _process_event(self, event: _Event) -> None:
-        if event.kind == "trigger":
+    def _process_event(self, event: tuple) -> None:
+        time_ns, _, _, kind, payload = event
+        if kind == "trigger":
             self._outstanding_triggers -= 1
-            self._trigger_device_operation(event.time_ns, event.payload)
-        elif event.kind == "result":
-            self._on_result_arrival(event.time_ns, event.payload)
-        elif event.kind == "flag":
-            pending: PendingResult = event.payload
-            self.execution_flags.on_result(pending.qubit,
-                                           pending.reported_result)
-        elif event.kind == "qreg":
-            pending = event.payload
-            self.q_registers.register(pending.qubit).on_result(
-                pending.reported_result)
-            self._last_qreg_write_ns[pending.qubit] = event.time_ns
+            self._trigger_device_operation(time_ns, *payload)
+        elif kind == "result":
+            self._on_result_arrival(time_ns, payload)
+        elif kind == "flag":
+            self.execution_flags.on_result(payload.qubit,
+                                           payload.reported_result)
+        elif kind == "qreg":
+            self.q_registers.register(payload.qubit).on_result(
+                payload.reported_result)
+            self._last_qreg_write_ns[payload.qubit] = time_ns
         else:
-            raise RuntimeFault(f"unknown event kind {event.kind}")
+            raise RuntimeFault(f"unknown event kind {kind}")
 
     # ------------------------------------------------------------------
     # Trigger phase: FCE + pulse generation + measurement start
     # ------------------------------------------------------------------
-    def _trigger_device_operation(self, time_ns: float,
+    def _trigger_device_operation(self, time_ns: float, queue: EventQueue,
                                   device_op: DeviceOperation) -> None:
         config = self.config
         # The timing controller consumes the device's event queue in
         # FIFO order; triggers are chronological per device, so the
         # popped entry must be the one due now.
-        queue = self._device_queues[device_op.device]
         popped = queue.pop()
         if popped is not device_op:
             raise RuntimeFault(
@@ -1558,10 +1553,11 @@ class QuMAv2:
             raise RuntimeFault(
                 f"{entry.micro_op.operation} micro-op lacks pair info")
         key = (cycle, entry.pair)
-        roles = self._pending_pairs.setdefault(key, set())
-        roles.add(entry.micro_op.role)
-        if {MicroOpRole.SOURCE, MicroOpRole.TARGET} <= roles:
-            del self._pending_pairs[key]
+        halves = self._pending_pairs.pop(key, 0) | (
+            1 if entry.micro_op.role is MicroOpRole.SOURCE else 2)
+        if halves != 3:
+            self._pending_pairs[key] = halves
+        else:
             name = entry.micro_op.operation
             unitary = self.pulses.unitary_for(name)
             duration = (entry.micro_op.duration_cycles *

@@ -20,6 +20,16 @@ Implements the left half of Fig. 9's quantum pipeline:
 The pipeline emits :class:`ReservedPoint` objects — a completed timing
 point with its per-qubit micro-ops — which the machine hands to the
 device event distributor.
+
+A bundle's lane micro-ops are a pure function of the bundle and the
+S/T register contents its lanes read, so each successful decode is
+cached per bundle and register contents: a shot that repeats the
+previous shot's instruction stream decodes nothing.  The cache holds
+the bundle objects it keys by identity, belongs to the loaded binary
+(the machine clears it in ``load()``) and never stores a failed decode,
+so every decode error still raises on every execution.  The
+cross-instruction conflict check (:meth:`QuantumPipeline._combine`)
+runs per timing point on every shot.
 """
 
 from __future__ import annotations
@@ -71,6 +81,13 @@ class QuantumPipeline:
             isa.pair_mask_field_width)
         self._current_cycle = 0
         self._pending: ReservedPoint | None = None
+        # id(bundle) -> (bundle, (register file, index) per lane read,
+        # register contents -> lane micro-ops).
+        self._decoded: dict[int, tuple[Bundle, tuple, dict]] = {}
+
+    def clear_decode_cache(self) -> None:
+        """Forget every cached bundle decode (a new binary was loaded)."""
+        self._decoded.clear()
 
     # ------------------------------------------------------------------
     # Shot lifecycle
@@ -110,7 +127,7 @@ class QuantumPipeline:
 
     def process_bundle(
             self, bundle: Bundle, reserved_at_ns: float,
-    ) -> tuple[ReservedPoint | None, list[QubitMicroOp]]:
+    ) -> tuple[ReservedPoint | None, tuple[QubitMicroOp, ...]]:
         """Process one bundle instruction word.
 
         Returns ``(flushed, new_entries)``: the *previous* timing point
@@ -127,7 +144,7 @@ class QuantumPipeline:
         if self._pending is None:
             self._pending = ReservedPoint(cycle=cycle)
         self._pending.reserved_at_ns = reserved_at_ns
-        new_entries = self._lane_micro_ops(bundle)
+        new_entries = self._decode(bundle)
         self._combine(self._pending, new_entries)
         return flushed, new_entries
 
@@ -145,7 +162,33 @@ class QuantumPipeline:
     # ------------------------------------------------------------------
     # VLIW lanes + microinstruction buffer
     # ------------------------------------------------------------------
-    def _lane_micro_ops(self, bundle: Bundle) -> list[QubitMicroOp]:
+    def _decode(self, bundle: Bundle) -> tuple[QubitMicroOp, ...]:
+        """The bundle's lane micro-ops, decoded once per bundle and
+        register contents (see the module docstring)."""
+        cached = self._decoded.get(id(bundle))
+        if cached is None or cached[0] is not bundle:
+            entries = self._lane_micro_ops(bundle)
+            # The reads are named only after a successful decode: then
+            # every lane's operation is known and every register index
+            # valid.  QNOP lanes read nothing.
+            reads = tuple(
+                (self.t_registers
+                 if self.isa.operations.get(slot.name).uses_two_qubit_target
+                 else self.s_registers, slot.register[1])
+                for slot in bundle.operations if slot.register is not None
+                and self.microcode.translate_name(slot.name))
+            masks = tuple(registers.read(index)
+                          for registers, index in reads)
+            self._decoded[id(bundle)] = (bundle, reads, {masks: entries})
+            return entries
+        _, reads, by_masks = cached
+        masks = tuple(registers.read(index) for registers, index in reads)
+        entries = by_masks.get(masks)
+        if entries is None:
+            entries = by_masks[masks] = self._lane_micro_ops(bundle)
+        return entries
+
+    def _lane_micro_ops(self, bundle: Bundle) -> tuple[QubitMicroOp, ...]:
         entries: list[QubitMicroOp] = []
         if len(bundle.operations) > self.isa.vliw_width:
             raise AssemblyError(
@@ -163,7 +206,7 @@ class QuantumPipeline:
                         f"{entry.micro_op.operation} on qubit {entry.qubit}")
                 seen[entry.qubit] = entry.micro_op.operation
                 entries.append(entry)
-        return entries
+        return tuple(entries)
 
     def _lane(self, slot) -> list[QubitMicroOp]:
         """One VLIW lane: microcode translation + mask resolution."""

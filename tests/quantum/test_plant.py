@@ -28,6 +28,22 @@ class TestAddressMapping:
             plant.qubit_index(1)
 
 
+    @pytest.mark.parametrize("backend", ["dense", "stabilizer"])
+    def test_off_chip_operation_raises_plant_error(self, backend):
+        """An address the chip lacks is a PlantError on every entry
+        point and backend, never a bare KeyError from the busy-time
+        table; the failed call leaves no trace in the log."""
+        plant = QuantumPlant(two_qubit_chip(), noise=NoiseModel.noiseless(),
+                             rng=np.random.default_rng(0), backend=backend)
+        with pytest.raises(PlantError, match="not on chip"):
+            plant.apply_unitary("X", gates.X, (5,), 0.0, 20.0)
+        with pytest.raises(PlantError, match="not on chip"):
+            plant.apply_unitary("CNOT", gates.CNOT, (0, 5), 0.0, 40.0)
+        with pytest.raises(PlantError, match="not on chip"):
+            plant.measure(5, start_ns=0.0, duration_ns=300.0)
+        assert plant.operations_log == []
+
+
 class TestUnitaries:
     def test_x_then_measure(self):
         plant = noiseless_plant()

@@ -451,6 +451,79 @@ class TestPackedVsBooleanProperty:
         _assert_same_state(packed, boolean)
 
 
+    @given(num_qubits=st.integers(7, 40),
+           seed=st.integers(0, 2 ** 31))
+    @settings(max_examples=12, deadline=None)
+    def test_measurement_heavy_sequences(self, num_qubits, seed):
+        """Wide, measurement-heavy sequences on both sides of the
+        one-word column limit (2n <= 64 bits): scramble, measure every
+        qubit, remix with CNOTs and X errors (deterministic outcomes
+        over many selected stabilizer rows, both signs), scramble again
+        and measure twice.  Outcomes and states match the boolean
+        tableau, a deterministic measurement draws nothing and a random
+        one draws exactly once."""
+        n = num_qubits
+        plan = np.random.default_rng(seed)
+        packed = StabilizerTableau(n)
+        boolean = BooleanTableau(n)
+        rng_packed = CountingRng(seed + 1)
+        rng_boolean = np.random.default_rng(seed + 1)
+
+        def apply(name, qubits):
+            action = cached_clifford_action(gates.STANDARD_GATES[name])
+            packed.apply(action, qubits)
+            boolean.apply(action, qubits)
+
+        def two_qubits():
+            a, b = plan.choice(n, 2, replace=False)
+            return int(a), int(b)
+
+        def scramble(steps):
+            for _ in range(steps):
+                if plan.random() < 0.4:
+                    apply(CLIFFORD_1Q[plan.integers(len(CLIFFORD_1Q))],
+                          (int(plan.integers(n)),))
+                else:
+                    apply(CLIFFORD_2Q[plan.integers(len(CLIFFORD_2Q))],
+                          two_qubits())
+
+        def measure_all():
+            for qubit in plan.permutation(n).tolist():
+                p_one = boolean.probability_one(qubit)
+                assert packed.probability_one(qubit) == p_one
+                draws = rng_packed.draws
+                assert packed.measure(qubit, rng_packed) == \
+                    boolean.measure(qubit, rng_boolean)
+                assert rng_packed.draws - draws == (p_one == 0.5)
+            _assert_same_state(packed, boolean)
+
+        scramble(4 * n)
+        measure_all()
+        for _ in range(2 * n):
+            apply("CNOT", two_qubits())
+            if plan.random() < 0.2:
+                qubit = int(plan.integers(n))
+                packed.apply_pauli(1, (qubit,))      # an X error
+                boolean.apply_pauli(1, (qubit,))
+        measure_all()
+        scramble(n)
+        measure_all()
+        measure_all()
+        assert rng_packed.random() == rng_boolean.random()
+
+
+class CountingRng:
+    """A seeded generator that counts its ``random()`` draws."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self._rng.random()
+
+
 class TestDigestStability:
     """Regression: the digest-of-state contract survived the
     bit-packed refactor."""

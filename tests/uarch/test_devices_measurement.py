@@ -78,6 +78,21 @@ class TestDeviceEventDistributor:
         kinds = {op.device.kind for op in device_ops}
         assert kinds == {DeviceKind.FLUX}
 
+    def test_route_is_cached_distribute_with_plain_keys(self, microcode):
+        distributor = DeviceEventDistributor(surface7())
+        entries = [qubit_micro_op(microcode, "MEASZ", 0),
+                   qubit_micro_op(microcode, "MEASZ", 3),
+                   qubit_micro_op(microcode, "X", 1)]
+        routes = distributor.route(4, entries)
+        assert [operation for _, operation in routes] == \
+            distributor.distribute(4, entries)
+        assert [key for key, _ in routes] == [("measurement", 0),
+                                              ("microwave", 1)]
+        assert distributor.route(4, list(entries)) is routes
+        assert distributor.route(5, entries)[0][1].cycle == 5
+        distributor.clear_route_cache()
+        assert distributor.route(4, entries) is not routes
+
     def test_device_id_str(self):
         assert str(DeviceId(DeviceKind.MICROWAVE, 3)) == "microwave[3]"
 

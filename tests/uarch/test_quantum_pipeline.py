@@ -180,3 +180,47 @@ class TestBundleProcessing:
             bundle(BundleOperation("X", ("S", 0)),
                    BundleOperation("QNOP", None)), 0.0)
         assert len(entries) == 1
+
+
+class TestDecodeCache:
+    """A bundle is decoded once per register contents; everything that
+    depends on more than that still runs on every execution."""
+
+    def test_decode_follows_register_contents(self, pipeline):
+        word = bundle(BundleOperation("X", ("S", 0)))
+        pipeline.process_smis(SMIS(sd=0, qubits=frozenset({0, 1})))
+        _, first = pipeline.process_bundle(word, 0.0)
+        pipeline.process_smis(SMIS(sd=0, qubits=frozenset({3})))
+        _, second = pipeline.process_bundle(word, 10.0)
+        pipeline.process_smis(SMIS(sd=0, qubits=frozenset({0, 1})))
+        _, third = pipeline.process_bundle(word, 20.0)
+        assert [e.qubit for e in first] == [0, 1]
+        assert [e.qubit for e in second] == [3]
+        assert third is first   # the cached decode, not a re-decode
+
+    def test_failed_decode_raises_every_time(self, pipeline):
+        word = bundle(BundleOperation("X", ("S", 5)))
+        for _ in range(2):
+            with pytest.raises(AssemblyError):
+                pipeline.process_bundle(word, 0.0)
+        pipeline.process_smis(SMIS(sd=5, qubits=frozenset({2})))
+        _, entries = pipeline.process_bundle(word, 10.0)
+        assert [e.qubit for e in entries] == [2]
+        pipeline.reset()
+        with pytest.raises(AssemblyError):
+            pipeline.process_bundle(word, 0.0)
+
+    def test_cached_decode_still_conflicts_per_point(self, pipeline):
+        word = bundle(BundleOperation("X", ("S", 0)), pi=0)
+        pipeline.process_smis(SMIS(sd=0, qubits=frozenset({0})))
+        pipeline.process_bundle(word, 0.0)
+        with pytest.raises(OperationConflictError):
+            pipeline.process_bundle(word, 10.0)
+
+    def test_clear_forgets_decodes(self, pipeline):
+        word = bundle(BundleOperation("X", ("S", 0)))
+        pipeline.process_smis(SMIS(sd=0, qubits=frozenset({0})))
+        _, first = pipeline.process_bundle(word, 0.0)
+        pipeline.clear_decode_cache()
+        _, again = pipeline.process_bundle(word, 10.0)
+        assert again == first and again is not first
