@@ -8,6 +8,8 @@ produces bit-identical shot traces with tracing on or off.
 """
 
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ import pytest
 from repro.core import Assembler, two_qubit_instantiation
 from repro.experiments.runner import ExperimentSetup
 from repro.obs import Observability
+from repro.obs.__main__ import main as obs_main
+from repro.obs.report import load_chrome_trace
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
 from repro.uarch import EngineStats, FaultPlan, FaultSpec, QuMAv2
@@ -96,9 +100,10 @@ class TestTracedReplayRun:
         assert snapshot["engine.selected.replay"]["value"] == 1
         assert (snapshot["engine.replay.tree.nodes"]["value"]
                 == stats.tree_nodes)
-        # Cached-walk timing is stride-sampled (1 shot in 16) and
-        # published once per run as a counter pair.
-        assert snapshot["engine.replay.walk.timed_shots"]["value"] >= 1
+        # Cached-walk timing is stride-sampled (1 shot in 16: two clock
+        # reads would dominate a ~10 us walk) into a counter pair.
+        assert (snapshot["engine.replay.walk.timed_shots"]["value"]
+                == math.ceil(60 / 16))
         assert snapshot["engine.replay.walk.time_ns"]["value"] > 0
         # Growth shots are timed per shot into a histogram.
         growth = snapshot["engine.replay.growth_shot.time_ns"]
@@ -147,6 +152,38 @@ class TestTracedFrameRun:
         assert snapshot["engine.frame.batched_shots"]["value"] == 50
         assert snapshot["engine.frame.reference_shots"]["value"] == 1
         assert snapshot["engine.selected.frame"]["value"] == 1
+
+
+class TestReportCli:
+    """``python -m repro.obs report`` over an exported traced run."""
+
+    def test_report_renders_exported_run(self, tmp_path):
+        obs = Observability()
+        make_machine(observability=obs).run_counts(50)
+        paths = obs.export(tmp_path)
+        output = tmp_path / "report.md"
+        assert obs_main(["report", "--metrics", paths["metrics"],
+                         "--trace", paths["trace"],
+                         "--output", str(output)]) == 0
+        report = output.read_text()
+        for section in ("### Counters", "### Histograms",
+                        "### Span time by name", "`machine.run`"):
+            assert section in report
+
+    def test_report_without_inputs_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exited:
+            obs_main(["report"])
+        assert exited.value.code == 2
+
+    def test_trace_loader_accepts_wrapped_events_only(self, tmp_path):
+        events = [{"name": "machine.run", "ph": "X", "dur": 5.0}]
+        wrapped = tmp_path / "wrapped.json"
+        wrapped.write_text(json.dumps({"traceEvents": events}))
+        assert load_chrome_trace(wrapped) == events
+        scalar = tmp_path / "scalar.json"
+        scalar.write_text("42")
+        with pytest.raises(ValueError):
+            load_chrome_trace(scalar)
 
 
 class TestDegradationEvents:

@@ -14,7 +14,12 @@ proves the full hardening contract:
 import numpy as np
 import pytest
 
-from repro.core import Assembler, two_qubit_instantiation
+from repro.core import (
+    Assembler,
+    rotated_surface_instantiation,
+    seven_qubit_instantiation,
+    two_qubit_instantiation,
+)
 from repro.core.errors import (
     BackendFaultError,
     ConfigurationError,
@@ -25,15 +30,24 @@ from repro.core.errors import (
     RuntimeFault,
     ShotTimeoutError,
 )
+from repro.experiments.cfc import (
+    CFC_SCRATCH_PROGRAM,
+    CFC_TWO_ROUND_PROGRAM,
+    FIG5_PROGRAM,
+)
 from repro.experiments.runner import ExperimentSetup, RetryPolicy
+from repro.experiments.surface_code import looped_surface_code_program
 from repro.quantum import NoiseModel, QuantumPlant
+from repro.quantum.noise import DecoherenceModel, GateErrorModel
 from repro.uarch import (
     FAULT_SITES,
     FaultPlan,
     FaultSpec,
     QuMAv2,
+    ShotTrace,
     UarchConfig,
 )
+from repro.workloads.rotated_surface import rotated_surface_circuit
 
 ACTIVE_RESET = """
 SMIS S2, {2}
@@ -55,10 +69,57 @@ STOP
 """
 
 
+#: A CFC round whose result is deposited to data memory for the host:
+#: a store no load observes, so the program replays.
+DEAD_STORE = """
+SMIS S0, {0}
+SMIS S2, {2}
+LDI R0, 1
+QWAIT 10000
+X90 S2
+MEASZ S2
+QWAIT 50
+FMR R1, Q2
+CMP R1, R0
+BR EQ, eq
+X S0
+BR ALWAYS, join
+eq:
+Y S0
+join:
+LDI R2, 64
+ST R1, R2(0)
+QWAIT 50
+STOP
+"""
+
+RABI = """
+SMIS S2, {2}
+QWAIT 10000
+X90 S2
+MEASZ S2
+QWAIT 50
+STOP
+"""
+
+ALLXY = """
+SMIS S0, {0}
+SMIS S2, {2}
+SMIS S7, {0, 2}
+QWAIT 10000
+0, Y S7
+1, X90 S0 | X S2
+1, MEASZ S7
+QWAIT 50
+STOP
+"""
+
+
 def make_machine(text=ACTIVE_RESET, seed=0, config=None,
-                 audit_fraction=0.0):
-    isa = two_qubit_instantiation()
-    plant = QuantumPlant(isa.topology, noise=NoiseModel(),
+                 audit_fraction=0.0, isa=None, noise=None):
+    isa = isa or two_qubit_instantiation()
+    plant = QuantumPlant(isa.topology,
+                         noise=noise if noise is not None else NoiseModel(),
                          rng=np.random.default_rng(seed))
     machine = QuMAv2(isa, plant, config=config,
                      audit_fraction=audit_fraction)
@@ -344,16 +405,91 @@ class TestShotTimeBudget:
             UarchConfig(shot_time_budget_ns=0.0)
 
 
+def readout_only_noise():
+    """Readout flips only: Clifford programs stay on the tableau and
+    replay (no per-shot trajectory for the tree to miss)."""
+    return NoiseModel(
+        decoherence=DecoherenceModel(t1_ns=1e15, t2_ns=1e15),
+        gate_error=GateErrorModel(single_qubit_error=0.0,
+                                  two_qubit_error=0.0))
+
+
+AUDIT_SHOTS = 100
+
+
+def mock_cfc_machine(audit_fraction):
+    machine = make_machine(FIG5_PROGRAM, seed=13,
+                           audit_fraction=audit_fraction)
+    machine.measurement_unit.inject_mock_results(
+        2, [i % 2 for i in range(AUDIT_SHOTS)])
+    return machine
+
+
+def rotated_surface_machine(distance, rounds, audit_fraction):
+    setup = ExperimentSetup.create(
+        isa=rotated_surface_instantiation(distance),
+        noise=readout_only_noise(), seed=13,
+        audit_fraction=audit_fraction)
+    setup.machine.load(setup.compile_circuit(
+        rotated_surface_circuit(distance, rounds=rounds)))
+    return setup.machine
+
+
+#: Replayable scenarios: name -> (build(audit_fraction) -> loaded
+#: machine, expected plant backend, run_counts calls on one machine).
+REPLAY_SCENARIOS = {
+    "rabi": (lambda f: make_machine(RABI, seed=13, audit_fraction=f),
+             "dense", 1),
+    "allxy": (lambda f: make_machine(ALLXY, seed=13, audit_fraction=f),
+              "dense", 1),
+    "active_reset": (lambda f: make_machine(seed=7, audit_fraction=f),
+                     "dense", 1),
+    "cfc": (lambda f: make_machine(CFC_TWO_ROUND_PROGRAM, seed=13,
+                                   audit_fraction=f), "dense", 1),
+    "mock_cfc": (mock_cfc_machine, "dense", 1),
+    "dead_store_sweep": (lambda f: make_machine(DEAD_STORE, seed=13,
+                                                audit_fraction=f),
+                         "dense", 2),
+    "looped_surface_code": (lambda f: make_machine(
+        looped_surface_code_program(4), seed=13,
+        isa=seven_qubit_instantiation(), noise=readout_only_noise(),
+        audit_fraction=f), "stabilizer", 1),
+    "scratch_spill_reload": (lambda f: make_machine(
+        CFC_SCRATCH_PROGRAM, seed=13, audit_fraction=f), "dense", 1),
+    "surface17": (lambda f: rotated_surface_machine(3, 2, f),
+                  "stabilizer", 1),
+    "surface49": (lambda f: rotated_surface_machine(5, 1, f),
+                  "stabilizer", 1),
+}
+
+
 class TestReplayAudit:
-    def test_full_audit_is_divergence_free(self):
-        machine = make_machine(audit_fraction=1.0, seed=7)
-        machine.run(150)
-        stats = machine.engine_stats
-        assert stats.replay_audits > 0
-        assert stats.replay_audits == stats.segment_cache_hits
-        assert stats.audit_divergences == 0
-        assert stats.last_audit is not None
-        assert stats.last_audit.mismatched_fields == ()
+    @pytest.mark.parametrize("scenario", sorted(REPLAY_SCENARIOS))
+    def test_full_audit_is_divergence_free(self, scenario):
+        """Every cached shot is shadow-run on the interpreter and
+        compared field by field.  The accounting pins what a slow fast
+        path looks like: a silent fallback, the wrong plant backend,
+        growth shots that add no tree path, or a tree that misses more
+        often than it hits.  A sweep's later runs reuse the saturated
+        tree with no growth at all."""
+        build, backend, runs = REPLAY_SCENARIOS[scenario]
+        machine = build(1.0)
+        for run in range(runs):
+            machine.run_counts(AUDIT_SHOTS)
+            stats = machine.engine_stats
+            assert stats.engine == "replay", stats.fallback_reason
+            assert stats.fallback_reason is None
+            assert stats.plant_backend == backend, \
+                stats.plant_backend_reason
+            assert (stats.replay_audits == stats.segment_cache_hits
+                    > stats.interpreter_shots)
+            assert stats.audit_divergences == 0
+            assert stats.last_audit.mismatched_fields == ()
+            if run == 0:
+                assert 0 < stats.interpreter_shots == stats.tree_paths
+            else:
+                assert stats.tree_reused
+                assert stats.interpreter_shots == 0
 
     def test_fractional_audit_cadence(self):
         machine = make_machine(audit_fraction=0.1, seed=7)
@@ -361,6 +497,23 @@ class TestReplayAudit:
         stats = machine.engine_stats
         expected = int(stats.segment_cache_hits * 0.1)
         assert abs(stats.replay_audits - expected) <= 1
+
+    def test_counts_splice_only_audited_shots(self, monkeypatch):
+        """``run_counts`` folds cached walks without a trace: only the
+        shots the audit shadow-runs are spliced into a ShotTrace."""
+        splices = []
+        splice = ShotTrace.with_sampled_results
+
+        def counted(template, outcomes):
+            splices.append(outcomes)
+            return splice(template, outcomes)
+
+        monkeypatch.setattr(ShotTrace, "with_sampled_results", counted)
+        machine = make_machine(audit_fraction=0.01, seed=7)
+        machine.run_counts(1000)
+        stats = machine.engine_stats
+        assert stats.replay_audits > 0
+        assert len(splices) == stats.replay_audits
 
     def test_audit_preserves_mock_queue_alignment(self):
         machine = make_machine(audit_fraction=1.0, seed=5)

@@ -14,8 +14,10 @@ mock-fingerprint clamp uses the true per-shot measurement bound, and
 """
 
 import numpy as np
+import pytest
 
 from repro.core import Assembler, two_qubit_instantiation
+from repro.experiments.cfc import CFC_SCRATCH_PROGRAM
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.uarch import QuMAv2, analyze_data_memory
 
@@ -548,25 +550,35 @@ class TestMachineIntegration:
         assert stats.replay_shots > stats.interpreter_shots
         assert all(len(t.results) == 4 for t in traces)
 
-    def test_spill_reload_program_replays_and_steers_feedback(self):
+    @pytest.mark.parametrize("program, killed", [
+        (SPILL_RELOAD, 1),
+        # The comprehensive-benchmark kernel: both CFC rounds spilled
+        # and reloaded, the first reload steering the branch.
+        (CFC_SCRATCH_PROGRAM, 2),
+    ], ids=["spill_reload", "scratch_kernel"])
+    def test_spill_reload_program_replays_and_steers_feedback(
+            self, program, killed):
         """The reloaded value drives the X/Y branch: the replayed
         control flow must match the replayed measurement outcome shot
         by shot (the load genuinely observed the same-shot store)."""
         machine = make_machine(seed=4)
-        machine.load(Assembler(machine.isa).assemble_text(
-            self.SPILL_RELOAD))
+        machine.load(Assembler(machine.isa).assemble_text(program))
         assert machine.replay_unsupported_reasons() == []
         traces = machine.run(200)
         stats = machine.engine_stats
         assert machine.last_run_engine == "replay"
-        assert stats.killed_loads == 1
+        assert machine.replay_fallback_reason is None
+        assert stats.killed_loads == killed
         assert stats.replay_shots > stats.interpreter_shots
+        applied = set()
         for trace in traces:
-            applied = [r.name for r in trace.triggers
-                       if r.qubits == (0,) and r.executed]
+            ops = [r.name for r in trace.triggers
+                   if r.qubits == (0,) and r.executed]
             expected = "Y" if trace.results[0].reported_result == 1 \
                 else "X"
-            assert applied == [expected]
+            assert ops == [expected]
+            applied.add(expected)
+        assert applied == {"X", "Y"}
 
     def test_spill_reload_tree_is_reused_across_runs(self):
         """All loads killed -> host writes cannot be observed -> the

@@ -14,12 +14,14 @@ import pytest
 
 from repro.core import (
     Assembler,
+    rotated_surface_instantiation,
     seven_qubit_instantiation,
     two_qubit_instantiation,
 )
 from repro.core.errors import PlantError, ResourceError
 from repro.experiments.cfc import CFC_TWO_ROUND_PROGRAM
 from repro.experiments.reset import FIG4_PROGRAM
+from repro.experiments.runner import ExperimentSetup
 from repro.experiments.surface_code import (
     looped_surface_code_program,
     run_rotated_surface_experiment,
@@ -28,7 +30,10 @@ from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
 from repro.topology.library import rotated_surface_chip, rotated_surface_layout
 from repro.uarch import QuMAv2
-from repro.workloads.rotated_surface import expected_rotated_z_syndrome
+from repro.workloads.rotated_surface import (
+    expected_rotated_z_syndrome,
+    rotated_surface_circuit,
+)
 
 T_GATE_PROGRAM = """
 SMIS S2, {2}
@@ -263,6 +268,31 @@ class RotatedSurfaceOnTableau:
         with pytest.raises(ResourceError,
                            match="plant_backend='stabilizer'"):
             dense.state
+
+    def test_frame_batch_accounting(self):
+        """Feedback-free rounds under Pauli gate noise ride the frame
+        batch whole: one reference shot, every shot batched, no
+        degradation, and every trace on the interpreter's one timing
+        path."""
+        setup = ExperimentSetup.create(
+            isa=rotated_surface_instantiation(self.distance),
+            noise=pauli_noise(), seed=13)
+        machine = setup.machine
+        machine.load(setup.compile_circuit(rotated_surface_circuit(
+            self.distance, rounds=1, reset=False)))
+        reference, = machine.run(1, use_replay=False)
+        traces = machine.run(100)
+        stats = machine.engine_stats
+        assert stats.engine == "frame", stats.fallback_reason
+        assert stats.plant_backend == "stabilizer"
+        assert stats.frame_batched == len(traces) == 100
+        assert stats.frame_reference_shots == 1
+        assert stats.interpreter_shots == 0
+        assert not stats.degradations
+        for trace in traces:
+            assert trace.triggers == reference.triggers
+            assert trace.slips == reference.slips
+            assert trace.classical_time_ns == reference.classical_time_ns
 
     def test_readout_noise_syndromes_flip(self):
         result = self.run(shots=50, noise=readout_only_noise())
