@@ -40,10 +40,6 @@ class Schedule:
         """Distinct timing points, ascending."""
         return sorted({entry.cycle for entry in self.scheduled})
 
-    def ops_at(self, cycle: int) -> list[ScheduledOp]:
-        """Operations starting at one cycle."""
-        return [entry for entry in self.scheduled if entry.cycle == cycle]
-
     def by_cycle(self) -> list[tuple[int, list[ScheduledOp]]]:
         """(cycle, operations) pairs in time order (single pass)."""
         buckets: dict[int, list[ScheduledOp]] = {}
@@ -55,10 +51,6 @@ class Schedule:
         """Cycle at which the last operation completes."""
         return max((entry.cycle + entry.duration
                     for entry in self.scheduled), default=0)
-
-    def operation_count(self) -> int:
-        """Total scheduled operations."""
-        return len(self.scheduled)
 
     def average_parallelism(self) -> float:
         """Mean operations per timing point."""

@@ -34,12 +34,6 @@ class Instruction:
     def __str__(self) -> str:
         return self.to_assembly()
 
-    @property
-    def is_quantum(self) -> bool:
-        """Whether the classical pipeline forwards this to the quantum
-        pipeline (waiting, target-specify and bundle instructions)."""
-        return isinstance(self, (QWait, QWaitR, SMIS, SMIT, Bundle))
-
 
 # ----------------------------------------------------------------------
 # Auxiliary classical instructions

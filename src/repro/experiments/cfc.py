@@ -49,7 +49,7 @@ STOP
 #: Two rounds of measure -> FMR -> branch -> conditioned X/Y (Fig. 5
 #: doubled, with a superposing X90 before each measurement so both
 #: branches stay reachable on the real plant).  The CFC workhorse of
-#: the branch-resolved replay cross-checks and throughput benchmark.
+#: the branch-resolved replay cross-checks.
 CFC_TWO_ROUND_PROGRAM = """
 SMIS S0, {0}
 SMIS S2, {2}

@@ -16,8 +16,9 @@ Layer contract
   read, nothing recorded.  Enabled, hot per-shot paths
   record into histograms (two clock reads + one bucket increment per
   shot) rather than allocating spans; spans mark phases and rare
-  events.  The feedback bench gates enabled-mode overhead (<= 5%
-  recorded, <= 15% in CI) against the disabled mode.
+  events.  perfbench's traced runs report the enabled cost as
+  ``trace.overhead``; ``test_disabled_machine_records_nothing`` pins
+  that the disabled mode records nothing.
 * **Determinism guarantee.**  Metric values never depend on wall-clock
   except through metrics whose *name* says so: every timing metric's
   final name segment ends in ``_ns`` or ``_s``, and

@@ -18,8 +18,8 @@ of the same name merge exactly (bucket-wise addition) across runs,
 workers and processes; percentiles are estimated by linear
 interpolation inside the owning bucket and clamped to the observed
 ``[min, max]``.  This is the one percentile implementation in the
-repo — ``ServiceStats`` point latency and the sweep-service bench both
-consume it.
+library — ``ServiceStats`` point latency consumes it (perfbench's
+``sweep_mixed`` workload times the same sweep points from outside).
 """
 
 from __future__ import annotations

@@ -10,8 +10,7 @@ the plant's analog-digital interface needs —
 * apply the noise model's per-gate error and per-qubit idle channel,
 * report a pre-collapse ``P(1)``, sample or force a projective
   collapse,
-* snapshot/restore the state in O(state size) (the replay engine's
-  growth shots), and reset it to ``|0...0>``.
+* reset the state to ``|0...0>``.
 
 Two backends implement it:
 
@@ -66,14 +65,6 @@ class PlantBackend(abc.ABC):
     def reset(self) -> None:
         """Return the state to ``|0...0>``."""
 
-    @abc.abstractmethod
-    def snapshot(self) -> object:
-        """An opaque, frozen copy of the current state."""
-
-    @abc.abstractmethod
-    def restore(self, snapshot: object) -> None:
-        """Return to a previously captured snapshot (never aliased)."""
-
     # -- evolution -----------------------------------------------------
     @abc.abstractmethod
     def apply_gate(self, name: str, unitary: np.ndarray,
@@ -111,7 +102,7 @@ class PlantBackend(abc.ABC):
         raise PlantError(
             f"the {self.kind} backend does not expose a density matrix")
 
-    # -- integrity (runtime guards + fault injection) ------------------
+    # -- admission ----------------------------------------------------
     @classmethod
     def estimate_bytes(cls, num_qubits: int) -> int:
         """Approximate memory this backend needs for ``num_qubits``.
@@ -122,22 +113,6 @@ class PlantBackend(abc.ABC):
         OOM-ing mid-allocation.
         """
         return 0
-
-    def state_digest(self, snapshot: object) -> int | None:
-        """Cheap integrity token for a snapshot (None: not supported).
-
-        :meth:`QuantumPlant.restore` re-digests the stored snapshot
-        and refuses to load state whose token no longer matches —
-        corruption of a stored snapshot becomes a structured
-        :class:`~repro.core.errors.BackendFaultError` instead of a
-        silently wrong state.
-        """
-        return None
-
-    def corrupt_snapshot(self, snapshot: object,
-                         rng: np.random.Generator) -> None:
-        """Tamper a snapshot in place (``snapshot_corrupt`` fault
-        injection); a no-op for backends without a digest."""
 
 
 class DenseBackend(PlantBackend):
@@ -156,12 +131,6 @@ class DenseBackend(PlantBackend):
 
     def reset(self) -> None:
         self.state = DensityMatrix(self.num_qubits)
-
-    def snapshot(self) -> DensityMatrix:
-        return self.state.copy()
-
-    def restore(self, snapshot: DensityMatrix) -> None:
-        self.state = snapshot.copy()
 
     def apply_gate(self, name: str, unitary: np.ndarray,
                    indices: tuple[int, ...]) -> None:
@@ -195,12 +164,3 @@ class DenseBackend(PlantBackend):
         # One complex128 (16-byte) entry per element of the
         # 2^n x 2^n density matrix.
         return 16 * 4 ** num_qubits
-
-    def state_digest(self, snapshot: DensityMatrix) -> int:
-        return hash(snapshot.matrix.tobytes())
-
-    def corrupt_snapshot(self, snapshot: DensityMatrix,
-                         rng: np.random.Generator) -> None:
-        dim = 1 << snapshot.num_qubits
-        row = int(rng.integers(dim))
-        snapshot._matrix[row, row] += 0.125

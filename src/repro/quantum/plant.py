@@ -52,7 +52,12 @@ from repro.core.errors import BackendFaultError, PlantError, ResourceError
 from repro.quantum.backend import DenseBackend, PlantBackend
 from repro.quantum.density_matrix import DensityMatrix
 from repro.quantum.noise import NoiseModel
+from repro.quantum.stabilizer import StabilizerBackend
 from repro.topology.chip import QuantumChipTopology
+
+#: Backend constructors by kind.
+_BACKEND_TYPES: dict[str, type[PlantBackend]] = {
+    "dense": DenseBackend, "stabilizer": StabilizerBackend}
 
 
 @dataclass(frozen=True)
@@ -63,29 +68,6 @@ class AppliedOperation:
     qubits: tuple[int, ...]
     start_ns: float
     duration_ns: float
-
-
-@dataclass(frozen=True)
-class PlantSnapshot:
-    """A frozen mid-shot plant state, restorable in O(state size).
-
-    Used by the shot-replay engine to cache the (deterministic) state
-    reached just before the first stochastic operation of a shot, so
-    replayed shots skip re-evolving the whole deterministic prefix.
-    ``state`` is the owning backend's opaque snapshot (a density matrix
-    for the dense backend, a tableau for the stabilizer backend); it
-    can only be restored onto a plant using the same backend kind.
-    """
-
-    state: object
-    qubit_free_at: dict[int, float]
-    operations_log: tuple[AppliedOperation, ...]
-    backend_kind: str = "dense"
-    #: Integrity token of ``state`` at capture time (None: the backend
-    #: does not support digests).  :meth:`QuantumPlant.restore`
-    #: verifies it so a corrupted stored snapshot is detected instead
-    #: of silently loading wrong state.
-    digest: int | None = None
 
 
 class QuantumPlant:
@@ -109,11 +91,6 @@ class QuantumPlant:
         shots with :meth:`use_backend` — which is how the machine's
         automatic selection plugs in.
     """
-
-    #: Registered backend constructors (kind -> class).  The stabilizer
-    #: backend registers itself here on import, avoiding a hard import
-    #: cycle; third-party backends may add entries as well.
-    BACKENDS: dict[str, type[PlantBackend]] = {"dense": DenseBackend}
 
     #: Default admission budget for any one backend's state.  2 GiB
     #: admits the 13-qubit dense matrix (1 GiB) and refuses 14 qubits
@@ -209,13 +186,10 @@ class QuantumPlant:
             suggestion=suggestion)
 
     def _backend_factory(self, kind: str) -> type[PlantBackend]:
-        if kind == "stabilizer" and kind not in self.BACKENDS:
-            # Lazy registration: importing the module adds the entry.
-            from repro.quantum import stabilizer  # noqa: F401
         try:
-            return self.BACKENDS[kind]
+            return _BACKEND_TYPES[kind]
         except KeyError:
-            known = ", ".join(sorted(self.BACKENDS))
+            known = ", ".join(sorted(_BACKEND_TYPES))
             raise PlantError(
                 f"unknown plant backend {kind!r}; known backends: {known}")
 
@@ -249,20 +223,6 @@ class QuantumPlant:
             self._backend = self._make_backend(kind)
             self._backend_kind = kind
 
-    @property
-    def state(self) -> DensityMatrix:
-        """The dense backend's density matrix (back-compat accessor).
-
-        Raises when another backend owns the state — use
-        :attr:`backend` for backend-agnostic access.
-        """
-        backend = self.backend
-        if isinstance(backend, DenseBackend):
-            return backend.state
-        raise PlantError(
-            f"the {backend.kind} backend does not expose a density "
-            f"matrix; read plant.backend instead")
-
     # ------------------------------------------------------------------
     # Shot lifecycle
     # ------------------------------------------------------------------
@@ -272,49 +232,6 @@ class QuantumPlant:
         self._qubit_free_at = {address: 0.0
                                for address in self.topology.qubits}
         self.operations_log = []
-
-    def snapshot(self) -> PlantSnapshot:
-        """Capture the current state, busy times and operation log."""
-        backend = self.backend
-        state = backend.snapshot()
-        return PlantSnapshot(state=state,
-                             qubit_free_at=dict(self._qubit_free_at),
-                             operations_log=tuple(self.operations_log),
-                             backend_kind=self._backend_kind,
-                             digest=backend.state_digest(state))
-
-    def restore(self, snapshot: PlantSnapshot) -> None:
-        """Return the plant to a previously captured snapshot.
-
-        The snapshot itself is never aliased: the state is copied on
-        both capture and restore, so one snapshot can seed arbitrarily
-        many replayed shots.  When the backend supports state digests
-        the stored state's integrity is re-verified here: a snapshot
-        corrupted since capture raises
-        :class:`~repro.core.errors.BackendFaultError` instead of
-        silently loading wrong state.
-        """
-        if snapshot.backend_kind != self._backend_kind:
-            raise PlantError(
-                f"snapshot was captured on the {snapshot.backend_kind} "
-                f"backend; the plant now runs {self._backend_kind}")
-        backend = self.backend
-        plan = self.fault_plan
-        if plan is not None and plan.fire("snapshot_corrupt",
-                                          backend=self._backend_kind):
-            backend.corrupt_snapshot(snapshot.state, plan.rng)
-        if snapshot.digest is not None:
-            digest = backend.state_digest(snapshot.state)
-            if digest != snapshot.digest:
-                raise BackendFaultError(
-                    f"snapshot integrity violation on the "
-                    f"{self._backend_kind} backend: stored state no "
-                    f"longer matches its capture-time digest",
-                    backend=self._backend_kind, operation="restore",
-                    site="snapshot_corrupt")
-        backend.restore(snapshot.state)
-        self._qubit_free_at = dict(snapshot.qubit_free_at)
-        self.operations_log = list(snapshot.operations_log)
 
     def qubit_index(self, address: int) -> int:
         """Dense simulator index for a physical qubit address."""

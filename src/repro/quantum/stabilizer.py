@@ -26,9 +26,8 @@ arrays per gate.  Up to 64 qubits a column is a *single* word and the
 update runs on plain Python integers (CPython's arbitrary-precision
 ints are word arrays under the hood, so the same word-wide semantics
 hold for wider chips with zero numpy per-op overhead).  The canonical
-unpacked image (:meth:`~StabilizerTableau.x_bits` etc.) is what
-snapshot digests hash, so digests are a function of the generators,
-not of the packing.
+unpacked image (:meth:`~StabilizerTableau.x_bits` etc.) is a function
+of the generators, not of the packing.
 
 Gate application does **not** hard-code per-gate update rules.  Instead
 the symplectic action of any configured unitary is *derived
@@ -206,16 +205,6 @@ class StabilizerTableau:
         self.zw[:] = 0
         self.rw[:] = 0
         self._identity_init()
-
-    def copy(self) -> "StabilizerTableau":
-        clone = StabilizerTableau.__new__(StabilizerTableau)
-        clone.num_qubits = self.num_qubits
-        clone._rows = self._rows
-        clone._words = self._words
-        clone.xw = self.xw.copy()
-        clone.zw = self.zw.copy()
-        clone.rw = self.rw.copy()
-        return clone
 
     # ------------------------------------------------------------------
     # Packed-word access helpers
@@ -512,14 +501,12 @@ class StabilizerTableau:
         return result
 
     # ------------------------------------------------------------------
-    # Canonical unpacked image (tests / digests / debugging)
+    # Canonical unpacked image (tests / debugging)
     # ------------------------------------------------------------------
     def _unpack(self, arr: np.ndarray) -> np.ndarray:
         """Unpack a (n, words) column array to (2n, n) uint8 bits —
         the pre-packing row-major layout, which is the *canonical*
-        image: snapshot digests hash it so the digest-of-state
-        contract (same generators => same digest) is independent of
-        the word packing."""
+        image, independent of the word packing."""
         shifts = np.arange(64, dtype=np.uint64)
         bits = (arr[:, :, None] >> shifts) & np.uint64(1)
         flat = bits.reshape(self.num_qubits, self._words * 64)
@@ -594,12 +581,6 @@ class StabilizerBackend(PlantBackend):
     def reset(self) -> None:
         self.tableau.reset()
 
-    def snapshot(self) -> StabilizerTableau:
-        return self.tableau.copy()
-
-    def restore(self, snapshot: StabilizerTableau) -> None:
-        self.tableau = snapshot.copy()
-
     def apply_gate(self, name: str, unitary: np.ndarray,
                    indices: tuple[int, ...]) -> None:
         action = cached_clifford_action(unitary)
@@ -664,24 +645,3 @@ class StabilizerBackend(PlantBackend):
         # Two (n x words) uint64 column arrays plus the packed phases.
         words = (2 * num_qubits + 63) // 64
         return 16 * num_qubits * words + 8 * words
-
-    def state_digest(self, snapshot: StabilizerTableau) -> int:
-        # Hash the canonical unpacked image, not the word layout: the
-        # digest is a function of the generators alone, so it survives
-        # any repacking of the same state.
-        return hash((snapshot.x_bits().tobytes(),
-                     snapshot.z_bits().tobytes(),
-                     snapshot.r_bits().tobytes()))
-
-    def corrupt_snapshot(self, snapshot: StabilizerTableau,
-                         rng: np.random.Generator) -> None:
-        row = int(rng.integers(2 * snapshot.num_qubits))
-        column = int(rng.integers(snapshot.num_qubits))
-        snapshot.xw[column, row >> 6] ^= \
-            np.uint64(1) << np.uint64(row & 63)
-
-
-# Register with the plant's backend table ("stabilizer" resolves here).
-from repro.quantum.plant import QuantumPlant  # noqa: E402
-
-QuantumPlant.BACKENDS[StabilizerBackend.kind] = StabilizerBackend

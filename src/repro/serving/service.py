@@ -248,11 +248,6 @@ class SweepResult:
         return {index: result.counts
                 for index, result in sorted(self.results.items())}
 
-    @property
-    def resumed_points(self) -> int:
-        return sum(1 for result in self.results.values()
-                   if result.resumed)
-
 
 @dataclass(frozen=True)
 class _Job:

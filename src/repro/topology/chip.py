@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.core.errors import TopologyError
 
 
@@ -158,24 +156,6 @@ class QuantumChipTopology:
             if qubit in measured:
                 return feedline
         return None
-
-    # ------------------------------------------------------------------
-    # Graph view
-    # ------------------------------------------------------------------
-    def to_graph(self) -> nx.DiGraph:
-        """Return the topology as a networkx directed graph.
-
-        Vertices carry no attributes; edges carry ``address``.
-        """
-        graph = nx.DiGraph(name=self.name)
-        graph.add_nodes_from(self.qubits)
-        for pair in self.pairs:
-            graph.add_edge(pair.source, pair.target, address=pair.address)
-        return graph
-
-    def undirected_connectivity(self) -> nx.Graph:
-        """Undirected view, used for mapping distance computations."""
-        return self.to_graph().to_undirected()
 
     def validate_pair_mask(self, mask: int) -> None:
         """Check a two-qubit target mask per Section 4.3.

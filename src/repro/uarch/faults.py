@@ -15,9 +15,6 @@ Injection sites
     The plant backend raises mid-gate
     (:class:`~repro.core.errors.BackendFaultError` from
     :meth:`QuantumPlant.apply_unitary`).
-``snapshot_corrupt``
-    A stored plant snapshot is bit-flipped before restore; the
-    restore-time integrity check detects the corruption and raises.
 ``measurement_stall``
     A started readout's result is lost on the analog link; the result
     event never arrives and an FMR waiting on it times out with a
@@ -76,7 +73,6 @@ from repro.core.errors import ConfigurationError
 #: Every site a :class:`FaultPlan` can arm.
 FAULT_SITES = (
     "backend_gate",
-    "snapshot_corrupt",
     "measurement_stall",
     "timing_overflow",
     "tree_bitflip",

@@ -276,9 +276,9 @@ class QuMAv2:
         The one plan is distributed to every subsystem with an
         injection site — the machine itself (``timing_overflow``,
         ``measurement_stall``, ``tree_bitflip``), the plant
-        (``backend_gate``, ``snapshot_corrupt``) and the measurement
-        unit (``mock_exhaust``) — so one chaos experiment coordinates
-        shot-pinned failures across the whole stack.
+        (``backend_gate``) and the measurement unit (``mock_exhaust``)
+        — so one chaos experiment coordinates shot-pinned failures
+        across the whole stack.
         """
         self.fault_plan = plan
         self.plant.fault_plan = plan
@@ -1122,11 +1122,9 @@ class QuMAv2:
         chunk is yielded as one ``(template, raw, reported)`` batch of
         ``(chunk, measurements)`` outcome matrices, and stats and the
         fault plan's shot index advance per chunk.  A fault during the
-        reference shot (the ``backend_gate`` site, or
-        ``snapshot_corrupt`` via the post-reference snapshot integrity
-        round-trip) degrades the whole run gracefully to the per-shot
-        tableau interpreter, recorded in
-        :attr:`EngineStats.degradations`.
+        reference shot (e.g. the ``backend_gate`` site) degrades the
+        whole run gracefully to the per-shot tableau interpreter,
+        recorded in :attr:`EngineStats.degradations`.
         """
         stats.engine = "frame"
         backend = self.plant.backend
@@ -1138,11 +1136,6 @@ class QuMAv2:
         try:
             template = self._timed(self.run_shot, max_instructions,
                                    span="engine.frame.reference_shot")
-            backend.frame_recorder = None
-            # Round-trip a snapshot so the frame path exercises the
-            # same state-integrity machinery (and fault site) the
-            # replay engine does before trusting a recorded timeline.
-            self.plant.restore(self.plant.snapshot())
         except EQASMError as error:
             degraded_reason = (f"frame reference shot failed "
                                f"({type(error).__name__}: {error})")
@@ -1568,11 +1561,6 @@ class QuMAv2:
     # ------------------------------------------------------------------
     # Introspection helpers
     # ------------------------------------------------------------------
-    @property
-    def timeline_origin_ns(self) -> float | None:
-        """Wall time of timeline cycle 0 (None before the first point)."""
-        return self._timeline_origin_ns
-
     def instruction_memory(self) -> list[Instruction]:
         """The decoded instruction memory contents."""
         return list(self._instructions)

@@ -107,9 +107,6 @@ from repro.quantum.plant import QuantumPlant
 from repro.uarch.dataflow import analyze_data_memory
 from repro.uarch.trace import ShotTrace
 
-#: Name under which the plant logs projective measurements.
-MEASUREMENT_LOG_NAME = "MEASZ"
-
 #: Probabilities closer than this to 0/1 are treated as deterministic
 #: when sampling a node, so a forced interpreter continuation can never
 #: be asked to collapse the plant onto a (numerically) impossible

@@ -1,8 +1,13 @@
 """Tests for the timed quantum plant."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.errors import PlantError
 from repro.quantum import NoiseModel, QuantumPlant, gates
 from repro.quantum.noise import DecoherenceModel, GateErrorModel, \
@@ -98,6 +103,26 @@ class TestShotLifecycle:
         assert plant.qubit_free_at(2) == pytest.approx(120.0)
         with pytest.raises(PlantError):
             plant.qubit_free_at(5)
+
+
+class TestBackendTable:
+    def test_unknown_kind_lists_known_kinds(self):
+        with pytest.raises(PlantError, match="dense, stabilizer"):
+            noiseless_plant().use_backend("bogus")
+
+    def test_stabilizer_resolves_in_fresh_interpreter(self):
+        # No prior import of repro.quantum.stabilizer may be needed.
+        script = ("import numpy as np\n"
+                  "from repro.quantum.plant import QuantumPlant\n"
+                  "from repro.topology import two_qubit_chip\n"
+                  "plant = QuantumPlant(two_qubit_chip())\n"
+                  "plant.use_backend('stabilizer')\n"
+                  "print(plant.backend.kind)\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run([sys.executable, "-c", script], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "stabilizer"
 
 
 class TestIdleDecoherence:

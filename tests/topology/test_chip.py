@@ -101,12 +101,6 @@ class TestSurface7:
         assert self.chip.feedline_of(4) == 1
         assert self.chip.feedline_of(3) == 0
 
-    def test_graph_roundtrip(self):
-        graph = self.chip.to_graph()
-        assert graph.number_of_nodes() == 7
-        assert graph.number_of_edges() == 16
-        assert graph.edges[2, 0]["address"] == 0
-
     def test_neighbours(self):
         assert self.chip.neighbours(0) == (2, 3)
         assert self.chip.neighbours(3) == (0, 1, 5, 6)

@@ -76,7 +76,7 @@ FRAME_MIX: Counter = Counter()
 def clifford_only_noise() -> NoiseModel:
     """Readout flips only.  Every generated gate is already Clifford,
     so this noise model is what flips a case onto the stabilizer
-    backend — exercising tableau growth shots, tableau snapshots and
+    backend — exercising tableau growth shots, tableau P(1) nodes and
     the backend-selection agreement between the engines."""
     return NoiseModel(
         decoherence=DecoherenceModel(t1_ns=1e15, t2_ns=1e15),
@@ -490,9 +490,7 @@ def test_frame_batched_equivalence(seed):
                                joint_histogram(dense_traces))
 
 
-#: Sites the chaos shape draws from.  ``snapshot_corrupt`` is omitted
-#: here: nothing on the execution hot path restores plant snapshots,
-#: so the site is covered at the plant API level in test_faults.py.
+#: Sites the chaos shape draws from: every machine-level fault site.
 CHAOS_SITES = ("backend_gate", "measurement_stall", "timing_overflow",
                "tree_bitflip", "mock_exhaust")
 

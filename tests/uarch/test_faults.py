@@ -196,41 +196,6 @@ class TestBackendGateFault:
         assert not setup.last_engine_stats.degradations
 
 
-class TestSnapshotCorruptFault:
-    def test_detection_and_context(self):
-        isa = two_qubit_instantiation()
-        plant = QuantumPlant(isa.topology, noise=NoiseModel(),
-                             rng=np.random.default_rng(0))
-        snapshot = plant.snapshot()
-        plant.fault_plan = FaultPlan([FaultSpec("snapshot_corrupt")])
-        with pytest.raises(BackendFaultError) as info:
-            plant.restore(snapshot)
-        error = info.value
-        assert error.backend == "dense"
-        assert error.operation == "restore"
-        assert error.site == "snapshot_corrupt"
-
-    def test_recovery_after_disarm(self):
-        isa = two_qubit_instantiation()
-        plant = QuantumPlant(isa.topology, noise=NoiseModel(),
-                             rng=np.random.default_rng(0))
-        snapshot = plant.snapshot()
-        plant.fault_plan = FaultPlan([FaultSpec("snapshot_corrupt")])
-        with pytest.raises(BackendFaultError):
-            plant.restore(snapshot)
-        plant.fault_plan = None
-        # An untampered snapshot restores fine afterwards.
-        plant.restore(plant.snapshot())
-
-    def test_stabilizer_digest_detects_corruption(self):
-        from repro.quantum.stabilizer import StabilizerBackend
-        backend = StabilizerBackend(2)
-        snapshot = backend.snapshot()
-        digest = backend.state_digest(snapshot)
-        backend.corrupt_snapshot(snapshot, np.random.default_rng(1))
-        assert backend.state_digest(snapshot) != digest
-
-
 class TestMeasurementStallFault:
     def test_detection_and_context(self):
         machine = make_machine(CFC_FMR)
@@ -697,24 +662,6 @@ class TestFrameBatchedChaos:
                    for d in stats.degradations)
         assert any("backend_gate" in f for f in stats.faults_injected)
         assert "BackendFaultError" in stats.fallback_reason
-
-    def test_snapshot_corrupt_fault_degrades_to_interpreter(self):
-        machine = make_frame_machine()
-        machine.arm_faults(FaultPlan([FaultSpec("snapshot_corrupt",
-                                                shot=0)]))
-        traces = machine.run(30)
-        stats = machine.engine_stats
-        # The corruption fired during the post-reference snapshot
-        # integrity round-trip; detection (digest mismatch) degraded
-        # the run instead of serving from unverified state.
-        assert len(traces) == 30
-        assert machine.last_run_engine == "interpreter"
-        assert stats.frame_batched == 0
-        assert stats.interpreter_shots == 30
-        assert any(d.startswith("frame -> interpreter")
-                   for d in stats.degradations)
-        assert any("snapshot_corrupt" in f
-                   for f in stats.faults_injected)
 
     def test_recovery_after_disarm(self):
         machine = make_frame_machine()

@@ -262,12 +262,12 @@ class RotatedSurfaceOnTableau:
         tableau = QuantumPlant(chip, noise=NoiseModel.noiseless(),
                                backend="stabilizer")
         with pytest.raises(PlantError, match="does not expose"):
-            tableau.state
+            tableau.density_matrix()
         dense = QuantumPlant(chip, noise=NoiseModel.noiseless(),
                              backend="dense")
         with pytest.raises(ResourceError,
                            match="plant_backend='stabilizer'"):
-            dense.state
+            dense.density_matrix()
 
     def test_frame_batch_accounting(self):
         """Feedback-free rounds under Pauli gate noise ride the frame

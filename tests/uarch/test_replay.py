@@ -160,9 +160,9 @@ class TestReplayEquivalence:
             assert_timing_identical(interp_trace, trace)
         # Measurement-free + identical noise: the final plant state of
         # a replayed shot equals the interpreter's exactly.
-        np.testing.assert_allclose(replay.plant.state.matrix,
-                                   interpreter.plant.state.matrix,
-                                   atol=1e-12)
+        np.testing.assert_allclose(
+            replay.plant.density_matrix().matrix,
+            interpreter.plant.density_matrix().matrix, atol=1e-12)
 
     def test_replay_results_resample_randomness(self):
         machine = make_machine(noise=NoiseModel(), seed=9)
