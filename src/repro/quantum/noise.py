@@ -193,6 +193,15 @@ class ReadoutErrorModel:
             return 1 - true_result
         return true_result
 
+    def apply_many(self, true_results: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+        """:meth:`apply` over a 0/1 ``uint8`` vector of discriminated
+        bits: one uniform per element, in element order, flipping with
+        the assignment probability of that element's bit."""
+        flip_probability = np.where(true_results == 0, self.p01, self.p10)
+        return true_results ^ (rng.random(len(true_results))
+                               < flip_probability)
+
     def confusion_matrix(self) -> np.ndarray:
         """2x2 matrix M with M[i, j] = P(read i | prepared j)."""
         return np.array([[1 - self.p01, self.p10],

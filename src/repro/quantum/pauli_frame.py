@@ -204,10 +204,8 @@ def propagate_frames(steps, num_qubits: int, shots: int,
                 if flip.any():
                     fx[flip] ^= step.pivot_x
                     fz[flip] ^= step.pivot_z
-            p_flip = np.where(raw == 0, readout.p01, readout.p10)
-            reported = raw ^ (rng.random(shots) < p_flip)
             raw_columns.append(raw)
-            reported_columns.append(reported.astype(np.uint8))
+            reported_columns.append(readout.apply_many(raw, rng))
     if not raw_columns:
         empty = np.zeros((shots, 0), dtype=np.uint8)
         return empty, empty.copy()

@@ -101,6 +101,7 @@ from repro.uarch.replay import (
     EngineStats,
     MeasurementSample,
     ReplayAudit,
+    ShotCohort,
     TimelineTree,
     replay_unsupported_reasons,
 )
@@ -116,25 +117,29 @@ from repro.uarch.trace import (
 #: Bound on retained cross-run timeline trees (LRU eviction).
 _TREE_CACHE_CAPACITY = 16
 
-#: Shots per vectorised Pauli-frame propagation batch: large enough to
-#: amortise the per-step numpy dispatch, small enough that the frame
-#: and outcome matrices stay cache-friendly and the first traces reach
-#: a streaming run_iter consumer promptly.  Each chunk leaves the frame
-#: engine as one outcome batch — run_counts folds it whole, run_iter
-#: splices its rows one trace at a time — and the run's EngineStats and
-#: fault-plan shot index advance once per chunk.
-_FRAME_CHUNK_SHOTS = 16384
+#: Shots per vectorised chunk of the fast engines — one Pauli-frame
+#: propagation batch, or one cohort walk of the replay tree: large
+#: enough to amortise the per-step numpy dispatch, small enough that
+#: the frame and outcome matrices stay cache-friendly and the first
+#: traces reach a streaming run_iter consumer promptly.  run_counts
+#: folds a chunk whole, run_iter splices it one trace at a time.  The
+#: frame engine advances the run's EngineStats and fault-plan shot
+#: index once per chunk; a replay cohort counts each shot as it is
+#: delivered.
+_CHUNK_SHOTS = 16384
 
 #: Bound on retained dataflow analyses (LRU keyed by binary words), so
 #: sweeps that reload many distinct binaries into one machine stop
 #: recomputing the exploded graph per load().
 _DATAFLOW_CACHE_CAPACITY = 64
 
-#: Cached tree walks are timed on every 16th shot only, into this
-#: counter pair (``.time_ns`` + ``.timed_shots``): a cached shot is so
-#: cheap (~10 us) that even two clock reads per shot would blow the <=5%
-#: overhead budget.  The expensive shot kinds (growth, audit,
-#: interpreter) keep full per-shot histograms.
+#: Cached tree walks are timed into this counter pair (``.time_ns`` +
+#: ``.timed_shots``, whose ratio is the mean per-shot walk cost): a
+#: cohort walk is timed once, less its growth shots, and counts every
+#: shot of its chunk; the per-shot walk loop times every 16th shot only
+#: — a cached shot is so cheap (~10 us) that even two clock reads per
+#: shot would blow the <=5% overhead budget.  The expensive shot kinds
+#: (growth, audit, interpreter) keep full per-shot histograms.
 _WALK_COUNTER = "engine.replay.walk"
 
 #: The machine-level replay blocker: trajectory-sampled Pauli gate noise
@@ -238,6 +243,8 @@ class QuMAv2:
         self.fault_plan: FaultPlan | None = None
         # Fault records already mirrored as trace events this run.
         self._fault_record_base = 0
+        # Wall time of the timed calls nested in the current _timed call.
+        self._nested_ns = 0
         #: Observability handle (:class:`repro.obs.Observability`, None
         #: = disabled).  Assigned through the property so the plant's
         #: backend-kernel timing lands in the same registry; every hook
@@ -433,11 +440,14 @@ class QuMAv2:
         finishes on the same interpreter loop.  Cached replay walks and
         Pauli-frame chunks arrive as templates plus sampled outcomes
         and are spliced here (:meth:`ShotTrace.with_sampled_results`),
-        one trace at a time in shot order.  :attr:`engine_stats` (which
-        the engine/backend label properties read) is replaced when the
+        one trace at a time in shot order; a replay cohort of up to
+        ``_CHUNK_SHOTS`` shots is expanded in shot order the same way
+        (:meth:`ShotCohort.traces`).  :attr:`engine_stats` (which the
+        engine/backend label properties read) is replaced when the
         first trace is produced, since generators run on demand, and
-        keeps updating as shots are drawn: per shot on the interpreter
-        and replay engines, per chunk of up to ``_FRAME_CHUNK_SHOTS``
+        keeps updating as shots are delivered: per shot on the
+        interpreter and replay engines (a replay cohort counts each
+        shot as it is yielded), per chunk of up to ``_CHUNK_SHOTS``
         shots on the frame engine (counted before the chunk's first
         trace is yielded, so ``shots_total`` is never below the number
         of traces delivered).
@@ -453,6 +463,8 @@ class QuMAv2:
             for item in items:
                 if isinstance(item, ShotTrace):
                     yield item
+                elif isinstance(item, ShotCohort):
+                    yield from item.traces(self.engine_stats)
                 elif len(item) == 2:
                     template, outcomes = item
                     yield template.with_sampled_results(outcomes)
@@ -467,10 +479,13 @@ class QuMAv2:
                     use_replay: bool) -> Iterator:
         """The one place a run's engine generator is drained.  Yields,
         in shot order, a :class:`ShotTrace` per interpreter, growth or
-        audited shot, a ``(template, outcomes)`` pair per cached replay
-        walk and a ``(template, raw, reported)`` outcome batch per
-        Pauli-frame chunk; :meth:`run_iter` splices the last two into
-        traces, :meth:`run_counts` folds them directly."""
+        audited shot, a :class:`ShotCohort` per replay chunk walked as
+        cohorts, a ``(template, outcomes)`` pair per cached walk of the
+        per-shot replay loop and a ``(template, raw, reported)``
+        outcome batch per Pauli-frame chunk; :meth:`run_iter` splices
+        the last three into traces, :meth:`run_counts` folds them
+        directly.  A cohort is counted into :attr:`engine_stats` by
+        whichever of the two delivers it."""
         obs = self._obs
         span = None if obs is None else obs.begin("machine.run",
                                                    shots=shots)
@@ -564,9 +579,17 @@ class QuMAv2:
                       stats: EngineStats, plan: FaultPlan | None,
                       report: DataMemoryReport) -> Iterator:
         """Serve the run from the branch-resolved timeline tree (see
-        :mod:`repro.uarch.replay`): a cached outcome path is a pure tree
-        walk, yielded unspliced as ``(template, outcomes)``, an unseen
-        one a growth shot on the interpreter, yielded as its trace (as
+        :mod:`repro.uarch.replay`).  A plain run walks the tree once
+        per chunk of up to ``_CHUNK_SHOTS`` shots as index cohorts
+        (:meth:`TimelineTree.sample_cohort`), growing unseen paths on
+        the interpreter as it goes, and yields the chunk as one
+        :class:`ShotCohort`.  Three kinds of run keep the per-shot walk
+        loop (:meth:`TimelineTree.sample_shot`), whose seeded output
+        they pin: runs with an active mock queue (its cursors drain
+        shot by shot), with an armed fault plan (its sites are pinned
+        to shot indices) and with ``audit_fraction > 0``.  There a
+        cached outcome path is yielded unspliced as ``(template,
+        outcomes)``, an unseen one as the trace of its growth shot (as
         is an audited walk, which the shadow comparison splices).  An
         audit divergence evicts the tree and hands the rest of the run
         to :meth:`_interpreter_shots`; a run whose every shot was a
@@ -588,66 +611,83 @@ class QuMAv2:
         track_tree()
         measurement_unit = self.measurement_unit
         mock_clamp = self._mock_fingerprint_clamp(report, tree.max_depth)
+
+        def grow(outcome_prefix: list[tuple[int, int]]) -> ShotTrace:
+            return self._timed(
+                self._grow_tree_shot, tree, (), outcome_prefix,
+                max_instructions,
+                histogram="engine.replay.growth_shot.time_ns")
+
         try:
-            for shot_index in range(shots):
-                if plan is not None:
-                    plan.begin_shot(shot_index)
-                    if plan.would_fire("tree_bitflip"):
-                        detail = tree.corrupt_random_template(plan.rng)
-                        if detail is not None:
-                            plan.fire("tree_bitflip", detail=detail)
-                stats.shots_total += 1
-                mock_view = measurement_unit.mock_view(mock_clamp)
-                if shot_index & 0xF:
-                    template, outcomes = tree.sample_shot(mock_view)
-                else:
-                    template, outcomes = self._timed(
-                        tree.sample_shot, mock_view, counter=_WALK_COUNTER)
-                if template is None:
-                    stats.segment_cache_misses += 1
-                    stats.interpreter_shots += 1
-                    trace = self._timed(
-                        self._grow_tree_shot, tree, mock_view.fingerprint,
-                        outcomes, max_instructions,
-                        histogram="engine.replay.growth_shot.time_ns")
+            if plan is None and self.audit_fraction <= 0.0 and \
+                    not measurement_unit.has_any_mock_results():
+                for first in range(0, shots, _CHUNK_SHOTS):
+                    chunk = min(shots - first, _CHUNK_SHOTS)
+                    cohort = self._timed(tree.sample_cohort, chunk, grow,
+                                         counter=_WALK_COUNTER,
+                                         counted=chunk)
                     track_tree()
-                    yield trace
-                    continue
-                stats.segment_cache_hits += 1
-                if not self._audit_due():
-                    mock_view.commit()
-                    item = template, outcomes
-                else:
-                    # The shadow interpreter shot consumes the real mock
-                    # cursors itself — committing the view too would
-                    # double-drain the queues.
-                    item = template.with_sampled_results(outcomes)
-                    shadow, mismatched, detail = self._timed(
-                        self._audit_replay_shot, item, max_instructions,
-                        histogram="engine.replay.audit.time_ns")
-                    stats.replay_audits += 1
-                    stats.last_audit = ReplayAudit(
-                        shot_index=shot_index,
-                        mismatched_fields=tuple(mismatched),
-                        tree_evicted=bool(mismatched), detail=detail)
-                    if mismatched:
-                        stats.audit_divergences += 1
-                        self._degrade(stats, "replay", (
-                            f"replay audit divergence at shot "
-                            f"{shot_index} ({', '.join(mismatched)})"))
-                        self._evict_tree(tree)
-                        # The audited shot is served from the trusted
-                        # shadow, the rest of the run by the interpreter.
+                    yield cohort
+            else:
+                for shot_index in range(shots):
+                    if plan is not None:
+                        plan.begin_shot(shot_index)
+                        if plan.would_fire("tree_bitflip"):
+                            detail = tree.corrupt_random_template(plan.rng)
+                            if detail is not None:
+                                plan.fire("tree_bitflip", detail=detail)
+                    stats.shots_total += 1
+                    mock_view = measurement_unit.mock_view(mock_clamp)
+                    if shot_index & 0xF:
+                        template, outcomes = tree.sample_shot(mock_view)
+                    else:
+                        template, outcomes = self._timed(
+                            tree.sample_shot, mock_view, counter=_WALK_COUNTER)
+                    if template is None:
+                        stats.segment_cache_misses += 1
                         stats.interpreter_shots += 1
-                        yield (shadow if shadow is not None
-                               else self.run_shot(max_instructions))
-                        yield from self._interpreter_shots(
-                            shot_index + 1, shots, max_instructions,
-                            stats, plan)
-                        return
-                stats.replay_shots += 1
-                stats.mock_results_replayed += mock_view.consumed
-                yield item
+                        trace = self._timed(
+                            self._grow_tree_shot, tree, mock_view.fingerprint,
+                            outcomes, max_instructions,
+                            histogram="engine.replay.growth_shot.time_ns")
+                        track_tree()
+                        yield trace
+                        continue
+                    stats.segment_cache_hits += 1
+                    if not self._audit_due():
+                        mock_view.commit()
+                        item = template, outcomes
+                    else:
+                        # The shadow interpreter shot consumes the real mock
+                        # cursors itself — committing the view too would
+                        # double-drain the queues.
+                        item = template.with_sampled_results(outcomes)
+                        shadow, mismatched, detail = self._timed(
+                            self._audit_replay_shot, item, max_instructions,
+                            histogram="engine.replay.audit.time_ns")
+                        stats.replay_audits += 1
+                        stats.last_audit = ReplayAudit(
+                            shot_index=shot_index,
+                            mismatched_fields=tuple(mismatched),
+                            tree_evicted=bool(mismatched), detail=detail)
+                        if mismatched:
+                            stats.audit_divergences += 1
+                            self._degrade(stats, "replay", (
+                                f"replay audit divergence at shot "
+                                f"{shot_index} ({', '.join(mismatched)})"))
+                            self._evict_tree(tree)
+                            # The audited shot is served from the trusted
+                            # shadow, the rest of the run by the interpreter.
+                            stats.interpreter_shots += 1
+                            yield (shadow if shadow is not None
+                                   else self.run_shot(max_instructions))
+                            yield from self._interpreter_shots(
+                                shot_index + 1, shots, max_instructions,
+                                stats, plan)
+                            return
+                    stats.replay_shots += 1
+                    stats.mock_results_replayed += mock_view.consumed
+                    yield item
             if stats.replay_shots == 0:
                 # Every shot was a growth shot — e.g. the outcome paths
                 # exceed the tree caps from shot one.  Reporting
@@ -668,25 +708,31 @@ class QuMAv2:
 
     def _timed(self, call, *args, span: str | None = None,
                histogram: str | None = None, counter: str | None = None,
-               **attributes):
+               counted: int = 1, **attributes):
         """``call(*args)``, the one engine timing hook.  With
         observability attached its wall time also lands in ``span``
-        (with ``attributes``), in the ``histogram`` time histogram
-        and/or in the ``counter`` pair ``<counter>.time_ns`` +
-        ``<counter>.timed_shots``; otherwise it is a plain call."""
+        (with ``attributes``) and/or in the ``histogram`` time
+        histogram, and its self time — less the timed calls nested in
+        it — in the ``counter`` pair ``<counter>.time_ns`` +
+        ``<counter>.timed_shots`` (advanced by ``counted``); otherwise
+        it is a plain call."""
         obs = self._obs
         if obs is None or not (span or histogram or counter):
             return call(*args)
         start_ns = obs.clock()
+        outer_ns, self._nested_ns = self._nested_ns, 0
         result = call(*args)
         end_ns = obs.clock()
+        elapsed_ns = end_ns - start_ns
         if span is not None:
             obs.tracer.record_span(span, start_ns, end_ns, **attributes)
         if histogram is not None:
-            obs.metrics.observe(histogram, end_ns - start_ns)
+            obs.metrics.observe(histogram, elapsed_ns)
         if counter is not None:
-            obs.metrics.inc(f"{counter}.time_ns", end_ns - start_ns)
-            obs.metrics.inc(f"{counter}.timed_shots")
+            obs.metrics.inc(f"{counter}.time_ns",
+                            elapsed_ns - self._nested_ns)
+            obs.metrics.inc(f"{counter}.timed_shots", counted)
+        self._nested_ns = outer_ns + elapsed_ns
         return result
 
     def _degrade(self, stats: EngineStats, engine: str,
@@ -1020,10 +1066,13 @@ class QuMAv2:
         Same run as :meth:`run_iter` (same engine, draws and
         :attr:`engine_stats`), but counts-first: interpreter, growth
         and audited shots fold their traces
-        (:meth:`ShotCounts.add`), a cached replay walk folds its
-        template and outcomes (:meth:`ShotCounts.add_outcomes`) and a
-        Pauli-frame chunk folds its whole reported-outcome matrix
-        (:meth:`ShotCounts.add_batch`) — no trace is spliced.  Memory
+        (:meth:`ShotCounts.add`); a replay cohort folds each terminal
+        it reached once, with its multiplicity (:meth:`ShotCohort.fold`
+        — a cached walk's outcomes are its terminal template's own, so
+        the template *is* the shot), as does a cached walk of the
+        per-shot replay loop; and a Pauli-frame chunk folds its whole
+        reported-outcome matrix (:meth:`ShotCounts.add_batch`) — no
+        trace is spliced.  Memory
         stays O(qubits + replay-tree size) regardless of the shot
         count.
         """
@@ -1033,8 +1082,11 @@ class QuMAv2:
             for item in items:
                 if isinstance(item, ShotTrace):
                     counts.add(item)
+                elif isinstance(item, ShotCohort):
+                    item.fold(counts, self.engine_stats)
                 elif len(item) == 2:
-                    counts.add_outcomes(*item)
+                    # A cached walk's outcomes are its template's own.
+                    counts.add(item[0])
                 else:
                     template, _, reported = item
                     counts.add_batch(template, reported)
@@ -1158,8 +1210,8 @@ class QuMAv2:
         stats.frame_reference_shots += 1
         readout = self.plant.noise.readout
         num_qubits = self.plant.num_qubits
-        for first in range(0, shots, _FRAME_CHUNK_SHOTS):
-            chunk = min(shots - first, _FRAME_CHUNK_SHOTS)
+        for first in range(0, shots, _CHUNK_SHOTS):
+            chunk = min(shots - first, _CHUNK_SHOTS)
             if plan is not None:
                 plan.begin_shot(first)
             raw, reported = self._timed(

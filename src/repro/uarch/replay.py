@@ -27,22 +27,33 @@ outcome history:
   when the interpreter first completed a shot along that path — the
   stitched timeline of all segments on the path.
 
-Replaying a shot is a pure tree walk: sample each measurement from the
+Replaying shots is a pure tree walk: sample each measurement from the
 stored ``P(1)`` (and the readout-error model), follow the matching
-edge, and hand out the terminal template with the sampled outcomes.
-``run_iter`` splices them into a trace
-(:meth:`ShotTrace.with_sampled_results`); ``run_counts`` folds them
-straight into its aggregate (:meth:`ShotCounts.add_outcomes`).  No
-plant state is touched at all — the chain rule over per-node
+edge, and hand out the terminal template.  The tree is keyed on the
+sampled ``(raw, reported)`` pairs, so every shot that reaches a
+terminal has exactly that terminal's outcomes,
+``template.outcome_path()``.  A plain run walks a whole chunk of shots
+at once (:meth:`TimelineTree.sample_cohort`): each internal node draws
+one vectorised Bernoulli and one vectorised readout flip for the
+cohort of shots that reached it and splits the cohort among its
+children, so the Python cost is per tree node, not per shot.
+``run_iter`` splices each shot's trace from its terminal
+(:meth:`ShotTrace.with_sampled_results`); ``run_counts`` folds each
+terminal once with its multiplicity (:meth:`ShotCounts.add`).  Runs
+that must stay shot by shot (active mock queues, armed fault plans,
+audits) walk one shot at a time (:meth:`TimelineTree.sample_shot`).
+No plant state is touched at all — the chain rule over per-node
 conditional probabilities reproduces the interpreter's joint outcome
-distribution exactly.
+distribution exactly, whichever order the draws are made in.
 
 When the walk reaches a not-yet-seen outcome edge, the engine *grows*
 the tree: it re-runs the full interpreter with the already-sampled
 outcome prefix **forced** (the measurement unit replays the sampled
 ``(raw, reported)`` pairs, collapsing the plant accordingly), so the
 interpreter shot both is a statistically exact sample *and* explores
-exactly the missing branch.  For a two-measurement active-reset program
+exactly the missing branch (a cohort grows one such shot per
+unexplored edge it reaches and sends the rest of its shots down the
+grown branch).  For a two-measurement active-reset program
 the tree saturates after a handful of probe shots; afterwards every
 shot is pure replay.  Programs whose outcome space never saturates
 degrade transparently to interpreter throughput — every shot is then a
@@ -79,7 +90,9 @@ cannot model — force the interpreter for the entire run; see
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from repro.core.instructions import (
     ArithOp,
@@ -105,7 +118,7 @@ from repro.core.instructions import (
 from repro.core.microcode import MicrocodeUnit
 from repro.quantum.plant import QuantumPlant
 from repro.uarch.dataflow import analyze_data_memory
-from repro.uarch.trace import ShotTrace
+from repro.uarch.trace import ShotCounts, ShotTrace
 
 #: Probabilities closer than this to 0/1 are treated as deterministic
 #: when sampling a node, so a forced interpreter continuation can never
@@ -155,11 +168,14 @@ class EngineStats:
     :attr:`repro.experiments.runner.ExperimentSetup.last_engine_stats`.
     The object updates *live* while ``run_iter`` streams — long sweeps
     can report the engine mix mid-flight via :meth:`snapshot`.  The
-    interpreter and replay engines count each shot as it is drawn; the
-    Pauli-frame engine counts a whole chunk of shots (up to
-    ``_FRAME_CHUNK_SHOTS`` in :mod:`repro.uarch.machine`) when the chunk
-    is propagated, before its first trace is delivered — so mid-stream
-    ``shots_total`` may run ahead of the traces consumed, never behind.
+    interpreter and replay engines count each shot as it is delivered
+    (a replay cohort is walked a chunk at a time but counted shot by
+    shot as ``run_iter`` yields it, and whole when ``run_counts``
+    folds it); the Pauli-frame engine counts a whole chunk of shots
+    (up to ``_CHUNK_SHOTS`` in :mod:`repro.uarch.machine`) when the
+    chunk is propagated, before its first trace is delivered — so
+    mid-stream ``shots_total`` may run ahead of the traces consumed,
+    never behind.
     """
 
     #: "replay" when the branch-resolved engine drove the run, "frame"
@@ -379,6 +395,64 @@ def replay_unsupported_reasons(
     return reasons
 
 
+class ShotCohort:
+    """One chunk of plain-root shots sampled by
+    :meth:`TimelineTree.sample_cohort`.
+
+    Every cached shot that ended on one terminal has that terminal's
+    outcomes, ``template.outcome_path()`` (the tree is keyed on exactly
+    those pairs), so a terminal holds its template and the indices of
+    its shots; growth shots hold their interpreter traces.  The
+    machine delivers the chunk through :meth:`traces` (``run_iter``)
+    or :meth:`fold` (``run_counts``), and either one counts the shots
+    into the run's :class:`EngineStats`.
+    """
+
+    __slots__ = ("shots", "terminals", "growth")
+
+    def __init__(self, shots: int):
+        self.shots = shots
+        #: (terminal template, int array of the chunk's shot indices).
+        self.terminals: list[tuple[ShotTrace, np.ndarray]] = []
+        #: Chunk shot index -> trace of the growth shot run for it.
+        self.growth: dict[int, ShotTrace] = {}
+
+    def traces(self, stats: EngineStats) -> Iterator[ShotTrace]:
+        """The chunk's traces in shot order, each cached shot spliced
+        from its template as it is reached; ``stats`` counts every shot
+        as it is yielded."""
+        terminal_of = np.full(self.shots, -1, dtype=np.intp)
+        for terminal, (_, indices) in enumerate(self.terminals):
+            terminal_of[indices] = terminal
+        templates = [template for template, _ in self.terminals]
+        paths = [template.outcome_path() for template in templates]
+        for shot, terminal in enumerate(terminal_of.tolist()):
+            stats.shots_total += 1
+            if terminal < 0:
+                stats.interpreter_shots += 1
+                stats.segment_cache_misses += 1
+                yield self.growth[shot]
+            else:
+                stats.replay_shots += 1
+                stats.segment_cache_hits += 1
+                yield templates[terminal].with_sampled_results(
+                    paths[terminal])
+
+    def fold(self, counts: ShotCounts, stats: EngineStats) -> None:
+        """Fold the chunk into ``counts``, each terminal once with its
+        multiplicity, and count its shots into ``stats``."""
+        for template, indices in self.terminals:
+            counts.add(template, shots=len(indices))
+        for trace in self.growth.values():
+            counts.add(trace)
+        grown = len(self.growth)
+        stats.shots_total += self.shots
+        stats.interpreter_shots += grown
+        stats.segment_cache_misses += grown
+        stats.replay_shots += self.shots - grown
+        stats.segment_cache_hits += self.shots - grown
+
+
 class _TreeNode:
     """One outcome-history position in the timeline tree.
 
@@ -402,17 +476,25 @@ class _TreeNode:
         self.template: ShotTrace | None = None
 
 
+def _walkable(node: _TreeNode | None) -> bool:
+    """Whether a walk without a mock cursor view can use ``node``: a
+    terminal, or a characterised internal node that is not mocked."""
+    return node is not None and (node.template is not None or (
+        node.qubit >= 0 and not node.mocked))
+
+
 class TimelineTree:
     """The branch-resolved timeline-segment cache for one binary.
 
     Built lazily by the machine during :meth:`QuMAv2.run_iter` calls
     (and reused across calls through the machine's keyed replay cache):
     interpreter shots insert their observed outcome path and trace;
-    cached shots are sampled by :meth:`sample_shot` without any plant
-    work.  Programs with injected mock results hold one *root* per
-    mock-cursor fingerprint — within a root the mocked/unmocked pattern
-    along every path is invariant, so mocked nodes read their outcome
-    from the per-shot cursor view instead of sampling.  Growth stops
+    cached shots are sampled without any plant work, a chunk at a time
+    by :meth:`sample_cohort` or one at a time by :meth:`sample_shot`.
+    Programs with injected mock results hold one *root* per mock-cursor
+    fingerprint — within a root the mocked/unmocked pattern along every
+    path is invariant, so mocked nodes read their outcome from the
+    per-shot cursor view instead of sampling.  Growth stops
     (but sampling keeps degrading gracefully to interpreter shots) when
     the caps are hit or when two shots with the same outcome history
     disagree — a determinism violation such as timing driven by a value
@@ -467,9 +549,10 @@ class TimelineTree:
         readout error — mocks bypass the analog chain).  Returns
         ``(template, outcomes)`` on a complete cached path — the
         terminal's frozen trace, *not* spliced, and the sampled
-        ``(raw, reported)`` pairs in result order (splice them with
-        :meth:`ShotTrace.with_sampled_results`, or fold them with
-        :meth:`ShotCounts.add_outcomes`) — or ``(None, outcome_prefix)``
+        ``(raw, reported)`` pairs in result order, which equal
+        ``template.outcome_path()`` (splice them with
+        :meth:`ShotTrace.with_sampled_results`, or fold the template
+        itself with :meth:`ShotCounts.add`) — or ``(None, outcome_prefix)``
         when an unexplored edge is reached; the caller then runs an
         interpreter shot with that prefix forced (and, on success,
         commits the view's mock consumption).
@@ -507,6 +590,68 @@ class TimelineTree:
                 return None, outcomes    # unexplored branch: grow here
             node = child
         return node.template, outcomes
+
+    def sample_cohort(self, shots: int,
+                      grow: Callable[[list[tuple[int, int]]], ShotTrace]
+                      ) -> "ShotCohort":
+        """Sample ``shots`` plain-root shots as index cohorts.
+
+        The whole chunk starts at the plain root; each internal node
+        draws one vectorised Bernoulli against its ``P(1)`` for the
+        cohort that reached it (no draw within
+        ``_DETERMINISTIC_EPS`` of 0 or 1, as in :meth:`sample_shot`),
+        one vectorised readout flip
+        (:meth:`ReadoutErrorModel.apply_many`), and splits the cohort
+        among its (at most four) ``(raw, reported)`` children.  Each
+        shot's outcomes are drawn from the same conditional
+        probabilities as in :meth:`sample_shot`, so the joint
+        distribution is exact; only the order of the draws differs.
+
+        Where a cohort reaches a cold node or an unexplored edge, its
+        first shot becomes a growth shot: ``grow(prefix)`` runs it on
+        the interpreter with the cohort's shared outcome prefix forced
+        and inserts its path, and the rest of the cohort continues
+        down the grown branch.  While the branch stays missing (growth
+        stopped) every further shot of the cohort is a growth shot of
+        its own.  The plain root's subtree never holds a mocked node
+        (shots without active mocks cannot consume one), and a mocked
+        node is treated as unexplored, as :meth:`sample_shot` treats
+        it without a cursor view.
+        """
+        rng = self._plant.rng
+        readout = self._readout
+        cohort = ShotCohort(shots)
+        # (dict holding the node, its key, shot indices, outcome prefix)
+        stack = [(self._roots, (), np.arange(shots), [])]
+        while stack:
+            siblings, key, indices, prefix = stack.pop()
+            node = siblings.get(key)
+            grown = 0
+            while grown < len(indices) and not _walkable(node):
+                cohort.growth[int(indices[grown])] = grow(prefix)
+                grown += 1
+                node = siblings.get(key)
+            indices = indices[grown:]
+            if not len(indices):
+                continue
+            if node.template is not None:
+                cohort.terminals.append((node.template, indices))
+                continue
+            p_one = node.p_one
+            if p_one <= _DETERMINISTIC_EPS:
+                raw = np.zeros(len(indices), dtype=np.uint8)
+            elif p_one >= 1.0 - _DETERMINISTIC_EPS:
+                raw = np.ones(len(indices), dtype=np.uint8)
+            else:
+                raw = (rng.random(len(indices)) < p_one).view(np.uint8)
+            codes = 2 * raw + readout.apply_many(raw, rng)
+            for code in (3, 2, 1, 0):        # (0, 0) is walked first
+                branch = indices[codes == code]
+                if len(branch):
+                    pair = (code >> 1, code & 1)
+                    stack.append((node.children, pair, branch,
+                                  prefix + [pair]))
+        return cohort
 
     # ------------------------------------------------------------------
     # Fault injection (chaos testing of the audit machinery)

@@ -137,7 +137,7 @@ class ShotTrace:
 
 
 class _FoldPlan(NamedTuple):
-    """What folding a shot of one frozen template needs: its measured
+    """What folding a batch of one frozen template needs: its measured
     qubits in sorted order, the result index holding each one's final
     result, and its slip summary.  Holding the template keeps its
     ``id`` (the plan's key) from being reused."""
@@ -155,16 +155,17 @@ class ShotCounts:
     shot count.
 
     High-shot callers (excited fractions, outcome histograms) do not
-    need every :class:`ShotTrace`.  A shot folds in as a full trace
-    (:meth:`add`), as a frozen template plus its sampled outcomes
-    (:meth:`add_outcomes`, a cached replay walk) or as a whole batch of
-    reported-outcome rows sharing one template (:meth:`add_batch`, a
-    Pauli-frame chunk); all three give the same aggregate.  Only the
-    *final* result of each qubit per shot is aggregated, matching
+    need every :class:`ShotTrace`.  Shots fold in as a trace times a
+    multiplicity (:meth:`add` — one interpreter shot, or every cached
+    replay walk that ended on one tree terminal, whose outcomes are the
+    terminal template's own) or as a whole batch of reported-outcome
+    rows sharing one template (:meth:`add_batch`, a Pauli-frame chunk);
+    both give the same aggregate as adding the spliced traces one by
+    one.  Only the *final* result of each qubit per shot is
+    aggregated, matching
     :func:`repro.experiments.runner.excited_fraction`.  Besides the
     per-qubit counters the aggregate keeps one small fold plan per
-    distinct template (at most one per replay-tree terminal), never
-    one per shot.
+    distinct :meth:`add_batch` template, never one per shot.
     """
 
     shots: int = 0
@@ -178,65 +179,29 @@ class ShotCounts:
     #: Reused per-shot scratch buffer (qubit -> last reported result),
     #: preallocated once so 10k+-shot runs do not churn a dict per shot.
     _last: dict = field(default_factory=dict, repr=False, compare=False)
-    #: Fold plans of the templates seen by :meth:`add_outcomes` and
-    #: :meth:`add_batch`, keyed by ``id(template)``.
+    #: Fold plans of the templates seen by :meth:`add_batch`, keyed by
+    #: ``id(template)``.
     _plans: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def add(self, trace: ShotTrace) -> None:
-        """Fold one shot into the aggregate."""
-        self.shots += 1
+    def add(self, trace: ShotTrace, shots: int = 1) -> None:
+        """Fold ``shots`` identical shots of ``trace`` into the
+        aggregate — the same as ``shots`` calls of ``add(trace)``."""
+        self.shots += shots
         last = self._last
         last.clear()
         for record in trace.results:
             last[record.qubit] = record.reported_result
         for qubit, bit in last.items():
-            self.measured[qubit] = self.measured.get(qubit, 0) + 1
+            self.measured[qubit] = self.measured.get(qubit, 0) + shots
             if bit:
-                self.ones[qubit] = self.ones.get(qubit, 0) + 1
+                self.ones[qubit] = self.ones.get(qubit, 0) + shots
         if last:
             key = tuple(sorted(last.items()))
-            self.joint[key] = self.joint.get(key, 0) + 1
-        self.total_slips += len(trace.slips)
+            self.joint[key] = self.joint.get(key, 0) + shots
+        self.total_slips += len(trace.slips) * shots
         slip = trace.max_slip_ns()
         if slip > self.max_slip_ns:
             self.max_slip_ns = slip
-
-    def _fold_template(self, template: ShotTrace,
-                       shots: int) -> _FoldPlan:
-        """Count ``shots`` shots of ``template`` and their slips;
-        returns the template's fold plan (built on first sight)."""
-        plan = self._plans.get(id(template))
-        if plan is None:
-            final = {record.qubit: index
-                     for index, record in enumerate(template.results)}
-            qubits = tuple(sorted(final))
-            plan = _FoldPlan(template, qubits,
-                             [final[qubit] for qubit in qubits],
-                             len(template.slips), template.max_slip_ns())
-            self._plans[id(template)] = plan
-        self.shots += shots
-        self.total_slips += plan.slips * shots
-        if plan.max_slip_ns > self.max_slip_ns:
-            self.max_slip_ns = plan.max_slip_ns
-        return plan
-
-    def add_outcomes(self, template: ShotTrace,
-                     outcomes: list[tuple[int, int]]) -> None:
-        """Fold one shot given as a frozen template and its sampled
-        ``(raw, reported)`` outcomes, in result order — the same as
-        ``add(template.with_sampled_results(outcomes))`` without
-        building the trace."""
-        _, qubits, columns, _, _ = self._fold_template(template, 1)
-        if qubits:
-            bits = [outcomes[column][1] for column in columns]
-            measured = self.measured
-            ones = self.ones
-            for qubit, bit in zip(qubits, bits):
-                measured[qubit] = measured.get(qubit, 0) + 1
-                if bit:
-                    ones[qubit] = ones.get(qubit, 0) + 1
-            key = tuple(zip(qubits, bits))
-            self.joint[key] = self.joint.get(key, 0) + 1
 
     def add_batch(self, template: ShotTrace, reported: np.ndarray) -> None:
         """Fold a batch of shots sharing one frozen template.
@@ -251,7 +216,20 @@ class ShotCounts:
         shots = len(reported)
         if not shots:
             return
-        _, qubits, columns, _, _ = self._fold_template(template, shots)
+        plan = self._plans.get(id(template))
+        if plan is None:
+            final = {record.qubit: index
+                     for index, record in enumerate(template.results)}
+            qubits = tuple(sorted(final))
+            plan = _FoldPlan(template, qubits,
+                             [final[qubit] for qubit in qubits],
+                             len(template.slips), template.max_slip_ns())
+            self._plans[id(template)] = plan
+        _, qubits, columns, slips, max_slip_ns = plan
+        self.shots += shots
+        self.total_slips += slips * shots
+        if max_slip_ns > self.max_slip_ns:
+            self.max_slip_ns = max_slip_ns
         if qubits:
             packed = np.packbits(reported[:, columns], axis=1,
                                  bitorder="little")

@@ -109,7 +109,9 @@ class TestGrover:
     def test_noiseless_fidelity_is_high(self):
         setup = ExperimentSetup.create(noise=NoiseModel.noiseless(),
                                        seed=2)
-        fidelity = run_grover_tomography(1, setup, shots=120)
+        # 120 shots passed on about half of all seeds (mean fidelity
+        # 0.969); at 1000 the 0.97 bound holds with margin.
+        fidelity = run_grover_tomography(1, setup, shots=1000)
         assert fidelity > 0.97
 
 

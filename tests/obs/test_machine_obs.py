@@ -100,10 +100,9 @@ class TestTracedReplayRun:
         assert snapshot["engine.selected.replay"]["value"] == 1
         assert (snapshot["engine.replay.tree.nodes"]["value"]
                 == stats.tree_nodes)
-        # Cached-walk timing is stride-sampled (1 shot in 16: two clock
-        # reads would dominate a ~10 us walk) into a counter pair.
-        assert (snapshot["engine.replay.walk.timed_shots"]["value"]
-                == math.ceil(60 / 16))
+        # A cohort walk is timed once per chunk, less its growth
+        # shots, and counts every shot of the chunk.
+        assert snapshot["engine.replay.walk.timed_shots"]["value"] == 60
         assert snapshot["engine.replay.walk.time_ns"]["value"] > 0
         # Growth shots are timed per shot into a histogram.
         growth = snapshot["engine.replay.growth_shot.time_ns"]
@@ -112,6 +111,20 @@ class TestTracedReplayRun:
         gate_kernel = [name for name in snapshot
                        if name.endswith(".gate.time_ns")]
         assert gate_kernel and snapshot[gate_kernel[0]]["count"] > 0
+
+    def test_per_shot_walks_are_timed_one_in_sixteen(self):
+        """An audited run keeps the per-shot walk loop, which times
+        every 16th walk only: two clock reads would dominate a ~10 us
+        walk."""
+        obs = Observability()
+        machine = make_machine(observability=obs)
+        machine.audit_fraction = 0.25
+        machine.run(60)
+        snapshot = obs.snapshot()
+        assert machine.engine_stats.replay_audits > 0
+        assert (snapshot["engine.replay.walk.timed_shots"]["value"]
+                == math.ceil(60 / 16))
+        assert snapshot["engine.replay.walk.time_ns"]["value"] > 0
 
     def test_tracing_does_not_perturb_physics(self):
         shots = 40

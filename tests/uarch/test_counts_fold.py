@@ -1,13 +1,14 @@
-"""Fold equivalence of the three ways a shot enters ``ShotCounts``.
+"""Fold equivalence of the ways shots enter ``ShotCounts``.
 
 ``run_counts`` never splices a trace for a cached replay walk or a
-Pauli-frame chunk: it folds the template plus sampled outcomes
-(``add_outcomes``) or a whole reported-outcome matrix (``add_batch``).
-Both must give exactly the aggregate that ``add`` gives over the
-spliced traces — same ``as_dict()``, byte for byte once serialised —
-on any template: qubits measured several times, unmeasured qubits, no
-measurement at all, nonzero slips, and more measured qubits than fit
-one packed machine word.
+Pauli-frame chunk: it folds a replay terminal's template once with its
+multiplicity (``add(template, shots=k)`` — a cached walk's outcomes
+are the template's own) or a whole reported-outcome matrix
+(``add_batch``).  Both must give exactly the aggregate that one
+``add`` per spliced trace gives — same ``as_dict()``, byte for byte
+once serialised — on any template: qubits measured several times,
+unmeasured qubits, no measurement at all, nonzero slips, and more
+measured qubits than fit one packed machine word.
 """
 
 import json
@@ -69,26 +70,41 @@ def spliced_rows(template, raw, reported):
 
 @settings(max_examples=150, deadline=None)
 @given(batch=batches())
-def test_add_batch_and_add_outcomes_equal_add(batch):
+def test_add_batch_equals_add(batch):
     template, raw, reported = batch
     by_trace = ShotCounts()
-    by_outcomes = ShotCounts()
     for outcomes in spliced_rows(template, raw, reported):
         by_trace.add(template.with_sampled_results(outcomes))
-        by_outcomes.add_outcomes(template, outcomes)
     by_batch = ShotCounts()
     by_batch.add_batch(template, reported)
-    assert serialised(by_outcomes) == serialised(by_trace)
     assert serialised(by_batch) == serialised(by_trace)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=batches(), shots=st.integers(1, 50))
+def test_add_with_shots_equals_repeated_add(batch, shots):
+    """``add(t, shots=k)`` (a replay terminal folded once with its
+    multiplicity) serialises byte-identically to ``k`` calls of
+    ``add(t)``."""
+    template, raw, reported = batch
+    for outcomes in spliced_rows(template, raw, reported)[:3]:
+        trace = template.with_sampled_results(outcomes)
+        repeated = ShotCounts()
+        for _ in range(shots):
+            repeated.add(trace)
+        once = ShotCounts()
+        once.add(trace, shots=shots)
+        assert serialised(once) == serialised(repeated)
 
 
 @settings(max_examples=60, deadline=None)
 @given(parts=st.lists(batches(), min_size=1, max_size=4),
-       ways=st.lists(st.sampled_from(["add", "outcomes", "batch"]),
+       ways=st.lists(st.sampled_from(["add", "shots", "batch"]),
                      min_size=4, max_size=4))
 def test_mixed_folds_into_one_aggregate(parts, ways):
     """Several templates folded into one aggregate, each a different
-    way (a run that mixes growth shots, cached walks and chunks)."""
+    way (a run that mixes growth shots, replay terminals and frame
+    chunks)."""
     reference = ShotCounts()
     mixed = ShotCounts()
     for (template, raw, reported), way in zip(parts, ways):
@@ -97,9 +113,14 @@ def test_mixed_folds_into_one_aggregate(parts, ways):
             reference.add(template.with_sampled_results(outcomes))
         if way == "batch":
             mixed.add_batch(template, reported)
-        elif way == "outcomes":
+        elif way == "shots":
+            multiplicity: dict = {}
             for outcomes in rows:
-                mixed.add_outcomes(template, outcomes)
+                key = tuple(outcomes)
+                multiplicity[key] = multiplicity.get(key, 0) + 1
+            for outcomes, shots in multiplicity.items():
+                mixed.add(template.with_sampled_results(list(outcomes)),
+                          shots=shots)
         else:
             for outcomes in rows:
                 mixed.add(template.with_sampled_results(outcomes))
@@ -149,6 +170,6 @@ def test_fold_plans_are_per_template_not_per_shot():
                      measure_start_ns=0.0, arrival_ns=60.0)])
     counts = ShotCounts()
     for bit in [0, 1] * 500:
-        counts.add_outcomes(template, [(bit, bit)])
+        counts.add_batch(template, np.array([[bit]], dtype=np.uint8))
     assert len(counts._plans) == 1
     assert counts.ones == {2: 500} and counts.measured == {2: 1000}

@@ -31,7 +31,7 @@ from repro.experiments.reset import FIG4_PROGRAM as ACTIVE_RESET
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
 from repro.uarch import FaultPlan, FaultSpec, QuMAv2, ShotCounts
-from repro.uarch.machine import _FRAME_CHUNK_SHOTS
+from repro.uarch.machine import _CHUNK_SHOTS
 
 #: LD above the only ST to its address: the load observes the previous
 #: shot, a hard replay blocker.
@@ -152,7 +152,10 @@ def route_all_growth(count=QuMAv2.run_counts):
 
 #: route -> (run function, expected engine, SHA-256 of ShotCounts.as_dict(),
 #: SHA-256 of EngineStats.as_dict()), captured before the engine loops
-#: were merged.
+#: were merged.  The warm-replay counts digest was re-pinned when the
+#: plain replay run moved to cohort walks, whose draws are node-major;
+#: the exactness of that order is pinned statistically in
+#: tests/uarch/test_cohort_replay.py.
 ROUTES = {
     "static-blocker": (
         route_static_blocker, "interpreter",
@@ -164,7 +167,7 @@ ROUTES = {
         "423257897cb29f2bd16b44313623fd5ef897e0409186425551a5a50e8b6e2c0c"),
     "warm-replay": (
         route_warm_replay, "replay",
-        "f1e467143c2e7df03fb5aee1f49bd4758b3981fb3aa8622ba29f58ede9cb7d44",
+        "cbdc96b04a470991d86e25258896834830c21141bae41387c487e9b8f54b5d11",
         "906c6b03d0eb77e85268a4b7f4f7baa0b3e8b2800d9a560a8dd2113aee9f0102"),
     "frame-batch": (
         route_frame_batch, "frame",
@@ -221,12 +224,15 @@ def test_run_counts_equals_folded_run_iter(route):
 
 
 def test_run_counts_keeps_no_per_shot_state():
-    """Fold plans are kept per template (at most one per tree terminal),
-    none on an interpreter run."""
+    """Fold plans are kept per frame-batch template only: none on an
+    interpreter run, none on a replay run (a cohort folds each terminal
+    template once with its multiplicity)."""
     _, counts = route_static_blocker()
     assert not counts._plans
-    machine, counts = route_warm_replay()
-    assert 0 < len(counts._plans) <= machine.engine_stats.tree_paths
+    _, counts = route_warm_replay()
+    assert not counts._plans
+    _, counts = route_frame_batch()
+    assert len(counts._plans) == 1
 
 
 def frame_machine():
@@ -234,7 +240,7 @@ def frame_machine():
 
 
 def test_frame_chunk_boundary_counts_equal_folded_run_iter():
-    shots = _FRAME_CHUNK_SHOTS + 100
+    shots = _CHUNK_SHOTS + 100
     machine = frame_machine()
     counts = machine.run_counts(shots)
     twin = frame_machine()
@@ -248,7 +254,7 @@ def test_frame_chunk_boundary_counts_equal_folded_run_iter():
 def test_frame_stats_never_trail_delivered_traces():
     """Frame stats advance per chunk, before the chunk's first trace:
     mid-stream, shots_total is never below the traces delivered."""
-    shots = _FRAME_CHUNK_SHOTS + 100
+    shots = _CHUNK_SHOTS + 100
     machine = frame_machine()
     delivered = 0
     seen = set()
@@ -259,4 +265,4 @@ def test_frame_stats_never_trail_delivered_traces():
         assert snapshot.frame_batched == snapshot.shots_total
         seen.add(snapshot.shots_total)
     assert delivered == shots
-    assert seen == {_FRAME_CHUNK_SHOTS, shots}
+    assert seen == {_CHUNK_SHOTS, shots}
