@@ -128,9 +128,9 @@ class CFCVerificationResult:
     """Outcome of the mock-result alternation test."""
 
     applied_operations: list[str]
-    #: Per-run engine statistics — mock-result programs ride the
-    #: branch-resolved replay path (the draining queues key the
-    #: timeline tree's roots), so this documents the engine mix.
+    #: Per-run engine statistics — a run with queued mock results
+    #: runs on the interpreter, with the mock queue as its recorded
+    #: ``fallback_reason``.
     engine_stats: EngineStats = field(default_factory=EngineStats)
 
     @property

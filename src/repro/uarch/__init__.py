@@ -17,11 +17,7 @@ from repro.uarch.faults import (
     FaultSpec,
 )
 from repro.uarch.machine import QuMAv2
-from repro.uarch.measurement import (
-    MeasurementUnit,
-    MockCursorView,
-    PendingResult,
-)
+from repro.uarch.measurement import MeasurementUnit, PendingResult
 from repro.uarch.quantum_pipeline import OpSel, QuantumPipeline, ReservedPoint
 from repro.uarch.replay import (
     EngineStats,
@@ -52,7 +48,6 @@ __all__ = [
     "FaultSpec",
     "MeasurementSample",
     "MeasurementUnit",
-    "MockCursorView",
     "OpSel",
     "PendingResult",
     "PulseLibrary",

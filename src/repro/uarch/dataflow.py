@@ -36,18 +36,12 @@ The pass has two engines:
   exploration terminates whenever the reachable abstract-state space
   is finite; a global state budget bounds pathological cases.  The
   result is an *exploded graph* — the CFG unrolled along resolved
-  branches — over which three analyses run:
+  branches — over which two analyses run:
 
   - per-occurrence **addresses** of every ``LD``/``ST``;
   - **kill-analysis**: a forward must-available-store pass
     (intersection at joins) proving which load occurrences are
-    dominated by a same-shot store to the same address;
-  - the **per-shot measurement bound**: the longest path through the
-    exploded graph counting measurement slots — for a loop-free
-    binary this is the old static slot count, for a counted loop it
-    is ``trip count x slots per iteration``, and only a genuinely
-    unbounded loop (a cycle surviving in the exploded graph) leaves
-    it unknown.
+    dominated by a same-shot store to the same address.
 
 * **Joined fixpoint** (the conservative fallback): the classic
   constant propagation with joins over branch/loop edges (a value
@@ -77,7 +71,7 @@ replay run the data memory holds the values of the last *interpreter*
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.core.instructions import (
     ArithOp,
@@ -146,10 +140,6 @@ class DataMemoryReport:
     #: branch, since the unroll budget was exceeded before their trip
     #: counts resolved.
     unbounded_loop_pcs: tuple[int, ...] = ()
-    #: Largest number of measurement slots one shot can trigger, or
-    #: None when unknown (unbounded loop through a measurement, the
-    #: analysis fell back, or the caller supplied no slot table).
-    max_measurements_per_shot: int | None = None
     #: Which engine produced the verdicts: "exploration" (precise,
     #: loops unrolled), "joined" (budget fallback) or
     #: "unresolved-labels" (no CFG to analyse).
@@ -442,32 +432,6 @@ def _must_written(num_nodes: int, succs: list[list[int]],
             for entry in incoming]
 
 
-def _kahn(num_nodes: int,
-          succs: list[list[int]]) -> tuple[list[int], set[int]]:
-    """Kahn topological order plus the cyclic residue.
-
-    Every node is reachable from the entry, so the residue — nodes
-    whose indegree never drains, including an entry with a back edge
-    into it — is exactly the set of nodes on or behind a cycle.
-    """
-    indegree = [0] * num_nodes
-    for node in range(num_nodes):
-        for successor in succs[node]:
-            indegree[successor] += 1
-    order = [node for node in range(num_nodes) if indegree[node] == 0]
-    head = 0
-    while head < len(order):
-        node = order[head]
-        head += 1
-        for successor in succs[node]:
-            indegree[successor] -= 1
-            if indegree[successor] == 0:
-                order.append(successor)
-    if len(order) == num_nodes:
-        return order, set()
-    return order, set(range(num_nodes)) - set(order)
-
-
 def _cycle_nodes(num_nodes: int, succs: list[list[int]]) -> set[int]:
     """Nodes lying *on* a cycle (not merely downstream of one).
 
@@ -524,25 +488,6 @@ def _cycle_nodes(num_nodes: int, succs: list[list[int]]) -> set[int]:
                 if len(component) > 1 or node in succs[node]:
                     cyclic.update(component)
     return cyclic
-
-
-def _longest_slot_path(num_nodes: int, succs: list[list[int]],
-                       node_slots: list[int]) -> int | None:
-    """Maximum slot count along any entry path, or None on a cycle."""
-    if not num_nodes:
-        return 0
-    order, cyclic = _kahn(num_nodes, succs)
-    if cyclic:
-        return None
-    best = [0] * num_nodes
-    best[0] = node_slots[0]
-    for node in order:
-        base = best[node]
-        for successor in succs[node]:
-            candidate = base + node_slots[successor]
-            if candidate > best[successor]:
-                best[successor] = candidate
-    return max(best)
 
 
 # ----------------------------------------------------------------------
@@ -674,18 +619,8 @@ def _classify(stores: dict[int, set], load_count: int,
 # Entry point
 # ----------------------------------------------------------------------
 def analyze_data_memory(
-        instructions: Iterable[Instruction],
-        measurement_slots: Sequence[int] | None = None) -> DataMemoryReport:
-    """Prove which loads/stores are replay-safe (see module docstring).
-
-    ``measurement_slots`` optionally gives the number of measurement
-    micro-operations each instruction triggers (the machine derives it
-    from the microcode unit); when provided, the report's
-    ``max_measurements_per_shot`` bounds one shot's measurement count —
-    exact for loop-free and counted-loop binaries, None for unbounded
-    loops — which the replay engine uses to clamp mock-cursor
-    fingerprints.
-    """
+        instructions: Iterable[Instruction]) -> DataMemoryReport:
+    """Prove which loads/stores are replay-safe (see module docstring)."""
     instructions = list(instructions)
     store_total = sum(isinstance(i, St) for i in instructions)
     load_total = sum(isinstance(i, Ld) for i in instructions)
@@ -694,8 +629,8 @@ def analyze_data_memory(
         # Unresolved labels never reach the machine (the assembler
         # resolves them); there is no CFG to analyse, so classify the
         # poisoning once: aliasing needs both a load and a store to be
-        # unprovable, and the measurement bound is simply unknown.
-        # Store-only (or load-only) binaries are still trivially safe.
+        # unprovable.  Store-only (or load-only) binaries are still
+        # trivially safe.
         if store_total and load_total:
             reasons: tuple[str, ...] = (
                 "program has unresolved branch labels — LD/ST aliasing "
@@ -707,19 +642,17 @@ def analyze_data_memory(
         return DataMemoryReport(
             store_count=store_total, load_count=load_total,
             dead_store_count=dead, killed_load_count=0,
-            live_reasons=reasons, max_measurements_per_shot=None,
-            analysis_mode="unresolved-labels")
+            live_reasons=reasons, analysis_mode="unresolved-labels")
 
     graph = _explore(instructions)
     if graph is not None:
-        return _report_from_exploration(instructions, graph,
-                                        measurement_slots)
-    return _report_from_joined(instructions, measurement_slots)
+        return _report_from_exploration(instructions, graph)
+    return _report_from_joined(instructions)
 
 
 def _report_from_exploration(
-        instructions: list[Instruction], graph: _Exploded,
-        measurement_slots: Sequence[int] | None) -> DataMemoryReport:
+        instructions: list[Instruction],
+        graph: _Exploded) -> DataMemoryReport:
     num_nodes = len(graph.pcs)
     store_address = [None] * num_nodes
     stores: dict[int, set] = {}
@@ -751,12 +684,6 @@ def _report_from_exploration(
 
     dead, killed_count, reasons = _classify(stores, len(loads), unkilled)
 
-    if measurement_slots is None:
-        bound = None
-    else:
-        node_slots = [measurement_slots[pc] for pc in graph.pcs]
-        bound = _longest_slot_path(num_nodes, graph.succs, node_slots)
-
     # A backward branch is bounded only when every visit resolved its
     # condition *and* none of its exploded nodes lie on a cycle — a
     # "BR ALWAYS, loop" resolves every visit yet never exits, which
@@ -773,13 +700,11 @@ def _report_from_exploration(
         live_reasons=tuple(reasons),
         bounded_loop_count=len(bounded),
         unbounded_loop_pcs=tuple(sorted(unbounded)),
-        max_measurements_per_shot=bound,
         analysis_mode="exploration")
 
 
 def _report_from_joined(
-        instructions: list[Instruction],
-        measurement_slots: Sequence[int] | None) -> DataMemoryReport:
+        instructions: list[Instruction]) -> DataMemoryReport:
     """Budget fallback: joins lose loop-carried constants, verdicts
     stay sound.  Kill-analysis still runs, at pc granularity."""
     states = _joined_fixpoint(instructions)
@@ -829,16 +754,10 @@ def _report_from_joined(
             f"the {EXPLORATION_STATE_BUDGET}-state budget (unbounded "
             f"loop or trip count too large) — loop-carried addresses "
             f"were analysed conservatively")
-    if measurement_slots is None:
-        bound = None
-    else:
-        node_slots = [measurement_slots[pc] for pc in reachable]
-        bound = _longest_slot_path(len(reachable), succs, node_slots)
     return DataMemoryReport(
         store_count=len(stores), load_count=len(loads),
         dead_store_count=dead, killed_load_count=killed_count,
         live_reasons=tuple(reasons),
         bounded_loop_count=0,
         unbounded_loop_pcs=tuple(backward),
-        max_measurements_per_shot=bound,
         analysis_mode="joined")

@@ -142,11 +142,14 @@ _DATAFLOW_CACHE_CAPACITY = 64
 #: (growth, audit, interpreter) keep full per-shot histograms.
 _WALK_COUNTER = "engine.replay.walk"
 
-#: The machine-level replay blocker: trajectory-sampled Pauli gate noise
-#: on the stabilizer backend (the regime the Pauli-frame batch serves).
+#: The machine-level replay blockers.  Trajectory-sampled Pauli gate
+#: noise on the stabilizer backend is the regime the Pauli-frame batch
+#: serves; queued mock results block both fast engines.
 _TRAJECTORY_BLOCKER = ("stochastic Pauli gate noise on the stabilizer "
                        "backend (per-shot trajectory sampling outside the "
                        "outcome history)")
+_MOCK_BLOCKER = ("injected mock results vary across shots as their "
+                 "queues drain")
 
 
 #: Deterministic-domain events are heap tuples ``(time_ns, priority,
@@ -410,19 +413,18 @@ class QuMAv2:
 
         Replayable programs — including feedback programs using ``FMR``
         (CFC) and conditional micro-operations (fast conditional
-        execution / active reset), programs with injected mock results
-        (replayed through cursor-keyed tree roots), counted-loop
-        binaries (the dataflow pass unrolls resolvable backward
-        branches) and programs whose data-memory traffic the pass
-        proves shot-local (dead stores; spill/reload loads killed by a
-        same-shot store) — take the branch-resolved replay fast path
+        execution / active reset), counted-loop binaries (the dataflow
+        pass unrolls resolvable backward branches) and programs whose
+        data-memory traffic the pass proves shot-local (dead stores;
+        spill/reload loads killed by a same-shot store) — take the
+        branch-resolved replay fast path
         (see :mod:`repro.uarch.replay`): interpreter shots grow an
         outcome-keyed timeline-segment tree, and every shot whose
         sampled outcome path is already cached is served as a pure
         tree walk.  Hard blockers (loads that can observe another
-        shot's memory, untranslatable operations) fall back to the
-        interpreter transparently; ``use_replay=False`` forces the
-        interpreter.
+        shot's memory, untranslatable operations, queued mock results)
+        fall back to the interpreter transparently; ``use_replay=False``
+        forces the interpreter.
         """
         return list(self.run_iter(shots, max_instructions,
                                   use_replay=use_replay))
@@ -536,7 +538,7 @@ class QuMAv2:
         every blocker as its reason.
 
         The dataflow report is read once and feeds the replay blockers,
-        the replay engine's stats, tree cacheability and mock clamp.
+        the replay engine's stats and tree cacheability.
         Stochastic Pauli gate noise blocks the outcome-keyed replay
         tree, but when it is the *only* blocker a feedback-free Clifford
         program rides the Pauli-frame batch (one reference tableau shot
@@ -583,10 +585,9 @@ class QuMAv2:
         per chunk of up to ``_CHUNK_SHOTS`` shots as index cohorts
         (:meth:`TimelineTree.sample_cohort`), growing unseen paths on
         the interpreter as it goes, and yields the chunk as one
-        :class:`ShotCohort`.  Three kinds of run keep the per-shot walk
+        :class:`ShotCohort`.  Two kinds of run keep the per-shot walk
         loop (:meth:`TimelineTree.sample_shot`), whose seeded output
-        they pin: runs with an active mock queue (its cursors drain
-        shot by shot), with an armed fault plan (its sites are pinned
+        they pin: runs with an armed fault plan (its sites are pinned
         to shot indices) and with ``audit_fraction > 0``.  There a
         cached outcome path is yielded unspliced as ``(template,
         outcomes)``, an unseen one as the trace of its growth shot (as
@@ -605,22 +606,18 @@ class QuMAv2:
         def track_tree() -> None:
             stats.tree_nodes = tree.node_count
             stats.tree_paths = tree.path_count
-            stats.tree_roots = tree.root_count
             stats.growth_stopped_reason = tree.growth_stopped_reason
 
         track_tree()
-        measurement_unit = self.measurement_unit
-        mock_clamp = self._mock_fingerprint_clamp(report, tree.max_depth)
 
         def grow(outcome_prefix: list[tuple[int, int]]) -> ShotTrace:
             return self._timed(
-                self._grow_tree_shot, tree, (), outcome_prefix,
+                self._grow_tree_shot, tree, outcome_prefix,
                 max_instructions,
                 histogram="engine.replay.growth_shot.time_ns")
 
         try:
-            if plan is None and self.audit_fraction <= 0.0 and \
-                    not measurement_unit.has_any_mock_results():
+            if plan is None and self.audit_fraction <= 0.0:
                 for first in range(0, shots, _CHUNK_SHOTS):
                     chunk = min(shots - first, _CHUNK_SHOTS)
                     cohort = self._timed(tree.sample_cohort, chunk, grow,
@@ -637,30 +634,22 @@ class QuMAv2:
                             if detail is not None:
                                 plan.fire("tree_bitflip", detail=detail)
                     stats.shots_total += 1
-                    mock_view = measurement_unit.mock_view(mock_clamp)
                     if shot_index & 0xF:
-                        template, outcomes = tree.sample_shot(mock_view)
+                        template, outcomes = tree.sample_shot()
                     else:
                         template, outcomes = self._timed(
-                            tree.sample_shot, mock_view, counter=_WALK_COUNTER)
+                            tree.sample_shot, counter=_WALK_COUNTER)
                     if template is None:
                         stats.segment_cache_misses += 1
                         stats.interpreter_shots += 1
-                        trace = self._timed(
-                            self._grow_tree_shot, tree, mock_view.fingerprint,
-                            outcomes, max_instructions,
-                            histogram="engine.replay.growth_shot.time_ns")
+                        trace = grow(outcomes)
                         track_tree()
                         yield trace
                         continue
                     stats.segment_cache_hits += 1
                     if not self._audit_due():
-                        mock_view.commit()
                         item = template, outcomes
                     else:
-                        # The shadow interpreter shot consumes the real mock
-                        # cursors itself — committing the view too would
-                        # double-drain the queues.
                         item = template.with_sampled_results(outcomes)
                         shadow, mismatched, detail = self._timed(
                             self._audit_replay_shot, item, max_instructions,
@@ -686,7 +675,6 @@ class QuMAv2:
                                 stats, plan)
                             return
                     stats.replay_shots += 1
-                    stats.mock_results_replayed += mock_view.consumed
                     yield item
             if stats.replay_shots == 0:
                 # Every shot was a growth shot — e.g. the outcome paths
@@ -828,26 +816,15 @@ class QuMAv2:
     def data_memory_report(self) -> DataMemoryReport:
         """The dataflow pass's verdict on the loaded binary's ``LD``/
         ``ST`` traffic — see
-        :func:`repro.uarch.dataflow.analyze_data_memory`.  The machine
-        supplies the per-instruction measurement-slot table, so the
-        report's ``max_measurements_per_shot`` is exact for loop-free
-        *and* counted-loop binaries.  Reports are retained in a small
-        LRU keyed by the binary words (which, with the machine's fixed
-        operation set, fully determine the analysis), so sweeps that
-        re-:meth:`load` many distinct binaries — or alternate between a
-        few — never recompute the exploded graph for a binary this
-        machine has already analysed."""
+        :func:`repro.uarch.dataflow.analyze_data_memory`.  Reports are
+        retained in a small LRU keyed by the binary words (which, with
+        the machine's fixed operation set, fully determine the
+        analysis), so sweeps that re-:meth:`load` many distinct binaries
+        — or alternate between a few — never recompute the exploded
+        graph for a binary this machine has already analysed."""
         if self._data_memory_report is None:
-            # Measurement micro-operations per instruction execution
-            # (untranslatable slots count zero — such programs are
-            # blocked from replay elsewhere).
-            table = self._slot_micro_ops()
-            slots = [sum(op.is_measurement for slot in instruction.operations
-                         for op in table[slot.name] or ())
-                     if isinstance(instruction, Bundle) else 0
-                     for instruction in self._instructions]
             self._data_memory_report = self._timed(
-                analyze_data_memory, self._instructions, slots,
+                analyze_data_memory, self._instructions,
                 span="machine.dataflow")
             self._dataflow_cache[self._binary_key] = \
                 self._data_memory_report
@@ -873,27 +850,6 @@ class QuMAv2:
                     except Exception:
                         table[slot.name] = None
         return table
-
-    def _mock_fingerprint_clamp(self, report: DataMemoryReport,
-                                max_depth: int) -> int:
-        """Per-qubit clamp for mock-cursor fingerprints (see
-        :meth:`MeasurementUnit.mock_fingerprint`).
-
-        Cursor states whose remaining queue exceeds what one shot can
-        consume are behaviourally identical, so the tighter the bound
-        on per-shot mock consumption, the more cursor states share a
-        tree root.  The dataflow pass bounds per-shot measurements
-        exactly for loop-free binaries (the static slot count) *and*
-        counted loops (trip count x slots per iteration, the loop
-        unrolled by the exploration engine) — usually a handful,
-        collapsing a draining queue of thousands of results onto a few
-        roots.  Only a genuinely unbounded loop falls back to the tree
-        depth cap (paths longer than that are uncacheable anyway).
-        """
-        bound = report.max_measurements_per_shot
-        if bound is None:
-            return max_depth
-        return min(max_depth, bound)
 
     def plant_backend_reasons(self) -> list[str]:
         """Every reason the loaded binary + noise model cannot run on
@@ -1018,7 +974,7 @@ class QuMAv2:
         """
         return self.engine_stats.snapshot()
 
-    def _grow_tree_shot(self, tree: TimelineTree, root_key: tuple,
+    def _grow_tree_shot(self, tree: TimelineTree,
                         outcome_prefix: list[tuple[int, int]],
                         max_instructions: int) -> ShotTrace:
         """One interpreter shot that extends the timeline tree.
@@ -1028,10 +984,8 @@ class QuMAv2:
         interpreter re-derives exactly the missing branch; measurements
         beyond the prefix sample fresh randomness.  The observed
         pre-collapse probabilities — the segment-boundary snapshots —
-        are recorded through the plant's measure observer (mocked
-        measurements, which never touch the plant, through the
-        measurement unit's mock observer) and inserted into the tree
-        under the shot's mock-cursor root.
+        are recorded through the plant's measure observer and inserted
+        into the tree.
         """
         samples: list[MeasurementSample] = []
 
@@ -1040,23 +994,15 @@ class QuMAv2:
                                              start_ns=start_ns,
                                              p_one=p_one))
 
-        def observe_mock(qubit: int, start_ns: float, value: int) -> None:
-            samples.append(MeasurementSample(qubit=qubit,
-                                             start_ns=start_ns,
-                                             p_one=float(value),
-                                             mocked=True))
-
         self.plant.measure_observer = observe
-        self.measurement_unit.mock_observer = observe_mock
         if outcome_prefix:
             self.measurement_unit.force_results(outcome_prefix)
         try:
             trace = self.run_shot(max_instructions)
         finally:
             self.plant.measure_observer = None
-            self.measurement_unit.mock_observer = None
             self.measurement_unit.clear_forced_results()
-        tree.grow(samples, trace, root_key=root_key)
+        tree.grow(samples, trace)
         return trace
 
     def run_counts(self, shots: int, max_instructions: int = 2_000_000,
@@ -1095,14 +1041,17 @@ class QuMAv2:
     def replay_unsupported_reasons(self) -> list[str]:
         """Every reason the loaded program cannot use shot replay
         (empty if it can) — the static hard-blocker analysis of
-        :func:`repro.uarch.replay.replay_unsupported_reasons`, plus one
-        machine-level blocker: when the selected plant backend is the
+        :func:`repro.uarch.replay.replay_unsupported_reasons`, plus two
+        machine-level blockers.  When the selected plant backend is the
         stabilizer tableau *and* the noise model carries stochastic
         Pauli gate error, each shot samples a fresh Pauli trajectory —
         state the outcome-keyed tree cannot key on — so such runs stay
         on the interpreter (which the tableau still accelerates).  With
         zero gate error the tableau is deterministic given the outcome
-        history and both fast paths compound."""
+        history and both fast paths compound.  Queued mock results
+        (CFC verification) are the other: consecutive shots read
+        different fabricated bits, and these short experiments run on
+        the interpreter."""
         kind, _ = self._select_plant_backend()
         return self._replay_blockers(kind, self.data_memory_report())
 
@@ -1115,6 +1064,8 @@ class QuMAv2:
         if kind == "stabilizer" and \
                 not self.plant.noise.gate_error.is_zero:
             reasons.append(_TRAJECTORY_BLOCKER)
+        if self.measurement_unit.has_any_mock_results():
+            reasons.append(_MOCK_BLOCKER)
         return reasons
 
     def frame_batch_unsupported_reasons(self) -> list[str]:
@@ -1154,9 +1105,7 @@ class QuMAv2:
                     f"operation {name!r} executes conditionally (the "
                     f"gate sequence forks on per-shot outcomes)")
         if self.measurement_unit.has_any_mock_results():
-            reasons.append(
-                "injected mock results vary across shots as their "
-                "queues drain")
+            reasons.append(_MOCK_BLOCKER)
         return reasons
 
     def _frame_shots(self, shots: int, max_instructions: int,

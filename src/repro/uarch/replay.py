@@ -40,8 +40,8 @@ children, so the Python cost is per tree node, not per shot.
 ``run_iter`` splices each shot's trace from its terminal
 (:meth:`ShotTrace.with_sampled_results`); ``run_counts`` folds each
 terminal once with its multiplicity (:meth:`ShotCounts.add`).  Runs
-that must stay shot by shot (active mock queues, armed fault plans,
-audits) walk one shot at a time (:meth:`TimelineTree.sample_shot`).
+that must stay shot by shot (armed fault plans, audits) walk one shot
+at a time (:meth:`TimelineTree.sample_shot`).
 No plant state is touched at all — the chain rule over per-node
 conditional probabilities reproduces the interpreter's joint outcome
 distribution exactly, whichever order the draws are made in.
@@ -60,16 +60,11 @@ degrade transparently to interpreter throughput — every shot is then a
 (cheap) failed walk plus one genuine interpreter shot.
 
 **Mocked measurements** (the paper's CFC verification programs the
-UHFQC to fabricate results) replay too.  A mocked measurement is
-deterministic given the per-qubit mock *cursor* at the start of the
-shot, so the tree keeps one root per cursor fingerprint
-(:meth:`repro.uarch.measurement.MeasurementUnit.mock_fingerprint`):
-within a root, every node knows whether its measurement is mocked, a
-walk reads the value the cursor would deliver
-(:class:`~repro.uarch.measurement.MockCursorView`, committed only on a
-complete cached walk so the queues drain exactly as the interpreter
-would drain them), and the readout-error model is bypassed just as the
-real mock path bypasses the analog chain.
+UHFQC to fabricate results) do not replay.  A draining mock queue
+makes consecutive shots observe values the outcome tree does not key
+on, so a run that starts with a queued mock result runs on the
+interpreter; the machine reports it as a replay blocker
+(:meth:`repro.uarch.machine.QuMAv2.replay_unsupported_reasons`).
 
 **Data-memory traffic** rarely blocks replay any more: the static pass
 in :mod:`repro.uarch.dataflow` proves when every ``LD`` either aliases
@@ -222,14 +217,9 @@ class EngineStats:
     tree_nodes: int = 0
     #: Fully captured outcome paths (terminal templates).
     tree_paths: int = 0
-    #: Distinct mock-cursor roots of the tree (1 without mocks).
-    tree_roots: int = 0
     #: True when this run reused a timeline tree saturated by an
     #: earlier ``run()`` over the same binary/noise/config.
     tree_reused: bool = False
-    #: Mock results served from the cursor view on cached walks (the
-    #: queues drain identically to the interpreter's consumption).
-    mock_results_replayed: int = 0
     #: ST instructions the dataflow pass proved dead across shots.
     dead_stores: int = 0
     #: LD instructions proven killed by a dominating same-shot store
@@ -289,7 +279,6 @@ class EngineStats:
         "frame_reference_shots": "engine.frame.reference_shots",
         "segment_cache_hits": "engine.replay.segment_cache.hits",
         "segment_cache_misses": "engine.replay.segment_cache.misses",
-        "mock_results_replayed": "engine.replay.mock_results_replayed",
         "dead_stores": "engine.dataflow.dead_stores",
         "killed_loads": "engine.dataflow.killed_loads",
         "bounded_loops": "engine.dataflow.bounded_loops",
@@ -302,7 +291,6 @@ class EngineStats:
     _GAUGE_NAMES = {
         "tree_nodes": "engine.replay.tree.nodes",
         "tree_paths": "engine.replay.tree.paths",
-        "tree_roots": "engine.replay.tree.roots",
     }
 
     def publish_metrics(self, registry) -> None:
@@ -336,16 +324,13 @@ class MeasurementSample:
     Recorded in chronological plant order: the measured qubit, the
     trigger-time start of the integration window, and the pre-collapse
     ``P(1)`` — the distilled segment-boundary snapshot the tree samples
-    from.  Plant measurements are recorded by the plant's measure
-    observer *before* the collapse; mocked measurements (which never
-    touch the plant) by the measurement unit's mock observer, with
-    ``mocked=True`` and the fabricated bit standing in for ``p_one``.
+    from, recorded by the plant's measure observer *before* the
+    collapse.
     """
 
     qubit: int
     start_ns: float
     p_one: float
-    mocked: bool = False
 
 
 def replay_unsupported_reasons(
@@ -361,12 +346,13 @@ def replay_unsupported_reasons(
     dataflow pass cannot prove shot-local
     (:mod:`repro.uarch.dataflow` — un-killed loads aliasing a store,
     unknown addresses, loops it cannot unroll), and
-    operations the analysis cannot model.  Injected mock results are
-    *not* blockers — their queues are replayed through cursor-keyed
-    tree roots.  All blockers present in the program are
-    reported, not just the first one found.  ``data_memory_report``
-    lets a caller that already ran the dataflow pass (the machine
-    memoises it per binary) avoid recomputing it.
+    operations the analysis cannot model.  The verdict depends on the
+    binary alone; machine state such as queued mock results is added by
+    :meth:`repro.uarch.machine.QuMAv2.replay_unsupported_reasons`.  All
+    blockers present in the program are reported, not just the first
+    one found.  ``data_memory_report`` lets a caller that already ran
+    the dataflow pass (the machine memoises it per binary) avoid
+    recomputing it.
     """
     instructions = list(instructions)
     if not instructions:
@@ -396,7 +382,7 @@ def replay_unsupported_reasons(
 
 
 class ShotCohort:
-    """One chunk of plain-root shots sampled by
+    """One chunk of shots sampled by
     :meth:`TimelineTree.sample_cohort`.
 
     Every cached shot that ended on one terminal has that terminal's
@@ -457,30 +443,28 @@ class _TreeNode:
     """One outcome-history position in the timeline tree.
 
     Internal nodes carry the next measurement (``qubit``/``start_ns``
-    from the timeline; pre-collapse ``p_one`` for plant measurements,
-    ``mocked`` for fabricated ones) and the outcome-keyed children;
-    terminal nodes carry the frozen trace ``template`` of the completed
-    path.  A node inserted by :meth:`TimelineTree.grow` is always fully
-    characterised as one or the other.
+    from the timeline, its pre-collapse ``p_one``) and the
+    outcome-keyed children; terminal nodes carry the frozen trace
+    ``template`` of the completed path.  A node inserted by
+    :meth:`TimelineTree.grow` is always fully characterised as one or
+    the other.
     """
 
-    __slots__ = ("qubit", "start_ns", "p_one", "mocked", "children",
-                 "template")
+    __slots__ = ("qubit", "start_ns", "p_one", "children", "template")
 
     def __init__(self):
         self.qubit = -1                  # -1 until characterised
         self.start_ns = 0.0
         self.p_one = 0.0
-        self.mocked = False
         self.children: dict[tuple[int, int], "_TreeNode"] = {}
         self.template: ShotTrace | None = None
 
 
 def _walkable(node: _TreeNode | None) -> bool:
-    """Whether a walk without a mock cursor view can use ``node``: a
-    terminal, or a characterised internal node that is not mocked."""
-    return node is not None and (node.template is not None or (
-        node.qubit >= 0 and not node.mocked))
+    """Whether a walk can use ``node``: a terminal, or a characterised
+    internal node."""
+    return node is not None and (node.template is not None or
+                                 node.qubit >= 0)
 
 
 class TimelineTree:
@@ -491,10 +475,7 @@ class TimelineTree:
     interpreter shots insert their observed outcome path and trace;
     cached shots are sampled without any plant work, a chunk at a time
     by :meth:`sample_cohort` or one at a time by :meth:`sample_shot`.
-    Programs with injected mock results hold one *root* per mock-cursor
-    fingerprint — within a root the mocked/unmocked pattern along every
-    path is invariant, so mocked nodes read their outcome from the
-    per-shot cursor view instead of sampling.  Growth stops
+    The root is created by the first growth shot.  Growth stops
     (but sampling keeps degrading gracefully to interpreter shots) when
     the caps are hit or when two shots with the same outcome history
     disagree — a determinism violation such as timing driven by a value
@@ -505,7 +486,7 @@ class TimelineTree:
                  max_nodes: int = 8192):
         self._plant = plant
         self._readout = plant.noise.readout
-        self._roots: dict[tuple, _TreeNode] = {}
+        self._root: _TreeNode | None = None
         self._max_depth = max_depth
         self._max_nodes = max_nodes
         self.node_count = 0
@@ -513,77 +494,48 @@ class TimelineTree:
         #: Why the tree stopped growing (None while growth is allowed).
         self.growth_stopped_reason: str | None = None
 
-    @property
-    def max_depth(self) -> int:
-        """Longest cacheable outcome path — also the clamp for mock
-        fingerprints (a path can consume at most this many mocks)."""
-        return self._max_depth
-
-    @property
-    def root_count(self) -> int:
-        """Distinct mock-cursor roots grown so far."""
-        return len(self._roots)
-
-    def _root(self, key: tuple) -> _TreeNode:
-        root = self._roots.get(key)
-        if root is None:
-            root = _TreeNode()
-            self._roots[key] = root
-            self.node_count += 1
-        return root
+    def _child(self, parent: _TreeNode | None,
+               key: tuple[int, int] | None) -> _TreeNode | None:
+        """``parent``'s child on edge ``key``; the root for no parent."""
+        return self._root if parent is None else parent.children.get(key)
 
     # ------------------------------------------------------------------
     # Replay (pure tree walk)
     # ------------------------------------------------------------------
-    def sample_shot(self, mock_view=None) -> tuple[ShotTrace | None,
-                                                   list[tuple[int, int]]]:
+    def sample_shot(self) -> tuple[ShotTrace | None,
+                                   list[tuple[int, int]]]:
         """Sample one shot from the cached tree.
 
-        Walks from the root selected by ``mock_view.fingerprint`` (the
-        plain root when ``mock_view`` is None), drawing each plant
-        measurement's raw outcome from the node's pre-collapse ``P(1)``
-        and its reported outcome from the readout-error model — the
-        same conditional probabilities the interpreter would sample, so
-        the joint distribution is exact.  Mocked nodes instead read the
-        fabricated bit from the cursor view (raw == reported, no
-        readout error — mocks bypass the analog chain).  Returns
-        ``(template, outcomes)`` on a complete cached path — the
-        terminal's frozen trace, *not* spliced, and the sampled
-        ``(raw, reported)`` pairs in result order, which equal
-        ``template.outcome_path()`` (splice them with
-        :meth:`ShotTrace.with_sampled_results`, or fold the template
-        itself with :meth:`ShotCounts.add`) — or ``(None, outcome_prefix)``
-        when an unexplored edge is reached; the caller then runs an
-        interpreter shot with that prefix forced (and, on success,
-        commits the view's mock consumption).
+        Walks from the root, drawing each measurement's raw outcome
+        from the node's pre-collapse ``P(1)`` and its reported outcome
+        from the readout-error model — the same conditional
+        probabilities the interpreter would sample, so the joint
+        distribution is exact.  Returns ``(template, outcomes)`` on a
+        complete cached path — the terminal's frozen trace, *not*
+        spliced, and the sampled ``(raw, reported)`` pairs in result
+        order, which equal ``template.outcome_path()`` (splice them
+        with :meth:`ShotTrace.with_sampled_results`, or fold the
+        template itself with :meth:`ShotCounts.add`) — or ``(None,
+        outcome_prefix)`` when an unexplored edge is reached; the
+        caller then runs an interpreter shot with that prefix forced.
         """
         rng = self._plant.rng
         readout = self._readout
-        key = () if mock_view is None else mock_view.fingerprint
-        node = self._roots.get(key)
+        node = self._root
         outcomes: list[tuple[int, int]] = []
         if node is None:
-            return None, outcomes        # unexplored root: no probe yet
+            return None, outcomes        # no growth shot yet
         while node.template is None:
             if node.qubit < 0:
                 return None, outcomes    # cold node: no probe yet
-            if node.mocked:
-                value = None if mock_view is None else \
-                    mock_view.peek(node.qubit)
-                if value is None:
-                    # The queue state diverged from the fingerprint's
-                    # guarantee (should not happen); miss cleanly.
-                    return None, outcomes
-                raw = reported = value
+            p_one = node.p_one
+            if p_one <= _DETERMINISTIC_EPS:
+                raw = 0
+            elif p_one >= 1.0 - _DETERMINISTIC_EPS:
+                raw = 1
             else:
-                p_one = node.p_one
-                if p_one <= _DETERMINISTIC_EPS:
-                    raw = 0
-                elif p_one >= 1.0 - _DETERMINISTIC_EPS:
-                    raw = 1
-                else:
-                    raw = 1 if rng.random() < p_one else 0
-                reported = readout.apply(raw, rng)
+                raw = 1 if rng.random() < p_one else 0
+            reported = readout.apply(raw, rng)
             outcomes.append((raw, reported))
             child = node.children.get((raw, reported))
             if child is None:
@@ -594,9 +546,9 @@ class TimelineTree:
     def sample_cohort(self, shots: int,
                       grow: Callable[[list[tuple[int, int]]], ShotTrace]
                       ) -> "ShotCohort":
-        """Sample ``shots`` plain-root shots as index cohorts.
+        """Sample ``shots`` shots as index cohorts.
 
-        The whole chunk starts at the plain root; each internal node
+        The whole chunk starts at the root; each internal node
         draws one vectorised Bernoulli against its ``P(1)`` for the
         cohort that reached it (no draw within
         ``_DETERMINISTIC_EPS`` of 0 or 1, as in :meth:`sample_shot`),
@@ -613,24 +565,21 @@ class TimelineTree:
         and inserts its path, and the rest of the cohort continues
         down the grown branch.  While the branch stays missing (growth
         stopped) every further shot of the cohort is a growth shot of
-        its own.  The plain root's subtree never holds a mocked node
-        (shots without active mocks cannot consume one), and a mocked
-        node is treated as unexplored, as :meth:`sample_shot` treats
-        it without a cursor view.
+        its own.
         """
         rng = self._plant.rng
         readout = self._readout
         cohort = ShotCohort(shots)
-        # (dict holding the node, its key, shot indices, outcome prefix)
-        stack = [(self._roots, (), np.arange(shots), [])]
+        # (parent node, edge key, shot indices, outcome prefix)
+        stack = [(None, None, np.arange(shots), [])]
         while stack:
-            siblings, key, indices, prefix = stack.pop()
-            node = siblings.get(key)
+            parent, key, indices, prefix = stack.pop()
+            node = self._child(parent, key)
             grown = 0
             while grown < len(indices) and not _walkable(node):
                 cohort.growth[int(indices[grown])] = grow(prefix)
                 grown += 1
-                node = siblings.get(key)
+                node = self._child(parent, key)
             indices = indices[grown:]
             if not len(indices):
                 continue
@@ -649,8 +598,7 @@ class TimelineTree:
                 branch = indices[codes == code]
                 if len(branch):
                     pair = (code >> 1, code & 1)
-                    stack.append((node.children, pair, branch,
-                                  prefix + [pair]))
+                    stack.append((node, pair, branch, prefix + [pair]))
         return cohort
 
     # ------------------------------------------------------------------
@@ -667,7 +615,7 @@ class TimelineTree:
         the tree has no terminal template yet.
         """
         terminals: list[_TreeNode] = []
-        stack = list(self._roots.values())
+        stack = [] if self._root is None else [self._root]
         while stack:
             node = stack.pop()
             if node.template is not None:
@@ -706,15 +654,13 @@ class TimelineTree:
     # Growth (insert an interpreter shot's observed path)
     # ------------------------------------------------------------------
     def grow(self, samples: list[MeasurementSample],
-             trace: ShotTrace, root_key: tuple = ()) -> bool:
+             trace: ShotTrace) -> bool:
         """Insert one interpreter shot's outcome path into the tree.
 
         ``samples`` are the chronological segment-boundary observations
-        of the shot (plant and mocked); ``trace`` is its full
-        interpreter trace; ``root_key`` is the mock-cursor fingerprint
-        the shot started from.  Returns False (and permanently stops
-        growth on determinism violations) when the path cannot be
-        cached; the shot itself is still valid.
+        of the shot; ``trace`` is its full interpreter trace.  Returns
+        False (and permanently stops growth on determinism violations)
+        when the path cannot be cached; the shot itself is still valid.
         """
         if self.growth_stopped_reason is not None:
             return False
@@ -725,7 +671,10 @@ class TimelineTree:
             return False
         try:
             self._check_pairing(samples, trace)
-            self._insert(self._root(root_key), samples, trace)
+            if self._root is None:
+                self._root = _TreeNode()
+                self.node_count += 1
+            self._insert(self._root, samples, trace)
         except ReplayError as error:
             self.growth_stopped_reason = str(error)
             return False
@@ -762,20 +711,15 @@ class TimelineTree:
             if node.qubit < 0:
                 node.qubit = sample.qubit
                 node.start_ns = sample.start_ns
-                node.mocked = sample.mocked
-                if not sample.mocked:
-                    node.p_one = sample.p_one
+                node.p_one = sample.p_one
             elif (node.qubit != sample.qubit or
-                    abs(node.start_ns - sample.start_ns) > 1e-9 or
-                    node.mocked != sample.mocked):
+                    abs(node.start_ns - sample.start_ns) > 1e-9):
                 raise ReplayError(
                     "determinism violation: same outcome history, "
                     "different next measurement (qubit "
-                    f"{node.qubit}{' mocked' if node.mocked else ''} at "
-                    f"{node.start_ns} ns vs qubit {sample.qubit}"
-                    f"{' mocked' if sample.mocked else ''} at "
-                    f"{sample.start_ns} ns) — timing depends on state "
-                    "outside the outcome history")
+                    f"{node.qubit} at {node.start_ns} ns vs qubit "
+                    f"{sample.qubit} at {sample.start_ns} ns) — timing "
+                    "depends on state outside the outcome history")
             key = (record.raw_result, record.reported_result)
             child = node.children.get(key)
             if child is None:

@@ -3,7 +3,9 @@
 Prints the differential-fuzz engine-selection mix in the terminal
 summary (it survives ``-q`` output capture), so the nightly 500-seed
 CI job's log shows at a glance whether programs that should replay
-quietly regressed onto the interpreter.
+quietly regressed onto the interpreter.  Cases with a mock plan count
+in their own "interpreter (mock results)" bucket, apart from the
+static blockers.
 """
 
 import sys

@@ -3,12 +3,11 @@
 The timeline-segment tree must be *observationally equivalent* to the
 interpreter on feedback programs: along every outcome path the
 timing-domain records are bit-identical, and the sampled outcome
-distributions are statistically indistinguishable.  Mock-result
-programs replay through cursor-keyed tree roots and dead stores are
+distributions are statistically indistinguishable.  Dead stores are
 whitelisted by the dataflow pass; the remaining hard blockers (live
-``ST`` stores, untranslatable operations) must report *all* their
-reasons and fall back transparently; non-saturating outcome spaces
-must degrade gracefully to interpreter shots.
+``ST`` stores, untranslatable operations, queued mock results) must
+report *all* their reasons and fall back transparently; non-saturating
+outcome spaces must degrade gracefully to interpreter shots.
 """
 
 import numpy as np
@@ -19,12 +18,15 @@ from repro.core import Assembler, seven_qubit_instantiation, \
 from repro.experiments.cfc import CFC_TWO_ROUND_PROGRAM as CFC_TWO_ROUND
 from repro.experiments.reset import FIG4_PROGRAM as ACTIVE_RESET
 from repro.quantum import NoiseModel, QuantumPlant
+from repro.quantum.noise import DecoherenceModel, GateErrorModel
 from repro.uarch import (
     MeasurementSample,
     QuMAv2,
     ShotTrace,
     TimelineTree,
+    replay_unsupported_reasons,
 )
+from repro.uarch.machine import _MOCK_BLOCKER as MOCK_BLOCKER
 
 
 def make_machine(isa=None, noise=None, seed=0):
@@ -282,8 +284,8 @@ class TestHardBlockerReporting:
 
     def test_all_blocking_reasons_reported(self):
         """A program with several blockers reports every one of them,
-        not just the first — and injected mocks add none (they replay
-        through cursor-keyed roots now)."""
+        not just the first — including queued mock results, which the
+        machine adds to the binary's own blockers."""
         machine = make_machine()
         load(machine, """
         SMIS S2, {2}
@@ -298,17 +300,21 @@ class TestHardBlockerReporting:
         """)
         machine.measurement_unit.inject_mock_results(2, [1, 0])
         reasons = machine.replay_unsupported_reasons()
-        assert len(reasons) == 2
+        assert len(reasons) == 3
         assert any("unknown" in reason for reason in reasons)
         assert any("live" in reason for reason in reasons)
-        assert not any("mock" in reason for reason in reasons)
+        assert reasons[-1] == MOCK_BLOCKER
+        # The module-level analysis judges the binary alone.
+        assert replay_unsupported_reasons(
+            machine.instruction_memory(), machine.microcode) == reasons[:2]
         machine.run(1)
-        assert "unknown" in machine.replay_fallback_reason
-        assert "live" in machine.replay_fallback_reason
+        assert machine.replay_fallback_reason == "; ".join(reasons)
 
     def test_dead_store_and_mocks_combined_replay(self):
-        """The two former hard blockers together — a host-readout
-        store plus an injected mock queue — now both ride replay."""
+        """A host-readout store plus an injected mock queue: the mock
+        queue alone sends the run to the interpreter, which drains it
+        in order; the dead store never blocks, so the next run of the
+        same binary replays."""
         machine = make_machine(seed=6)
         load(machine, """
         SMIS S2, {2}
@@ -322,11 +328,41 @@ class TestHardBlockerReporting:
         STOP
         """)
         machine.measurement_unit.inject_mock_results(2, [1, 0, 1, 0])
-        assert machine.replay_unsupported_reasons() == []
+        assert machine.replay_unsupported_reasons() == [MOCK_BLOCKER]
         traces = machine.run(4)
-        assert machine.last_run_engine == "replay"
+        assert machine.last_run_engine == "interpreter"
+        assert machine.replay_fallback_reason == MOCK_BLOCKER
         assert [t.last_result(2) for t in traces] == [1, 0, 1, 0]
+        assert machine.replay_unsupported_reasons() == []
+        machine.run(4)
+        assert machine.last_run_engine == "replay"
         assert machine.engine_stats.dead_stores == 1
+
+
+    def test_mock_queue_is_one_frame_blocker(self):
+        """A feedback-free Clifford program under Pauli gate noise is
+        frame-eligible; a queued mock result is then its only frame
+        blocker, named once, and the run goes to the interpreter."""
+        noise = NoiseModel(
+            decoherence=DecoherenceModel(t1_ns=1e15, t2_ns=1e15),
+            gate_error=GateErrorModel(single_qubit_error=0.03,
+                                      two_qubit_error=0.05))
+        machine = make_machine(noise=noise, seed=3)
+        load(machine, """
+        SMIS S2, {2}
+        QWAIT 10000
+        X90 S2
+        MEASZ S2
+        QWAIT 50
+        STOP
+        """)
+        assert machine.frame_batch_unsupported_reasons() == []
+        machine.measurement_unit.inject_mock_results(2, [1, 0])
+        assert machine.frame_batch_unsupported_reasons() == [MOCK_BLOCKER]
+        traces = machine.run(2)
+        assert machine.last_run_engine == "interpreter"
+        assert machine.replay_fallback_reason.count(MOCK_BLOCKER) == 1
+        assert [t.last_result(2) for t in traces] == [1, 0]
 
 
 class TestForcedResults:
@@ -370,46 +406,21 @@ class TestStatsSurfacing:
         assert stats.shots_total == 200
         assert stats.replay_shots > stats.interpreter_shots
 
-    def test_cfc_verification_rides_replay(self):
-        """Mock-result CFC verification is no longer a fallback: the
-        program measures once per shot, so the upcoming-value window
-        is a single bit and the whole alternating queue maps onto two
-        roots; after one growth shot per mock value the rounds are
-        pure tree walks."""
+    def test_cfc_verification_runs_on_the_interpreter(self):
+        """Mock-result CFC verification is a short experiment whose
+        draining queue the outcome tree cannot key on: every round runs
+        on the interpreter, with the mock queue as the recorded reason,
+        and the output still alternates X/Y."""
         from repro.experiments.cfc import run_cfc_verification
         result = run_cfc_verification(rounds=8)
         assert result.alternates
+        assert len(result.applied_operations) == 8
         stats = result.engine_stats
-        assert stats.engine == "replay"
-        assert stats.fallback_reason is None
-        assert stats.shots_total == 8
-        assert stats.tree_roots == 2         # one per mock value
-        assert stats.interpreter_shots == 2  # one growth shot per root
-        assert stats.replay_shots == 6
-        assert stats.mock_results_replayed == 6
-
-    def test_mock_cfc_long_queue_shares_clamped_root(self):
-        """A long alternating mock queue (the throughput scenario):
-        cursor states with >= max_depth results remaining share one
-        clamped root, so most shots are pure tree walks — and the
-        queue still drains in exact order (the X/Y alternation holds
-        across cached and growth shots alike)."""
-        from repro.experiments.cfc import FIG5_PROGRAM
-        machine = make_machine(seed=9)
-        rounds = 200
-        machine.measurement_unit.inject_mock_results(
-            2, [i % 2 for i in range(rounds)])
-        load(machine, FIG5_PROGRAM)
-        applied = []
-        for trace in machine.run_iter(rounds):
-            applied.extend(r.name for r in trace.triggers
-                           if r.qubits == (0,) and r.executed)
-        assert machine.last_run_engine == "replay"
-        assert applied == ["X", "Y"] * (rounds // 2)
-        stats = machine.engine_stats
-        assert stats.replay_shots > stats.interpreter_shots
-        assert stats.mock_results_replayed == stats.replay_shots
-        assert not machine.measurement_unit.has_mock_results(2)
+        assert stats.engine == "interpreter"
+        assert stats.fallback_reason == MOCK_BLOCKER
+        assert stats.shots_total == stats.interpreter_shots == 8
+        assert stats.replay_shots == 0
+        assert stats.tree_nodes == 0
 
     def test_surface_code_reports_replay_stats(self):
         from repro.experiments.surface_code import (

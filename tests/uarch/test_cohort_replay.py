@@ -1,4 +1,4 @@
-"""Cohort replay: a chunk of plain-root shots walks the tree as index
+"""Cohort replay: a chunk of shots walks the tree as index
 cohorts (``TimelineTree.sample_cohort``).
 
 The cohort draws every node's outcomes for all of its shots at once,
@@ -7,8 +7,8 @@ samples from the same conditional probabilities.  These tests pin that
 exactness against the path probabilities computed from the tree
 itself, the invariant the multiplicity fold relies on (a terminal's
 edge keys are its template's own outcomes), and that the runs which
-must stay shot by shot — active mock queues, armed fault plans and
-audits — still walk once per shot.
+must stay shot by shot — armed fault plans and audits — still walk
+once per shot.
 """
 
 import numpy as np
@@ -53,10 +53,9 @@ def edge_probability(node, raw, reported, readout) -> float:
 
 def path_probabilities(tree, readout):
     """Exact probability of every terminal template and of every
-    unexplored edge (keyed by its outcome prefix) under the plain
-    root."""
+    unexplored edge (keyed by its outcome prefix)."""
     terminals, missing = {}, {}
-    stack = [(tree._roots[()], (), 1.0)]
+    stack = [(tree._root, (), 1.0)]
     while stack:
         node, prefix, probability = stack.pop()
         if node.template is not None:
@@ -141,9 +140,9 @@ def test_cohort_grows_one_representative_per_unexplored_edge():
 
 
 def terminal_paths(tree):
-    """(edge keys from the root, terminal template) of every terminal
-    under every root."""
-    stack = [(root, ()) for root in tree._roots.values()]
+    """(edge keys from the root, terminal template) of every
+    terminal."""
+    stack = [(tree._root, ())]
     while stack:
         node, path = stack.pop()
         if node.template is not None:
@@ -162,14 +161,20 @@ def test_terminal_edge_keys_are_the_template_outcomes_active_reset():
 
 
 def test_terminal_edge_keys_are_the_template_outcomes_mock_cfc():
+    """Fig. 5 after its mock queue drained: the mocked run is served by
+    the interpreter and grows no tree; the next run replays both CFC
+    branches on real outcomes (a readout flip reports 1)."""
     machine = make_machine(FIG5_PROGRAM, seed=34)
     machine.measurement_unit.inject_mock_results(
         2, [i % 2 for i in range(200)])
-    machine.run_counts(300)       # drains the queue, then plain shots
+    machine.run_counts(200)
+    assert machine.engine_stats.engine == "interpreter"
+    assert not machine._tree_cache
+    machine.run_counts(300)
+    assert machine.engine_stats.engine == "replay"
     tree = cached_tree(machine)
-    assert tree.root_count >= 3
     paths = list(terminal_paths(tree))
-    assert any(template.results and template.results[0].raw_result
+    assert any(template.results and template.results[0].reported_result
                for _, template in paths)
     for path, template in paths:
         assert path == template.outcome_path()
@@ -196,11 +201,6 @@ class CountingWalks:
         monkeypatch.setattr(TimelineTree, "sample_cohort", counted_cohort)
 
 
-def mocked(machine):
-    machine.measurement_unit.inject_mock_results(
-        2, [i % 2 for i in range(1000)])
-
-
 def planned(machine):
     machine.arm_faults(FaultPlan([FaultSpec("tree_bitflip",
                                             shot=10**6)]))
@@ -210,11 +210,10 @@ def audited(machine):
     machine.audit_fraction = 0.1
 
 
-@pytest.mark.parametrize("arm", [mocked, planned, audited],
-                         ids=["mocks", "fault-plan", "audits"])
+@pytest.mark.parametrize("arm", [planned, audited],
+                         ids=["fault-plan", "audits"])
 def test_per_shot_runs_walk_once_per_shot(monkeypatch, arm):
-    text = FIG5_PROGRAM if arm is mocked else ACTIVE_RESET
-    machine = make_machine(text, seed=35)
+    machine = make_machine(ACTIVE_RESET, seed=35)
     arm(machine)
     walks = CountingWalks(monkeypatch)
     shots = 300

@@ -186,6 +186,14 @@ class TestMeasurementUnit:
         with pytest.raises(ConfigurationError):
             unit.inject_mock_results(0, [2])
 
+    def test_mock_rejects_off_chip_qubit(self):
+        """A queue for a qubit the chip lacks would never drain (and
+        would keep every later run off the fast engines)."""
+        unit, _ = self.make_unit()
+        with pytest.raises(ConfigurationError, match="not on chip"):
+            unit.inject_mock_results(99, [1, 0])
+        assert not unit.has_any_mock_results()
+
     def test_clear_mock_results(self):
         unit, _ = self.make_unit()
         unit.inject_mock_results(0, [1, 1])

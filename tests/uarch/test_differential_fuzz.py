@@ -5,8 +5,8 @@ for any program the static analysis admits, the branch-resolved engine
 must emit (a) bit-identical timing-domain records along every outcome
 path and (b) the same joint outcome distribution as the cycle-accurate
 interpreter.  Hand-picked experiments cannot cover the interaction
-space — mock cursors x forced growth prefixes x dead stores x FMR
-stalls x conditional micro-ops — so this harness generates seeded
+space — forced growth prefixes x dead stores x FMR stalls x
+conditional micro-ops x mock queues — so this harness generates seeded
 random eQASM programs mixing all of it, runs each on both engines and
 cross-checks:
 
@@ -16,7 +16,10 @@ cross-checks:
 * per-path timing-bit identity on every outcome path both engines
   produced (there must be at least one);
 * chi-squared agreement of the joint final-outcome histograms;
-* identical mock-queue draining (cursor bookkeeping cannot skew);
+* for a case with a mock plan: the replay-side run goes to the
+  interpreter with the mock reason, both engines drain the queue
+  identically, and the same program *without* mocks then passes every
+  check above, so those seeds still exercise replay;
 * counts-path agreement — ``run_counts`` on a same-seeded twin of the
   replay-side (and, for the Pauli-frame shape, the frame-side) machine
   equals that run's traces folded one by one, with identical
@@ -45,6 +48,7 @@ from repro.experiments.runner import ExperimentSetup, RetryPolicy
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
 from repro.uarch import FAULT_SITES, FaultPlan, FaultSpec, QuMAv2, ShotCounts
+from repro.uarch.machine import _MOCK_BLOCKER
 
 DEFAULT_SEED_COUNT = 25
 SEED_COUNT = int(os.environ.get("EQASM_FUZZ_SEEDS", DEFAULT_SEED_COUNT))
@@ -189,12 +193,14 @@ def generate_case(seed: int) -> tuple[str, list[int], bool]:
 def run_engine(text: str, mock_plan: list[int], seed: int,
                use_replay: bool, noise: NoiseModel | None = None,
                counts: bool = False):
-    """Run one program on one engine; returns (machine, traces|None).
+    """Run one program on one engine; returns (machine, reasons,
+    traces|None).
 
-    ``traces`` is None when the run raised a timing violation — the
-    differential property is then that *both* engines raise it.  With
-    ``counts`` the run is ``run_counts`` and its ``ShotCounts`` stands
-    in for the traces.
+    ``reasons`` are the machine's replay blockers, read *before* the
+    run (a mock queue drains during it).  ``traces`` is None when the
+    run raised a timing violation — the differential property is then
+    that *both* engines raise it.  With ``counts`` the run is
+    ``run_counts`` and its ``ShotCounts`` stands in for the traces.
     """
     isa = two_qubit_instantiation()
     plant = QuantumPlant(isa.topology,
@@ -205,12 +211,13 @@ def run_engine(text: str, mock_plan: list[int], seed: int,
     if mock_plan:
         machine.measurement_unit.inject_mock_results(2, mock_plan)
     machine.load(Assembler(isa).assemble_text(text))
+    reasons = machine.replay_unsupported_reasons()
     run = machine.run_counts if counts else machine.run
     try:
         traces = run(SHOTS, use_replay=use_replay)
     except TimingViolationError:
-        return machine, None
-    return machine, traces
+        return machine, reasons, None
+    return machine, reasons, traces
 
 
 def assert_counts_fold_traces(twin, counts, machine, traces):
@@ -268,30 +275,29 @@ def assert_distributions_agree(interp_hist, replay_hist):
         f"engines statistically distinguishable (p={p_value})"
 
 
-@pytest.mark.parametrize("seed", range(SEED_COUNT))
-def test_interpreter_and_replay_are_equivalent(seed):
-    text, mock_plan, clifford_only = generate_case(seed)
-    noise = clifford_only_noise() if clifford_only else NoiseModel()
-    interpreter, interp_traces = run_engine(text, mock_plan,
-                                            seed=10_000 + seed,
-                                            use_replay=False,
-                                            noise=noise)
-    replay, replay_traces = run_engine(text, mock_plan,
-                                       seed=20_000 + seed,
-                                       use_replay=True,
-                                       noise=noise)
-
-    twin, twin_counts = run_engine(text, mock_plan, seed=20_000 + seed,
-                                   use_replay=True, noise=noise,
-                                   counts=True)
+def check_engines_agree(text: str, mock_plan: list[int], seed: int,
+                        noise: NoiseModel, clifford_only: bool) -> str:
+    """Run one case on the interpreter, on the replay-side machine and
+    on its ``run_counts`` twin, assert every cross-check and return the
+    case's :data:`ENGINE_MIX` bucket."""
+    interpreter, _, interp_traces = run_engine(text, mock_plan,
+                                               seed=10_000 + seed,
+                                               use_replay=False,
+                                               noise=noise)
+    replay, reasons, replay_traces = run_engine(text, mock_plan,
+                                                seed=20_000 + seed,
+                                                use_replay=True,
+                                                noise=noise)
+    twin, _, twin_counts = run_engine(text, mock_plan, seed=20_000 + seed,
+                                      use_replay=True, noise=noise,
+                                      counts=True)
 
     # Engine agreement on timing violations.
     assert (interp_traces is None) == (replay_traces is None), \
         "one engine raised a timing violation, the other did not"
     assert (twin_counts is None) == (replay_traces is None)
     if interp_traces is None:
-        ENGINE_MIX["timing-violation"] += 1
-        return
+        return "timing-violation"
     assert_counts_fold_traces(twin, twin_counts, replay, replay_traces)
 
     # Plant-backend selection must agree across engines and match the
@@ -300,28 +306,37 @@ def test_interpreter_and_replay_are_equivalent(seed):
     expected_backend = "stabilizer" if clifford_only else "dense"
     assert interpreter.last_plant_backend == expected_backend
     assert replay.last_plant_backend == expected_backend
-    BACKEND_MIX[expected_backend] += 1
 
     assert interpreter.last_run_engine == "interpreter"
-    reasons = replay.replay_unsupported_reasons()
-    if reasons:
+    stats = replay.engine_stats
+    if mock_plan:
+        # Queued mocks block both fast engines: the replay-side run is
+        # a faithful interpreter run that drains the queue exactly as
+        # the interpreter does.
+        route = "interpreter (mock results)"
+        assert _MOCK_BLOCKER in reasons
+        assert replay.last_run_engine == "interpreter"
+        assert replay.replay_fallback_reason == "; ".join(reasons)
+        assert stats.interpreter_shots == SHOTS
+        assert (interpreter.measurement_unit.remaining_mock_results(2) ==
+                replay.measurement_unit.remaining_mock_results(2))
+    elif reasons:
         # Static blockers (live loads): transparent fallback, and the
         # run must still be a faithful interpreter run.
-        ENGINE_MIX["interpreter (static blocker)"] += 1
+        route = "interpreter (static blocker)"
         assert replay.last_run_engine == "interpreter"
         assert replay.replay_fallback_reason == "; ".join(reasons)
     else:
-        stats = replay.engine_stats
         assert stats.shots_total == SHOTS
         assert stats.interpreter_shots + stats.replay_shots == SHOTS
         if stats.replay_shots == 0:
             # 100%-growth runs report the honest split (the tree never
             # served a cached path, e.g. every path exceeds the caps).
-            ENGINE_MIX["interpreter (all growth)"] += 1
+            route = "interpreter (all growth)"
             assert replay.last_run_engine == "interpreter"
             assert "growth" in replay.replay_fallback_reason
         else:
-            ENGINE_MIX["replay"] += 1
+            route = "replay"
             assert replay.last_run_engine == "replay"
 
     # Per-path timing-bit identity on every shared outcome path.
@@ -340,11 +355,22 @@ def test_interpreter_and_replay_are_equivalent(seed):
     # Joint outcome distributions must be indistinguishable.
     assert_distributions_agree(joint_histogram(interp_traces),
                                joint_histogram(replay_traces))
+    return route
 
-    # Mock queues must drain identically (cursor bookkeeping).
+
+@pytest.mark.parametrize("seed", range(SEED_COUNT))
+def test_interpreter_and_replay_are_equivalent(seed):
+    text, mock_plan, clifford_only = generate_case(seed)
+    noise = clifford_only_noise() if clifford_only else NoiseModel()
+    route = check_engines_agree(text, mock_plan, seed, noise,
+                                clifford_only)
+    ENGINE_MIX[route] += 1
+    if route != "timing-violation":
+        BACKEND_MIX["stabilizer" if clifford_only else "dense"] += 1
     if mock_plan:
-        assert (interpreter.measurement_unit.remaining_mock_results(2) ==
-                replay.measurement_unit.remaining_mock_results(2))
+        # The mocked run never reached replay; the same program without
+        # mocks must pass the full equivalence.
+        check_engines_agree(text, [], seed, noise, clifford_only)
 
 
 def pauli_gate_noise() -> NoiseModel:
@@ -502,8 +528,9 @@ def reachable_chaos_sites(machine, mock_plan) -> list[str]:
 
     Every generated program runs gates, measurements and timing points
     on each shot, so the first three sites are always reachable.  A
-    tree bit-flip needs a replay tree (a replay-eligible program), and
-    a mock-queue wipe needs injected mock results."""
+    tree bit-flip needs a replay tree (a replay-eligible program with
+    no queued mock results), and a mock-queue wipe needs injected mock
+    results."""
     sites = ["backend_gate", "measurement_stall", "timing_overflow"]
     if not machine.replay_unsupported_reasons():
         sites.append("tree_bitflip")

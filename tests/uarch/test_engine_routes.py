@@ -155,36 +155,38 @@ def route_all_growth(count=QuMAv2.run_counts):
 #: were merged.  The warm-replay counts digest was re-pinned when the
 #: plain replay run moved to cohort walks, whose draws are node-major;
 #: the exactness of that order is pinned statistically in
-#: tests/uarch/test_cohort_replay.py.
+#: tests/uarch/test_cohort_replay.py.  The stats digests were re-pinned
+#: when ``EngineStats`` dropped ``tree_roots`` and
+#: ``mock_results_replayed`` (no run's draws changed).
 ROUTES = {
     "static-blocker": (
         route_static_blocker, "interpreter",
         "99b5ed961746ac202ae56a1bb7f78510375b8c06b0e0040304985a24867cfde4",
-        "207ed671b75320638ca3b1cf75def542a7ac34134478af10e70dcf62b339fe44"),
+        "e7e808078ea5320e61a4ad3933436cc52e60013994d56ca2c638e53684121d0a"),
     "replay-disabled": (
         route_replay_disabled, "interpreter",
         "84c7e5a42ad5b6b11e53b06a1fe98dd3fdc9d98f032b888750d500bcaa89a98b",
-        "423257897cb29f2bd16b44313623fd5ef897e0409186425551a5a50e8b6e2c0c"),
+        "c62f61b70d93fef8278581f80d687ec39f6fe00bd833ff0209d06d34d968d314"),
     "warm-replay": (
         route_warm_replay, "replay",
         "cbdc96b04a470991d86e25258896834830c21141bae41387c487e9b8f54b5d11",
-        "906c6b03d0eb77e85268a4b7f4f7baa0b3e8b2800d9a560a8dd2113aee9f0102"),
+        "815cc4c26369c08c773f6da7a702dd5f0bbc0b246b742d302cca7733f085b082"),
     "frame-batch": (
         route_frame_batch, "frame",
         "92b6050f4b7760cc53e79f89f43076348ddeb03429a0b5e1460439429ec37a5e",
-        "bc17cc1f3e2073fd8eafca7ce27a9b5d6138c070ba13f57483ad4ea29615cab3"),
+        "f056b970df08d3610c1d9bc789ce177986632a233167df08c2ad78bed444aba4"),
     "frame-reference-fault": (
         route_frame_reference_fault, "interpreter",
         "d9f3dcb227ae397ac7aaeb1e65a0422a2fe64bfd3178f3fa4a0698d46bfffdab",
-        "e485696409888a1f1342ed5988f8c3555fc6e4e7fa2b7a97b203008eeda12a41"),
+        "27d1bae201693e1caf732e7a0ee4cb117111deaeded8b99da261acd063345583"),
     "audit-divergence": (
         route_audit_divergence, "replay",
         "d13325cb1e7f72cd7813f1c8cc78adf4084cca95d87cf19825a1f8b4e40d894d",
-        "b4c90d1ec531cffea7b3f2a7d52598f3154549dc26dd1b48be7f31a800fac19c"),
+        "47ccff5779c50950685d07f683f95507481c93c129661b69f9c1f46ad538245b"),
     "all-growth": (
         route_all_growth, "interpreter",
         "202c51821aec9b8b1532dbc102df7a2c964d9c467cf010c11ba4e9213c0006b8",
-        "7b34ae3c5ddd958be826115e1bfab56bf9fab9902512aa9b271186515590310b"),
+        "9bcd6f4a5749b3f5c8f2a3b2718c2516b03509aa11fe01f207b88ae6dcf842ee"),
 }
 
 

@@ -30,11 +30,7 @@ from repro.core.errors import (
     RuntimeFault,
     ShotTimeoutError,
 )
-from repro.experiments.cfc import (
-    CFC_SCRATCH_PROGRAM,
-    CFC_TWO_ROUND_PROGRAM,
-    FIG5_PROGRAM,
-)
+from repro.experiments.cfc import CFC_SCRATCH_PROGRAM, CFC_TWO_ROUND_PROGRAM
 from repro.experiments.runner import ExperimentSetup, RetryPolicy
 from repro.experiments.surface_code import looped_surface_code_program
 from repro.quantum import NoiseModel, QuantumPlant
@@ -382,14 +378,6 @@ def readout_only_noise():
 AUDIT_SHOTS = 100
 
 
-def mock_cfc_machine(audit_fraction):
-    machine = make_machine(FIG5_PROGRAM, seed=13,
-                           audit_fraction=audit_fraction)
-    machine.measurement_unit.inject_mock_results(
-        2, [i % 2 for i in range(AUDIT_SHOTS)])
-    return machine
-
-
 def rotated_surface_machine(distance, rounds, audit_fraction):
     setup = ExperimentSetup.create(
         isa=rotated_surface_instantiation(distance),
@@ -411,7 +399,6 @@ REPLAY_SCENARIOS = {
                      "dense", 1),
     "cfc": (lambda f: make_machine(CFC_TWO_ROUND_PROGRAM, seed=13,
                                    audit_fraction=f), "dense", 1),
-    "mock_cfc": (mock_cfc_machine, "dense", 1),
     "dead_store_sweep": (lambda f: make_machine(DEAD_STORE, seed=13,
                                                 audit_fraction=f),
                          "dense", 2),
@@ -485,9 +472,11 @@ class TestReplayAudit:
         machine.measurement_unit.inject_mock_results(
             2, [1, 0] * 20)
         machine.run(10)
-        # 2 measurements per shot, 10 shots: exactly 20 consumed
-        # whether a shot replayed (view commit) or was shadow-run
-        # (natural consumption) — never double-drained.
+        # Queued mocks send the audited run to the interpreter: 2
+        # measurements per shot, 10 shots, exactly 20 consumed — the
+        # audit never shadow-runs a shot and never double-drains.
+        assert machine.engine_stats.engine == "interpreter"
+        assert machine.engine_stats.replay_audits == 0
         assert machine.measurement_unit.remaining_mock_results(2) == 20
 
     def test_invalid_fraction_rejected(self):

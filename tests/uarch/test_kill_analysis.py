@@ -5,11 +5,10 @@ shot-local exactly when a same-shot store to the same address
 dominates it on *every* path — per occurrence, so unrolled loop
 iterations are judged individually; (b) unroll backward branches whose
 trip count the constant lattice resolves, keeping loop-carried
-addresses exact and bounding per-shot measurements; (c) degrade to the
+addresses exact; (c) degrade to the
 joined fixpoint (never hang, never mis-prove) when a loop cannot be
 unrolled.  The machine-integration half pins what this buys: counted
-loops and spill/reload programs ride the replay engine end to end, the
-mock-fingerprint clamp uses the true per-shot measurement bound, and
+loops and spill/reload programs ride the replay engine end to end, and
 ``EngineStats`` surfaces ``killed_loads``/``bounded_loops``.
 """
 
@@ -266,8 +265,8 @@ class TestTripCountResolution:
 
     def test_unbounded_loop_is_distinguished_from_counted(self):
         """A backward branch on an FMR result has no static trip
-        count: it is reported as unbounded (and poisons the
-        measurement bound), while the analysis still terminates."""
+        count: it is reported as unbounded, while the analysis still
+        terminates."""
         machine, report = machine_report("""
         SMIS S2, {2}
         LDI R0, 1
@@ -284,12 +283,10 @@ class TestTripCountResolution:
         assert report.analysis_mode == "exploration"
         assert report.bounded_loop_count == 0
         assert len(report.unbounded_loop_pcs) == 1
-        assert report.max_measurements_per_shot is None
 
     def test_counted_measurement_loop_has_exact_bound(self):
-        """trip count x slots per iteration: the machine supplies the
-        per-instruction slot table, so a 4-round loop measuring one
-        qubit bounds at 4."""
+        """A 4-round loop measuring one qubit resolves its trip count:
+        one bounded loop, none unbounded."""
         machine, report = machine_report("""
         SMIS S2, {2}
         LDI R0, 4
@@ -306,10 +303,11 @@ class TestTripCountResolution:
         STOP
         """)
         assert report.bounded_loop_count == 1
-        assert report.max_measurements_per_shot == 4
-        assert machine._mock_fingerprint_clamp(report, 64) == 4
+        assert report.unbounded_loop_pcs == ()
 
     def test_loop_free_bound_matches_slot_count(self):
+        """A loop-free binary measuring twice: the exploration reports
+        no loop, bounded or unbounded."""
         machine, report = machine_report("""
         SMIS S2, {2}
         X90 S2
@@ -319,7 +317,9 @@ class TestTripCountResolution:
         QWAIT 50
         STOP
         """)
-        assert report.max_measurements_per_shot == 2
+        assert report.analysis_mode == "exploration"
+        assert report.bounded_loop_count == 0
+        assert report.unbounded_loop_pcs == ()
 
     def test_over_budget_loop_falls_back_to_joined_mode(self):
         """A trip count too large to unroll: the joined fixpoint takes
@@ -395,8 +395,8 @@ class TestTripCountResolution:
 
     def test_cycle_through_the_entry_leaves_the_bound_unknown(self):
         """Regression: a loop whose backward edge targets pc 0 (the
-        exploded graph's entry) is still a cycle — the measurement
-        bound must come back None, not a finite longest path."""
+        exploded graph's entry) is still a cycle, so the loop is
+        unbounded."""
         machine, report = machine_report("""
         loop:
         SMIS S2, {2}
@@ -404,8 +404,6 @@ class TestTripCountResolution:
         QWAIT 50
         BR ALWAYS, loop
         """)
-        assert report.max_measurements_per_shot is None
-        assert machine._mock_fingerprint_clamp(report, 64) == 64
         # Regression: the branch resolves (ALWAYS) on every visit, but
         # it never exits — it must not be counted as a bounded loop.
         assert report.bounded_loop_count == 0
@@ -483,7 +481,6 @@ class TestTripCountResolution:
         report = analyze_data_memory(store_only)
         assert report.replay_safe
         assert report.analysis_mode == "unresolved-labels"
-        assert report.max_measurements_per_shot is None
 
         load_only = [Ldi(rd=1, imm=64), Ld(rd=2, rt=1, imm=0),
                      Br(condition=ComparisonFlag.NEVER, target="x"),
@@ -593,26 +590,6 @@ class TestMachineIntegration:
         assert stats.tree_reused
         assert stats.interpreter_shots == 0
 
-    def test_counted_loop_mock_queue_shares_bounded_roots(self):
-        """The true per-shot measurement bound (4) clamps the mock
-        fingerprint: a long draining queue maps onto value windows of
-        length 4 instead of the 64-deep depth-cap windows, so the
-        alternating pattern collapses onto two roots."""
-        machine = make_machine(seed=7)
-        machine.load(Assembler(machine.isa).assemble_text(
-            self.COUNTED_LOOP))
-        machine.measurement_unit.inject_mock_results(
-            2, [i % 2 for i in range(400)])
-        traces = machine.run(100)  # 4 mocks consumed per shot
-        stats = machine.engine_stats
-        assert machine.last_run_engine == "replay"
-        assert stats.tree_roots <= 2
-        assert stats.replay_shots > stats.interpreter_shots
-        assert not machine.measurement_unit.has_mock_results(2)
-        for trace in traces:
-            assert [r.reported_result for r in trace.results] == \
-                [0, 1, 0, 1]
-
     def test_engine_stats_surface_the_new_counters(self):
         machine = make_machine(seed=4)
         machine.load(Assembler(machine.isa).assemble_text(
@@ -623,49 +600,3 @@ class TestMachineIntegration:
         assert as_dict["bounded_loops"] == 0
         assert as_dict["dead_stores"] == 1
 
-
-class TestMockViewEpochCache:
-    def test_fingerprint_is_reused_while_the_queue_is_untouched(self):
-        machine = make_machine()
-        unit = machine.measurement_unit
-        unit.inject_mock_results(2, [1, 0, 1])
-        first = unit.mock_view(clamp=2)
-        second = unit.mock_view(clamp=2)
-        assert second.fingerprint is first.fingerprint  # cached tuple
-
-    def test_consumption_invalidates_the_cached_fingerprint(self):
-        machine = make_machine()
-        unit = machine.measurement_unit
-        unit.inject_mock_results(2, [1, 0, 1])
-        first = unit.mock_view(clamp=2)
-        assert first.peek(2) == 1
-        first.commit()                      # cursor moved: epoch bump
-        second = unit.mock_view(clamp=2)
-        assert second.fingerprint == ((2, (0, 1)),)
-        assert second.fingerprint != first.fingerprint
-
-    def test_no_mock_views_share_the_empty_singleton(self):
-        machine = make_machine()
-        unit = machine.measurement_unit
-        view_a = unit.mock_view(clamp=4)
-        view_b = unit.mock_view(clamp=4)
-        assert view_a is view_b
-        assert view_a.fingerprint == ()
-
-    def test_injection_after_empty_views_is_visible(self):
-        machine = make_machine()
-        unit = machine.measurement_unit
-        assert unit.mock_view(clamp=2).fingerprint == ()
-        unit.inject_mock_results(2, [1])
-        assert unit.mock_view(clamp=2).fingerprint == ((2, (1,)),)
-
-    def test_uncommitted_walk_does_not_poison_the_next_view(self):
-        """A cache-missing walk peeks but never commits: the next
-        shot's view must start from untouched offsets."""
-        machine = make_machine()
-        unit = machine.measurement_unit
-        unit.inject_mock_results(2, [1, 0])
-        view = unit.mock_view(clamp=2)
-        assert view.peek(2) == 1            # walk missed; no commit
-        fresh = unit.mock_view(clamp=2)
-        assert fresh.peek(2) == 1           # offsets start over

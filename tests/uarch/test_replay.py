@@ -174,9 +174,9 @@ class TestReplayEquivalence:
 
 
 class TestReplayFallback:
-    """Hard blockers (live stores, untranslatable operations) must run
-    on the full interpreter; feedback programs (conditional execution,
-    CFC), mocked programs and dead-store programs take the
+    """Hard blockers (live stores, untranslatable operations, queued
+    mock results) must run on the full interpreter; feedback programs
+    (conditional execution, CFC) and dead-store programs take the
     branch-resolved replay path."""
 
     @pytest.mark.parametrize("text", [ACTIVE_RESET, CFC_FMR],
@@ -254,18 +254,20 @@ class TestReplayFallback:
         assert machine.engine_stats.replay_shots > 0
 
     def test_mock_results_replay_and_drain_in_order(self):
-        """Injected mock results no longer block replay: the draining
-        queue keys the timeline tree's roots, and the reported sequence
-        is exactly the injected one."""
+        """A run that starts with queued mock results runs on the
+        interpreter, reports exactly the injected sequence and drains
+        the queue; once it is drained the program replays again."""
         machine = make_machine(seed=2)
         load(machine, RABI)
         machine.measurement_unit.inject_mock_results(2, [1, 0, 1])
         traces = machine.run(3)
-        assert machine.last_run_engine == "replay"
-        assert machine.replay_fallback_reason is None
-        # The mock queue must drain exactly as the interpreter would.
+        assert machine.last_run_engine == "interpreter"
+        assert "mock results" in machine.replay_fallback_reason
         assert [trace.last_result(2) for trace in traces] == [1, 0, 1]
         assert not machine.measurement_unit.has_mock_results(2)
+        machine.run(3)
+        assert machine.last_run_engine == "replay"
+        assert machine.replay_fallback_reason is None
 
     def test_use_replay_false_forces_interpreter(self):
         machine = make_machine(seed=1)

@@ -143,36 +143,6 @@ class TestCrossRunTreeReuse:
         assert fresh is not report
         assert fresh.cross_run_cacheable == report.cross_run_cacheable
 
-    def test_mock_reinjection_lands_on_the_cached_roots(self):
-        """Roots key on the upcoming mock-value window, not cursor
-        position: a later injection re-using values already seen lands
-        back on the grown roots, so a mock sweep re-injecting per
-        run() pays growth only once — and the drained sequence stays
-        exact."""
-        machine = make_machine(seed=5)
-        load(machine, """
-        SMIS S2, {2}
-        QWAIT 10000
-        X90 S2
-        MEASZ S2
-        QWAIT 50
-        STOP
-        """)
-        machine.measurement_unit.inject_mock_results(2, [1, 0])
-        first = machine.run(2)
-        assert [t.last_result(2) for t in first] == [1, 0]
-        roots_after_first = machine.engine_stats.tree_roots
-        assert machine.engine_stats.interpreter_shots == 2
-
-        machine.measurement_unit.inject_mock_results(2, [0, 1])
-        second = machine.run(2)
-        assert [t.last_result(2) for t in second] == [0, 1]
-        stats = machine.engine_stats
-        assert stats.tree_reused
-        assert stats.tree_roots == roots_after_first  # same value windows
-        assert stats.interpreter_shots == 0           # pure replay now
-        assert stats.mock_results_replayed == 2
-
     def test_load_bearing_program_is_never_cached_across_runs(self):
         """Data memory is the host communication channel: a program
         whose LD steers control flow must re-grow its tree every run(),
