@@ -3,9 +3,9 @@ bundle for Config 9 at w = 2, 3, 4.
 
 Paper values: RB 1.795 / 2.296 / 3.144, IM 1.485 / 1.622 / 1.623,
 SR 1.118 / 1.147 / 1.147.  The reproduction's RB runs denser (our
-seven per-qubit Clifford streams stay cycle-aligned; see
-EXPERIMENTS.md), so the assertions check the orderings the paper
-derives from these numbers, not the absolute values:
+seven per-qubit Clifford streams stay cycle-aligned), so the assertions
+check the orderings the paper derives from these numbers, not the
+absolute values:
 
 * density grows with parallelism: RB > IM > SR at every width;
 * SR's density is nearly flat in w ("with the existence of SOMQ,

@@ -200,7 +200,7 @@ class ServiceStats:
         return copy
 
     def as_dict(self) -> dict:
-        """JSON-ready summary (used by the service benchmark)."""
+        """JSON-ready summary of the counters and point latencies."""
         payload = {name: getattr(self, name)
                    for name, _ in self._METRIC_NAMES}
         latency = self.point_latency

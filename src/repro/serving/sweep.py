@@ -9,9 +9,9 @@ defined here:
 **Per-point purity.**  :func:`execute_point` makes a point's
 :class:`~repro.uarch.trace.ShotCounts` a pure function of
 ``(spec, point.seed)``: the plant RNG is re-seeded from the point's
-deterministic seed, the machine's derived caches (cross-run replay
-trees *and* dataflow reports) are dropped, and data memory — the host
-channel that deliberately persists across runs — is reset.  A point
+deterministic seed, the machine's derived per-binary state (its
+replay tree *and* static verdicts) is dropped, and data memory — the
+host channel that deliberately persists across runs — is reset.  A point
 therefore produces bit-identical counts no matter which worker runs
 it, how many times it is retried after a crash, or in what order the
 sweep is sharded.  Everything above (journal resume, shard re-dispatch
@@ -228,8 +228,9 @@ def execute_point(setup: ExperimentSetup, spec: SweepSpec,
 
     Resets every piece of machine state that could couple this point
     to earlier ones — the plant RNG (re-seeded from the point's
-    deterministic seed), the cross-run replay-tree and dataflow-report
-    caches, and data memory — then compiles, loads, and streams the
+    deterministic seed), the replay tree and static verdicts the
+    machine derived from its loaded binary, and data memory — then
+    compiles, loads, and streams the
     point's shots.  Replay still accelerates *within* the point (the
     timeline tree grows over its shots); only cross-point reuse is
     sacrificed, because a warm tree changes how much plant randomness

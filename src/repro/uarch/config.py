@@ -6,7 +6,8 @@ and everything else at 100 MHz (10 ns cycle); the UHFQC link is a 32-bit
 digital interface at 50 MHz.  The latency constants below model those
 paths; they are calibrated once so the two measured feedback latencies
 of Section 5 (~92 ns fast conditional, ~316 ns CFC) emerge from the
-simulated pipelines, and are documented in EXPERIMENTS.md.
+simulated pipelines (``benchmarks/bench_feedback_latency.py`` checks
+both).
 
 ``late_policy`` selects what the timing controller does when the
 reserve phase falls behind the timeline (the quantum-operation

@@ -57,8 +57,8 @@ only the loads that can genuinely observe another shot's (or the
 host's) memory: an un-killed load aliasing a program store, or
 unknown addresses on either side of a potential alias.  A load that
 aliases *no* store still reads host memory, but the value is constant
-within a run, so it replays; such binaries are merely excluded from
-the cross-``run()`` tree cache (:attr:`DataMemoryReport.
+within a run, so it replays; such binaries merely never keep their
+tree across ``run()`` calls (:attr:`DataMemoryReport.
 cross_run_cacheable`) because the host may rewrite the address
 between runs.
 

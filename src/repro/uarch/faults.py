@@ -25,8 +25,8 @@ Injection sites
     instantiation's depth in context).
 ``tree_bitflip``
     A terminal node of the replay timeline tree is corrupted in place;
-    the self-verifying audit detects the divergence, evicts the tree
-    from both caches, and degrades the run.
+    the self-verifying audit detects the divergence, drops the tree,
+    and degrades the run.
 ``mock_exhaust``
     The measurement unit's mock-result queues are cleared mid-run
     (the UHFQC's fabricated-result program dying); subsequent

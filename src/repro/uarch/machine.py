@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import OrderedDict
 from contextlib import closing
 from typing import Callable, Iterator
 
@@ -114,9 +113,6 @@ from repro.uarch.trace import (
     TriggerRecord,
 )
 
-#: Bound on retained cross-run timeline trees (LRU eviction).
-_TREE_CACHE_CAPACITY = 16
-
 #: Shots per vectorised chunk of the fast engines — one Pauli-frame
 #: propagation batch, or one cohort walk of the replay tree: large
 #: enough to amortise the per-step numpy dispatch, small enough that
@@ -127,11 +123,6 @@ _TREE_CACHE_CAPACITY = 16
 #: index once per chunk; a replay cohort counts each shot as it is
 #: delivered.
 _CHUNK_SHOTS = 16384
-
-#: Bound on retained dataflow analyses (LRU keyed by binary words), so
-#: sweeps that reload many distinct binaries into one machine stop
-#: recomputing the exploded graph per load().
-_DATAFLOW_CACHE_CAPACITY = 64
 
 #: Cached tree walks are timed into this counter pair (``.time_ns`` +
 #: ``.timed_shots``, whose ratio is the mean per-shot walk cost): a
@@ -150,6 +141,10 @@ _TRAJECTORY_BLOCKER = ("stochastic Pauli gate noise on the stabilizer "
                        "outcome history)")
 _MOCK_BLOCKER = ("injected mock results vary across shots as their "
                  "queues drain")
+
+#: The policies ``plant_backend=`` accepts (see
+#: :meth:`QuMAv2._select_plant_backend`).
+_PLANT_BACKEND_POLICIES = ("auto", "dense", "stabilizer")
 
 
 #: Deterministic-domain events are heap tuples ``(time_ns, priority,
@@ -194,15 +189,20 @@ class QuMAv2:
             raise ConfigurationError(
                 f"audit_fraction must lie in [0, 1], "
                 f"got {audit_fraction!r}")
+        if plant_backend not in _PLANT_BACKEND_POLICIES:
+            raise ConfigurationError(
+                f"unknown plant backend policy {plant_backend!r} "
+                f"(use 'auto', 'dense' or 'stabilizer')")
         self.isa = isa
         self.plant = plant
-        self.config = config or UarchConfig()
         self.microcode = MicrocodeUnit(isa.operations)
         self.quantum_pipeline = QuantumPipeline(isa, self.microcode)
         self.distributor = DeviceEventDistributor(isa.topology)
         self.pulses = PulseLibrary(isa.operations)
+        config = config or UarchConfig()
         self.measurement_unit = MeasurementUnit(
-            plant, self.config, isa.measurement_cycles)
+            plant, config, isa.measurement_cycles)
+        self.config = config
         self.gprs = GPRFile(isa.num_gprs)
         self.comparison_flags = ComparisonFlags()
         self.memory = DataMemory()
@@ -219,26 +219,14 @@ class QuMAv2:
         #: shots per engine, segment-cache hits/misses); replaced by
         #: each run_iter().  The engine/backend labels below read it.
         self.engine_stats = EngineStats()
-        #: Cross-run replay cache: saturated timeline trees keyed by
-        #: (binary words, noise model, config) so repeated sweeps over
-        #: one binary skip re-growing the tree per run() call.  The
-        #: frozen noise/config dataclasses key by value, which is what
-        #: invalidates a reused tree when either is swapped out.
-        self._tree_cache: OrderedDict[tuple, TimelineTree] = OrderedDict()
-        self._binary_key: tuple[int, ...] = ()
-        # Per-binary static analyses, memoised in small LRUs keyed by
-        # the binary words (the machine's microcode/operation set is
-        # fixed, so the words fully determine both results) — sweeps
-        # that reload many distinct binaries skip recomputation.
-        self._data_memory_report: DataMemoryReport | None = None
-        self._dataflow_cache: OrderedDict[tuple, DataMemoryReport] = \
-            OrderedDict()
-        self._plant_backend_reasons: list[str] | None = None
+        # The words of the loaded binary; the state derived from them
+        # (see _forget_binary) lives only while they stay loaded.
+        self._words: tuple[int, ...] = ()
+        self._forget_binary()
         #: Fraction of cache-hit replay shots shadow-run on the
         #: interpreter and compared bit-for-bit (self-verifying
-        #: replay); 0.0 disables auditing.  Divergence evicts the
-        #: tree from both caches and degrades the run — see
-        #: :meth:`run_iter`.
+        #: replay); 0.0 disables auditing.  Divergence drops the
+        #: tree and degrades the run — see :meth:`run_iter`.
         self.audit_fraction = audit_fraction
         self._audit_credit = 0.0
         #: Armed :class:`~repro.uarch.faults.FaultPlan` (None in
@@ -254,6 +242,18 @@ class QuMAv2:
         #: below is a single ``is not None`` branch when disabled.
         self.observability = observability
         self._reset_shot_state()
+
+    @property
+    def config(self) -> UarchConfig:
+        """The clock/latency/queue parameters.  Assigning a new config
+        also hands it to the measurement unit (result transport and
+        integration window)."""
+        return self._config
+
+    @config.setter
+    def config(self, config: UarchConfig) -> None:
+        self._config = config
+        self.measurement_unit.config = config
 
     @property
     def observability(self):
@@ -308,26 +308,32 @@ class QuMAv2:
         words (of the instantiation's ``instruction_width`` — 32-bit
         for the paper's chips, 64-bit for surface-17); words are
         decoded through the instantiation's decoder, so the machine
-        genuinely runs the binary encoding.
+        genuinely runs the binary encoding.  Reloading the same words
+        keeps what the machine derived from them (static verdicts and
+        the replay tree); different words drop it.
         """
-        if isinstance(program, AssembledProgram):
-            words = program.words
-        else:
-            words = list(program)
+        words = tuple(program.words if isinstance(program, AssembledProgram)
+                      else program)
         decode = InstructionDecoder(self.isa).decode
         self._instructions = self._timed(list, map(decode, words),
                                          span="machine.load",
                                          instructions=len(words))
         self.quantum_pipeline.clear_decode_cache()
         self.distributor.clear_route_cache()
-        self._binary_key = tuple(words)
-        self._data_memory_report = self._dataflow_cache.get(
-            self._binary_key)
-        if self._data_memory_report is not None:
-            self._dataflow_cache.move_to_end(self._binary_key)
-        self._plant_backend_reasons = None
-        if self._obs is not None and self._data_memory_report is not None:
-            self._obs.metrics.inc("machine.dataflow_cache.hits")
+        if words != self._words:
+            self._words = words
+            self._forget_binary()
+
+    def _forget_binary(self) -> None:
+        """Drop everything derived from the loaded binary: its static
+        verdicts, computed once per binary on first use, and the one
+        reusable timeline tree with the (noise, config, backend kind)
+        it was grown under."""
+        self._data_memory_report: DataMemoryReport | None = None
+        self._replay_reasons: list[str] | None = None
+        self._operation_reasons: tuple[list[str], list[str]] | None = None
+        self._tree: TimelineTree | None = None
+        self._tree_key: tuple | None = None
 
     # ------------------------------------------------------------------
     # Shot state
@@ -537,8 +543,8 @@ class QuMAv2:
         ``stats`` themselves; an interpreter run is labelled here, with
         every blocker as its reason.
 
-        The dataflow report is read once and feeds the replay blockers,
-        the replay engine's stats and tree cacheability.
+        The dataflow report is read once and feeds the replay engine's
+        stats and tree cacheability.
         Stochastic Pauli gate noise blocks the outcome-keyed replay
         tree, but when it is the *only* blocker a feedback-free Clifford
         program rides the Pauli-frame batch (one reference tableau shot
@@ -550,7 +556,7 @@ class QuMAv2:
             reasons = ["replay disabled by caller"]
         else:
             report = self.data_memory_report()
-            reasons = self._replay_blockers(kind, report)
+            reasons = self._replay_blockers(kind)
             if reasons == [_TRAJECTORY_BLOCKER] and \
                     not self._frame_blockers():
                 return self._frame_shots(shots, max_instructions, stats,
@@ -690,8 +696,7 @@ class QuMAv2:
             if plan is not None and plan.fired_this_run:
                 # A fault that fired during this run may have stopped
                 # tree growth early or corrupted cached state; never
-                # let the tree leak into later runs through the
-                # cross-run cache.
+                # let the tree leak into later runs.
                 self._evict_tree(tree)
 
     def _timed(self, call, *args, span: str | None = None,
@@ -786,17 +791,10 @@ class QuMAv2:
             if mismatched else "")
 
     def _evict_tree(self, tree: TimelineTree) -> None:
-        """Drop one tree from the cross-run cache (identity match).
-
-        The in-run reference is the caller's to abandon; this makes
-        sure no later ``run()`` resurrects the same object through the
-        keyed cache."""
-        for key in [key for key, value in self._tree_cache.items()
-                    if value is tree]:
-            del self._tree_cache[key]
-            if self._obs is not None:
-                self._obs.metrics.inc(
-                    "engine.replay.tree_cache.evictions")
+        """Stop reusing ``tree`` in later runs (the in-run reference is
+        the caller's to abandon)."""
+        if self._tree is tree:
+            self._tree = None
 
     def _sync_faults(self, stats: EngineStats,
                      plan: FaultPlan | None) -> None:
@@ -816,40 +814,55 @@ class QuMAv2:
     def data_memory_report(self) -> DataMemoryReport:
         """The dataflow pass's verdict on the loaded binary's ``LD``/
         ``ST`` traffic — see
-        :func:`repro.uarch.dataflow.analyze_data_memory`.  Reports are
-        retained in a small LRU keyed by the binary words (which, with
-        the machine's fixed operation set, fully determine the
-        analysis), so sweeps that re-:meth:`load` many distinct binaries
-        — or alternate between a few — never recompute the exploded
-        graph for a binary this machine has already analysed."""
+        :func:`repro.uarch.dataflow.analyze_data_memory`, computed
+        once per loaded binary."""
         if self._data_memory_report is None:
             self._data_memory_report = self._timed(
                 analyze_data_memory, self._instructions,
                 span="machine.dataflow")
-            self._dataflow_cache[self._binary_key] = \
-                self._data_memory_report
-            while len(self._dataflow_cache) > _DATAFLOW_CACHE_CAPACITY:
-                self._dataflow_cache.popitem(last=False)
-            if self._obs is not None:
-                self._obs.metrics.inc("machine.dataflow_cache.misses")
         return self._data_memory_report
 
-    def _slot_micro_ops(self) -> dict[str, list | None]:
-        """Each distinct operation name in the loaded binary's bundles,
-        in program order, mapped to its micro-operations (None when the
-        microcode cannot translate it)."""
-        table: dict[str, list | None] = {}
-        for instruction in self._instructions:
-            if not isinstance(instruction, Bundle):
-                continue
-            for slot in instruction.operations:
-                if slot.name not in table:
-                    try:
-                        table[slot.name] = self.microcode.translate_name(
-                            slot.name)
-                    except Exception:
-                        table[slot.name] = None
-        return table
+    def _binary_operation_reasons(self) -> tuple[list[str], list[str]]:
+        """The loaded binary's halves of the tableau and frame verdicts
+        (:meth:`plant_backend_reasons`, :meth:`_frame_blockers`), from
+        one pass over the distinct operation names of its bundles in
+        program order; computed once per binary."""
+        if self._operation_reasons is None:
+            instructions = self._instructions
+            tableau = [] if instructions else ["no program loaded"]
+            frame = []
+            if any(isinstance(instruction, Fmr)
+                   for instruction in instructions):
+                frame.append(
+                    "FMR feedback can fork the Clifford sequence on "
+                    "per-shot outcomes")
+            names = dict.fromkeys(
+                slot.name for instruction in instructions
+                if isinstance(instruction, Bundle)
+                for slot in instruction.operations)
+            for name in names:
+                try:
+                    micro_ops = self.microcode.translate_name(name)
+                except Exception:
+                    tableau.append(f"operation {name!r} is not translatable")
+                    continue
+                if any(micro_op.condition is not ExecutionFlag.ALWAYS
+                       for micro_op in micro_ops):
+                    frame.append(
+                        f"operation {name!r} executes conditionally (the "
+                        f"gate sequence forks on per-shot outcomes)")
+                for micro_op in micro_ops:
+                    if micro_op.is_measurement:
+                        continue
+                    unitary = self.isa.operations.get(
+                        micro_op.operation).unitary
+                    if unitary is not None and \
+                            cached_clifford_action(unitary) is None:
+                        tableau.append(f"operation {micro_op.operation!r} "
+                                       f"is not Clifford")
+                        break
+            self._operation_reasons = tableau, frame
+        return self._operation_reasons
 
     def plant_backend_reasons(self) -> list[str]:
         """Every reason the loaded binary + noise model cannot run on
@@ -862,30 +875,11 @@ class QuMAv2:
         the symplectic action from the configured matrix, so any
         user-registered Clifford pulse qualifies) and (b) the noise
         model is Pauli/readout-only (idle T1/T2 decoherence is not a
-        Pauli channel).  The binary-derived verdict is memoised until
-        the next :meth:`load`; the noise verdict is re-read per call so
-        a swapped ``plant.noise`` is honoured immediately.
+        Pauli channel).  The binary-derived verdict is computed once
+        per loaded binary; the noise verdict is re-read per call so a
+        swapped ``plant.noise`` is honoured immediately.
         """
-        if self._plant_backend_reasons is None:
-            reasons: list[str] = []
-            if not self._instructions:
-                reasons.append("no program loaded")
-            for name, micro_ops in self._slot_micro_ops().items():
-                if micro_ops is None:
-                    reasons.append(f"operation {name!r} is not translatable")
-                    continue
-                for micro_op in micro_ops:
-                    if micro_op.is_measurement:
-                        continue
-                    operation = self.isa.operations.get(micro_op.operation)
-                    if operation.unitary is None:
-                        continue
-                    if cached_clifford_action(operation.unitary) is None:
-                        reasons.append(f"operation {micro_op.operation!r} "
-                                       f"is not Clifford")
-                        break
-            self._plant_backend_reasons = reasons
-        reasons = list(self._plant_backend_reasons)
+        reasons = list(self._binary_operation_reasons()[0])
         if not self.plant.noise.is_pauli_plus_readout:
             reasons.append(
                 "noise model has non-Pauli idle decoherence (T1/T2)")
@@ -897,6 +891,8 @@ class QuMAv2:
         "auto" picks the tableau whenever the static pass admits it;
         pinning a backend skips the pass (a pinned tableau on a
         non-Clifford program fails at the offending gate, by design).
+        The constructor rejects an unknown policy; this check catches
+        one assigned to :attr:`plant_backend_policy` later.
         """
         policy = self.plant_backend_policy
         if policy == "dense":
@@ -913,9 +909,11 @@ class QuMAv2:
         return "stabilizer", None
 
     def _replay_tree(self, cacheable: bool) -> tuple[TimelineTree, bool]:
-        """The timeline tree for the loaded binary: reused from the
-        keyed cross-run cache when the (binary, noise, config) key
-        matches an earlier ``run``, freshly grown otherwise.
+        """The timeline tree for the loaded binary: the one an earlier
+        ``run`` grew when the noise model, config and plant backend
+        kind are unchanged since, a fresh one otherwise.  The frozen
+        noise/config dataclasses compare by value, so swapping either
+        out regrows the tree.
 
         ``cacheable`` must be False for binaries with a reachable
         ``LD`` that is *not* killed by a same-shot store: data memory
@@ -929,41 +927,26 @@ class QuMAv2:
         """
         if not cacheable:
             return TimelineTree(self.plant), False
-        key = (self._binary_key, self.plant.noise, self.config,
-               self.plant.backend_kind)
-        tree = self._tree_cache.get(key)
-        obs = self._obs
-        if tree is not None:
-            self._tree_cache.move_to_end(key)
-            if obs is not None:
-                obs.metrics.inc("engine.replay.tree_cache.hits")
-            return tree, True
-        if obs is not None:
-            obs.metrics.inc("engine.replay.tree_cache.misses")
-        tree = TimelineTree(self.plant)
-        self._tree_cache[key] = tree
-        while len(self._tree_cache) > _TREE_CACHE_CAPACITY:
-            self._tree_cache.popitem(last=False)
-            if obs is not None:
-                obs.metrics.inc("engine.replay.tree_cache.evictions")
-        return tree, False
+        key = (self.plant.noise, self.config, self.plant.backend_kind)
+        if self._tree is not None and self._tree_key == key:
+            return self._tree, True
+        self._tree, self._tree_key = TimelineTree(self.plant), key
+        return self._tree, False
 
     def clear_replay_cache(self) -> None:
-        """Drop every cached cross-run timeline tree *and* the
-        per-machine dataflow-report LRU.
+        """Drop the reusable timeline tree *and* every static verdict
+        derived from the loaded binary.
 
-        Key-based invalidation is automatic (the caches key by binary
-        words plus the frozen noise/config dataclasses); this is the
-        explicit hatch for callers that mutate state the keys cannot
-        see — e.g. re-seeding experiments that must re-grow trees, or
-        the serving layer's per-point cold-start contract.  The
-        dataflow reports are a pure static analysis of the binary, but
-        the hatch's contract is *no derived state survives*: the
-        currently loaded binary re-analyzes on its next use too.
+        Loading different words already drops both, and swapping the
+        noise model, config or plant backend regrows the tree; this is
+        the explicit hatch for callers that mutate state the machine
+        cannot see — e.g. re-seeding experiments that must re-grow
+        trees, or the serving layer's per-point cold-start contract.
+        The static verdicts depend on the binary alone, but the
+        hatch's contract is *no derived state survives*: the loaded
+        binary re-analyzes on its next use too.
         """
-        self._tree_cache.clear()
-        self._dataflow_cache.clear()
-        self._data_memory_report = None
+        self._forget_binary()
 
     def engine_stats_snapshot(self) -> EngineStats:
         """A point-in-time copy of the live per-run statistics.
@@ -1053,14 +1036,22 @@ class QuMAv2:
         different fabricated bits, and these short experiments run on
         the interpreter."""
         kind, _ = self._select_plant_backend()
-        return self._replay_blockers(kind, self.data_memory_report())
+        return self._replay_blockers(kind)
 
-    def _replay_blockers(self, kind: str,
-                         report: DataMemoryReport) -> list[str]:
+    def _binary_replay_reasons(self) -> list[str]:
+        """The binary's own replay blockers (the module-level
+        :func:`~repro.uarch.replay.replay_unsupported_reasons`),
+        computed once per loaded binary."""
+        if self._replay_reasons is None:
+            self._replay_reasons = replay_unsupported_reasons(
+                self._instructions, self.microcode,
+                data_memory_report=self.data_memory_report())
+        return self._replay_reasons
+
+    def _replay_blockers(self, kind: str) -> list[str]:
         """:meth:`replay_unsupported_reasons` for an already selected
-        backend ``kind`` and dataflow ``report``."""
-        reasons = replay_unsupported_reasons(
-            self._instructions, self.microcode, data_memory_report=report)
+        backend ``kind``."""
+        reasons = list(self._binary_replay_reasons())
         if kind == "stabilizer" and \
                 not self.plant.noise.gate_error.is_zero:
             reasons.append(_TRAJECTORY_BLOCKER)
@@ -1083,27 +1074,13 @@ class QuMAv2:
         stabilizer backend with nonzero Pauli gate error — the one
         regime replay cannot serve.
         """
-        return replay_unsupported_reasons(
-            self._instructions, self.microcode,
-            data_memory_report=self.data_memory_report()) + \
-            self._frame_blockers()
+        return self._binary_replay_reasons() + self._frame_blockers()
 
     def _frame_blockers(self) -> list[str]:
         """The frame engine's own blockers (FMR, conditional
         micro-operations, mock results) — see
         :meth:`frame_batch_unsupported_reasons`."""
-        reasons: list[str] = []
-        if any(isinstance(instruction, Fmr)
-               for instruction in self._instructions):
-            reasons.append(
-                "FMR feedback can fork the Clifford sequence on "
-                "per-shot outcomes")
-        for name, micro_ops in self._slot_micro_ops().items():
-            if any(micro_op.condition is not ExecutionFlag.ALWAYS
-                   for micro_op in micro_ops or ()):
-                reasons.append(
-                    f"operation {name!r} executes conditionally (the "
-                    f"gate sequence forks on per-shot outcomes)")
+        reasons = list(self._binary_operation_reasons()[1])
         if self.measurement_unit.has_any_mock_results():
             reasons.append(_MOCK_BLOCKER)
         return reasons

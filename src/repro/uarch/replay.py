@@ -89,27 +89,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.core.instructions import (
-    ArithOp,
-    Br,
-    Bundle,
-    Cmp,
-    Fbr,
-    Fmr,
-    Instruction,
-    Ld,
-    Ldi,
-    Ldui,
-    LogicalOp,
-    Nop,
-    Not,
-    QWait,
-    QWaitR,
-    SMIS,
-    SMIT,
-    St,
-    Stop,
-)
+from repro.core.instructions import Bundle, Instruction
 from repro.core.microcode import MicrocodeUnit
 from repro.quantum.plant import QuantumPlant
 from repro.uarch.dataflow import analyze_data_memory
@@ -120,15 +100,6 @@ from repro.uarch.trace import ShotCounts, ShotTrace
 #: be asked to collapse the plant onto a (numerically) impossible
 #: outcome.
 _DETERMINISTIC_EPS = 1e-12
-
-#: Instructions the branch-resolved engine can replay.  ``FMR`` and
-#: conditional micro-operations are *replayable* now — their behaviour
-#: is deterministic given the outcome history, which is exactly what
-#: the tree keys on.  ``St`` is handled separately: the dataflow pass
-#: whitelists provably dead stores.
-_REPLAYABLE_CLASSICAL = (Nop, Stop, Cmp, Br, Fbr, Fmr, Ldi, Ldui, Ld,
-                         LogicalOp, Not, ArithOp, QWait, QWaitR,
-                         SMIS, SMIT, St)
 
 
 class ReplayError(Exception):
@@ -141,8 +112,8 @@ class ReplayAudit:
 
     Recorded on :attr:`EngineStats.last_audit` when a shadow
     interpreter run disagreed with a cached tree walk: the cached tree
-    was evicted (in-run and from the cross-run LRU) and the run
-    degraded to the interpreter.
+    was dropped (for the rest of the run and for later runs) and the
+    run degraded to the interpreter.
     """
 
     shot_index: int
@@ -250,7 +221,7 @@ class EngineStats:
     faults_injected: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        """JSON-ready summary (used by the benchmarks)."""
+        """JSON-ready summary of every field."""
         return asdict(self)
 
     def snapshot(self) -> "EngineStats":
@@ -346,12 +317,12 @@ def replay_unsupported_reasons(
     dataflow pass cannot prove shot-local
     (:mod:`repro.uarch.dataflow` — un-killed loads aliasing a store,
     unknown addresses, loops it cannot unroll), and
-    operations the analysis cannot model.  The verdict depends on the
+    operations the microcode cannot translate.  The verdict depends on the
     binary alone; machine state such as queued mock results is added by
     :meth:`repro.uarch.machine.QuMAv2.replay_unsupported_reasons`.  All
     blockers present in the program are reported, not just the first
     one found.  ``data_memory_report`` lets a caller that already ran
-    the dataflow pass (the machine memoises it per binary) avoid
+    the dataflow pass (the machine keeps it per loaded binary) avoid
     recomputing it.
     """
     instructions = list(instructions)
@@ -360,24 +331,13 @@ def replay_unsupported_reasons(
     if data_memory_report is None:
         data_memory_report = analyze_data_memory(instructions)
     reasons: list[str] = list(data_memory_report.live_reasons)
-    untranslatable: list[str] = []
-    unsupported: list[str] = []
-    for instruction in instructions:
-        if isinstance(instruction, Bundle):
-            for slot in instruction.operations:
-                try:
-                    microcode.translate_name(slot.name)
-                except Exception:
-                    if slot.name not in untranslatable:
-                        untranslatable.append(slot.name)
-        elif not isinstance(instruction, _REPLAYABLE_CLASSICAL):
-            name = type(instruction).__name__
-            if name not in unsupported:
-                unsupported.append(name)
-    for name in untranslatable:
-        reasons.append(f"operation {name!r} is not translatable")
-    for name in unsupported:
-        reasons.append(f"unsupported instruction {name}")
+    for name in dict.fromkeys(slot.name for instruction in instructions
+                              if isinstance(instruction, Bundle)
+                              for slot in instruction.operations):
+        try:
+            microcode.translate_name(name)
+        except Exception:
+            reasons.append(f"operation {name!r} is not translatable")
     return reasons
 
 
@@ -471,7 +431,8 @@ class TimelineTree:
     """The branch-resolved timeline-segment cache for one binary.
 
     Built lazily by the machine during :meth:`QuMAv2.run_iter` calls
-    (and reused across calls through the machine's keyed replay cache):
+    (and reused by later calls while the binary, noise model, config
+    and plant backend stay unchanged):
     interpreter shots insert their observed outcome path and trace;
     cached shots are sampled without any plant work, a chunk at a time
     by :meth:`sample_cohort` or one at a time by :meth:`sample_shot`.

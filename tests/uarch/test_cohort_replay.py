@@ -33,8 +33,8 @@ def make_machine(text, seed, noise=None):
 
 
 def cached_tree(machine) -> TimelineTree:
-    (tree,) = machine._tree_cache.values()
-    return tree
+    assert machine._tree is not None
+    return machine._tree
 
 
 def edge_probability(node, raw, reported, readout) -> float:
@@ -169,7 +169,7 @@ def test_terminal_edge_keys_are_the_template_outcomes_mock_cfc():
         2, [i % 2 for i in range(200)])
     machine.run_counts(200)
     assert machine.engine_stats.engine == "interpreter"
-    assert not machine._tree_cache
+    assert machine._tree is None
     machine.run_counts(300)
     assert machine.engine_stats.engine == "replay"
     tree = cached_tree(machine)

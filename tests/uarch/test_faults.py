@@ -174,7 +174,7 @@ class TestBackendGateFault:
         assert error.operation  # the faulting gate name
         assert isinstance(error, RuntimeFault)  # old catchers survive
         # The poisoned tree never reaches the cross-run cache.
-        assert not machine._tree_cache
+        assert machine._tree is None
         assert machine.engine_stats.faults_injected
 
     def test_ladder_and_recovery(self):
@@ -259,7 +259,7 @@ class TestTreeBitflipFault:
         assert stats.degradations
         assert any("tree_bitflip" in fault
                    for fault in stats.faults_injected)
-        assert not machine._tree_cache
+        assert machine._tree is None
         # Clean recovery: disarm, re-run, audits all pass.
         machine.disarm_faults()
         machine.run(50)
@@ -274,7 +274,7 @@ class TestTreeBitflipFault:
         machine.arm_faults(FaultPlan([FaultSpec("tree_bitflip")],
                                      seed=9))
         machine.run(20)
-        assert not machine._tree_cache
+        assert machine._tree is None
 
 
 class TestMockExhaustFault:

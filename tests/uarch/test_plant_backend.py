@@ -18,7 +18,13 @@ from repro.core import (
     seven_qubit_instantiation,
     two_qubit_instantiation,
 )
-from repro.core.errors import PlantError, ResourceError
+from repro.core.errors import (
+    ConfigurationError,
+    PlantError,
+    ResourceError,
+    RuntimeFault,
+)
+from repro.core.operations import OperationKind, QuantumOperation
 from repro.experiments.cfc import CFC_TWO_ROUND_PROGRAM
 from repro.experiments.reset import FIG4_PROGRAM
 from repro.experiments.runner import ExperimentSetup
@@ -26,7 +32,7 @@ from repro.experiments.surface_code import (
     looped_surface_code_program,
     run_rotated_surface_experiment,
 )
-from repro.quantum import NoiseModel, QuantumPlant
+from repro.quantum import NoiseModel, QuantumPlant, gates
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
 from repro.topology.library import rotated_surface_chip, rotated_surface_layout
 from repro.uarch import QuMAv2
@@ -323,17 +329,37 @@ class TestSurface49(RotatedSurfaceOnTableau):
 
 
 class TestRunCaches:
-    def test_dataflow_report_lru_survives_reloads(self):
+    def test_derived_state_lives_with_the_loaded_binary(self):
+        """The machine keeps what it derived from a binary (dataflow
+        report, reusable tree) across reloads of the same words, and
+        drops it as soon as different words are loaded — loading A, B,
+        then A again analyses A afresh."""
         isa = two_qubit_instantiation()
         assembler = Assembler(isa)
         program_a = assembler.assemble_text(FIG4_PROGRAM)
         program_b = assembler.assemble_text(CFC_TWO_ROUND_PROGRAM)
         machine = make_machine(FIG4_PROGRAM)
+        machine.run(50)
         report_a = machine.data_memory_report()
-        machine.load(program_b)
-        machine.data_memory_report()
+        tree_a = machine._tree
+        assert tree_a is not None
+
+        machine.load(program_a)                     # same words: kept
+        assert machine.data_memory_report() is report_a
+        machine.run(50)
+        assert machine.engine_stats.tree_reused
+        assert machine._tree is tree_a
+
+        machine.load(program_b)                     # other words: dropped
+        assert machine._tree is None
+        assert machine.data_memory_report() is not report_a
         machine.load(program_a)
-        assert machine.data_memory_report() is report_a   # cache hit
+        fresh = machine.data_memory_report()
+        assert fresh is not report_a
+        assert fresh.live_reasons == report_a.live_reasons
+        machine.run(50)
+        assert not machine.engine_stats.tree_reused
+        assert machine._tree is not tree_a
 
     def test_tree_cache_keyed_by_backend_kind(self):
         machine = make_machine(FIG4_PROGRAM)
@@ -346,6 +372,35 @@ class TestRunCaches:
         machine.run(50)
         assert machine.last_plant_backend == "dense"
         assert not machine.engine_stats.tree_reused   # key includes kind
+
+    def test_untranslatable_operation_is_named_once_per_verdict(self):
+        """An operation registered after the machine was built is in
+        the assembler's operation set but not in the Q control store:
+        every static verdict names it exactly once, and the run keeps
+        the interpreter and the dense backend before the interpreter
+        refuses the bundle."""
+        isa = two_qubit_instantiation()
+        plant = QuantumPlant(isa.topology, noise=readout_only_noise(),
+                             rng=np.random.default_rng(0))
+        machine = QuMAv2(isa, plant)
+        isa.operations.add(QuantumOperation(
+            name="LATE_X", kind=OperationKind.SINGLE_QUBIT,
+            duration_cycles=1, unitary=gates.X))
+        machine.load(Assembler(isa).assemble_text(
+            "SMIS S2, {2}\nQWAIT 100\nLATE_X S2\nMEASZ S2\n"
+            "QWAIT 50\nSTOP"))
+        reason = "operation 'LATE_X' is not translatable"
+        for reasons in (machine.plant_backend_reasons(),
+                        machine.replay_unsupported_reasons(),
+                        machine.frame_batch_unsupported_reasons()):
+            assert reasons.count(reason) == 1
+        with pytest.raises(ConfigurationError,
+                           match="not in the Q control store"):
+            machine.run(5)
+        assert machine.last_run_engine == "interpreter"
+        assert machine.last_plant_backend == "dense"
+        assert reason in machine.replay_fallback_reason
+        assert reason in machine.plant_backend_reason
 
     def test_replayed_traces_share_template_records(self):
         """The splice fix: cached shots alias the template's trigger
@@ -360,3 +415,23 @@ class TestRunCaches:
             if other is not trace and other.triggers is trace.triggers:
                 shared += 1
         assert shared > 0
+
+
+class TestBackendPolicy:
+    def test_unknown_policy_is_rejected_at_construction(self):
+        isa = two_qubit_instantiation()
+        plant = QuantumPlant(isa.topology)
+        with pytest.raises(ConfigurationError, match="'tableau'"):
+            QuMAv2(isa, plant, plant_backend="tableau")
+
+    def test_experiment_setup_rejects_unknown_policy(self):
+        with pytest.raises(ConfigurationError, match="'tableau'"):
+            ExperimentSetup.create(plant_backend="tableau")
+
+    def test_policy_assigned_later_is_checked_at_run_time(self):
+        """``run_resilient`` reassigns the policy attribute, so the
+        run keeps its own check."""
+        machine = make_machine(FIG4_PROGRAM)
+        machine.plant_backend_policy = "tableau"
+        with pytest.raises(RuntimeFault, match="'tableau'"):
+            machine.run(1)

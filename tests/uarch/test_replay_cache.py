@@ -1,13 +1,16 @@
 """Cross-run replay-cache regression tests.
 
-The machine retains saturated timeline trees keyed by (binary words,
-noise model, uarch config) so repeated sweeps over one binary reuse the
-tree across ``run()`` calls.  The dangerous failure mode is a *stale*
+The machine keeps the saturated timeline tree of its loaded binary,
+with the (noise model, uarch config, backend kind) it was grown under,
+so repeated runs over one binary reuse the tree across ``run()``
+calls.  The dangerous failure mode is a *stale*
 tree: reusing cached probabilities/readout after the noise model or
 configuration changed would silently corrupt the emitted distribution —
 these tests pin the invalidation behaviour.  The file also covers the
 mid-stream :class:`EngineStats` snapshot used by long sweeps.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ import pytest
 from repro.core import Assembler, two_qubit_instantiation
 from repro.experiments.reset import FIG4_PROGRAM as ACTIVE_RESET
 from repro.quantum import NoiseModel, QuantumPlant
-from repro.uarch import QuMAv2, slip_config
+from repro.uarch import QuMAv2, UarchConfig, slip_config
 
 
 def make_machine(noise=None, seed=0, config=None):
@@ -88,6 +91,29 @@ class TestCrossRunTreeReuse:
         machine.run(30)
         assert not machine.engine_stats.tree_reused
 
+    def test_config_swap_reaches_the_measurement_unit(self):
+        """A swapped config times measurement results exactly as a
+        machine built with that config does (result transport and
+        integration window live in the measurement unit)."""
+        program = """
+        SMIS S2, {2}
+        QWAIT 100
+        MEASZ S2
+        QWAIT 50
+        STOP
+        """
+        config = replace(UarchConfig(), result_transport_ns=128.0)
+        swapped = make_machine(seed=3)
+        load(swapped, program)
+        default_arrival = swapped.run_shot().results[0].arrival_ns
+        swapped.config = config
+        built = make_machine(seed=3, config=config)
+        load(built, program)
+        arrival = swapped.run_shot().results[0].arrival_ns
+        assert arrival == built.run_shot().results[0].arrival_ns
+        assert arrival != default_arrival
+        assert swapped.measurement_unit.config is config
+
     def test_different_binary_does_not_reuse(self):
         machine = make_machine(seed=3)
         load(machine, ACTIVE_RESET)
@@ -125,18 +151,18 @@ class TestCrossRunTreeReuse:
 
     def test_clear_replay_cache_also_drops_dataflow_reports(self):
         """The explicit hatch's contract is *no derived state
-        survives*: the per-machine dataflow-report LRU (and the live
-        report of the loaded binary) must clear alongside the tree
-        cache, so a cleared machine re-derives everything from the
-        binary words."""
+        survives*: the dataflow report of the loaded binary must clear
+        alongside the tree, so a cleared machine re-derives everything
+        from the binary words."""
         machine = make_machine(seed=3)
         load(machine, ACTIVE_RESET)
+        machine.run(20)
         report = machine.data_memory_report()
-        assert machine._dataflow_cache            # LRU holds the report
+        assert machine._tree is not None
         assert machine._data_memory_report is report
 
         machine.clear_replay_cache()
-        assert not machine._dataflow_cache
+        assert machine._tree is None
         assert machine._data_memory_report is None
         # The next request recomputes (a fresh object, same verdict).
         fresh = machine.data_memory_report()
