@@ -10,9 +10,50 @@ simulation (Knill's trick, the engine behind stim-style samplers)
 removes the repetition: run ONE noise-free *reference* shot on the
 tableau, recording the Clifford sequence, every stochastic-error site
 and the measurement structure; then propagate a whole batch of
-per-shot *frames* — a ``(shots, n)`` pair of X/Z bit matrices, each
-row the Pauli error accumulated by one shot — through the recording
-with vectorised numpy column operations.
+per-shot *frames* — the Pauli error each shot has accumulated —
+through the recording.
+
+**Layout** (Gidney, "Stim: a fast stabilizer circuit simulator",
+Quantum 5, 497, 2021): the batch is qubit-major and bit-packed, 64
+shots per machine word.  Row ``2q`` of a ``(2n, ⌈shots/64⌉)`` uint64
+plane array holds the X bits of qubit ``q`` for every shot, row
+``2q + 1`` its Z bits; shot ``s`` is bit ``s % 64`` of word
+``s // 64``, and the bits past ``shots`` in the last word are always
+zero.  Measurement outcomes leave the batch in the same packing, one
+row per measurement.
+
+**Gates are XORs of planes.**  A frame ``P`` commutes through a
+recorded Clifford ``U`` as ``P -> U P U^dag`` with the sign discarded
+(a frame's sign is a global phase).  Sign-free conjugation is a
+GF(2)-linear map of the (x, z) bits — the symplectic representation —
+so the image of any frame is the XOR of the images of its set bits:
+``bits[v] == XOR of bits[1 << i]`` over the bits ``i`` of ``v``.  Each
+output plane of a gate is therefore the XOR of the input planes that
+:attr:`CliffordAction.bits` ``[1 << i]`` routes to it, for all 64 shots
+of a word at once.  :func:`plane_program` reduces that 2k x 2k binary
+matrix to a short sequence of in-place ``plane[d] ^= plane[s]`` steps
+(a CZ is two, an H three, a Pauli gate none).
+
+**Noise is sampled exactly and sparsely.**  A depolarizing site of
+probability ``p`` hits each shot independently, so the number of hits
+is ``k ~ Binomial(shots, p)`` and, given ``k``, the hit shots are a
+uniform ``k``-subset; each hit gets a uniform non-identity Pauli,
+XORed into the planes one bit at a time.  At ``p = 1e-3`` that is a
+few dozen bits per site instead of one uniform per shot.  Readout
+assignment error flips a packed Bernoulli mask sampled the same way,
+one mask per rate (``p01`` on shots that read 0, ``p10`` on shots that
+read 1; one mask when the two rates are equal).
+
+**Measurements.**  A measurement of ``Z_a`` whose reference outcome
+was *deterministic* reports ``reference ^ x_a`` and leaves the frame
+unchanged; one whose reference outcome was *random* reports fresh fair
+bits ``o`` (packed random words) and, on the shots where
+``o ^ x_a`` disagrees with the reference outcome, multiplies the frame
+by the reference run's pre-collapse pivot stabilizer ``Q`` (the
+anticommuting generator :meth:`StabilizerTableau.collapse` pivots on):
+``Q`` maps the reference's post-measurement branch onto the other
+branch, so the frame keeps tracking the shot's true state relative to
+the reference trajectory.
 
 **Eligibility rule** (enforced statically by
 :meth:`repro.uarch.machine.QuMAv2.frame_batch_unsupported_reasons`):
@@ -27,28 +68,16 @@ reference recording cannot represent; such programs fall back to the
 per-shot tableau interpreter transparently.
 
 **Accuracy contract**: within the eligible domain the batch is exact
-*in distribution* — each frame row is one faithfully sampled Pauli
+*in distribution* — each shot's frame is one faithfully sampled Pauli
 trajectory of the same depolarizing/readout unravelling the per-shot
 backend uses, so joint outcome histograms agree with the per-shot
-tableau (and the dense density matrix) up to sampling error.  The
-mathematics: a frame ``P`` commutes through every recorded Clifford
-``U`` as ``P -> U P U^dag`` (the same derived action table, sign
-discarded — a frame's sign is a global phase).  A measurement of
-``Z_a`` whose reference outcome was *deterministic* reports
-``reference ^ frame_x[a]`` and leaves the frame unchanged; one whose
-reference outcome was *random* reports a fresh uniform bit ``o`` and,
-when ``o ^ frame_x[a]`` disagrees with the reference outcome,
-multiplies the frame by the reference run's pre-collapse pivot
-stabilizer ``Q`` (the anticommuting generator :meth:`collapse` pivots
-on): ``Q`` maps the reference's post-measurement branch onto the other
-branch, so the frame keeps tracking the shot's true state relative to
-the reference trajectory.  Readout assignment error is classical and
-applied column-wise after projection.
+tableau (and the dense density matrix) up to sampling error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,21 +85,115 @@ from repro.core.errors import PlantError
 from repro.quantum.noise import ReadoutErrorModel
 from repro.quantum.stabilizer import CliffordAction, StabilizerTableau
 
+#: One packed word: 64 shots, little-endian so a byte view orders the
+#: bits by shot.
+WORD = np.dtype("<u8")
+
+#: ``_BIT[i]`` is the word with only bit ``i`` set.
+_BIT = np.left_shift(np.ones(64, dtype=WORD), np.arange(64, dtype=WORD))
+
+#: Bit positions of the (x, z) planes of a 1- or 2-qubit Pauli index.
+_PLANE_SHIFTS = np.arange(4)
+
+_NO_HITS = np.zeros(0, dtype=np.int64)
+
+
+def words_for(shots: int) -> int:
+    """Packed words per plane for a batch of ``shots``."""
+    return -(-shots // 64)
+
+
+def pack_shots(bits: np.ndarray) -> np.ndarray:
+    """Pack a ``(shots, m)`` 0/1 matrix into ``(m, words)`` planes."""
+    shots, m = bits.shape
+    packed = np.zeros((m, 8 * words_for(shots)), dtype=np.uint8)
+    packed[:, :-(-shots // 8)] = np.packbits(
+        np.asarray(bits, dtype=bool).T, axis=1, bitorder="little")
+    return packed.view(WORD)
+
+
+def unpack_shots(planes: np.ndarray, shots: int) -> np.ndarray:
+    """The ``(shots, m)`` uint8 matrix of ``(m, words)`` packed planes."""
+    return np.unpackbits(np.ascontiguousarray(planes, dtype=WORD)
+                         .view(np.uint8), axis=1, count=shots,
+                         bitorder="little").T
+
+
+@lru_cache(maxsize=None)
+def plane_program(bits: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """In-place XOR steps ``(d, s)``, each ``plane[d] ^= plane[s]``,
+    that push frames through the sign-free action table ``bits`` of a
+    k-qubit Clifford (:attr:`CliffordAction.bits`) on its ``2k`` local
+    planes (qubit ``j`` of the gate: X at ``2j``, Z at ``2j + 1``).
+
+    Output plane ``j`` is the XOR of the input planes ``i`` whose image
+    ``bits[1 << i]`` has bit ``j`` set.  Gauss-Jordan elimination
+    reduces that binary matrix ``M`` to the identity by row operations
+    ``E_1 .. E_m`` (a row swap as three XORs); each is its own inverse,
+    so ``M = E_1 .. E_m`` and applying ``E_m`` first realises ``M``.
+    Raises :class:`PlantError` unless the table is GF(2)-linear
+    (``bits[v]`` the XOR of ``bits[1 << i]`` over the set bits ``i`` of
+    ``v``) and invertible, as every Clifford's is.
+    """
+    size = len(bits).bit_length() - 1
+    images = [bits[1 << i] for i in range(size)]
+    for v, image in enumerate(bits):
+        linear = 0
+        for i in range(size):
+            if v >> i & 1:
+                linear ^= images[i]
+        if image != linear:
+            raise PlantError(f"frame action {bits} is not GF(2)-linear")
+    rows = [sum(((images[i] >> j) & 1) << i for i in range(size))
+            for j in range(size)]
+    steps: list[tuple[int, int]] = []
+    for column in range(size):
+        pivot = next((row for row in range(column, size)
+                      if rows[row] >> column & 1), None)
+        if pivot is None:
+            raise PlantError(f"frame action {bits} is not invertible")
+        if pivot != column:
+            rows[column], rows[pivot] = rows[pivot], rows[column]
+            steps += [(column, pivot), (pivot, column), (column, pivot)]
+        for row in range(size):
+            if row != column and rows[row] >> column & 1:
+                rows[row] ^= rows[column]
+                steps.append((row, column))
+    return tuple(reversed(steps))
+
 
 @dataclass(frozen=True, slots=True)
 class GateStep:
-    """One Clifford applied during the reference shot."""
+    """One Clifford applied during the reference shot.  ``xors`` is
+    its frame action as in-place plane XORs (:func:`plane_program`)
+    on the batch's global plane rows."""
 
     action: CliffordAction
     indices: tuple[int, ...]
+    xors: tuple[tuple[int, int], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        rows = [2 * qubit + plane for qubit in self.indices
+                for plane in (0, 1)]
+        object.__setattr__(self, "xors", tuple(
+            (rows[d], rows[s]) for d, s in
+            plane_program(tuple(self.action.bits.tolist()))))
 
 
 @dataclass(frozen=True, slots=True)
 class NoiseStep:
-    """One depolarizing-error site (probability deferred to the batch)."""
+    """One depolarizing-error site (probability deferred to the batch).
+    ``rows`` are the plane rows of its qubits, in Pauli-index bit
+    order."""
 
     indices: tuple[int, ...]
     probability: float
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", np.array(
+            [2 * qubit + plane for qubit in self.indices
+             for plane in (0, 1)], dtype=np.intp))
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,7 +202,7 @@ class MeasureStep:
 
     ``pivot_x``/``pivot_z`` are the pre-collapse pivot stabilizer's
     Pauli bits when the reference outcome was random (``p_one`` 0.5),
-    None when it was deterministic.
+    None when it was deterministic; ``pivot_rows`` are its plane rows.
     """
 
     index: int
@@ -87,6 +210,15 @@ class MeasureStep:
     reference_raw: int
     pivot_x: np.ndarray | None
     pivot_z: np.ndarray | None
+    pivot_rows: np.ndarray | None = field(init=False, repr=False,
+                                          compare=False)
+
+    def __post_init__(self) -> None:
+        rows = None
+        if self.pivot_x is not None:
+            rows = np.flatnonzero(np.stack(
+                (self.pivot_x, self.pivot_z), axis=1).ravel())
+        object.__setattr__(self, "pivot_rows", rows)
 
 
 class FrameRecorder:
@@ -139,75 +271,110 @@ class FrameRecorder:
         return result
 
 
+def _sample_hits(rng: np.random.Generator, shots: int,
+                 probability: float) -> np.ndarray:
+    """The shots an independent Bernoulli(``probability``) event hits:
+    ``k ~ Binomial(shots, p)``, then a uniform ``k``-subset of
+    ``range(shots)`` (in no particular order).  Draws nothing when
+    ``probability`` is zero."""
+    if probability <= 0.0:
+        return _NO_HITS
+    hits = int(rng.binomial(shots, probability))
+    if not hits:
+        return _NO_HITS
+    return rng.choice(shots, size=hits, replace=False, shuffle=False)
+
+
+def _bernoulli_words(rng: np.random.Generator, shots: int,
+                     probability: float) -> np.ndarray:
+    """A packed mask with each of ``shots`` bits set independently with
+    ``probability`` (:func:`_sample_hits`), padding bits clear."""
+    mask = np.zeros(words_for(shots), dtype=WORD)
+    hits = _sample_hits(rng, shots, probability)
+    if len(hits):
+        np.bitwise_or.at(mask, hits >> 6, _BIT[hits & 63])
+    return mask
+
+
+def apply_gate(planes: np.ndarray, step: GateStep) -> None:
+    """Push every frame of ``planes`` through one recorded Clifford."""
+    for d, s in step.xors:
+        np.bitwise_xor(planes[d], planes[s], out=planes[d])
+
+
+def _apply_noise(planes: np.ndarray, step: NoiseStep, shots: int,
+                 rng: np.random.Generator) -> None:
+    """Inject one depolarizing site: a uniform non-identity Pauli on
+    each hit shot, XORed bit by bit into its planes."""
+    hits = _sample_hits(rng, shots, step.probability)
+    if not len(hits):
+        return
+    paulis = rng.integers(1, 4 ** len(step.indices), size=len(hits))
+    hit, plane = np.nonzero(
+        (paulis[:, None] >> _PLANE_SHIFTS[:len(step.rows)]) & 1)
+    shot = hits[hit]
+    np.bitwise_xor.at(planes.reshape(-1),
+                      step.rows[plane] * planes.shape[1] + (shot >> 6),
+                      _BIT[shot & 63])
+
+
 def propagate_frames(steps, num_qubits: int, shots: int,
                      rng: np.random.Generator,
                      readout: ReadoutErrorModel
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Push ``shots`` Pauli frames through a recorded step sequence.
 
-    Returns ``(raw, reported)`` uint8 matrices of shape
-    ``(shots, measurements)`` — one row per shot, columns in the
-    reference shot's measurement order.  All sampling (depolarizing
-    injections, random-measurement outcomes, readout flips) is
-    column-wise over the whole batch; the per-frame state is two
-    ``(shots, num_qubits)`` bit matrices and every step costs O(shots)
-    numpy work on the touched columns only.
+    Returns ``(raw, reported)`` packed ``(measurements, words)`` uint64
+    arrays — one row per measurement in the reference shot's order,
+    shot ``s`` at bit ``s % 64`` of word ``s // 64``, padding bits
+    clear (:func:`unpack_shots` gives the ``(shots, measurements)``
+    matrix).  The frames are ``(2 * num_qubits, words)`` packed planes
+    (see the module docstring): a gate XORs whole planes, a noise site
+    or a readout error flips the few bits its exact sparse sample hit,
+    and a random measurement draws packed fair words.
     """
     if shots < 1:
         raise PlantError("need at least one shot to propagate")
-    fx = np.zeros((shots, num_qubits), dtype=np.uint8)
-    fz = np.zeros((shots, num_qubits), dtype=np.uint8)
-    raw_columns: list[np.ndarray] = []
-    reported_columns: list[np.ndarray] = []
+    words = words_for(shots)
+    valid = np.full(words, ~np.uint64(0), dtype=WORD)
+    valid[-1] >>= np.uint64(64 * words - shots)
+    planes = np.zeros((2 * num_qubits, words), dtype=WORD)
+    measurements = sum(isinstance(step, MeasureStep) for step in steps)
+    raw = np.zeros((measurements, words), dtype=WORD)
+    reported = np.zeros((measurements, words), dtype=WORD)
+    row = 0
     for step in steps:
         if isinstance(step, GateStep):
-            bits = step.action.bits
-            if len(step.indices) == 1:
-                a = step.indices[0]
-                v = fx[:, a] | (fz[:, a] << 1)
-                image = bits[v]
-                fx[:, a] = image & 1
-                fz[:, a] = (image >> 1) & 1
-            else:
-                a, b = step.indices
-                v = (fx[:, a] | (fz[:, a] << 1) |
-                     (fx[:, b] << 2) | (fz[:, b] << 3))
-                image = bits[v]
-                fx[:, a] = image & 1
-                fz[:, a] = (image >> 1) & 1
-                fx[:, b] = (image >> 2) & 1
-                fz[:, b] = (image >> 3) & 1
+            apply_gate(planes, step)
         elif isinstance(step, NoiseStep):
-            k = len(step.indices)
-            hit = rng.random(shots) < step.probability
-            if not hit.any():
-                continue
-            v = rng.integers(1, 4 ** k, size=shots).astype(np.uint8)
-            v = np.where(hit, v, 0).astype(np.uint8)
-            for slot, qubit in enumerate(step.indices):
-                fx[:, qubit] ^= (v >> (2 * slot)) & 1
-                fz[:, qubit] ^= (v >> (2 * slot + 1)) & 1
+            _apply_noise(planes, step, shots, rng)
         else:  # MeasureStep
-            a = step.index
-            if step.pivot_x is None:
+            x = planes[2 * step.index]
+            out = raw[row]
+            if step.pivot_rows is None:
                 # Deterministic reference outcome: the frame's X
                 # component flips it; projection changes nothing.
-                raw = (step.reference_raw ^ fx[:, a]).astype(np.uint8)
+                if step.reference_raw:
+                    np.bitwise_xor(x, valid, out=out)
+                else:
+                    out[:] = x
             else:
                 # Random reference outcome: every shot's outcome is a
                 # fresh fair coin; shots landing on the branch the
                 # reference did not take absorb the pivot stabilizer
                 # into their frame.
-                raw = rng.integers(0, 2, size=shots, dtype=np.uint8)
-                flip = (raw ^ fx[:, a] ^ step.reference_raw) \
-                    .astype(bool)
+                out[:] = rng.integers(0, 1 << 64, size=words,
+                                      dtype=np.uint64)
+                out &= valid
+                flip = out ^ x
+                if step.reference_raw:
+                    flip ^= valid
                 if flip.any():
-                    fx[flip] ^= step.pivot_x
-                    fz[flip] ^= step.pivot_z
-            raw_columns.append(raw)
-            reported_columns.append(readout.apply_many(raw, rng))
-    if not raw_columns:
-        empty = np.zeros((shots, 0), dtype=np.uint8)
-        return empty, empty.copy()
-    return (np.column_stack(raw_columns),
-            np.column_stack(reported_columns))
+                    planes[step.pivot_rows] ^= flip
+            flips = _bernoulli_words(rng, shots, readout.p01)
+            if readout.p10 != readout.p01:
+                flips &= ~out
+                flips |= _bernoulli_words(rng, shots, readout.p10) & out
+            np.bitwise_xor(out, flips, out=reported[row])
+            row += 1
+    return raw, reported

@@ -81,7 +81,11 @@ from repro.core.registers import (
     MeasurementResultRegisters,
     to_unsigned32,
 )
-from repro.quantum.pauli_frame import FrameRecorder, propagate_frames
+from repro.quantum.pauli_frame import (
+    FrameRecorder,
+    propagate_frames,
+    unpack_shots,
+)
 from repro.quantum.plant import QuantumPlant
 from repro.quantum.stabilizer import cached_clifford_action
 from repro.uarch.config import UarchConfig
@@ -100,7 +104,6 @@ from repro.uarch.replay import (
     EngineStats,
     MeasurementSample,
     ReplayAudit,
-    ShotCohort,
     TimelineTree,
     replay_unsupported_reasons,
 )
@@ -114,15 +117,16 @@ from repro.uarch.trace import (
 )
 
 #: Shots per vectorised chunk of the fast engines — one Pauli-frame
-#: propagation batch, or one cohort walk of the replay tree: large
-#: enough to amortise the per-step numpy dispatch, small enough that
-#: the frame and outcome matrices stay cache-friendly and the first
-#: traces reach a streaming run_iter consumer promptly.  run_counts
-#: folds a chunk whole, run_iter splices it one trace at a time.  The
-#: frame engine advances the run's EngineStats and fault-plan shot
-#: index once per chunk; a replay cohort counts each shot as it is
-#: delivered.
-_CHUNK_SHOTS = 16384
+#: propagation batch, or one cohort walk of the replay tree.  A packed
+#: frame chunk is 1024 words per plane, so per-step Python overhead,
+#: not bits, dominates it; 65,536 keeps a typical 20,000-shot request
+#: in one chunk while the first traces still reach a streaming
+#: run_iter consumer promptly.  run_counts folds a chunk whole,
+#: run_iter splices it one trace at a time.  A frame chunk is counted
+#: into the run's EngineStats whole, before its first trace, and
+#: advances the fault plan's shot index once; a replay cohort counts
+#: each shot as it is delivered.
+_CHUNK_SHOTS = 65536
 
 #: Cached tree walks are timed into this counter pair (``.time_ns`` +
 #: ``.timed_shots``, whose ratio is the mean per-shot walk cost): a
@@ -164,6 +168,48 @@ def _stats_view(field_name: str, doc: str) -> property:
     :attr:`QuMAv2.engine_stats`."""
     return property(
         lambda machine: getattr(machine.engine_stats, field_name), doc=doc)
+
+
+class FrameChunk:
+    """One chunk of shots propagated by the Pauli-frame engine: the
+    reference shot's frozen trace template and the packed
+    ``(measurements, words)`` raw and reported outcome columns of
+    ``shots`` shots (:func:`~repro.quantum.pauli_frame.propagate_frames`).
+
+    Delivered like a :class:`~repro.uarch.replay.ShotCohort`, through
+    :meth:`traces` (``run_iter``) or :meth:`fold` (``run_counts``);
+    either counts the whole chunk into the run's :class:`EngineStats`
+    before its first trace, so ``shots_total`` never trails the traces
+    delivered.
+    """
+
+    __slots__ = ("template", "raw", "reported", "shots")
+
+    def __init__(self, template: ShotTrace, raw, reported, shots: int):
+        self.template = template
+        self.raw = raw
+        self.reported = reported
+        self.shots = shots
+
+    def _count(self, stats: EngineStats) -> None:
+        stats.shots_total += self.shots
+        stats.frame_batched += self.shots
+
+    def traces(self, stats: EngineStats) -> Iterator[ShotTrace]:
+        """The chunk's traces in shot order, each spliced from the
+        template with its row of outcomes."""
+        self._count(stats)
+        rows = zip(unpack_shots(self.raw, self.shots).tolist(),
+                   unpack_shots(self.reported, self.shots).tolist())
+        for raw_row, reported_row in rows:
+            yield self.template.with_sampled_results(
+                list(zip(raw_row, reported_row)))
+
+    def fold(self, counts: ShotCounts, stats: EngineStats) -> None:
+        """Fold the packed reported columns into ``counts``
+        (:meth:`ShotCounts.add_batch`)."""
+        self._count(stats)
+        counts.add_batch(self.template, self.reported, self.shots)
 
 
 class QuMAv2:
@@ -445,12 +491,13 @@ class QuMAv2:
         once (:meth:`_choose_engine`) and drains one engine generator —
         :meth:`_replay_shots`, :meth:`_frame_shots` or
         :meth:`_interpreter_shots`; a fast path that degrades mid-run
-        finishes on the same interpreter loop.  Cached replay walks and
-        Pauli-frame chunks arrive as templates plus sampled outcomes
-        and are spliced here (:meth:`ShotTrace.with_sampled_results`),
-        one trace at a time in shot order; a replay cohort of up to
-        ``_CHUNK_SHOTS`` shots is expanded in shot order the same way
-        (:meth:`ShotCohort.traces`).  :attr:`engine_stats` (which the
+        finishes on the same interpreter loop.  Cached walks of the
+        per-shot replay loop arrive as templates plus sampled outcomes
+        and are spliced here (:meth:`ShotTrace.with_sampled_results`);
+        a replay cohort or Pauli-frame chunk of up to ``_CHUNK_SHOTS``
+        shots expands itself in shot order the same way
+        (:meth:`ShotCohort.traces`, :meth:`FrameChunk.traces`).
+        :attr:`engine_stats` (which the
         engine/backend label properties read) is replaced when the
         first trace is produced, since generators run on demand, and
         keeps updating as shots are delivered: per shot on the
@@ -471,29 +518,24 @@ class QuMAv2:
             for item in items:
                 if isinstance(item, ShotTrace):
                     yield item
-                elif isinstance(item, ShotCohort):
-                    yield from item.traces(self.engine_stats)
-                elif len(item) == 2:
+                elif isinstance(item, tuple):
                     template, outcomes = item
                     yield template.with_sampled_results(outcomes)
                 else:
-                    template, raw, reported = item
-                    for raw_row, reported_row in zip(raw.tolist(),
-                                                     reported.tolist()):
-                        yield template.with_sampled_results(
-                            list(zip(raw_row, reported_row)))
+                    yield from item.traces(self.engine_stats)
 
     def _shot_items(self, shots: int, max_instructions: int,
                     use_replay: bool) -> Iterator:
         """The one place a run's engine generator is drained.  Yields,
         in shot order, a :class:`ShotTrace` per interpreter, growth or
-        audited shot, a :class:`ShotCohort` per replay chunk walked as
-        cohorts, a ``(template, outcomes)`` pair per cached walk of the
-        per-shot replay loop and a ``(template, raw, reported)``
-        outcome batch per Pauli-frame chunk; :meth:`run_iter` splices
-        the last three into traces, :meth:`run_counts` folds them
-        directly.  A cohort is counted into :attr:`engine_stats` by
-        whichever of the two delivers it."""
+        audited shot, a ``(template, outcomes)`` pair per cached walk of
+        the per-shot replay loop, and a :class:`ShotCohort` per replay
+        chunk walked as cohorts or a :class:`FrameChunk` per
+        Pauli-frame chunk; :meth:`run_iter` splices the last three into
+        traces, :meth:`run_counts` folds them directly.  A cohort or
+        frame chunk (one ``traces(stats)`` / ``fold(counts, stats)``
+        interface) is counted into :attr:`engine_stats` by whichever of
+        the two delivers it."""
         obs = self._obs
         span = None if obs is None else obs.begin("machine.run",
                                                    shots=shots)
@@ -999,9 +1041,9 @@ class QuMAv2:
         it reached once, with its multiplicity (:meth:`ShotCohort.fold`
         — a cached walk's outcomes are its terminal template's own, so
         the template *is* the shot), as does a cached walk of the
-        per-shot replay loop; and a Pauli-frame chunk folds its whole
-        reported-outcome matrix (:meth:`ShotCounts.add_batch`) — no
-        trace is spliced.  Memory
+        per-shot replay loop; and a Pauli-frame chunk folds its packed
+        reported-outcome columns whole (:meth:`FrameChunk.fold`, through
+        :meth:`ShotCounts.add_batch`) — no trace is spliced.  Memory
         stays O(qubits + replay-tree size) regardless of the shot
         count.
         """
@@ -1011,14 +1053,11 @@ class QuMAv2:
             for item in items:
                 if isinstance(item, ShotTrace):
                     counts.add(item)
-                elif isinstance(item, ShotCohort):
-                    item.fold(counts, self.engine_stats)
-                elif len(item) == 2:
+                elif isinstance(item, tuple):
                     # A cached walk's outcomes are its template's own.
                     counts.add(item[0])
                 else:
-                    template, _, reported = item
-                    counts.add_batch(template, reported)
+                    item.fold(counts, self.engine_stats)
         return counts
 
     def replay_unsupported_reasons(self) -> list[str]:
@@ -1095,11 +1134,12 @@ class QuMAv2:
         :class:`FrameRecorder` installed on the stabilizer backend,
         capturing the Clifford sequence, every deferred gate-error site
         and the measurement structure; its trace becomes the frozen
-        timeline template.  Chunks of per-shot frames then propagate
-        through the recording with vectorised column operations; each
-        chunk is yielded as one ``(template, raw, reported)`` batch of
-        ``(chunk, measurements)`` outcome matrices, and stats and the
-        fault plan's shot index advance per chunk.  A fault during the
+        timeline template.  Chunks of bit-packed per-shot frames then
+        propagate through the recording (:func:`propagate_frames`, called
+        once per chunk); each chunk is yielded as one :class:`FrameChunk`
+        of packed ``(measurements, words)`` outcome columns, which counts
+        itself into ``stats`` when delivered, and the fault plan's shot
+        index advances per chunk.  A fault during the
         reference shot (e.g. the ``backend_gate`` site) degrades the
         whole run gracefully to the per-shot tableau interpreter,
         recorded in :attr:`EngineStats.degradations`.
@@ -1144,9 +1184,7 @@ class QuMAv2:
                 propagate_frames, recorder.steps, num_qubits, chunk,
                 self.plant.rng, readout, span="engine.frame.batch",
                 histogram="engine.frame.batch.time_ns", shots=chunk)
-            stats.shots_total += chunk
-            stats.frame_batched += chunk
-            yield template, raw, reported
+            yield FrameChunk(template, raw, reported, chunk)
 
     # ------------------------------------------------------------------
     # Classical pipeline

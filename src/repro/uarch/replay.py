@@ -139,7 +139,7 @@ class EngineStats:
     shot as ``run_iter`` yields it, and whole when ``run_counts``
     folds it); the Pauli-frame engine counts a whole chunk of shots
     (up to ``_CHUNK_SHOTS`` in :mod:`repro.uarch.machine`) when the
-    chunk is propagated, before its first trace is delivered — so
+    chunk is delivered, before its first trace — so
     mid-stream ``shots_total`` may run ahead of the traces consumed,
     never behind.
     """

@@ -15,6 +15,12 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.errors import InvalidRequestError
+from repro.quantum.pauli_frame import WORD, unpack_shots
+
+#: Up to this many final qubits, :meth:`ShotCounts.add_batch` counts the
+#: joint outcome codes with ``np.bincount`` (2^16 bins); beyond, with
+#: ``np.unique``.
+_BINCOUNT_QUBITS = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,10 +164,10 @@ class ShotCounts:
     need every :class:`ShotTrace`.  Shots fold in as a trace times a
     multiplicity (:meth:`add` — one interpreter shot, or every cached
     replay walk that ended on one tree terminal, whose outcomes are the
-    terminal template's own) or as a whole batch of reported-outcome
-    rows sharing one template (:meth:`add_batch`, a Pauli-frame chunk);
-    both give the same aggregate as adding the spliced traces one by
-    one.  Only the *final* result of each qubit per shot is
+    terminal template's own) or as a whole batch of packed reported
+    outcomes sharing one template (:meth:`add_batch`, a Pauli-frame
+    chunk); both give the same aggregate as adding the spliced traces
+    one by one.  Only the *final* result of each qubit per shot is
     aggregated, matching
     :func:`repro.experiments.runner.excited_fraction`.  Besides the
     per-qubit counters the aggregate keeps one small fold plan per
@@ -203,17 +209,21 @@ class ShotCounts:
         if slip > self.max_slip_ns:
             self.max_slip_ns = slip
 
-    def add_batch(self, template: ShotTrace, reported: np.ndarray) -> None:
-        """Fold a batch of shots sharing one frozen template.
+    def add_batch(self, template: ShotTrace, reported: np.ndarray,
+                  shots: int) -> None:
+        """Fold a batch of ``shots`` shots sharing one frozen template.
 
-        ``reported`` is a ``(shots, len(template.results))`` matrix of
-        0/1 reported outcomes, one row per shot in result order (a
-        Pauli-frame chunk).  The final-result columns are read once;
-        the joint histogram comes from ``np.unique`` over the final
-        columns packed into machine words.  Equal to :meth:`add` over
-        the spliced rows.
+        ``reported`` holds their 0/1 reported outcomes bit-packed: a
+        ``(len(template.results), words)`` uint64 array, one row per
+        result in result order, shot ``s`` at bit ``s % 64`` of word
+        ``s // 64`` (a Pauli-frame chunk,
+        :func:`repro.quantum.pauli_frame.propagate_frames`).  Only the
+        final-result rows are unpacked, once; each shot's final bits
+        become one integer code, counted by ``np.bincount`` (up to
+        ``_BINCOUNT_QUBITS`` final qubits) or ``np.unique`` (over
+        several words past 64).  Equal to :meth:`add` over the spliced
+        rows.
         """
-        shots = len(reported)
         if not shots:
             return
         plan = self._plans.get(id(template))
@@ -230,30 +240,34 @@ class ShotCounts:
         self.total_slips += slips * shots
         if max_slip_ns > self.max_slip_ns:
             self.max_slip_ns = max_slip_ns
-        if qubits:
-            packed = np.packbits(reported[:, columns], axis=1,
-                                 bitorder="little")
-            words = np.zeros((shots, -(-packed.shape[1] // 8) * 8),
-                             dtype=np.uint8)
-            words[:, :packed.shape[1]] = packed
-            words = words.view(np.uint64)
-            if words.shape[1] == 1:
-                codes, counts = np.unique(words[:, 0], return_counts=True)
-                codes = codes.reshape(-1, 1)
-            else:
-                codes, counts = np.unique(words, axis=0,
-                                          return_counts=True)
-            rows = np.unpackbits(codes.view(np.uint8), axis=1,
-                                 count=len(qubits), bitorder="little")
-            joint = self.joint
-            for row, count in zip(rows.tolist(), counts.tolist()):
-                key = tuple(zip(qubits, row))
-                joint[key] = joint.get(key, 0) + count
-            column_ones = (counts @ rows).tolist()
-            for qubit, ones in zip(qubits, column_ones):
-                self.measured[qubit] = self.measured.get(qubit, 0) + shots
-                if ones:
-                    self.ones[qubit] = self.ones.get(qubit, 0) + ones
+        if not qubits:
+            return
+        # Each shot's final bits as one key: qubit j at bit j % 64 of
+        # word j // 64.  One shift-OR per qubit row (a packbits across
+        # a handful of rows is several times slower).
+        keys = np.zeros((-(-len(qubits) // 64), shots), dtype=WORD)
+        for j, row in enumerate(unpack_shots(reported[columns], shots).T):
+            keys[j >> 6] |= row.astype(WORD) << WORD.type(j & 63)
+        if len(qubits) <= _BINCOUNT_QUBITS:
+            counts = np.bincount(keys[0].astype(np.intp))
+            codes = np.flatnonzero(counts).astype(WORD)
+            counts = counts[codes]
+        elif len(keys) == 1:
+            codes, counts = np.unique(keys[0], return_counts=True)
+        else:
+            codes, counts = np.unique(keys.T, axis=0, return_counts=True)
+        rows = np.unpackbits(
+            np.ascontiguousarray(codes.reshape(len(counts), -1))
+            .view(np.uint8), axis=1, count=len(qubits), bitorder="little")
+        joint = self.joint
+        for row, count in zip(rows.tolist(), counts.tolist()):
+            key = tuple(zip(qubits, row))
+            joint[key] = joint.get(key, 0) + count
+        column_ones = (counts @ rows).tolist()
+        for qubit, ones in zip(qubits, column_ones):
+            self.measured[qubit] = self.measured.get(qubit, 0) + shots
+            if ones:
+                self.ones[qubit] = self.ones.get(qubit, 0) + ones
 
     def excited_fraction(self, qubit: int) -> float:
         """Fraction of shots whose last result on ``qubit`` was 1."""

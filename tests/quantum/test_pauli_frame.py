@@ -1,0 +1,469 @@
+"""Bit-packed Pauli frames against the unpacked propagation they replaced.
+
+``propagate_frames`` keeps the batch as qubit-major bit planes, 64
+shots per uint64 word: a gate XORs whole planes, a noise site flips the
+few bits an exact sparse sample (binomial hit count, uniform hit
+subset) hit, and outcomes leave packed.  ``reference_propagate`` below
+is a verbatim port of the ``(shots, n)`` uint8 propagation it replaced
+(a 16-entry table gather per gate, one uniform per shot per noise
+site), with only its gate branch lifted into ``reference_gate``.  The
+two draw differently, so they are compared gate by gate bit for bit and
+over whole recordings by distribution.  Pinned here:
+
+* every Clifford action is GF(2)-linear — ``bits[v]`` is the XOR of
+  ``bits[1 << i]`` over the set bits of ``v`` — the invariant the
+  packed gate needs and the table gather never did; and the XOR program
+  derived from it reproduces the whole table;
+* a packed gate step equals the table gather on random frames, for
+  every gate of the surface-17 recording and of a small frame-eligible
+  program, padding bits staying clear;
+* at 100k+ shots the joint outcome histograms of the two propagations
+  agree by chi-squared, on deterministic and random (pivot) measurements
+  and asymmetric readout error;
+* padding never leaks into results: with ``p01 = 1`` every shot reads
+  one, and ``run_iter`` yields exactly the requested shots, at word and
+  chunk boundaries.
+"""
+
+from functools import reduce
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import Assembler, two_qubit_instantiation
+from repro.core.errors import PlantError
+from repro.core.isa import seventeen_qubit_instantiation
+from repro.core.operations import default_operation_set
+from repro.experiments.runner import ExperimentSetup
+from repro.quantum import NoiseModel, QuantumPlant, gates
+from repro.quantum.noise import (
+    DecoherenceModel,
+    GateErrorModel,
+    ReadoutErrorModel,
+)
+from repro.quantum.pauli_frame import (
+    FrameRecorder,
+    GateStep,
+    MeasureStep,
+    NoiseStep,
+    apply_gate,
+    pack_shots,
+    plane_program,
+    propagate_frames,
+    unpack_shots,
+    words_for,
+)
+from repro.quantum.stabilizer import (
+    StabilizerTableau,
+    cached_clifford_action,
+    clifford_action_of,
+    is_clifford,
+)
+from repro.uarch import QuMAv2
+from repro.uarch import machine as machine_module
+from repro.uarch.machine import _CHUNK_SHOTS
+from repro.workloads.surface17 import surface17_circuit
+
+#: Feedback-free Clifford program (frame-batch eligible under Pauli
+#: gate noise); q0's measurement is random, so its pivot path runs.
+FRAME_CLIFFORD = """
+SMIS S0, {0}
+SMIS S2, {2}
+SMIS S3, {0, 2}
+SMIT T0, {(0, 2)}
+QWAIT 10000
+H S0
+QWAIT 10
+CZ T0
+QWAIT 10
+X90 S2
+QWAIT 10
+MEASZ S3
+QWAIT 50
+STOP
+"""
+
+
+# ----------------------------------------------------------------------
+# The reference: the (shots, n) uint8 propagation, ported verbatim
+# ----------------------------------------------------------------------
+def reference_gate(fx, fz, step):
+    bits = step.action.bits
+    if len(step.indices) == 1:
+        a = step.indices[0]
+        v = fx[:, a] | (fz[:, a] << 1)
+        image = bits[v]
+        fx[:, a] = image & 1
+        fz[:, a] = (image >> 1) & 1
+    else:
+        a, b = step.indices
+        v = (fx[:, a] | (fz[:, a] << 1) |
+             (fx[:, b] << 2) | (fz[:, b] << 3))
+        image = bits[v]
+        fx[:, a] = image & 1
+        fz[:, a] = (image >> 1) & 1
+        fx[:, b] = (image >> 2) & 1
+        fz[:, b] = (image >> 3) & 1
+
+
+def reference_propagate(steps, num_qubits, shots, rng, readout):
+    if shots < 1:
+        raise PlantError("need at least one shot to propagate")
+    fx = np.zeros((shots, num_qubits), dtype=np.uint8)
+    fz = np.zeros((shots, num_qubits), dtype=np.uint8)
+    raw_columns = []
+    reported_columns = []
+    for step in steps:
+        if isinstance(step, GateStep):
+            reference_gate(fx, fz, step)
+        elif isinstance(step, NoiseStep):
+            k = len(step.indices)
+            hit = rng.random(shots) < step.probability
+            if not hit.any():
+                continue
+            v = rng.integers(1, 4 ** k, size=shots).astype(np.uint8)
+            v = np.where(hit, v, 0).astype(np.uint8)
+            for slot, qubit in enumerate(step.indices):
+                fx[:, qubit] ^= (v >> (2 * slot)) & 1
+                fz[:, qubit] ^= (v >> (2 * slot + 1)) & 1
+        else:  # MeasureStep
+            a = step.index
+            if step.pivot_x is None:
+                raw = (step.reference_raw ^ fx[:, a]).astype(np.uint8)
+            else:
+                raw = rng.integers(0, 2, size=shots, dtype=np.uint8)
+                flip = (raw ^ fx[:, a] ^ step.reference_raw) \
+                    .astype(bool)
+                if flip.any():
+                    fx[flip] ^= step.pivot_x
+                    fz[flip] ^= step.pivot_z
+            raw_columns.append(raw)
+            reported_columns.append(readout.apply_many(raw, rng))
+    if not raw_columns:
+        empty = np.zeros((shots, 0), dtype=np.uint8)
+        return empty, empty.copy()
+    return (np.column_stack(raw_columns),
+            np.column_stack(reported_columns))
+
+
+# ----------------------------------------------------------------------
+# Recordings
+# ----------------------------------------------------------------------
+def pauli_noise(readout=ReadoutErrorModel()) -> NoiseModel:
+    return NoiseModel(
+        decoherence=DecoherenceModel(t1_ns=1e15, t2_ns=1e15),
+        readout=readout,
+        gate_error=GateErrorModel(single_qubit_error=1e-3,
+                                  two_qubit_error=5e-3))
+
+
+def frame_clifford_machine(seed=0, readout=ReadoutErrorModel()):
+    isa = two_qubit_instantiation()
+    plant = QuantumPlant(isa.topology, noise=pauli_noise(readout),
+                         rng=np.random.default_rng(seed))
+    machine = QuMAv2(isa, plant)
+    machine.load(Assembler(isa).assemble_text(FRAME_CLIFFORD))
+    return machine
+
+
+def surface17_machine(seed=0):
+    setup = ExperimentSetup.create(isa=seventeen_qubit_instantiation(),
+                                   noise=pauli_noise(), seed=seed)
+    setup.machine.load(setup.compile_circuit(
+        surface17_circuit(rounds=2, reset=False)))
+    return setup.machine
+
+
+def machine_recording(machine):
+    """The step sequence and qubit count the machine's frame engine
+    propagates."""
+    seen = []
+
+    def capture(steps, num_qubits, *args, **kwargs):
+        seen.append((steps, num_qubits))
+        return propagate_frames(steps, num_qubits, *args, **kwargs)
+
+    with mock.patch.object(machine_module, "propagate_frames", capture):
+        machine.run_counts(1)
+    assert machine.engine_stats.engine == "frame"
+    return seen[0]
+
+
+def tableau_recording(num_qubits, program, seed=0):
+    """Record ``program`` — ``(gate name, qubits)``, ``("E", qubits,
+    p)`` for a depolarizing site, ``("M", (qubit,))`` — on a fresh
+    tableau."""
+    tableau = StabilizerTableau(num_qubits)
+    recorder = FrameRecorder()
+    rng = np.random.default_rng(seed)
+    for name, qubits, *rest in program:
+        if name == "M":
+            recorder.record_measurement(tableau, qubits[0], rng)
+        elif name == "E":
+            recorder.record_gate_error(qubits, rest[0])
+        else:
+            action = cached_clifford_action(gates.STANDARD_GATES[name])
+            tableau.apply(action, qubits)
+            recorder.record_gate(action, qubits)
+    return recorder.steps
+
+
+#: GHZ preparation with mid-circuit random measurements: multi-qubit
+#: pivots, outcomes correlated through the frames, strong noise.
+GHZ_PROGRAM = [
+    ("H", (0,)), ("E", (0,), 0.05),
+    ("CNOT", (0, 1)), ("E", (0, 1), 0.08),
+    ("CNOT", (1, 2)), ("E", (1, 2), 0.08),
+    ("H", (2,)), ("M", (2,)),
+    ("M", (0,)), ("M", (1,)),
+    ("S", (1,)), ("H", (1,)), ("E", (1,), 0.1),
+    ("CZ", (1, 0)), ("H", (0,)), ("M", (0,)), ("M", (1,)),
+]
+
+
+def with_probability(steps, probability):
+    """``steps`` with every noise site at ``probability``."""
+    return [NoiseStep(step.indices, probability)
+            if isinstance(step, NoiseStep) else step for step in steps]
+
+
+# ----------------------------------------------------------------------
+# Linearity of every Clifford action
+# ----------------------------------------------------------------------
+def assert_linear(bits):
+    bits = [int(b) for b in bits]
+    size = len(bits).bit_length() - 1
+    for v, image in enumerate(bits):
+        assert image == reduce(
+            lambda acc, i: acc ^ bits[1 << i],
+            [i for i in range(size) if v >> i & 1], 0), (bits, v)
+
+
+def run_program(program, v):
+    """Apply a :func:`plane_program` to the local planes of one frame
+    ``v`` (plane ``i`` is bit ``i``)."""
+    planes = [(v >> i) & 1 for i in range(4)]
+    for d, s in program:
+        planes[d] ^= planes[s]
+    return sum(bit << i for i, bit in enumerate(planes))
+
+
+def assert_program_realises(bits):
+    program = plane_program(tuple(int(b) for b in bits))
+    for v, image in enumerate(bits):
+        assert run_program(program, v) == image
+
+
+def configured_cliffords():
+    ops = default_operation_set()
+    return [(name, ops.get(name).unitary) for name in ops.names()
+            if ops.get(name).unitary is not None
+            and is_clifford(ops.get(name).unitary)]
+
+
+@pytest.mark.parametrize("name,unitary", configured_cliffords(),
+                         ids=[name for name, _ in configured_cliffords()])
+def test_configured_cliffords_are_linear(name, unitary):
+    bits = clifford_action_of(unitary).bits
+    assert_linear(bits)
+    assert_program_realises(bits)
+
+
+def test_configured_cliffords_cover_the_gate_set():
+    names = {name for name, _ in configured_cliffords()}
+    assert {"H", "S", "X90", "CZ", "CNOT", "SWAP"} <= names
+    assert "T" not in names
+
+
+def _two_qubit(name):
+    eye = np.eye(2, dtype=complex)
+    return {"H0": np.kron(gates.H, eye), "H1": np.kron(eye, gates.H),
+            "S0": np.kron(gates.S, eye), "S1": np.kron(eye, gates.S),
+            "CZ": gates.CZ, "CNOT01": gates.CNOT,
+            "CNOT10": gates.SWAP @ gates.CNOT @ gates.SWAP}[name]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), two=st.booleans())
+def test_products_of_cliffords_are_linear(data, two):
+    """Products of H/S (one qubit) or H/S/CZ/CNOT (two qubits)."""
+    if two:
+        names = data.draw(st.lists(st.sampled_from(
+            ["H0", "H1", "S0", "S1", "CZ", "CNOT01", "CNOT10"]),
+            min_size=1, max_size=10))
+        unitary = reduce(lambda acc, name: _two_qubit(name) @ acc,
+                         names, np.eye(4, dtype=complex))
+    else:
+        names = data.draw(st.lists(st.sampled_from(["H", "S"]),
+                                   min_size=1, max_size=10))
+        unitary = reduce(lambda acc, name: gates.STANDARD_GATES[name]
+                         @ acc, names, np.eye(2, dtype=complex))
+    action = clifford_action_of(unitary)
+    assert action is not None
+    assert_linear(action.bits)
+    assert_program_realises(action.bits)
+
+
+def test_nonlinear_table_is_refused():
+    table = list(range(4))
+    table[3] = 1  # Y -> X while X -> X and Z -> Z: not linear
+    with pytest.raises(PlantError):
+        plane_program(tuple(table))
+
+
+# ----------------------------------------------------------------------
+# The packed gate kernel, bit for bit
+# ----------------------------------------------------------------------
+def interleave(fx, fz):
+    """``(shots, n)`` X and Z matrices as ``(shots, 2n)`` plane rows."""
+    return np.stack((fx, fz), axis=2).reshape(len(fx), -1)
+
+
+def recorded_gates():
+    cases = []
+    for label, machine in (("surface17", surface17_machine()),
+                           ("frame-clifford", frame_clifford_machine())):
+        steps, num_qubits = machine_recording(machine)
+        cases += [pytest.param(step, num_qubits, id=f"{label}-{index}")
+                  for index, step in enumerate(steps)
+                  if isinstance(step, GateStep)]
+    return cases
+
+
+@pytest.mark.parametrize("step,num_qubits", recorded_gates())
+@pytest.mark.parametrize("shots", [1, 64, 200])
+def test_packed_gate_equals_table_gather(step, num_qubits, shots):
+    rng = np.random.default_rng(shots)
+    fx = rng.integers(0, 2, size=(shots, num_qubits), dtype=np.uint8)
+    fz = rng.integers(0, 2, size=(shots, num_qubits), dtype=np.uint8)
+    planes = pack_shots(interleave(fx, fz))
+    apply_gate(planes, step)
+    reference_gate(fx, fz, step)
+    assert np.array_equal(unpack_shots(planes, shots), interleave(fx, fz))
+    assert np.array_equal(planes, pack_shots(interleave(fx, fz)))
+
+
+def test_surface17_recording_shape():
+    """The recording the kernel and distribution pins run on: the
+    surface-17 cycle's CZs and basis changes, its noise sites and its
+    ancilla measurements."""
+    steps, num_qubits = machine_recording(surface17_machine())
+    kinds = [type(step).__name__ for step in steps]
+    assert num_qubits == 17
+    assert kinds.count("GateStep") >= 24 and kinds.count("NoiseStep") >= 24
+    assert kinds.count("MeasureStep") == 8
+
+
+def test_pack_round_trip_keeps_padding_clear():
+    rng = np.random.default_rng(3)
+    for shots in (1, 63, 64, 65, 130):
+        bits = rng.integers(0, 2, size=(shots, 5), dtype=np.uint8)
+        planes = pack_shots(bits)
+        assert planes.shape == (5, words_for(shots))
+        assert np.array_equal(unpack_shots(planes, shots), bits)
+        tail = np.unpackbits(planes.view(np.uint8), axis=1,
+                             bitorder="little")[:, shots:]
+        assert not tail.any()
+
+
+# ----------------------------------------------------------------------
+# Whole recordings, in distribution
+# ----------------------------------------------------------------------
+def joint_histogram(rows: np.ndarray) -> dict:
+    keys, counts = np.unique(rows, axis=0, return_counts=True)
+    return {tuple(key): count
+            for key, count in zip(keys.tolist(), counts.tolist())}
+
+
+def assert_same_distribution(hist_a: dict, hist_b: dict) -> None:
+    keys = sorted(set(hist_a) | set(hist_b))
+    table = np.array([[hist_a.get(k, 0) for k in keys],
+                      [hist_b.get(k, 0) for k in keys]])
+    totals = table.sum(axis=0)
+    dense = table[:, totals >= 10]
+    pooled = table[:, totals < 10].sum(axis=1, keepdims=True)
+    if pooled.sum() > 0:
+        dense = np.hstack([dense, pooled])
+    assert dense.shape[1] >= 2
+    from scipy.stats import chi2_contingency
+    _, p_value, _, _ = chi2_contingency(dense)
+    assert p_value > 1e-4, \
+        f"packed and reference propagation differ (p={p_value})"
+
+
+def distribution_cases():
+    surface17 = machine_recording(surface17_machine())
+    frame = machine_recording(frame_clifford_machine())
+    return [
+        pytest.param(*surface17, ReadoutErrorModel(), id="surface17"),
+        pytest.param(with_probability(surface17[0], 0.02), surface17[1],
+                     ReadoutErrorModel(p01=0.03, p10=0.2),
+                     id="surface17-strong-noise"),
+        pytest.param(*frame, ReadoutErrorModel(p01=0.1, p10=0.02),
+                     id="frame-clifford"),
+        pytest.param(tableau_recording(3, GHZ_PROGRAM), 3,
+                     ReadoutErrorModel(p01=0.05, p10=0.15), id="ghz"),
+    ]
+
+
+@pytest.mark.parametrize("steps,num_qubits,readout", distribution_cases())
+def test_packed_propagation_matches_reference(steps, num_qubits, readout):
+    shots = 120_000
+    raw, reported = propagate_frames(steps, num_qubits, shots,
+                                     np.random.default_rng(1), readout)
+    ref_raw, ref_reported = reference_propagate(
+        steps, num_qubits, shots, np.random.default_rng(2), readout)
+    measurements = sum(isinstance(step, MeasureStep) for step in steps)
+    assert raw.shape == reported.shape == (measurements, words_for(shots))
+    for packed, reference in ((raw, ref_raw), (reported, ref_reported)):
+        assert_same_distribution(
+            joint_histogram(unpack_shots(packed, shots)),
+            joint_histogram(reference))
+
+
+def test_random_measurement_pivots_correlate_outcomes():
+    """The GHZ recording's second and third measurements repeat the
+    first one's random outcome in a noise-free batch: the pivot
+    correction carries it through the frames."""
+    steps = with_probability(tableau_recording(3, GHZ_PROGRAM), 0.0)
+    assert any(step.pivot_rows is not None and len(step.pivot_rows) > 2
+               for step in steps if isinstance(step, MeasureStep))
+    raw, _ = propagate_frames(steps, 3, 1000, np.random.default_rng(5),
+                              ReadoutErrorModel(p01=0.0, p10=0.0))
+    bits = unpack_shots(raw, 1000)
+    assert 0.4 < bits[:, 1].mean() < 0.6
+    assert np.array_equal(bits[:, 1], bits[:, 2])
+
+
+# ----------------------------------------------------------------------
+# Padding never leaks
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("shots", [1, 63, 64, 65, _CHUNK_SHOTS + 1])
+def test_padding_never_reaches_results(shots):
+    readout = ReadoutErrorModel(p01=1.0, p10=0.0)
+    counts = frame_clifford_machine(readout=readout).run_counts(shots)
+    assert counts.shots == shots
+    for qubit in (0, 2):
+        assert counts.ones[qubit] == counts.measured[qubit] == shots
+    machine = frame_clifford_machine(readout=readout)
+    delivered = 0
+    for trace in machine.run_iter(shots):
+        delivered += 1
+        assert [r.reported_result for r in trace.results] == [1, 1]
+    assert delivered == shots
+    assert machine.engine_stats.frame_batched == shots
+
+
+@pytest.mark.parametrize("shots", [1, 63, 64, 65, 200])
+def test_packed_outputs_keep_padding_clear(shots):
+    steps, num_qubits = machine_recording(frame_clifford_machine())
+    raw, reported = propagate_frames(
+        steps, num_qubits, shots, np.random.default_rng(shots),
+        ReadoutErrorModel(p01=1.0, p10=1.0))
+    for packed in (raw, reported):
+        tail = np.unpackbits(packed.view(np.uint8), axis=1,
+                             bitorder="little")[:, shots:]
+        assert not tail.any()

@@ -3,12 +3,14 @@
 ``run_counts`` never splices a trace for a cached replay walk or a
 Pauli-frame chunk: it folds a replay terminal's template once with its
 multiplicity (``add(template, shots=k)`` — a cached walk's outcomes
-are the template's own) or a whole reported-outcome matrix
-(``add_batch``).  Both must give exactly the aggregate that one
-``add`` per spliced trace gives — same ``as_dict()``, byte for byte
-once serialised — on any template: qubits measured several times,
+are the template's own) or a whole chunk of bit-packed reported
+outcomes (``add_batch``, one ``(words,)`` row of 64 shots per word per
+result).  Both must give exactly the aggregate that one ``add`` per
+spliced trace gives — same ``as_dict()``, byte for byte once
+serialised — on any template: qubits measured several times,
 unmeasured qubits, no measurement at all, nonzero slips, and more
-measured qubits than fit one packed machine word.
+measured qubits than fit one packed machine word; and on any shot
+count, whole words and partial last words alike.
 """
 
 import json
@@ -17,6 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.quantum.pauli_frame import pack_shots
 from repro.uarch import ShotCounts, ShotTrace
 from repro.uarch.trace import ResultRecord, SlipRecord
 
@@ -46,9 +49,10 @@ def templates(draw):
 @st.composite
 def batches(draw):
     """A template and a ``(shots, measurements)`` pair of raw and
-    reported 0/1 outcome matrices."""
+    reported 0/1 outcome matrices; 1..200 shots span one to four
+    packed words, most with a partial last word."""
     template = draw(templates())
-    shots = draw(st.integers(1, 40))
+    shots = draw(st.integers(1, 200))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     shape = (shots, len(template.results))
@@ -76,7 +80,7 @@ def test_add_batch_equals_add(batch):
     for outcomes in spliced_rows(template, raw, reported):
         by_trace.add(template.with_sampled_results(outcomes))
     by_batch = ShotCounts()
-    by_batch.add_batch(template, reported)
+    by_batch.add_batch(template, pack_shots(reported), len(reported))
     assert serialised(by_batch) == serialised(by_trace)
 
 
@@ -112,7 +116,7 @@ def test_mixed_folds_into_one_aggregate(parts, ways):
         for outcomes in rows:
             reference.add(template.with_sampled_results(outcomes))
         if way == "batch":
-            mixed.add_batch(template, reported)
+            mixed.add_batch(template, pack_shots(reported), len(reported))
         elif way == "shots":
             multiplicity: dict = {}
             for outcomes in rows:
@@ -129,7 +133,7 @@ def test_mixed_folds_into_one_aggregate(parts, ways):
 
 
 def test_zero_measurement_frame_batch():
-    """The frame engine's ``(shots, 0)`` output for a program that
+    """The frame engine's ``(0, words)`` output for a program that
     measures nothing still counts shots and slips."""
     template = ShotTrace(slips=[SlipRecord(cycle=3, due_ns=0.0,
                                            actual_ns=40.0)])
@@ -137,7 +141,8 @@ def test_zero_measurement_frame_batch():
     for _ in range(5):
         reference.add(template.with_sampled_results([]))
     counts = ShotCounts()
-    counts.add_batch(template, np.zeros((5, 0), dtype=np.uint8))
+    counts.add_batch(template, pack_shots(np.zeros((5, 0), dtype=np.uint8)),
+                     5)
     assert serialised(counts) == serialised(reference)
     assert counts.shots == 5 and counts.total_slips == 5
     assert counts.max_slip_ns == 40.0 and not counts.joint
@@ -159,7 +164,7 @@ def test_wide_template_packs_into_several_words():
         reference.add(template.with_sampled_results(
             [(bit, bit) for bit in row]))
     counts = ShotCounts()
-    counts.add_batch(template, reported)
+    counts.add_batch(template, pack_shots(reported), len(reported))
     assert serialised(counts) == serialised(reference)
     assert len(counts.joint) < 300
 
@@ -170,6 +175,7 @@ def test_fold_plans_are_per_template_not_per_shot():
                      measure_start_ns=0.0, arrival_ns=60.0)])
     counts = ShotCounts()
     for bit in [0, 1] * 500:
-        counts.add_batch(template, np.array([[bit]], dtype=np.uint8))
+        counts.add_batch(template, pack_shots(np.array([[bit]],
+                                                       dtype=np.uint8)), 1)
     assert len(counts._plans) == 1
     assert counts.ones == {2: 500} and counts.measured == {2: 1000}

@@ -157,7 +157,12 @@ def route_all_growth(count=QuMAv2.run_counts):
 #: the exactness of that order is pinned statistically in
 #: tests/uarch/test_cohort_replay.py.  The stats digests were re-pinned
 #: when ``EngineStats`` dropped ``tree_roots`` and
-#: ``mock_results_replayed`` (no run's draws changed).
+#: ``mock_results_replayed`` (no run's draws changed).  The frame-batch
+#: counts digest was re-pinned when the frames became bit-packed: the
+#: exact sparse noise sampler (binomial hit count, uniform hit subset)
+#: and packed readout masks draw in a new order, with the same
+#: distribution — pinned against the unpacked propagation in
+#: tests/quantum/test_pauli_frame.py.
 ROUTES = {
     "static-blocker": (
         route_static_blocker, "interpreter",
@@ -173,7 +178,7 @@ ROUTES = {
         "815cc4c26369c08c773f6da7a702dd5f0bbc0b246b742d302cca7733f085b082"),
     "frame-batch": (
         route_frame_batch, "frame",
-        "92b6050f4b7760cc53e79f89f43076348ddeb03429a0b5e1460439429ec37a5e",
+        "fa1af651896579c2e763605aeadec5270bbee7b200a4cb17510858386e0723b7",
         "f056b970df08d3610c1d9bc789ce177986632a233167df08c2ad78bed444aba4"),
     "frame-reference-fault": (
         route_frame_reference_fault, "interpreter",
