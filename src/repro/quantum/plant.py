@@ -271,8 +271,7 @@ class QuantumPlant:
     # ------------------------------------------------------------------
     def apply_unitary(self, name: str, unitary: np.ndarray,
                       qubits: tuple[int, ...], start_ns: float,
-                      duration_ns: float,
-                      apply_gate_error: bool = True) -> None:
+                      duration_ns: float) -> None:
         """Apply a named unitary on physical qubit addresses at a time.
 
         The qubits are first idled (decohered) up to ``start_ns``; the
@@ -296,9 +295,7 @@ class QuantumPlant:
         if obs is not None:
             gate_start = obs.tracer.clock()
         backend.apply_gate(name, unitary, indices)
-        if apply_gate_error:
-            backend.apply_gate_error(indices, self.noise.gate_error,
-                                     self.rng)
+        backend.apply_gate_error(indices, self.noise.gate_error, self.rng)
         if obs is not None:
             self._obs_kernels(obs)[1].record(
                 obs.tracer.clock() - gate_start)

@@ -15,19 +15,18 @@ Z_j^{z_ij}`` — rows ``n..2n-1`` generate the stabilizer group of the
 state, rows ``0..n-1`` the matching destabilizers (needed to make
 deterministic measurements O(n^2) instead of exponential).
 
-Storage is **bit-packed**: the 2n bits of each qubit column live in
-``ceil(2n/64)`` uint64 words (:attr:`StabilizerTableau.xw` /
-:attr:`~StabilizerTableau.zw`, shape ``(n, words)``; phases in
-:attr:`~StabilizerTableau.rw`).  A gate update then touches only the
-target columns, as a handful of word-wide AND/XOR minterm operations
-over all 2n rows at once — instead of the boolean fancy-indexing of
-the earlier uint8 layout, which materialised three 2n-length index
-arrays per gate.  Up to 64 qubits a column is a *single* word and the
-update runs on plain Python integers (CPython's arbitrary-precision
-ints are word arrays under the hood, so the same word-wide semantics
-hold for wider chips with zero numpy per-op overhead).  The canonical
-unpacked image (:meth:`~StabilizerTableau.x_bits` etc.) is a function
-of the generators, not of the packing.
+Storage is one **Python int per column**: bit ``i`` of
+:attr:`StabilizerTableau.x` ``[q]`` / :attr:`~StabilizerTableau.z`
+``[q]`` is row ``i``'s bit on qubit ``q``, and bit ``i`` of
+:attr:`~StabilizerTableau.r` is row ``i``'s phase.  A gate update
+touches only the target columns, as a handful of AND/XOR minterm
+operations over all 2n rows at once; CPython's arbitrary-precision
+ints carry any chip width with no per-op conversion.  A random
+measurement multiplies the pivot stabilizer into every anticommuting
+row in one pass over the columns, summing the rowsum i-exponents mod 4
+in a two-bit counter sliced across the rows.  The canonical unpacked
+image (:meth:`~StabilizerTableau.x_bits` etc.) is the (2n, n) bit
+array of the generators.
 
 Gate application does **not** hard-code per-gate update rules.  Instead
 the symplectic action of any configured unitary is *derived
@@ -165,91 +164,31 @@ def is_clifford(unitary: np.ndarray) -> bool:
 
 
 class StabilizerTableau:
-    """An ``n``-qubit stabilizer state as a bit-packed CHP tableau.
+    """An ``n``-qubit stabilizer state as a CHP tableau of int columns.
 
-    The 2n rows (destabilizers then stabilizers) are packed along the
-    row axis: for each qubit column ``q``, ``xw[q]`` / ``zw[q]`` hold
-    the column's 2n symplectic bits in uint64 words (bit ``i`` of word
-    ``i // 64`` is row ``i``); ``rw`` packs the 2n phase bits the same
-    way.  Gate application, Pauli injection and phase flips are then
-    word-wide boolean algebra over whole columns; the rowsum paths of
-    measurement extract individual rows as n-vectors when they need
-    the Aaronson–Gottesman i-exponent arithmetic.
+    The 2n rows (destabilizers then stabilizers) run along the bits of
+    Python integers: ``x[q]`` / ``z[q]`` hold qubit ``q``'s symplectic
+    column over all 2n rows (bit ``i`` is row ``i``) and ``r`` holds the
+    2n phase bits the same way.  Gate application, Pauli injection,
+    the deterministic-outcome scan and the random-outcome rowsums
+    (:meth:`_collapse_random`) are all whole-column boolean algebra.
     """
 
     def __init__(self, num_qubits: int):
         if num_qubits < 1:
             raise PlantError("need at least one qubit")
         self.num_qubits = num_qubits
-        n = num_qubits
-        self._rows = 2 * n
-        self._words = (self._rows + 63) // 64
-        #: Packed symplectic bits, shape (n, words): ``xw[q]`` is the
-        #: X column of qubit q over all 2n rows.
-        self.xw = np.zeros((n, self._words), dtype=np.uint64)
-        self.zw = np.zeros((n, self._words), dtype=np.uint64)
-        #: Packed phase bits r_i over the 2n rows.
-        self.rw = np.zeros(self._words, dtype=np.uint64)
-        self._identity_init()
-
-    def _identity_init(self) -> None:
-        n = self.num_qubits
-        for q in range(n):
-            self.xw[q, q >> 6] |= np.uint64(1) << np.uint64(q & 63)
-            row = n + q
-            self.zw[q, row >> 6] |= np.uint64(1) << np.uint64(row & 63)
+        self.reset()
 
     def reset(self) -> None:
-        """Return to ``|0...0>``."""
-        self.xw[:] = 0
-        self.zw[:] = 0
-        self.rw[:] = 0
-        self._identity_init()
-
-    # ------------------------------------------------------------------
-    # Packed-word access helpers
-    # ------------------------------------------------------------------
-    def _col_int(self, arr: np.ndarray, q: int) -> int:
-        """One packed column as a single Python integer (2n bits)."""
-        if self._words == 1:
-            return int(arr[q, 0])
-        return int.from_bytes(arr[q].tobytes(), "little")
-
-    def _set_col_int(self, arr: np.ndarray, q: int, value: int) -> None:
-        if self._words == 1:
-            arr[q, 0] = value
-        else:
-            arr[q] = np.frombuffer(
-                value.to_bytes(self._words * 8, "little"), dtype=np.uint64)
-
-    def _r_int(self) -> int:
-        if self._words == 1:
-            return int(self.rw[0])
-        return int.from_bytes(self.rw.tobytes(), "little")
-
-    def _xor_r(self, flips: int) -> None:
-        if not flips:
-            return
-        if self._words == 1:
-            self.rw[0] ^= np.uint64(flips)
-        else:
-            self.rw ^= np.frombuffer(
-                flips.to_bytes(self._words * 8, "little"), dtype=np.uint64)
-
-    def _r_bit(self, row: int) -> int:
-        return int(self.rw[row >> 6] >> np.uint64(row & 63)) & 1
-
-    def _set_r_bit(self, row: int, value: int) -> None:
-        mask = np.uint64(1) << np.uint64(row & 63)
-        if value:
-            self.rw[row >> 6] |= mask
-        else:
-            self.rw[row >> 6] &= ~mask
-
-    def _row_bits(self, arr: np.ndarray, row: int) -> np.ndarray:
-        """One tableau row across all n columns as an int8 0/1 vector."""
-        return ((arr[:, row >> 6] >> np.uint64(row & 63)) &
-                np.uint64(1)).astype(np.int8)
+        """Return to ``|0...0>``: destabilizer ``q`` is X_q, stabilizer
+        ``n + q`` is Z_q, all phases +."""
+        n = self.num_qubits
+        #: ``x[q]`` / ``z[q]``: qubit q's column, bit i for row i.
+        self.x = [1 << q for q in range(n)]
+        self.z = [1 << (n + q) for q in range(n)]
+        #: The phase bits r_i, bit i for row i.
+        self.r = 0
 
     # ------------------------------------------------------------------
     # Clifford evolution
@@ -259,11 +198,11 @@ class StabilizerTableau:
         """Conjugate every row by the gate via its action table.
 
         The update is the minterm expansion of the action table in
-        word-wide boolean algebra: each of the ``4^k - 1`` non-identity
-        input values ``v`` selects the rows currently carrying that
-        Pauli on the target qubits (an AND of column literals), and
-        XOR/ORs them into the output columns and the phase word that
-        ``bits[v]`` / ``sign[v]`` prescribe.
+        whole-column boolean algebra: each of the ``4^k - 1``
+        non-identity input values ``v`` selects the rows currently
+        carrying that Pauli on the target qubits (an AND of column
+        literals), and XOR/ORs them into the output columns and the
+        phases that ``bits[v]`` / ``sign[v]`` prescribe.
         """
         if len(qubits) != action.num_qubits:
             raise PlantError(
@@ -274,10 +213,12 @@ class StabilizerTableau:
                 raise PlantError(f"qubit {qubit} out of range")
         bits = action.bits
         sign = action.sign
+        x = self.x
+        z = self.z
         if len(qubits) == 1:
             a = qubits[0]
-            xa = self._col_int(self.xw, a)
-            za = self._col_int(self.zw, a)
+            xa = x[a]
+            za = z[a]
             # Minterms of (x, z) indexed by v = x + 2z; v=0 maps I->I
             # and never contributes, so it is skipped.
             minterms = (0, xa & ~za, ~xa & za, xa & za)
@@ -293,20 +234,19 @@ class StabilizerTableau:
                     new_z |= term
                 if sign[v]:
                     flips ^= term
-            self._set_col_int(self.xw, a, new_x)
-            self._set_col_int(self.zw, a, new_z)
-            self._xor_r(flips)
+            x[a] = new_x
+            z[a] = new_z
+            self.r ^= flips
         else:
             a, b = qubits
             if a == b:
                 raise PlantError(f"duplicate qubits in {qubits}")
-            xa = self._col_int(self.xw, a)
-            za = self._col_int(self.zw, a)
-            xb = self._col_int(self.xw, b)
-            zb = self._col_int(self.zw, b)
-            full = (1 << self._rows) - 1
-            ta = (full & ~xa & ~za, xa & ~za, ~xa & za, xa & za)
-            tb = (full & ~xb & ~zb, xb & ~zb, ~xb & zb, xb & zb)
+            xa, za, xb, zb = x[a], z[a], x[b], z[b]
+            # The identity minterms are negative ints; every term with
+            # v != 0 ANDs one of them with a non-negative minterm, so
+            # the result stays within the 2n rows.
+            ta = (~(xa | za), xa & ~za, ~xa & za, xa & za)
+            tb = (~(xb | zb), xb & ~zb, ~xb & zb, xb & zb)
             new_xa = new_za = new_xb = new_zb = flips = 0
             for v in range(1, 16):
                 term = ta[v & 3] & tb[v >> 2]
@@ -323,11 +263,8 @@ class StabilizerTableau:
                     new_zb |= term
                 if sign[v]:
                     flips ^= term
-            self._set_col_int(self.xw, a, new_xa)
-            self._set_col_int(self.zw, a, new_za)
-            self._set_col_int(self.xw, b, new_xb)
-            self._set_col_int(self.zw, b, new_zb)
-            self._xor_r(flips)
+            x[a], z[a], x[b], z[b] = new_xa, new_za, new_xb, new_zb
+            self.r ^= flips
 
     def apply_pauli(self, v: int, qubits: tuple[int, ...]) -> None:
         """Apply a Pauli error (packed index ``v`` as in the action
@@ -335,46 +272,16 @@ class StabilizerTableau:
         flips = 0
         for slot, qubit in enumerate(qubits):
             if (v >> (2 * slot)) & 1:                  # X component
-                flips ^= self._col_int(self.zw, qubit)
+                flips ^= self.z[qubit]
             if (v >> (2 * slot + 1)) & 1:              # Z component
-                flips ^= self._col_int(self.xw, qubit)
-        self._xor_r(flips)
-
-    # ------------------------------------------------------------------
-    # Row products (Aaronson–Gottesman "rowsum")
-    # ------------------------------------------------------------------
-    def _phase_exponent(self, x1, z1, x2, z2) -> int:
-        """Sum over qubits of the i-exponent g(x1, z1, x2, z2) when the
-        Pauli (x1, z1) is multiplied by (x2, z2) (A–G eq. for rowsum)."""
-        g = np.where(
-            (x1 == 1) & (z1 == 1), z2 - x2,
-            np.where((x1 == 1) & (z1 == 0), z2 * (2 * x2 - 1),
-                     np.where((x1 == 0) & (z1 == 1), x2 * (1 - 2 * z2),
-                              0)))
-        return int(g.sum())
-
-    def _rowsum(self, h: int, i: int) -> None:
-        """Row h := row i * row h (the stabilizer-group product)."""
-        xi = self._row_bits(self.xw, i)
-        zi = self._row_bits(self.zw, i)
-        xh = self._row_bits(self.xw, h)
-        zh = self._row_bits(self.zw, h)
-        total = (2 * self._r_bit(h) + 2 * self._r_bit(i) +
-                 self._phase_exponent(xi, zi, xh, zh))
-        self._set_r_bit(h, (total % 4) // 2)
-        shift_i = np.uint64(i & 63)
-        shift_h = np.uint64(h & 63)
-        one = np.uint64(1)
-        src_x = (self.xw[:, i >> 6] >> shift_i) & one
-        src_z = (self.zw[:, i >> 6] >> shift_i) & one
-        self.xw[:, h >> 6] ^= src_x << shift_h
-        self.zw[:, h >> 6] ^= src_z << shift_h
+                flips ^= self.x[qubit]
+        self.r ^= flips
 
     def _deterministic_outcome(self, column: int) -> int:
-        """Outcome of measuring the qubit whose packed X column is
-        ``column`` when no stabilizer anticommutes with its Z: the sign
-        of the product of the stabilizer rows S whose destabilizer
-        partners anticommute (the product is +/-Z_a).
+        """Outcome of measuring the qubit whose X column is ``column``
+        when no stabilizer anticommutes with its Z: the sign of the
+        product of the stabilizer rows S whose destabilizer partners
+        anticommute (the product is +/-Z_a).
 
         Writing each row as ``(-1)^r prod_q i^(x_q z_q) X_q^x_q Z_q^z_q``
         and ordering the X factors of the product ahead of its Z
@@ -383,17 +290,17 @@ class StabilizerTableau:
         x_lq = 1})``; the outcome is bit 1 of that exponent mod 4.  The
         pair count only matters mod 2, which is the parity of the rows
         of ``X_q & S`` that sit above an odd number of rows of
-        ``Z_q & S`` — a prefix-XOR scan of the packed column.
+        ``Z_q & S`` — a prefix-XOR scan of the column.
         """
         n = self.num_qubits
         selected = (column & ((1 << n) - 1)) << n
-        total = 2 * (self._r_int() & selected).bit_count()
+        total = 2 * (self.r & selected).bit_count()
         pairs = 0
-        for q in range(n):
-            z = self._col_int(self.zw, q) & selected
+        for xq, zq in zip(self.x, self.z):
+            z = zq & selected
             if not z:
                 continue
-            x = self._col_int(self.xw, q) & selected
+            x = xq & selected
             if not x:
                 continue
             total += (x & z).bit_count()
@@ -416,7 +323,7 @@ class StabilizerTableau:
         with Z_a (random outcome), else exactly 0.0 or 1.0."""
         if not 0 <= a < self.num_qubits:
             raise PlantError(f"qubit {a} out of range")
-        column = self._col_int(self.xw, a)
+        column = self.x[a]
         if column >> self.num_qubits:
             return 0.5
         return float(self._deterministic_outcome(column))
@@ -427,17 +334,17 @@ class StabilizerTableau:
         is the row :meth:`collapse` pivots on; the Pauli-frame engine
         records it (:meth:`row_paulis`) as the frame correction that
         maps one random-measurement branch onto the other."""
-        stab = self._col_int(self.xw, a) >> self.num_qubits
+        stab = self.x[a] >> self.num_qubits
         if not stab:
             return None
         return self.num_qubits + (stab & -stab).bit_length() - 1
 
     def row_paulis(self, row: int) -> tuple[np.ndarray, np.ndarray]:
         """One row's (x, z) bits as uint8 n-vectors (sign excluded)."""
-        if not 0 <= row < self._rows:
+        if not 0 <= row < 2 * self.num_qubits:
             raise PlantError(f"row {row} out of range")
-        return (self._row_bits(self.xw, row).astype(np.uint8),
-                self._row_bits(self.zw, row).astype(np.uint8))
+        return (np.array([(c >> row) & 1 for c in self.x], dtype=np.uint8),
+                np.array([(c >> row) & 1 for c in self.z], dtype=np.uint8))
 
     def collapse(self, a: int, result: int) -> None:
         """Project qubit ``a`` onto ``result`` (raises on probability 0)."""
@@ -445,7 +352,7 @@ class StabilizerTableau:
             raise PlantError(f"result {result} is not a bit")
         if not 0 <= a < self.num_qubits:
             raise PlantError(f"qubit {a} out of range")
-        column = self._col_int(self.xw, a)
+        column = self.x[a]
         if not column >> self.num_qubits:
             if self._deterministic_outcome(column) != result:
                 raise PlantError(
@@ -454,37 +361,56 @@ class StabilizerTableau:
         self._collapse_random(a, column, result)
 
     def _collapse_random(self, a: int, column: int, result: int) -> None:
-        """Project qubit ``a`` (packed X column ``column``, some
-        stabilizer anticommuting with Z_a) onto ``result``."""
+        """Project qubit ``a`` (X column ``column``, some stabilizer
+        anticommuting with Z_a) onto ``result``.
+
+        Every row ``h`` anticommuting with Z_a becomes ``row p * row h``
+        for the pivot stabilizer ``p`` (the A–G rowsum), all rows at
+        once: the new phase of row ``h`` is bit 1 of ``2 r_h + 2 r_p +
+        sum_q g_q(h)``, where the i-exponent ``g_q`` of pivot column
+        ``q`` is +1 on one row mask and -1 on another.  ``low``/``high``
+        count that sum mod 4 bit-sliced across the rows, so bit 1 of
+        the total is ``r_h ^ r_p ^ high``.  Then the pivot moves to its
+        destabilizer slot ``p - n`` and row ``p`` becomes ``±Z_a``.
+        """
         n = self.num_qubits
         p = self.pivot_stabilizer(a)
-        remaining = column & ~(1 << p)
-        while remaining:
-            h = (remaining & -remaining).bit_length() - 1
-            remaining &= remaining - 1
-            self._rowsum(h, p)
-        # The old stabilizer becomes the new destabilizer; the new
-        # stabilizer is (+/-) Z_a with the chosen outcome as its sign.
-        self._copy_row(p, p - n)
-        self._clear_row(p)
-        self.zw[a, p >> 6] |= np.uint64(1) << np.uint64(p & 63)
-        self._set_r_bit(p, result)
-
-    def _copy_row(self, src: int, dst: int) -> None:
-        one = np.uint64(1)
-        shift_s = np.uint64(src & 63)
-        shift_d = np.uint64(dst & 63)
-        keep = ~(one << shift_d)
-        for arr in (self.xw, self.zw):
-            bit = (arr[:, src >> 6] >> shift_s) & one
-            arr[:, dst >> 6] = (arr[:, dst >> 6] & keep) | (bit << shift_d)
-        self._set_r_bit(dst, self._r_bit(src))
-
-    def _clear_row(self, row: int) -> None:
-        keep = ~(np.uint64(1) << np.uint64(row & 63))
-        self.xw[:, row >> 6] &= keep
-        self.zw[:, row >> 6] &= keep
-        self._set_r_bit(row, 0)
+        d = p - n
+        rows = column & ~(1 << p)
+        clear = ~((1 << p) | (1 << d))
+        low = high = 0
+        x = self.x
+        z = self.z
+        for q in range(n):
+            xq = x[q]
+            zq = z[q]
+            px = (xq >> p) & 1
+            pz = (zq >> p) & 1
+            if px or pz:
+                xh = xq & rows
+                zh = zq & rows
+                if px and pz:            # Y: g = z_h - x_h
+                    plus, minus = zh & ~xh, xh & ~zh
+                elif px:                 # X: g = z_h (2 x_h - 1)
+                    plus, minus = zh & xh, zh & ~xh
+                else:                    # Z: g = x_h (1 - 2 z_h)
+                    plus, minus = xh & ~zh, xh & zh
+                high ^= low & plus
+                low ^= plus
+                high ^= ~low & minus
+                low ^= minus
+                if px:
+                    xq ^= rows
+                if pz:
+                    zq ^= rows
+            x[q] = (xq & clear) | (px << d)
+            z[q] = (zq & clear) | (pz << d)
+        z[a] |= 1 << p
+        r = self.r ^ high
+        rp = (r >> p) & 1
+        if rp:
+            r ^= rows
+        self.r = (r & clear) | (rp << d) | (result << p)
 
     def measure(self, a: int, rng: np.random.Generator) -> int:
         """Sample a projective z-measurement and collapse the state.
@@ -493,7 +419,7 @@ class StabilizerTableau:
         leaves the state unchanged); a random one draws exactly once."""
         if not 0 <= a < self.num_qubits:
             raise PlantError(f"qubit {a} out of range")
-        column = self._col_int(self.xw, a)
+        column = self.x[a]
         if not column >> self.num_qubits:
             return self._deterministic_outcome(column)
         result = 1 if rng.random() < 0.5 else 0
@@ -503,30 +429,26 @@ class StabilizerTableau:
     # ------------------------------------------------------------------
     # Canonical unpacked image (tests / debugging)
     # ------------------------------------------------------------------
-    def _unpack(self, arr: np.ndarray) -> np.ndarray:
-        """Unpack a (n, words) column array to (2n, n) uint8 bits —
-        the pre-packing row-major layout, which is the *canonical*
-        image, independent of the word packing."""
-        shifts = np.arange(64, dtype=np.uint64)
-        bits = (arr[:, :, None] >> shifts) & np.uint64(1)
-        flat = bits.reshape(self.num_qubits, self._words * 64)
-        return np.ascontiguousarray(
-            flat[:, :self._rows].T.astype(np.uint8))
+    def _unpack(self, columns: list[int]) -> np.ndarray:
+        """Int columns as a (len(columns), 2n) uint8 bit array."""
+        rows = 2 * self.num_qubits
+        size = (rows + 7) // 8
+        raw = np.frombuffer(
+            b"".join(c.to_bytes(size, "little") for c in columns),
+            dtype=np.uint8).reshape(len(columns), size)
+        return np.unpackbits(raw, axis=1, count=rows, bitorder="little")
 
     def x_bits(self) -> np.ndarray:
         """The X bits as a canonical (2n, n) uint8 array."""
-        return self._unpack(self.xw)
+        return np.ascontiguousarray(self._unpack(self.x).T)
 
     def z_bits(self) -> np.ndarray:
         """The Z bits as a canonical (2n, n) uint8 array."""
-        return self._unpack(self.zw)
+        return np.ascontiguousarray(self._unpack(self.z).T)
 
     def r_bits(self) -> np.ndarray:
         """The phase bits as a canonical (2n,) uint8 vector."""
-        shifts = np.arange(64, dtype=np.uint64)
-        bits = (self.rw[:, None] >> shifts) & np.uint64(1)
-        return np.ascontiguousarray(
-            bits.reshape(self._words * 64)[:self._rows].astype(np.uint8))
+        return self._unpack([self.r])[0]
 
     # ------------------------------------------------------------------
     # Inspection (tests / debugging)
@@ -642,6 +564,7 @@ class StabilizerBackend(PlantBackend):
 
     @classmethod
     def estimate_bytes(cls, num_qubits: int) -> int:
-        # Two (n x words) uint64 column arrays plus the packed phases.
+        # Two int columns of 2n bits per qubit plus the 2n phase bits,
+        # counted in 64-bit words (int object headers aside).
         words = (2 * num_qubits + 63) // 64
         return 16 * num_qubits * words + 8 * words

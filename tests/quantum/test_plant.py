@@ -173,18 +173,6 @@ class TestGateError:
         # Depolarizing with p=0.5 leaves P(1) = 1 - p*2/3 = 2/3.
         assert plant.probability_one(0) == pytest.approx(2.0 / 3.0, abs=1e-9)
 
-    def test_gate_error_can_be_suppressed(self):
-        noise = NoiseModel(
-            decoherence=DecoherenceModel(t1_ns=1e12, t2_ns=1e12),
-            readout=ReadoutErrorModel(0.0, 0.0),
-            gate_error=GateErrorModel(single_qubit_error=0.5,
-                                      two_qubit_error=0.5))
-        plant = QuantumPlant(two_qubit_chip(), noise=noise,
-                             rng=np.random.default_rng(0))
-        plant.apply_unitary("X", gates.X, (0,), 0.0, 20.0,
-                            apply_gate_error=False)
-        assert plant.probability_one(0) == pytest.approx(1.0)
-
 
 class TestMeasurementSampling:
     def test_measure_statistics(self):

@@ -330,12 +330,30 @@ class BooleanTableau:
 
 def _assert_same_state(packed: StabilizerTableau,
                        boolean: BooleanTableau) -> None:
-    """Word-level equality: the packed tableau's canonical unpacked
+    """Bit-level equality: the int-column tableau's canonical unpacked
     image must match the boolean reference bit for bit — state AND
     phase rows, destabilizers included."""
     np.testing.assert_array_equal(packed.x_bits(), boolean.x)
     np.testing.assert_array_equal(packed.z_bits(), boolean.z)
     np.testing.assert_array_equal(packed.r_bits(), boolean.r)
+
+
+def _assert_same_pivot(packed: StabilizerTableau, boolean: BooleanTableau,
+                       qubit: int) -> None:
+    """The pivot row the Pauli-frame engine records before measuring
+    ``qubit`` must be the boolean reference's: the first stabilizer
+    anticommuting with Z_qubit and its (x, z) bits on a random
+    outcome, None on a deterministic one."""
+    n = boolean.num_qubits
+    anticommuting = np.nonzero(boolean.x[n:, qubit])[0]
+    if anticommuting.size == 0:
+        assert packed.pivot_stabilizer(qubit) is None
+        return
+    pivot = n + int(anticommuting[0])
+    assert packed.pivot_stabilizer(qubit) == pivot
+    pivot_x, pivot_z = packed.row_paulis(pivot)
+    np.testing.assert_array_equal(pivot_x, boolean.x[pivot])
+    np.testing.assert_array_equal(pivot_z, boolean.z[pivot])
 
 
 try:
@@ -347,10 +365,10 @@ except ImportError:          # pragma: no cover - baked into the image
 
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis missing")
 class TestPackedVsBooleanProperty:
-    """Property tier: the bit-packed tableau is *exactly* the boolean
+    """Property tier: the int-column tableau is *exactly* the boolean
     tableau under random Clifford sequences, Pauli injections and
-    measurements — same packed-word state, same phases, same RNG
-    consumption, same outcomes."""
+    measurements — same state bits, same phases, same pivot rows, same
+    RNG consumption, same outcomes."""
 
     @staticmethod
     def _op_strategy():
@@ -403,6 +421,7 @@ class TestPackedVsBooleanProperty:
                 qubit = raw % num_qubits
                 assert packed.probability_one(qubit) == \
                     boolean.probability_one(qubit)
+                _assert_same_pivot(packed, boolean, qubit)
                 assert packed.measure(qubit, rng_packed) == \
                     boolean.measure(qubit, rng_boolean)
             _assert_same_state(packed, boolean)
@@ -414,8 +433,9 @@ class TestPackedVsBooleanProperty:
            seed=st.integers(0, 2 ** 31))
     @settings(max_examples=5, deadline=None)
     def test_multiword_columns(self, num_qubits, seed):
-        """Past 64 qubits a column spans multiple uint64 words; the
-        packed arithmetic must stay exact across word boundaries."""
+        """At 65-80 qubits a column holds 130-160 row bits, several
+        machine words; the int-column arithmetic must stay exact on
+        such wide ints."""
         rng = np.random.default_rng(seed)
         packed = StabilizerTableau(num_qubits)
         boolean = BooleanTableau(num_qubits)
@@ -441,13 +461,13 @@ class TestPackedVsBooleanProperty:
            seed=st.integers(0, 2 ** 31))
     @settings(max_examples=12, deadline=None)
     def test_measurement_heavy_sequences(self, num_qubits, seed):
-        """Wide, measurement-heavy sequences on both sides of the
-        one-word column limit (2n <= 64 bits): scramble, measure every
-        qubit, remix with CNOTs and X errors (deterministic outcomes
-        over many selected stabilizer rows, both signs), scramble again
-        and measure twice.  Outcomes and states match the boolean
-        tableau, a deterministic measurement draws nothing and a random
-        one draws exactly once."""
+        """Wide, measurement-heavy sequences with columns on both sides
+        of 64 bits (2n from 14 to 80): scramble, measure every qubit,
+        remix with CNOTs and X errors (deterministic outcomes over many
+        selected stabilizer rows, both signs), scramble again and
+        measure twice.  Outcomes, pivot rows and states match the
+        boolean tableau, a deterministic measurement draws nothing and
+        a random one draws exactly once."""
         n = num_qubits
         plan = np.random.default_rng(seed)
         packed = StabilizerTableau(n)
@@ -477,6 +497,7 @@ class TestPackedVsBooleanProperty:
             for qubit in plan.permutation(n).tolist():
                 p_one = boolean.probability_one(qubit)
                 assert packed.probability_one(qubit) == p_one
+                _assert_same_pivot(packed, boolean, qubit)
                 draws = rng_packed.draws
                 assert packed.measure(qubit, rng_packed) == \
                     boolean.measure(qubit, rng_boolean)
