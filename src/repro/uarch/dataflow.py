@@ -19,38 +19,38 @@ hard replay blocker.  Two observations remove almost all of it:
   store kills the cross-shot (and host) dependence.  Spill/reload
   scratch traffic — compute, deposit, reload — is the common shape.
 
-The pass has two engines:
+The pass is one path-sensitive abstract execution of the binary.
+Registers start at zero each shot, ``LDI``/``LDUI`` introduce
+constants, the ALU folds them, and the comparison flags are modelled
+with the *real* :class:`~repro.core.registers.ComparisonFlags`
+semantics — so a branch whose ``CMP`` operands are statically known
+follows exactly one edge.  A branch whose condition depends on
+run-time state (``FMR``/``FBR``/``LD`` results) explores both edges
+with the same state.  The result is an *exploded graph* over which two
+analyses run:
 
-* **Exploration** (the precise tier): a path-sensitive abstract
-  execution of the binary.  Registers start at zero each shot,
-  ``LDI``/``LDUI`` introduce constants, the ALU folds them, and the
-  comparison flags are modelled with the *real*
-  :class:`~repro.core.registers.ComparisonFlags` semantics — so a
-  branch whose ``CMP`` operands are statically known follows exactly
-  one edge.  Backward branches with resolvable conditions (the common
-  ``LDI``/``ADD``/``SUB``/``CMP``/``BR`` counter idiom) are thereby
-  *unrolled*: loop-carried addresses stay constants, iteration by
-  iteration.  A branch whose condition depends on run-time state
-  (``FMR``/``FBR``/``LD`` results) explores both edges with the same
-  state.  States are memoised on ``(pc, registers, flags)``, so the
-  exploration terminates whenever the reachable abstract-state space
-  is finite; a global state budget bounds pathological cases.  The
-  result is an *exploded graph* — the CFG unrolled along resolved
-  branches — over which two analyses run:
+- per-occurrence **addresses** of every ``LD``/``ST``;
+- **kill-analysis**: a forward must-available-store pass (intersection
+  at joins) proving which load occurrences are dominated by a
+  same-shot store to the same address.
 
-  - per-occurrence **addresses** of every ``LD``/``ST``;
-  - **kill-analysis**: a forward must-available-store pass
-    (intersection at joins) proving which load occurrences are
-    dominated by a same-shot store to the same address.
+The exploration has two state keyings:
 
-* **Joined fixpoint** (the conservative fallback): the classic
-  constant propagation with joins over branch/loop edges (a value
-  survives a join only when every incoming path agrees), plus the
-  same must-available-store pass at pc granularity.  Used when the
-  exploration budget is exceeded — a loop whose trip count is
-  unbounded (condition never resolves while its state keeps changing)
-  or too large to unroll.  Loop-carried values go unknown at joins,
-  so the verdicts degrade exactly like the pre-kill-analysis pass.
+* **Exploration keying** (the precise tier): states are memoised on
+  ``(pc, registers, flags)``.  Backward branches with resolvable
+  conditions (the common ``LDI``/``ADD``/``SUB``/``CMP``/``BR`` counter
+  idiom) are thereby *unrolled*: loop-carried addresses stay
+  constants, iteration by iteration.  The exploration terminates
+  whenever the reachable abstract-state space is finite; a global
+  state budget bounds pathological cases.
+
+* **Join keying** (the fallback when that budget is exceeded — a loop
+  whose trip count is unbounded or too large to unroll): states are
+  keyed on the pc alone, and a revisit joins the new state into the
+  node's (a register or the flags survive only when every incoming
+  path agrees).  Loop-carried values go unknown at the loop head, so
+  their addresses degrade to unknown, while values every path agrees
+  on still resolve branches and fold addresses.
 
 Remaining hard blockers — reported per pc in ``live_reasons`` — are
 only the loads that can genuinely observe another shot's (or the
@@ -98,9 +98,10 @@ from repro.core.registers import (
 #: paths (or depends on run-time state such as memory or measurements).
 _UNKNOWN = object()
 
-#: Exploded-graph state budget.  Counted loops unroll one state per
-#: iteration, so this bounds the unrollable trip count x loop size;
-#: beyond it the pass falls back to the joined fixpoint.
+#: Exploded-graph state budget of the exploration keying.  Counted
+#: loops unroll one state per iteration, so this bounds the unrollable
+#: trip count x loop size; beyond it the pass reruns under the join
+#: keying (at most one state per pc).
 EXPLORATION_STATE_BUDGET = 65_536
 
 
@@ -135,14 +136,13 @@ class DataMemoryReport:
     bounded_loop_count: int = 0
     #: Backward branches whose trip count the analysis could not pin
     #: down: the condition depends on run-time state (a genuinely
-    #: unbounded loop), the branch never exits (its exploded node lies
-    #: on a cycle), or — in "joined" fallback mode — every backward
-    #: branch, since the unroll budget was exceeded before their trip
-    #: counts resolved.
+    #: unbounded loop, or in "joined" mode a loop whose counter went
+    #: unknown at the join) or the branch never exits (its exploded
+    #: node lies on a cycle).
     unbounded_loop_pcs: tuple[int, ...] = ()
-    #: Which engine produced the verdicts: "exploration" (precise,
-    #: loops unrolled), "joined" (budget fallback) or
-    #: "unresolved-labels" (no CFG to analyse).
+    #: Which state keying produced the verdicts: "exploration"
+    #: (precise, loops unrolled), "joined" (pc-keyed budget fallback)
+    #: or "unresolved-labels" (no CFG to analyse).
     analysis_mode: str = "exploration"
 
     @property
@@ -167,7 +167,7 @@ class DataMemoryReport:
 
 
 # ----------------------------------------------------------------------
-# Abstract transfer functions (shared by both engines)
+# Abstract transfer functions
 # ----------------------------------------------------------------------
 def _transfer(state: dict, instruction: Instruction) -> dict:
     """Abstract execution of one instruction (GPR effects only).
@@ -193,11 +193,9 @@ def _transfer(state: dict, instruction: Instruction) -> dict:
             out[instruction.rd] = ((instruction.imm & 0x7FFF) << 17) | \
                 (low & 0x1FFFF)
         return out
-    if isinstance(instruction, (Ld, Fmr, Fbr)):
-        # Memory contents, measurement results and comparison flags
-        # are run-time state this transfer does not model.  (The
-        # exploration engine intercepts Fbr before calling here and
-        # folds it when the dominating CMP's operands are known.)
+    if isinstance(instruction, (Ld, Fmr)):
+        # Memory contents and measurement results are run-time state
+        # this transfer does not model.
         out = dict(state)
         out[instruction.rd] = _UNKNOWN
         return out
@@ -270,15 +268,16 @@ def _address_of(state: dict, base: int, imm: int):
 
 
 # ----------------------------------------------------------------------
-# Engine 1: path-sensitive exploration (loops unrolled)
+# The exploration: one loop, two state keyings
 # ----------------------------------------------------------------------
 class _Exploded:
     """The exploded graph: the CFG unrolled along resolved branches.
 
-    One node per distinct reachable ``(pc, registers, flags)`` state;
-    edges follow the abstract execution.  ``addresses[i]`` is the
-    node's LD/ST effective address (None for other instructions),
-    evaluated from its *incoming* state.
+    One node per distinct reachable ``(pc, registers, flags)`` state,
+    or per reachable pc under the join keying; edges follow the
+    abstract execution.  ``addresses[i]`` is the node's LD/ST effective
+    address (None for other instructions), evaluated from its
+    *incoming* state.
     """
 
     __slots__ = ("pcs", "succs", "addresses", "bounded_loop_pcs",
@@ -301,25 +300,41 @@ def _state_key(state: dict) -> tuple:
 
 
 def _explore(instructions: list[Instruction],
-             budget: int = EXPLORATION_STATE_BUDGET) -> _Exploded | None:
+             join: bool = False) -> _Exploded | None:
     """Build the exploded graph, or None when the budget is exceeded.
 
-    The budget is exceeded exactly when the reachable abstract-state
-    space keeps growing — a loop whose condition never resolves while
-    its register state keeps changing (a genuinely unbounded loop with
-    a live counter) or a counted loop with a trip count too large to
-    unroll.
+    The exploration keying memoises states on ``(pc, registers,
+    flags)``.  Its budget is exceeded exactly when the reachable
+    abstract-state space keeps growing — a loop whose condition never
+    resolves while its register state keeps changing (a genuinely
+    unbounded loop with a live counter) or a counted loop with a trip
+    count too large to unroll.
+
+    The join keying (``join=True``) keys states on the pc alone.  A
+    revisit joins the incoming state into the node's: a register keeps
+    its value only when every path agrees (missing reads as zero), the
+    flags only when equal.  A node the join widened is queued again
+    with its LD/ST address recomputed.  Every register and the flags
+    can widen at most once, and there is at most one node per pc, so
+    this keying always terminates within its budget.
     """
     length = len(instructions)
     graph = _Exploded()
     if not length:
         return graph
-    ids: dict[tuple, int] = {}
+    budget = length if join else EXPLORATION_STATE_BUDGET
+    ids: dict[object, int] = {}
     regs: list[dict] = []
     flag_states: list[object] = []
 
+    def address_at(pc: int, state: dict):
+        instruction = instructions[pc]
+        if isinstance(instruction, (St, Ld)):
+            return _address_of(state, instruction.rt, instruction.imm)
+        return None
+
     def intern(pc: int, state: dict, flags) -> int | None:
-        key = (pc, _state_key(state), flags)
+        key = pc if join else (pc, _state_key(state), flags)
         node = ids.get(key)
         if node is None:
             if len(graph.pcs) >= budget:
@@ -328,15 +343,27 @@ def _explore(instructions: list[Instruction],
             ids[key] = node
             graph.pcs.append(pc)
             graph.succs.append([])
+            graph.addresses.append(address_at(pc, state))
             regs.append(state)
             flag_states.append(flags)
-            instruction = instructions[pc]
-            if isinstance(instruction, (St, Ld)):
-                graph.addresses.append(
-                    _address_of(state, instruction.rt, instruction.imm))
-            else:
-                graph.addresses.append(None)
             stack.append(node)
+        elif join:
+            joined = regs[node]
+            for register in joined.keys() | state.keys():
+                value = joined.get(register, 0)
+                if value is not _UNKNOWN and \
+                        value != state.get(register, 0):
+                    if joined is regs[node]:
+                        joined = dict(joined)
+                    joined[register] = _UNKNOWN
+            joined_flags = flag_states[node] \
+                if flags == flag_states[node] else _UNKNOWN
+            if joined is not regs[node] or \
+                    joined_flags is not flag_states[node]:
+                regs[node] = joined
+                flag_states[node] = joined_flags
+                graph.addresses[node] = address_at(pc, joined)
+                stack.append(node)
         return node
 
     stack: list[int] = []
@@ -378,21 +405,19 @@ def _explore(instructions: list[Instruction],
                     graph.bounded_loop_pcs.add(pc)
         else:
             next_pcs = [pc + 1]
-        seen_successors = set()
+        successors = graph.succs[node]
         for successor_pc in next_pcs:
             if not 0 <= successor_pc < length:
                 continue  # running off the program is an implicit stop
             successor = intern(successor_pc, out_state, out_flags)
             if successor is None:
                 return None
-            if successor not in seen_successors:
-                graph.succs[node].append(successor)
-                seen_successors.add(successor)
+            if successor not in successors:
+                successors.append(successor)
     return graph
 
-
 # ----------------------------------------------------------------------
-# Shared graph analyses (run on exploded or pc-level graphs)
+# Graph analyses (over either keying's exploded graph)
 # ----------------------------------------------------------------------
 def _must_written(num_nodes: int, succs: list[list[int]],
                   store_address: list[object],
@@ -491,62 +516,7 @@ def _cycle_nodes(num_nodes: int, succs: list[list[int]]) -> set[int]:
 
 
 # ----------------------------------------------------------------------
-# Engine 2: joined fixpoint (conservative fallback)
-# ----------------------------------------------------------------------
-def _join(into: dict | None, other: dict) -> tuple[dict, bool]:
-    """Merge ``other`` into state ``into``; missing keys read as 0.
-
-    Returns the merged state and whether it differs from ``into``.
-    """
-    if into is None:
-        return dict(other), True
-    merged = {}
-    for register in set(into) | set(other):
-        a = into.get(register, 0)
-        b = other.get(register, 0)
-        merged[register] = a if a is b or a == b else _UNKNOWN
-    changed = any(merged.get(register, 0) != into.get(register, 0)
-                  for register in set(merged) | set(into))
-    return merged, changed
-
-
-def _successors(index: int, instruction: Instruction,
-                length: int) -> list[int]:
-    """CFG successors of the instruction at ``index`` (in-range only)."""
-    if isinstance(instruction, Stop):
-        return []
-    if isinstance(instruction, Br) and isinstance(instruction.target, int):
-        if instruction.condition is ComparisonFlag.ALWAYS:
-            targets = [index + instruction.target]
-        elif instruction.condition is ComparisonFlag.NEVER:
-            targets = [index + 1]
-        else:
-            targets = [index + 1, index + instruction.target]
-        return [t for t in targets if 0 <= t < length]
-    return [t for t in (index + 1,) if 0 <= t < length]
-
-
-def _joined_fixpoint(instructions: list[Instruction]) -> dict[int, dict]:
-    """Reachable-pc -> register state, joins over branch/loop edges."""
-    states: dict[int, dict] = {}
-    worklist: list[int] = []
-    if instructions:
-        states[0] = {}
-        worklist.append(0)
-    while worklist:
-        index = worklist.pop()
-        out = _transfer(states[index], instructions[index])
-        for successor in _successors(index, instructions[index],
-                                     len(instructions)):
-            merged, changed = _join(states.get(successor), out)
-            if changed:
-                states[successor] = merged
-                worklist.append(successor)
-    return states
-
-
-# ----------------------------------------------------------------------
-# Classification (shared)
+# Classification
 # ----------------------------------------------------------------------
 def _classify(stores: dict[int, set], load_count: int,
               unkilled: dict[int, set]) -> tuple[int, int, list[str]]:
@@ -646,13 +616,16 @@ def analyze_data_memory(
 
     graph = _explore(instructions)
     if graph is not None:
-        return _report_from_exploration(instructions, graph)
-    return _report_from_joined(instructions)
+        return _report(instructions, graph, "exploration")
+    return _report(instructions, _explore(instructions, join=True),
+                   "joined")
 
 
-def _report_from_exploration(
-        instructions: list[Instruction],
-        graph: _Exploded) -> DataMemoryReport:
+def _report(instructions: list[Instruction], graph: _Exploded,
+            analysis_mode: str) -> DataMemoryReport:
+    """Kill-analysis and verdicts over either keying's graph.  In
+    "joined" mode any live reason gains one naming the unbounded
+    backward branches that defeated the unroll."""
     num_nodes = len(graph.pcs)
     store_address = [None] * num_nodes
     stores: dict[int, set] = {}
@@ -692,63 +665,10 @@ def _report_from_exploration(
     on_cycle = {graph.pcs[node]
                 for node in _cycle_nodes(num_nodes, graph.succs)
                 if graph.pcs[node] in graph.bounded_loop_pcs}
-    unbounded = graph.unbounded_loop_pcs | on_cycle
-    bounded = graph.bounded_loop_pcs - unbounded
-    return DataMemoryReport(
-        store_count=len(stores), load_count=len(loads),
-        dead_store_count=dead, killed_load_count=killed_count,
-        live_reasons=tuple(reasons),
-        bounded_loop_count=len(bounded),
-        unbounded_loop_pcs=tuple(sorted(unbounded)),
-        analysis_mode="exploration")
-
-
-def _report_from_joined(
-        instructions: list[Instruction]) -> DataMemoryReport:
-    """Budget fallback: joins lose loop-carried constants, verdicts
-    stay sound.  Kill-analysis still runs, at pc granularity."""
-    states = _joined_fixpoint(instructions)
-    reachable = sorted(states)
-    index_of = {pc: i for i, pc in enumerate(reachable)}
-    succs: list[list[int]] = [[] for _ in reachable]
-    for i, pc in enumerate(reachable):
-        succs[i] = [index_of[s] for s in
-                    _successors(pc, instructions[pc], len(instructions))
-                    if s in index_of]
-
-    store_address: list[object] = [None] * len(reachable)
-    stores: dict[int, set] = {}
-    loads: dict[int, set] = {}
-    for i, pc in enumerate(reachable):
-        instruction = instructions[pc]
-        if isinstance(instruction, St):
-            address = _address_of(states[pc], instruction.rt,
-                                  instruction.imm)
-            store_address[i] = address
-            stores.setdefault(pc, set()).add(address)
-        elif isinstance(instruction, Ld):
-            loads.setdefault(pc, set()).add(
-                _address_of(states[pc], instruction.rt, instruction.imm))
-
-    relevant = frozenset(
-        address for addresses in loads.values() for address in addresses
-        if address is not _UNKNOWN)
-    incoming = _must_written(len(reachable), succs, store_address,
-                             relevant)
-    unkilled: dict[int, set] = {}
-    for pc, addresses in loads.items():
-        address = next(iter(addresses))
-        if address is _UNKNOWN or address not in incoming[index_of[pc]]:
-            unkilled[pc] = set(addresses)
-
-    dead, killed_count, reasons = _classify(stores, len(loads), unkilled)
-    backward = sorted(
-        pc for pc in reachable
-        if isinstance(instructions[pc], Br) and
-        isinstance(instructions[pc].target, int) and
-        instructions[pc].target <= 0)
-    if reasons and backward:
-        pcs = ", ".join(str(pc) for pc in backward)
+    unbounded = sorted(graph.unbounded_loop_pcs | on_cycle)
+    bounded = graph.bounded_loop_pcs.difference(unbounded)
+    if analysis_mode == "joined" and reasons and unbounded:
+        pcs = ", ".join(str(pc) for pc in unbounded)
         reasons.append(
             f"backward branch at pc {pcs} could not be unrolled within "
             f"the {EXPLORATION_STATE_BUDGET}-state budget (unbounded "
@@ -758,6 +678,6 @@ def _report_from_joined(
         store_count=len(stores), load_count=len(loads),
         dead_store_count=dead, killed_load_count=killed_count,
         live_reasons=tuple(reasons),
-        bounded_loop_count=0,
-        unbounded_loop_pcs=tuple(backward),
-        analysis_mode="joined")
+        bounded_loop_count=len(bounded),
+        unbounded_loop_pcs=tuple(unbounded),
+        analysis_mode=analysis_mode)

@@ -885,7 +885,7 @@ class QuMAv2:
             for name in names:
                 try:
                     micro_ops = self.microcode.translate_name(name)
-                except Exception:
+                except ConfigurationError:
                     tableau.append(f"operation {name!r} is not translatable")
                     continue
                 if any(micro_op.condition is not ExecutionFlag.ALWAYS

@@ -89,6 +89,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from repro.core.errors import ConfigurationError
 from repro.core.instructions import Bundle, Instruction
 from repro.core.microcode import MicrocodeUnit
 from repro.quantum.plant import QuantumPlant
@@ -336,7 +337,7 @@ def replay_unsupported_reasons(
                               for slot in instruction.operations):
         try:
             microcode.translate_name(name)
-        except Exception:
+        except ConfigurationError:
             reasons.append(f"operation {name!r} is not translatable")
     return reasons
 

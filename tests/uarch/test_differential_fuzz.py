@@ -20,6 +20,9 @@ cross-checks:
   interpreter with the mock reason, both engines drain the queue
   identically, and the same program *without* mocks then passes every
   check above, so those seeds still exercise replay;
+* dataflow soundness — the static pass's pc-keyed join keying (its
+  budget fallback) is never more permissive than its exploration
+  keying on the same program;
 * counts-path agreement — ``run_counts`` on a same-seeded twin of the
   replay-side (and, for the Pauli-frame shape, the frame-side) machine
   equals that run's traces folded one by one, with identical
@@ -47,7 +50,15 @@ from repro.core.errors import EQASMError, TimingViolationError
 from repro.experiments.runner import ExperimentSetup, RetryPolicy
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
-from repro.uarch import FAULT_SITES, FaultPlan, FaultSpec, QuMAv2, ShotCounts
+from repro.uarch import (
+    FAULT_SITES,
+    FaultPlan,
+    FaultSpec,
+    QuMAv2,
+    ShotCounts,
+    analyze_data_memory,
+    dataflow,
+)
 from repro.uarch.machine import _MOCK_BLOCKER
 
 DEFAULT_SEED_COUNT = 25
@@ -358,9 +369,26 @@ def check_engines_agree(text: str, mock_plan: list[int], seed: int,
     return route
 
 
+def assert_join_keying_is_sound(text: str) -> None:
+    """The dataflow pass's pc-keyed join (its budget fallback) may lose
+    precision but must never be more permissive than the exploration
+    keying: join-safe implies exploration-safe, and it never kills a
+    load the exploration keeps live."""
+    isa = two_qubit_instantiation()
+    machine = QuMAv2(isa, QuantumPlant(isa.topology))
+    machine.load(Assembler(isa).assemble_text(text))
+    instructions = machine.instruction_memory()
+    exploration = analyze_data_memory(instructions)
+    joined = dataflow._report(
+        instructions, dataflow._explore(instructions, join=True), "joined")
+    assert exploration.replay_safe or not joined.replay_safe
+    assert joined.killed_load_count <= exploration.killed_load_count
+
+
 @pytest.mark.parametrize("seed", range(SEED_COUNT))
 def test_interpreter_and_replay_are_equivalent(seed):
     text, mock_plan, clifford_only = generate_case(seed)
+    assert_join_keying_is_sound(text)
     noise = clifford_only_noise() if clifford_only else NoiseModel()
     route = check_engines_agree(text, mock_plan, seed, noise,
                                 clifford_only)

@@ -5,8 +5,8 @@ shot-local exactly when a same-shot store to the same address
 dominates it on *every* path — per occurrence, so unrolled loop
 iterations are judged individually; (b) unroll backward branches whose
 trip count the constant lattice resolves, keeping loop-carried
-addresses exact; (c) degrade to the
-joined fixpoint (never hang, never mis-prove) when a loop cannot be
+addresses exact; (c) degrade to the pc-keyed join of the same
+exploration (never hang, never mis-prove) when a loop cannot be
 unrolled.  The machine-integration half pins what this buys: counted
 loops and spill/reload programs ride the replay engine end to end, and
 ``EngineStats`` surfaces ``killed_loads``/``bounded_loops``.
@@ -322,7 +322,7 @@ class TestTripCountResolution:
         assert report.unbounded_loop_pcs == ()
 
     def test_over_budget_loop_falls_back_to_joined_mode(self):
-        """A trip count too large to unroll: the joined fixpoint takes
+        """A trip count too large to unroll: the join keying takes
         over; loop-carried addresses go unknown, and the reasons name
         the backward branch that defeated the unroll."""
         report = analyze("""
@@ -392,6 +392,32 @@ class TestTripCountResolution:
         # address 1, which no same-shot store writes.
         assert not report.replay_safe
         assert report.killed_load_count == 0
+
+    def test_joined_mode_follows_branches_on_agreed_flags(self):
+        """The join keying still evaluates branches: a forward BR whose
+        CMP operands are constant on every path follows one edge, so
+        the store it cannot skip kills the load behind an over-budget
+        loop."""
+        report = analyze("""
+        LDI R9, 500000
+        LDI R1, 1
+        LDI R5, 32
+        LDI R6, 7
+        CMP R5, R6
+        BR EQ, skip
+        ST R1, R5(0)
+        skip:
+        biglp:
+        SUB R9, R9, R1
+        CMP R9, R1
+        BR GE, biglp
+        LD R7, R5(0)
+        STOP
+        """)
+        assert report.analysis_mode == "joined"   # budget exceeded
+        assert report.replay_safe
+        assert report.killed_load_count == 1
+        assert report.live_reasons == ()
 
     def test_cycle_through_the_entry_leaves_the_bound_unknown(self):
         """Regression: a loop whose backward edge targets pc 0 (the

@@ -36,6 +36,7 @@ from repro.quantum import NoiseModel, QuantumPlant, gates
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
 from repro.topology.library import rotated_surface_chip, rotated_surface_layout
 from repro.uarch import QuMAv2
+from repro.uarch.replay import replay_unsupported_reasons
 from repro.workloads.rotated_surface import (
     expected_rotated_z_syndrome,
     rotated_surface_circuit,
@@ -401,6 +402,34 @@ class TestRunCaches:
         assert machine.last_plant_backend == "dense"
         assert reason in machine.replay_fallback_reason
         assert reason in machine.plant_backend_reason
+
+    @pytest.mark.parametrize("error, reason", [
+        (ConfigurationError("unknown quantum operation"),
+         "operation 'X90' is not translatable"),
+        (RuntimeError("translator bug"), None)])
+    def test_only_unknown_names_count_as_untranslatable(
+            self, monkeypatch, error, reason):
+        """The unknown-name error (ConfigurationError) becomes the
+        "not translatable" reason in both static passes; any other
+        translator error is a bug and must propagate instead of being
+        masked as a blocker reason."""
+        machine = make_machine(FIG4_PROGRAM)
+
+        def translate_name(name):
+            raise error
+
+        monkeypatch.setattr(machine.microcode, "translate_name",
+                            translate_name)
+        passes = (
+            machine.plant_backend_reasons,
+            lambda: replay_unsupported_reasons(
+                machine.instruction_memory(), machine.microcode))
+        for static_pass in passes:
+            if reason is None:
+                with pytest.raises(RuntimeError, match="translator bug"):
+                    static_pass()
+            else:
+                assert reason in static_pass()
 
     def test_replayed_traces_share_template_records(self):
         """The splice fix: cached shots alias the template's trigger
