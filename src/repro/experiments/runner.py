@@ -384,8 +384,8 @@ class ExperimentSetup:
         return self.machine.last_plant_backend
 
     def clear_replay_cache(self) -> None:
-        """Drop the machine's reusable timeline tree and the static
-        verdicts on its loaded binary (see
+        """Drop the machine's kept timeline tree or frame reference
+        recording and the static verdicts on its loaded binary (see
         :meth:`repro.uarch.machine.QuMAv2.clear_replay_cache`)."""
         self.machine.clear_replay_cache()
 

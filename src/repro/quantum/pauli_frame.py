@@ -7,11 +7,15 @@ assignment error.  Simulated per shot, every trajectory repeats the
 sampled — so at 17 qubits the interpreter spends its time re-deriving
 an identical Clifford sequence thousands of times.  Pauli-frame
 simulation (Knill's trick, the engine behind stim-style samplers)
-removes the repetition: run ONE noise-free *reference* shot on the
-tableau, recording the Clifford sequence, every stochastic-error site
-and the measurement structure; then propagate a whole batch of
-per-shot *frames* — the Pauli error each shot has accumulated —
-through the recording.
+removes the repetition: run one noise-free *reference* shot on the
+tableau per loaded binary, recording the Clifford sequence, every
+stochastic-error site and the measurement structure into an immutable
+:class:`FrameRecording`; then propagate whole batches of per-shot
+*frames* — the Pauli error each shot has accumulated — through the
+recording.  Like Stim's reference sample, the recording is computed
+once and kept: the machine reuses it for every later run of the same
+binary, noise model, config and backend (see
+:meth:`repro.uarch.machine.QuMAv2._frame_shots`).
 
 **Layout** (Gidney, "Stim: a fast stabilizer circuit simulator",
 Quantum 5, 497, 2021): the batch is qubit-major and bit-packed, 64
@@ -96,6 +100,13 @@ _BIT = np.left_shift(np.ones(64, dtype=WORD), np.arange(64, dtype=WORD))
 _PLANE_SHIFTS = np.arange(4)
 
 _NO_HITS = np.zeros(0, dtype=np.int64)
+
+
+def _frozen(array: np.ndarray | None) -> np.ndarray | None:
+    """``array`` made read-only (a recording is kept across runs)."""
+    if array is not None:
+        array.setflags(write=False)
+    return array
 
 
 def words_for(shots: int) -> int:
@@ -191,9 +202,9 @@ class NoiseStep:
     rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", np.array(
+        object.__setattr__(self, "rows", _frozen(np.array(
             [2 * qubit + plane for qubit in self.indices
-             for plane in (0, 1)], dtype=np.intp))
+             for plane in (0, 1)], dtype=np.intp)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,7 +229,21 @@ class MeasureStep:
         if self.pivot_x is not None:
             rows = np.flatnonzero(np.stack(
                 (self.pivot_x, self.pivot_z), axis=1).ravel())
-        object.__setattr__(self, "pivot_rows", rows)
+        _frozen(self.pivot_x)
+        _frozen(self.pivot_z)
+        object.__setattr__(self, "pivot_rows", _frozen(rows))
+
+
+@dataclass(frozen=True, slots=True)
+class FrameRecording:
+    """One reference shot's step sequence, frozen: the steps in the
+    order the shot applied them and how many of them are
+    measurements (the outcome rows :func:`propagate_frames` returns).
+    Immutable down to its arrays, so one recording can serve every
+    later run of its binary."""
+
+    steps: tuple[GateStep | NoiseStep | MeasureStep, ...]
+    measurements: int
 
 
 class FrameRecorder:
@@ -232,12 +257,17 @@ class FrameRecorder:
     noise-free for the frames to carry the noise exactly) and routes
     measurements through :meth:`record_measurement`, which captures the
     pre-collapse structure the batch needs before collapsing the
-    tableau exactly as a plain shot would.
+    tableau exactly as a plain shot would.  :meth:`freeze` turns the
+    capture into the :class:`FrameRecording` the batch propagates.
     """
 
     def __init__(self) -> None:
         self.steps: list[GateStep | NoiseStep | MeasureStep] = []
         self.measure_count = 0
+
+    def freeze(self) -> FrameRecording:
+        """The captured steps as an immutable :class:`FrameRecording`."""
+        return FrameRecording(tuple(self.steps), self.measure_count)
 
     def record_gate(self, action: CliffordAction,
                     indices: tuple[int, ...]) -> None:
@@ -318,20 +348,21 @@ def _apply_noise(planes: np.ndarray, step: NoiseStep, shots: int,
                       _BIT[shot & 63])
 
 
-def propagate_frames(steps, num_qubits: int, shots: int,
-                     rng: np.random.Generator,
+def propagate_frames(recording: FrameRecording, num_qubits: int,
+                     shots: int, rng: np.random.Generator,
                      readout: ReadoutErrorModel
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Push ``shots`` Pauli frames through a recorded step sequence.
 
-    Returns ``(raw, reported)`` packed ``(measurements, words)`` uint64
-    arrays — one row per measurement in the reference shot's order,
-    shot ``s`` at bit ``s % 64`` of word ``s // 64``, padding bits
-    clear (:func:`unpack_shots` gives the ``(shots, measurements)``
-    matrix).  The frames are ``(2 * num_qubits, words)`` packed planes
-    (see the module docstring): a gate XORs whole planes, a noise site
-    or a readout error flips the few bits its exact sparse sample hit,
-    and a random measurement draws packed fair words.
+    Returns ``(raw, reported)`` packed ``(recording.measurements,
+    words)`` uint64 arrays — one row per measurement in the reference
+    shot's order, shot ``s`` at bit ``s % 64`` of word ``s // 64``,
+    padding bits clear (:func:`unpack_shots` gives the ``(shots,
+    measurements)`` matrix).  The frames are ``(2 * num_qubits,
+    words)`` packed planes (see the module docstring): a gate XORs
+    whole planes, a noise site or a readout error flips the few bits
+    its exact sparse sample hit, and a random measurement draws packed
+    fair words.
     """
     if shots < 1:
         raise PlantError("need at least one shot to propagate")
@@ -339,11 +370,10 @@ def propagate_frames(steps, num_qubits: int, shots: int,
     valid = np.full(words, ~np.uint64(0), dtype=WORD)
     valid[-1] >>= np.uint64(64 * words - shots)
     planes = np.zeros((2 * num_qubits, words), dtype=WORD)
-    measurements = sum(isinstance(step, MeasureStep) for step in steps)
-    raw = np.zeros((measurements, words), dtype=WORD)
-    reported = np.zeros((measurements, words), dtype=WORD)
+    raw = np.zeros((recording.measurements, words), dtype=WORD)
+    reported = np.zeros((recording.measurements, words), dtype=WORD)
     row = 0
-    for step in steps:
+    for step in recording.steps:
         if isinstance(step, GateStep):
             apply_gate(planes, step)
         elif isinstance(step, NoiseStep):

@@ -10,13 +10,13 @@ defined here:
 :class:`~repro.uarch.trace.ShotCounts` a pure function of
 ``(spec, point.seed)``: the plant RNG is re-seeded from the point's
 deterministic seed, the machine's derived per-binary state (its
-replay tree *and* static verdicts) is dropped, and data memory — the
-host channel that deliberately persists across runs — is reset.  A point
-therefore produces bit-identical counts no matter which worker runs
-it, how many times it is retried after a crash, or in what order the
-sweep is sharded.  Everything above (journal resume, shard re-dispatch
-after a kill, duplicate-result deduplication) reduces to this
-invariant.
+replay tree or frame reference recording *and* static verdicts) is
+dropped, and data memory — the host channel that deliberately
+persists across runs — is reset.  A point therefore produces
+bit-identical counts no matter which worker runs it, how many times
+it is retried after a crash, or in what order the sweep is sharded.
+Everything above (journal resume, shard re-dispatch after a kill,
+duplicate-result deduplication) reduces to this invariant.
 
 Per-point seeds are derived by hashing ``(sweep seed, point index)``
 (:func:`derive_point_seed`), so they are stable across processes and
@@ -228,14 +228,14 @@ def execute_point(setup: ExperimentSetup, spec: SweepSpec,
 
     Resets every piece of machine state that could couple this point
     to earlier ones — the plant RNG (re-seeded from the point's
-    deterministic seed), the replay tree and static verdicts the
-    machine derived from its loaded binary, and data memory — then
-    compiles, loads, and streams the
-    point's shots.  Replay still accelerates *within* the point (the
-    timeline tree grows over its shots); only cross-point reuse is
-    sacrificed, because a warm tree changes how much plant randomness
-    each shot consumes and would make the counts depend on execution
-    history.
+    deterministic seed), the replay tree or frame reference recording
+    and the static verdicts the machine derived from its loaded binary,
+    and data memory — then compiles, loads, and streams the point's
+    shots.  The fast engines still accelerate *within* the point (the
+    timeline tree grows over its shots; one reference shot serves
+    every frame chunk); only cross-point reuse is sacrificed, because
+    warm state changes how much plant randomness the point consumes
+    and would make the counts depend on execution history.
     """
     machine = setup.machine
     machine.clear_replay_cache()

@@ -83,6 +83,7 @@ from repro.core.registers import (
 )
 from repro.quantum.pauli_frame import (
     FrameRecorder,
+    FrameRecording,
     propagate_frames,
     unpack_shots,
 )
@@ -373,8 +374,9 @@ class QuMAv2:
     def _forget_binary(self) -> None:
         """Drop everything derived from the loaded binary: its static
         verdicts, computed once per binary on first use, and the one
-        reusable timeline tree with the (noise, config, backend kind)
-        it was grown under."""
+        kept engine state — the replay engine's timeline tree or the
+        frame engine's reference recording — with the (noise, config,
+        backend kind) it was built under."""
         self._data_memory_report: DataMemoryReport | None = None
         self._replay_reasons: list[str] | None = None
         self._operation_reasons: tuple[list[str], list[str]] | None = None
@@ -586,11 +588,11 @@ class QuMAv2:
         every blocker as its reason.
 
         The dataflow report is read once and feeds the replay engine's
-        stats and tree cacheability.
+        stats and the cacheability of what either fast engine keeps.
         Stochastic Pauli gate noise blocks the outcome-keyed replay
         tree, but when it is the *only* blocker a feedback-free Clifford
         program rides the Pauli-frame batch (one reference tableau shot
-        plus vectorised per-shot frames, see
+        per loaded binary plus vectorised per-shot frames, see
         :mod:`repro.quantum.pauli_frame`) — so the frame engine's own
         checks run only then.
         """
@@ -602,7 +604,7 @@ class QuMAv2:
             if reasons == [_TRAJECTORY_BLOCKER] and \
                     not self._frame_blockers():
                 return self._frame_shots(shots, max_instructions, stats,
-                                         plan)
+                                         plan, report)
             if not reasons:
                 return self._replay_shots(shots, max_instructions, stats,
                                           plan, report)
@@ -649,7 +651,7 @@ class QuMAv2:
         stats.killed_loads = report.killed_load_count
         stats.bounded_loops = report.bounded_loop_count
         tree, stats.tree_reused = self._replay_tree(
-            cacheable=report.cross_run_cacheable)
+            report.cross_run_cacheable, lambda: TimelineTree(self.plant))
 
         def track_tree() -> None:
             stats.tree_nodes = tree.node_count
@@ -832,9 +834,10 @@ class QuMAv2:
             "cached replay trace diverged from its interpreter shadow"
             if mismatched else "")
 
-    def _evict_tree(self, tree: TimelineTree) -> None:
-        """Stop reusing ``tree`` in later runs (the in-run reference is
-        the caller's to abandon)."""
+    def _evict_tree(self, tree) -> None:
+        """Stop reusing ``tree`` (a timeline tree or frame reference)
+        in later runs (the in-run reference is the caller's to
+        abandon)."""
         if self._tree is tree:
             self._tree = None
 
@@ -950,40 +953,50 @@ class QuMAv2:
             return "dense", "; ".join(reasons)
         return "stabilizer", None
 
-    def _replay_tree(self, cacheable: bool) -> tuple[TimelineTree, bool]:
-        """The timeline tree for the loaded binary: the one an earlier
-        ``run`` grew when the noise model, config and plant backend
-        kind are unchanged since, a fresh one otherwise.  The frozen
+    def _replay_tree(self, cacheable: bool, build: Callable[[], object]
+                     ) -> tuple[object, bool]:
+        """The engine state kept for the loaded binary — the replay
+        engine's :class:`TimelineTree` or the frame engine's reference
+        ``(template, recording)`` — and whether an earlier run built
+        it.  The kept value serves when the noise model, config and
+        plant backend kind are unchanged since it was built; otherwise
+        ``build()`` makes a fresh one, which replaces it unless it is
+        None (a failed frame reference shot keeps nothing).  The frozen
         noise/config dataclasses compare by value, so swapping either
-        out regrows the tree.
+        out rebuilds.  One slot serves both engines: for a given
+        binary and key, the engine a run picks is fixed (frame only
+        with Pauli gate noise on the tableau, replay only without).
 
         ``cacheable`` must be False for binaries with a reachable
         ``LD`` that is *not* killed by a same-shot store: data memory
         is the host communication channel and persists across runs, so
         the host may rewrite a loaded address between ``run()`` calls —
-        state the cache key cannot see.  Such programs still replay
-        (every shot of one run reads the same values), but their tree
-        lives only for the duration of the run.  Killed loads only
-        ever observe same-shot data, so spill/reload binaries stay
-        cacheable (:attr:`DataMemoryReport.cross_run_cacheable`).
+        state the cache key cannot see.  Such programs still run fast
+        (every shot of one run reads the same values), but what they
+        build lives only for the duration of the run.  Killed loads
+        only ever observe same-shot data, so spill/reload binaries
+        stay cacheable (:attr:`DataMemoryReport.cross_run_cacheable`).
         """
-        if not cacheable:
-            return TimelineTree(self.plant), False
         key = (self.plant.noise, self.config, self.plant.backend_kind)
-        if self._tree is not None and self._tree_key == key:
+        if cacheable and self._tree is not None and self._tree_key == key:
             return self._tree, True
-        self._tree, self._tree_key = TimelineTree(self.plant), key
-        return self._tree, False
+        built = build()
+        if cacheable and built is not None:
+            self._tree, self._tree_key = built, key
+        return built, False
 
     def clear_replay_cache(self) -> None:
-        """Drop the reusable timeline tree *and* every static verdict
-        derived from the loaded binary.
+        """Drop the kept engine state (the replay engine's timeline
+        tree or the frame engine's reference recording) *and* every
+        static verdict derived from the loaded binary.
 
         Loading different words already drops both, and swapping the
-        noise model, config or plant backend regrows the tree; this is
+        noise model, config or plant backend rebuilds the kept state
+        (regrows the tree, re-records the reference shot); this is
         the explicit hatch for callers that mutate state the machine
         cannot see — e.g. re-seeding experiments that must re-grow
-        trees, or the serving layer's per-point cold-start contract.
+        trees or re-record the frame reference shot, or the serving
+        layer's per-point cold-start contract.
         The static verdicts depend on the binary alone, but the
         hatch's contract is *no derived state survives*: the loaded
         binary re-analyzes on its next use too.
@@ -1125,26 +1138,66 @@ class QuMAv2:
         return reasons
 
     def _frame_shots(self, shots: int, max_instructions: int,
-                     stats: EngineStats,
-                     plan: FaultPlan | None) -> Iterator:
+                     stats: EngineStats, plan: FaultPlan | None,
+                     report: DataMemoryReport) -> Iterator:
         """Serve ``shots`` shots through the Pauli-frame batched
         engine (see :mod:`repro.quantum.pauli_frame`).
 
-        One noise-free interpreter shot runs with a
-        :class:`FrameRecorder` installed on the stabilizer backend,
-        capturing the Clifford sequence, every deferred gate-error site
-        and the measurement structure; its trace becomes the frozen
-        timeline template.  Chunks of bit-packed per-shot frames then
-        propagate through the recording (:func:`propagate_frames`, called
-        once per chunk); each chunk is yielded as one :class:`FrameChunk`
-        of packed ``(measurements, words)`` outcome columns, which counts
-        itself into ``stats`` when delivered, and the fault plan's shot
-        index advances per chunk.  A fault during the
-        reference shot (e.g. the ``backend_gate`` site) degrades the
-        whole run gracefully to the per-shot tableau interpreter,
-        recorded in :attr:`EngineStats.degradations`.
+        The engine needs one reference shot of the loaded binary
+        (:meth:`_frame_reference`): its trace is the frozen timeline
+        template, its :class:`FrameRecording` the Clifford sequence,
+        every deferred gate-error site and the measurement structure.
+        The first run records it and keeps it for the loaded binary in
+        the slot :meth:`_replay_tree` manages, so a later run under
+        the same noise model, config and backend kind skips the
+        reference shot (``frame_reference_shots == 0``,
+        ``tree_reused``).  A binary whose loads may read host-written
+        memory (not :attr:`DataMemoryReport.cross_run_cacheable`)
+        records afresh every run, and a run in which a fault fired
+        keeps nothing.  Chunks of bit-packed per-shot frames then
+        propagate through the recording (:func:`propagate_frames`,
+        called once per chunk); each chunk is yielded as one
+        :class:`FrameChunk` of packed ``(measurements, words)`` outcome
+        columns, which counts itself into ``stats`` when delivered,
+        and the fault plan's shot index advances per chunk.  A failed
+        reference shot degrades the whole run gracefully to the
+        per-shot tableau interpreter, recorded in
+        :attr:`EngineStats.degradations`.
         """
         stats.engine = "frame"
+        reference, stats.tree_reused = self._replay_tree(
+            report.cross_run_cacheable,
+            lambda: self._frame_reference(max_instructions, stats, plan))
+        if reference is None:
+            yield from self._interpreter_shots(0, shots, max_instructions,
+                                               stats, plan)
+            return
+        template, recording = reference
+        readout = self.plant.noise.readout
+        num_qubits = self.plant.num_qubits
+        try:
+            for first in range(0, shots, _CHUNK_SHOTS):
+                chunk = min(shots - first, _CHUNK_SHOTS)
+                if plan is not None:
+                    plan.begin_shot(first)
+                raw, reported = self._timed(
+                    propagate_frames, recording, num_qubits, chunk,
+                    self.plant.rng, readout, span="engine.frame.batch",
+                    histogram="engine.frame.batch.time_ns", shots=chunk)
+                yield FrameChunk(template, raw, reported, chunk)
+        finally:
+            if plan is not None and plan.fired_this_run:
+                self._evict_tree(reference)
+
+    def _frame_reference(self, max_instructions: int, stats: EngineStats,
+                         plan: FaultPlan | None
+                         ) -> tuple[ShotTrace, FrameRecording] | None:
+        """Run the frame engine's reference shot: one noise-free
+        interpreter shot with a :class:`FrameRecorder` installed on the
+        stabilizer backend.  Returns its trace and frozen recording,
+        or None after degrading ``stats`` when the shot failed (e.g.
+        the ``backend_gate`` fault site) or its recording cannot drive
+        the splice."""
         backend = self.plant.backend
         recorder = FrameRecorder()
         if plan is not None:
@@ -1170,21 +1223,9 @@ class QuMAv2:
                 f"{len(template.results)}")
         if degraded_reason is not None:
             self._degrade(stats, "frame", degraded_reason)
-            yield from self._interpreter_shots(0, shots, max_instructions,
-                                               stats, plan)
-            return
+            return None
         stats.frame_reference_shots += 1
-        readout = self.plant.noise.readout
-        num_qubits = self.plant.num_qubits
-        for first in range(0, shots, _CHUNK_SHOTS):
-            chunk = min(shots - first, _CHUNK_SHOTS)
-            if plan is not None:
-                plan.begin_shot(first)
-            raw, reported = self._timed(
-                propagate_frames, recorder.steps, num_qubits, chunk,
-                self.plant.rng, readout, span="engine.frame.batch",
-                histogram="engine.frame.batch.time_ns", shots=chunk)
-            yield FrameChunk(template, raw, reported, chunk)
+        return template, recorder.freeze()
 
     # ------------------------------------------------------------------
     # Classical pipeline

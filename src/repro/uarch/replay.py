@@ -177,9 +177,11 @@ class EngineStats:
     #: replay_shots + frame_batched``.
     frame_batched: int = 0
     #: Reference shots the frame engine ran on the tableau interpreter
-    #: to record the Clifford/measurement structure.  These are engine
-    #: overhead, not delivered shots — they count in neither
-    #: ``shots_total`` nor ``interpreter_shots``.
+    #: to record the Clifford/measurement structure: 1 on a run that
+    #: recorded, 0 on one that reused the recording kept for the
+    #: loaded binary (``tree_reused``).  These are engine overhead,
+    #: not delivered shots — they count in neither ``shots_total`` nor
+    #: ``interpreter_shots``.
     frame_reference_shots: int = 0
     #: Tree walks that found a complete cached path.
     segment_cache_hits: int = 0
@@ -189,8 +191,10 @@ class EngineStats:
     tree_nodes: int = 0
     #: Fully captured outcome paths (terminal templates).
     tree_paths: int = 0
-    #: True when this run reused a timeline tree saturated by an
-    #: earlier ``run()`` over the same binary/noise/config.
+    #: True when this run reused the engine state an earlier ``run()``
+    #: kept for the same binary/noise/config/backend kind: the replay
+    #: engine's timeline tree, or the frame engine's reference
+    #: recording (then ``frame_reference_shots`` is 0).
     tree_reused: bool = False
     #: ST instructions the dataflow pass proved dead across shots.
     dead_stores: int = 0

@@ -46,6 +46,7 @@ from repro.quantum.noise import (
 )
 from repro.quantum.pauli_frame import (
     FrameRecorder,
+    FrameRecording,
     GateStep,
     MeasureStep,
     NoiseStep,
@@ -178,13 +179,13 @@ def surface17_machine(seed=0):
 
 
 def machine_recording(machine):
-    """The step sequence and qubit count the machine's frame engine
+    """The recording and qubit count the machine's frame engine
     propagates."""
     seen = []
 
-    def capture(steps, num_qubits, *args, **kwargs):
-        seen.append((steps, num_qubits))
-        return propagate_frames(steps, num_qubits, *args, **kwargs)
+    def capture(recording, num_qubits, *args, **kwargs):
+        seen.append((recording, num_qubits))
+        return propagate_frames(recording, num_qubits, *args, **kwargs)
 
     with mock.patch.object(machine_module, "propagate_frames", capture):
         machine.run_counts(1)
@@ -208,7 +209,7 @@ def tableau_recording(num_qubits, program, seed=0):
             action = cached_clifford_action(gates.STANDARD_GATES[name])
             tableau.apply(action, qubits)
             recorder.record_gate(action, qubits)
-    return recorder.steps
+    return recorder.freeze()
 
 
 #: GHZ preparation with mid-circuit random measurements: multi-qubit
@@ -224,10 +225,13 @@ GHZ_PROGRAM = [
 ]
 
 
-def with_probability(steps, probability):
-    """``steps`` with every noise site at ``probability``."""
-    return [NoiseStep(step.indices, probability)
-            if isinstance(step, NoiseStep) else step for step in steps]
+def with_probability(recording, probability):
+    """``recording`` with every noise site at ``probability``."""
+    return FrameRecording(
+        tuple(NoiseStep(step.indices, probability)
+              if isinstance(step, NoiseStep) else step
+              for step in recording.steps),
+        recording.measurements)
 
 
 # ----------------------------------------------------------------------
@@ -326,9 +330,9 @@ def recorded_gates():
     cases = []
     for label, machine in (("surface17", surface17_machine()),
                            ("frame-clifford", frame_clifford_machine())):
-        steps, num_qubits = machine_recording(machine)
+        recording, num_qubits = machine_recording(machine)
         cases += [pytest.param(step, num_qubits, id=f"{label}-{index}")
-                  for index, step in enumerate(steps)
+                  for index, step in enumerate(recording.steps)
                   if isinstance(step, GateStep)]
     return cases
 
@@ -350,11 +354,31 @@ def test_surface17_recording_shape():
     """The recording the kernel and distribution pins run on: the
     surface-17 cycle's CZs and basis changes, its noise sites and its
     ancilla measurements."""
-    steps, num_qubits = machine_recording(surface17_machine())
-    kinds = [type(step).__name__ for step in steps]
+    recording, num_qubits = machine_recording(surface17_machine())
+    kinds = [type(step).__name__ for step in recording.steps]
     assert num_qubits == 17
     assert kinds.count("GateStep") >= 24 and kinds.count("NoiseStep") >= 24
-    assert kinds.count("MeasureStep") == 8
+    assert kinds.count("MeasureStep") == recording.measurements == 8
+
+
+def test_recording_is_immutable():
+    """The machine keeps a recording for its loaded binary and
+    propagates every later run through it, so nothing in it can be
+    changed in place: the value, its step tuple and the step arrays."""
+    recording = tableau_recording(3, GHZ_PROGRAM)
+    assert isinstance(recording.steps, tuple)
+    with pytest.raises(AttributeError):
+        recording.measurements = 0
+    arrays = [array for step in recording.steps
+              for array in ((step.rows,) if isinstance(step, NoiseStep)
+                            else (step.pivot_x, step.pivot_z,
+                                  step.pivot_rows)
+                            if isinstance(step, MeasureStep) else ())
+              if array is not None]
+    assert arrays
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] ^= 1
 
 
 def test_pack_round_trip_keeps_padding_clear():
@@ -409,14 +433,19 @@ def distribution_cases():
     ]
 
 
-@pytest.mark.parametrize("steps,num_qubits,readout", distribution_cases())
-def test_packed_propagation_matches_reference(steps, num_qubits, readout):
+@pytest.mark.parametrize("recording,num_qubits,readout",
+                         distribution_cases())
+def test_packed_propagation_matches_reference(recording, num_qubits,
+                                              readout):
     shots = 120_000
-    raw, reported = propagate_frames(steps, num_qubits, shots,
+    raw, reported = propagate_frames(recording, num_qubits, shots,
                                      np.random.default_rng(1), readout)
     ref_raw, ref_reported = reference_propagate(
-        steps, num_qubits, shots, np.random.default_rng(2), readout)
-    measurements = sum(isinstance(step, MeasureStep) for step in steps)
+        recording.steps, num_qubits, shots, np.random.default_rng(2),
+        readout)
+    measurements = sum(isinstance(step, MeasureStep)
+                       for step in recording.steps)
+    assert measurements == recording.measurements
     assert raw.shape == reported.shape == (measurements, words_for(shots))
     for packed, reference in ((raw, ref_raw), (reported, ref_reported)):
         assert_same_distribution(
@@ -428,10 +457,10 @@ def test_random_measurement_pivots_correlate_outcomes():
     """The GHZ recording's second and third measurements repeat the
     first one's random outcome in a noise-free batch: the pivot
     correction carries it through the frames."""
-    steps = with_probability(tableau_recording(3, GHZ_PROGRAM), 0.0)
+    recording = with_probability(tableau_recording(3, GHZ_PROGRAM), 0.0)
     assert any(step.pivot_rows is not None and len(step.pivot_rows) > 2
-               for step in steps if isinstance(step, MeasureStep))
-    raw, _ = propagate_frames(steps, 3, 1000, np.random.default_rng(5),
+               for step in recording.steps if isinstance(step, MeasureStep))
+    raw, _ = propagate_frames(recording, 3, 1000, np.random.default_rng(5),
                               ReadoutErrorModel(p01=0.0, p10=0.0))
     bits = unpack_shots(raw, 1000)
     assert 0.4 < bits[:, 1].mean() < 0.6
@@ -459,9 +488,9 @@ def test_padding_never_reaches_results(shots):
 
 @pytest.mark.parametrize("shots", [1, 63, 64, 65, 200])
 def test_packed_outputs_keep_padding_clear(shots):
-    steps, num_qubits = machine_recording(frame_clifford_machine())
+    recording, num_qubits = machine_recording(frame_clifford_machine())
     raw, reported = propagate_frames(
-        steps, num_qubits, shots, np.random.default_rng(shots),
+        recording, num_qubits, shots, np.random.default_rng(shots),
         ReadoutErrorModel(p01=1.0, p10=1.0))
     for packed in (raw, reported):
         tail = np.unpackbits(packed.view(np.uint8), axis=1,

@@ -14,7 +14,7 @@ from repro.core.operations import (
     default_operation_set,
 )
 from repro.experiments.runner import ExperimentSetup
-from repro.quantum.noise import NoiseModel
+from repro.quantum.noise import DecoherenceModel, GateErrorModel, NoiseModel
 from repro.serving import SweepSpec, execute_point
 from repro.workloads.rabi import rabi_step_circuit
 
@@ -36,6 +36,38 @@ def build_program(setup, params):
     """One Rabi point: X_AMP_<step> then measure."""
     return setup.compile_circuit(
         rabi_step_circuit(params["step"], qubit=2))
+
+
+def build_frame_setup() -> ExperimentSetup:
+    """A setup under Pauli gate noise on the tableau, where
+    feedback-free Clifford programs ride the Pauli-frame engine."""
+    noise = NoiseModel(
+        decoherence=DecoherenceModel(t1_ns=1e15, t2_ns=1e15),
+        gate_error=GateErrorModel(single_qubit_error=0.03,
+                                  two_qubit_error=0.03))
+    return ExperimentSetup.create(isa=two_qubit_instantiation(),
+                                  noise=noise, seed=0)
+
+
+#: One frame-eligible point: ``gate`` on qubit 0, then an entangling CZ
+#: and a measurement of both qubits.
+FRAME_POINT = """
+SMIS S0, {0}
+SMIS S3, {0, 2}
+SMIT T0, {(0, 2)}
+QWAIT 10000
+%s S0
+QWAIT 10
+CZ T0
+QWAIT 10
+MEASZ S3
+QWAIT 50
+STOP
+"""
+
+
+def build_frame_program(setup, params):
+    return setup.assemble_text(FRAME_POINT % params["gate"])
 
 
 def build_failing_program(setup, params):

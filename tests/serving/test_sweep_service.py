@@ -18,10 +18,13 @@ from repro.serving import (
     SweepService,
     SweepSpec,
     derive_point_seed,
+    execute_point,
 )
 
 from serving_workload import (
     build_failing_program,
+    build_frame_program,
+    build_frame_setup,
     build_program,
     build_setup,
     make_spec,
@@ -118,6 +121,29 @@ class TestHappyPath:
         snapshot.chaos_directives.append("poison")
         assert "poison" not in service.stats.events
         assert "poison" not in service.stats.chaos_directives
+
+
+class TestFramePointPurity:
+    def test_frame_point_is_identical_on_rerun(self):
+        """The machine keeps the frame engine's reference recording
+        across runs, but the purity reset drops it: a frame-eligible
+        point executed twice on one set-up records its reference shot
+        both times and gives bit-identical counts, also with another
+        point run in between."""
+        spec = SweepSpec.from_params(
+            name="frame-purity", shots=500, seed=5,
+            params=[{"gate": "H"}, {"gate": "X90"}],
+            setup_factory=build_frame_setup,
+            program_factory=build_frame_program)
+        setup = build_frame_setup()
+        runs = []
+        for index in (0, 0, 1, 0):
+            counts, stats, _ = execute_point(setup, spec, spec.point(index))
+            assert stats.engine == "frame", stats.fallback_reason
+            assert stats.frame_reference_shots == 1
+            assert not stats.tree_reused
+            runs.append(counts)
+        assert runs[0] == runs[1] == runs[3]
 
 
 class TestJournalResume:

@@ -1,13 +1,17 @@
-"""Cross-run replay-cache regression tests.
+"""Cross-run cache regression tests.
 
-The machine keeps the saturated timeline tree of its loaded binary,
-with the (noise model, uarch config, backend kind) it was grown under,
-so repeated runs over one binary reuse the tree across ``run()``
-calls.  The dangerous failure mode is a *stale*
-tree: reusing cached probabilities/readout after the noise model or
-configuration changed would silently corrupt the emitted distribution —
-these tests pin the invalidation behaviour.  The file also covers the
-mid-stream :class:`EngineStats` snapshot used by long sweeps.
+The machine keeps one piece of engine state for its loaded binary,
+with the (noise model, uarch config, backend kind) it was built under:
+the replay engine's saturated timeline tree, or the Pauli-frame
+engine's reference recording (trace template plus step sequence).
+Repeated runs over one binary reuse it across ``run()`` calls — a
+warm replay run grows nothing, a warm frame run skips the reference
+shot.  The dangerous failure mode is *stale* state: reusing cached
+probabilities, readout or a recorded gate sequence after the noise
+model, configuration or host-written data memory changed would
+silently corrupt the emitted distribution — these tests pin the
+invalidation behaviour of both.  The file also covers the mid-stream
+:class:`EngineStats` snapshot used by long sweeps.
 """
 
 from dataclasses import replace
@@ -15,10 +19,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import Assembler, two_qubit_instantiation
+from test_plant_backend import assert_distributions_agree, joint_histogram
+
+from repro.core import (
+    Assembler,
+    rotated_surface_instantiation,
+    two_qubit_instantiation,
+)
 from repro.experiments.reset import FIG4_PROGRAM as ACTIVE_RESET
+from repro.experiments.runner import ExperimentSetup
 from repro.quantum import NoiseModel, QuantumPlant
-from repro.uarch import QuMAv2, UarchConfig, slip_config
+from repro.quantum.noise import DecoherenceModel, GateErrorModel
+from repro.uarch import FaultPlan, FaultSpec, QuMAv2, UarchConfig, slip_config
+from repro.workloads.rotated_surface import rotated_surface_circuit
 
 
 def make_machine(noise=None, seed=0, config=None):
@@ -215,6 +228,207 @@ class TestCrossRunTreeReuse:
         setup.clear_replay_cache()
         setup.run_counts(assembled, 40)
         assert not setup.last_engine_stats.tree_reused
+
+
+def pauli_noise(error=0.03):
+    """Pauli gate noise on the tableau: the frame engine's regime."""
+    return NoiseModel(
+        decoherence=DecoherenceModel(t1_ns=1e15, t2_ns=1e15),
+        gate_error=GateErrorModel(single_qubit_error=error,
+                                  two_qubit_error=error))
+
+
+#: Feedback-free Clifford program: frame-batch eligible under Pauli
+#: gate noise.
+FRAME_CLIFFORD = """
+SMIS S0, {0}
+SMIS S2, {2}
+SMIS S3, {0, 2}
+SMIT T0, {(0, 2)}
+QWAIT 10000
+H S0
+QWAIT 10
+CZ T0
+QWAIT 10
+X90 S2
+QWAIT 10
+MEASZ S3
+QWAIT 50
+STOP
+"""
+
+#: The host word at address 32 selects X (0) or H (1) on qubit 0 before
+#: its measurement.  The LD has no same-shot store, so the binary is
+#: frame eligible but not cacheable across runs.
+HOST_SELECTED_GATE = """
+SMIS S0, {0}
+LDI R0, 1
+LDI R1, 32
+LD R2, R1(0)
+CMP R2, R0
+BR EQ, hadamard
+X S0
+BR ALWAYS, join
+hadamard:
+H S0
+join:
+QWAIT 50
+MEASZ S0
+QWAIT 50
+STOP
+"""
+
+
+def frame_machine(seed=0, text=FRAME_CLIFFORD):
+    machine = make_machine(noise=pauli_noise(), seed=seed)
+    load(machine, text)
+    return machine
+
+
+def run_frame(machine, shots=40):
+    """One frame run; returns its stats."""
+    machine.run_counts(shots)
+    stats = machine.engine_stats
+    assert stats.engine == "frame", stats.fallback_reason
+    assert stats.frame_batched == shots
+    return stats
+
+
+def assert_recorded(stats):
+    assert stats.frame_reference_shots == 1
+    assert not stats.tree_reused
+
+
+def assert_reused(stats):
+    assert stats.frame_reference_shots == 0
+    assert stats.tree_reused
+
+
+class TestKeptFrameRecording:
+    """The frame engine's reference recording lives in the same slot,
+    under the same key and invalidation paths as the replay tree."""
+
+    def test_second_run_reuses_the_recording(self):
+        machine = frame_machine()
+        assert_recorded(run_frame(machine))
+        assert_reused(run_frame(machine))
+        assert_reused(run_frame(machine))
+
+    def test_reloading_the_same_binary_still_reuses(self):
+        machine = frame_machine()
+        assembled = Assembler(machine.isa).assemble_text(FRAME_CLIFFORD)
+        machine.load(assembled)
+        assert_recorded(run_frame(machine))
+        machine.load(assembled)
+        assert_reused(run_frame(machine))
+
+    def test_noise_model_swap_records_again(self):
+        machine = frame_machine()
+        run_frame(machine)
+        machine.plant.noise = pauli_noise(0.01)
+        assert_recorded(run_frame(machine))
+        assert_reused(run_frame(machine))
+
+    def test_config_swap_records_again(self):
+        machine = frame_machine()
+        run_frame(machine)
+        machine.config = slip_config(machine.config)
+        assert_recorded(run_frame(machine))
+
+    def test_different_binary_records_again(self):
+        machine = frame_machine()
+        run_frame(machine)
+        load(machine, FRAME_CLIFFORD.replace("X90 S2", "H S2"))
+        assert_recorded(run_frame(machine))
+        load(machine, FRAME_CLIFFORD)
+        assert_recorded(run_frame(machine))
+
+    def test_clear_replay_cache_records_again(self):
+        machine = frame_machine()
+        run_frame(machine)
+        machine.clear_replay_cache()
+        assert machine._tree is None
+        assert_recorded(run_frame(machine))
+
+    def test_interpreter_runs_leave_the_recording_intact(self):
+        machine = frame_machine()
+        run_frame(machine)
+        machine.run_counts(5, use_replay=False)
+        assert machine.last_run_engine == "interpreter"
+        assert_reused(run_frame(machine))
+
+    def test_degraded_reference_shot_keeps_nothing(self):
+        """A reference shot failed by ``backend_gate`` at shot 0
+        leaves the slot empty; the disarmed rerun records exactly once
+        and the run after it reuses that recording."""
+        machine = frame_machine()
+        machine.arm_faults(FaultPlan([FaultSpec("backend_gate", shot=0)]))
+        machine.run_counts(30)
+        stats = machine.engine_stats
+        assert stats.engine == "interpreter"
+        assert stats.frame_reference_shots == 0
+        assert any(d.startswith("frame -> interpreter")
+                   for d in stats.degradations)
+        assert machine._tree is None
+
+        machine.disarm_faults()
+        assert_recorded(run_frame(machine))
+        assert_reused(run_frame(machine))
+
+    def test_host_memory_load_is_never_served_stale(self):
+        """Data memory is the host channel: a frame-eligible binary
+        whose LD steers its gate sequence must record afresh every
+        run, because the host may rewrite the loaded word in between —
+        a kept recording would keep applying the old gate."""
+        machine = frame_machine(text=HOST_SELECTED_GATE)
+
+        def applied(traces):
+            return {t.name for trace in traces
+                    for t in trace.triggers if t.executed}
+
+        first = machine.run(20)
+        assert machine.last_run_engine == "frame"
+        assert not machine.data_memory_report().cross_run_cacheable
+        assert_recorded(machine.engine_stats)
+        assert applied(first) == {"X", "MEASZ"}   # memory[32] == 0
+
+        machine.memory.store(32, 1)               # host selects H
+        second = machine.run(20)
+        assert machine.last_run_engine == "frame"
+        assert applied(second) == {"H", "MEASZ"}
+        assert_recorded(machine.engine_stats)
+        assert machine._tree is None
+
+
+class TestWarmFrameRunPhysics:
+    """A warm frame run propagates through a recording made by an
+    earlier run; its joint histogram must still agree with the
+    per-shot tableau interpreter's."""
+
+    def check_warm_run_matches_interpreter(self, warm, interpreter,
+                                           shots):
+        run_frame(warm, 10)
+        counts = warm.run_counts(shots)
+        assert_reused(warm.engine_stats)
+        traces = interpreter.run(shots, use_replay=False)
+        assert interpreter.last_plant_backend == "stabilizer"
+        assert_distributions_agree(counts.joint, joint_histogram(traces))
+
+    def test_frame_clifford(self):
+        self.check_warm_run_matches_interpreter(
+            frame_machine(seed=31), frame_machine(seed=32), 2000)
+
+    def test_distance3_surface_circuit(self):
+        def machine(seed):
+            setup = ExperimentSetup.create(
+                isa=rotated_surface_instantiation(3),
+                noise=pauli_noise(0.01), seed=seed)
+            setup.machine.load(setup.compile_circuit(
+                rotated_surface_circuit(3, rounds=1, reset=False)))
+            return setup.machine
+
+        self.check_warm_run_matches_interpreter(machine(41), machine(42),
+                                                600)
 
 
 class TestEngineStatsSnapshot:
