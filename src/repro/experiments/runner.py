@@ -141,10 +141,11 @@ class ExperimentSetup:
         decoherence); ``"dense"`` or ``"stabilizer"`` pin a backend.
         The choice is reported per run via :attr:`last_plant_backend`.
 
-        ``audit_fraction`` turns on self-verifying replay: that
-        fraction of replayed (cache-hit) shots is shadow-run on the
-        interpreter and compared bit-for-bit — see
-        :meth:`repro.uarch.machine.QuMAv2.run_iter`.
+        ``audit_fraction`` turns on self-verifying replay: cached
+        shots earn that much audit credit each, and a walked tree
+        terminal is shadow-run on the interpreter and compared
+        bit-for-bit whenever the credit crosses 1 (every terminal at
+        1.0) — see :meth:`repro.uarch.machine.QuMAv2._replay_shots`.
 
         ``observability`` attaches a :class:`repro.obs.Observability`
         handle to the machine (and, through it, the plant): run-phase

@@ -24,9 +24,10 @@ Injection sites
     (:class:`~repro.core.errors.QueueOverflowError` with the
     instantiation's depth in context).
 ``tree_bitflip``
-    A terminal node of the replay timeline tree is corrupted in place;
-    the self-verifying audit detects the divergence, drops the tree,
-    and degrades the run.
+    A terminal node of the replay timeline tree is corrupted in place,
+    at a chunk start on a tree that already has a terminal; the
+    self-verifying audit detects the divergence, drops the tree, and
+    degrades the run.
 ``mock_exhaust``
     The measurement unit's mock-result queues are cleared mid-run
     (the UHFQC's fabricated-result program dying); subsequent
@@ -59,7 +60,11 @@ faults.
 The plan is shared by reference: :meth:`QuMAv2.arm_faults` hands the
 same object to the plant and the measurement unit, and the machine
 advances :attr:`FaultPlan.current_shot` so all hooks agree on when to
-fire.  (A service-held plan is advanced by the dispatcher instead.)
+fire.  The interpreter advances it once per shot; the fast engines
+(replay and Pauli-frame) once per chunk of shots, to the chunk's
+first shot index, so their growth, reference and audit shadow shots
+all run under that index.  (A service-held plan is advanced by the
+dispatcher instead.)
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from contextlib import closing
 from typing import Callable, Iterator
 
@@ -123,19 +124,20 @@ from repro.uarch.trace import (
 #: not bits, dominates it; 65,536 keeps a typical 20,000-shot request
 #: in one chunk while the first traces still reach a streaming
 #: run_iter consumer promptly.  run_counts folds a chunk whole,
-#: run_iter splices it one trace at a time.  A frame chunk is counted
-#: into the run's EngineStats whole, before its first trace, and
-#: advances the fault plan's shot index once; a replay cohort counts
-#: each shot as it is delivered.
+#: run_iter splices it one trace at a time.  Either engine advances
+#: the fault plan's shot index once per chunk, to its first shot; a
+#: replay chunk is also the unit its audits run on.  A frame chunk is
+#: counted into the run's EngineStats whole, before its first trace; a
+#: replay cohort counts each shot as it is delivered.
 _CHUNK_SHOTS = 65536
 
 #: Cached tree walks are timed into this counter pair (``.time_ns`` +
-#: ``.timed_shots``, whose ratio is the mean per-shot walk cost): a
+#: ``.timed_shots``, whose ratio is the mean per-shot walk cost): each
 #: cohort walk is timed once, less its growth shots, and counts every
-#: shot of its chunk; the per-shot walk loop times every 16th shot only
-#: — a cached shot is so cheap (~10 us) that even two clock reads per
-#: shot would blow the <=5% overhead budget.  The expensive shot kinds
-#: (growth, audit, interpreter) keep full per-shot histograms.
+#: shot of its chunk — a cached shot is so cheap that even two clock
+#: reads per shot would blow the <=5% overhead budget.  The expensive
+#: shot kinds (growth, audit, interpreter) keep full per-shot
+#: histograms.
 _WALK_COUNTER = "engine.replay.walk"
 
 #: The machine-level replay blockers.  Trajectory-sampled Pauli gate
@@ -270,12 +272,13 @@ class QuMAv2:
         # (see _forget_binary) lives only while they stay loaded.
         self._words: tuple[int, ...] = ()
         self._forget_binary()
-        #: Fraction of cache-hit replay shots shadow-run on the
-        #: interpreter and compared bit-for-bit (self-verifying
-        #: replay); 0.0 disables auditing.  Divergence drops the
-        #: tree and degrades the run — see :meth:`run_iter`.
+        #: Audit rate of self-verifying replay: cached shots earn
+        #: ``audit_fraction`` credit each, and a walked terminal is
+        #: shadow-run on the interpreter and compared bit-for-bit
+        #: whenever the credit crosses 1; 0.0 disables auditing.
+        #: Divergence drops the tree and degrades the run — see
+        #: :meth:`_replay_shots`.
         self.audit_fraction = audit_fraction
-        self._audit_credit = 0.0
         #: Armed :class:`~repro.uarch.faults.FaultPlan` (None in
         #: production) — see :meth:`arm_faults`.
         self.fault_plan: FaultPlan | None = None
@@ -493,11 +496,10 @@ class QuMAv2:
         once (:meth:`_choose_engine`) and drains one engine generator —
         :meth:`_replay_shots`, :meth:`_frame_shots` or
         :meth:`_interpreter_shots`; a fast path that degrades mid-run
-        finishes on the same interpreter loop.  Cached walks of the
-        per-shot replay loop arrive as templates plus sampled outcomes
-        and are spliced here (:meth:`ShotTrace.with_sampled_results`);
-        a replay cohort or Pauli-frame chunk of up to ``_CHUNK_SHOTS``
-        shots expands itself in shot order the same way
+        finishes on the same interpreter loop.  Interpreter shots
+        arrive as traces; a replay cohort or Pauli-frame chunk of up to
+        ``_CHUNK_SHOTS`` shots expands itself in shot order, splicing
+        each cached shot's trace from its template
         (:meth:`ShotCohort.traces`, :meth:`FrameChunk.traces`).
         :attr:`engine_stats` (which the
         engine/backend label properties read) is replaced when the
@@ -520,29 +522,23 @@ class QuMAv2:
             for item in items:
                 if isinstance(item, ShotTrace):
                     yield item
-                elif isinstance(item, tuple):
-                    template, outcomes = item
-                    yield template.with_sampled_results(outcomes)
                 else:
                     yield from item.traces(self.engine_stats)
 
     def _shot_items(self, shots: int, max_instructions: int,
                     use_replay: bool) -> Iterator:
         """The one place a run's engine generator is drained.  Yields,
-        in shot order, a :class:`ShotTrace` per interpreter, growth or
-        audited shot, a ``(template, outcomes)`` pair per cached walk of
-        the per-shot replay loop, and a :class:`ShotCohort` per replay
-        chunk walked as cohorts or a :class:`FrameChunk` per
-        Pauli-frame chunk; :meth:`run_iter` splices the last three into
-        traces, :meth:`run_counts` folds them directly.  A cohort or
-        frame chunk (one ``traces(stats)`` / ``fold(counts, stats)``
-        interface) is counted into :attr:`engine_stats` by whichever of
-        the two delivers it."""
+        in shot order, a :class:`ShotTrace` per interpreter shot or a
+        batch: a :class:`ShotCohort` per replay chunk (its growth shots
+        included) or a :class:`FrameChunk` per Pauli-frame chunk.
+        :meth:`run_iter` splices a batch into traces, :meth:`run_counts`
+        folds it directly; either counts it into :attr:`engine_stats`
+        through its ``traces(stats)`` / ``fold(counts, stats)``
+        interface."""
         obs = self._obs
         span = None if obs is None else obs.begin("machine.run",
                                                    shots=shots)
         stats = self.engine_stats = EngineStats()
-        self._audit_credit = 0.0
         # Forced outcomes are a per-run_shot driving aid; a queue left
         # over from an earlier run_shot() would silently bias the first
         # shots here (and shift the replay engine's own forced prefixes
@@ -631,20 +627,18 @@ class QuMAv2:
                       stats: EngineStats, plan: FaultPlan | None,
                       report: DataMemoryReport) -> Iterator:
         """Serve the run from the branch-resolved timeline tree (see
-        :mod:`repro.uarch.replay`).  A plain run walks the tree once
-        per chunk of up to ``_CHUNK_SHOTS`` shots as index cohorts
+        :mod:`repro.uarch.replay`): walk it once per chunk of up to
+        ``_CHUNK_SHOTS`` shots as index cohorts
         (:meth:`TimelineTree.sample_cohort`), growing unseen paths on
-        the interpreter as it goes, and yields the chunk as one
-        :class:`ShotCohort`.  Two kinds of run keep the per-shot walk
-        loop (:meth:`TimelineTree.sample_shot`), whose seeded output
-        they pin: runs with an armed fault plan (its sites are pinned
-        to shot indices) and with ``audit_fraction > 0``.  There a
-        cached outcome path is yielded unspliced as ``(template,
-        outcomes)``, an unseen one as the trace of its growth shot (as
-        is an audited walk, which the shadow comparison splices).  An
-        audit divergence evicts the tree and hands the rest of the run
-        to :meth:`_interpreter_shots`; a run whose every shot was a
-        growth shot is labelled "interpreter", consistent with its
+        the interpreter as it goes, and yield the chunk as one
+        :class:`ShotCohort`.  An armed fault plan advances its shot
+        index once per chunk, to the chunk's first shot, and may
+        corrupt a cached template there (``tree_bitflip``).  With
+        ``audit_fraction > 0`` the walked terminals are audited before
+        the chunk is yielded; a divergence drops the undelivered
+        chunk, evicts the tree and hands the chunk and the rest of the
+        run to :meth:`_interpreter_shots`.  A run whose every shot was
+        a growth shot is labelled "interpreter", consistent with its
         split."""
         stats.engine = "replay"
         stats.dead_stores = report.dead_store_count
@@ -666,66 +660,47 @@ class QuMAv2:
                 max_instructions,
                 histogram="engine.replay.growth_shot.time_ns")
 
+        credit = 0.0
         try:
-            if plan is None and self.audit_fraction <= 0.0:
-                for first in range(0, shots, _CHUNK_SHOTS):
-                    chunk = min(shots - first, _CHUNK_SHOTS)
-                    cohort = self._timed(tree.sample_cohort, chunk, grow,
-                                         counter=_WALK_COUNTER,
-                                         counted=chunk)
-                    track_tree()
-                    yield cohort
-            else:
-                for shot_index in range(shots):
-                    if plan is not None:
-                        plan.begin_shot(shot_index)
-                        if plan.would_fire("tree_bitflip"):
-                            detail = tree.corrupt_random_template(plan.rng)
-                            if detail is not None:
-                                plan.fire("tree_bitflip", detail=detail)
-                    stats.shots_total += 1
-                    if shot_index & 0xF:
-                        template, outcomes = tree.sample_shot()
-                    else:
-                        template, outcomes = self._timed(
-                            tree.sample_shot, counter=_WALK_COUNTER)
-                    if template is None:
-                        stats.segment_cache_misses += 1
-                        stats.interpreter_shots += 1
-                        trace = grow(outcomes)
-                        track_tree()
-                        yield trace
+            for first in range(0, shots, _CHUNK_SHOTS):
+                chunk = min(shots - first, _CHUNK_SHOTS)
+                if plan is not None:
+                    plan.begin_shot(first)
+                    if plan.would_fire("tree_bitflip"):
+                        detail = tree.corrupt_random_template(plan.rng)
+                        if detail is not None:
+                            plan.fire("tree_bitflip", detail=detail)
+                cohort = self._timed(tree.sample_cohort, chunk, grow,
+                                     counter=_WALK_COUNTER, counted=chunk)
+                track_tree()
+                # Deterministic audit cadence (a credit accumulator,
+                # not an RNG draw, so audits never perturb the plant's
+                # random stream): each cached shot earns
+                # ``audit_fraction``, and one audit of a terminal checks
+                # every shot on it, so it spends all whole credit.
+                for template, indices in cohort.terminals:
+                    credit += len(indices) * self.audit_fraction
+                    if credit < 1.0 - 1e-12:
                         continue
-                    stats.segment_cache_hits += 1
-                    if not self._audit_due():
-                        item = template, outcomes
-                    else:
-                        item = template.with_sampled_results(outcomes)
-                        shadow, mismatched, detail = self._timed(
-                            self._audit_replay_shot, item, max_instructions,
-                            histogram="engine.replay.audit.time_ns")
-                        stats.replay_audits += 1
-                        stats.last_audit = ReplayAudit(
-                            shot_index=shot_index,
-                            mismatched_fields=tuple(mismatched),
-                            tree_evicted=bool(mismatched), detail=detail)
-                        if mismatched:
-                            stats.audit_divergences += 1
-                            self._degrade(stats, "replay", (
-                                f"replay audit divergence at shot "
-                                f"{shot_index} ({', '.join(mismatched)})"))
-                            self._evict_tree(tree)
-                            # The audited shot is served from the trusted
-                            # shadow, the rest of the run by the interpreter.
-                            stats.interpreter_shots += 1
-                            yield (shadow if shadow is not None
-                                   else self.run_shot(max_instructions))
-                            yield from self._interpreter_shots(
-                                shot_index + 1, shots, max_instructions,
-                                stats, plan)
-                            return
-                    stats.replay_shots += 1
-                    yield item
+                    credit -= math.floor(credit + 1e-12)
+                    shot_index = first + int(indices[0])
+                    mismatched, detail = self._timed(
+                        self._audit_replay_shot, template, max_instructions,
+                        histogram="engine.replay.audit.time_ns")
+                    stats.replay_audits += 1
+                    stats.last_audit = ReplayAudit(
+                        shot_index=shot_index, mismatched_fields=mismatched,
+                        tree_evicted=bool(mismatched), detail=detail)
+                    if mismatched:
+                        stats.audit_divergences += 1
+                        self._degrade(stats, "replay", (
+                            f"replay audit divergence at shot "
+                            f"{shot_index} ({', '.join(mismatched)})"))
+                        self._evict_tree(tree)
+                        yield from self._interpreter_shots(
+                            first, shots, max_instructions, stats, plan)
+                        return
+                yield cohort
             if stats.replay_shots == 0:
                 # Every shot was a growth shot — e.g. the outcome paths
                 # exceed the tree caps from shot one.  Reporting
@@ -790,47 +765,33 @@ class QuMAv2:
                      "instructions_executed", "classical_time_ns",
                      "stop_reached")
 
-    def _audit_due(self) -> bool:
-        """Deterministic audit cadence: every ``1/audit_fraction``-th
-        cache-hit shot is shadowed (an accumulator, not an RNG draw,
-        so audited runs stay exactly reproducible and never perturb
-        the plant's random stream)."""
-        fraction = self.audit_fraction
-        if fraction <= 0.0:
-            return False
-        self._audit_credit += fraction
-        if self._audit_credit >= 1.0 - 1e-12:
-            self._audit_credit -= 1.0
-            return True
-        return False
+    def _audit_replay_shot(self, template: ShotTrace,
+                           max_instructions: int
+                           ) -> tuple[tuple[str, ...], str]:
+        """Shadow-run one cached terminal template on the interpreter.
 
-    def _audit_replay_shot(self, trace: ShotTrace,
-                           max_instructions: int):
-        """Shadow-run one cached replay trace on the interpreter.
-
-        The cached trace's ``(raw, reported)`` outcome sequence is
-        forced onto the measurement unit, so the interpreter re-derives
-        the *same* branch; every timing-visible field of the two traces
-        must then agree bit-for-bit.  Returns ``(shadow_trace,
-        mismatched_field_names, detail)`` — an empty mismatch list
-        means the audit passed.  A shadow that raises is itself a
-        divergence (the cached path claims a shot the interpreter
-        cannot even complete).
+        The template's ``(raw, reported)`` outcome path is forced onto
+        the measurement unit, so the interpreter re-derives the *same*
+        branch; every timing-visible field of the shadow and the
+        template must then agree bit-for-bit.  Returns
+        ``(mismatched_field_names, detail)`` — no mismatch means the
+        audit passed.  A shadow that raises is itself a divergence
+        (the cached path claims a shot the interpreter cannot even
+        complete).
         """
-        outcomes = [(record.raw_result, record.reported_result)
-                    for record in trace.results]
-        self.measurement_unit.force_results(outcomes)
+        self.measurement_unit.force_results(template.outcome_path())
         try:
             shadow = self.run_shot(max_instructions)
         except EQASMError as error:
-            return None, ["shadow-exception"], (
+            return ("shadow-exception",), (
                 f"interpreter shadow raised {type(error).__name__}: "
                 f"{error}")
         finally:
             self.measurement_unit.clear_forced_results()
-        mismatched = [name for name in self._AUDIT_FIELDS
-                      if getattr(shadow, name) != getattr(trace, name)]
-        return shadow, mismatched, (
+        mismatched = tuple(name for name in self._AUDIT_FIELDS
+                           if getattr(shadow, name) !=
+                           getattr(template, name))
+        return mismatched, (
             "cached replay trace diverged from its interpreter shadow"
             if mismatched else "")
 
@@ -1048,17 +1009,16 @@ class QuMAv2:
         """Execute ``shots`` shots and return the streaming aggregate.
 
         Same run as :meth:`run_iter` (same engine, draws and
-        :attr:`engine_stats`), but counts-first: interpreter, growth
-        and audited shots fold their traces
-        (:meth:`ShotCounts.add`); a replay cohort folds each terminal
-        it reached once, with its multiplicity (:meth:`ShotCohort.fold`
-        — a cached walk's outcomes are its terminal template's own, so
-        the template *is* the shot), as does a cached walk of the
-        per-shot replay loop; and a Pauli-frame chunk folds its packed
+        :attr:`engine_stats`), but counts-first: interpreter and
+        growth shots fold their traces (:meth:`ShotCounts.add`); a
+        replay cohort folds each terminal it reached once, with its
+        multiplicity (:meth:`ShotCohort.fold` — a cached walk's
+        outcomes are its terminal template's own, so the template *is*
+        the shot); and a Pauli-frame chunk folds its packed
         reported-outcome columns whole (:meth:`FrameChunk.fold`, through
-        :meth:`ShotCounts.add_batch`) — no trace is spliced.  Memory
-        stays O(qubits + replay-tree size) regardless of the shot
-        count.
+        :meth:`ShotCounts.add_batch`) — no trace is spliced, audited
+        runs included.  Memory stays O(qubits + replay-tree size)
+        regardless of the shot count.
         """
         counts = ShotCounts()
         with closing(self._shot_items(shots, max_instructions,
@@ -1066,9 +1026,6 @@ class QuMAv2:
             for item in items:
                 if isinstance(item, ShotTrace):
                     counts.add(item)
-                elif isinstance(item, tuple):
-                    # A cached walk's outcomes are its template's own.
-                    counts.add(item[0])
                 else:
                     item.fold(counts, self.engine_stats)
         return counts

@@ -32,16 +32,18 @@ stored ``P(1)`` (and the readout-error model), follow the matching
 edge, and hand out the terminal template.  The tree is keyed on the
 sampled ``(raw, reported)`` pairs, so every shot that reaches a
 terminal has exactly that terminal's outcomes,
-``template.outcome_path()``.  A plain run walks a whole chunk of shots
+``template.outcome_path()``.  Every run walks a whole chunk of shots
 at once (:meth:`TimelineTree.sample_cohort`): each internal node draws
 one vectorised Bernoulli and one vectorised readout flip for the
 cohort of shots that reached it and splits the cohort among its
 children, so the Python cost is per tree node, not per shot.
 ``run_iter`` splices each shot's trace from its terminal
 (:meth:`ShotTrace.with_sampled_results`); ``run_counts`` folds each
-terminal once with its multiplicity (:meth:`ShotCounts.add`).  Runs
-that must stay shot by shot (armed fault plans, audits) walk one shot
-at a time (:meth:`TimelineTree.sample_shot`).
+terminal once with its multiplicity (:meth:`ShotCounts.add`).  The
+terminal is also the unit of the self-verifying audit: one shadow
+interpreter run forced onto its outcome path checks every shot that
+reached it, before the chunk is delivered.  An armed fault plan sees
+one shot index per chunk, the chunk's first shot.
 No plant state is touched at all — the chain rule over per-node
 conditional probabilities reproduces the interpreter's joint outcome
 distribution exactly, whichever order the draws are made in.
@@ -109,14 +111,17 @@ class ReplayError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class ReplayAudit:
-    """One self-verifying replay audit that found a divergence.
+    """One self-verifying replay audit of a walked terminal.
 
-    Recorded on :attr:`EngineStats.last_audit` when a shadow
-    interpreter run disagreed with a cached tree walk: the cached tree
-    was dropped (for the rest of the run and for later runs) and the
-    run degraded to the interpreter.
+    Recorded on :attr:`EngineStats.last_audit` for every audit.  When
+    the shadow interpreter run disagreed with the terminal's template,
+    the cached tree was dropped (for the rest of the run and for later
+    runs) and the audited chunk and the rest of the run degraded to the
+    interpreter.
     """
 
+    #: Index, within the run, of the first shot that reached the
+    #: audited terminal.
     shot_index: int
     #: Trace fields that differed ("triggers", "results", ...), or
     #: ("shadow-exception",) when the shadow run itself faulted.
@@ -138,7 +143,9 @@ class EngineStats:
     interpreter and replay engines count each shot as it is delivered
     (a replay cohort is walked a chunk at a time but counted shot by
     shot as ``run_iter`` yields it, and whole when ``run_counts``
-    folds it); the Pauli-frame engine counts a whole chunk of shots
+    folds it; a chunk dropped on an audit divergence is re-served by
+    the interpreter and counted there); the Pauli-frame engine counts
+    a whole chunk of shots
     (up to ``_CHUNK_SHOTS`` in :mod:`repro.uarch.machine`) when the
     chunk is delivered, before its first trace — so
     mid-stream ``shots_total`` may run ahead of the traces consumed,
@@ -208,13 +215,17 @@ class EngineStats:
     #: determinism violation) — remaining unseen paths keep running on
     #: the interpreter.
     growth_stopped_reason: str | None = None
-    #: Cached tree walks shadow-run on the interpreter and compared
-    #: bit-for-bit (the ``audit_fraction`` policy).
+    #: Walked terminals shadow-run on the interpreter with their
+    #: outcome path forced and compared bit-for-bit (the
+    #: ``audit_fraction`` policy; at 1.0 every terminal each chunk
+    #: reached).
     replay_audits: int = 0
-    #: Audits that found a divergence (each evicts the tree and
-    #: degrades the run to the interpreter).
+    #: Audits that found a divergence: at most one per run, since the
+    #: first evicts the tree and re-serves its chunk and the rest of
+    #: the run on the interpreter.
     audit_divergences: int = 0
-    #: The most recent divergence, with the mismatched trace fields.
+    #: The most recent audit, with the mismatched trace fields (empty
+    #: when it passed).
     last_audit: ReplayAudit | None = None
     #: Degradation-ladder steps taken during (or around) this run, in
     #: order — e.g. "replay→interpreter (audit divergence)" from the
@@ -440,7 +451,7 @@ class TimelineTree:
     and plant backend stay unchanged):
     interpreter shots insert their observed outcome path and trace;
     cached shots are sampled without any plant work, a chunk at a time
-    by :meth:`sample_cohort` or one at a time by :meth:`sample_shot`.
+    by :meth:`sample_cohort`.
     The root is created by the first growth shot.  Growth stops
     (but sampling keeps degrading gracefully to interpreter shots) when
     the caps are hit or when two shots with the same outcome history
@@ -484,6 +495,10 @@ class TimelineTree:
         template itself with :meth:`ShotCounts.add`) — or ``(None,
         outcome_prefix)`` when an unexplored edge is reached; the
         caller then runs an interpreter shot with that prefix forced.
+
+        The machine walks cohorts only; this one-shot walk stays as
+        the target of perfbench's ``uarch.replay.walk`` hook until the
+        benchmark hooks :meth:`sample_cohort` instead.
         """
         rng = self._plant.rng
         readout = self._readout

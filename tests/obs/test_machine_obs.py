@@ -9,7 +9,6 @@ produces bit-identical shot traces with tracing on or off.
 
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -112,19 +111,20 @@ class TestTracedReplayRun:
                        if name.endswith(".gate.time_ns")]
         assert gate_kernel and snapshot[gate_kernel[0]]["count"] > 0
 
-    def test_per_shot_walks_are_timed_one_in_sixteen(self):
-        """An audited run keeps the per-shot walk loop, which times
-        every 16th walk only: two clock reads would dominate a ~10 us
-        walk."""
+    def test_audited_walks_are_timed_once_per_chunk(self):
+        """An audited run walks the same cohorts as a plain one: each
+        walk is timed once and counts every shot of its chunk, and the
+        audit shadows land in their own histogram."""
         obs = Observability()
         machine = make_machine(observability=obs)
         machine.audit_fraction = 0.25
         machine.run(60)
         snapshot = obs.snapshot()
-        assert machine.engine_stats.replay_audits > 0
-        assert (snapshot["engine.replay.walk.timed_shots"]["value"]
-                == math.ceil(60 / 16))
+        audits = machine.engine_stats.replay_audits
+        assert audits > 0
+        assert snapshot["engine.replay.walk.timed_shots"]["value"] == 60
         assert snapshot["engine.replay.walk.time_ns"]["value"] > 0
+        assert snapshot["engine.replay.audit.time_ns"]["count"] == audits
 
     def test_tracing_does_not_perturb_physics(self):
         shots = 40

@@ -6,9 +6,9 @@ so the draw order is node-major instead of shot-major; each shot still
 samples from the same conditional probabilities.  These tests pin that
 exactness against the path probabilities computed from the tree
 itself, the invariant the multiplicity fold relies on (a terminal's
-edge keys are its template's own outcomes), and that the runs which
-must stay shot by shot — armed fault plans and audits — still walk
-once per shot.
+edge keys are its template's own outcomes), and that every replay run
+— plain, with an armed fault plan, or audited — walks the tree once
+per chunk.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ from repro.experiments.reset import FIG4_PROGRAM as ACTIVE_RESET
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.uarch import FaultPlan, FaultSpec, QuMAv2, ShotTrace, \
     TimelineTree
+from repro.uarch.machine import _CHUNK_SHOTS
 from repro.uarch.replay import _DETERMINISTIC_EPS
 
 
@@ -212,19 +213,17 @@ def audited(machine):
 
 @pytest.mark.parametrize("arm", [planned, audited],
                          ids=["fault-plan", "audits"])
-def test_per_shot_runs_walk_once_per_shot(monkeypatch, arm):
+def test_planned_and_audited_runs_walk_once_per_chunk(monkeypatch, arm):
     machine = make_machine(ACTIVE_RESET, seed=35)
     arm(machine)
     walks = CountingWalks(monkeypatch)
-    shots = 300
-    machine.run_counts(shots)
+    machine.run_counts(_CHUNK_SHOTS + 10)
     assert machine.engine_stats.engine == "replay"
-    assert walks.shots == shots
-    assert walks.cohorts == 0
+    assert walks.shots == 0
+    assert walks.cohorts == 2
 
 
 def test_plain_run_walks_once_per_chunk(monkeypatch):
-    from repro.uarch.machine import _CHUNK_SHOTS
     machine = make_machine(ACTIVE_RESET, seed=36)
     walks = CountingWalks(monkeypatch)
     machine.run_counts(_CHUNK_SHOTS + 10)

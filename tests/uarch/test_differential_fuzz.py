@@ -590,14 +590,19 @@ def test_fault_injection_chaos(seed):
     sites = reachable_chaos_sites(setup.machine, mock_plan)
     rng = np.random.default_rng(77_000 + seed)
     site = sites[int(rng.integers(len(sites)))]
-    # Shot 0 is the first growth shot: the tree has no terminal
-    # template to corrupt before it.
-    first_shot = 1 if site == "tree_bitflip" else 0
-    shot = (int(rng.integers(first_shot, 20)) if rng.random() < 0.7
-            else None)
+    shot = int(rng.integers(0, 20)) if rng.random() < 0.7 else None
+    if shot is not None and not setup.machine.replay_unsupported_reasons():
+        # A replay run advances the plan's shot index once per chunk,
+        # and CHAOS_SHOTS fit in one: shot 0 is the only index its
+        # sites see.  On a cold tree it is the first growth shot.
+        shot = 0
     plan = FaultPlan([FaultSpec(site, shot=shot)], seed=seed)
-    setup.machine.arm_faults(plan)
     try:
+        if site == "tree_bitflip":
+            # The fault needs a cached terminal template at the chunk
+            # start: grow the tree first, disarmed.
+            setup.machine.run_counts(CHAOS_SHOTS)
+        setup.machine.arm_faults(plan)
         traces = setup.run_resilient(assembled, CHAOS_SHOTS,
                                      policy=RetryPolicy(max_attempts=3))
     except TimingViolationError:

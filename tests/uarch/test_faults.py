@@ -11,6 +11,8 @@ proves the full hardening contract:
 4. **recovery** — a clean re-run after disarming is healthy again.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,7 @@ from repro.uarch import (
     FaultSpec,
     QuMAv2,
     ShotTrace,
+    TimelineTree,
     UarchConfig,
 )
 from repro.workloads.rotated_surface import rotated_surface_circuit
@@ -415,26 +418,46 @@ REPLAY_SCENARIOS = {
 }
 
 
+class WalkedTerminals:
+    """Records every cohort walk's terminals (template, shot
+    indices), in walk order, one list per chunk."""
+
+    def __init__(self, monkeypatch):
+        self.chunks = []
+        sample_cohort = TimelineTree.sample_cohort
+
+        def recorded(tree, *args, **kwargs):
+            cohort = sample_cohort(tree, *args, **kwargs)
+            self.chunks.append(list(cohort.terminals))
+            return cohort
+
+        monkeypatch.setattr(TimelineTree, "sample_cohort", recorded)
+
+    def count(self) -> int:
+        return sum(len(chunk) for chunk in self.chunks)
+
+
 class TestReplayAudit:
     @pytest.mark.parametrize("scenario", sorted(REPLAY_SCENARIOS))
-    def test_full_audit_is_divergence_free(self, scenario):
-        """Every cached shot is shadow-run on the interpreter and
-        compared field by field.  The accounting pins what a slow fast
-        path looks like: a silent fallback, the wrong plant backend,
-        growth shots that add no tree path, or a tree that misses more
-        often than it hits.  A sweep's later runs reuse the saturated
-        tree with no growth at all."""
+    def test_full_audit_is_divergence_free(self, scenario, monkeypatch):
+        """Every terminal each chunk reached is shadow-run on the
+        interpreter and compared field by field.  The accounting pins
+        what a slow fast path looks like: a silent fallback, the wrong
+        plant backend, growth shots that add no tree path, or a tree
+        that misses more often than it hits.  A sweep's later runs
+        reuse the saturated tree with no growth at all."""
         build, backend, runs = REPLAY_SCENARIOS[scenario]
         machine = build(1.0)
         for run in range(runs):
+            walked = WalkedTerminals(monkeypatch)
             machine.run_counts(AUDIT_SHOTS)
             stats = machine.engine_stats
             assert stats.engine == "replay", stats.fallback_reason
             assert stats.fallback_reason is None
             assert stats.plant_backend == backend, \
                 stats.plant_backend_reason
-            assert (stats.replay_audits == stats.segment_cache_hits
-                    > stats.interpreter_shots)
+            assert stats.segment_cache_hits > stats.interpreter_shots
+            assert stats.replay_audits == walked.count() > 0
             assert stats.audit_divergences == 0
             assert stats.last_audit.mismatched_fields == ()
             if run == 0:
@@ -443,16 +466,33 @@ class TestReplayAudit:
                 assert stats.tree_reused
                 assert stats.interpreter_shots == 0
 
-    def test_fractional_audit_cadence(self):
-        machine = make_machine(audit_fraction=0.1, seed=7)
+    def test_fractional_audit_cadence(self, monkeypatch):
+        """Each cached shot earns ``audit_fraction`` of credit, in walk
+        order: a terminal is audited once iff the run's cumulative
+        credit crosses an integer on it, and the audit reports the
+        terminal's first shot."""
+        fraction = 0.1
+        walked = WalkedTerminals(monkeypatch)
+        machine = make_machine(audit_fraction=fraction, seed=7)
         machine.run(300)
+        [terminals] = walked.chunks
+        cached, audited = 0, []
+        for _, indices in terminals:
+            before = math.floor(cached * fraction + 1e-9)
+            cached += len(indices)
+            if math.floor(cached * fraction + 1e-9) > before:
+                audited.append(int(indices[0]))
         stats = machine.engine_stats
-        expected = int(stats.segment_cache_hits * 0.1)
-        assert abs(stats.replay_audits - expected) <= 1
+        assert 0 < len(audited) < len(terminals)
+        assert stats.replay_audits == len(audited)
+        assert stats.last_audit.shot_index == audited[-1]
+        assert stats.audit_divergences == 0
 
-    def test_counts_splice_only_audited_shots(self, monkeypatch):
-        """``run_counts`` folds cached walks without a trace: only the
-        shots the audit shadow-runs are spliced into a ShotTrace."""
+    @pytest.mark.parametrize("fraction", [0.01, 1.0])
+    def test_counts_splice_no_trace(self, fraction, monkeypatch):
+        """``run_counts`` folds cached walks without a trace, audited
+        runs included: an audit compares its shadow against the
+        terminal template itself."""
         splices = []
         splice = ShotTrace.with_sampled_results
 
@@ -461,11 +501,30 @@ class TestReplayAudit:
             return splice(template, outcomes)
 
         monkeypatch.setattr(ShotTrace, "with_sampled_results", counted)
-        machine = make_machine(audit_fraction=0.01, seed=7)
+        machine = make_machine(audit_fraction=fraction, seed=7)
         machine.run_counts(1000)
+        assert machine.engine_stats.replay_audits > 0
+        assert splices == []
+
+    def test_shadow_exception_is_a_divergence(self):
+        """A shadow run that raises fails its audit: the undelivered
+        chunk is dropped, the tree evicted, and every shot of the run
+        comes from the interpreter."""
+        machine = make_machine(CFC_FMR, seed=7, audit_fraction=1.0)
+        machine.run_counts(200)
+        assert machine.engine_stats.engine == "replay"
+        machine.arm_faults(FaultPlan([FaultSpec("backend_gate", shot=0)]))
+        traces = machine.run(50)
         stats = machine.engine_stats
-        assert stats.replay_audits > 0
-        assert len(splices) == stats.replay_audits
+        assert stats.replay_audits == 1
+        assert stats.audit_divergences == 1
+        assert stats.last_audit.mismatched_fields == ("shadow-exception",)
+        assert "BackendFaultError" in stats.last_audit.detail
+        assert len(traces) == 50
+        assert stats.engine == "interpreter"
+        assert stats.interpreter_shots == stats.shots_total == 50
+        assert stats.replay_shots == 0
+        assert machine._tree is None
 
     def test_audit_preserves_mock_queue_alignment(self):
         machine = make_machine(audit_fraction=1.0, seed=5)
