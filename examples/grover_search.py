@@ -12,7 +12,7 @@ from repro.experiments.grover import (
     format_grover_report,
     run_grover_experiment,
 )
-from repro.experiments.runner import ExperimentSetup, outcome_counts
+from repro.experiments.runner import ExperimentSetup
 from repro.workloads.grover2q import grover2q_circuit
 
 
@@ -20,8 +20,7 @@ def quick_histogram() -> None:
     """Direct measurement histogram for one oracle (no tomography)."""
     setup = ExperimentSetup.create(seed=1)
     circuit = grover2q_circuit(marked_state=2, include_measurement=True)
-    traces = setup.run_circuit(circuit, shots=400)
-    counts = outcome_counts(traces, 0, 2)
+    counts = setup.run_circuit_counts(circuit, shots=400).outcome_counts(0, 2)
     print("oracle |10>: measurement histogram over 400 shots")
     for outcome in range(4):
         bar = "#" * (counts.get(outcome, 0) // 8)

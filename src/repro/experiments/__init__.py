@@ -45,9 +45,6 @@ from repro.experiments.surface_code import (
 from repro.experiments.runner import (
     ExperimentSetup,
     RetryPolicy,
-    excited_fraction,
-    ground_fraction,
-    outcome_counts,
 )
 
 __all__ = [
@@ -69,13 +66,10 @@ __all__ = [
     "build_benchmarks",
     "config9_effective_ops",
     "correct_population_for_readout",
-    "excited_fraction",
     "fit_rb_decay",
-    "ground_fraction",
     "issue_rate_analysis",
     "logspaced_lengths",
     "measure_feedback_latencies",
-    "outcome_counts",
     "run_active_reset_experiment",
     "run_allxy_experiment",
     "run_cfc_verification",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.compiler.ir import Circuit
-from repro.experiments.runner import ExperimentSetup, outcome_counts
+from repro.experiments.runner import ExperimentSetup
 from repro.quantum.noise import NoiseModel
 from repro.quantum.tomography import (
     correct_expectations_for_readout,
@@ -74,8 +74,8 @@ def run_grover_tomography(marked_state: int, setup: ExperimentSetup,
     for setting in measurement_settings():
         circuit = tomography_circuit(marked_state, setting.bases,
                                      qubit_a, qubit_b)
-        traces = setup.run_circuit(circuit, shots)
-        counts = outcome_counts(traces, qubit_a, qubit_b)
+        counts = setup.run_circuit_counts(circuit, shots).outcome_counts(
+            qubit_a, qubit_b)
         expectations = expectation_from_counts(counts)
         corrected = correct_expectations_for_readout(
             expectations, fidelity_q, fidelity_q)

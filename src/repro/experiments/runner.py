@@ -28,7 +28,6 @@ from repro.core.errors import (
     BackendFaultError,
     ConfigurationError,
     GuardFault,
-    InvalidRequestError,
     PlantError,
     QueueOverflowError,
     ResourceError,
@@ -442,31 +441,3 @@ class ExperimentSetup:
         self.machine.run_shot()
         return 1.0 - self.machine.plant.probability_one(qubit)
 
-
-def excited_fraction(traces: list[ShotTrace], qubit: int) -> float:
-    """Fraction of shots whose last result on ``qubit`` was 1."""
-    results = [trace.last_result(qubit) for trace in traces]
-    results = [r for r in results if r is not None]
-    if not results:
-        raise InvalidRequestError(
-            f"no measurement results for qubit {qubit}")
-    return sum(results) / len(results)
-
-
-def ground_fraction(traces: list[ShotTrace], qubit: int) -> float:
-    """Fraction of shots whose last result on ``qubit`` was 0."""
-    return 1.0 - excited_fraction(traces, qubit)
-
-
-def outcome_counts(traces: list[ShotTrace], qubit_a: int,
-                   qubit_b: int) -> dict[int, int]:
-    """Two-bit outcome histogram over shots (qubit_a = MSB)."""
-    counts: dict[int, int] = {}
-    for trace in traces:
-        a = trace.last_result(qubit_a)
-        b = trace.last_result(qubit_b)
-        if a is None or b is None:
-            continue
-        key = (a << 1) | b
-        counts[key] = counts.get(key, 0) + 1
-    return counts

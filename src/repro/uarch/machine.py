@@ -40,6 +40,8 @@ import math
 from contextlib import closing
 from typing import Callable, Iterator
 
+import numpy as np
+
 from repro.core.assembler import AssembledProgram
 from repro.core.encoding import InstructionDecoder
 from repro.core.errors import (
@@ -86,7 +88,6 @@ from repro.quantum.pauli_frame import (
     FrameRecorder,
     FrameRecording,
     propagate_frames,
-    unpack_shots,
 )
 from repro.quantum.plant import QuantumPlant
 from repro.quantum.stabilizer import cached_clifford_action
@@ -112,6 +113,7 @@ from repro.uarch.replay import (
 
 from repro.uarch.trace import (
     ResultRecord,
+    ShotBatch,
     ShotCounts,
     ShotTrace,
     SlipRecord,
@@ -123,12 +125,12 @@ from repro.uarch.trace import (
 #: frame chunk is 1024 words per plane, so per-step Python overhead,
 #: not bits, dominates it; 65,536 keeps a typical 20,000-shot request
 #: in one chunk while the first traces still reach a streaming
-#: run_iter consumer promptly.  run_counts folds a chunk whole,
-#: run_iter splices it one trace at a time.  Either engine advances
-#: the fault plan's shot index once per chunk, to its first shot; a
-#: replay chunk is also the unit its audits run on.  A frame chunk is
-#: counted into the run's EngineStats whole, before its first trace; a
-#: replay cohort counts each shot as it is delivered.
+#: run_iter consumer promptly.  Either engine yields a chunk as one
+#: ShotBatch, which run_counts folds whole and run_iter splices one
+#: trace at a time, and counts it into the run's EngineStats whole
+#: before yielding it.  Either engine advances the fault plan's shot
+#: index once per chunk, to its first shot; a replay chunk is also the
+#: unit its audits run on.
 _CHUNK_SHOTS = 65536
 
 #: Cached tree walks are timed into this counter pair (``.time_ns`` +
@@ -171,48 +173,6 @@ def _stats_view(field_name: str, doc: str) -> property:
     :attr:`QuMAv2.engine_stats`."""
     return property(
         lambda machine: getattr(machine.engine_stats, field_name), doc=doc)
-
-
-class FrameChunk:
-    """One chunk of shots propagated by the Pauli-frame engine: the
-    reference shot's frozen trace template and the packed
-    ``(measurements, words)`` raw and reported outcome columns of
-    ``shots`` shots (:func:`~repro.quantum.pauli_frame.propagate_frames`).
-
-    Delivered like a :class:`~repro.uarch.replay.ShotCohort`, through
-    :meth:`traces` (``run_iter``) or :meth:`fold` (``run_counts``);
-    either counts the whole chunk into the run's :class:`EngineStats`
-    before its first trace, so ``shots_total`` never trails the traces
-    delivered.
-    """
-
-    __slots__ = ("template", "raw", "reported", "shots")
-
-    def __init__(self, template: ShotTrace, raw, reported, shots: int):
-        self.template = template
-        self.raw = raw
-        self.reported = reported
-        self.shots = shots
-
-    def _count(self, stats: EngineStats) -> None:
-        stats.shots_total += self.shots
-        stats.frame_batched += self.shots
-
-    def traces(self, stats: EngineStats) -> Iterator[ShotTrace]:
-        """The chunk's traces in shot order, each spliced from the
-        template with its row of outcomes."""
-        self._count(stats)
-        rows = zip(unpack_shots(self.raw, self.shots).tolist(),
-                   unpack_shots(self.reported, self.shots).tolist())
-        for raw_row, reported_row in rows:
-            yield self.template.with_sampled_results(
-                list(zip(raw_row, reported_row)))
-
-    def fold(self, counts: ShotCounts, stats: EngineStats) -> None:
-        """Fold the packed reported columns into ``counts``
-        (:meth:`ShotCounts.add_batch`)."""
-        self._count(stats)
-        counts.add_batch(self.template, self.reported, self.shots)
 
 
 class QuMAv2:
@@ -497,19 +457,17 @@ class QuMAv2:
         :meth:`_replay_shots`, :meth:`_frame_shots` or
         :meth:`_interpreter_shots`; a fast path that degrades mid-run
         finishes on the same interpreter loop.  Interpreter shots
-        arrive as traces; a replay cohort or Pauli-frame chunk of up to
-        ``_CHUNK_SHOTS`` shots expands itself in shot order, splicing
-        each cached shot's trace from its template
-        (:meth:`ShotCohort.traces`, :meth:`FrameChunk.traces`).
+        arrive as traces; a replay or Pauli-frame chunk of up to
+        ``_CHUNK_SHOTS`` shots arrives as one :class:`ShotBatch`,
+        expanded here in shot order (:meth:`ShotBatch.traces`, which
+        splices each cached shot's trace from its template).
         :attr:`engine_stats` (which the
         engine/backend label properties read) is replaced when the
         first trace is produced, since generators run on demand, and
         keeps updating as shots are delivered: per shot on the
-        interpreter and replay engines (a replay cohort counts each
-        shot as it is yielded), per chunk of up to ``_CHUNK_SHOTS``
-        shots on the frame engine (counted before the chunk's first
-        trace is yielded, so ``shots_total`` is never below the number
-        of traces delivered).
+        interpreter, per chunk on the replay and frame engines (counted
+        before the chunk's first trace is yielded, so ``shots_total``
+        is never below the number of traces delivered).
 
         With an attached :attr:`observability` handle the whole run is
         wrapped in a ``machine.run`` span, phase spans mark backend
@@ -523,18 +481,16 @@ class QuMAv2:
                 if isinstance(item, ShotTrace):
                     yield item
                 else:
-                    yield from item.traces(self.engine_stats)
+                    yield from item.traces()
 
     def _shot_items(self, shots: int, max_instructions: int,
                     use_replay: bool) -> Iterator:
         """The one place a run's engine generator is drained.  Yields,
         in shot order, a :class:`ShotTrace` per interpreter shot or a
-        batch: a :class:`ShotCohort` per replay chunk (its growth shots
-        included) or a :class:`FrameChunk` per Pauli-frame chunk.
-        :meth:`run_iter` splices a batch into traces, :meth:`run_counts`
-        folds it directly; either counts it into :attr:`engine_stats`
-        through its ``traces(stats)`` / ``fold(counts, stats)``
-        interface."""
+        :class:`ShotBatch` per replay chunk (its growth shots included)
+        or Pauli-frame chunk, already counted into :attr:`engine_stats`
+        by the engine that yielded it.  :meth:`run_iter` splices a
+        batch into traces, :meth:`run_counts` folds it directly."""
         obs = self._obs
         span = None if obs is None else obs.begin("machine.run",
                                                    shots=shots)
@@ -631,14 +587,18 @@ class QuMAv2:
         ``_CHUNK_SHOTS`` shots as index cohorts
         (:meth:`TimelineTree.sample_cohort`), growing unseen paths on
         the interpreter as it goes, and yield the chunk as one
-        :class:`ShotCohort`.  An armed fault plan advances its shot
-        index once per chunk, to the chunk's first shot, and may
-        corrupt a cached template there (``tree_bitflip``).  With
-        ``audit_fraction > 0`` the walked terminals are audited before
-        the chunk is yielded; a divergence drops the undelivered
-        chunk, evicts the tree and hands the chunk and the rest of the
-        run to :meth:`_interpreter_shots`.  A run whose every shot was
-        a growth shot is labelled "interpreter", consistent with its
+        :class:`ShotBatch` (a group per reached terminal, plus the
+        growth traces), counted into ``stats`` before it is yielded:
+        its growth shots as interpreter shots and cache misses, the
+        rest as replay shots and cache hits.  An armed fault plan
+        advances its shot index once per chunk, to the chunk's first
+        shot, and may corrupt a cached template there
+        (``tree_bitflip``).  With ``audit_fraction > 0`` the walked
+        terminals are audited before the chunk is counted and yielded;
+        a divergence drops the chunk uncounted, evicts the tree and
+        hands the chunk and the rest of the run to
+        :meth:`_interpreter_shots`.  A run whose every shot was a
+        growth shot is labelled "interpreter", consistent with its
         split."""
         stats.engine = "replay"
         stats.dead_stores = report.dead_store_count
@@ -670,15 +630,15 @@ class QuMAv2:
                         detail = tree.corrupt_random_template(plan.rng)
                         if detail is not None:
                             plan.fire("tree_bitflip", detail=detail)
-                cohort = self._timed(tree.sample_cohort, chunk, grow,
-                                     counter=_WALK_COUNTER, counted=chunk)
+                batch = self._timed(tree.sample_cohort, chunk, grow,
+                                    counter=_WALK_COUNTER, counted=chunk)
                 track_tree()
                 # Deterministic audit cadence (a credit accumulator,
                 # not an RNG draw, so audits never perturb the plant's
                 # random stream): each cached shot earns
                 # ``audit_fraction``, and one audit of a terminal checks
                 # every shot on it, so it spends all whole credit.
-                for template, indices in cohort.terminals:
+                for template, indices in batch.groups:
                     credit += len(indices) * self.audit_fraction
                     if credit < 1.0 - 1e-12:
                         continue
@@ -700,7 +660,13 @@ class QuMAv2:
                         yield from self._interpreter_shots(
                             first, shots, max_instructions, stats, plan)
                         return
-                yield cohort
+                grown = len(batch.growth)
+                stats.shots_total += chunk
+                stats.interpreter_shots += grown
+                stats.segment_cache_misses += grown
+                stats.replay_shots += chunk - grown
+                stats.segment_cache_hits += chunk - grown
+                yield batch
             if stats.replay_shots == 0:
                 # Every shot was a growth shot — e.g. the outcome paths
                 # exceed the tree caps from shot one.  Reporting
@@ -1009,14 +975,14 @@ class QuMAv2:
         """Execute ``shots`` shots and return the streaming aggregate.
 
         Same run as :meth:`run_iter` (same engine, draws and
-        :attr:`engine_stats`), but counts-first: interpreter and
-        growth shots fold their traces (:meth:`ShotCounts.add`); a
-        replay cohort folds each terminal it reached once, with its
-        multiplicity (:meth:`ShotCohort.fold` — a cached walk's
+        :attr:`engine_stats`), but counts-first: interpreter shots fold
+        their traces (:meth:`ShotCounts.add`) and every
+        :class:`ShotBatch` folds whole (:meth:`ShotBatch.fold`): a
+        replay terminal once with its multiplicity (a cached walk's
         outcomes are its terminal template's own, so the template *is*
-        the shot); and a Pauli-frame chunk folds its packed
-        reported-outcome columns whole (:meth:`FrameChunk.fold`, through
-        :meth:`ShotCounts.add_batch`) — no trace is spliced, audited
+        the shot), a growth shot as its trace, and a Pauli-frame chunk
+        through its packed reported-outcome columns
+        (:meth:`ShotCounts.add_batch`) — no trace is spliced, audited
         runs included.  Memory stays O(qubits + replay-tree size)
         regardless of the shot count.
         """
@@ -1027,7 +993,7 @@ class QuMAv2:
                 if isinstance(item, ShotTrace):
                     counts.add(item)
                 else:
-                    item.fold(counts, self.engine_stats)
+                    item.fold(counts)
         return counts
 
     def replay_unsupported_reasons(self) -> list[str]:
@@ -1113,13 +1079,13 @@ class QuMAv2:
         records afresh every run, and a run in which a fault fired
         keeps nothing.  Chunks of bit-packed per-shot frames then
         propagate through the recording (:func:`propagate_frames`,
-        called once per chunk); each chunk is yielded as one
-        :class:`FrameChunk` of packed ``(measurements, words)`` outcome
-        columns, which counts itself into ``stats`` when delivered,
-        and the fault plan's shot index advances per chunk.  A failed
-        reference shot degrades the whole run gracefully to the
-        per-shot tableau interpreter, recorded in
-        :attr:`EngineStats.degradations`.
+        called once per chunk); each chunk is counted into ``stats``
+        and yielded as one :class:`ShotBatch`: one group of every shot
+        on the reference template, with packed ``(measurements,
+        words)`` raw and reported outcome columns.  The fault plan's
+        shot index advances per chunk.  A failed reference shot
+        degrades the whole run gracefully to the per-shot tableau
+        interpreter, recorded in :attr:`EngineStats.degradations`.
         """
         stats.engine = "frame"
         reference, stats.tree_reused = self._replay_tree(
@@ -1141,7 +1107,10 @@ class QuMAv2:
                     propagate_frames, recording, num_qubits, chunk,
                     self.plant.rng, readout, span="engine.frame.batch",
                     histogram="engine.frame.batch.time_ns", shots=chunk)
-                yield FrameChunk(template, raw, reported, chunk)
+                stats.shots_total += chunk
+                stats.frame_batched += chunk
+                yield ShotBatch(chunk, [(template, np.arange(chunk))],
+                                raw, reported)
         finally:
             if plan is not None and plan.fired_this_run:
                 self._evict_tree(reference)

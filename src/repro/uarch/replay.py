@@ -36,7 +36,10 @@ terminal has exactly that terminal's outcomes,
 at once (:meth:`TimelineTree.sample_cohort`): each internal node draws
 one vectorised Bernoulli and one vectorised readout flip for the
 cohort of shots that reached it and splits the cohort among its
-children, so the Python cost is per tree node, not per shot.
+children, so the Python cost is per tree node, not per shot.  The
+walk returns one :class:`~repro.uarch.trace.ShotBatch`, the value the
+Pauli-frame engine delivers too: each reached terminal is a group of
+shot indices sharing its template, each growth shot a trace.
 ``run_iter`` splices each shot's trace from its terminal
 (:meth:`ShotTrace.with_sampled_results`); ``run_counts`` folds each
 terminal once with its multiplicity (:meth:`ShotCounts.add`).  The
@@ -87,7 +90,7 @@ cannot model — force the interpreter for the entire run; see
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -96,7 +99,7 @@ from repro.core.instructions import Bundle, Instruction
 from repro.core.microcode import MicrocodeUnit
 from repro.quantum.plant import QuantumPlant
 from repro.uarch.dataflow import analyze_data_memory
-from repro.uarch.trace import ShotCounts, ShotTrace
+from repro.uarch.trace import ShotBatch, ShotTrace
 
 #: Probabilities closer than this to 0/1 are treated as deterministic
 #: when sampling a node, so a forced interpreter continuation can never
@@ -140,16 +143,14 @@ class EngineStats:
     :attr:`repro.experiments.runner.ExperimentSetup.last_engine_stats`.
     The object updates *live* while ``run_iter`` streams — long sweeps
     can report the engine mix mid-flight via :meth:`snapshot`.  The
-    interpreter and replay engines count each shot as it is delivered
-    (a replay cohort is walked a chunk at a time but counted shot by
-    shot as ``run_iter`` yields it, and whole when ``run_counts``
-    folds it; a chunk dropped on an audit divergence is re-served by
-    the interpreter and counted there); the Pauli-frame engine counts
-    a whole chunk of shots
-    (up to ``_CHUNK_SHOTS`` in :mod:`repro.uarch.machine`) when the
-    chunk is delivered, before its first trace — so
-    mid-stream ``shots_total`` may run ahead of the traces consumed,
-    never behind.
+    interpreter counts each shot as it is delivered; the replay and
+    Pauli-frame engines count a whole chunk of shots (up to
+    ``_CHUNK_SHOTS`` in :mod:`repro.uarch.machine`, one
+    :class:`~repro.uarch.trace.ShotBatch`) when they yield it, before
+    its first trace — so mid-stream ``shots_total`` may run ahead of
+    the traces consumed, never behind.  A replay chunk dropped on an
+    audit divergence is never counted; the interpreter re-serves and
+    counts it.
     """
 
     #: "replay" when the branch-resolved engine drove the run, "frame"
@@ -357,64 +358,6 @@ def replay_unsupported_reasons(
     return reasons
 
 
-class ShotCohort:
-    """One chunk of shots sampled by
-    :meth:`TimelineTree.sample_cohort`.
-
-    Every cached shot that ended on one terminal has that terminal's
-    outcomes, ``template.outcome_path()`` (the tree is keyed on exactly
-    those pairs), so a terminal holds its template and the indices of
-    its shots; growth shots hold their interpreter traces.  The
-    machine delivers the chunk through :meth:`traces` (``run_iter``)
-    or :meth:`fold` (``run_counts``), and either one counts the shots
-    into the run's :class:`EngineStats`.
-    """
-
-    __slots__ = ("shots", "terminals", "growth")
-
-    def __init__(self, shots: int):
-        self.shots = shots
-        #: (terminal template, int array of the chunk's shot indices).
-        self.terminals: list[tuple[ShotTrace, np.ndarray]] = []
-        #: Chunk shot index -> trace of the growth shot run for it.
-        self.growth: dict[int, ShotTrace] = {}
-
-    def traces(self, stats: EngineStats) -> Iterator[ShotTrace]:
-        """The chunk's traces in shot order, each cached shot spliced
-        from its template as it is reached; ``stats`` counts every shot
-        as it is yielded."""
-        terminal_of = np.full(self.shots, -1, dtype=np.intp)
-        for terminal, (_, indices) in enumerate(self.terminals):
-            terminal_of[indices] = terminal
-        templates = [template for template, _ in self.terminals]
-        paths = [template.outcome_path() for template in templates]
-        for shot, terminal in enumerate(terminal_of.tolist()):
-            stats.shots_total += 1
-            if terminal < 0:
-                stats.interpreter_shots += 1
-                stats.segment_cache_misses += 1
-                yield self.growth[shot]
-            else:
-                stats.replay_shots += 1
-                stats.segment_cache_hits += 1
-                yield templates[terminal].with_sampled_results(
-                    paths[terminal])
-
-    def fold(self, counts: ShotCounts, stats: EngineStats) -> None:
-        """Fold the chunk into ``counts``, each terminal once with its
-        multiplicity, and count its shots into ``stats``."""
-        for template, indices in self.terminals:
-            counts.add(template, shots=len(indices))
-        for trace in self.growth.values():
-            counts.add(trace)
-        grown = len(self.growth)
-        stats.shots_total += self.shots
-        stats.interpreter_shots += grown
-        stats.segment_cache_misses += grown
-        stats.replay_shots += self.shots - grown
-        stats.segment_cache_hits += self.shots - grown
-
-
 class _TreeNode:
     """One outcome-history position in the timeline tree.
 
@@ -526,8 +469,9 @@ class TimelineTree:
 
     def sample_cohort(self, shots: int,
                       grow: Callable[[list[tuple[int, int]]], ShotTrace]
-                      ) -> "ShotCohort":
-        """Sample ``shots`` shots as index cohorts.
+                      ) -> ShotBatch:
+        """Sample ``shots`` shots as index cohorts, returned as one
+        :class:`ShotBatch` of terminal groups and growth traces.
 
         The whole chunk starts at the root; each internal node
         draws one vectorised Bernoulli against its ``P(1)`` for the
@@ -550,7 +494,7 @@ class TimelineTree:
         """
         rng = self._plant.rng
         readout = self._readout
-        cohort = ShotCohort(shots)
+        batch = ShotBatch(shots)
         # (parent node, edge key, shot indices, outcome prefix)
         stack = [(None, None, np.arange(shots), [])]
         while stack:
@@ -558,14 +502,14 @@ class TimelineTree:
             node = self._child(parent, key)
             grown = 0
             while grown < len(indices) and not _walkable(node):
-                cohort.growth[int(indices[grown])] = grow(prefix)
+                batch.growth[int(indices[grown])] = grow(prefix)
                 grown += 1
                 node = self._child(parent, key)
             indices = indices[grown:]
             if not len(indices):
                 continue
             if node.template is not None:
-                cohort.terminals.append((node.template, indices))
+                batch.groups.append((node.template, indices))
                 continue
             p_one = node.p_one
             if p_one <= _DETERMINISTIC_EPS:
@@ -580,7 +524,7 @@ class TimelineTree:
                 if len(branch):
                     pair = (code >> 1, code & 1)
                     stack.append((node, pair, branch, prefix + [pair]))
-        return cohort
+        return batch
 
     # ------------------------------------------------------------------
     # Fault injection (chaos testing of the audit machinery)

@@ -4,18 +4,21 @@ The records are the observable behaviour the experiments and tests
 consume: which operations actually reached the analog-digital interface
 (and when), which were cancelled by fast conditional execution, what
 every measurement reported, and how far the timing controller slipped
-when the reserve phase fell behind.
+when the reserve phase fell behind.  A fast engine delivers a chunk of
+shots as one :class:`ShotBatch`; :class:`ShotCounts` aggregates shots
+without keeping their traces.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from repro.core.errors import InvalidRequestError
-from repro.quantum.pauli_frame import WORD, unpack_shots
+from repro.quantum.pauli_frame import WORD, pack_shots, unpack_shots
 
 #: Up to this many final qubits, :meth:`ShotCounts.add_batch` counts the
 #: joint outcome codes with ``np.bincount`` (2^16 bins); beyond, with
@@ -120,14 +123,6 @@ class ShotTrace:
         return tuple((record.raw_result, record.reported_result)
                      for record in self.results)
 
-    def executed_operations(self) -> list[TriggerRecord]:
-        """Triggers that actually drove the ADI (not cancelled)."""
-        return [record for record in self.triggers if record.executed]
-
-    def cancelled_operations(self) -> list[TriggerRecord]:
-        """Triggers cancelled by fast conditional execution."""
-        return [record for record in self.triggers if not record.executed]
-
     def results_for(self, qubit: int) -> list[ResultRecord]:
         """Measurement results of one qubit, in time order."""
         return [record for record in self.results if record.qubit == qubit]
@@ -167,11 +162,11 @@ class ShotCounts:
     terminal template's own) or as a whole batch of packed reported
     outcomes sharing one template (:meth:`add_batch`, a Pauli-frame
     chunk); both give the same aggregate as adding the spliced traces
-    one by one.  Only the *final* result of each qubit per shot is
-    aggregated, matching
-    :func:`repro.experiments.runner.excited_fraction`.  Besides the
-    per-qubit counters the aggregate keeps one small fold plan per
-    distinct :meth:`add_batch` template, never one per shot.
+    one by one (:meth:`ShotBatch.fold` picks the way).  Only the
+    *final* result of each qubit per shot is aggregated
+    (:meth:`ShotTrace.last_result`).  Besides the per-qubit counters
+    the aggregate keeps one small fold plan per distinct
+    :meth:`add_batch` template, never one per shot.
     """
 
     shots: int = 0
@@ -334,3 +329,75 @@ class ShotCounts:
             counts.joint[tuple((int(q), int(bit))
                                for q, bit in key)] = int(count)
         return counts
+
+
+class ShotBatch:
+    """One chunk of shots ``0 .. shots - 1`` delivered by a fast engine.
+
+    ``groups`` holds ``(template, indices)`` pairs: the shots at
+    ``indices`` (an int array) share the frozen trace ``template``.  A
+    replay terminal is one group; a Pauli-frame chunk is one group that
+    covers every shot.  ``growth`` maps a shot index to the interpreter
+    trace run for it (a replay growth shot).  Without columns a group's
+    shots have the template's own outcomes,
+    ``template.outcome_path()`` — the replay tree is keyed on exactly
+    those pairs.  With ``raw``/``reported`` columns — bit-packed
+    ``(measurements, words)`` 0/1 outcomes over the batch's shots, shot
+    ``s`` at bit ``s % 64`` of word ``s // 64``
+    (:func:`~repro.quantum.pauli_frame.propagate_frames`) — a group
+    shot's outcomes are its own column bits instead.
+
+    ``run_iter`` splices the batch in shot order (:meth:`traces`) and
+    ``run_counts`` folds it whole (:meth:`fold`); both give the same
+    aggregate.  The engine that yields a batch has already counted it
+    into its run's ``EngineStats``.
+    """
+
+    __slots__ = ("shots", "groups", "growth", "raw", "reported")
+
+    def __init__(self, shots: int,
+                 groups: list[tuple[ShotTrace, np.ndarray]] | None = None,
+                 raw: np.ndarray | None = None,
+                 reported: np.ndarray | None = None):
+        self.shots = shots
+        self.groups = [] if groups is None else groups
+        self.growth: dict[int, ShotTrace] = {}
+        self.raw = raw
+        self.reported = reported
+
+    def traces(self) -> Iterator[ShotTrace]:
+        """The batch's traces in shot order: a growth shot's own trace,
+        or a group shot spliced from its template
+        (:meth:`ShotTrace.with_sampled_results`) as it is reached."""
+        group_of = np.full(self.shots, -1, dtype=np.intp)
+        for group, (_, indices) in enumerate(self.groups):
+            group_of[indices] = group
+        templates = [template for template, _ in self.groups]
+        paths = [template.outcome_path() for template in templates]
+        rows = itertools.repeat(None) if self.reported is None else zip(
+            unpack_shots(self.raw, self.shots).tolist(),
+            unpack_shots(self.reported, self.shots).tolist())
+        for shot, (group, row) in enumerate(zip(group_of.tolist(), rows)):
+            if group < 0:
+                yield self.growth[shot]
+            else:
+                yield templates[group].with_sampled_results(
+                    paths[group] if row is None else list(zip(*row)))
+
+    def fold(self, counts: ShotCounts) -> None:
+        """Fold the batch into ``counts``: a group without columns once
+        with its multiplicity (:meth:`ShotCounts.add`), a group with
+        columns through its packed reported columns
+        (:meth:`ShotCounts.add_batch`), and each growth trace once.
+        Equal to adding :meth:`traces` one by one."""
+        for template, indices in self.groups:
+            if self.reported is None:
+                counts.add(template, shots=len(indices))
+                continue
+            reported = self.reported
+            if len(indices) < self.shots:
+                reported = pack_shots(
+                    unpack_shots(reported, self.shots)[indices])
+            counts.add_batch(template, reported, len(indices))
+        for trace in self.growth.values():
+            counts.add(trace)

@@ -10,12 +10,7 @@ from repro.experiments.analysis import (
     logspaced_lengths,
     staircase_rms_error,
 )
-from repro.experiments.runner import (
-    ExperimentSetup,
-    excited_fraction,
-    ground_fraction,
-    outcome_counts,
-)
+from repro.experiments.runner import ExperimentSetup
 from repro.quantum import NoiseModel
 from repro.quantum.noise import ReadoutErrorModel
 
@@ -30,25 +25,6 @@ class TestRunner:
         circuit = Circuit("t", 3).add("X", 2).add("MEASZ", 2)
         traces = setup.run_circuit(circuit, shots=20)
         assert all(trace.last_result(2) == 1 for trace in traces)
-
-    def test_excited_ground_fractions(self, setup):
-        circuit = Circuit("t", 3).add("X", 0).add("MEASZ", 0)
-        traces = setup.run_circuit(circuit, shots=10)
-        assert excited_fraction(traces, 0) == 1.0
-        assert ground_fraction(traces, 0) == 0.0
-
-    def test_fraction_without_results_raises(self, setup):
-        circuit = Circuit("t", 3).add("X", 0).add("MEASZ", 0)
-        traces = setup.run_circuit(circuit, shots=5)
-        with pytest.raises(ValueError):
-            excited_fraction(traces, 2)
-
-    def test_outcome_counts(self, setup):
-        circuit = Circuit("t", 3)
-        circuit.add("X", 0).add("MEASZ", 0).add("MEASZ", 2)
-        traces = setup.run_circuit(circuit, shots=8)
-        counts = outcome_counts(traces, 0, 2)
-        assert counts == {2: 8}  # |10> with qubit 0 as MSB
 
     def test_survival_probability_exact(self, setup):
         circuit = Circuit("t", 3).add("X90", 0)

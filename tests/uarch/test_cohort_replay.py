@@ -6,9 +6,10 @@ so the draw order is node-major instead of shot-major; each shot still
 samples from the same conditional probabilities.  These tests pin that
 exactness against the path probabilities computed from the tree
 itself, the invariant the multiplicity fold relies on (a terminal's
-edge keys are its template's own outcomes), and that every replay run
+edge keys are its template's own outcomes), that every replay run
 — plain, with an armed fault plan, or audited — walks the tree once
-per chunk.
+per chunk, and that ``run_iter`` delivers the walk's ``ShotBatch`` in
+shot order.
 """
 
 import numpy as np
@@ -101,11 +102,11 @@ def test_cohort_terminal_counts_match_exact_path_probabilities():
         return ShotTrace()
 
     shots = 200_000
-    cohort = tree.sample_cohort(shots, frozen_grow)
+    batch = tree.sample_cohort(shots, frozen_grow)
     observed = {id(template): len(indices)
-                for template, indices in cohort.terminals}
-    assert len(cohort.growth) == sum(grown.values())
-    assert sum(observed.values()) + len(cohort.growth) == shots
+                for template, indices in batch.groups}
+    assert len(batch.growth) == sum(grown.values())
+    assert sum(observed.values()) + len(batch.growth) == shots
     assert set(grown) <= set(missing)
 
     bins = [(observed.get(key, 0), probability * shots)
@@ -230,3 +231,34 @@ def test_plain_run_walks_once_per_chunk(monkeypatch):
     assert machine.engine_stats.engine == "replay"
     assert walks.shots == 0
     assert walks.cohorts == 2
+
+
+def test_run_iter_delivers_the_walk_in_shot_order(monkeypatch):
+    """``run_iter`` splices a cohort walk in shot order: shot ``s`` has
+    the outcome path of the terminal group holding index ``s`` (and
+    shares its template's timeline), and a growth shot is yielded as
+    the very trace its interpreter shot produced."""
+    batches = []
+    sample_cohort = TimelineTree.sample_cohort
+
+    def recorded(tree, *args, **kwargs):
+        batch = sample_cohort(tree, *args, **kwargs)
+        batches.append(batch)
+        return batch
+
+    monkeypatch.setattr(TimelineTree, "sample_cohort", recorded)
+    machine = make_machine(ACTIVE_RESET, seed=37)
+    traces = list(machine.run_iter(400))
+    (batch,) = batches
+    assert batch.growth and len(batch.groups) >= 2
+    for shot, trace in batch.growth.items():
+        assert traces[shot] is trace
+    covered = set(batch.growth)
+    for template, indices in batch.groups:
+        path = template.outcome_path()
+        for shot in indices.tolist():
+            assert traces[shot].outcome_path() == path
+            assert traces[shot].triggers is template.triggers
+            assert traces[shot] is not template
+        covered.update(indices.tolist())
+    assert covered == set(range(400))

@@ -10,7 +10,10 @@ spliced trace gives — same ``as_dict()``, byte for byte once
 serialised — on any template: qubits measured several times,
 unmeasured qubits, no measurement at all, nonzero slips, and more
 measured qubits than fit one packed machine word; and on any shot
-count, whole words and partial last words alike.
+count, whole words and partial last words alike.  Both engines deliver
+a chunk as one ``ShotBatch`` (template groups, growth traces, optional
+packed columns), whose ``fold`` must equal its own ``traces`` folded
+one by one.
 """
 
 import json
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.quantum.pauli_frame import pack_shots
 from repro.uarch import ShotCounts, ShotTrace
-from repro.uarch.trace import ResultRecord, SlipRecord
+from repro.uarch.trace import ResultRecord, ShotBatch, SlipRecord
 
 
 @st.composite
@@ -60,6 +63,51 @@ def batches(draw):
     # Biased reported bits so joint keys repeat across rows.
     reported = (rng.random(shape) < draw(st.sampled_from([0.05, 0.5])))
     return template, raw, reported.astype(np.uint8)
+
+
+def own_outcomes(template, rng):
+    """``template`` with random outcomes of its own, as a replay
+    terminal carries the outcomes of every shot that reaches it."""
+    pairs = rng.integers(0, 2, size=(len(template.results), 2))
+    return template.with_sampled_results(
+        [(raw, reported) for raw, reported in pairs.tolist()])
+
+
+@st.composite
+def shot_batches(draw):
+    """A ``ShotBatch`` of 1..200 shots, each in one of one to three
+    template groups or (sometimes) a growth shot with its own trace.
+    Without columns each group has its own template and outcomes (a
+    replay chunk); with packed raw/reported columns every group
+    template shares one result layout, the column rows (a frame chunk
+    is the one-group case)."""
+    shots = draw(st.integers(1, 200))
+    groups = draw(st.integers(1, 3))
+    columns = draw(st.booleans())
+    growth = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = draw(templates())
+    if columns:
+        group_templates = [ShotTrace(results=base.results,
+                                     slips=base.slips[:group])
+                           for group in range(groups)]
+    else:
+        group_templates = [own_outcomes(draw(templates()), rng)
+                           for _ in range(groups)]
+    owner = rng.integers(-1 if growth else 0, groups, size=shots)
+    raw = reported = None
+    if columns:
+        shape = (shots, len(base.results))
+        raw = pack_shots(rng.integers(0, 2, size=shape))
+        reported = pack_shots(rng.random(shape) < 0.3)
+    batch = ShotBatch(shots, [
+        (template, np.flatnonzero(owner == group))
+        for group, template in enumerate(group_templates)
+        if (owner == group).any()], raw, reported)
+    growth_template = draw(templates())
+    for shot in np.flatnonzero(owner < 0).tolist():
+        batch.growth[shot] = own_outcomes(growth_template, rng)
+    return batch
 
 
 def serialised(counts: ShotCounts) -> bytes:
@@ -130,6 +178,21 @@ def test_mixed_folds_into_one_aggregate(parts, ways):
                 mixed.add(template.with_sampled_results(outcomes))
     assert serialised(mixed) == serialised(reference)
     assert len(mixed._plans) <= len(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=shot_batches())
+def test_shot_batch_fold_equals_folded_traces(batch):
+    """``ShotBatch.fold`` (``run_counts``) equals its spliced
+    ``traces`` (``run_iter``) folded one ``add`` at a time."""
+    traces = list(batch.traces())
+    assert len(traces) == batch.shots
+    by_trace = ShotCounts()
+    for trace in traces:
+        by_trace.add(trace)
+    by_batch = ShotCounts()
+    batch.fold(by_batch)
+    assert serialised(by_batch) == serialised(by_trace)
 
 
 def test_zero_measurement_frame_batch():

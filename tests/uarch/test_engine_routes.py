@@ -262,18 +262,25 @@ def test_frame_chunk_boundary_counts_equal_folded_run_iter():
     assert machine.engine_stats.as_dict() == twin.engine_stats.as_dict()
 
 
-def test_frame_stats_never_trail_delivered_traces():
-    """Frame stats advance per chunk, before the chunk's first trace:
-    mid-stream, shots_total is never below the traces delivered."""
+@pytest.mark.parametrize("engine", ["frame", "replay"])
+def test_stats_never_trail_delivered_traces(engine):
+    """Both fast engines count a chunk when they yield it, before its
+    first trace: mid-stream, shots_total advances once per chunk and is
+    never below the traces delivered."""
     shots = _CHUNK_SHOTS + 100
-    machine = frame_machine()
+    if engine == "frame":
+        machine = frame_machine()
+    else:
+        machine = make_machine(ACTIVE_RESET, seed=109)
     delivered = 0
     seen = set()
     for _ in machine.run_iter(shots):
         delivered += 1
         snapshot = machine.engine_stats_snapshot()
+        assert snapshot.engine == engine
         assert snapshot.shots_total >= delivered
-        assert snapshot.frame_batched == snapshot.shots_total
+        assert snapshot.shots_total == snapshot.frame_batched + \
+            snapshot.replay_shots + snapshot.interpreter_shots
         seen.add(snapshot.shots_total)
     assert delivered == shots
     assert seen == {_CHUNK_SHOTS, shots}

@@ -427,9 +427,9 @@ class WalkedTerminals:
         sample_cohort = TimelineTree.sample_cohort
 
         def recorded(tree, *args, **kwargs):
-            cohort = sample_cohort(tree, *args, **kwargs)
-            self.chunks.append(list(cohort.terminals))
-            return cohort
+            batch = sample_cohort(tree, *args, **kwargs)
+            self.chunks.append(list(batch.groups))
+            return batch
 
         monkeypatch.setattr(TimelineTree, "sample_cohort", recorded)
 

@@ -434,8 +434,9 @@ class TestWarmFrameRunPhysics:
 class TestEngineStatsSnapshot:
     def test_snapshot_mid_stream_is_stable(self):
         """Long sweeps report the engine mix mid-flight: the snapshot
-        reflects exactly the shots drawn so far and stays frozen while
-        the live stats keep counting."""
+        reflects every chunk yielded so far — the replay engine counts
+        a whole chunk before its first trace, here all 50 shots — and
+        stays frozen while the live stats go on."""
         machine = make_machine(noise=NoiseModel(), seed=6)
         load(machine, ACTIVE_RESET)
         iterator = machine.run_iter(50)
@@ -443,12 +444,12 @@ class TestEngineStatsSnapshot:
             next(iterator)
         snapshot = machine.engine_stats_snapshot()
         assert snapshot.engine == "replay"
-        assert snapshot.shots_total == 10
-        assert snapshot.interpreter_shots + snapshot.replay_shots == 10
+        assert snapshot.shots_total == 50
+        assert snapshot.interpreter_shots + snapshot.replay_shots == 50
 
         remaining = sum(1 for _ in iterator)
         assert remaining == 40
-        assert snapshot.shots_total == 10          # frozen
+        assert snapshot.shots_total == 50          # frozen
         assert machine.engine_stats.shots_total == 50
 
         snapshot.shots_total = -1                  # mutating the copy...
@@ -463,5 +464,5 @@ class TestEngineStatsSnapshot:
             if index == 14:
                 mid_flight.append(setup.engine_stats_snapshot())
         assert len(mid_flight) == 1
-        assert mid_flight[0].shots_total == 15
+        assert mid_flight[0].shots_total == 30     # one 30-shot chunk
         assert setup.last_engine_stats.shots_total == 30
