@@ -6,7 +6,6 @@ from repro.compiler.codegen import (
     count_instructions,
     count_point_words,
     form_slots,
-    generate_eqasm,
 )
 from repro.compiler.configs import (
     CHOSEN_CONFIG,
@@ -53,7 +52,6 @@ __all__ = [
     "count_point_words",
     "effective_ops_per_bundle",
     "form_slots",
-    "generate_eqasm",
     "get_config",
     "required_issue_rate",
     "schedule_asap",

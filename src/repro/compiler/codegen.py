@@ -1,7 +1,8 @@
 """eQASM code generation: schedule -> assembly program.
 
 This is the compiler backend stage the DSE of Section 4.2 sweeps.  The
-generator is parameterised by exactly the three axes of Fig. 7:
+counting functions take exactly the three axes of Fig. 7 as a
+:class:`CodegenOptions`:
 
 * **timing specification** — ``ts1`` (a separate QWAIT before every
   timing point, the QuMIS fashion), ``ts2`` (the wait occupies a VLIW
@@ -14,13 +15,16 @@ generator is parameterised by exactly the three axes of Fig. 7:
 
 Two output modes:
 
+* :func:`count_instructions` reproduces the paper's instruction-count
+  metric under the stated DSE assumption that "the target registers
+  can always provide the required qubit (pair) list" (no SMIS/SMIT
+  counted), for any VLIW width and timing mode;
 * :meth:`EQASMCodeGenerator.generate` emits a runnable
-  :class:`~repro.core.program.Program` including SMIS/SMIT target-
-  register management (LRU allocation over the 2 x 32 registers);
-* :meth:`EQASMCodeGenerator.count_instructions` reproduces the paper's
-  instruction-count metric under the stated DSE assumption that "the
-  target registers can always provide the required qubit (pair) list"
-  (no SMIS/SMIT counted), for any VLIW width and timing mode.
+  :class:`~repro.core.program.Program` for one instantiation, including
+  SMIS/SMIT target-register management (LRU allocation over the S and
+  T registers).  It reads the VLIW and PI widths from the
+  instantiation's binary format and always uses the paper's chosen
+  configuration: ts3 timing with SOMQ.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.compiler.scheduler import Schedule, ScheduledOp
-from repro.core.errors import AssemblyError, ConfigurationError
+from repro.core.errors import ConfigurationError
 from repro.core.instructions import (
     Bundle,
     BundleOperation,
@@ -43,6 +47,12 @@ from repro.core.isa import EQASMInstantiation
 from repro.core.operations import OperationKind, OperationSet
 from repro.core.program import Program
 
+#: Instruction words the classical pipeline issues per quantum cycle
+#: (quantum_cycle_ns / classical_cycle_ns; 20 ns / 10 ns for the
+#: paper's instantiations).  Bounds Rallowed for the issue-rate
+#: feasibility pass of :class:`EQASMCodeGenerator`.
+WORDS_PER_CYCLE = 2
+
 
 @dataclass(frozen=True)
 class CodegenOptions:
@@ -52,11 +62,6 @@ class CodegenOptions:
     pi_width: int = 3         # wPI, only meaningful for ts3
     somq: bool = True
     vliw_width: int = 2
-    #: Instruction words the classical pipeline issues per quantum
-    #: cycle (quantum_cycle_ns / classical_cycle_ns; 20 ns / 10 ns for
-    #: the paper's instantiations).  Bounds Rallowed for the
-    #: issue-rate feasibility pass.
-    words_per_cycle: int = 2
 
     def __post_init__(self) -> None:
         if self.timing not in ("ts1", "ts2", "ts3"):
@@ -68,8 +73,6 @@ class CodegenOptions:
             raise ConfigurationError("wPI must be in 1..8")
         if self.vliw_width < 1:
             raise ConfigurationError("VLIW width must be positive")
-        if self.words_per_cycle < 1:
-            raise ConfigurationError("words_per_cycle must be positive")
 
     @property
     def max_pi(self) -> int:
@@ -188,18 +191,8 @@ class _RegisterAllocator:
 class EQASMCodeGenerator:
     """Schedule -> executable eQASM program for an instantiation."""
 
-    def __init__(self, isa: EQASMInstantiation,
-                 options: CodegenOptions | None = None):
+    def __init__(self, isa: EQASMInstantiation):
         self.isa = isa
-        self.options = options or CodegenOptions(
-            timing="ts3", pi_width=isa.pi_width, somq=True,
-            vliw_width=isa.vliw_width)
-        if self.options.vliw_width != isa.vliw_width:
-            # Counting supports any width; executable code must match
-            # the binary format.
-            raise ConfigurationError(
-                f"executable codegen needs the instantiation VLIW width "
-                f"({isa.vliw_width}), got {self.options.vliw_width}")
 
     def generate(self, schedule: Schedule,
                  initialize_cycles: int = 10000,
@@ -219,7 +212,6 @@ class EQASMCodeGenerator:
         Only register *rewrites* (LRU eviction when a program uses more
         masks than registers) stay inline.
         """
-        options = self.options
         s_alloc = _RegisterAllocator(
             "S", self.isa.num_single_qubit_target_registers)
         t_alloc = _RegisterAllocator(
@@ -232,7 +224,7 @@ class EQASMCodeGenerator:
             gap = cycle - previous_cycle
             previous_cycle = cycle
             point_index = len(points)
-            slots = form_slots(point_ops, somq=options.somq)
+            slots = form_slots(point_ops, somq=True)
             bundle_ops = []
             for slot in slots:
                 operand, setup = self._slot_operand(slot, s_alloc, t_alloc)
@@ -294,10 +286,9 @@ class EQASMCodeGenerator:
         whenever the gap does not fit the PI field.
         """
         words = max(1, math.ceil(operand_count / self.isa.vliw_width))
-        if (self.options.timing == "ts3" and gap <= self.options.max_pi
-                and gap <= self.isa.max_pi):
+        if gap <= self.isa.max_pi:
             return words
-        return words + (self._wait_words(gap) if gap else 0)
+        return words + self._wait_words(gap)
 
     def _stretch_infeasible_gaps(self, points, inline):
         """Delay timing points the classical pipeline cannot feed.
@@ -306,11 +297,10 @@ class EQASMCodeGenerator:
         one classical cycle per word (inline SMIS/SMIT rewrites
         included); relative to the zero-slack anchor at the first
         point, feasibility requires the cumulative word count to stay
-        within ``words_per_cycle`` words per programmed cycle.  Slack
+        within :data:`WORDS_PER_CYCLE` words per programmed cycle.  Slack
         from generous gaps carries forward (the timing queue buffers
         points reserved early).
         """
-        words_per_cycle = self.options.words_per_cycle
         adjusted: list[tuple[int, list[BundleOperation]]] = []
         slack = 0
         for index, (gap, bundle_ops) in enumerate(points):
@@ -319,11 +309,11 @@ class EQASMCodeGenerator:
                 continue
             setup_words = len(inline.get(index, []))
             cost = setup_words + self._point_words(gap, len(bundle_ops))
-            while slack + gap * words_per_cycle < cost:
+            while slack + gap * WORDS_PER_CYCLE < cost:
                 gap += 1
                 cost = (setup_words +
                         self._point_words(gap, len(bundle_ops)))
-            slack += gap * words_per_cycle - cost
+            slack += gap * WORDS_PER_CYCLE - cost
             adjusted.append((gap, bundle_ops))
         return adjusted
 
@@ -363,29 +353,18 @@ class EQASMCodeGenerator:
     def _emit_point(self, program: Program, gap: int,
                     bundle_ops: list[BundleOperation]) -> None:
         """Emit the wait + bundle instructions for one timing point."""
-        options = self.options
         if not bundle_ops:
             if gap:
                 self._emit_wait(program, gap)
             return
-        if options.timing == "ts3" and gap <= options.max_pi \
-                and gap <= self.isa.max_pi:
+        if gap <= self.isa.max_pi:
             program.append(Bundle(operations=tuple(bundle_ops), pi=gap,
                                   explicit_pi=True))
             return
-        # ts1/ts2 executable emission both fall back to an explicit
-        # QWAIT followed by a PI=0 bundle: the 32-bit instantiation has
-        # no wait-in-slot encoding, so ts2 is counting-only.
+        # ts3: a gap past the PI field takes an explicit QWAIT followed
+        # by a PI=0 bundle.  No instantiation encodes ts1's per-point
+        # QWAIT or ts2's wait-in-slot, so both are counting-only.
         self._emit_wait(program, gap)
         program.append(Bundle(operations=tuple(bundle_ops), pi=0,
                               explicit_pi=True))
 
-
-def generate_eqasm(schedule: Schedule, isa: EQASMInstantiation,
-                   initialize_cycles: int = 10000,
-                   final_wait_cycles: int = 0) -> Program:
-    """Convenience wrapper with the instantiation's default options."""
-    generator = EQASMCodeGenerator(isa)
-    return generator.generate(schedule,
-                              initialize_cycles=initialize_cycles,
-                              final_wait_cycles=final_wait_cycles)

@@ -123,15 +123,6 @@ class ShotTimeoutError(GuardFault):
     """
 
 
-class ReplayDivergenceError(GuardFault):
-    """A replay-audit shadow run disagreed with the cached timeline
-    tree — the cache was invalidated and the run degraded, and callers
-    that asked for strict auditing see this fault.
-
-    Context: ``shot_index``, ``mismatched_fields``, ``tree_evicted``.
-    """
-
-
 class BackendFaultError(GuardFault):
     """A plant backend failed mid-operation (gate application error,
     snapshot integrity violation, injected chaos fault).

@@ -3,10 +3,13 @@ concrete binary format, chip, and operation configuration.
 
 Section 2.4: "the definition of eQASM focuses on the assembly level ...
 The binary format is defined during the instantiation of eQASM targeting
-a concrete control electronic setup and quantum chip."  This class holds
-every instantiation-time parameter; Section 4.2's 32-bit instantiation
-for the seven-qubit chip is :func:`seven_qubit_instantiation`, and the
-two-qubit experiment setup of Section 5 is :func:`two_qubit_instantiation`.
+a concrete control electronic setup and quantum chip."  The binary
+format is one value, the instantiation's
+:class:`~repro.core.isaspec.EncodingSpec`; every width the assembler,
+the quantum pipeline and the code generator read comes from it.
+Section 4.2's 32-bit instantiation for the seven-qubit chip is
+:func:`seven_qubit_instantiation`, and the two-qubit experiment setup of
+Section 5 is :func:`two_qubit_instantiation`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.errors import ConfigurationError
-from repro.core.isaspec.build import build_encoding_spec
 from repro.core.isaspec.model import EncodingSpec
 from repro.core.isaspec.registry import load_registered_spec
 from repro.core.isaspec.validate import ensure_valid
@@ -28,41 +30,58 @@ from repro.topology.library import (
 )
 
 
+def _field_width(spec: EncodingSpec, format_name: str, attr: str) -> int:
+    """Width of the field binding ``attr`` in one format of a valid
+    spec (validation guarantees the format and the field exist)."""
+    return next(spec_field.width
+                for spec_field in spec.format_named(format_name).fields
+                if spec_field.attr == attr)
+
+
 @dataclass
 class EQASMInstantiation:
-    """All parameters fixed when eQASM is instantiated for a platform.
+    """A chip, an operation set and the binary format that encodes them.
 
-    The defaults implement the paper's chosen configuration
-    (Section 4.2): 32-bit words, VLIW width 2, a 3-bit PI field
-    (Config 9: ts3, wPI = 3, SOMQ), 32 S and 32 T registers with mask
-    encoding, 20-bit QWAIT immediates, 9-bit q opcodes, and a 20 ns
-    cycle.
+    ``encoding_spec`` states the binary format; the width attributes
+    below it (``instruction_width``, ``vliw_width``, ``pi_width``, the
+    two mask-field widths and ``qwait_immediate_width``) are read from
+    the spec once, at construction.  The registered ``fig8-32bit`` spec
+    is the paper's chosen configuration (Section 4.2): 32-bit words,
+    VLIW width 2, a 3-bit PI field (Config 9: ts3, wPI = 3, SOMQ),
+    20-bit QWAIT immediates and 9-bit q opcodes; the defaults here add
+    32 S and 32 T registers and a 20 ns cycle.
     """
 
     name: str
     topology: QuantumChipTopology
     operations: OperationSet
-    instruction_width: int = 32
-    vliw_width: int = 2
-    pi_width: int = 3
+    #: The declarative binary format (see :mod:`repro.core.isaspec`).
+    encoding_spec: EncodingSpec
     num_gprs: int = 32
     num_single_qubit_target_registers: int = 32
     num_two_qubit_target_registers: int = 32
-    qubit_mask_field_width: int = 7
-    pair_mask_field_width: int = 16
-    qwait_immediate_width: int = 20
-    q_opcode_width: int = 9
-    target_register_address_width: int = 5
     cycle_time_ns: float = 20.0
     measurement_cycles: int = 15
-    #: The declarative binary format (see :mod:`repro.core.isaspec`).
-    #: ``None`` builds the family layout from the width parameters
-    #: above; registered instantiations pass a checked-in spec value.
-    encoding_spec: EncodingSpec | None = None
+    instruction_width: int = field(init=False)
+    vliw_width: int = field(init=False)
+    pi_width: int = field(init=False)
+    qubit_mask_field_width: int = field(init=False)
+    pair_mask_field_width: int = field(init=False)
+    qwait_immediate_width: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.vliw_width < 1:
-            raise ConfigurationError("VLIW width must be at least 1")
+        spec = ensure_valid(self.encoding_spec)
+        bundle = spec.bundle
+        if bundle is None:
+            raise ConfigurationError(
+                f"encoding spec {spec.name!r} defines no bundle word; "
+                f"quantum instructions cannot be encoded")
+        self.instruction_width = spec.instruction_width
+        self.vliw_width = len(bundle.slots)
+        self.pi_width = bundle.pi_width
+        self.qubit_mask_field_width = _field_width(spec, "SMIS", "qubits")
+        self.pair_mask_field_width = _field_width(spec, "SMIT", "pairs")
+        self.qwait_immediate_width = _field_width(spec, "QWAIT", "cycles")
         if self.topology.qubit_mask_width > self.qubit_mask_field_width:
             raise ConfigurationError(
                 f"chip {self.topology.name} needs a "
@@ -73,98 +92,25 @@ class EQASMInstantiation:
                 f"chip {self.topology.name} needs a "
                 f"{self.topology.pair_mask_width}-bit pair mask; the "
                 f"instruction format provides {self.pair_mask_field_width}")
-        if self.operations.opcode_width != self.q_opcode_width:
-            raise ConfigurationError(
-                f"operation set assigns {self.operations.opcode_width}-bit "
-                f"opcodes; the bundle format provides {self.q_opcode_width}")
-        max_register = (1 << self.target_register_address_width)
-        if self.num_single_qubit_target_registers > max_register:
-            raise ConfigurationError("too many S registers for the field")
-        if self.num_two_qubit_target_registers > max_register:
-            raise ConfigurationError("too many T registers for the field")
-        # The SMIS/SMIT layout places the 5-bit target-register field
-        # 12 bits below the word's top; masks live in the bits below it
-        # (see repro.core.encoding).
-        mask_room = self.instruction_width - 12
-        if self.qubit_mask_field_width > mask_room:
-            raise ConfigurationError(
-                f"{self.qubit_mask_field_width}-bit qubit masks do not "
-                f"fit a {self.instruction_width}-bit word (at most "
-                f"{mask_room}); widen the instruction format")
-        if self.pair_mask_field_width > mask_room:
-            raise ConfigurationError(
-                f"{self.pair_mask_field_width}-bit pair masks do not "
-                f"fit a {self.instruction_width}-bit word (at most "
-                f"{mask_room}); widen the instruction format")
-        if self.encoding_spec is None:
-            self.encoding_spec = build_encoding_spec(
-                self.name,
-                self.instruction_width,
-                qubit_mask_field_width=self.qubit_mask_field_width,
-                pair_mask_field_width=self.pair_mask_field_width,
-                qwait_immediate_width=self.qwait_immediate_width,
-                q_opcode_width=self.q_opcode_width,
-                target_register_address_width=(
-                    self.target_register_address_width),
-                vliw_width=self.vliw_width,
-                pi_width=self.pi_width,
-            )
-        ensure_valid(self.encoding_spec)
-        self._cross_validate_spec()
-
-    def _cross_validate_spec(self) -> None:
-        """Check the spec agrees with this instantiation's parameters
-        and can address its chip."""
-        spec = self.encoding_spec
-
-        def mismatch(what: str, spec_value, isa_value) -> None:
-            raise ConfigurationError(
-                f"encoding spec {spec.name!r} {what} ({spec_value}) does "
-                f"not match instantiation {self.name!r} ({isa_value})")
-
-        if spec.instruction_width != self.instruction_width:
-            mismatch("instruction width", spec.instruction_width,
-                     self.instruction_width)
-        field_widths = {
-            ("SMIS", "qubits"): self.qubit_mask_field_width,
-            ("SMIT", "pairs"): self.pair_mask_field_width,
-            ("QWAIT", "cycles"): self.qwait_immediate_width,
-        }
-        for (format_name, attr), expected in field_widths.items():
-            fmt = spec.format_named(format_name)
-            for spec_field in fmt.fields if fmt else ():
-                if spec_field.attr == attr and \
-                        spec_field.width != expected:
-                    mismatch(f"{format_name} {spec_field.name} width",
-                             spec_field.width, expected)
-        fmr = spec.format_named("FMR")
-        if fmr is not None and self.topology.qubits:
-            max_qubit = max(self.topology.qubits)
-            for spec_field in fmr.fields:
-                if spec_field.attr == "qubit" and \
-                        max_qubit >= (1 << spec_field.width):
-                    raise ConfigurationError(
-                        f"chip {self.topology.name} has qubit addresses "
-                        f"up to {max_qubit}; the spec's {spec_field.width}"
-                        f"-bit FMR Qi field cannot address them — widen "
-                        f"the field in the encoding spec")
-        bundle = spec.bundle
-        if bundle is None:
-            raise ConfigurationError(
-                f"encoding spec {spec.name!r} defines no bundle word; "
-                f"quantum instructions cannot be encoded")
-        if len(bundle.slots) != self.vliw_width:
-            mismatch("VLIW slot count", len(bundle.slots),
-                     self.vliw_width)
-        if bundle.pi_width != self.pi_width:
-            mismatch("PI width", bundle.pi_width, self.pi_width)
         for slot in bundle.slots:
-            if slot.op_width != self.q_opcode_width:
-                mismatch("bundle q-opcode width", slot.op_width,
-                         self.q_opcode_width)
-            if slot.reg_width != self.target_register_address_width:
-                mismatch("bundle target-register width", slot.reg_width,
-                         self.target_register_address_width)
+            if self.operations.opcode_width != slot.op_width:
+                raise ConfigurationError(
+                    f"operation set assigns {self.operations.opcode_width}"
+                    f"-bit opcodes; the bundle format provides "
+                    f"{slot.op_width}")
+            max_register = 1 << slot.reg_width
+            if self.num_single_qubit_target_registers > max_register:
+                raise ConfigurationError("too many S registers for the field")
+            if self.num_two_qubit_target_registers > max_register:
+                raise ConfigurationError("too many T registers for the field")
+        qi_width = _field_width(spec, "FMR", "qubit")
+        if self.topology.qubits and \
+                max(self.topology.qubits) >= (1 << qi_width):
+            raise ConfigurationError(
+                f"chip {self.topology.name} has qubit addresses up to "
+                f"{max(self.topology.qubits)}; the spec's {qi_width}-bit "
+                f"FMR Qi field cannot address them — widen the field in "
+                f"the encoding spec")
 
     # ------------------------------------------------------------------
     # Derived limits
@@ -248,8 +194,8 @@ def rotated_surface_instantiation(
     notes the instantiation, word width included, is free per platform.
     The chip's layout names its registered encoding spec (64-bit words
     at ``d = 3``; 192 bits at ``d = 5``, whose spec also widens the FMR
-    Qi field for qubit addresses up to 48); the mask widths come from
-    the chip and the word width from the spec.
+    Qi field for qubit addresses up to 48), and every width comes from
+    that spec.
     """
     chip = rotated_surface_chip(distance)
     spec = load_registered_spec(rotated_surface_layout(distance).spec_name)
@@ -257,9 +203,6 @@ def rotated_surface_instantiation(
         name=f"eqasm-{chip.num_qubits}q-{spec.instruction_width}bit",
         topology=chip,
         operations=operations or default_operation_set(),
-        instruction_width=spec.instruction_width,
-        qubit_mask_field_width=chip.qubit_mask_width,
-        pair_mask_field_width=chip.pair_mask_width,
         encoding_spec=spec,
     )
 

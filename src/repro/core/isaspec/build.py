@@ -6,9 +6,10 @@ positions, the 6-bit opcode sits just below the bundle flag bit, the
 SMIS/SMIT target-register fields sit 12 bits below the word top with
 their masks in the bits underneath, and bundle slots pack downward from
 the flag bit.  Registered instantiations ship as checked-in JSON dumps
-of this builder's output (see :mod:`.registry`); the builder itself is
-what parameter-only :class:`~repro.core.isa.EQASMInstantiation` values
-use, keeping ad-hoc widths (tests, experiments) spec-driven too.
+of this builder's output (see :mod:`.registry`).  An
+:class:`~repro.core.isa.EQASMInstantiation` takes its spec as a value
+and reads every width from it, so an ad-hoc format (tests,
+experiments) is a call of this builder passed as ``encoding_spec``.
 """
 
 from __future__ import annotations

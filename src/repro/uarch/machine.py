@@ -424,8 +424,7 @@ class QuMAv2:
         trace.classical_time_ns = self._classical_time_ns
         return trace
 
-    def run(self, shots: int, max_instructions: int = 2_000_000,
-            use_replay: bool = True) -> list[ShotTrace]:
+    def run(self, shots: int, use_replay: bool = True) -> list[ShotTrace]:
         """Execute the program ``shots`` times (fresh state per shot).
 
         Replayable programs — including feedback programs using ``FMR``
@@ -443,10 +442,9 @@ class QuMAv2:
         fall back to the interpreter transparently; ``use_replay=False``
         forces the interpreter.
         """
-        return list(self.run_iter(shots, max_instructions,
-                                  use_replay=use_replay))
+        return list(self.run_iter(shots, use_replay=use_replay))
 
-    def run_iter(self, shots: int, max_instructions: int = 2_000_000,
+    def run_iter(self, shots: int,
                  use_replay: bool = True) -> Iterator[ShotTrace]:
         """Lazily yield ``shots`` traces (same engine selection as
         :meth:`run`), so high-shot callers can aggregate on the fly
@@ -475,16 +473,14 @@ class QuMAv2:
         in ``engine.*.time_ns`` histograms, and the finished run's
         :class:`EngineStats` fold into the metrics registry.
         """
-        with closing(self._shot_items(shots, max_instructions,
-                                      use_replay)) as items:
+        with closing(self._shot_items(shots, use_replay)) as items:
             for item in items:
                 if isinstance(item, ShotTrace):
                     yield item
                 else:
                     yield from item.traces()
 
-    def _shot_items(self, shots: int, max_instructions: int,
-                    use_replay: bool) -> Iterator:
+    def _shot_items(self, shots: int, use_replay: bool) -> Iterator:
         """The one place a run's engine generator is drained.  Yields,
         in shot order, a :class:`ShotTrace` per interpreter shot or a
         :class:`ShotBatch` per replay chunk (its growth shots included)
@@ -518,8 +514,7 @@ class QuMAv2:
                 plan.begin_run()
                 self._fault_record_base = len(plan.records)
             engine = self._timed(
-                self._choose_engine, kind, use_replay, shots,
-                max_instructions, stats, plan,
+                self._choose_engine, kind, use_replay, shots, stats, plan,
                 span="machine.replay_analysis")
             try:
                 yield from engine
@@ -532,8 +527,8 @@ class QuMAv2:
                         plant_backend=stats.plant_backend)
 
     def _choose_engine(self, kind: str, use_replay: bool, shots: int,
-                       max_instructions: int, stats: EngineStats,
-                       plan: FaultPlan | None) -> Iterator:
+                       stats: EngineStats, plan: FaultPlan | None
+                       ) -> Iterator:
         """The (unstarted) shot generator of the engine the loaded
         program can use on backend ``kind``.  The fast paths label
         ``stats`` themselves; an interpreter run is labelled here, with
@@ -555,19 +550,16 @@ class QuMAv2:
             reasons = self._replay_blockers(kind)
             if reasons == [_TRAJECTORY_BLOCKER] and \
                     not self._frame_blockers():
-                return self._frame_shots(shots, max_instructions, stats,
-                                         plan, report)
+                return self._frame_shots(shots, stats, plan, report)
             if not reasons:
-                return self._replay_shots(shots, max_instructions, stats,
-                                          plan, report)
+                return self._replay_shots(shots, stats, plan, report)
         stats.engine = "interpreter"
         stats.fallback_reason = "; ".join(reasons)
-        return self._interpreter_shots(0, shots, max_instructions, stats,
-                                       plan)
+        return self._interpreter_shots(0, shots, stats, plan)
 
     def _interpreter_shots(self, first_shot: int, shots: int,
-                           max_instructions: int, stats: EngineStats,
-                           plan: FaultPlan | None) -> Iterator[ShotTrace]:
+                           stats: EngineStats, plan: FaultPlan | None
+                           ) -> Iterator[ShotTrace]:
         """Shots ``first_shot`` .. ``shots - 1``, one full interpreter
         shot each: the whole run when a hard blocker rules the fast
         paths out, the rest of the run when one degrades."""
@@ -576,11 +568,11 @@ class QuMAv2:
                 plan.begin_shot(shot_index)
             stats.shots_total += 1
             stats.interpreter_shots += 1
-            yield self._timed(self.run_shot, max_instructions,
+            yield self._timed(self.run_shot,
                               histogram="engine.interpreter.shot.time_ns")
 
-    def _replay_shots(self, shots: int, max_instructions: int,
-                      stats: EngineStats, plan: FaultPlan | None,
+    def _replay_shots(self, shots: int, stats: EngineStats,
+                      plan: FaultPlan | None,
                       report: DataMemoryReport) -> Iterator:
         """Serve the run from the branch-resolved timeline tree (see
         :mod:`repro.uarch.replay`): walk it once per chunk of up to
@@ -617,7 +609,6 @@ class QuMAv2:
         def grow(outcome_prefix: list[tuple[int, int]]) -> ShotTrace:
             return self._timed(
                 self._grow_tree_shot, tree, outcome_prefix,
-                max_instructions,
                 histogram="engine.replay.growth_shot.time_ns")
 
         credit = 0.0
@@ -645,7 +636,7 @@ class QuMAv2:
                     credit -= math.floor(credit + 1e-12)
                     shot_index = first + int(indices[0])
                     mismatched, detail = self._timed(
-                        self._audit_replay_shot, template, max_instructions,
+                        self._audit_replay_shot, template,
                         histogram="engine.replay.audit.time_ns")
                     stats.replay_audits += 1
                     stats.last_audit = ReplayAudit(
@@ -658,7 +649,7 @@ class QuMAv2:
                             f"{shot_index} ({', '.join(mismatched)})"))
                         self._evict_tree(tree)
                         yield from self._interpreter_shots(
-                            first, shots, max_instructions, stats, plan)
+                            first, shots, stats, plan)
                         return
                 grown = len(batch.growth)
                 stats.shots_total += chunk
@@ -731,8 +722,7 @@ class QuMAv2:
                      "instructions_executed", "classical_time_ns",
                      "stop_reached")
 
-    def _audit_replay_shot(self, template: ShotTrace,
-                           max_instructions: int
+    def _audit_replay_shot(self, template: ShotTrace
                            ) -> tuple[tuple[str, ...], str]:
         """Shadow-run one cached terminal template on the interpreter.
 
@@ -747,7 +737,7 @@ class QuMAv2:
         """
         self.measurement_unit.force_results(template.outcome_path())
         try:
-            shadow = self.run_shot(max_instructions)
+            shadow = self.run_shot()
         except EQASMError as error:
             return ("shadow-exception",), (
                 f"interpreter shadow raised {type(error).__name__}: "
@@ -940,8 +930,8 @@ class QuMAv2:
         return self.engine_stats.snapshot()
 
     def _grow_tree_shot(self, tree: TimelineTree,
-                        outcome_prefix: list[tuple[int, int]],
-                        max_instructions: int) -> ShotTrace:
+                        outcome_prefix: list[tuple[int, int]]
+                        ) -> ShotTrace:
         """One interpreter shot that extends the timeline tree.
 
         The already-sampled outcome prefix (where the tree walk fell
@@ -963,15 +953,14 @@ class QuMAv2:
         if outcome_prefix:
             self.measurement_unit.force_results(outcome_prefix)
         try:
-            trace = self.run_shot(max_instructions)
+            trace = self.run_shot()
         finally:
             self.plant.measure_observer = None
             self.measurement_unit.clear_forced_results()
         tree.grow(samples, trace)
         return trace
 
-    def run_counts(self, shots: int, max_instructions: int = 2_000_000,
-                   use_replay: bool = True) -> ShotCounts:
+    def run_counts(self, shots: int, use_replay: bool = True) -> ShotCounts:
         """Execute ``shots`` shots and return the streaming aggregate.
 
         Same run as :meth:`run_iter` (same engine, draws and
@@ -987,8 +976,7 @@ class QuMAv2:
         regardless of the shot count.
         """
         counts = ShotCounts()
-        with closing(self._shot_items(shots, max_instructions,
-                                      use_replay)) as items:
+        with closing(self._shot_items(shots, use_replay)) as items:
             for item in items:
                 if isinstance(item, ShotTrace):
                     counts.add(item)
@@ -1060,8 +1048,8 @@ class QuMAv2:
             reasons.append(_MOCK_BLOCKER)
         return reasons
 
-    def _frame_shots(self, shots: int, max_instructions: int,
-                     stats: EngineStats, plan: FaultPlan | None,
+    def _frame_shots(self, shots: int, stats: EngineStats,
+                     plan: FaultPlan | None,
                      report: DataMemoryReport) -> Iterator:
         """Serve ``shots`` shots through the Pauli-frame batched
         engine (see :mod:`repro.quantum.pauli_frame`).
@@ -1090,10 +1078,9 @@ class QuMAv2:
         stats.engine = "frame"
         reference, stats.tree_reused = self._replay_tree(
             report.cross_run_cacheable,
-            lambda: self._frame_reference(max_instructions, stats, plan))
+            lambda: self._frame_reference(stats, plan))
         if reference is None:
-            yield from self._interpreter_shots(0, shots, max_instructions,
-                                               stats, plan)
+            yield from self._interpreter_shots(0, shots, stats, plan)
             return
         template, recording = reference
         readout = self.plant.noise.readout
@@ -1115,7 +1102,7 @@ class QuMAv2:
             if plan is not None and plan.fired_this_run:
                 self._evict_tree(reference)
 
-    def _frame_reference(self, max_instructions: int, stats: EngineStats,
+    def _frame_reference(self, stats: EngineStats,
                          plan: FaultPlan | None
                          ) -> tuple[ShotTrace, FrameRecording] | None:
         """Run the frame engine's reference shot: one noise-free
@@ -1131,7 +1118,7 @@ class QuMAv2:
         degraded_reason = None
         backend.frame_recorder = recorder
         try:
-            template = self._timed(self.run_shot, max_instructions,
+            template = self._timed(self.run_shot,
                                    span="engine.frame.reference_shot")
         except EQASMError as error:
             degraded_reason = (f"frame reference shot failed "

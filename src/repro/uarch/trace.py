@@ -187,6 +187,8 @@ class ShotCounts:
     def add(self, trace: ShotTrace, shots: int = 1) -> None:
         """Fold ``shots`` identical shots of ``trace`` into the
         aggregate — the same as ``shots`` calls of ``add(trace)``."""
+        if not shots:
+            return
         self.shots += shots
         last = self._last
         last.clear()

@@ -195,10 +195,6 @@ class TestExecutableCodegen:
         assert len(waits) == 2
         assert sum(w.cycles for w in waits) == (1 << 20) + 5
 
-    def test_wrong_width_rejected(self, isa):
-        with pytest.raises(ConfigurationError):
-            EQASMCodeGenerator(isa, CodegenOptions(vliw_width=4))
-
     def test_two_qubit_operand_uses_t_register(self, isa, ops):
         circuit = Circuit("t", 3).add("CZ", 2, 0)
         schedule = sched(circuit, ops)

@@ -1,21 +1,30 @@
 """Width-parameterised instruction encoding.
 
-The binary format scales with ``EQASMInstantiation.instruction_width``:
+The binary format scales with the instantiation's encoding spec:
 the 32-bit layout must stay bit-for-bit what Fig. 8 defines (pinned by
 ``test_encoding.py``), and the 64-bit surface-17 instantiation must
 round-trip every instruction class through the wider words.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import (
     Assembler,
+    EQASMInstantiation,
+    default_operation_set,
     rotated_surface_instantiation,
     seven_qubit_instantiation,
+    two_qubit_instantiation,
 )
 from repro.core.encoding import InstructionDecoder, InstructionEncoder
 from repro.core.errors import ConfigurationError, DecodingError
 from repro.core.instructions import SMIS, SMIT
+from repro.core.isaspec import build_encoding_spec, load_registered_spec
+from repro.experiments.reset import FIG4_PROGRAM
+from repro.quantum import NoiseModel, QuantumPlant
+from repro.topology import rotated_surface_chip, two_qubit_chip
+from repro.uarch import QuMAv2
 
 SIXTY_FOUR_BIT_PROGRAM = """
 SMIS S1, {9, 10, 11, 12}
@@ -101,16 +110,34 @@ class TestInstantiationValidation:
     def test_pair_mask_must_fit_word(self):
         """A 48-bit pair mask cannot fit a 32-bit word — the
         instantiation must reject it up front."""
-        from repro.core.isa import EQASMInstantiation
-        from repro.core.operations import default_operation_set
-        from repro.topology.library import rotated_surface_chip
-
-        with pytest.raises(ConfigurationError, match="widen"):
+        with pytest.raises(ConfigurationError,
+                           match="exceeds the 32-bit word"):
             EQASMInstantiation(
                 name="bad", topology=rotated_surface_chip(3),
                 operations=default_operation_set(),
-                qubit_mask_field_width=17,
-                pair_mask_field_width=48)   # default 32-bit words
+                encoding_spec=build_encoding_spec(
+                    "bad", 32, qubit_mask_field_width=17,
+                    pair_mask_field_width=48))
+
+    def test_two_qubit_chip_runs_on_a_wider_format(self):
+        """The instantiation takes every width from its spec, so the
+        two-qubit chip may use the 64-bit surface-17 format: Fig. 4's
+        active reset then runs to the same counts as on Fig. 8's
+        32-bit words."""
+
+        def counts(isa):
+            plant = QuantumPlant(isa.topology, noise=NoiseModel(),
+                                 rng=np.random.default_rng(11))
+            machine = QuMAv2(isa, plant)
+            machine.load(Assembler(isa).assemble_text(FIG4_PROGRAM))
+            return machine.run_counts(5000).as_dict()
+
+        wide = EQASMInstantiation(
+            name="eqasm-2q-64bit", topology=two_qubit_chip(),
+            operations=default_operation_set(),
+            encoding_spec=load_registered_spec("surface17-64bit"))
+        assert wide.instruction_width == 64
+        assert counts(wide) == counts(two_qubit_instantiation())
 
     def test_32bit_layout_unchanged(self):
         """The width-derived layout must reproduce Fig. 8 at 32 bits:

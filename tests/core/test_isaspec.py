@@ -173,31 +173,20 @@ class TestRegistry:
 
 
 class TestInstantiationCrossValidation:
-    def test_spec_width_must_match(self):
-        from repro.core.operations import default_operation_set
-        from repro.core.isa import EQASMInstantiation
-        from repro.topology.library import surface7
-
-        with pytest.raises(ConfigurationError, match="does not match"):
-            EQASMInstantiation(
-                name="bad", topology=surface7(),
-                operations=default_operation_set(),
-                encoding_spec=load_registered_spec("surface17-64bit"))
-
     def test_chip_qubits_must_fit_fmr_field(self):
         from repro.core.operations import default_operation_set
         from repro.core.isa import EQASMInstantiation
         from repro.topology.library import rotated_surface_chip
 
-        # 192-bit parameters but the default-built spec keeps the
-        # 5-bit Qi field — qubit 48 is unaddressable.
+        # 192-bit words, but the spec keeps the default 5-bit Qi field
+        # — qubit 48 is unaddressable.
         with pytest.raises(ConfigurationError, match="FMR Qi"):
             EQASMInstantiation(
                 name="bad", topology=rotated_surface_chip(5),
                 operations=default_operation_set(),
-                instruction_width=192,
-                qubit_mask_field_width=49,
-                pair_mask_field_width=160)
+                encoding_spec=family_spec(
+                    192, qubit_mask_field_width=49,
+                    pair_mask_field_width=160))
 
 
 class TestReport:

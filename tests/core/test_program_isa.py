@@ -11,10 +11,24 @@ from repro.core import (
     seven_qubit_instantiation,
     two_qubit_instantiation,
 )
+from repro.core.errors import SpecError
 from repro.core.instructions import Br, Ldi, Nop
+from repro.core.isaspec import (
+    build_encoding_spec,
+    load_registered_spec,
+    registered_spec_names,
+)
 from repro.core.operations import OperationSet
 from repro.core.registers import ComparisonFlag
-from repro.topology import surface7
+from repro.topology import surface7, two_qubit_chip
+
+
+def instantiate(spec, **overrides):
+    """A seven-qubit instantiation over ``spec``."""
+    params = dict(name="test", topology=surface7(),
+                  operations=default_operation_set(), encoding_spec=spec)
+    params.update(overrides)
+    return EQASMInstantiation(**params)
 
 
 class TestProgramContainer:
@@ -92,37 +106,44 @@ class TestInstantiation:
 
     def test_mask_field_overflow_rejected(self):
         # A chip needing more mask bits than the format provides.
-        with pytest.raises(ConfigurationError):
-            EQASMInstantiation(
-                name="bad", topology=surface7(),
-                operations=default_operation_set(),
-                qubit_mask_field_width=3)
+        with pytest.raises(ConfigurationError, match="qubit mask"):
+            instantiate(build_encoding_spec(
+                "bad", 32, qubit_mask_field_width=3))
 
     def test_pair_mask_overflow_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EQASMInstantiation(
-                name="bad", topology=surface7(),
-                operations=default_operation_set(),
-                pair_mask_field_width=8)
+        with pytest.raises(ConfigurationError, match="pair mask"):
+            instantiate(build_encoding_spec(
+                "bad", 32, pair_mask_field_width=8))
 
     def test_opcode_width_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EQASMInstantiation(
-                name="bad", topology=surface7(),
-                operations=OperationSet(opcode_width=4))
+        with pytest.raises(ConfigurationError, match="4-bit opcodes"):
+            instantiate(load_registered_spec("fig8-32bit"),
+                        operations=OperationSet(opcode_width=4))
 
     def test_vliw_width_positive(self):
-        with pytest.raises(ConfigurationError):
-            EQASMInstantiation(
-                name="bad", topology=surface7(),
-                operations=default_operation_set(), vliw_width=0)
+        with pytest.raises(SpecError, match="no VLIW slots"):
+            instantiate(build_encoding_spec("bad", 32, vliw_width=0))
 
     def test_too_many_target_registers_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EQASMInstantiation(
-                name="bad", topology=surface7(),
-                operations=default_operation_set(),
-                num_single_qubit_target_registers=64)
+        with pytest.raises(ConfigurationError, match="S registers"):
+            instantiate(load_registered_spec("fig8-32bit"),
+                        num_single_qubit_target_registers=64)
+
+    @pytest.mark.parametrize("name", registered_spec_names())
+    def test_widths_come_from_the_spec(self, name):
+        spec = load_registered_spec(name)
+        isa = instantiate(spec, topology=two_qubit_chip())
+
+        def width(format_name, attr):
+            return next(f.width for f in spec.format_named(format_name).fields
+                        if f.attr == attr)
+
+        assert isa.instruction_width == spec.instruction_width
+        assert isa.vliw_width == len(spec.bundle.slots)
+        assert isa.pi_width == spec.bundle.pi_width
+        assert isa.qubit_mask_field_width == width("SMIS", "qubits")
+        assert isa.pair_mask_field_width == width("SMIT", "pairs")
+        assert isa.qwait_immediate_width == width("QWAIT", "cycles")
 
     def test_ns_cycle_conversions(self):
         isa = seven_qubit_instantiation()

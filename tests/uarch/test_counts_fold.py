@@ -211,6 +211,20 @@ def test_zero_measurement_frame_batch():
     assert counts.max_slip_ns == 40.0 and not counts.joint
 
 
+def test_zero_shot_add_is_a_no_op():
+    """``add(t, shots=0)`` folds nothing, like ``add_batch(..., 0)``."""
+    template = ShotTrace(
+        results=[ResultRecord(qubit=2, raw_result=1, reported_result=1,
+                              measure_start_ns=0.0, arrival_ns=60.0)],
+        slips=[SlipRecord(cycle=3, due_ns=0.0, actual_ns=40.0)])
+    counts = ShotCounts()
+    counts.add(template, shots=0)
+    batched = ShotCounts()
+    batched.add_batch(template, pack_shots(np.ones((0, 1), dtype=np.uint8)),
+                      0)
+    assert counts.as_dict() == ShotCounts().as_dict() == batched.as_dict()
+
+
 def test_wide_template_packs_into_several_words():
     """More than 64 measured qubits: the packed final columns span
     two machine words."""
