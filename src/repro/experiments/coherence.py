@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import least_squares
 
 from repro.experiments.runner import ExperimentSetup
 from repro.quantum.noise import NoiseModel
@@ -42,8 +42,24 @@ class CoherenceResult:
             self.configured_constant_ns
 
 
-def _exponential(t, amplitude, tau, offset):
-    return amplitude * np.exp(-t / tau) + offset
+def _fit_decay_constant(waits_ns: list[float], populations: list[float],
+                        p0: tuple[float, float, float]) -> float:
+    """Least-squares fit of ``amplitude * exp(-t / tau) + offset``;
+    returns ``tau``.
+
+    The populations are exact (read from the plant, sampling-free), so
+    the residuals vanish at the optimum and a parameter covariance is
+    meaningless; the fit asks only for the parameters.
+    """
+    t = np.array(waits_ns)
+    y = np.array(populations)
+
+    def residuals(params):
+        amplitude, tau, offset = params
+        return amplitude * np.exp(-t / tau) + offset - y
+
+    fit = least_squares(residuals, p0, method="lm", max_nfev=20000)
+    return float(fit.x[1])
 
 
 def run_t1_experiment(max_wait_cycles: int = 4096, points: int = 10,
@@ -71,13 +87,11 @@ def run_t1_experiment(max_wait_cycles: int = 4096, points: int = 10,
                                            wait * cycle_ns)
         populations.append(setup.machine.plant.probability_one(qubit))
     waits_ns = [wait * cycle_ns for wait in waits]
-    params, _ = curve_fit(_exponential, np.array(waits_ns),
-                          np.array(populations),
-                          p0=(1.0, decoherence.t1_ns, 0.0),
-                          maxfev=20000)
-    return CoherenceResult(waits_ns=waits_ns, populations=populations,
-                           fitted_constant_ns=float(params[1]),
-                           configured_constant_ns=decoherence.t1_ns)
+    return CoherenceResult(
+        waits_ns=waits_ns, populations=populations,
+        fitted_constant_ns=_fit_decay_constant(
+            waits_ns, populations, (1.0, decoherence.t1_ns, 0.0)),
+        configured_constant_ns=decoherence.t1_ns)
 
 
 def run_ramsey_experiment(max_wait_cycles: int = 2048, points: int = 10,
@@ -99,13 +113,11 @@ def run_ramsey_experiment(max_wait_cycles: int = 2048, points: int = 10,
         setup.machine.run_shot()
         populations.append(setup.machine.plant.probability_one(qubit))
     waits_ns = [wait * cycle_ns for wait in waits]
-    params, _ = curve_fit(_exponential, np.array(waits_ns),
-                          np.array(populations),
-                          p0=(0.5, decoherence.t2_ns, 0.5),
-                          maxfev=20000)
-    return CoherenceResult(waits_ns=waits_ns, populations=populations,
-                           fitted_constant_ns=float(params[1]),
-                           configured_constant_ns=decoherence.t2_ns)
+    return CoherenceResult(
+        waits_ns=waits_ns, populations=populations,
+        fitted_constant_ns=_fit_decay_constant(
+            waits_ns, populations, (0.5, decoherence.t2_ns, 0.5)),
+        configured_constant_ns=decoherence.t2_ns)
 
 
 def _is_measure_bundle(instruction) -> bool:

@@ -6,17 +6,19 @@ concern.  This module makes that concern explicit: a
 :class:`PlantBackend` owns the state and answers exactly the operations
 the plant's analog-digital interface needs —
 
-* apply a named 1q/2q unitary,
-* apply the noise model's per-gate error and per-qubit idle channel,
+* apply one gate event: the targets' idle decoherence over their
+  gaps, a named 1q/2q unitary and the noise model's per-gate error,
+* apply the per-qubit idle channel (before a measurement, and the
+  end-of-program flush),
 * report a pre-collapse ``P(1)``, sample or force a projective
   collapse,
 * reset the state to ``|0...0>``.
 
 Two backends implement it:
 
-* :class:`DenseBackend` — the exact density matrix with Kraus-channel
-  noise (the default; handles any unitary and any noise model at
-  O(4^n) cost per gate);
+* :class:`DenseBackend` — the exact density matrix (the default;
+  handles any unitary and any noise model at O(4^n) cost per gate,
+  one cached Liouville superoperator pass per gate event);
 * :class:`~repro.quantum.stabilizer.StabilizerBackend` — a
   Gottesman–Knill binary symplectic tableau, restricted to Clifford
   gates and Pauli/readout-only noise but polynomial in the qubit
@@ -35,12 +37,58 @@ it is sound, reporting the choice in
 from __future__ import annotations
 
 import abc
+import functools
 
 import numpy as np
 
 from repro.core.errors import PlantError
-from repro.quantum.density_matrix import DensityMatrix
-from repro.quantum.noise import DecoherenceModel, GateErrorModel
+from repro.quantum.density_matrix import DensityMatrix, superoperator
+from repro.quantum.noise import DecoherenceModel, NoiseModel
+
+#: Entries each superoperator cache below keeps (least recently used
+#: out first).  Under a fixed outcome history a binary's gaps come
+#: from its deterministic timing, so a run needs a handful; a
+#: ``QWAITR``-driven stream of distinct gaps only cycles the cache.
+SUPEROP_CACHE_SIZE = 512
+
+
+def _frozen(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` made read-only: cached values are shared."""
+    matrix.setflags(write=False)
+    return matrix
+
+
+@functools.lru_cache(maxsize=SUPEROP_CACHE_SIZE)
+def idle_superop(duration_ns: float,
+                 decoherence: DecoherenceModel) -> np.ndarray:
+    """The 4x4 superoperator of one qubit idling for ``duration_ns``."""
+    return _frozen(superoperator(decoherence.idle_channel(duration_ns)))
+
+
+@functools.lru_cache(maxsize=SUPEROP_CACHE_SIZE)
+def gate_event_superop(unitary: bytes, gaps_ns: tuple[float, ...],
+                       noise: NoiseModel) -> np.ndarray:
+    """One gate event on ``k = len(gaps_ns)`` targets as a single
+    ``(4^k, 4^k)`` superoperator.
+
+    ``unitary`` is the raw bytes of the complex ``(2^k, 2^k)`` gate
+    unitary (hashable, compared by value like the gaps and the noise
+    model).  The event is: each target idles over its gap, then the
+    unitary, then the depolarizing gate error, composed right to left.
+    """
+    k = len(gaps_ns)
+    dim = 1 << k
+    if len(unitary) != 16 * dim * dim:
+        raise PlantError(
+            f"a {len(unitary)}-byte unitary does not match {k} qubits")
+    matrix = np.frombuffer(unitary, dtype=complex).reshape(dim, dim)
+    idle = [np.eye(1, dtype=complex)]
+    for gap in gaps_ns:
+        idle = [np.kron(before, operator) for before in idle
+                for operator in noise.decoherence.idle_channel(gap)]
+    return _frozen(superoperator(noise.gate_error.channel_for(k))
+                   @ np.kron(matrix, matrix.conj())
+                   @ superoperator(idle))
 
 
 class PlantBackend(abc.ABC):
@@ -67,16 +115,14 @@ class PlantBackend(abc.ABC):
 
     # -- evolution -----------------------------------------------------
     @abc.abstractmethod
-    def apply_gate(self, name: str, unitary: np.ndarray,
-                   indices: tuple[int, ...]) -> None:
-        """Apply a named k-qubit unitary (``indices[0]`` is the MSB of
-        the unitary's own basis)."""
-
-    @abc.abstractmethod
-    def apply_gate_error(self, indices: tuple[int, ...],
-                         gate_error: GateErrorModel,
+    def apply_gate_event(self, name: str, unitary: np.ndarray,
+                         indices: tuple[int, ...],
+                         gaps_ns: tuple[float, ...], noise: NoiseModel,
                          rng: np.random.Generator) -> None:
-        """Apply the model's intrinsic gate-error channel."""
+        """Apply one gate event: each target idles (decoheres) over its
+        gap since its previous operation, then the named k-qubit
+        unitary acts (``indices[0]`` is the MSB of the unitary's own
+        basis), then the model's intrinsic gate error."""
 
     @abc.abstractmethod
     def apply_idle(self, index: int, duration_ns: float,
@@ -118,9 +164,15 @@ class PlantBackend(abc.ABC):
 class DenseBackend(PlantBackend):
     """The exact density-matrix backend (the historical plant state).
 
-    Supports arbitrary unitaries and the full Kraus-channel noise
-    model; cost is O(4^n) per gate, which caps practical use at the
-    seven-qubit chip.
+    Supports arbitrary unitaries and the full noise model; cost is
+    O(4^n) per gate, which caps practical use at the seven-qubit chip.
+    A gate event is one pass over rho: the targets' idle decay, the
+    unitary and the depolarizing gate error are fused into one 4x4
+    (one target) or 16x16 (two targets) Liouville superoperator,
+    built once per (unitary, gaps, noise model) and kept in a
+    process-wide cache of :data:`SUPEROP_CACHE_SIZE` entries.  The
+    plant's ``backend.dense.gate.time_ns`` histogram therefore times
+    the targets' idle decay together with the gate.
     """
 
     kind = "dense"
@@ -132,20 +184,19 @@ class DenseBackend(PlantBackend):
     def reset(self) -> None:
         self.state = DensityMatrix(self.num_qubits)
 
-    def apply_gate(self, name: str, unitary: np.ndarray,
-                   indices: tuple[int, ...]) -> None:
-        self.state.apply_gate(np.asarray(unitary, dtype=complex), indices)
-
-    def apply_gate_error(self, indices: tuple[int, ...],
-                         gate_error: GateErrorModel,
+    def apply_gate_event(self, name: str, unitary: np.ndarray,
+                         indices: tuple[int, ...],
+                         gaps_ns: tuple[float, ...], noise: NoiseModel,
                          rng: np.random.Generator) -> None:
-        channel = gate_error.channel_for(len(indices))
-        self.state.apply_channel(channel, indices)
+        unitary = np.asarray(unitary, dtype=complex)
+        self.state.apply_superop(
+            gate_event_superop(unitary.tobytes(), gaps_ns, noise),
+            indices)
 
     def apply_idle(self, index: int, duration_ns: float,
                    decoherence: DecoherenceModel) -> None:
-        kraus = decoherence.idle_channel(duration_ns)
-        self.state.apply_channel(kraus, (index,))
+        self.state.apply_superop(idle_superop(duration_ns, decoherence),
+                                 (index,))
 
     def probability_one(self, index: int) -> float:
         return self.state.probability_one(index)

@@ -3,9 +3,11 @@
 The Section 5 experiments run on one or two qubits; an exact density
 matrix (4x4 at most in practice, but the implementation is generic) with
 Kraus-channel noise is both faster and statistically cleaner than
-Monte-Carlo trajectories.  Measurement is still sampled per shot so the
-control flow of the microarchitecture (fast conditional execution, CFC)
-sees genuine random outcomes.
+Monte-Carlo trajectories.  Every evolution (a unitary, a Kraus channel
+or a whole fused gate event) is one Liouville superoperator applied by
+one kernel, :meth:`DensityMatrix.apply_superop`.  Measurement is still
+sampled per shot so the control flow of the microarchitecture (fast
+conditional execution, CFC) sees genuine random outcomes.
 
 Index convention matches :mod:`repro.quantum.statevector`: qubit 0 is
 the most significant bit of the computational basis.
@@ -13,16 +15,81 @@ the most significant bit of the computational basis.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from repro.core.errors import PlantError
-from repro.quantum.statevector import (
-    Statevector,
-    _apply_unitary_1q,
-    _apply_unitary_2q,
-)
+from repro.quantum.statevector import Statevector
+
+
+#: Most multiply-adds one matrix product in
+#: :meth:`DensityMatrix.apply_superop` may take.  OpenBLAS hands a
+#: product of 2^16 or more to its thread pool, and on a loaded host
+#: waking the pool costs milliseconds (a 4x4 superoperator on the
+#: seven-qubit chip took 5 ms instead of 40 us); the columns are split
+#: into stacked products below that size instead.
+_PRODUCT_MULTIPLY_ADDS = 1 << 15
+
+
+def superoperator(kraus: list[np.ndarray]) -> np.ndarray:
+    """Liouville matrix ``sum_i kron(K_i, conj(K_i))`` of a Kraus set.
+
+    It acts on the row-major vectorisation of rho, where
+    ``vec(K rho K^dag) = kron(K, conj(K)) vec(rho)``; composing
+    channels is multiplying their superoperators (Wood, Biamonte and
+    Cory, arXiv:1111.6950).
+    """
+    return sum(np.kron(operator, operator.conj()) for operator in kraus)
+
+
+def _operator(operator: np.ndarray, num_qubits: int) -> np.ndarray:
+    """``operator`` as a complex array, checked to act on
+    ``num_qubits`` qubits."""
+    operator = np.asarray(operator, dtype=complex)
+    dim = 1 << num_qubits
+    if operator.shape != (dim, dim):
+        raise PlantError(
+            f"operator shape {operator.shape} does not match "
+            f"{num_qubits} qubits")
+    return operator
+
+
+@functools.lru_cache(maxsize=1024)
+def _block_layout(num_qubits: int, qubits: tuple[int, ...]
+                  ) -> tuple[tuple[int, ...], tuple[int, ...],
+                             tuple[int, ...]]:
+    """How :meth:`DensityMatrix.apply_superop` reaches a qubit block.
+
+    Returns ``(shape, forward, inverse)``: rho reshaped to ``shape``
+    has one axis of length 2 per target in its row half and again in
+    its column half (the other qubits merged into the axes between
+    them), ``forward`` moves those target axes to the front in
+    ``(rows..., columns...)`` order, each half in ``qubits`` order,
+    and ``inverse`` undoes it.  Invalid targets raise (a raise is not
+    cached, so validation costs one call per chip and target tuple).
+    """
+    if len(set(qubits)) != len(qubits):
+        raise PlantError(f"duplicate qubits in {qubits}")
+    for qubit in qubits:
+        if not 0 <= qubit < num_qubits:
+            raise PlantError(f"qubit {qubit} out of range")
+    half: list[int] = []
+    axis_of: dict[int, int] = {}
+    previous = -1
+    for qubit in sorted(qubits):
+        half.append(1 << (qubit - previous - 1))
+        axis_of[qubit] = len(half)
+        half.append(2)
+        previous = qubit
+    half.append(1 << (num_qubits - 1 - previous))
+    front = ([axis_of[qubit] for qubit in qubits] +
+             [len(half) + axis_of[qubit] for qubit in qubits])
+    forward = tuple(front + [axis for axis in range(2 * len(half))
+                             if axis not in front])
+    inverse = tuple(int(axis) for axis in np.argsort(forward))
+    return tuple(half) * 2, forward, inverse
 
 
 class DensityMatrix:
@@ -82,98 +149,51 @@ class DensityMatrix:
     def apply_gate(self, unitary: np.ndarray,
                    qubits: tuple[int, ...] | list[int]) -> None:
         """Apply a k-qubit unitary: rho -> U rho U^dag."""
-        qubits = tuple(qubits)
-        unitary = np.asarray(unitary, dtype=complex)
-        self._check_operator(unitary, qubits)
-        if len(qubits) <= 2:
-            self._apply_operator_inplace(unitary, qubits)
-        else:
-            full = self._embed(unitary, qubits)
-            self._matrix = full @ self._matrix @ full.conj().T
+        unitary = _operator(unitary, len(tuple(qubits)))
+        self.apply_superop(np.kron(unitary, unitary.conj()), qubits)
 
     def apply_channel(self, kraus: list[np.ndarray],
                       qubits: tuple[int, ...] | list[int]) -> None:
-        """Apply a Kraus channel: rho -> sum_i K_i rho K_i^dag."""
+        """Apply a Kraus channel: rho -> sum_i K_i rho K_i^dag.
+
+        The Kraus set is summed into its Liouville matrix
+        (:func:`superoperator`) and applied in one
+        :meth:`apply_superop` pass.
+        """
+        k = len(tuple(qubits))
+        self.apply_superop(
+            superoperator([_operator(operator, k) for operator in kraus]),
+            qubits)
+
+    def apply_superop(self, superop: np.ndarray,
+                      qubits: tuple[int, ...] | list[int]) -> None:
+        """Apply a k-qubit Liouville superoperator to rho.
+
+        ``superop`` is the ``(4^k, 4^k)`` matrix acting on the
+        row-major vectorised k-qubit block, i.e. on the index
+        ``(rows..., columns...)`` with ``qubits[0]`` the most
+        significant bit of each half — the convention in which a Kraus
+        operator ``K`` contributes ``kron(K, conj(K))``.  Flattened,
+        rho is a 2n-qubit tensor; the target (row, column) axis pairs
+        are moved to the front, contracted with ``superop`` in matrix
+        products and moved back, without ever building a full-space
+        operator.
+        """
         qubits = tuple(qubits)
-        operators = [np.asarray(k, dtype=complex) for k in kraus]
-        for operator in operators:
-            self._check_operator(operator, qubits)
-        if len(qubits) <= 2:
-            original = self._matrix
-            accumulated = np.zeros_like(original)
-            for operator in operators:
-                self._matrix = original.copy()
-                self._apply_operator_inplace(operator, qubits)
-                accumulated += self._matrix
-            self._matrix = accumulated
-            return
-        embedded = [self._embed(operator, qubits)
-                    for operator in operators]
-        new = np.zeros_like(self._matrix)
-        for operator in embedded:
-            new += operator @ self._matrix @ operator.conj().T
-        self._matrix = new
-
-    def _apply_operator_inplace(self, operator: np.ndarray,
-                                qubits: tuple[int, ...]) -> None:
-        """rho -> K rho K^dag through the statevector kernels.
-
-        Flattened, rho is a 2n-qubit tensor whose first n axes are the
-        row (ket) indices and last n the column (bra) indices; applying
-        ``K`` to the row axes and ``conj(K)`` to the column axes is
-        exactly ``K rho K^dag`` — without ever building the embedded
-        full-space operator.
-        """
-        if not self._matrix.flags.c_contiguous:
-            self._matrix = np.ascontiguousarray(self._matrix)
-        flat = self._matrix.reshape(-1)
-        n = self.num_qubits
-        if len(qubits) == 1:
-            _apply_unitary_1q(flat, operator, qubits[0])
-            _apply_unitary_1q(flat, operator.conj(), qubits[0] + n)
-        else:
-            _apply_unitary_2q(flat, operator, qubits)
-            _apply_unitary_2q(flat, operator.conj(),
-                              (qubits[0] + n, qubits[1] + n))
-
-    def _check_operator(self, operator: np.ndarray,
-                        qubits: tuple[int, ...]) -> None:
-        """Shape/target validation shared by gates, channels, embeds."""
-        k = len(qubits)
-        if operator.shape != (1 << k, 1 << k):
+        shape, forward, inverse = _block_layout(self.num_qubits, qubits)
+        size = 1 << (2 * len(qubits))
+        if superop.shape != (size, size):
             raise PlantError(
-                f"operator shape {operator.shape} does not match {k} qubits")
-        if len(set(qubits)) != k:
-            raise PlantError(f"duplicate qubits in {qubits}")
-        for qubit in qubits:
-            if not 0 <= qubit < self.num_qubits:
-                raise PlantError(f"qubit {qubit} out of range")
-
-    def _embed(self, operator: np.ndarray,
-               qubits: tuple[int, ...]) -> np.ndarray:
-        """Lift a k-qubit operator to the full Hilbert space.
-
-        Callers validate via :meth:`_check_operator` first.
-        """
-        # Build the permutation taking (qubits..., rest...) -> natural order.
-        rest = [q for q in range(self.num_qubits) if q not in qubits]
-        order = list(qubits) + rest
-        dim = 1 << self.num_qubits
-        full = np.kron(operator,
-                       np.eye(1 << len(rest), dtype=complex))
-        if order == list(range(self.num_qubits)):
-            return full
-        # Permutation matrix P with P|x_natural> = |x_ordered>.
-        perm = np.zeros((dim, dim), dtype=complex)
-        for natural_index in range(dim):
-            bits = [(natural_index >> (self.num_qubits - 1 - q)) & 1
-                    for q in range(self.num_qubits)]
-            ordered_bits = [bits[q] for q in order]
-            ordered_index = 0
-            for bit in ordered_bits:
-                ordered_index = (ordered_index << 1) | bit
-            perm[ordered_index, natural_index] = 1.0
-        return perm.conj().T @ full @ perm
+                f"superoperator shape {superop.shape} does not match "
+                f"{len(qubits)} qubits")
+        tensor = self._matrix.reshape(shape).transpose(forward)
+        columns = tensor.reshape(size, -1)
+        chunk = min(columns.shape[1],
+                    max(1, _PRODUCT_MULTIPLY_ADDS // (size * size)))
+        block = np.matmul(superop, columns.reshape(
+            size, -1, chunk).transpose(1, 0, 2)).transpose(1, 0, 2)
+        self._matrix = block.reshape(tensor.shape).transpose(
+            inverse).reshape(self._matrix.shape)
 
     # ------------------------------------------------------------------
     # Measurement

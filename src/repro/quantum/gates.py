@@ -113,14 +113,6 @@ def is_unitary(matrix: np.ndarray, atol: float = 1e-10) -> bool:
     return bool(np.allclose(product, np.eye(matrix.shape[0]), atol=atol))
 
 
-def kron_all(matrices: list[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a list of matrices, left to right."""
-    out = np.eye(1, dtype=complex)
-    for matrix in matrices:
-        out = np.kron(out, matrix)
-    return out
-
-
 def gates_equivalent(a: np.ndarray, b: np.ndarray, atol: float = 1e-9) -> bool:
     """Whether two unitaries are equal up to global phase."""
     a = np.asarray(a, dtype=complex)

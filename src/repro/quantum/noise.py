@@ -13,7 +13,11 @@ all modelled here as Kraus channels (plus a classical readout error):
   discriminated measurement result; this bounds active reset at 82.7 %.
 
 Channels are represented as lists of Kraus operators ``K_i`` with
-``sum_i K_i^dag K_i = I``.
+``sum_i K_i^dag K_i = I``.  The dense plant backend does not apply them
+operator by operator: it sums each set into its Liouville
+superoperator, fuses a gate event's idle, unitary and gate-error
+channels into one, and caches the result
+(:class:`repro.quantum.backend.DenseBackend`).
 """
 
 from __future__ import annotations
@@ -64,13 +68,6 @@ def depolarizing(p: float, num_qubits: int = 1) -> list[np.ndarray]:
     kraus = [math.sqrt(1 - p) * operators[0]]
     kraus.extend(math.sqrt(p / num_errors) * op for op in operators[1:])
     return kraus
-
-
-def bit_flip(p: float) -> list[np.ndarray]:
-    """Classical-equivalent X error with probability ``p``."""
-    if not 0.0 <= p <= 1.0:
-        raise PlantError(f"p {p} outside [0, 1]")
-    return [math.sqrt(1 - p) * gates.I, math.sqrt(p) * gates.X]
 
 
 def is_trace_preserving(kraus: list[np.ndarray], atol: float = 1e-9) -> bool:

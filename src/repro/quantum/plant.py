@@ -11,8 +11,9 @@ quantum state under a calibrated noise model.
 *How* the state is represented is delegated to a pluggable
 :class:`~repro.quantum.backend.PlantBackend`:
 
-* the **dense** backend (default) keeps an exact density matrix with
-  Kraus-channel noise — any unitary, any noise model, O(4^n) per gate;
+* the **dense** backend (default) keeps an exact density matrix and
+  applies each gate event (idle decay, unitary, gate error) as one
+  cached superoperator — any unitary, any noise model, O(4^n) per gate;
 * the **stabilizer** backend (:mod:`repro.quantum.stabilizer`) keeps a
   Gottesman–Knill tableau — Clifford gates and Pauli/readout-only
   noise, polynomial cost, which is what lets surface-code-scale chips
@@ -29,7 +30,9 @@ infeasible) dense matrix.
 Physics modelled:
 
 * decoherence while idling (T1/T2), applied lazily per qubit between
-  consecutive operations — this produces the Fig. 12 interval dependence;
+  consecutive operations (as part of the next gate event, before a
+  measurement, or by the end-of-program flush) — this produces the
+  Fig. 12 interval dependence;
 * depolarizing gate error applied with every unitary;
 * projective z-measurement, collapsing the state; the classical
   assignment error is applied by the measurement-discrimination unit
@@ -244,26 +247,30 @@ class QuantumPlant:
     # ------------------------------------------------------------------
     # Idling
     # ------------------------------------------------------------------
-    def _advance_qubit(self, address: int, to_time_ns: float) -> int:
-        """Apply idle decoherence to one qubit up to ``to_time_ns``;
-        returns its dense index (an off-chip address raises
-        :class:`~repro.core.errors.PlantError`)."""
+    def _idle_gap(self, address: int, to_time_ns: float
+                  ) -> tuple[int, float]:
+        """``(dense index, idle gap)`` of one qubit up to
+        ``to_time_ns``; an off-chip address or an operation that
+        overlaps the qubit's previous one raises
+        :class:`~repro.core.errors.PlantError`."""
         index = self.qubit_index(address)
         free_at = self._qubit_free_at[address]
         if to_time_ns < free_at - 1e-9:
             raise PlantError(
                 f"operation on qubit {address} at t={to_time_ns} ns "
                 f"overlaps previous operation ending at {free_at} ns")
-        if to_time_ns > free_at:
-            self.backend.apply_idle(index, to_time_ns - free_at,
-                                    self.noise.decoherence)
-        return index
+        return index, (to_time_ns - free_at if to_time_ns > free_at
+                       else 0.0)
 
     def idle_all_until(self, time_ns: float) -> None:
         """Idle every qubit up to ``time_ns`` (end-of-program flush)."""
+        backend = self.backend
+        decoherence = self.noise.decoherence
         for address in self.topology.qubits:
-            if time_ns > self._qubit_free_at[address]:
-                self._advance_qubit(address, time_ns)
+            free_at = self._qubit_free_at[address]
+            if time_ns > free_at:
+                backend.apply_idle(self._index_of[address],
+                                   time_ns - free_at, decoherence)
                 self._qubit_free_at[address] = time_ns
 
     # ------------------------------------------------------------------
@@ -274,9 +281,14 @@ class QuantumPlant:
                       duration_ns: float) -> None:
         """Apply a named unitary on physical qubit addresses at a time.
 
-        The qubits are first idled (decohered) up to ``start_ns``; the
-        gate is applied instantaneously at its start time and the qubits
-        are marked busy until ``start_ns + duration_ns``.
+        After the ``backend_gate`` fault check, every target's gap
+        since its previous operation is taken (an overlap raises
+        before any state changes).  The backend then applies the whole
+        gate event at once: the targets decohere over their gaps, the
+        gate acts instantaneously at its start time, and the gate
+        error follows.  The qubits are marked busy until ``start_ns +
+        duration_ns``.  With observability attached, the backend's
+        gate histogram times the whole event, idle decay included.
         """
         if not qubits:
             raise PlantError(f"operation {name} has no target qubits")
@@ -288,14 +300,14 @@ class QuantumPlant:
                 f"qubits {qubits} on the {self._backend_kind} backend",
                 backend=self._backend_kind, operation=name,
                 qubits=qubits, site="backend_gate")
-        indices = tuple([self._advance_qubit(address, start_ns)
-                         for address in qubits])
+        indices, gaps = zip(*[self._idle_gap(address, start_ns)
+                              for address in qubits])
         backend = self.backend
         obs = self.observability
         if obs is not None:
             gate_start = obs.tracer.clock()
-        backend.apply_gate(name, unitary, indices)
-        backend.apply_gate_error(indices, self.noise.gate_error, self.rng)
+        backend.apply_gate_event(name, unitary, indices, gaps, self.noise,
+                                 self.rng)
         if obs is not None:
             self._obs_kernels(obs)[1].record(
                 obs.tracer.clock() - gate_start)
@@ -319,8 +331,10 @@ class QuantumPlant:
         prefix (the forced outcome was itself drawn from this state's
         pre-collapse distribution, so the statistics stay exact).
         """
-        index = self._advance_qubit(qubit, start_ns)
+        index, gap = self._idle_gap(qubit, start_ns)
         backend = self.backend
+        if gap:
+            backend.apply_idle(index, gap, self.noise.decoherence)
         if self.measure_observer is not None:
             self.measure_observer(qubit, start_ns,
                                   backend.probability_one(index))

@@ -63,7 +63,7 @@ import numpy as np
 
 from repro.core.errors import PlantError
 from repro.quantum.backend import PlantBackend
-from repro.quantum.noise import DecoherenceModel, GateErrorModel
+from repro.quantum.noise import DecoherenceModel, NoiseModel
 
 #: Single-qubit Hermitian Paulis indexed by ``v = x + 2z``:
 #: I(00), X(10), Z(01), Y(11) = i X Z.
@@ -469,6 +469,11 @@ class StabilizerTableau:
         return out
 
 
+_IDLE_REFUSED = (
+    "idle T1/T2 decoherence is not a Pauli channel; the stabilizer "
+    "backend cannot apply it (select the dense backend)")
+
+
 class StabilizerBackend(PlantBackend):
     """The Gottesman–Knill plant backend.
 
@@ -503,52 +508,50 @@ class StabilizerBackend(PlantBackend):
     def reset(self) -> None:
         self.tableau.reset()
 
-    def apply_gate(self, name: str, unitary: np.ndarray,
-                   indices: tuple[int, ...]) -> None:
+    def apply_gate_event(self, name: str, unitary: np.ndarray,
+                         indices: tuple[int, ...],
+                         gaps_ns: tuple[float, ...], noise: NoiseModel,
+                         rng: np.random.Generator) -> None:
+        """Refuse a non-negligible idle, apply the Clifford gate, then
+        inject the depolarizing gate error.
+
+        The error is a sampled uniform non-identity Pauli, which
+        exactly unravels the dense backend's channel: with probability
+        ``p`` one of the ``4^k - 1`` non-identity Paulis is injected,
+        so the distribution over shots matches.  During a Pauli-frame
+        reference shot the gate and the error site are *recorded*
+        instead — the batched frames sample the error per shot.
+        """
+        if any(gaps_ns) and not noise.decoherence.is_negligible:
+            raise PlantError(_IDLE_REFUSED)
         action = cached_clifford_action(unitary)
         if action is None:
             raise PlantError(
                 f"operation {name!r} is not Clifford; the stabilizer "
                 f"backend cannot apply it (select the dense backend)")
-        self.tableau.apply(action, indices)
-        if self.frame_recorder is not None:
-            self.frame_recorder.record_gate(action, indices)
-
-    def apply_gate_error(self, indices: tuple[int, ...],
-                         gate_error: GateErrorModel,
-                         rng: np.random.Generator) -> None:
-        """Depolarizing error as a sampled uniform non-identity Pauli.
-
-        Exactly unravels the dense backend's Kraus channel: with
-        probability ``p`` one of the ``4^k - 1`` non-identity Paulis is
-        injected, so the distribution over shots matches the channel.
-        During a Pauli-frame reference shot the injection is *recorded
-        instead of sampled* — the batched frames sample it per shot.
-        """
         k = len(indices)
         if k == 1:
-            p = gate_error.single_qubit_error
+            p = noise.gate_error.single_qubit_error
         elif k == 2:
-            p = gate_error.two_qubit_error
+            p = noise.gate_error.two_qubit_error
         else:
             raise PlantError("only 1- and 2-qubit gates are supported")
+        self.tableau.apply(action, indices)
+        recorder = self.frame_recorder
+        if recorder is not None:
+            recorder.record_gate(action, indices)
         if p == 0.0:
             return
-        if self.frame_recorder is not None:
-            self.frame_recorder.record_gate_error(indices, p)
-            return
-        if rng.random() < p:
+        if recorder is not None:
+            recorder.record_gate_error(indices, p)
+        elif rng.random() < p:
             v = int(rng.integers(1, 4 ** k))
             self.tableau.apply_pauli(v, indices)
 
     def apply_idle(self, index: int, duration_ns: float,
                    decoherence: DecoherenceModel) -> None:
-        if duration_ns == 0.0 or decoherence.is_negligible:
-            return
-        raise PlantError(
-            "idle T1/T2 decoherence is not a Pauli channel; the "
-            "stabilizer backend cannot apply it (select the dense "
-            "backend)")
+        if duration_ns and not decoherence.is_negligible:
+            raise PlantError(_IDLE_REFUSED)
 
     def probability_one(self, index: int) -> float:
         return self.tableau.probability_one(index)

@@ -63,6 +63,29 @@ class TestUnitaryEvolution:
         with pytest.raises(PlantError):
             rho.apply_gate(gates.CZ, (1, 1))
 
+    @pytest.mark.parametrize("qubits", [(0, 1, 2), (3, 0, 2), (2, 4, 1)])
+    def test_three_qubit_gate_matches_statevector(self, qubits):
+        """A k > 2 unitary rides the same superoperator kernel."""
+        rng = np.random.default_rng(3)
+        unitary = np.linalg.qr(rng.normal(size=(8, 8)) +
+                               1j * rng.normal(size=(8, 8)))[0]
+        state = zero_state(5)
+        rho = DensityMatrix(5)
+        for qubit in range(5):
+            state.apply_gate(gates.H if qubit % 2 else gates.X90, (qubit,))
+            rho.apply_gate(gates.H if qubit % 2 else gates.X90, (qubit,))
+        state.apply_gate(unitary, qubits)
+        rho.apply_gate(unitary, qubits)
+        expected = DensityMatrix.from_statevector(state)
+        assert np.allclose(rho.matrix, expected.matrix, atol=1e-12)
+
+    def test_superop_shape_must_match_targets(self):
+        rho = DensityMatrix(2)
+        with pytest.raises(PlantError, match="superoperator shape"):
+            rho.apply_superop(np.eye(4, dtype=complex), (0, 1))
+        with pytest.raises(PlantError, match="out of range"):
+            rho.apply_superop(np.eye(4, dtype=complex), (2,))
+
 
 class TestChannels:
     def test_full_amplitude_damping_resets(self):

@@ -97,11 +97,6 @@ class TestHelpers:
         matrix[0, 0] = 99
         assert gates.STANDARD_GATES["X"][0, 0] == 0
 
-    def test_kron_all(self):
-        result = gates.kron_all([gates.I, gates.X])
-        assert np.allclose(result, np.kron(gates.I, gates.X))
-        assert gates.kron_all([]).shape == (1, 1)
-
     def test_gates_equivalent_detects_phase(self):
         assert gates.gates_equivalent(1j * gates.X, gates.X)
         assert not gates.gates_equivalent(gates.X, gates.Z)

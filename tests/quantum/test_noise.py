@@ -13,7 +13,6 @@ from repro.quantum.noise import (
     NoiseModel,
     ReadoutErrorModel,
     amplitude_damping,
-    bit_flip,
     compose_channels,
     depolarizing,
     is_trace_preserving,
@@ -34,9 +33,6 @@ class TestKrausChannels:
     @pytest.mark.parametrize("n", [1, 2])
     def test_depolarizing_trace_preserving(self, p, n):
         assert is_trace_preserving(depolarizing(p, n))
-
-    def test_bit_flip_trace_preserving(self):
-        assert is_trace_preserving(bit_flip(0.25))
 
     def test_gamma_out_of_range(self):
         with pytest.raises(PlantError):

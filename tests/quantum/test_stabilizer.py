@@ -170,9 +170,12 @@ class TestPauliInjection:
 
 
 class TestStabilizerBackend:
+    NOISELESS = NoiseModel.noiseless()
+
     def test_reset(self):
         backend = StabilizerBackend(3)
-        backend.apply_gate("X", gates.X, (2,))
+        backend.apply_gate_event("X", gates.X, (2,), (0.0,),
+                                 self.NOISELESS, np.random.default_rng(0))
         backend.reset()
         for qubit in range(3):
             assert backend.probability_one(qubit) == 0.0
@@ -180,36 +183,49 @@ class TestStabilizerBackend:
     def test_non_clifford_gate_raises(self):
         backend = StabilizerBackend(1)
         with pytest.raises(PlantError, match="not Clifford"):
-            backend.apply_gate("T", gates.T, (0,))
+            backend.apply_gate_event("T", gates.T, (0,), (0.0,),
+                                     self.NOISELESS,
+                                     np.random.default_rng(0))
 
     def test_idle_refused_unless_negligible(self):
         backend = StabilizerBackend(1)
-        noiseless = NoiseModel.noiseless()
-        backend.apply_idle(0, 500.0, noiseless.decoherence)  # no-op
+        backend.apply_idle(0, 500.0, self.NOISELESS.decoherence)  # no-op
         with pytest.raises(PlantError, match="not a Pauli channel"):
             backend.apply_idle(0, 500.0, DecoherenceModel())
+
+    def test_gate_event_refuses_idle_before_the_gate(self):
+        backend = StabilizerBackend(1)
+        noise = NoiseModel(gate_error=GateErrorModel(0.0, 0.0))
+        rng = np.random.default_rng(0)
+        backend.apply_gate_event("X", gates.X, (0,), (0.0,), noise, rng)
+        with pytest.raises(PlantError, match="not a Pauli channel"):
+            backend.apply_gate_event("X", gates.X, (0,), (500.0,), noise,
+                                     rng)
+        assert backend.probability_one(0) == 1.0   # second X not applied
 
     def test_gate_error_sampling_statistics(self):
         """p=1 depolarizing on |0>: X or Y flip (2 of 3 Paulis) ->
         P(1) = 2/3 over trials; the Z third leaves |0> alone."""
         rng = np.random.default_rng(17)
-        error = GateErrorModel(single_qubit_error=1.0,
-                               two_qubit_error=0.07)
+        noise = NoiseModel(
+            decoherence=self.NOISELESS.decoherence,
+            gate_error=GateErrorModel(single_qubit_error=1.0,
+                                      two_qubit_error=0.07))
         flips = 0
         trials = 600
         for _ in range(trials):
             backend = StabilizerBackend(1)
-            backend.apply_gate_error((0,), error, rng)
+            backend.apply_gate_event("I", gates.I, (0,), (0.0,), noise,
+                                     rng)
             flips += backend.probability_one(0) == 1.0
         assert 0.58 < flips / trials < 0.75
 
     def test_zero_gate_error_is_noop(self):
         backend = StabilizerBackend(1)
-        error = GateErrorModel(single_qubit_error=0.0,
-                               two_qubit_error=0.0)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            backend.apply_gate_error((0,), error, rng)
+            backend.apply_gate_event("I", gates.I, (0,), (0.0,),
+                                     self.NOISELESS, rng)
         assert backend.probability_one(0) == 0.0
 
     def test_density_matrix_not_exposed(self):
