@@ -135,8 +135,12 @@ class PlantBackend(abc.ABC):
         """Pre-collapse P(1) of an ideal projective z-measurement."""
 
     @abc.abstractmethod
-    def measure(self, index: int, rng: np.random.Generator) -> int:
-        """Sample a projective z-measurement and collapse the state."""
+    def measure(self, index: int, rng: np.random.Generator,
+                p_one: float | None = None) -> int:
+        """Sample a projective z-measurement and collapse the state.
+
+        ``p_one`` is :meth:`probability_one` of the current state when
+        the caller has already computed it; the draw is the same."""
 
     @abc.abstractmethod
     def collapse(self, index: int, result: int) -> None:
@@ -201,8 +205,9 @@ class DenseBackend(PlantBackend):
     def probability_one(self, index: int) -> float:
         return self.state.probability_one(index)
 
-    def measure(self, index: int, rng: np.random.Generator) -> int:
-        return self.state.measure(index, rng)
+    def measure(self, index: int, rng: np.random.Generator,
+                p_one: float | None = None) -> int:
+        return self.state.measure(index, rng, p_one)
 
     def collapse(self, index: int, result: int) -> None:
         self.state.collapse(index, result)

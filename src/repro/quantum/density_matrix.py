@@ -137,7 +137,7 @@ class DensityMatrix:
 
     def probabilities(self) -> np.ndarray:
         """Diagonal of rho — computational basis probabilities."""
-        return np.clip(np.diag(self._matrix).real, 0.0, 1.0)
+        return np.clip(self._matrix.diagonal().real, 0.0, 1.0)
 
     def copy(self) -> "DensityMatrix":
         """An independent copy of this state."""
@@ -206,9 +206,12 @@ class DensityMatrix:
         total = float(probabilities[:, 1, :].sum())
         return float(min(max(total, 0.0), 1.0))
 
-    def measure(self, qubit: int, rng: np.random.Generator) -> int:
-        """Sample a projective z-measurement and collapse the state."""
-        p_one = self.probability_one(qubit)
+    def measure(self, qubit: int, rng: np.random.Generator,
+                p_one: float | None = None) -> int:
+        """Sample a projective z-measurement and collapse the state
+        (``p_one``: :meth:`probability_one`, if already computed)."""
+        if p_one is None:
+            p_one = self.probability_one(qubit)
         result = 1 if rng.random() < p_one else 0
         self.collapse(qubit, result)
         return result

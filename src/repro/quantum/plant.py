@@ -335,14 +335,15 @@ class QuantumPlant:
         backend = self.backend
         if gap:
             backend.apply_idle(index, gap, self.noise.decoherence)
+        p_one = None
         if self.measure_observer is not None:
-            self.measure_observer(qubit, start_ns,
-                                  backend.probability_one(index))
+            p_one = backend.probability_one(index)
+            self.measure_observer(qubit, start_ns, p_one)
         obs = self.observability
         if obs is not None:
             measure_start = obs.tracer.clock()
         if forced is None:
-            result = backend.measure(index, self.rng)
+            result = backend.measure(index, self.rng, p_one)
         else:
             backend.collapse(index, forced)
             result = forced

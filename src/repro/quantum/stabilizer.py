@@ -556,7 +556,9 @@ class StabilizerBackend(PlantBackend):
     def probability_one(self, index: int) -> float:
         return self.tableau.probability_one(index)
 
-    def measure(self, index: int, rng: np.random.Generator) -> int:
+    def measure(self, index: int, rng: np.random.Generator,
+                p_one: float | None = None) -> int:
+        # p_one goes unused: the tableau decides with a column test.
         if self.frame_recorder is not None:
             return self.frame_recorder.record_measurement(
                 self.tableau, index, rng)

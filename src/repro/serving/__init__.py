@@ -5,7 +5,11 @@ cadence; this package is the layer that keeps that promise when
 processes die.  A :class:`SweepService` executes parameter sweeps over
 a supervised pool of worker processes (each owning one
 :class:`~repro.uarch.machine.QuMAv2`), streaming per-point results and
-structured supervision telemetry.
+structured supervision telemetry.  Every sweep pending when
+:meth:`SweepService.serve` runs shares that drain's one pool: workers
+are forked when the drain starts its first sweep with work to do, keep
+their set-up across sweeps with the same ``setup_factory``, and are
+reaped before ``serve()`` returns, however it ends.
 
 The durability contract
 -----------------------
@@ -30,7 +34,10 @@ The durability contract
 3. **Exactly-once accounting.**  The supervisor detects worker death
    (process exit), hangs (heartbeat timeout), and silent result loss
    (per-point progress deadline); it re-dispatches exactly the
-   un-journaled indices of the affected shard.  Duplicate results —
+   un-journaled indices of the affected shard.  Each point reports on
+   its own message, tagged with its sweep's job number in the drain,
+   so a straggler from an earlier sweep is dropped, never taken for a
+   point of the current one.  Duplicate results —
    a re-dispatched point whose first result surfaced after all — are
    deduplicated, and the two copies are *compared*: a mismatch is an
    :class:`~repro.core.errors.ExperimentIntegrityError`, because it
@@ -44,8 +51,10 @@ The durability contract
    (:class:`~repro.core.errors.JobDeadlineError`, completed work kept
    journaled), and supervision gives up past its restart budget
    (:class:`~repro.core.errors.WorkerPoolError`) instead of retrying a
-   crashing workload forever.  Shutdown drains gracefully: workers get
-   a sentinel, finish their shard, and only stragglers are killed.
+   crashing workload forever.  Shutdown drains gracefully once the
+   last pending sweep completes: workers get a sentinel, finish their
+   shard, and only stragglers are killed; a drain that ends any other
+   way (an error, a deadline, a closed generator) kills its workers.
 
 Chaos coverage: the process-level fault sites
 (:data:`~repro.uarch.faults.PROCESS_FAULT_SITES` — ``worker_crash``,

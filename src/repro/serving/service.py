@@ -8,11 +8,17 @@ directives, torn journal records — recorded as structured telemetry on
 :class:`ServiceStats` (never only in logs).
 
 The service owns the control plane; the data plane is the supervised
-worker pool of :mod:`repro.serving.supervisor`.  One single-threaded
-drive loop per sweep interleaves four duties:
+worker pool of :mod:`repro.serving.supervisor`.  One pool serves a
+whole :meth:`SweepService.serve` drain: it starts with the first sweep
+that has points to execute, is kept warm across every sweep pending in
+the drain, and is stopped gracefully when the queue is empty (killed
+when the drain ends abnormally).  One single-threaded drive loop per
+sweep interleaves four duties:
 
-1. **dispatch** — shard pending points onto idle workers (one
-   outstanding shard per worker: the natural backpressure bound);
+1. **dispatch** — shard pending points onto idle workers,
+   ``ceil(pending / idle workers)`` points per shard (guided
+   self-scheduling; one outstanding shard per worker is the natural
+   backpressure bound, and every point still reports on its own);
 2. **collect** — drain the result queue, deduplicate, journal each
    new point *before* yielding it (a result is durable before it is
    observable);
@@ -34,7 +40,7 @@ forever.
 
 from __future__ import annotations
 
-import queue as queue_module
+import pickle
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -44,6 +50,7 @@ from repro.core.errors import (
     AdmissionRejectedError,
     ConfigurationError,
     ExperimentIntegrityError,
+    InvalidRequestError,
     JobDeadlineError,
     WorkerPoolError,
 )
@@ -60,10 +67,10 @@ from repro.uarch.trace import ShotCounts
 class ServiceConfig:
     """Supervision and admission policy of a :class:`SweepService`."""
 
-    #: Worker processes per sweep (each owns one machine).
+    #: Worker processes of a ``serve()`` drain (each owns one
+    #: machine); the one pool serves every sweep of the drain, and
+    #: each shard takes ``ceil(pending / idle workers)`` points.
     num_workers: int = 2
-    #: Points per dispatched shard.
-    shard_size: int = 4
     #: A worker with outstanding work whose last heartbeat is older
     #: than this is declared hung and SIGKILLed.  Workers beat once
     #: per point, so the timeout must exceed the slowest single point.
@@ -97,8 +104,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.num_workers < 1:
             raise ConfigurationError("num_workers must be at least 1")
-        if self.shard_size < 1:
-            raise ConfigurationError("shard_size must be at least 1")
         if self.heartbeat_timeout_s <= 0:
             raise ConfigurationError(
                 "heartbeat_timeout_s must be positive")
@@ -296,8 +301,18 @@ class SweepService:
 
         Raises :class:`AdmissionRejectedError` when the bounded
         pending queue is full — backpressure at the front door instead
-        of unbounded growth behind it.
+        of unbounded growth behind it — and
+        :class:`InvalidRequestError` when the spec does not pickle:
+        shards carry it to the workers, and a pickling error in the
+        queue's feeder thread would hang the sweep instead of failing
+        it.
         """
+        try:
+            pickle.dumps(spec)
+        except Exception as error:  # noqa: BLE001 — re-raised typed
+            raise InvalidRequestError(
+                f"sweep {spec.name!r} does not pickle ({error!r}) — its "
+                f"factories must be module-level callables") from error
         if len(self._pending) >= self.config.max_pending_sweeps:
             self.stats.admission_rejections += 1
             raise AdmissionRejectedError(
@@ -314,10 +329,28 @@ class SweepService:
     def serve(self) -> Iterator[PointResult]:
         """Drive every pending sweep, streaming results as they
         complete (journal-resumed points first, in index order; live
-        points in completion order)."""
-        while self._pending:
-            job = self._pending.popleft()
-            yield from self._drive(job)
+        points in completion order).
+
+        One worker pool serves the whole drain: started for the first
+        sweep with points to execute, kept across the rest, stopped
+        gracefully once the queue is empty and killed when the drain
+        ends otherwise (a raise, a deadline, a closed generator).
+        Sweeps are numbered within the drain, and a worker message
+        about an earlier sweep is dropped.
+        """
+        pool = WorkerPool(self.config.num_workers,
+                          hang_sleep_s=self.config.hang_sleep_s)
+        graceful = False
+        try:
+            number = 0
+            while self._pending:
+                number += 1
+                yield from self._drive(self._pending.popleft(), number,
+                                       pool)
+            graceful = True
+        finally:
+            pool.stop(graceful=graceful,
+                      timeout=self.config.drain_timeout_s)
 
     def run_sweep(self, spec: SweepSpec,
                   journal_path=None) -> SweepResult:
@@ -348,21 +381,23 @@ class SweepService:
                       generation=generation, indices=list(indices),
                       detail=detail)
 
-    def _drive(self, job: _Job) -> Iterator[PointResult]:
+    def _drive(self, job: _Job, number: int,
+               pool: WorkerPool) -> Iterator[PointResult]:
         obs = self.observability
         if obs is None:
-            yield from self._drive_impl(job)
+            yield from self._drive_impl(job, number, pool)
             return
         span = obs.begin("service.sweep", sweep=job.spec.name,
                          points=job.spec.num_points,
                          shots=job.spec.shots)
         try:
-            yield from self._drive_impl(job)
+            yield from self._drive_impl(job, number, pool)
         finally:
             obs.end(span)
             self.stats.publish_metrics(obs.metrics)
 
-    def _drive_impl(self, job: _Job) -> Iterator[PointResult]:
+    def _drive_impl(self, job: _Job, number: int,
+                    pool: WorkerPool) -> Iterator[PointResult]:
         spec = job.spec
         config = self.config
         stats = self.stats
@@ -398,21 +433,29 @@ class SweepService:
             stats.sweeps_completed += 1
             return
 
-        pool = WorkerPool(spec, config.num_workers,
-                          hang_sleep_s=config.hang_sleep_s)
-        pool.start()
+        if not pool.started:
+            pool.start(spec)
         started = time.monotonic()
         restarts = 0
         failures: dict[int, int] = {}
-        graceful = False
         try:
             while len(completed) < total:
                 self._check_sweep_deadline(spec, started, completed,
                                            total)
-                self._dispatch(pool, pending)
+                self._dispatch(pool, spec, number, pending)
                 for message in self._drain_messages(pool):
-                    kind = message.get("kind")
-                    if kind == "point":
+                    kind = message["kind"]
+                    if message["job"] != number:
+                        # A straggler of an earlier sweep of this
+                        # drain: its index means another sweep's point.
+                        self._event("stale_message",
+                                    worker=message["worker"],
+                                    generation=message["generation"],
+                                    indices=(message["index"],)
+                                    if "index" in message else (),
+                                    detail=f"{kind} of job "
+                                           f"{message['job']}")
+                    elif kind == "point":
                         result = self._accept_point(
                             spec, message, completed, journal, pool)
                         if result is not None:
@@ -430,32 +473,30 @@ class SweepService:
                             restarts=restarts,
                             budget=config.max_restarts,
                             last_event=message["error"])
-                    # worker_exit: graceful-drain ack, nothing to do
-                restarts = self._supervise(pool, pending, completed,
-                                           restarts)
-            graceful = True
+                restarts = self._supervise(pool, spec, pending,
+                                           completed, restarts)
         finally:
-            pool.stop(graceful=graceful,
-                      timeout=config.drain_timeout_s)
             if journal is not None:
                 journal.close()
+        for handle in pool.handles:
+            handle.release()
         stats.sweeps_completed += 1
 
     # -- dispatch ------------------------------------------------------
-    def _dispatch(self, pool: WorkerPool, pending: deque) -> None:
-        config = self.config
+    def _dispatch(self, pool: WorkerPool, spec: SweepSpec, number: int,
+                  pending: deque) -> None:
         obs = self.observability
-        for handle in pool.handles:
+        idle = [handle for handle in pool.handles
+                if handle.idle and handle.is_alive()]
+        for position, handle in enumerate(idle):
             if not pending:
                 break
-            if not handle.idle or not handle.is_alive():
-                continue
-            indices = tuple(pending.popleft()
-                            for _ in range(min(config.shard_size,
-                                               len(pending))))
-            chaos = self._chaos_directives(indices, handle)
-            handle.dispatch(Shard(indices=indices,
-                                  chaos=tuple(sorted(chaos.items()))))
+            # Guided self-scheduling: split what is pending evenly over
+            # the idle workers.
+            size = -(-len(pending) // (len(idle) - position))
+            indices, chaos = self._take_shard(pending, size, handle)
+            handle.dispatch(Shard(job=number, spec=spec, indices=indices,
+                                  chaos=chaos))
             if obs is not None:
                 now = obs.clock()
                 for index in indices:
@@ -472,38 +513,34 @@ class SweepService:
                 float(sum(1 for handle in pool.handles
                           if handle.idle and handle.is_alive())))
 
-    def _chaos_directives(self, indices, handle) -> dict[int, str]:
+    def _take_shard(self, pending: deque, size: int, handle
+                    ) -> tuple[tuple[int, ...], tuple[tuple[int, str], ...]]:
+        """Pop up to ``size`` pending indices and their chaos
+        directives.  A shard ends at the first point that draws a
+        directive, so every directive issued is acted on: a worker
+        that dies mid-shard never reaches the points after it."""
         plan = self.fault_plan
         if plan is None:
-            return {}
-        directives: dict[int, str] = {}
-        for index in indices:
+            return tuple(pending.popleft() for _ in range(size)), ()
+        indices = []
+        while pending and len(indices) < size:
+            index = pending.popleft()
+            indices.append(index)
             plan.begin_shot(index)
             for site in PROCESS_FAULT_SITES:
                 if plan.fire(site, point=index,
                              worker=handle.worker_id):
-                    directives[index] = site
                     self.stats.chaos_directives.append(
                         f"{site}@point{index}")
                     self._event("chaos", worker=handle.worker_id,
-                                generation=handle.generation + 0,
+                                generation=handle.generation,
                                 indices=(index,), detail=site)
-                    break
-        return directives
+                    return tuple(indices), ((index, site),)
+        return tuple(indices), ()
 
     # -- collection ----------------------------------------------------
     def _drain_messages(self, pool: WorkerPool) -> list[dict]:
-        messages: list[dict] = []
-        try:
-            messages.append(pool.result_queue.get(
-                timeout=self.config.poll_interval_s))
-        except queue_module.Empty:
-            return messages
-        while True:
-            try:
-                messages.append(pool.result_queue.get_nowait())
-            except queue_module.Empty:
-                return messages
+        return pool.receive(self.config.poll_interval_s)
 
     def _accept_point(self, spec: SweepSpec, message: dict,
                       completed: dict, journal, pool: WorkerPool
@@ -616,8 +653,8 @@ class SweepService:
         pending.append(index)
 
     # -- supervision ---------------------------------------------------
-    def _supervise(self, pool: WorkerPool, pending: deque,
-                   completed: dict, restarts: int) -> int:
+    def _supervise(self, pool: WorkerPool, spec: SweepSpec,
+                   pending: deque, completed: dict, restarts: int) -> int:
         config = self.config
         stats = self.stats
         for handle in pool.handles:
@@ -665,7 +702,7 @@ class SweepService:
                     restarts=restarts - 1,
                     budget=config.max_restarts,
                     last_event=reason)
-            handle.spawn()
+            handle.spawn(spec)
             stats.worker_restarts += 1
             self._event("worker_restart", worker=handle.worker_id,
                         generation=handle.generation)

@@ -69,11 +69,13 @@ class SweepSpec:
     """A complete, self-describing sweep request.
 
     ``setup_factory`` builds a fresh :class:`ExperimentSetup` (called
-    once per worker process); ``program_factory`` maps
-    ``(setup, params)`` to the point's :class:`AssembledProgram`.
-    Both must be importable module-level callables or otherwise survive
-    a process fork — they are inherited by worker processes, never
-    pickled over the wire.  Parameter values must be JSON-serializable
+    once per worker process, and again only when a later sweep of the
+    same drain brings a different factory object); ``program_factory``
+    maps ``(setup, params)`` to the point's :class:`AssembledProgram`.
+    The spec travels to the workers pickled inside each shard, so both
+    must pickle by reference: importable module-level callables, not
+    lambdas or closures (:meth:`SweepService.submit` rejects a spec
+    that does not pickle).  Parameter values must be JSON-serializable
     (they feed the journal's integrity fingerprint).
 
     ``observe`` turns on worker-side observability: each point runs

@@ -1,15 +1,17 @@
 """Worker-process main loop of the sweep service.
 
 Each worker owns one :class:`~repro.experiments.runner.ExperimentSetup`
-(and hence one :class:`~repro.uarch.machine.QuMAv2`), built by the
-sweep's ``setup_factory`` inside the child process.  Workers receive
-:class:`Shard` messages on a private task queue, execute each point
-under the per-point purity contract
-(:func:`repro.serving.sweep.execute_point`), heartbeat into a shared
-array before every point, and report results on the shared result
-queue.  Workers hold **no durable state**: the journal lives with the
-supervisor, so a worker can die at any instruction without losing more
-than its in-flight shard's recomputation.
+(and hence one :class:`~repro.uarch.machine.QuMAv2`), built by a
+sweep's ``setup_factory`` inside the child process and kept across
+every sweep of the service's ``serve()`` drain that shares that
+factory.  Workers receive :class:`Shard` messages on a private task
+queue, execute each point under the per-point purity contract
+(:func:`repro.serving.sweep.execute_point`, so a warm set-up changes
+no result), heartbeat into a shared array before every point, and
+report each result on its own message through the worker's private
+result pipe.  Workers hold **no durable state**: the journal lives
+with the supervisor, so a worker can die at any instruction without
+losing more than the point it was executing.
 
 Chaos directives (``worker_crash`` / ``worker_hang`` /
 ``result_drop``) ride inside the shard message — decided
@@ -38,50 +40,72 @@ CRASH_EXIT_CODE = 137
 
 @dataclass(frozen=True)
 class Shard:
-    """A contiguous batch of point indices dispatched to one worker.
+    """A batch of point indices of one sweep, dispatched to one worker.
 
-    ``chaos`` maps point indices to an injection directive for that
-    point ("worker_crash" | "worker_hang" | "result_drop").
+    ``job`` numbers the sweep within the service's ``serve()`` drain;
+    every message the worker sends about the shard carries it, so the
+    service can drop a straggler from an earlier sweep of the same
+    drain.  ``spec`` travels with the shard because one worker serves
+    every sweep of the drain.  ``chaos`` maps point indices to an
+    injection directive for that point ("worker_crash" | "worker_hang"
+    | "result_drop").
     """
 
+    job: int
+    spec: SweepSpec
     indices: tuple[int, ...]
     chaos: tuple[tuple[int, str], ...] = ()
 
 
+def _build_setup(factory):
+    """(setup, None) from ``factory()``, or (None, repr(error))."""
+    try:
+        return factory(), None
+    except Exception as error:  # noqa: BLE001 — reported, not raised
+        return None, repr(error)
+
+
 def worker_main(worker_id: int, generation: int, spec: SweepSpec,
-                task_queue, result_queue, heartbeats,
+                task_queue, results, heartbeats,
                 hang_sleep_s: float = 3600.0) -> None:
     """Entry point of one worker process.
 
-    Protocol: ``None`` on the task queue is the graceful-drain
-    sentinel — the worker finishes nothing further, acknowledges with
-    a ``worker_exit`` message, and returns.  Every other message is a
-    :class:`Shard`.
+    The set-up is built eagerly from ``spec``, the sweep the worker
+    was spawned for, and rebuilt only when a shard's
+    ``setup_factory`` is a different object (a set-up failure is
+    reported on the next shard).  Protocol: ``None`` on the task
+    queue is the graceful-drain sentinel — the worker finishes
+    nothing further and returns.  Every other message is a
+    :class:`Shard`.  ``results`` is the write end of the worker's
+    result pipe; every message on it names the shard's job.
     """
     heartbeats[worker_id] = time.monotonic()
-    try:
-        setup = spec.setup_factory()
-    except Exception as error:  # noqa: BLE001 — reported, not raised
-        result_queue.put({"kind": "worker_error", "worker": worker_id,
-                          "generation": generation,
-                          "error": repr(error)})
-        return
-    observability = None
-    if spec.observe:
-        # Worker-side telemetry: one Observability for the worker's
-        # lifetime; after each point the fresh spans/metrics are
-        # exported onto the result message and the local state cleared,
-        # so every "point" message carries exactly its own telemetry.
-        from repro.obs import Observability
-        observability = Observability()
-        setup.machine.observability = observability
+    factory = spec.setup_factory
+    setup, error = _build_setup(factory)
     while True:
         shard = task_queue.get()
         if shard is None:
-            result_queue.put({"kind": "worker_exit",
-                              "worker": worker_id,
-                              "generation": generation})
             return
+        heartbeats[worker_id] = time.monotonic()
+        job, spec = shard.job, shard.spec
+        if spec.setup_factory is not factory:
+            factory = spec.setup_factory
+            setup, error = _build_setup(factory)
+        if error is not None:
+            results.send({"kind": "worker_error", "worker": worker_id,
+                          "generation": generation, "job": job,
+                          "error": error})
+            return
+        machine = setup.machine
+        if spec.observe != (machine.observability is not None):
+            # Worker-side telemetry, only while the sweep asks for it:
+            # after each point the fresh spans/metrics are exported
+            # onto the result message and the local state cleared, so
+            # every "point" message carries exactly its own telemetry.
+            from repro.obs import Observability
+            machine.observability = Observability() if spec.observe \
+                else None
+        observability = machine.observability
         chaos = dict(shard.chaos)
         for index in shard.indices:
             heartbeats[worker_id] = time.monotonic()
@@ -97,9 +121,9 @@ def worker_main(worker_id: int, generation: int, spec: SweepSpec,
                 counts, stats, latency_s = execute_point(
                     setup, spec, point)
             except Exception as error:  # noqa: BLE001
-                result_queue.put({
+                results.send({
                     "kind": "point_error", "worker": worker_id,
-                    "generation": generation, "index": index,
+                    "generation": generation, "job": job, "index": index,
                     "error": repr(error),
                     "error_type": type(error).__name__})
                 continue
@@ -120,7 +144,7 @@ def worker_main(worker_id: int, generation: int, spec: SweepSpec,
                 }
                 observability.tracer.clear()
                 observability.metrics.clear()
-            result_queue.put({
+            results.send({
                 "kind": "point", "worker": worker_id,
-                "generation": generation, "index": index,
+                "generation": generation, "job": job, "index": index,
                 "payload": payload})

@@ -54,8 +54,8 @@ def make_observed_spec(name="obs-rabi") -> SweepSpec:
 
 def run_traced_sweep(tmp_path, journal=True):
     obs = Observability()
-    config = ServiceConfig(num_workers=2, shard_size=2,
-                           poll_interval_s=0.01, drain_timeout_s=10.0)
+    config = ServiceConfig(num_workers=2, poll_interval_s=0.01,
+                           drain_timeout_s=10.0)
     service = SweepService(config, observability=obs)
     journal_path = tmp_path / "sweep.journal" if journal else None
     result = service.run_sweep(make_observed_spec(),
@@ -141,7 +141,7 @@ class TestTracedSweep:
 
     def test_untraced_service_records_nothing(self, tmp_path):
         service = SweepService(ServiceConfig(
-            num_workers=2, shard_size=2, poll_interval_s=0.01,
+            num_workers=2, poll_interval_s=0.01,
             drain_timeout_s=10.0))
         assert service.observability is None
         result = service.run_sweep(make_observed_spec("untraced"))

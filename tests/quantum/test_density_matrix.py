@@ -1,7 +1,10 @@
 """Tests for the density-matrix simulator."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.errors import PlantError
 from repro.quantum import DensityMatrix, Statevector, gates, zero_state
@@ -159,6 +162,43 @@ class TestMeasurement:
         rho = DensityMatrix(1)
         rho.apply_channel(depolarizing(1.0), (0,))
         assert rho.probability_one(0) == pytest.approx(2.0 / 3.0)
+
+
+def reference_probability_one(matrix, qubit):
+    """P(1) as ``probability_one`` computed it through ``np.diag``."""
+    probabilities = np.clip(np.diag(matrix).real, 0.0, 1.0).reshape(
+        1 << qubit, 2, -1)
+    total = float(probabilities[:, 1, :].sum())
+    return float(min(max(total, 0.0), 1.0))
+
+
+class TestProbabilityOnePin:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), num_qubits=st.integers(1, 7),
+           rank=st.integers(1, 4),
+           edits=st.lists(st.sampled_from([-1e-12, -0.0, 0.0, 1e-300]),
+                          max_size=3))
+    def test_identical_float_on_random_states(self, seed, num_qubits,
+                                              rank, edits):
+        """Random low-rank mixed states, some diagonal entries forced
+        to zero, signed zero or tiny negatives (the clip's domain):
+        the result is the reference's float bit for bit."""
+        rng = np.random.default_rng(seed)
+        dim = 1 << num_qubits
+        vectors = rng.normal(size=(dim, rank)) \
+            + 1j * rng.normal(size=(dim, rank))
+        matrix = vectors @ vectors.conj().T
+        for value in edits:
+            matrix[rng.integers(dim), rng.integers(dim)] = 0.0
+            index = rng.integers(dim)
+            matrix[index, index] = value
+        assume(np.trace(matrix).real > 1e-3)
+        matrix = matrix / np.trace(matrix).real
+        rho = DensityMatrix(num_qubits, matrix)
+        for qubit in range(num_qubits):
+            assert struct.pack("<d", rho.probability_one(qubit)) == \
+                struct.pack("<d", reference_probability_one(
+                    rho.matrix, qubit))
 
 
 class TestFidelity:

@@ -4,8 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.quantum import gates
+
+
+def allclose_is_unitary(matrix, atol=1e-10):
+    """The ``np.allclose`` formulation :func:`gates.is_unitary` spells
+    out, kept as the reference its verdict is pinned against."""
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        return False
+    product = matrix.conj().T @ matrix
+    return bool(np.allclose(product, np.eye(matrix.shape[0]), atol=atol))
+
+
+#: Powers of ten around both tolerances (atol 1e-10 off the diagonal,
+#: atol + 1e-5 on it).
+EXPONENTS = st.integers(-16, -2)
+UNIT_ENTRIES = st.complex_numbers(max_magnitude=1.0, allow_nan=False)
 
 
 class TestUnitarity:
@@ -24,6 +42,36 @@ class TestUnitarity:
 
     def test_is_unitary_rejects_non_unitary(self):
         assert not gates.is_unitary(np.array([[1, 0], [0, 2.0]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(complex,
+                      hnp.array_shapes(min_dims=1, max_dims=3,
+                                       min_side=0, max_side=4),
+                      elements=st.complex_numbers(allow_nan=True,
+                                                  allow_infinity=True)))
+    def test_verdict_matches_allclose_on_any_array(self, matrix):
+        """NaN, infinities, non-square and empty inputs included."""
+        with np.errstate(all="ignore"):
+            assert gates.is_unitary(matrix) == allclose_is_unitary(matrix)
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta=st.floats(-7.0, 7.0), phi=st.floats(-7.0, 7.0),
+           two_qubit=st.booleans(), scale=EXPONENTS, stretch=EXPONENTS,
+           noise=st.lists(UNIT_ENTRIES, min_size=16, max_size=16),
+           atol=st.sampled_from([1e-10, 1e-8, 0.0]))
+    def test_verdict_matches_allclose_near_the_tolerance(
+            self, theta, phi, two_qubit, scale, stretch, noise, atol):
+        """A rotation perturbed by ``10**scale`` off the unitary
+        manifold and stretched by ``1 + 10**stretch``: both tests must
+        agree on which side of the tolerance every case falls."""
+        matrix = gates.rx(theta) @ gates.ry(phi)
+        if two_qubit:
+            matrix = np.kron(matrix, gates.ry(theta - phi))
+        dim = matrix.shape[0]
+        matrix = matrix * (1.0 + 10.0 ** stretch) + 10.0 ** scale * \
+            np.array(noise[:dim * dim]).reshape(dim, dim)
+        assert (gates.is_unitary(matrix, atol=atol)
+                == allclose_is_unitary(matrix, atol=atol))
 
 
 class TestGateAlgebra:

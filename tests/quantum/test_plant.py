@@ -9,7 +9,7 @@ import pytest
 
 import repro
 from repro.core.errors import PlantError
-from repro.quantum import NoiseModel, QuantumPlant, gates
+from repro.quantum import DensityMatrix, NoiseModel, QuantumPlant, gates
 from repro.quantum.noise import DecoherenceModel, GateErrorModel, \
     ReadoutErrorModel
 from repro.topology import surface7, two_qubit_chip
@@ -47,6 +47,37 @@ class TestAddressMapping:
         with pytest.raises(PlantError, match="not on chip"):
             plant.measure(5, start_ns=0.0, duration_ns=300.0)
         assert plant.operations_log == []
+
+
+class TestObservedMeasurement:
+    def test_p_one_is_computed_once_with_the_same_draw(self,
+                                                       monkeypatch):
+        """With a measure observer (a replay tree growing) the dense
+        P(1) is computed once, handed to the observer and reused for
+        the sample: same outcome, same RNG stream as unobserved."""
+        calls = []
+        probability_one = DensityMatrix.probability_one
+
+        def counting(state, qubit):
+            calls.append(qubit)
+            return probability_one(state, qubit)
+
+        monkeypatch.setattr(DensityMatrix, "probability_one", counting)
+        observed = []
+        outcomes = {}
+        for watched in (False, True):
+            plant = QuantumPlant(two_qubit_chip(), noise=NoiseModel(),
+                                 rng=np.random.default_rng(5))
+            plant.apply_unitary("X90", gates.X90, (2,), 0.0, 20.0)
+            if watched:
+                plant.measure_observer = \
+                    lambda qubit, start_ns, p_one: observed.append(p_one)
+            calls.clear()
+            outcomes[watched] = (plant.measure(2, 20.0, 300.0),
+                                 plant.rng.random())
+            assert len(calls) == 1
+        assert outcomes[True] == outcomes[False]
+        assert observed == [pytest.approx(0.5, abs=0.01)]
 
 
 class TestUnitaries:

@@ -1,7 +1,8 @@
 """Shared workload for the serving tests (and the service bench).
 
-The sweep factories must survive a ``fork`` into worker processes, so
-they live at module level here.  The workload is the Section 5 Rabi
+The sweep factories reach worker processes by ``fork`` and, for later
+sweeps of a drain, pickled by reference, so they live at module level
+here.  The workload is the Section 5 Rabi
 amplitude scan — cheap per point, distinct counts per point, and it
 exercises the replay engine inside every worker.
 """
@@ -24,7 +25,7 @@ MAX_STEPS = 16
 
 
 def build_setup() -> ExperimentSetup:
-    """The per-worker experiment setup (forked, never pickled)."""
+    """The per-worker experiment setup."""
     operations = default_operation_set()
     add_rabi_amplitude_operations(operations, MAX_STEPS,
                                   max_angle=2.0 * math.pi)
@@ -68,6 +69,11 @@ STOP
 
 def build_frame_program(setup, params):
     return setup.assemble_text(FRAME_POINT % params["gate"])
+
+
+def build_failing_setup() -> ExperimentSetup:
+    """A set-up factory that always fails (deterministically)."""
+    raise ValueError("set-up factory failure")
 
 
 def build_failing_program(setup, params):

@@ -11,7 +11,6 @@ logs.
 The nightly CI job widens the sweep via environment knobs:
 
 ``EQASM_SERVICE_POINTS``  sweep points (default 6, max 16)
-``EQASM_SERVICE_SHARD``   points per dispatched shard (default 2)
 ``EQASM_SERVICE_FAULTS``  chaos budget — fault specs cycled over the
                           three process sites (default 3)
 """
@@ -27,7 +26,6 @@ from serving_workload import MAX_STEPS, make_spec, run_points_inline
 
 NUM_POINTS = min(int(os.environ.get("EQASM_SERVICE_POINTS", "6")),
                  MAX_STEPS)
-SHARD_SIZE = int(os.environ.get("EQASM_SERVICE_SHARD", "2"))
 # One fault per point at most: each spec pins a distinct point, so
 # every planned fault actually fires.
 NUM_FAULTS = min(int(os.environ.get("EQASM_SERVICE_FAULTS", "3")),
@@ -37,7 +35,7 @@ SHOTS = 12
 
 def chaos_config(**overrides) -> ServiceConfig:
     """Tight supervision so injected hangs recover in ~a second."""
-    base = dict(num_workers=2, shard_size=SHARD_SIZE,
+    base = dict(num_workers=2,
                 poll_interval_s=0.01, heartbeat_timeout_s=1.0,
                 point_deadline_s=1.0, hang_sleep_s=30.0,
                 max_restarts=4 + 2 * NUM_FAULTS,

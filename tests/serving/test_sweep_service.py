@@ -31,7 +31,7 @@ from serving_workload import (
     run_points_inline,
 )
 
-FAST = dict(num_workers=2, shard_size=2, poll_interval_s=0.01,
+FAST = dict(num_workers=2, poll_interval_s=0.01,
             drain_timeout_s=10.0)
 
 
@@ -74,8 +74,6 @@ class TestSweepSpec:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             ServiceConfig(num_workers=0)
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(shard_size=0)
         with pytest.raises(ConfigurationError):
             ServiceConfig(heartbeat_timeout_s=0.0)
         with pytest.raises(ConfigurationError):
