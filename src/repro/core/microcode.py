@@ -23,7 +23,7 @@ A micro-operation carries:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.errors import ConfigurationError
 from repro.core.operations import (
@@ -61,11 +61,13 @@ class MicroOperation:
     codeword: int
     condition: ExecutionFlag
     duration_cycles: int
+    #: Whether this micro-operation starts a readout (its role is
+    #: MEASURE); a plain attribute, read per bundle of every shot.
+    is_measurement: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_measurement(self) -> bool:
-        """Whether this micro-operation starts a readout."""
-        return self.role is MicroOpRole.MEASURE
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "is_measurement",
+                           self.role is MicroOpRole.MEASURE)
 
 
 def _device_for(operation: QuantumOperation) -> DeviceKind:

@@ -94,9 +94,12 @@ class ComparisonFlags:
     """Holds the result of the most recent ``CMP``."""
 
     def __init__(self):
-        self._flags = {flag: False for flag in ComparisonFlag}
-        self._flags[ComparisonFlag.ALWAYS] = True
-        # Before any CMP, registers compare as 0 == 0.
+        self._flags: dict[ComparisonFlag, bool] = {}
+        self.reset()
+
+    def reset(self) -> None:
+        """The power-on state: before any CMP, registers compare as
+        0 == 0."""
         self.update(0, 0)
 
     def update(self, rs_value: int, rt_value: int) -> None:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import least_squares
 
 from repro.quantum.noise import ReadoutErrorModel
 
@@ -61,6 +61,8 @@ def fit_rb_decay(lengths: list[int], survivals: list[float],
 
     ``lengths`` are Clifford counts k, ``survivals`` the measured
     P(|0>) values.  Sensible bounds keep the fit physical (0 < f < 1).
+    The fit is a bounded trust-region least squares; it estimates no
+    parameter covariance, which exact model data would leave undefined.
     """
     if len(lengths) != len(survivals):
         raise ValueError("lengths and survivals differ in size")
@@ -70,10 +72,14 @@ def fit_rb_decay(lengths: list[int], survivals: list[float],
     p = np.asarray(survivals, dtype=float)
     # Initial guess: full contrast decaying to 0.5.
     guess = (0.5, 0.99, 0.5)
-    params, _ = curve_fit(_decay_model, k, p, p0=guess,
-                          bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
-                          maxfev=20000)
-    amplitude, decay, offset = params
+
+    def residuals(params):
+        return _decay_model(k, *params) - p
+
+    fit = least_squares(residuals, guess, method="trf",
+                        bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+                        max_nfev=20000)
+    amplitude, decay, offset = fit.x
     return RBFit(amplitude=float(amplitude), decay=float(decay),
                  offset=float(offset),
                  primitives_per_clifford=primitives_per_clifford)

@@ -34,9 +34,10 @@ so the image of any frame is the XOR of the images of its set bits:
 ``bits[v] == XOR of bits[1 << i]`` over the bits ``i`` of ``v``.  Each
 output plane of a gate is therefore the XOR of the input planes that
 :attr:`CliffordAction.bits` ``[1 << i]`` routes to it, for all 64 shots
-of a word at once.  :func:`plane_program` reduces that 2k x 2k binary
-matrix to a short sequence of in-place ``plane[d] ^= plane[s]`` steps
-(a CZ is two, an H three, a Pauli gate none).
+of a word at once.  :func:`~repro.quantum.stabilizer.plane_program`
+reduces that 2k x 2k binary matrix to a short sequence of in-place
+``plane[d] ^= plane[s]`` steps (a CZ is two, an H three, a Pauli gate
+none); the tableau runs the same steps on its int columns.
 
 **Noise is sampled exactly and sparsely.**  A depolarizing site of
 probability ``p`` hits each shot independently, so the number of hits
@@ -81,7 +82,6 @@ tableau (and the dense density matrix) up to sampling error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -130,54 +130,12 @@ def unpack_shots(planes: np.ndarray, shots: int) -> np.ndarray:
                          bitorder="little").T
 
 
-@lru_cache(maxsize=None)
-def plane_program(bits: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """In-place XOR steps ``(d, s)``, each ``plane[d] ^= plane[s]``,
-    that push frames through the sign-free action table ``bits`` of a
-    k-qubit Clifford (:attr:`CliffordAction.bits`) on its ``2k`` local
-    planes (qubit ``j`` of the gate: X at ``2j``, Z at ``2j + 1``).
-
-    Output plane ``j`` is the XOR of the input planes ``i`` whose image
-    ``bits[1 << i]`` has bit ``j`` set.  Gauss-Jordan elimination
-    reduces that binary matrix ``M`` to the identity by row operations
-    ``E_1 .. E_m`` (a row swap as three XORs); each is its own inverse,
-    so ``M = E_1 .. E_m`` and applying ``E_m`` first realises ``M``.
-    Raises :class:`PlantError` unless the table is GF(2)-linear
-    (``bits[v]`` the XOR of ``bits[1 << i]`` over the set bits ``i`` of
-    ``v``) and invertible, as every Clifford's is.
-    """
-    size = len(bits).bit_length() - 1
-    images = [bits[1 << i] for i in range(size)]
-    for v, image in enumerate(bits):
-        linear = 0
-        for i in range(size):
-            if v >> i & 1:
-                linear ^= images[i]
-        if image != linear:
-            raise PlantError(f"frame action {bits} is not GF(2)-linear")
-    rows = [sum(((images[i] >> j) & 1) << i for i in range(size))
-            for j in range(size)]
-    steps: list[tuple[int, int]] = []
-    for column in range(size):
-        pivot = next((row for row in range(column, size)
-                      if rows[row] >> column & 1), None)
-        if pivot is None:
-            raise PlantError(f"frame action {bits} is not invertible")
-        if pivot != column:
-            rows[column], rows[pivot] = rows[pivot], rows[column]
-            steps += [(column, pivot), (pivot, column), (column, pivot)]
-        for row in range(size):
-            if row != column and rows[row] >> column & 1:
-                rows[row] ^= rows[column]
-                steps.append((row, column))
-    return tuple(reversed(steps))
-
-
 @dataclass(frozen=True, slots=True)
 class GateStep:
     """One Clifford applied during the reference shot.  ``xors`` is
-    its frame action as in-place plane XORs (:func:`plane_program`)
-    on the batch's global plane rows."""
+    its frame action as in-place plane XORs on the batch's global
+    plane rows: the action's own column program
+    (:attr:`CliffordAction.program`, the one the tableau runs)."""
 
     action: CliffordAction
     indices: tuple[int, ...]
@@ -187,8 +145,7 @@ class GateStep:
         rows = [2 * qubit + plane for qubit in self.indices
                 for plane in (0, 1)]
         object.__setattr__(self, "xors", tuple(
-            (rows[d], rows[s]) for d, s in
-            plane_program(tuple(self.action.bits.tolist()))))
+            (rows[d], rows[s]) for d, s in self.action.program))
 
 
 @dataclass(frozen=True, slots=True)

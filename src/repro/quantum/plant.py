@@ -47,7 +47,7 @@ to avoid this) and raises :class:`~repro.core.errors.PlantError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +63,7 @@ _BACKEND_TYPES: dict[str, type[PlantBackend]] = {
     "dense": DenseBackend, "stabilizer": StabilizerBackend}
 
 
-@dataclass(frozen=True)
-class AppliedOperation:
+class AppliedOperation(NamedTuple):
     """Trace record of one operation the plant actually performed."""
 
     name: str
@@ -300,8 +299,12 @@ class QuantumPlant:
                 f"qubits {qubits} on the {self._backend_kind} backend",
                 backend=self._backend_kind, operation=name,
                 qubits=qubits, site="backend_gate")
-        indices, gaps = zip(*[self._idle_gap(address, start_ns)
-                              for address in qubits])
+        if len(qubits) == 1:
+            index, gap = self._idle_gap(qubits[0], start_ns)
+            indices, gaps = (index,), (gap,)
+        else:
+            indices, gaps = zip(*[self._idle_gap(address, start_ns)
+                                  for address in qubits])
         backend = self.backend
         obs = self.observability
         if obs is not None:
@@ -311,11 +314,11 @@ class QuantumPlant:
         if obs is not None:
             self._obs_kernels(obs)[1].record(
                 obs.tracer.clock() - gate_start)
+        end_ns = start_ns + duration_ns
         for address in qubits:
-            self._qubit_free_at[address] = start_ns + duration_ns
+            self._qubit_free_at[address] = end_ns
         self.operations_log.append(
-            AppliedOperation(name=name, qubits=qubits, start_ns=start_ns,
-                             duration_ns=duration_ns))
+            AppliedOperation(name, qubits, start_ns, duration_ns))
 
     def measure(self, qubit: int, start_ns: float,
                 duration_ns: float, forced: int | None = None) -> int:

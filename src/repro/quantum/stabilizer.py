@@ -19,8 +19,8 @@ Storage is one **Python int per column**: bit ``i`` of
 :attr:`StabilizerTableau.x` ``[q]`` / :attr:`~StabilizerTableau.z`
 ``[q]`` is row ``i``'s bit on qubit ``q``, and bit ``i`` of
 :attr:`~StabilizerTableau.r` is row ``i``'s phase.  A gate update
-touches only the target columns, as a handful of AND/XOR minterm
-operations over all 2n rows at once; CPython's arbitrary-precision
+touches only the target columns, as a short straight-line program
+of column ANDs and XORs over all 2n rows at once; CPython's arbitrary-precision
 ints carry any chip width with no per-op conversion.  A random
 measurement multiplies the pivot stabilizer into every anticommuting
 row in one pass over the columns, summing the rowsum i-exponents mod 4
@@ -33,7 +33,8 @@ the symplectic action of any configured unitary is *derived
 numerically* once per operation (:func:`clifford_action_of`): conjugate
 every k-qubit Hermitian Pauli by the unitary and decompose the result
 in the Pauli basis.  If every image is again ``±`` a Pauli, the gate is
-Clifford and the resulting 4^k-entry lookup table updates all 2n rows;
+Clifford, and its 4^k-entry lookup table is compiled once into the
+column program that updates all 2n rows (:class:`CliffordAction`);
 otherwise the gate is not Clifford and the caller must fall back to
 the dense backend.  This keeps the backend faithful to eQASM's
 defining feature — the operation set is *configured*, not fixed — any
@@ -57,7 +58,7 @@ frame propagation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,6 +79,71 @@ _PAULI_BY_V = [
 _ATOL = 1e-9
 
 
+def plane_program(bits: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """In-place XOR steps ``(d, s)``, each ``column[d] ^= column[s]``,
+    that realise the sign-free action table ``bits`` of a k-qubit
+    Clifford (:attr:`CliffordAction.bits`) on its ``2k`` local columns
+    (qubit ``j`` of the gate: X at ``2j``, Z at ``2j + 1``).  The
+    tableau updates its int columns with it and the Pauli-frame engine
+    its packed planes.
+
+    Output column ``j`` is the XOR of the input columns ``i`` whose
+    image ``bits[1 << i]`` has bit ``j`` set.  Gauss-Jordan elimination
+    reduces that binary matrix ``M`` to the identity by row operations
+    ``E_1 .. E_m`` (a row swap as three XORs); each is its own inverse,
+    so ``M = E_1 .. E_m`` and applying ``E_m`` first realises ``M``.
+    Raises :class:`PlantError` unless the table is GF(2)-linear
+    (``bits[v]`` the XOR of ``bits[1 << i]`` over the set bits ``i`` of
+    ``v``) and invertible, as every Clifford's is.
+    """
+    size = len(bits).bit_length() - 1
+    images = [bits[1 << i] for i in range(size)]
+    for v, image in enumerate(bits):
+        linear = 0
+        for i in range(size):
+            if v >> i & 1:
+                linear ^= images[i]
+        if image != linear:
+            raise PlantError(f"action table {bits} is not GF(2)-linear")
+    rows = [sum(((images[i] >> j) & 1) << i for i in range(size))
+            for j in range(size)]
+    steps: list[tuple[int, int]] = []
+    for column in range(size):
+        pivot = next((row for row in range(column, size)
+                      if rows[row] >> column & 1), None)
+        if pivot is None:
+            raise PlantError(f"action table {bits} is not invertible")
+        if pivot != column:
+            rows[column], rows[pivot] = rows[pivot], rows[column]
+            steps += [(column, pivot), (pivot, column), (column, pivot)]
+        for row in range(size):
+            if row != column and rows[row] >> column & 1:
+                rows[row] ^= rows[column]
+                steps.append((row, column))
+    return tuple(reversed(steps))
+
+
+def phase_monomials(sign: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The algebraic normal form of a sign table over the input column
+    literals: the monomials (tuples of local column indices, ANDed)
+    whose XOR is ``sign[v]`` at every input ``v``.  A CZ's is
+    ``x_a z_a x_b ^ x_a x_b z_b``, i.e. ``r ^= x_a & x_b & (z_a ^ z_b)``.
+
+    The Möbius transform of the truth table gives the coefficients.
+    The identity keeps its sign (``sign[0] == 0``), so no monomial is
+    empty and every term stays inside the rows its columns span."""
+    if sign[0]:
+        raise PlantError(f"sign table {sign} flips the identity")
+    size = len(sign).bit_length() - 1
+    anf = list(sign)
+    for i in range(size):
+        for v in range(len(anf)):
+            if v >> i & 1:
+                anf[v] ^= anf[v ^ (1 << i)]
+    return tuple(tuple(i for i in range(size) if v >> i & 1)
+                 for v, coefficient in enumerate(anf) if coefficient)
+
+
 @dataclass(frozen=True)
 class CliffordAction:
     """The symplectic action of one k-qubit Clifford unitary.
@@ -86,11 +152,27 @@ class CliffordAction:
     its sign bit, where ``v`` packs the target qubits' (x, z) bits two
     per qubit — qubit 0 of the gate (the MSB of its matrix basis) in
     bits 0-1, qubit 1 in bits 2-3.
+
+    The update is also compiled once, as a straight-line program over
+    the ``2k`` target columns (qubit ``j``'s X at ``2j``, Z at
+    ``2j + 1``): ``phase`` lists the monomials whose XOR flips the
+    phase bits (:func:`phase_monomials`, read from the input columns)
+    and ``program`` the in-place column XORs (:func:`plane_program`).
     """
 
     num_qubits: int
     bits: np.ndarray   # uint8, shape (4**k,)
     sign: np.ndarray   # uint8, shape (4**k,)
+    program: tuple[tuple[int, int], ...] = field(init=False, repr=False,
+                                                 compare=False)
+    phase: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
+                                               compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "program",
+                           plane_program(tuple(self.bits.tolist())))
+        object.__setattr__(self, "phase",
+                           phase_monomials(tuple(self.sign.tolist())))
 
 
 def _pauli_matrix(v: int, k: int) -> np.ndarray:
@@ -195,14 +277,12 @@ class StabilizerTableau:
     # ------------------------------------------------------------------
     def apply(self, action: CliffordAction,
               qubits: tuple[int, ...]) -> None:
-        """Conjugate every row by the gate via its action table.
+        """Conjugate every row by the gate via its compiled program.
 
-        The update is the minterm expansion of the action table in
-        whole-column boolean algebra: each of the ``4^k - 1``
-        non-identity input values ``v`` selects the rows currently
-        carrying that Pauli on the target qubits (an AND of column
-        literals), and XOR/ORs them into the output columns and the
-        phases that ``bits[v]`` / ``sign[v]`` prescribe.
+        Whole-column boolean algebra over all 2n rows at once: the
+        phase flips are the XOR of the action's ANF monomials, each an
+        AND of input columns, and the new columns follow by the
+        program's in-place XORs (see :class:`CliffordAction`).
         """
         if len(qubits) != action.num_qubits:
             raise PlantError(
@@ -211,60 +291,29 @@ class StabilizerTableau:
         for qubit in qubits:
             if not 0 <= qubit < self.num_qubits:
                 raise PlantError(f"qubit {qubit} out of range")
-        bits = action.bits
-        sign = action.sign
         x = self.x
         z = self.z
         if len(qubits) == 1:
             a = qubits[0]
-            xa = x[a]
-            za = z[a]
-            # Minterms of (x, z) indexed by v = x + 2z; v=0 maps I->I
-            # and never contributes, so it is skipped.
-            minterms = (0, xa & ~za, ~xa & za, xa & za)
-            new_x = new_z = flips = 0
-            for v in (1, 2, 3):
-                term = minterms[v]
-                if not term:
-                    continue
-                image = bits[v]
-                if image & 1:
-                    new_x |= term
-                if image & 2:
-                    new_z |= term
-                if sign[v]:
-                    flips ^= term
-            x[a] = new_x
-            z[a] = new_z
-            self.r ^= flips
+            columns = [x[a], z[a]]
         else:
             a, b = qubits
             if a == b:
                 raise PlantError(f"duplicate qubits in {qubits}")
-            xa, za, xb, zb = x[a], z[a], x[b], z[b]
-            # The identity minterms are negative ints; every term with
-            # v != 0 ANDs one of them with a non-negative minterm, so
-            # the result stays within the 2n rows.
-            ta = (~(xa | za), xa & ~za, ~xa & za, xa & za)
-            tb = (~(xb | zb), xb & ~zb, ~xb & zb, xb & zb)
-            new_xa = new_za = new_xb = new_zb = flips = 0
-            for v in range(1, 16):
-                term = ta[v & 3] & tb[v >> 2]
-                if not term:
-                    continue
-                image = bits[v]
-                if image & 1:
-                    new_xa |= term
-                if image & 2:
-                    new_za |= term
-                if image & 4:
-                    new_xb |= term
-                if image & 8:
-                    new_zb |= term
-                if sign[v]:
-                    flips ^= term
-            x[a], z[a], x[b], z[b] = new_xa, new_za, new_xb, new_zb
-            self.r ^= flips
+            columns = [x[a], z[a], x[b], z[b]]
+        flips = 0
+        for monomial in action.phase:
+            term = -1                   # all rows; no monomial is empty
+            for literal in monomial:
+                term &= columns[literal]
+            flips ^= term
+        for d, s in action.program:
+            columns[d] ^= columns[s]
+        if len(columns) == 2:
+            x[a], z[a] = columns
+        else:
+            x[a], z[a], x[b], z[b] = columns
+        self.r ^= flips
 
     def apply_pauli(self, v: int, qubits: tuple[int, ...]) -> None:
         """Apply a Pauli error (packed index ``v`` as in the action
@@ -504,6 +553,12 @@ class StabilizerBackend(PlantBackend):
         #: When set, this shot is a Pauli-frame reference run — see
         #: the class docstring.  Cleared by the machine in a finally.
         self.frame_recorder = None
+        # id(unitary) -> (unitary, action): the pulse library hands out
+        # one read-only array per operation, so a gate event finds its
+        # action by identity; the entry holds the array, so its id is
+        # never reused while cached.
+        self._actions: dict[int, tuple[np.ndarray,
+                                       CliffordAction | None]] = {}
 
     def reset(self) -> None:
         self.tableau.reset()
@@ -524,7 +579,14 @@ class StabilizerBackend(PlantBackend):
         """
         if any(gaps_ns) and not noise.decoherence.is_negligible:
             raise PlantError(_IDLE_REFUSED)
-        action = cached_clifford_action(unitary)
+        cached = self._actions.get(id(unitary))
+        if cached is not None and cached[0] is unitary:
+            action = cached[1]
+        else:
+            action = cached_clifford_action(unitary)
+            if isinstance(unitary, np.ndarray) and \
+                    not unitary.flags.writeable:
+                self._actions[id(unitary)] = (unitary, action)
         if action is None:
             raise PlantError(
                 f"operation {name!r} is not Clifford; the stabilizer "

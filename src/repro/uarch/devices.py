@@ -27,7 +27,7 @@ from repro.topology.chip import QuantumChipTopology
 #: Cached groupings kept before :meth:`DeviceEventDistributor.route`
 #: starts over (a looping shot meets a new timing-point cycle per
 #: iteration).
-_ROUTE_CACHE_CAPACITY = 4096
+ROUTE_CACHE_CAPACITY = 4096
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ class DeviceEventDistributor:
         key = (cycle, *map(id, qubit_micro_ops))
         cached = self._routes.get(key)
         if cached is None:
-            if len(self._routes) >= _ROUTE_CACHE_CAPACITY:
+            if len(self._routes) >= ROUTE_CACHE_CAPACITY:
                 self._routes.clear()
             routes = tuple(
                 ((operation.device.kind.value, operation.device.index),

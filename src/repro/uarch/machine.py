@@ -38,7 +38,7 @@ import heapq
 import itertools
 import math
 from contextlib import closing
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -93,11 +93,11 @@ from repro.quantum.plant import QuantumPlant
 from repro.quantum.stabilizer import cached_clifford_action
 from repro.uarch.config import UarchConfig
 from repro.uarch.devices import (
+    ROUTE_CACHE_CAPACITY,
     DeviceEventDistributor,
     DeviceOperation,
     EventQueue,
     PulseLibrary,
-    QubitMicroOp,
 )
 from repro.uarch.dataflow import DataMemoryReport, analyze_data_memory
 from repro.uarch.faults import FaultPlan
@@ -166,6 +166,34 @@ _PLANT_BACKEND_POLICIES = ("auto", "dense", "stabilizer")
 #: execution unit immediately updates the execution flags", Section
 #: 4.3).
 _EVENT_PRIORITY = {"result": 0, "flag": 1, "qreg": 1, "trigger": 2}
+_TRIGGER_PRIORITY = _EVENT_PRIORITY["trigger"]
+
+#: What a released micro-operation does (:attr:`_PlannedOp.kind`).  A
+#: pair half's kind is its bit in the machine's pending-pair halves
+#: (source 1 | target 2); the joint gate fires when both are in.
+_MEASURE = 0
+_SOURCE_HALF = 1
+_TARGET_HALF = 2
+_SINGLE = 4
+
+
+class _PlannedOp(NamedTuple):
+    """One micro-operation of a device operation, resolved for the
+    trigger phase: everything the timing controller needs that the
+    loaded binary fixes, so a trigger reads no enum name, role or
+    pulse table.  ``unitary`` is the pulse library's read-only array
+    (None for a measurement, or for an operation without a pulse,
+    which then raises when released, as it always has)."""
+
+    qubit: int
+    flag: ExecutionFlag
+    condition: str
+    name: str
+    qubits: tuple[int, ...]
+    kind: int
+    unitary: np.ndarray | None
+    duration_cycles: int
+    pair: tuple[int, int] | None
 
 
 def _stats_view(field_name: str, doc: str) -> property:
@@ -218,6 +246,10 @@ class QuMAv2:
         self.q_registers = MeasurementResultRegisters(isa.topology.qubits)
         self.execution_flags = ExecutionFlagsFile(isa.topology.qubits)
         self._instructions: list[Instruction] = []
+        # id(routes) -> (routes, ((queue key, device op, plan), ...)):
+        # the trigger plan of every device operation of one cached
+        # routing of the distributor (see _planned_routes).
+        self._trigger_plans: dict[int, tuple[tuple, tuple]] = {}
         # Per-instance handler cache: starts as the class dispatch
         # table and absorbs subclass resolutions as they are seen.
         self._dispatch: dict[type, Callable] = dict(self._DISPATCH)
@@ -330,6 +362,7 @@ class QuMAv2:
                                          instructions=len(words))
         self.quantum_pipeline.clear_decode_cache()
         self.distributor.clear_route_cache()
+        self._trigger_plans.clear()
         if words != self._words:
             self._words = words
             self._forget_binary()
@@ -374,7 +407,7 @@ class QuMAv2:
         self.plant.reset_shot()
         self.quantum_pipeline.reset()
         self.gprs.reset()
-        self.comparison_flags = ComparisonFlags()
+        self.comparison_flags.reset()
         self.q_registers.reset()
         self.execution_flags.reset()
 
@@ -387,12 +420,16 @@ class QuMAv2:
             raise RuntimeFault("no program loaded")
         self.reset_shot()
         trace = self._trace
-        budget_ns = self.config.shot_time_budget_ns
+        budget_ns = self._config.shot_time_budget_ns
+        instructions = self._instructions
+        events = self._events
         while trace.instructions_executed < max_instructions:
-            if self._pc < 0 or self._pc >= len(self._instructions):
+            if self._pc < 0 or self._pc >= len(instructions):
                 break  # fell off the end: implicit stop
-            instruction = self._instructions[self._pc]
-            self._drain_events_until(self._classical_time_ns)
+            instruction = instructions[self._pc]
+            # Drain the deterministic-domain events due by now.
+            while events and events[0][0] <= self._classical_time_ns:
+                self._process_event(heapq.heappop(events))
             if budget_ns is not None and self._classical_time_ns > budget_ns:
                 raise ShotTimeoutError(
                     f"shot exceeded its {budget_ns:.0f} ns time budget "
@@ -1143,9 +1180,6 @@ class QuMAv2:
     # ------------------------------------------------------------------
     # Classical pipeline
     # ------------------------------------------------------------------
-    def _advance_clock(self, cycles: int = 1) -> None:
-        self._classical_time_ns += cycles * self.config.classical_cycle_ns
-
     def _execute(self, instruction: Instruction) -> None:
         """Execute one instruction; updates PC and the classical clock.
 
@@ -1158,7 +1192,7 @@ class QuMAv2:
         if handler is None:
             handler = self._resolve_handler(type(instruction))
         next_pc = handler(self, instruction)
-        self._advance_clock()
+        self._classical_time_ns += self._config.classical_cycle_ns
         self._pc = self._pc + 1 if next_pc is None else next_pc
 
     def _resolve_handler(self, cls: type) -> Callable:
@@ -1184,7 +1218,9 @@ class QuMAv2:
             raise RuntimeFault(
                 f"unresolved branch label {instruction.target!r}")
         if self.comparison_flags.test(instruction.condition):
-            self._advance_clock(self.config.branch_taken_penalty_cycles)
+            config = self._config
+            self._classical_time_ns += (config.branch_taken_penalty_cycles *
+                                        config.classical_cycle_ns)
             return self._pc + instruction.target
         return None
 
@@ -1341,7 +1377,7 @@ class QuMAv2:
 
     def _schedule_point(self, point: ReservedPoint) -> None:
         """Timing-queue insertion: compute the trigger time and enqueue."""
-        config = self.config
+        config = self._config
         plan = self.fault_plan
         if plan is not None and plan.fire(
                 "timing_overflow", cycle=point.cycle,
@@ -1384,21 +1420,68 @@ class QuMAv2:
             self._classical_time_ns = max(self._classical_time_ns, event[0])
             self._process_event(event)
         queues = self._device_queues
-        for queue_key, device_op in self.distributor.route(point.cycle,
-                                                           point.micro_ops):
+        events = self._events
+        sequence = self._event_sequence
+        for queue_key, device_op, plan in self._planned_routes(point):
             queue = queues.get(queue_key)
             if queue is None:
                 queue = queues[queue_key] = EventQueue(
                     config.event_queue_depth)
             # Per-device event-queue backpressure (Fig. 9's FIFOs).
-            while queue.full and self._events:
-                event = heapq.heappop(self._events)
+            while queue.full and events:
+                event = heapq.heappop(events)
                 self._classical_time_ns = max(self._classical_time_ns,
                                               event[0])
                 self._process_event(event)
             queue.push(device_op)
-            self._push_event(due, "trigger", (queue, device_op))
+            heapq.heappush(events, (due, _TRIGGER_PRIORITY, next(sequence),
+                                    "trigger", (queue, device_op, plan)))
             self._outstanding_triggers += 1
+
+    def _planned_routes(self, point: ReservedPoint) -> tuple:
+        """The distributor's cached routing of ``point``, each device
+        operation with its trigger plan (a tuple of :class:`_PlannedOp`,
+        one per micro-op).  Plans are derived once per routing object
+        (guarded by identity; the entry holds the routing, so its id
+        is never reused while cached), dropped by :meth:`load` and
+        bounded like the route cache."""
+        routes = self.distributor.route(point.cycle, point.micro_ops)
+        cached = self._trigger_plans.get(id(routes))
+        if cached is not None and cached[0] is routes:
+            return cached[1]
+        if len(self._trigger_plans) >= ROUTE_CACHE_CAPACITY:
+            self._trigger_plans.clear()
+        planned = tuple((queue_key, device_op, self._trigger_plan(device_op))
+                        for queue_key, device_op in routes)
+        self._trigger_plans[id(routes)] = (routes, planned)
+        return planned
+
+    def _trigger_plan(self, device_op: DeviceOperation
+                      ) -> tuple[_PlannedOp, ...]:
+        """Resolve each micro-op of ``device_op`` for the trigger
+        phase (see :class:`_PlannedOp`)."""
+        plan = []
+        for entry in device_op.micro_ops:
+            micro_op = entry.micro_op
+            name = micro_op.operation
+            unitary = None
+            if micro_op.is_measurement:
+                kind = _MEASURE
+            else:
+                if micro_op.role is MicroOpRole.SINGLE:
+                    kind = _SINGLE
+                elif micro_op.role is MicroOpRole.SOURCE:
+                    kind = _SOURCE_HALF
+                else:
+                    kind = _TARGET_HALF
+                if self.pulses.operations.get(name).unitary is not None:
+                    unitary = self.pulses.unitary_for(name)
+            plan.append(_PlannedOp(
+                qubit=entry.qubit, flag=micro_op.condition,
+                condition=micro_op.condition.name, name=name,
+                qubits=(entry.qubit,), kind=kind, unitary=unitary,
+                duration_cycles=micro_op.duration_cycles, pair=entry.pair))
+        return tuple(plan)
 
     # ------------------------------------------------------------------
     # Deterministic-domain event machinery
@@ -1407,11 +1490,6 @@ class QuMAv2:
         heapq.heappush(self._events, (
             time_ns, _EVENT_PRIORITY[kind], next(self._event_sequence),
             kind, payload))
-
-    def _drain_events_until(self, time_ns: float) -> None:
-        events = self._events
-        while events and events[0][0] <= time_ns:
-            self._process_event(heapq.heappop(events))
 
     def _drain_all_events(self) -> None:
         events = self._events
@@ -1439,8 +1517,9 @@ class QuMAv2:
     # Trigger phase: FCE + pulse generation + measurement start
     # ------------------------------------------------------------------
     def _trigger_device_operation(self, time_ns: float, queue: EventQueue,
-                                  device_op: DeviceOperation) -> None:
-        config = self.config
+                                  device_op: DeviceOperation,
+                                  plan: tuple[_PlannedOp, ...]) -> None:
+        config = self._config
         # The timing controller consumes the device's event queue in
         # FIFO order; triggers are chronological per device, so the
         # popped entry must be the one due now.
@@ -1451,31 +1530,29 @@ class QuMAv2:
                 f"out of order")
         output_ns = (time_ns + config.fce_evaluation_ns +
                      config.codeword_output_ns)
-        for entry in device_op.micro_ops:
-            micro_op = entry.micro_op
-            passed = self.execution_flags.test(entry.qubit,
-                                               micro_op.condition)
-            self._trace.triggers.append(TriggerRecord(
-                name=micro_op.operation, qubits=(entry.qubit,),
-                cycle=device_op.cycle, trigger_ns=time_ns,
-                output_ns=output_ns, executed=passed,
-                condition=micro_op.condition.name))
+        cycle = device_op.cycle
+        test = self.execution_flags.test
+        triggers = self._trace.triggers
+        for planned in plan:
+            passed = test(planned.qubit, planned.flag)
+            triggers.append(TriggerRecord(
+                planned.name, planned.qubits, cycle, time_ns, output_ns,
+                passed, planned.condition))
             if not passed:
                 continue
-            if micro_op.is_measurement:
-                self._start_measurement(entry, time_ns)
-            elif micro_op.role is MicroOpRole.SINGLE:
-                self._apply_single(entry, time_ns)
+            kind = planned.kind
+            if kind == _MEASURE:
+                self._start_measurement(planned.qubit, time_ns)
+            elif kind == _SINGLE:
+                self._apply_gate(planned, planned.qubits, time_ns)
             else:
-                self._collect_pair_half(entry, device_op.cycle, time_ns)
+                self._collect_pair_half(planned, cycle, time_ns)
 
-    def _start_measurement(self, entry: QubitMicroOp,
-                           time_ns: float) -> None:
-        pending = self.measurement_unit.start_measurement(entry.qubit,
-                                                          time_ns)
+    def _start_measurement(self, qubit: int, time_ns: float) -> None:
+        pending = self.measurement_unit.start_measurement(qubit, time_ns)
         plan = self.fault_plan
         if plan is not None and plan.fire(
-                "measurement_stall", qubit=entry.qubit,
+                "measurement_stall", qubit=qubit,
                 measure_start_ns=time_ns):
             # The result is lost on the UHFQC link: the readout ran but
             # nothing ever arrives at the controller.  A dependent FMR
@@ -1485,12 +1562,10 @@ class QuMAv2:
 
     def _on_result_arrival(self, time_ns: float,
                            pending: PendingResult) -> None:
-        config = self.config
+        config = self._config
         self._trace.results.append(ResultRecord(
-            qubit=pending.qubit, raw_result=pending.raw_result,
-            reported_result=pending.reported_result,
-            measure_start_ns=pending.measure_start_ns,
-            arrival_ns=time_ns))
+            pending.qubit, pending.raw_result, pending.reported_result,
+            pending.measure_start_ns, time_ns))
         # Execution flags refresh after ingest + combinatorial update;
         # the Q register write crosses into the classical domain.
         self._push_event(
@@ -1500,33 +1575,29 @@ class QuMAv2:
             time_ns + config.result_ingest_ns + config.qreg_write_ns,
             "qreg", pending)
 
-    def _apply_single(self, entry: QubitMicroOp, time_ns: float) -> None:
-        name = entry.micro_op.operation
-        unitary = self.pulses.unitary_for(name)
-        duration = (entry.micro_op.duration_cycles *
-                    self.config.quantum_cycle_ns)
-        self.plant.apply_unitary(name, unitary, (entry.qubit,), time_ns,
-                                 duration)
+    def _apply_gate(self, planned: _PlannedOp, qubits: tuple[int, ...],
+                    time_ns: float) -> None:
+        """Play a released gate's pulse on ``qubits``."""
+        unitary = planned.unitary
+        if unitary is None:
+            unitary = self.pulses.unitary_for(planned.name)  # raises
+        self.plant.apply_unitary(
+            planned.name, unitary, qubits, time_ns,
+            planned.duration_cycles * self._config.quantum_cycle_ns)
 
-    def _collect_pair_half(self, entry: QubitMicroOp, cycle: int,
+    def _collect_pair_half(self, planned: _PlannedOp, cycle: int,
                            time_ns: float) -> None:
         """Two-qubit gates: apply the joint unitary when both the
         source and target micro-operations have been released."""
-        if entry.pair is None:
+        if planned.pair is None:
             raise RuntimeFault(
-                f"{entry.micro_op.operation} micro-op lacks pair info")
-        key = (cycle, entry.pair)
-        halves = self._pending_pairs.pop(key, 0) | (
-            1 if entry.micro_op.role is MicroOpRole.SOURCE else 2)
+                f"{planned.name} micro-op lacks pair info")
+        key = (cycle, planned.pair)
+        halves = self._pending_pairs.pop(key, 0) | planned.kind
         if halves != 3:
             self._pending_pairs[key] = halves
         else:
-            name = entry.micro_op.operation
-            unitary = self.pulses.unitary_for(name)
-            duration = (entry.micro_op.duration_cycles *
-                        self.config.quantum_cycle_ns)
-            self.plant.apply_unitary(name, unitary, entry.pair, time_ns,
-                                     duration)
+            self._apply_gate(planned, planned.pair, time_ns)
 
     # ------------------------------------------------------------------
     # Introspection helpers

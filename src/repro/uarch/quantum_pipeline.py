@@ -285,6 +285,11 @@ class QuantumPipeline:
     @staticmethod
     def _combine(point: ReservedPoint,
                  new_entries: list[QubitMicroOp]) -> None:
+        if not point.micro_ops:
+            # One decode's entries already drive distinct qubits (the
+            # lane merge raised otherwise).
+            point.micro_ops.extend(new_entries)
+            return
         used = {entry.qubit for entry in point.micro_ops}
         for entry in new_entries:
             if entry.qubit in used:

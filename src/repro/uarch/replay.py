@@ -554,9 +554,9 @@ class TimelineTree:
             index = int(rng.integers(len(template.triggers)))
             record = template.triggers[index]
             triggers = list(template.triggers)
-            triggers[index] = replace(record,
-                                      trigger_ns=record.trigger_ns + 1.0,
-                                      output_ns=record.output_ns + 1.0)
+            triggers[index] = record._replace(
+                trigger_ns=record.trigger_ns + 1.0,
+                output_ns=record.output_ns + 1.0)
             node.template = ShotTrace(
                 triggers=triggers,
                 results=template.results,

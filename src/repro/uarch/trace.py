@@ -26,13 +26,14 @@ from repro.quantum.pauli_frame import WORD, pack_shots, unpack_shots
 _BINCOUNT_QUBITS = 16
 
 
-@dataclass(frozen=True, slots=True)
-class TriggerRecord:
+class TriggerRecord(NamedTuple):
     """One micro-operation reaching the fast-conditional-execution unit.
 
     ``executed`` is False when the selected execution flag read '0' and
     the operation was cancelled.  ``output_ns`` is when the digital
-    output left the controller (used for latency measurements).
+    output left the controller (used for latency measurements).  Like
+    :class:`ResultRecord`, an immutable named tuple: the interpreter
+    builds one per trigger of every shot.
     """
 
     name: str
@@ -44,8 +45,7 @@ class TriggerRecord:
     condition: str
 
 
-@dataclass(frozen=True, slots=True)
-class ResultRecord:
+class ResultRecord(NamedTuple):
     """One measurement result returning to the Central Controller."""
 
     qubit: int

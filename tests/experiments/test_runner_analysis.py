@@ -1,5 +1,7 @@
 """Tests for the experiment runner and analysis routines."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,18 @@ class TestRBFit:
     def test_survival_model_evaluation(self):
         fit = fit_rb_decay([1, 10, 100], [0.99, 0.95, 0.65])
         assert 0.0 <= fit.survival(50) <= 1.0
+
+    def test_exact_model_data_fits_without_warning(self):
+        # Exact data leaves zero residuals; the fit must still recover
+        # the parameters and raise no warning (no covariance estimate).
+        lengths = [1, 2, 4, 8, 16, 32, 64, 128]
+        survivals = [0.45 * 0.98 ** k + 0.5 for k in lengths]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_rb_decay(lengths, survivals)
+        assert fit.amplitude == pytest.approx(0.45, abs=1e-6)
+        assert fit.decay == pytest.approx(0.98, abs=1e-6)
+        assert fit.offset == pytest.approx(0.5, abs=1e-6)
 
 
 class TestReadoutCorrection:

@@ -52,7 +52,6 @@ from repro.quantum.pauli_frame import (
     NoiseStep,
     apply_gate,
     pack_shots,
-    plane_program,
     propagate_frames,
     unpack_shots,
     words_for,
@@ -62,6 +61,7 @@ from repro.quantum.stabilizer import (
     cached_clifford_action,
     clifford_action_of,
     is_clifford,
+    plane_program,
 )
 from repro.uarch import QuMAv2
 from repro.uarch import machine as machine_module

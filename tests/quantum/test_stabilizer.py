@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import PlantError
+from repro.core.operations import default_operation_set
 from repro.quantum import gates
 from repro.quantum.density_matrix import DensityMatrix
 from repro.quantum.noise import (
@@ -19,12 +20,16 @@ from repro.quantum.noise import (
     GateErrorModel,
     NoiseModel,
 )
+from repro.quantum.pauli_frame import GateStep
 from repro.quantum.stabilizer import (
+    CliffordAction,
     StabilizerBackend,
     StabilizerTableau,
     cached_clifford_action,
     clifford_action_of,
     is_clifford,
+    phase_monomials,
+    plane_program,
 )
 
 CLIFFORD_1Q = ["I", "X", "Y", "Z", "H", "S", "SDG",
@@ -344,6 +349,87 @@ class BooleanTableau:
         return result
 
 
+class MintermTableau(StabilizerTableau):
+    """The int-column tableau with its gate update as it was before the
+    update was compiled: ``apply`` below is the old minterm expansion
+    of the action table, verbatim, kept as the reference the compiled
+    column program (:attr:`CliffordAction.program` /
+    :attr:`CliffordAction.phase`) must reproduce bit for bit."""
+
+    def apply(self, action: CliffordAction,
+              qubits: tuple[int, ...]) -> None:
+        """Conjugate every row by the gate via its action table.
+
+        The update is the minterm expansion of the action table in
+        whole-column boolean algebra: each of the ``4^k - 1``
+        non-identity input values ``v`` selects the rows currently
+        carrying that Pauli on the target qubits (an AND of column
+        literals), and XOR/ORs them into the output columns and the
+        phases that ``bits[v]`` / ``sign[v]`` prescribe.
+        """
+        if len(qubits) != action.num_qubits:
+            raise PlantError(
+                f"action on {action.num_qubits} qubit(s) applied to "
+                f"{len(qubits)}")
+        for qubit in qubits:
+            if not 0 <= qubit < self.num_qubits:
+                raise PlantError(f"qubit {qubit} out of range")
+        bits = action.bits
+        sign = action.sign
+        x = self.x
+        z = self.z
+        if len(qubits) == 1:
+            a = qubits[0]
+            xa = x[a]
+            za = z[a]
+            # Minterms of (x, z) indexed by v = x + 2z; v=0 maps I->I
+            # and never contributes, so it is skipped.
+            minterms = (0, xa & ~za, ~xa & za, xa & za)
+            new_x = new_z = flips = 0
+            for v in (1, 2, 3):
+                term = minterms[v]
+                if not term:
+                    continue
+                image = bits[v]
+                if image & 1:
+                    new_x |= term
+                if image & 2:
+                    new_z |= term
+                if sign[v]:
+                    flips ^= term
+            x[a] = new_x
+            z[a] = new_z
+            self.r ^= flips
+        else:
+            a, b = qubits
+            if a == b:
+                raise PlantError(f"duplicate qubits in {qubits}")
+            xa, za, xb, zb = x[a], z[a], x[b], z[b]
+            # The identity minterms are negative ints; every term with
+            # v != 0 ANDs one of them with a non-negative minterm, so
+            # the result stays within the 2n rows.
+            ta = (~(xa | za), xa & ~za, ~xa & za, xa & za)
+            tb = (~(xb | zb), xb & ~zb, ~xb & zb, xb & zb)
+            new_xa = new_za = new_xb = new_zb = flips = 0
+            for v in range(1, 16):
+                term = ta[v & 3] & tb[v >> 2]
+                if not term:
+                    continue
+                image = bits[v]
+                if image & 1:
+                    new_xa |= term
+                if image & 2:
+                    new_za |= term
+                if image & 4:
+                    new_xb |= term
+                if image & 8:
+                    new_zb |= term
+                if sign[v]:
+                    flips ^= term
+            x[a], z[a], x[b], z[b] = new_xa, new_za, new_xb, new_zb
+            self.r ^= flips
+
+
 def _assert_same_state(packed: StabilizerTableau,
                        boolean: BooleanTableau) -> None:
     """Bit-level equality: the int-column tableau's canonical unpacked
@@ -545,3 +631,150 @@ class CountingRng:
     def random(self) -> float:
         self.draws += 1
         return self._rng.random()
+
+
+def _configured_cliffords() -> dict[str, CliffordAction]:
+    """Every Clifford of the default operation set, by name (T and TDG
+    and the measurement have no action)."""
+    operations = default_operation_set()
+    actions = {}
+    for name in operations.names():
+        unitary = operations.get(name).unitary
+        action = None if unitary is None else clifford_action_of(unitary)
+        if action is not None:
+            actions[name] = action
+    return actions
+
+
+CONFIGURED_CLIFFORDS = _configured_cliffords()
+
+
+def _random_clifford(k: int, seed: int) -> CliffordAction:
+    """The action of a random k-qubit Clifford: a product of random H,
+    S and (on two qubits) CZ layers, times a random global phase."""
+    rng = np.random.default_rng(seed)
+    unitary = np.eye(2 ** k, dtype=complex)
+    for _ in range(int(rng.integers(1, 12))):
+        choice = int(rng.integers(3 if k == 2 else 2))
+        if choice == 2:
+            layer = gates.CZ
+        else:
+            layer = (gates.H, gates.S)[choice]
+            if k == 2:
+                layer = (np.kron(layer, gates.I) if rng.random() < 0.5
+                         else np.kron(gates.I, layer))
+        unitary = layer @ unitary
+    action = clifford_action_of(np.exp(2j * np.pi * rng.random()) * unitary)
+    assert action is not None
+    return action
+
+
+def _random_tableau(num_qubits: int, seed: int) -> StabilizerTableau:
+    """A random reachable stabilizer state, built with the minterm
+    reference: layers of a random 1-qubit and a random 2-qubit
+    configured Clifford, with Pauli errors (signs) and collapses."""
+    rng = np.random.default_rng(seed)
+    tableau = MintermTableau(num_qubits)
+    by_width = {k: [action for _, action in sorted(
+        CONFIGURED_CLIFFORDS.items()) if action.num_qubits == k]
+        for k in (1, 2)}
+    for _ in range(4 * num_qubits):
+        for k in (1, 2):
+            actions = by_width[k]
+            qubits = tuple(int(q) for q in rng.choice(
+                num_qubits, k, replace=False))
+            tableau.apply(actions[rng.integers(len(actions))], qubits)
+        step = rng.random()
+        if step < 0.2:
+            tableau.apply_pauli(int(rng.integers(1, 4)),
+                                (int(rng.integers(num_qubits)),))
+        elif step < 0.3:
+            tableau.measure(int(rng.integers(num_qubits)), rng)
+    return tableau
+
+
+def _assert_compiled_matches_minterm(reference: StabilizerTableau,
+                                     action: CliffordAction,
+                                     qubits: tuple[int, ...]) -> None:
+    """Apply ``action`` to two copies of ``reference``, compiled and
+    minterm, and compare every column and phase bit."""
+    compiled = StabilizerTableau(reference.num_qubits)
+    minterm = MintermTableau(reference.num_qubits)
+    for tableau in (compiled, minterm):
+        tableau.x = list(reference.x)
+        tableau.z = list(reference.z)
+        tableau.r = reference.r
+    compiled.apply(action, qubits)
+    minterm.apply(action, qubits)
+    assert compiled.x == minterm.x
+    assert compiled.z == minterm.z
+    assert compiled.r == minterm.r
+
+
+class TestCompiledGates:
+    """The compiled column program of a :class:`CliffordAction` is the
+    minterm expansion of its table, exactly."""
+
+    def test_cz_phase_is_the_textbook_rule(self):
+        # r ^= x_a & x_b & (z_a ^ z_b); columns x_a, z_a, x_b, z_b.
+        action = CONFIGURED_CLIFFORDS["CZ"]
+        assert action.phase == ((0, 1, 2), (0, 2, 3))
+        assert action.program == ((1, 2), (3, 0))
+
+    def test_every_configured_clifford_on_every_placement(self):
+        reference = _random_tableau(4, seed=5)
+        for name, action in CONFIGURED_CLIFFORDS.items():
+            placements = ([(q,) for q in range(4)]
+                          if action.num_qubits == 1 else
+                          [(a, b) for a in range(4) for b in range(4)
+                           if a != b])
+            for qubits in placements:
+                _assert_compiled_matches_minterm(reference, action, qubits)
+
+    def test_gate_step_reads_the_action_program(self):
+        for action in CONFIGURED_CLIFFORDS.values():
+            indices = (5,) if action.num_qubits == 1 else (5, 2)
+            rows = [2 * qubit + plane for qubit in indices
+                    for plane in (0, 1)]
+            assert GateStep(action=action, indices=indices).xors == tuple(
+                (rows[d], rows[s]) for d, s in action.program)
+            assert action.program == plane_program(
+                tuple(action.bits.tolist()))
+
+    def test_identity_sign_rejected(self):
+        with pytest.raises(PlantError, match="identity"):
+            phase_monomials((1, 0, 0, 0))
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis missing")
+class TestCompiledGatesProperty:
+    """Property tier of :class:`TestCompiledGates`: random tableaus
+    (columns of one to three machine words), every configured Clifford
+    and random 1- and 2-qubit Cliffords."""
+
+    @given(num_qubits=st.integers(2, 12),
+           state_seed=st.integers(0, 2 ** 31),
+           name=st.sampled_from(sorted(CONFIGURED_CLIFFORDS)),
+           placement=st.integers(0, 2 ** 16))
+    @settings(max_examples=80, deadline=None)
+    def test_configured_cliffords_on_random_tableaus(
+            self, num_qubits, state_seed, name, placement):
+        action = CONFIGURED_CLIFFORDS[name]
+        qubits = tuple(int(q) for q in np.random.default_rng(
+            placement).choice(num_qubits, action.num_qubits,
+                              replace=False))
+        _assert_compiled_matches_minterm(
+            _random_tableau(num_qubits, state_seed), action, qubits)
+
+    @given(k=st.sampled_from((1, 2)),
+           num_qubits=st.integers(2, 70),
+           gate_seed=st.integers(0, 2 ** 31),
+           state_seed=st.integers(0, 2 ** 31))
+    @settings(max_examples=80, deadline=None)
+    def test_random_cliffords_on_random_tableaus(
+            self, k, num_qubits, gate_seed, state_seed):
+        action = _random_clifford(k, gate_seed)
+        qubits = tuple(int(q) for q in np.random.default_rng(
+            gate_seed).choice(num_qubits, k, replace=False))
+        _assert_compiled_matches_minterm(
+            _random_tableau(num_qubits, state_seed), action, qubits)

@@ -44,6 +44,7 @@ from repro.uarch import (
     QuMAv2,
     ShotTrace,
     TimelineTree,
+    TriggerRecord,
     UarchConfig,
 )
 from repro.workloads.rotated_surface import rotated_surface_circuit
@@ -243,6 +244,18 @@ class TestTimingOverflowFault:
         assert len(setup.run_resilient(assembled, 10)) == 10
 
 
+def _terminals(tree):
+    """The tree's nodes that carry a frozen trace template."""
+    stack = [] if tree._root is None else [tree._root]
+    terminals = []
+    while stack:
+        node = stack.pop()
+        if node.template is not None:
+            terminals.append(node)
+        stack.extend(node.children.values())
+    return terminals
+
+
 class TestTreeBitflipFault:
     def test_audit_detects_and_recovers(self):
         machine = make_machine(audit_fraction=1.0, seed=3)
@@ -267,6 +280,29 @@ class TestTreeBitflipFault:
         machine.disarm_faults()
         machine.run(50)
         assert machine.engine_stats.audit_divergences == 0
+
+    def test_corruption_shifts_one_trigger_record(self):
+        # The tampered copy is built with the record's _replace: same
+        # record type, only the two trigger times moved by 1 ns.
+        machine = make_machine(seed=3)
+        machine.run(50)
+        tree = machine._tree
+        before = {id(node): node.template for node in _terminals(tree)}
+        detail = tree.corrupt_random_template(np.random.default_rng(9))
+        assert "shifted by 1 ns" in detail
+        changed = [(before[id(node)], node.template)
+                   for node in _terminals(tree)
+                   if node.template is not before[id(node)]]
+        assert len(changed) == 1
+        (old, new), = changed
+        diffs = [(a, b) for a, b in zip(old.triggers, new.triggers)
+                 if a != b]
+        assert len(diffs) == 1
+        (a, b), = diffs
+        assert type(b) is TriggerRecord
+        assert b == a._replace(trigger_ns=a.trigger_ns + 1.0,
+                               output_ns=a.output_ns + 1.0)
+        assert new.results == old.results
 
     def test_unaudited_bitflip_still_evicts_cache(self):
         # Without auditing the corruption cannot be *detected*, but the

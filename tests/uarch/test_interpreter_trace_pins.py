@@ -121,8 +121,8 @@ CASES = {
 
 def trace_digest(traces) -> str:
     """SHA-256 over every field of every trace, floats by ``repr``."""
-    payload = [[[dataclasses.astuple(record) for record in trace.triggers],
-                [dataclasses.astuple(record) for record in trace.results],
+    payload = [[[tuple(record) for record in trace.triggers],
+                [tuple(record) for record in trace.results],
                 [dataclasses.astuple(record) for record in trace.slips],
                 trace.instructions_executed,
                 repr(trace.classical_time_ns),

@@ -152,6 +152,81 @@ class TestFig4ActiveReset:
         assert zeros / shots == pytest.approx(0.827, abs=0.05)
 
 
+class TestTriggerPlans:
+    """Each routed device operation is resolved once per loaded binary
+    into a trigger plan (condition, unitary, duration, role); the flag
+    itself is still evaluated at every trigger of every shot."""
+
+    X_THEN_MEASURE = """
+    SMIS S2, {2}
+    X S2
+    MEASZ S2
+    STOP
+    """
+    IDLE_THEN_MEASURE = """
+    SMIS S2, {2}
+    I S2
+    MEASZ S2
+    STOP
+    """
+
+    @staticmethod
+    def _plans(machine):
+        return [plan for _, planned in machine._trigger_plans.values()
+                for _, _, plan in planned]
+
+    def test_reload_rederives_plans(self):
+        machine = make_machine()
+        load(machine, self.X_THEN_MEASURE)
+        first = machine.run_shot()
+        first_plans = self._plans(machine)
+        assert [t.name for t in first.triggers] == ["X", "MEASZ"]
+        assert first.last_result(2) == 1
+        assert first_plans
+
+        load(machine, self.IDLE_THEN_MEASURE)
+        assert machine._trigger_plans == {}
+        other = machine.run_shot()
+        assert [t.name for t in other.triggers] == ["I", "MEASZ"]
+        assert other.last_result(2) == 0
+        assert not any(plan is old for plan in self._plans(machine)
+                       for old in first_plans)
+
+        load(machine, self.X_THEN_MEASURE)
+        again = machine.run_shot()
+        assert [t.name for t in again.triggers] == ["X", "MEASZ"]
+        assert again.last_result(2) == 1
+        assert again.triggers == first.triggers
+        assert not any(plan is old for plan in self._plans(machine)
+                       for old in first_plans)
+
+    def test_plans_are_reused_across_shots(self):
+        machine = make_machine()
+        load(machine, self.X_THEN_MEASURE)
+        machine.run_shot()
+        plans = self._plans(machine)
+        machine.run_shot()
+        assert all(new is old for new, old
+                   in zip(self._plans(machine), plans, strict=True))
+
+    def test_conditional_flag_evaluated_every_shot(self):
+        machine = make_machine(seed=5)
+        load(machine, TestFig4ActiveReset.TEXT)
+        executed = []
+        for _ in range(60):
+            trace = machine.run_shot()
+            first_result = trace.results_for(2)[0].reported_result
+            (cx,) = [t for t in trace.triggers if t.name == "C_X"]
+            # A cancelled trigger keeps its record, executed=False.
+            assert cx.executed == (first_result == 1)
+            assert cx.condition == "LAST_ONE"
+            assert cx.qubits == (2,)
+            applied = [op.name for op in machine.plant.operations_log]
+            assert ("C_X" in applied) == cx.executed
+            executed.append(cx.executed)
+        assert any(executed) and not all(executed)
+
+
 class TestFig5CFC:
     """Fig. 5: comprehensive feedback control via FMR/CMP/BR."""
 
