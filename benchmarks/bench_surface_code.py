@@ -15,13 +15,13 @@ import pytest
 from repro.compiler import CodegenOptions, count_instructions, \
     schedule_asap
 from repro.core.operations import default_operation_set
-from repro.experiments.surface_code import run_surface_code_experiment
-from repro.workloads.surface_code import surface_code_circuit
+from repro.experiments.surface_code import run_rotated_surface_experiment
+from repro.workloads.surface_code import rotated_surface_circuit
 
 
 def test_somq_benefit_for_syndrome_extraction(benchmark):
     ops = default_operation_set()
-    circuit = surface_code_circuit(rounds=32, include_x_check=True)
+    circuit = rotated_surface_circuit(2, rounds=32, include_x_checks=True)
 
     def count_both():
         schedule = schedule_asap(circuit, ops)
@@ -44,9 +44,9 @@ def test_somq_benefit_for_syndrome_extraction(benchmark):
 
 def test_error_detection_end_to_end(benchmark):
     def run_detection():
-        clean = run_surface_code_experiment(rounds=2, shots=20)
-        faulty = run_surface_code_experiment(
-            rounds=2, error=("X", 5), error_after_round=0, shots=20)
+        clean = run_rotated_surface_experiment(2, rounds=2, shots=20)
+        faulty = run_rotated_surface_experiment(
+            2, rounds=2, error=("X", 5), error_after_round=0, shots=20)
         return clean, faulty
 
     clean, faulty = benchmark.pedantic(run_detection, rounds=1,

@@ -12,20 +12,20 @@ Run: ``python examples/surface_code_detection.py``
 """
 
 from repro.experiments.runner import ExperimentSetup
-from repro.core import seven_qubit_instantiation
+from repro.core import rotated_surface_instantiation
 from repro.experiments.surface_code import (
     format_surface_code_report,
     looped_surface_code_program,
     run_looped_surface_code_experiment,
-    run_surface_code_experiment,
+    run_rotated_surface_experiment,
 )
-from repro.workloads.surface_code import surface_code_circuit
+from repro.workloads.surface_code import rotated_surface_circuit
 
 
 def show_compiled_round() -> None:
-    setup = ExperimentSetup.create(isa=seven_qubit_instantiation(),
+    setup = ExperimentSetup.create(isa=rotated_surface_instantiation(2),
                                    seed=0)
-    assembled = setup.compile_circuit(surface_code_circuit(rounds=1),
+    assembled = setup.compile_circuit(rotated_surface_circuit(2, rounds=1),
                                       initialize_cycles=100)
     print("one compiled syndrome round "
           "(note the SOMQ masks covering both Z-ancillas):")
@@ -51,9 +51,9 @@ def main() -> None:
     show_compiled_round()
     show_looped_binary()
     error = ("X", 5)
-    clean = run_surface_code_experiment(rounds=3, shots=40)
-    faulty = run_surface_code_experiment(rounds=3, error=error,
-                                         error_after_round=0, shots=40)
+    clean = run_rotated_surface_experiment(2, rounds=3, shots=40)
+    faulty = run_rotated_surface_experiment(2, rounds=3, error=error,
+                                            error_after_round=0, shots=40)
     print(format_surface_code_report(clean, faulty, error))
     print("\nround 0 precedes the fault; rounds 1+ detect it on "
           "Z-check (2) = Z0 Z5, exactly the stabilizer X_5 anticommutes "

@@ -8,8 +8,9 @@ format is one value, the instantiation's
 :class:`~repro.core.isaspec.EncodingSpec`; every width the assembler,
 the quantum pipeline and the code generator read comes from it.
 Section 4.2's 32-bit instantiation for the seven-qubit chip is
-:func:`seven_qubit_instantiation`, and the two-qubit experiment setup of
-Section 5 is :func:`two_qubit_instantiation`.
+:func:`seven_qubit_instantiation`, the distance-2 member of
+:func:`rotated_surface_instantiation`, and the two-qubit experiment
+setup of Section 5 is :func:`two_qubit_instantiation`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.topology.chip import QuantumChipTopology
 from repro.topology.library import (
     rotated_surface_chip,
     rotated_surface_layout,
-    surface7,
     two_qubit_chip,
 )
 
@@ -172,30 +172,20 @@ class EQASMInstantiation:
         return tuple(sorted(pairs))
 
 
-def seven_qubit_instantiation(
-        operations: OperationSet | None = None) -> EQASMInstantiation:
-    """The paper's 32-bit instantiation for the seven-qubit chip."""
-    return EQASMInstantiation(
-        name="eqasm-7q-32bit",
-        topology=surface7(),
-        operations=operations or default_operation_set(),
-        encoding_spec=load_registered_spec("fig8-32bit"),
-    )
-
-
 def rotated_surface_instantiation(
         distance: int,
         operations: OperationSet | None = None) -> EQASMInstantiation:
     """The instantiation for the rotated distance-``d`` surface-code chip.
 
-    The paper's 32-bit format cannot address these chips: ``d = 3`` has
-    24 couplings x 2 directions (a 48-bit pair mask), ``d = 5`` has 80
-    (160 bits), far past the 16 bits of Fig. 8 — and the paper itself
-    notes the instantiation, word width included, is free per platform.
-    The chip's layout names its registered encoding spec (64-bit words
-    at ``d = 3``; 192 bits at ``d = 5``, whose spec also widens the FMR
-    Qi field for qubit addresses up to 48), and every width comes from
-    that spec.
+    At ``d = 2`` this is the paper's own 32-bit format (Fig. 8) for the
+    seven-qubit chip, whose 8 couplings x 2 directions fill its 16-bit
+    pair mask.  That format cannot address the wider chips: ``d = 3``
+    has 24 couplings (a 48-bit pair mask), ``d = 5`` has 80 (160 bits)
+    — and the paper itself notes the instantiation, word width
+    included, is free per platform.  The chip's layout names its
+    registered encoding spec (64-bit words at ``d = 3``; 192 bits at
+    ``d = 5``, whose spec also widens the FMR Qi field for qubit
+    addresses up to 48), and every width comes from that spec.
     """
     chip = rotated_surface_chip(distance)
     spec = load_registered_spec(rotated_surface_layout(distance).spec_name)
@@ -205,6 +195,12 @@ def rotated_surface_instantiation(
         operations=operations or default_operation_set(),
         encoding_spec=spec,
     )
+
+
+def seven_qubit_instantiation(
+        operations: OperationSet | None = None) -> EQASMInstantiation:
+    """The paper's 32-bit instantiation for the seven-qubit chip."""
+    return rotated_surface_instantiation(2, operations)
 
 
 def seventeen_qubit_instantiation() -> EQASMInstantiation:

@@ -40,7 +40,6 @@ from repro.experiments.surface_code import (
     SurfaceCodeResult,
     run_looped_surface_code_experiment,
     run_rotated_surface_experiment,
-    run_surface_code_experiment,
 )
 from repro.experiments.runner import (
     ExperimentSetup,
@@ -80,7 +79,6 @@ __all__ = [
     "run_rb_timing_experiment",
     "run_looped_surface_code_experiment",
     "run_rotated_surface_experiment",
-    "run_surface_code_experiment",
     "run_t1_experiment",
     "SurfaceCodeResult",
     "staircase_rms_error",

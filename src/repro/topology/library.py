@@ -1,11 +1,10 @@
 """Chip topologies used by the paper and its evaluation.
 
-* :func:`surface7` — the seven-qubit superconducting chip of Fig. 6
-  (a distance-2 surface-code patch with 16 directed allowed pairs and
-  two feedlines).
-* :func:`rotated_surface_chip` — the rotated distance-3/5 surface-code
-  chips (surface-17 and surface-49), one family read from
-  :data:`ROTATED_SURFACE_LAYOUTS`.
+* :func:`rotated_surface_chip` — the rotated surface-code chips, one
+  family read from :data:`ROTATED_SURFACE_LAYOUTS`: distance 2 is the
+  seven-qubit chip of Fig. 6 (:func:`surface7`, 16 directed allowed
+  pairs and two feedlines), distances 3 and 5 are surface-17 and
+  surface-49.
 * :func:`two_qubit_chip` — the two-transmon processor used for the
   Section 5 experiments (qubits renamed 0 and 2, single feedline).
 * :func:`ibm_qx2` — IBM Q 5 "Yorktown": five qubits, six allowed pairs
@@ -25,7 +24,7 @@ from repro.topology.chip import QuantumChipTopology, QubitPair
 
 
 def _both_directions(
-        couplings: list[tuple[int, int]]) -> tuple[QubitPair, ...]:
+        couplings: tuple[tuple[int, int], ...]) -> tuple[QubitPair, ...]:
     """Directed pairs for ``n`` couplings: ``(source, target)`` at
     address ``i`` and the reverse at ``i + n``."""
     pairs = []
@@ -35,34 +34,6 @@ def _both_directions(
         pairs.append(QubitPair(address=address + len(couplings),
                                source=target, target=source))
     return tuple(pairs)
-
-
-def surface7() -> QuantumChipTopology:
-    """The seven-qubit chip of Fig. 6.
-
-    Vertices 0..6; the edge addressing follows the figure: each physical
-    coupling contributes two directed pairs, with address ``i`` and
-    ``i + 8`` pointing in opposite directions.  Pair 0 has source qubit 2
-    and target qubit 0 (the worked example in Section 3.3.1), and the
-    OpSel example of Section 4.3 requires qubit 0 to touch edges 0, 1,
-    8 and 9 with 0/9 making it the target and 1/8 the source.
-    """
-    forward = [
-        (2, 0),   # edge 0
-        (0, 3),   # edge 1
-        (1, 3),   # edge 2
-        (1, 4),   # edge 3
-        (2, 5),   # edge 4
-        (3, 5),   # edge 5
-        (3, 6),   # edge 6
-        (4, 6),   # edge 7
-    ]
-    return QuantumChipTopology(
-        name="surface-7",
-        qubits=(0, 1, 2, 3, 4, 5, 6),
-        pairs=_both_directions(forward),
-        feedlines={0: (0, 2, 3, 5, 6), 1: (1, 4)},
-    )
 
 
 def rotated_surface_checks(
@@ -111,10 +82,12 @@ def rotated_surface_checks(
 class RotatedSurfaceLayout:
     """One rotated surface-code chip: its checks, readout and format.
 
-    Data qubits are ``0 .. d*d - 1`` (row-major); ``z_checks`` and
-    ``x_checks`` map each ancilla address to the data qubits of its
-    stabilizer, and ``spec_name`` names the registered encoding spec
-    wide enough for the chip's pair mask.
+    ``z_checks`` and ``x_checks`` map each ancilla address to the data
+    qubits of its stabilizer, and ``spec_name`` names the registered
+    encoding spec wide enough for the chip's pair mask.  ``couplings``
+    fixes the pair addresses: coupling ``i`` is the directed pair at
+    address ``i``, its reverse sits at ``i + len(couplings)``.  Empty
+    means each check's ancilla-to-data couplings, Z checks first.
     """
 
     distance: int
@@ -122,10 +95,14 @@ class RotatedSurfaceLayout:
     x_checks: dict[int, tuple[int, ...]]
     feedlines: dict[int, tuple[int, ...]]
     spec_name: str
+    couplings: tuple[tuple[int, int], ...] = ()
 
     @property
     def data_qubits(self) -> tuple[int, ...]:
-        return tuple(range(self.distance * self.distance))
+        """Every qubit a check reads, in address order."""
+        return tuple(sorted({qubit
+                             for checks in (self.z_checks, self.x_checks)
+                             for data in checks.values() for qubit in data}))
 
     @property
     def z_ancillas(self) -> tuple[int, ...]:
@@ -134,12 +111,19 @@ class RotatedSurfaceLayout:
 
     @property
     def num_qubits(self) -> int:
-        return (self.distance * self.distance + len(self.z_checks)
+        return (len(self.data_qubits) + len(self.z_checks)
                 + len(self.x_checks))
 
 
 #: The rotated surface-code chips, by distance.
 #:
+#: * ``d = 2`` is the seven-qubit chip of Fig. 6: data qubits on the
+#:   corners (0, 1, 5, 6), ancillas in the middle row, read out over
+#:   the figure's two feedlines.  Its couplings keep the figure's edge
+#:   addresses: pair 0 has source qubit 2 and target qubit 0 (the
+#:   worked example of Section 3.3.1), and the OpSel example of
+#:   Section 4.3 needs qubit 0 on edges 0, 1, 8 and 9, the target of
+#:   0/9 and the source of 1/8.  The 16-bit pair mask fits Fig. 8.
 #: * ``d = 3`` (surface-17) keeps its hand-written address map: Z
 #:   ancillas first, bulk plaquettes before the boundary (Versluis et
 #:   al., "Scalable quantum circuit and control for a superconducting
@@ -151,6 +135,19 @@ class RotatedSurfaceLayout:
 #:   read out over five feedlines of at most ten qubits.  Renumbering
 #:   it bulk-first like ``d = 3`` adds four words to a one-round binary.
 ROTATED_SURFACE_LAYOUTS = {
+    2: RotatedSurfaceLayout(
+        distance=2,
+        z_checks={
+            2: (0, 5),          # Z boundary, left edge
+            4: (1, 6),          # Z boundary, right edge
+        },
+        x_checks={
+            3: (0, 1, 5, 6),    # X plaquette
+        },
+        feedlines={0: (0, 2, 3, 5, 6), 1: (1, 4)},
+        spec_name="fig8-32bit",
+        couplings=((2, 0), (0, 3), (1, 3), (1, 4),
+                   (2, 5), (3, 5), (3, 6), (4, 6))),
     3: RotatedSurfaceLayout(
         distance=3,
         z_checks={
@@ -191,22 +188,28 @@ def rotated_surface_layout(distance: int) -> RotatedSurfaceLayout:
 def rotated_surface_chip(distance: int) -> QuantumChipTopology:
     """The ``2d^2 - 1``-qubit rotated distance-``d`` surface-code chip.
 
-    Each ancilla couples to its stabilizer's data qubits (24 couplings
-    at ``d = 3``, 80 at ``d = 5``), each coupling addressed in both
-    directions as on :func:`surface7`.  The pair mask (48 / 160 bits)
-    is what needs the wider instantiations of
+    Each ancilla couples to its stabilizer's data qubits (8 couplings
+    at ``d = 2``, 24 at ``d = 3``, 80 at ``d = 5``), each coupling
+    addressed in both directions.  The pair mask (16 / 48 / 160 bits)
+    sets the word width of
     :func:`repro.core.isa.rotated_surface_instantiation`.
     """
     layout = rotated_surface_layout(distance)
-    couplings = [(ancilla, qubit)
-                 for checks in (layout.z_checks, layout.x_checks)
-                 for ancilla, data in checks.items() for qubit in data]
+    couplings = layout.couplings or tuple(
+        (ancilla, qubit)
+        for checks in (layout.z_checks, layout.x_checks)
+        for ancilla, data in checks.items() for qubit in data)
     return QuantumChipTopology(
         name=f"surface-{layout.num_qubits}",
         qubits=tuple(range(layout.num_qubits)),
         pairs=_both_directions(couplings),
         feedlines=dict(layout.feedlines),
     )
+
+
+def surface7() -> QuantumChipTopology:
+    """The seven-qubit chip of Fig. 6, the distance-2 rotated chip."""
+    return rotated_surface_chip(2)
 
 
 def two_qubit_chip() -> QuantumChipTopology:

@@ -27,9 +27,11 @@ cached per bundle and register contents: a shot that repeats the
 previous shot's instruction stream decodes nothing.  The cache holds
 the bundle objects it keys by identity, belongs to the loaded binary
 (the machine clears it in ``load()``) and never stores a failed decode,
-so every decode error still raises on every execution.  The
-cross-instruction conflict check (:meth:`QuantumPipeline._combine`)
-runs per timing point on every shot.
+so every decode error still raises on every execution.  Each
+``SMIT``'s pair mask is kept the same way, by instruction identity
+and only once it validated.  The cross-instruction conflict check
+(:meth:`QuantumPipeline._combine`) runs per timing point on every
+shot.
 """
 
 from __future__ import annotations
@@ -84,10 +86,14 @@ class QuantumPipeline:
         # id(bundle) -> (bundle, (register file, index) per lane read,
         # register contents -> lane micro-ops).
         self._decoded: dict[int, tuple[Bundle, tuple, dict]] = {}
+        # id(SMIT) -> (SMIT, its validated pair mask).
+        self._smit_masks: dict[int, tuple[SMIT, int]] = {}
 
     def clear_decode_cache(self) -> None:
-        """Forget every cached bundle decode (a new binary was loaded)."""
+        """Forget every cached bundle decode and SMIT mask (a new
+        binary was loaded)."""
         self._decoded.clear()
+        self._smit_masks.clear()
 
     # ------------------------------------------------------------------
     # Shot lifecycle
@@ -109,8 +115,13 @@ class QuantumPipeline:
 
     def process_smit(self, instruction: SMIT) -> None:
         """Update a two-qubit target register (mask validity checked)."""
-        mask = self.isa.pair_mask(instruction.pairs)
-        self.isa.topology.validate_pair_mask(mask)
+        cached = self._smit_masks.get(id(instruction))
+        if cached is not None and cached[0] is instruction:
+            mask = cached[1]
+        else:
+            mask = self.isa.pair_mask(instruction.pairs)
+            self.isa.topology.validate_pair_mask(mask)
+            self._smit_masks[id(instruction)] = (instruction, mask)
         self.t_registers.write(instruction.td, mask)
 
     def process_wait(self, cycles: int) -> ReservedPoint | None:

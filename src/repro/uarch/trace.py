@@ -274,10 +274,6 @@ class ShotCounts:
                 f"no measurement results for qubit {qubit}")
         return self.ones.get(qubit, 0) / measured
 
-    def ground_fraction(self, qubit: int) -> float:
-        """Fraction of shots whose last result on ``qubit`` was 0."""
-        return 1.0 - self.excited_fraction(qubit)
-
     def outcome_counts(self, qubit_a: int, qubit_b: int) -> dict[int, int]:
         """Two-bit outcome histogram over shots (qubit_a = MSB)."""
         counts: dict[int, int] = {}

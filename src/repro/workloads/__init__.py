@@ -30,27 +30,18 @@ from repro.workloads.grover2q import (
     grover2q_circuit,
     grover2q_ideal_state,
 )
-from repro.workloads.grover_sqrt import (
-    grover_sqrt_circuit,
-    grover_sqrt_statistics,
-)
-from repro.workloads.ising import ising_circuit, ising_statistics
+from repro.workloads.grover_sqrt import grover_sqrt_circuit
+from repro.workloads.ising import ising_circuit
 from repro.workloads.rabi import (
     fit_pi_pulse_step,
     rabi_ideal_curve,
     rabi_step_circuit,
 )
-from repro.workloads.rotated_surface import (
+from repro.workloads.surface_code import (
     RotatedSyndrome,
     expected_rotated_z_syndrome,
     rotated_surface_circuit,
     rotated_syndrome_round,
-)
-from repro.workloads.surface_code import (
-    Syndrome,
-    expected_z_syndrome,
-    surface_code_circuit,
-    syndrome_round,
 )
 from repro.workloads.rb import (
     rb_dse_circuit,
@@ -75,10 +66,8 @@ __all__ = [
     "grover2q_circuit",
     "grover2q_ideal_state",
     "grover_sqrt_circuit",
-    "grover_sqrt_statistics",
     "inverse",
     "ising_circuit",
-    "ising_statistics",
     "rabi_ideal_curve",
     "ramsey_program",
     "ramsey_reference",
@@ -92,11 +81,7 @@ __all__ = [
     "expected_rotated_z_syndrome",
     "rotated_surface_circuit",
     "rotated_syndrome_round",
-    "Syndrome",
     "survival_reference",
-    "surface_code_circuit",
-    "syndrome_round",
-    "expected_z_syndrome",
     "sweep_waits",
     "t1_program",
     "t1_reference",

@@ -137,12 +137,3 @@ def grover_sqrt_circuit(iterations: int = 3, target_value: int = 9,
         for qubit in data:
             circuit.add("MEASZ", qubit)
     return circuit
-
-
-def grover_sqrt_statistics(circuit: Circuit) -> dict[str, float]:
-    """Workload statistics quoted by the paper for SR."""
-    return {
-        "gates": float(circuit.gate_count()),
-        "two_qubit_fraction": circuit.two_qubit_fraction(),
-        "qubits": float(circuit.num_qubits),
-    }

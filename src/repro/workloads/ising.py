@@ -63,12 +63,3 @@ def ising_circuit(num_qubits: int = 7, steps: int = 120,
         for qubit in range(num_qubits):
             circuit.add("MEASZ", qubit)
     return circuit
-
-
-def ising_statistics(circuit: Circuit) -> dict[str, float]:
-    """Workload statistics quoted by the paper for IM."""
-    return {
-        "gates": float(circuit.gate_count()),
-        "two_qubit_fraction": circuit.two_qubit_fraction(),
-        "qubits": float(circuit.num_qubits),
-    }

@@ -1,9 +1,9 @@
-"""The distance-3 member of :mod:`repro.workloads.rotated_surface`."""
+"""The distance-3 member of :mod:`repro.workloads.surface_code`."""
 
 from __future__ import annotations
 
 from repro.compiler.ir import Circuit
-from repro.workloads.rotated_surface import rotated_surface_circuit
+from repro.workloads.surface_code import rotated_surface_circuit
 
 
 def surface17_circuit(**kwargs) -> Circuit:

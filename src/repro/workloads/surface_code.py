@@ -1,43 +1,45 @@
-"""Distance-2 surface code on the seven-qubit chip (Section 4.1).
+"""Rotated surface codes of distance 2, 3 and 5 (surface-7/17/49).
 
 "[The chip] can implement a distance-2 surface code, which can detect
-one physical error."  And Section 4.2: "An application that would
-benefit significantly from SOMQ is quantum error correction, which
-requires performing well-patterned error syndrome measurements
-repeatedly presenting high parallelism."
+one physical error" (Section 4.1): the seven-qubit chip of Fig. 6 is
+the smallest rotated surface code, and the chips the CC-Light control
+architecture was built toward are its distance-3 and distance-5
+siblings.  A distance-``d`` chip holds ``d x d`` data qubits and one
+ancilla per Z or X stabilizer, ``2d^2 - 1`` qubits in all
+(:data:`repro.topology.library.ROTATED_SURFACE_LAYOUTS` holds the
+checks).  And Section 4.2: "An application that would benefit
+significantly from SOMQ is quantum error correction, which requires
+performing well-patterned error syndrome measurements repeatedly
+presenting high parallelism."
 
-Layout on the Fig. 6 topology (data qubits on the corners, ancillas in
-the middle row, all couplings are allowed pairs of the chip):
+Every check is built from the native gate set: ancilla in |+> via
+Y90, CZ to each data qubit, decode with Ym90, measure, and actively
+reset via the conditional ``C_X`` — the paper's own Fig. 4 mechanism.
+X checks conjugate the data qubits with Ym90/Y90 so the CZ parity
+picks up X instead of Z.  A round emits every Z check, then every X
+check, each group in ancilla order: disjoint checks schedule in
+parallel, the compiler's SOMQ merging packs the identical Y90/measure
+layers into masked operations (quantified in
+``benchmarks/bench_surface_code.py``), and interleaving the groups
+(Z, X, Z, X ...) lengthens a distance-5 round with X checks from 71 to
+83 cycles.
 
-* data qubits: 0, 1, 5, 6;
-* ancilla 2 measures the Z-stabilizer Z0 Z5 (edges (2,0), (2,5));
-* ancilla 4 measures the Z-stabilizer Z1 Z6 (edges (4,1), (4,6));
-* ancilla 3 measures the X-stabilizer X0 X1 X5 X6
-  (edges (3,0), (3,1), (3,5), (3,6) via their reverses).
-
-All checks are built from the native gate set: ancilla in |+> (Y90),
-CZ to each data qubit, decode with Ym90, measure.  X-checks conjugate
-the data qubits with Ym90/Y90 so the CZ parity picks up X instead
-of Z.
-
-A syndrome round is highly parallel and well-patterned: the two
-Z-checks run simultaneously (disjoint qubits), and the compiler's SOMQ
-merging packs the identical Y90/measure layers into masked operations
-— the quantified benefit is shown in ``benchmarks/bench_surface_code.py``.
+With data prepared in |0...0> the Z syndromes are deterministic and an
+injected X or Y error must fire exactly the Z checks whose plaquette
+contains it; the X-check outcomes on |0...0> are intrinsically random,
+so the default experiment omits them.  Every gate of a round is
+Clifford, so under Pauli/readout-only noise the machine's automatic
+backend selection runs the 17- and 49-qubit chips on the stabilizer
+tableau (a 17-qubit density matrix is ~256 GB).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.compiler.ir import Circuit
 from repro.core.errors import InvalidRequestError
-
-DATA_QUBITS = (0, 1, 5, 6)
-Z_CHECKS = {2: (0, 5), 4: (1, 6)}     # ancilla -> data pair
-X_CHECK = {3: (0, 1, 5, 6)}           # ancilla -> data plaquette
-ANCILLAS = (2, 3, 4)
+from repro.topology.library import rotated_surface_layout
 
 
 def ancilla_reset(circuit: Circuit, ancilla: int,
@@ -87,42 +89,45 @@ def x_check_circuit(circuit: Circuit, ancilla: int,
         ancilla_reset(circuit, ancilla)
 
 
-def checks_round(circuit: Circuit, z_checks: dict[int, tuple[int, ...]],
-                 x_checks: dict[int, tuple[int, ...]],
-                 reset: bool = True) -> None:
-    """Append every Z check, then every X check, each in ancilla order.
+def rotated_syndrome_round(circuit: Circuit, distance: int,
+                           include_x_checks: bool = False,
+                           reset: bool = True) -> None:
+    """Append one full distance-``d`` syndrome-extraction round.
 
-    Grouping the Z checks lets the disjoint ones schedule in parallel;
-    an X check whose plaquette overlaps their data serialises after
-    them.  ``reset`` appends each ancilla's conditional reset.
+    Every Z check, then (``include_x_checks``) every X check, each in
+    ancilla order.  ``reset=False`` omits the conditional ``C_X``
+    ancilla reset — the feedback-free variant whose gate sequence
+    cannot fork on per-shot outcomes (what the Pauli-frame batched
+    engine requires; with data in |0...0> the noise-free Z ancillas
+    end in |0> anyway).
     """
-    for ancilla, data in sorted(z_checks.items()):
+    layout = rotated_surface_layout(distance)
+    for ancilla, data in sorted(layout.z_checks.items()):
         z_check_circuit(circuit, ancilla, data, reset=reset)
-    for ancilla, data in sorted(x_checks.items()):
-        x_check_circuit(circuit, ancilla, data, reset=reset)
+    if include_x_checks:
+        for ancilla, data in sorted(layout.x_checks.items()):
+            x_check_circuit(circuit, ancilla, data, reset=reset)
 
 
-def syndrome_round(circuit: Circuit, include_x_check: bool = True) -> None:
-    """Append one full syndrome-extraction round: both Z-checks (they
-    share no qubits), then the X-check (see :func:`checks_round`)."""
-    checks_round(circuit, Z_CHECKS, X_CHECK if include_x_check else {})
+def rotated_surface_circuit(distance: int, rounds: int = 2,
+                            error: tuple[str, int] | None = None,
+                            error_after_round: int = 0,
+                            include_x_checks: bool = False,
+                            reset: bool = True) -> Circuit:
+    """Distance-``d`` syndrome-extraction experiment circuit.
 
-
-def syndrome_rounds_circuit(
-        name: str, num_qubits: int, data_qubits: tuple[int, ...],
-        append_round: Callable[[Circuit], None], rounds: int,
-        error: tuple[str, int] | None, error_after_round: int) -> Circuit:
-    """``rounds`` syndrome rounds with an optional injected data error.
-
-    ``append_round(circuit)`` emits one round.  ``error`` is a Pauli
-    (``("X" | "Y" | "Z", data_qubit)``) applied after round
-    ``error_after_round`` — emulating a physical fault the code must
-    detect.  The native set has no Z gate, so Z is emitted as Y then X
-    (equal up to a global phase).  Requests the circuit could not honour
-    (no rounds, a non-Pauli, a non-data qubit, or an injection round
-    past the last one) raise :class:`InvalidRequestError` instead of
-    silently building a different experiment.
+    ``error`` optionally injects a Pauli (``("X" | "Y" | "Z",
+    data_qubit)``) after round ``error_after_round`` — emulating a
+    physical fault the code must detect; a data X or Y error must flip
+    exactly the Z stabilizers whose plaquette contains the qubit.  The
+    native set has no Z gate, so Z is emitted as Y then X (equal up to
+    a global phase).  Requests the circuit could not honour (no rounds,
+    a non-Pauli, a non-data qubit, or an injection round past the last
+    one) raise :class:`InvalidRequestError` instead of silently
+    building a different experiment.  ``reset=False`` builds the
+    feedback-free variant (see :func:`rotated_syndrome_round`).
     """
+    layout = rotated_surface_layout(distance)
     if rounds < 1:
         raise InvalidRequestError(
             f"need at least one round, got {rounds}")
@@ -131,16 +136,19 @@ def syndrome_rounds_circuit(
         if pauli not in ("X", "Y", "Z"):
             raise InvalidRequestError(
                 f"injected errors are Paulis X, Y or Z, got {pauli!r}")
-        if qubit not in data_qubits:
+        if qubit not in layout.data_qubits:
             raise InvalidRequestError(
                 f"errors are injected on data qubits, got {qubit}")
         if not 0 <= error_after_round < rounds:
             raise InvalidRequestError(
                 f"error_after_round must lie in [0, {rounds}), got "
                 f"{error_after_round}")
-    circuit = Circuit(name=name, num_qubits=num_qubits)
+    circuit = Circuit(name=f"surface-code-d{distance}",
+                      num_qubits=layout.num_qubits)
     for round_index in range(rounds):
-        append_round(circuit)
+        rotated_syndrome_round(circuit, distance,
+                               include_x_checks=include_x_checks,
+                               reset=reset)
         if error is not None and round_index == error_after_round:
             pauli, qubit = error
             for gate in (("Y", "X") if pauli == "Z" else (pauli,)):
@@ -148,44 +156,30 @@ def syndrome_rounds_circuit(
     return circuit
 
 
-def surface_code_circuit(rounds: int = 1,
-                         error: tuple[str, int] | None = None,
-                         error_after_round: int = 0,
-                         include_x_check: bool = False) -> Circuit:
-    """Syndrome-extraction experiment circuit.
-
-    ``error`` optionally injects a Pauli after round
-    ``error_after_round`` (see :func:`syndrome_rounds_circuit`).  With
-    data prepared in |0000> the Z-check outcomes are deterministic, so
-    the default experiment omits the X-check (whose outcome on |0000>
-    is intrinsically random); set ``include_x_check`` for full rounds.
-    """
-    return syndrome_rounds_circuit(
-        "surface-code-d2", 7, DATA_QUBITS,
-        lambda circuit: syndrome_round(circuit, include_x_check),
-        rounds, error, error_after_round)
-
-
 @dataclass(frozen=True)
-class Syndrome:
-    """One round's ancilla outcomes."""
+class RotatedSyndrome:
+    """One round's Z-check outcomes, keyed by ancilla address."""
 
-    z_check_2: int   # parity of Z0 Z5
-    z_check_4: int   # parity of Z1 Z6
-    x_check_3: int | None = None
+    z_checks: tuple[tuple[int, int], ...]   # (ancilla, bit), sorted
+
+    def bit(self, ancilla: int) -> int:
+        for address, value in self.z_checks:
+            if address == ancilla:
+                return value
+        raise KeyError(f"no Z check on ancilla {ancilla}")
 
     def fired(self) -> bool:
         """Whether any deterministic (Z) check flagged an error."""
-        return bool(self.z_check_2 or self.z_check_4)
+        return any(value for _, value in self.z_checks)
 
 
-def flips_z_checks(error: tuple[str, int] | None) -> bool:
-    """Whether an injected Pauli anticommutes with Z (X and Y do)."""
-    return error is not None and error[0] in ("X", "Y")
-
-
-def expected_z_syndrome(error: tuple[str, int] | None) -> Syndrome:
-    """Which Z-checks an injected error must fire (data from |0000>)."""
-    flips = flips_z_checks(error)
-    return Syndrome(z_check_2=int(flips and error[1] in Z_CHECKS[2]),
-                    z_check_4=int(flips and error[1] in Z_CHECKS[4]))
+def expected_rotated_z_syndrome(
+        distance: int, error: tuple[str, int] | None) -> RotatedSyndrome:
+    """Which Z checks an injected error must fire (data from |0...0>):
+    those containing the qubit, if the Pauli anticommutes with Z (X
+    and Y do)."""
+    layout = rotated_surface_layout(distance)
+    flips = error is not None and error[0] in ("X", "Y")
+    return RotatedSyndrome(z_checks=tuple(
+        (ancilla, int(flips and error[1] in layout.z_checks[ancilla]))
+        for ancilla in layout.z_ancillas))

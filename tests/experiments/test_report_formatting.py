@@ -13,6 +13,11 @@ from repro.experiments.rb_timing import (
 )
 from repro.experiments.analysis import RBFit
 from repro.experiments.reset import ResetResult, format_reset_report
+from repro.experiments.surface_code import (
+    SurfaceCodeResult,
+    format_surface_code_report,
+)
+from repro.workloads.surface_code import expected_rotated_z_syndrome
 
 
 class TestFormatters:
@@ -84,3 +89,17 @@ class TestFormatters:
             0.75)
         assert table.reduction_between("X", 1, 1, 9, 2) == pytest.approx(
             0.75)
+
+    def test_surface_code_report_names_the_distance(self):
+        """A distance-3 result is reported as one, not as the paper's
+        distance-2 patch."""
+        quiet = expected_rotated_z_syndrome(3, None)
+        fired = expected_rotated_z_syndrome(3, ("X", 4))
+        clean = SurfaceCodeResult(distance=3, rounds=2,
+                                  syndromes_per_shot=[[quiet, quiet]] * 4)
+        faulty = SurfaceCodeResult(distance=3, rounds=2,
+                                   syndromes_per_shot=[[quiet, fired]] * 4)
+        report = format_surface_code_report(clean, faulty, ("X", 4))
+        assert report.startswith("distance-3 surface code")
+        assert "distance-2" not in report
+        assert "with X on q4 100.0%" in report

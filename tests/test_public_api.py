@@ -20,6 +20,15 @@ PACKAGES = [
 ]
 
 
+#: The distance-2 copies of the family's layout, circuit builders,
+#: syndrome type and experiment runner.
+DISTANCE2_CLONE_NAMES = {
+    "DATA_QUBITS", "Z_CHECKS", "X_CHECK", "ANCILLAS", "syndrome_round",
+    "surface_code_circuit", "Syndrome", "expected_z_syndrome",
+    "run_surface_code_experiment",
+}
+
+
 class TestExports:
     @pytest.mark.parametrize("package", PACKAGES)
     def test_all_names_resolve(self, package):
@@ -46,12 +55,14 @@ class TestExports:
         ("repro.experiments", {"run_rotated_surface_experiment"}),
     ])
     def test_one_rotated_surface_family(self, package, family):
-        """Distances 3 and 5 are one family: its names are exported and
-        no per-distance (surface-17/49) clone is."""
+        """Distances 2, 3 and 5 are one family: its names are exported
+        and no per-distance clone is — neither surface-17/49 names nor
+        the distance-2 patch's own layout, builders and syndrome."""
         exported = importlib.import_module(package).__all__
         assert family <= set(exported)
         assert not [name for name in exported
                     if re.search("17|49|seventeen|forty", name)]
+        assert not set(exported) & DISTANCE2_CLONE_NAMES
 
     def test_version(self):
         import repro

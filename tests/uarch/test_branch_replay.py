@@ -127,10 +127,10 @@ class TestStatisticalEquivalence:
         from scipy.stats import chi2_contingency
 
         from repro.experiments.runner import ExperimentSetup
-        from repro.workloads.surface_code import surface_code_circuit
+        from repro.workloads.surface_code import rotated_surface_circuit
 
         shots = 150
-        circuit = surface_code_circuit(rounds=2)
+        circuit = rotated_surface_circuit(2, rounds=2)
 
         def joint_counts(seed, use_replay):
             setup = ExperimentSetup.create(
@@ -424,9 +424,9 @@ class TestStatsSurfacing:
 
     def test_surface_code_reports_replay_stats(self):
         from repro.experiments.surface_code import (
-            run_surface_code_experiment,
+            run_rotated_surface_experiment,
         )
-        result = run_surface_code_experiment(rounds=2, shots=60)
+        result = run_rotated_surface_experiment(2, rounds=2, shots=60)
         stats = result.engine_stats
         assert stats.engine == "replay"
         assert stats.shots_total == 60

@@ -86,6 +86,25 @@ class TestMalformedBinaries:
             except EQASMError:
                 continue
 
+    def test_overlapping_smit_mask_raises_on_every_run(self):
+        """Edges 0 = (2, 0) and 1 = (0, 3) share qubit 0.  The assembler
+        refuses the mask, but a raw word decodes; the quantum pipeline
+        keeps a SMIT's mask only once it validated, so the error is
+        raised again on a second run of the same loaded words."""
+        from repro.core.encoding import InstructionEncoder
+        from repro.core.errors import TopologyError
+        from repro.core.instructions import SMIT, Stop
+        isa, machine = make_machine(isa=seven_qubit_instantiation())
+        encoder = InstructionEncoder(isa)
+        machine.load([
+            encoder.encode(SMIT(td=0, pairs=frozenset({(2, 0), (0, 3)}))),
+            encoder.encode(Stop())])
+        for _ in range(2):
+            with pytest.raises(TopologyError):
+                machine.run(shots=2)
+            with pytest.raises(TopologyError):
+                machine.run_shot()
+
 
 class TestImpossibleSchedules:
     def test_operation_during_measurement_detected(self):

@@ -47,7 +47,7 @@ from repro.uarch import (
     TriggerRecord,
     UarchConfig,
 )
-from repro.workloads.rotated_surface import rotated_surface_circuit
+from repro.workloads.surface_code import rotated_surface_circuit
 
 ACTIVE_RESET = """
 SMIS S2, {2}

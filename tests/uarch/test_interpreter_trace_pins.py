@@ -35,7 +35,7 @@ from repro.experiments.runner import ExperimentSetup
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
 from repro.uarch import QuMAv2, slip_config
-from repro.workloads.rotated_surface import rotated_surface_circuit
+from repro.workloads.surface_code import rotated_surface_circuit
 
 #: Four bundle words per 20 ns timing point cannot keep up at 10 ns
 #: per instruction: every point after the first is reserved late.

@@ -37,7 +37,7 @@ from repro.quantum.noise import DecoherenceModel, GateErrorModel
 from repro.topology.library import rotated_surface_chip, rotated_surface_layout
 from repro.uarch import QuMAv2
 from repro.uarch.replay import replay_unsupported_reasons
-from repro.workloads.rotated_surface import (
+from repro.workloads.surface_code import (
     expected_rotated_z_syndrome,
     rotated_surface_circuit,
 )

@@ -31,7 +31,7 @@ from repro.experiments.runner import ExperimentSetup
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
 from repro.uarch import FaultPlan, FaultSpec, QuMAv2, UarchConfig, slip_config
-from repro.workloads.rotated_surface import rotated_surface_circuit
+from repro.workloads.surface_code import rotated_surface_circuit
 
 
 def make_machine(noise=None, seed=0, config=None):

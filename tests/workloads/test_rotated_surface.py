@@ -1,10 +1,10 @@
-"""Rotated surface-code family (distances 3 and 5).
+"""Rotated surface-code family (distances 2, 3 and 5).
 
 The ``*Cases`` classes are written once against ``self.distance``;
-``test_surface17.py`` and ``test_surface49.py`` bind them to ``d = 3``
-and ``d = 5``.  The module-level tests are parametrised directly: they
-pin the compiled binaries and check error injection across the whole
-family, distance 2 included.
+``test_surface_code.py``, ``test_surface17.py`` and
+``test_surface49.py`` bind them to ``d = 2``, ``d = 3`` and ``d = 5``.
+The module-level tests are parametrised directly: they pin the compiled
+binaries and check error injection across the whole family.
 """
 
 import hashlib
@@ -15,34 +15,35 @@ from repro.compiler.scheduler import schedule_asap
 from repro.core.errors import InvalidRequestError
 from repro.core.isa import rotated_surface_instantiation
 from repro.experiments.runner import ExperimentSetup
-from repro.experiments.surface_code import (
-    run_rotated_surface_experiment,
-    run_surface_code_experiment,
-)
+from repro.experiments.surface_code import run_rotated_surface_experiment
 from repro.topology.library import (
     get_chip,
     rotated_surface_chip,
     rotated_surface_layout,
 )
-from repro.workloads.rotated_surface import (
+from repro.workloads.surface_code import (
     RotatedSyndrome,
     expected_rotated_z_syndrome,
     rotated_surface_circuit,
 )
-from repro.workloads.surface_code import (
-    expected_z_syndrome,
-    surface_code_circuit,
-)
 
 #: Per distance: qubits, directed pairs (the pair-mask width) and the
 #: instruction word width of its instantiation.
-CHIP_FACTS = {3: (17, 48, 64), 5: (49, 160, 192)}
+CHIP_FACTS = {2: (7, 16, 32), 3: (17, 48, 64), 5: (49, 160, 192)}
 #: Distinct Z-syndrome patterns over all single data X errors.
-Z_PATTERNS = {3: 7, 5: 21}
+Z_PATTERNS = {2: 2, 3: 7, 5: 21}
 
 
 def measurements(circuit):
     return [op for op in circuit.operations if op.name == "MEASZ"]
+
+
+def cz_count(circuit):
+    return sum(op.name == "CZ" for op in circuit.operations)
+
+
+def weight(checks):
+    return sum(len(data) for data in checks.values())
 
 
 class TopologyCases:
@@ -93,7 +94,10 @@ class TopologyCases:
         """Every single data X error fires the Z syndrome.  The Z half
         alone leaves a few boundary pairs degenerate (qubits whose only
         Z check is the same plaquette); the X checks, which a Z error
-        would fire symmetrically, complete the separation."""
+        would fire symmetrically, complete the separation from d = 3
+        on.  A distance-2 code detects one error but cannot locate it:
+        its one X check holds every data qubit, so nothing separates
+        the two qubits of a Z check."""
         syndromes = {}
         for qubit in self.layout.data_qubits:
             syndrome = expected_rotated_z_syndrome(self.distance,
@@ -101,6 +105,8 @@ class TopologyCases:
             assert syndrome.fired()
             syndromes.setdefault(syndrome.z_checks, []).append(qubit)
         assert len(syndromes) == Z_PATTERNS[self.distance]
+        if self.distance < 3:
+            return
         x_checks = self.layout.x_checks
         for qubits in syndromes.values():
             assert len(qubits) <= 2
@@ -114,8 +120,9 @@ class CircuitCases:
 
     def test_round_structure(self):
         circuit = rotated_surface_circuit(self.distance, rounds=2)
-        z_ancillas = rotated_surface_layout(self.distance).z_ancillas
-        assert len(measurements(circuit)) == 2 * len(z_ancillas)
+        layout = rotated_surface_layout(self.distance)
+        assert len(measurements(circuit)) == 2 * len(layout.z_ancillas)
+        assert cz_count(circuit) == 2 * weight(layout.z_checks)
         assert circuit.num_qubits == CHIP_FACTS[self.distance][0]
 
     def test_x_checks_optional(self):
@@ -124,6 +131,8 @@ class CircuitCases:
                                           include_x_checks=True)
         assert len(measurements(circuit)) == \
             len(layout.z_checks) + len(layout.x_checks)
+        assert cz_count(circuit) == \
+            weight(layout.z_checks) + weight(layout.x_checks)
 
     def test_error_validation(self):
         ancilla = rotated_surface_layout(self.distance).z_ancillas[0]
@@ -181,9 +190,19 @@ def compile_binary(distance, **circuit_options):
 
 #: SHA-256 of the assembled words (default compile options), keyed by
 #: (distance, rounds, reset, include_x_checks).  These binaries predate
-#: the one-family generator; a numbering or round-order change must
-#: show up here, not silently in the programs the benchmarks run.
+#: the one-family generator (the distance-2 ones were compiled from the
+#: seven-qubit chip's own builder and instantiation); a numbering,
+#: pair-address or round-order change must show up here, not silently
+#: in the programs the benchmarks run.
 BINARY_DIGESTS = {
+    (2, 1, True, False):
+        "f7e922fa0404bee90a5829be2822548f923c8e63920d58129e44ac42f84bcee7",
+    (2, 1, True, True):
+        "a03c3637f41581b07760cda0ce1b032f833adc5b8a417fd609bdd5c2021734c1",
+    (2, 2, True, False):
+        "680e174d39e86eaca5c515f700b7f8c47eb86b92f685a91b4f2e219a8b6388bc",
+    (2, 2, True, True):
+        "09d44ee6cd6dc47bf8ffb591fff51a5fc4c51d33b9f7c49190c9eac5a16cdc20",
     (3, 1, True, False):
         "384c120232dca0e9bca44c2cdcafa75ae469df5f34be8242eb0b88c16d2ccaeb",
     (3, 1, True, True):
@@ -232,14 +251,8 @@ def test_distance5_x_check_round_makespan(reset, cycles):
 
 
 # ----------------------------------------------------------------------
-# Error injection across the family (distance 2 included)
+# Error injection across the family
 # ----------------------------------------------------------------------
-def circuit_for(distance, **options):
-    if distance == 2:
-        return surface_code_circuit(**options)
-    return rotated_surface_circuit(distance, **options)
-
-
 @pytest.mark.parametrize("distance", [2, 3, 5])
 @pytest.mark.parametrize("options, match", [
     (dict(rounds=0), "at least one round"),
@@ -251,11 +264,11 @@ def circuit_for(distance, **options):
 ])
 def test_invalid_requests_rejected(distance, options, match):
     with pytest.raises(InvalidRequestError, match=match):
-        circuit_for(distance, **options)
+        rotated_surface_circuit(distance, **options)
 
 
 def test_unknown_distance_rejected():
-    with pytest.raises(InvalidRequestError, match="known distances: 3, 5"):
+    with pytest.raises(InvalidRequestError, match="known distances: 2, 3, 5"):
         rotated_surface_circuit(4)
 
 
@@ -264,14 +277,9 @@ def test_y_error_fires_the_expected_z_checks(distance, qubit):
     """Y anticommutes with Z just like X: the observed round-1
     syndrome must equal the predicted one, and it must fire."""
     error = ("Y", qubit)
-    if distance == 2:
-        result = run_surface_code_experiment(rounds=2, error=error,
-                                             shots=10)
-        expected = expected_z_syndrome(error)
-    else:
-        result = run_rotated_surface_experiment(distance, rounds=2,
-                                                error=error, shots=10)
-        expected = expected_rotated_z_syndrome(distance, error)
+    result = run_rotated_surface_experiment(distance, rounds=2,
+                                            error=error, shots=10)
+    expected = expected_rotated_z_syndrome(distance, error)
     assert expected.fired()
     assert result.detection_fraction(0) == 0.0
     for shot in result.syndromes_per_shot:
