@@ -28,7 +28,6 @@ from repro.compiler.scheduler import (
     Schedule,
     ScheduledOp,
     schedule_asap,
-    schedule_serial,
     schedule_with_interval,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "get_config",
     "required_issue_rate",
     "schedule_asap",
-    "schedule_serial",
     "schedule_with_interval",
     "sweep",
 ]

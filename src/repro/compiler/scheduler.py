@@ -96,23 +96,6 @@ def schedule_asap(circuit: Circuit, operations: OperationSet,
     return Schedule(name=name or circuit.name, scheduled=scheduled)
 
 
-def schedule_serial(circuit: Circuit, operations: OperationSet,
-                    name: str | None = None) -> Schedule:
-    """Fully serialised schedule: one operation per timing point.
-
-    The degenerate baseline used to isolate the benefit of parallelism
-    in ablation benches.
-    """
-    circuit.validate_against(operations)
-    scheduled: list[ScheduledOp] = []
-    cycle = 0
-    for op in circuit.operations:
-        duration = operations.get(op.name).duration_cycles
-        scheduled.append(ScheduledOp(cycle=cycle, op=op, duration=duration))
-        cycle += max(duration, 1)
-    return Schedule(name=name or circuit.name, scheduled=scheduled)
-
-
 def schedule_with_interval(circuit: Circuit, operations: OperationSet,
                            interval_cycles: int,
                            name: str | None = None) -> Schedule:

@@ -41,10 +41,7 @@ from repro.experiments.surface_code import (
     run_looped_surface_code_experiment,
     run_rotated_surface_experiment,
 )
-from repro.experiments.runner import (
-    ExperimentSetup,
-    RetryPolicy,
-)
+from repro.experiments.runner import ExperimentSetup
 
 __all__ = [
     "AllXYResult",
@@ -60,7 +57,6 @@ __all__ = [
     "RBFit",
     "RBTimingResult",
     "RabiResult",
-    "RetryPolicy",
     "ResetResult",
     "build_benchmarks",
     "config9_effective_ops",

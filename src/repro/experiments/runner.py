@@ -8,8 +8,6 @@ QuMA v2 instruction memory and executed against the plant for N shots.
 
 from __future__ import annotations
 
-import hashlib
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -24,15 +22,6 @@ from repro.compiler.scheduler import (
     schedule_with_interval,
 )
 from repro.core.assembler import AssembledProgram, Assembler
-from repro.core.errors import (
-    BackendFaultError,
-    ConfigurationError,
-    GuardFault,
-    PlantError,
-    QueueOverflowError,
-    ResourceError,
-    ShotTimeoutError,
-)
 from repro.core.isa import EQASMInstantiation, two_qubit_instantiation
 from repro.quantum.noise import NoiseModel
 from repro.quantum.plant import QuantumPlant
@@ -44,65 +33,6 @@ from repro.uarch.trace import ShotCounts, ShotTrace
 #: Compiled-program cache bound (FIFO eviction); sweeps rarely cycle
 #: through more distinct circuit skeletons than this.
 _PROGRAM_CACHE_CAPACITY = 128
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry/backoff policy for :meth:`ExperimentSetup.run_resilient`.
-
-    ``max_attempts`` bounds the total executions (first try included).
-    ``backoff_s`` is the *base* delay of a capped exponential backoff:
-    retry ``n`` waits ``backoff_s * backoff_multiplier**(n-1)``
-    seconds, clamped to ``backoff_cap_s``, with a deterministic
-    ``jitter`` fraction derived from ``seed`` (so two policies with
-    the same seed sleep identically — retries stay reproducible, while
-    distinct seeds decorrelate a fleet of workers hammering a shared
-    resource).  The default base of zero keeps the historical
-    zero-sleep behaviour: the simulator's failures are deterministic,
-    so only sweeps driving external resources ask for real backoff.
-    """
-
-    max_attempts: int = 3
-    backoff_s: float = 0.0
-    backoff_cap_s: float = 30.0
-    backoff_multiplier: float = 2.0
-    jitter: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be at least 1")
-        if self.backoff_s < 0:
-            raise ConfigurationError("backoff_s must be non-negative")
-        if self.backoff_cap_s < 0:
-            raise ConfigurationError(
-                "backoff_cap_s must be non-negative")
-        if self.backoff_multiplier < 1.0:
-            raise ConfigurationError(
-                "backoff_multiplier must be at least 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError("jitter must lie in [0, 1]")
-
-    def delay_for(self, attempt: int) -> float:
-        """Deterministic sleep before retrying after failed attempt
-        ``attempt`` (1-based).
-
-        Zero whenever ``backoff_s`` is zero.  Otherwise the capped
-        exponential above, scaled by ``1 + jitter * u`` where ``u`` in
-        ``[-1, 1)`` is a pure function of ``(seed, attempt)`` — no
-        global RNG state is consumed, so the schedule is reproducible
-        and side-effect free.
-        """
-        if self.backoff_s <= 0.0:
-            return 0.0
-        delay = self.backoff_s * self.backoff_multiplier ** (attempt - 1)
-        delay = min(delay, self.backoff_cap_s)
-        if self.jitter:
-            digest = hashlib.sha256(
-                f"eqasm-backoff:{self.seed}:{attempt}".encode()).digest()
-            unit = int.from_bytes(digest[:8], "big") / 2.0 ** 64
-            delay *= 1.0 + self.jitter * (2.0 * unit - 1.0)
-        return min(delay, self.backoff_cap_s)
 
 
 @dataclass
@@ -243,118 +173,6 @@ class ExperimentSetup:
         """
         self.machine.load(assembled)
         return self.machine.run_counts(shots)
-
-    # ------------------------------------------------------------------
-    # Resilient execution (degradation ladder)
-    # ------------------------------------------------------------------
-    def run_resilient(self, assembled: AssembledProgram, shots: int,
-                      policy: RetryPolicy | None = None
-                      ) -> list[ShotTrace]:
-        """Run N shots with graceful degradation instead of aborting.
-
-        Structured runtime failures walk a degradation ladder —
-        tableau -> dense -> interpreter-only -> abort — one rung per
-        retry, bounded by ``policy.max_attempts``:
-
-        * :class:`~repro.core.errors.ResourceError` (a state too large
-          for the memory budget) retries with the polynomial-memory
-          stabilizer backend pinned;
-        * :class:`~repro.core.errors.BackendFaultError` /
-          :class:`~repro.core.errors.PlantError` on the tableau retries
-          on the dense backend when it fits, otherwise (and for dense
-          faults) retries interpreter-only so a poisoned replay tree
-          cannot serve stale shots;
-        * :class:`~repro.core.errors.QueueOverflowError` /
-          :class:`~repro.core.errors.ShotTimeoutError` retry
-          interpreter-only once;
-        * anything else — or a fall off the ladder — re-raises.
-
-        Every rung taken is recorded in the (successful) run's
-        :attr:`EngineStats.degradations`; the machine's configured
-        plant-backend policy is restored afterwards regardless of
-        outcome.
-        """
-        policy = policy or RetryPolicy()
-        machine = self.machine
-        original_policy = machine.plant_backend_policy
-        degradations: list[str] = []
-        use_replay = True
-        try:
-            for attempt in range(policy.max_attempts):
-                try:
-                    machine.load(assembled)
-                    traces = list(machine.run_iter(
-                        shots, use_replay=use_replay))
-                except (GuardFault, PlantError) as error:
-                    if attempt + 1 >= policy.max_attempts:
-                        raise
-                    rung = self._next_rung(error, use_replay)
-                    if rung is None:
-                        raise
-                    step, use_replay = rung
-                    delay = policy.delay_for(attempt + 1)
-                    degradations.append(
-                        f"attempt {attempt + 1}: "
-                        f"{type(error).__name__} -> {step}"
-                        + (f" (backoff {delay:.3f}s)" if delay else ""))
-                    obs = machine.observability
-                    if obs is not None:
-                        # Each ladder rung is a structured trace event
-                        # carrying the triggering guard fault's
-                        # machine-readable context, so ladder walks are
-                        # visible in exported traces, not only in
-                        # EngineStats.degradations.
-                        obs.event("runner.degradation",
-                                  attempt=attempt + 1,
-                                  error=type(error).__name__,
-                                  rung=step,
-                                  use_replay=use_replay,
-                                  backoff_s=delay,
-                                  context=getattr(error, "context", {}))
-                    if delay:
-                        time.sleep(delay)
-                    continue
-                stats = machine.engine_stats
-                stats.degradations[:0] = degradations
-                return traces
-            raise AssertionError("unreachable: ladder exits by "
-                                 "return or raise")  # pragma: no cover
-        finally:
-            machine.plant_backend_policy = original_policy
-
-    def _next_rung(self, error: Exception,
-                   use_replay: bool) -> tuple[str, bool] | None:
-        """The next degradation step for a failed attempt, or None to
-        abort (re-raise).  Returns ``(description, use_replay)``."""
-        machine = self.machine
-        if isinstance(error, ResourceError):
-            if machine.plant_backend_policy != "stabilizer":
-                machine.plant_backend_policy = "stabilizer"
-                return ("retry on the stabilizer backend "
-                        "(polynomial memory)", use_replay)
-            return None  # the tableau itself does not fit: abort
-        if isinstance(error, (QueueOverflowError, ShotTimeoutError)):
-            if use_replay:
-                return "retry interpreter-only", False
-            return None
-        if isinstance(error, (BackendFaultError, PlantError)):
-            faulted_backend = getattr(error, "context", {}).get(
-                "backend", machine.last_plant_backend)
-            if faulted_backend == "stabilizer":
-                try:
-                    machine.plant.check_admission("dense")
-                except ResourceError:
-                    if use_replay:
-                        return ("dense does not fit; retry "
-                                "interpreter-only on the tableau",
-                                False)
-                    return None
-                machine.plant_backend_policy = "dense"
-                return "retry on the dense backend", use_replay
-            if use_replay:
-                return "retry interpreter-only", False
-            return None
-        return None
 
     @property
     def last_engine_stats(self) -> EngineStats:

@@ -21,7 +21,8 @@ from repro.core.errors import PlantError
 
 
 class Statevector:
-    """An ``n``-qubit pure state with gate application and measurement."""
+    """An ``n``-qubit pure state with gate application and outcome
+    probabilities."""
 
     def __init__(self, num_qubits: int,
                  amplitudes: np.ndarray | None = None):
@@ -109,23 +110,6 @@ class Statevector:
         view = self._amplitudes.reshape(1 << qubit, 2, -1)
         return float(np.sum(np.abs(view[:, 1, :]) ** 2))
 
-    def measure(self, qubit: int, rng: np.random.Generator) -> int:
-        """Projective z-measurement of one qubit; collapses the state."""
-        p_one = self.measure_probability_one(qubit)
-        result = 1 if rng.random() < p_one else 0
-        self.collapse(qubit, result)
-        return result
-
-    def collapse(self, qubit: int, result: int) -> None:
-        """Project onto ``result`` for ``qubit`` and renormalise."""
-        view = self._amplitudes.reshape(1 << qubit, 2, -1)
-        view[:, 1 - result, :] = 0.0
-        norm = np.linalg.norm(self._amplitudes)
-        if norm < 1e-12:
-            raise PlantError(
-                f"collapse of qubit {qubit} to {result} has probability 0")
-        self._amplitudes /= norm
-
     # ------------------------------------------------------------------
     # Comparisons
     # ------------------------------------------------------------------
@@ -134,11 +118,6 @@ class Statevector:
         if other.num_qubits != self.num_qubits:
             raise PlantError("qubit count mismatch")
         return float(abs(np.vdot(self._amplitudes, other._amplitudes)) ** 2)
-
-    def equiv_up_to_phase(self, other: "Statevector",
-                          atol: float = 1e-9) -> bool:
-        """Whether two pure states are equal up to global phase."""
-        return self.fidelity(other) > 1.0 - atol
 
 
 #: Basis permutation swapping the two qubit bits of a 2-qubit unitary.

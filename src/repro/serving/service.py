@@ -109,11 +109,22 @@ class ServiceConfig:
                 "heartbeat_timeout_s must be positive")
         if self.poll_interval_s <= 0:
             raise ConfigurationError("poll_interval_s must be positive")
+        if self.point_deadline_s is not None and self.point_deadline_s <= 0:
+            raise ConfigurationError(
+                "point_deadline_s must be positive (None disables)")
+        if self.sweep_deadline_s is not None and self.sweep_deadline_s <= 0:
+            raise ConfigurationError(
+                "sweep_deadline_s must be positive (None disables)")
         if self.max_restarts < 0:
             raise ConfigurationError("max_restarts must be >= 0")
+        if self.max_point_failures < 1:
+            raise ConfigurationError(
+                "max_point_failures must be at least 1")
         if self.max_pending_sweeps < 1:
             raise ConfigurationError(
                 "max_pending_sweeps must be at least 1")
+        if self.drain_timeout_s < 0:
+            raise ConfigurationError("drain_timeout_s must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -176,7 +176,7 @@ class PointResult:
     #: counter — without it a frame-engine point would report zero
     #: shots through every serving telemetry surface).
     frame_batched: int = 0
-    #: Degradation-ladder steps the point's run took, in order.
+    #: The point run's :attr:`EngineStats.degradations`, in order.
     degradations: tuple[str, ...] = ()
     worker: int | None = None
     resumed: bool = False

@@ -116,13 +116,6 @@ class QuantumChipTopology:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def pair_by_address(self, address: int) -> QubitPair:
-        """Return the allowed pair with the given edge address."""
-        for pair in self.pairs:
-            if pair.address == address:
-                return pair
-        raise TopologyError(f"no allowed pair with address {address}")
-
     def pair_address(self, source: int, target: int) -> int:
         """Return the edge address for a directed (source, target) pair."""
         for pair in self.pairs:
@@ -134,11 +127,6 @@ class QuantumChipTopology:
         """Whether a directed two-qubit gate (source, target) is legal."""
         return any(p.source == source and p.target == target
                    for p in self.pairs)
-
-    def edges_touching(self, qubit: int) -> tuple[QubitPair, ...]:
-        """All allowed pairs that contain ``qubit`` as source or target."""
-        return tuple(p for p in self.pairs
-                     if p.source == qubit or p.target == qubit)
 
     def neighbours(self, qubit: int) -> tuple[int, ...]:
         """Qubits connected to ``qubit`` by at least one allowed pair."""

@@ -228,10 +228,10 @@ class EngineStats:
     #: The most recent audit, with the mismatched trace fields (empty
     #: when it passed).
     last_audit: ReplayAudit | None = None
-    #: Degradation-ladder steps taken during (or around) this run, in
-    #: order — e.g. "replay→interpreter (audit divergence)" from the
-    #: machine, or rung changes recorded by
-    #: :meth:`repro.experiments.runner.ExperimentSetup.run_resilient`.
+    #: Fast engines that handed the rest of this run to the
+    #: interpreter, in order: "replay -> interpreter: <reason>" after
+    #: an audit divergence, "frame -> interpreter: <reason>" after a
+    #: failed frame reference shot.
     degradations: list[str] = field(default_factory=list)
     #: Human-readable descriptions of every injected fault that fired
     #: during this run (empty when no :class:`FaultPlan` is armed).

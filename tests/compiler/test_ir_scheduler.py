@@ -6,7 +6,6 @@ from repro.compiler import (
     Circuit,
     CircuitOp,
     schedule_asap,
-    schedule_serial,
     schedule_with_interval,
 )
 from repro.core.errors import AssemblyError
@@ -107,12 +106,6 @@ class TestASAPScheduler:
 
 
 class TestOtherSchedulers:
-    def test_serial_schedule(self, ops):
-        circuit = Circuit("t", 2).add("X", 0).add("Y", 1)
-        schedule = schedule_serial(circuit, ops)
-        assert schedule.cycles() == [0, 1]
-        assert schedule.average_parallelism() == 1.0
-
     def test_interval_schedule(self, ops):
         circuit = Circuit("t", 1).add("X", 0).add("Y", 0).add("X90", 0)
         schedule = schedule_with_interval(circuit, ops, 16)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core import Assembler, two_qubit_instantiation
-from repro.experiments.runner import ExperimentSetup
 from repro.obs import Observability
 from repro.obs.__main__ import main as obs_main
 from repro.obs.report import load_chrome_trace
@@ -126,6 +125,29 @@ class TestTracedReplayRun:
         assert snapshot["engine.replay.walk.time_ns"]["value"] > 0
         assert snapshot["engine.replay.audit.time_ns"]["count"] == audits
 
+    def test_in_run_degradation_and_fault_are_events(self):
+        """A fired fault and the audit divergence it causes are
+        instant events, mirroring ``EngineStats.faults_injected`` and
+        ``EngineStats.degradations``."""
+        obs = Observability()
+        machine = make_machine(seed=3, observability=obs)
+        machine.audit_fraction = 1.0
+        machine.run(50)  # grow the tree the fault corrupts
+        machine.arm_faults(FaultPlan([FaultSpec("tree_bitflip")],
+                                     seed=9))
+        assert len(machine.run(120)) == 120
+        stats = machine.engine_stats
+        events = obs.tracer.events()
+        faults = [event.attributes["detail"] for event in events
+                  if event.name == "machine.fault_injected"]
+        assert faults == stats.faults_injected
+        assert "tree_bitflip" in faults[0]
+        [degradation] = [event for event in events
+                         if event.name == "machine.degradation"]
+        assert degradation.attributes["engine"] == "replay"
+        assert stats.degradations == [
+            f"replay -> interpreter: {degradation.attributes['detail']}"]
+
     def test_tracing_does_not_perturb_physics(self):
         shots = 40
         plain = make_machine(seed=7).run(shots)
@@ -197,34 +219,6 @@ class TestReportCli:
         scalar.write_text("42")
         with pytest.raises(ValueError):
             load_chrome_trace(scalar)
-
-
-class TestDegradationEvents:
-    def test_resilient_ladder_emits_structured_events(self):
-        """Satellite: every degradation-ladder rung taken by
-        ``run_resilient`` is a structured trace event carrying the
-        triggering guard fault's context."""
-        obs = Observability()
-        setup = ExperimentSetup.create(noise=NoiseModel(), seed=0,
-                                       observability=obs)
-        assembled = setup.assemble_text(ACTIVE_RESET)
-        setup.machine.arm_faults(
-            FaultPlan([FaultSpec("backend_gate", shot=0)]))
-        traces = setup.run_resilient(assembled, 20)
-        assert len(traces) == 20
-        assert setup.last_engine_stats.degradations
-
-        events = [event for event in obs.tracer.events()
-                  if event.name == "runner.degradation"]
-        assert events, "ladder rung left no trace event"
-        attrs = events[0].attributes
-        assert attrs["attempt"] == 1
-        assert attrs["error"] == "BackendFaultError"
-        assert attrs["rung"]
-        assert isinstance(attrs["context"], dict) and attrs["context"]
-        # The injected fault itself is also an instant event.
-        assert any(event.name == "machine.fault_injected"
-                   for event in obs.tracer.events())
 
 
 class TestEngineStatsContract:

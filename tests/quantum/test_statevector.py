@@ -1,7 +1,5 @@
 """Tests for the statevector simulator."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,44 +122,6 @@ class TestTwoQubitGates:
 
 
 class TestMeasurement:
-    def test_deterministic_measure(self):
-        state = zero_state(1)
-        rng = np.random.default_rng(1)
-        assert state.measure(0, rng) == 0
-        state.apply_gate(gates.X, (0,))
-        assert state.measure(0, rng) == 1
-
-    def test_measurement_collapses(self):
-        rng = np.random.default_rng(7)
-        state = zero_state(1)
-        state.apply_gate(gates.H, (0,))
-        result = state.measure(0, rng)
-        # A second measurement must agree.
-        assert state.measure(0, rng) == result
-
-    def test_entangled_measurement_correlates(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            state = zero_state(2)
-            state.apply_gate(gates.H, (0,))
-            state.apply_gate(gates.CNOT, (0, 1))
-            assert state.measure(0, rng) == state.measure(1, rng)
-
-    def test_measure_statistics(self):
-        rng = np.random.default_rng(11)
-        ones = 0
-        shots = 2000
-        for _ in range(shots):
-            state = zero_state(1)
-            state.apply_gate(gates.X90, (0,))
-            ones += state.measure(0, rng)
-        assert ones / shots == pytest.approx(0.5, abs=0.05)
-
-    def test_collapse_zero_probability_raises(self):
-        state = zero_state(1)
-        with pytest.raises(PlantError):
-            state.collapse(0, 1)
-
     def test_probability_out_of_range(self):
         state = zero_state(1)
         with pytest.raises(PlantError):
@@ -179,11 +139,6 @@ class TestFidelity:
     def test_mismatched_sizes(self):
         with pytest.raises(PlantError):
             zero_state(1).fidelity(zero_state(2))
-
-    def test_equiv_up_to_phase(self):
-        state = zero_state(1)
-        phased = Statevector(1, np.array([1j, 0.0]))
-        assert state.equiv_up_to_phase(phased)
 
 
 @st.composite

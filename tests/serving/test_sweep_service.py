@@ -79,6 +79,21 @@ class TestSweepSpec:
         with pytest.raises(ConfigurationError):
             ServiceConfig(max_pending_sweeps=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("point_deadline_s", 0.0),
+        ("point_deadline_s", -1.0),
+        ("sweep_deadline_s", 0.0),
+        ("sweep_deadline_s", -1.0),
+        ("max_point_failures", 0),
+        ("drain_timeout_s", -0.5),
+    ])
+    def test_config_rejects_nonpositive_budgets(self, field, value):
+        # A zero point deadline would make every supervise pass kill
+        # each busy worker as a stalled shard, failing the sweep with a
+        # misleading "restart budget exhausted".
+        with pytest.raises(ConfigurationError, match=field):
+            ServiceConfig(**{field: value})
+
 
 class TestHappyPath:
     def test_sweep_matches_inline_execution(self, inline_setup):
@@ -218,12 +233,12 @@ class TestAdmissionAndDeadlines:
         assert {r.sweep for r in results} == {"adm-0"}
 
     def test_sweep_deadline_raises_structured_guard_fault(self):
-        service = SweepService(ServiceConfig(sweep_deadline_s=0.0,
+        service = SweepService(ServiceConfig(sweep_deadline_s=1e-9,
                                              **FAST))
         with pytest.raises(JobDeadlineError) as info:
             service.run_sweep(make_spec("deadline", num_points=2))
         context = info.value.context
-        assert context["deadline_s"] == 0.0
+        assert context["deadline_s"] == 1e-9
         assert context["completed_points"] == 0
         assert context["total_points"] == 2
         assert isinstance(info.value, GuardFault)
@@ -236,7 +251,7 @@ class TestAdmissionAndDeadlines:
         spec = make_spec("deadline-resume", num_points=3, shots=10)
         path = tmp_path / "sweep.jsonl"
         expected = run_points_inline(inline_setup, spec)
-        strict = SweepService(ServiceConfig(sweep_deadline_s=0.0,
+        strict = SweepService(ServiceConfig(sweep_deadline_s=1e-9,
                                             **FAST))
         with pytest.raises(JobDeadlineError):
             strict.run_sweep(spec, journal_path=path)

@@ -46,8 +46,8 @@ import numpy as np
 import pytest
 
 from repro.core import Assembler, two_qubit_instantiation
-from repro.core.errors import EQASMError, TimingViolationError
-from repro.experiments.runner import ExperimentSetup, RetryPolicy
+from repro.core.errors import GuardFault, TimingViolationError
+from repro.experiments.runner import ExperimentSetup
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
 from repro.uarch import (
@@ -78,8 +78,9 @@ ENGINE_MIX: Counter = Counter()
 BACKEND_MIX: Counter = Counter()
 
 #: Chaos-shape aggregate (same reporting path): how each fuzz case
-#: under fault injection resolved — recovered via the degradation
-#: ladder, survived with nothing fired, or aborted structurally.
+#: under fault injection resolved — "recovered in-run (site)" when the
+#: machine's own degradations delivered every shot, or "aborted
+#: (site)" when the fired fault surfaced as its structured guard fault.
 CHAOS_MIX: Counter = Counter()
 
 #: Pauli-frame-shape aggregate (same reporting path): how each
@@ -572,12 +573,13 @@ def test_fault_injection_chaos(seed):
     """Random programs x random fault plans, self-verifying replay on.
 
     The hardened stack's contract under chaos: every run either
-    delivers all shots (degradation ladder, recorded rungs) or aborts
-    with a *structured* :class:`EQASMError` — never silent corruption,
-    never a bare non-library exception — and a disarmed re-run of the
-    same program is healthy again (no degradations, every audit
-    clean).  The fault site is drawn from the sites the case can reach,
-    so a delivered run must have actually fired its fault.
+    delivers all shots (the machine's in-run degradations) or aborts
+    with the fired fault's structured :class:`GuardFault` — never
+    silent corruption, never a bare non-library exception — and a
+    disarmed re-run of the same program is healthy again (no
+    degradations, every audit clean).  The fault site is drawn from
+    the sites the case can reach, so either outcome must have
+    actually fired its fault.
     """
     text, mock_plan, clifford_only = generate_case(seed)
     noise = clifford_only_noise() if clifford_only else NoiseModel()
@@ -603,20 +605,20 @@ def test_fault_injection_chaos(seed):
             # start: grow the tree first, disarmed.
             setup.machine.run_counts(CHAOS_SHOTS)
         setup.machine.arm_faults(plan)
-        traces = setup.run_resilient(assembled, CHAOS_SHOTS,
-                                     policy=RetryPolicy(max_attempts=3))
+        traces = setup.run(assembled, CHAOS_SHOTS)
     except TimingViolationError:
         CHAOS_MIX["timing-violation"] += 1
         return
-    except EQASMError:
-        # The ladder ran out of rungs: an abort is acceptable, but it
-        # must be the structured kind (anything else propagates and
-        # fails the test).
+    except GuardFault:
+        # An abort is acceptable only as the structured guard fault of
+        # a fault that fired (anything else propagates and fails the
+        # test).
+        assert plan.records, f"{site} abort (shot {shot}) fired no fault"
         CHAOS_MIX[f"aborted ({site})"] += 1
     else:
         assert len(traces) == CHAOS_SHOTS
         assert plan.records, f"{site} fault (shot {shot}) never fired"
-        CHAOS_MIX[f"recovered ({site})"] += 1
+        CHAOS_MIX[f"recovered in-run ({site})"] += 1
 
     # Recovery: disarm, reset caches and queues, re-run clean.
     setup.machine.disarm_faults()
@@ -624,7 +626,7 @@ def test_fault_injection_chaos(seed):
     setup.machine.measurement_unit.clear_mock_results()
     if mock_plan:
         setup.machine.measurement_unit.inject_mock_results(2, mock_plan)
-    clean = setup.run_resilient(assembled, CHAOS_SHOTS)
+    clean = setup.run(assembled, CHAOS_SHOTS)
     assert len(clean) == CHAOS_SHOTS
     stats = setup.machine.engine_stats
     assert stats.audit_divergences == 0

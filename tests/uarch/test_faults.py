@@ -4,11 +4,11 @@ For each site of :data:`repro.uarch.faults.FAULT_SITES` the suite
 proves the full hardening contract:
 
 1. **detection** — the injected failure surfaces as the documented
-   structured error (or degradation) instead of silent corruption;
+   structured error (or an in-run degradation recorded in
+   ``EngineStats.degradations``) instead of silent corruption;
 2. **context** — the error carries its machine-readable context keys;
-3. **ladder** — :meth:`ExperimentSetup.run_resilient` degrades onto
-   the next rung and still delivers every shot;
-4. **recovery** — a clean re-run after disarming is healthy again.
+3. **recovery** — a clean re-run after disarming delivers every shot
+   with no degradations.
 """
 
 import math
@@ -33,7 +33,7 @@ from repro.core.errors import (
     ShotTimeoutError,
 )
 from repro.experiments.cfc import CFC_SCRATCH_PROGRAM, CFC_TWO_ROUND_PROGRAM
-from repro.experiments.runner import ExperimentSetup, RetryPolicy
+from repro.experiments.runner import ExperimentSetup
 from repro.experiments.surface_code import looped_surface_code_program
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
@@ -132,6 +132,16 @@ def make_setup(seed=0, **kwargs):
                                   **kwargs)
 
 
+def assert_clean_rerun(setup, assembled, shots):
+    """A disarmed re-run delivers every shot with no degradations and
+    no fired fault."""
+    assert len(setup.run(assembled, shots)) == shots
+    stats = setup.last_engine_stats
+    assert stats.shots_total == shots
+    assert not stats.degradations
+    assert not stats.faults_injected
+
+
 class TestFaultPlan:
     """The deterministic schedule itself."""
 
@@ -181,19 +191,17 @@ class TestBackendGateFault:
         assert machine._tree is None
         assert machine.engine_stats.faults_injected
 
-    def test_ladder_and_recovery(self):
+    def test_recovery_after_disarm(self):
         setup = make_setup()
         assembled = setup.assemble_text(ACTIVE_RESET)
         setup.machine.arm_faults(FaultPlan([FaultSpec("backend_gate",
                                                       shot=0)]))
-        traces = setup.run_resilient(assembled, 20)
-        assert len(traces) == 20
-        assert setup.last_engine_stats.degradations
-        assert setup.machine.plant_backend_policy == "auto"  # restored
+        with pytest.raises(BackendFaultError) as info:
+            setup.run(assembled, 20)
+        assert info.value.site == "backend_gate"
+        assert info.value.backend == "dense"
         setup.machine.disarm_faults()
-        clean = setup.run_resilient(assembled, 20)
-        assert len(clean) == 20
-        assert not setup.last_engine_stats.degradations
+        assert_clean_rerun(setup, assembled, 20)
 
 
 class TestMeasurementStallFault:
@@ -208,17 +216,17 @@ class TestMeasurementStallFault:
         assert error.register == 1
         assert "waits forever" in str(error)
 
-    def test_ladder_and_recovery(self):
+    def test_recovery_after_disarm(self):
         setup = make_setup()
         assembled = setup.assemble_text(CFC_FMR)
-        # One stall, then healthy: the interpreter-only retry succeeds
-        # because the fault budget is consumed on the first attempt.
         setup.machine.arm_faults(
             FaultPlan([FaultSpec("measurement_stall", shot=0)]))
-        traces = setup.run_resilient(assembled, 10)
-        assert len(traces) == 10
-        assert any("ShotTimeoutError" in step for step in
-                   setup.last_engine_stats.degradations)
+        with pytest.raises(ShotTimeoutError) as info:
+            setup.run(assembled, 10)
+        assert info.value.qubit == 2
+        assert info.value.register == 1
+        setup.machine.disarm_faults()
+        assert_clean_rerun(setup, assembled, 10)
 
 
 class TestTimingOverflowFault:
@@ -233,15 +241,17 @@ class TestTimingOverflowFault:
         assert error.depth == machine.config.timing_queue_depth
         assert error.occupancy >= 0
 
-    def test_ladder_and_recovery(self):
+    def test_recovery_after_disarm(self):
         setup = make_setup()
         assembled = setup.assemble_text(ACTIVE_RESET)
         setup.machine.arm_faults(
             FaultPlan([FaultSpec("timing_overflow", shot=0)]))
-        traces = setup.run_resilient(assembled, 10)
-        assert len(traces) == 10
+        with pytest.raises(QueueOverflowError) as info:
+            setup.run(assembled, 10)
+        assert info.value.queue == "timing"
+        assert info.value.depth == setup.machine.config.timing_queue_depth
         setup.machine.disarm_faults()
-        assert len(setup.run_resilient(assembled, 10)) == 10
+        assert_clean_rerun(setup, assembled, 10)
 
 
 def _terminals(tree):
@@ -359,27 +369,6 @@ class TestAdmissionControl:
             run_rotated_surface_experiment(3, rounds=1, shots=1,
                                            plant_backend="dense")
         assert "plant_backend='stabilizer'" in info.value.suggestion
-
-    def test_ladder_degrades_resource_error_to_stabilizer(self):
-        from repro.core.isa import rotated_surface_instantiation
-        setup = ExperimentSetup.create(
-            isa=rotated_surface_instantiation(3),
-            noise=NoiseModel.noiseless(), seed=1,
-            plant_backend="dense")
-        assembled = setup.assemble_text("""
-SMIS S0, {0}
-X S0
-MEASZ S0
-QWAIT 50
-STOP
-""")
-        traces = setup.run_resilient(assembled, 5)
-        assert len(traces) == 5
-        assert setup.last_plant_backend == "stabilizer"
-        assert any("stabilizer" in step for step in
-                   setup.last_engine_stats.degradations)
-        # The caller's configured pin is restored afterwards.
-        assert setup.machine.plant_backend_policy == "dense"
 
 
 class TestShotTimeBudget:
@@ -602,74 +591,6 @@ class TestGuardFaultHierarchy:
             assert issubclass(cls, GuardFault)
             assert issubclass(cls, RuntimeFault)
             assert issubclass(cls, EQASMError)
-
-
-class TestRetryBackoff:
-    """The capped exponential backoff schedule of RetryPolicy."""
-
-    def test_zero_base_never_sleeps(self):
-        policy = RetryPolicy()
-        assert [policy.delay_for(n) for n in range(1, 6)] == [0.0] * 5
-
-    def test_capped_exponential_growth(self):
-        policy = RetryPolicy(max_attempts=8, backoff_s=0.1,
-                             backoff_cap_s=0.5, jitter=0.0)
-        delays = [policy.delay_for(n) for n in range(1, 8)]
-        assert delays[:3] == [0.1, 0.2, 0.4]
-        assert all(d == 0.5 for d in delays[3:])  # clamped at the cap
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_s=1.0, backoff_cap_s=100.0,
-                             jitter=0.25, seed=42)
-        again = RetryPolicy(backoff_s=1.0, backoff_cap_s=100.0,
-                            jitter=0.25, seed=42)
-        other = RetryPolicy(backoff_s=1.0, backoff_cap_s=100.0,
-                            jitter=0.25, seed=43)
-        delays = [policy.delay_for(n) for n in range(1, 6)]
-        assert delays == [again.delay_for(n) for n in range(1, 6)]
-        assert delays != [other.delay_for(n) for n in range(1, 6)]
-        for n, delay in enumerate(delays, start=1):
-            base = min(1.0 * 2.0 ** (n - 1), 100.0)
-            assert base * 0.75 <= delay <= base * 1.25
-
-    def test_jitter_never_exceeds_the_cap(self):
-        policy = RetryPolicy(backoff_s=1.0, backoff_cap_s=1.0,
-                             jitter=1.0, seed=7)
-        assert all(policy.delay_for(n) <= 1.0 for n in range(1, 10))
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_multiplier=0.5)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_cap_s=-1.0)
-
-    def test_ladder_records_per_attempt_delay(self):
-        """run_resilient must make the sleep it took visible in the
-        structured degradations, not only take it."""
-        setup = make_setup()
-        assembled = setup.assemble_text(ACTIVE_RESET)
-        setup.machine.arm_faults(
-            FaultPlan([FaultSpec("timing_overflow", shot=0)]))
-        policy = RetryPolicy(backoff_s=0.01, backoff_cap_s=0.02,
-                             jitter=0.5, seed=3)
-        traces = setup.run_resilient(assembled, 10, policy=policy)
-        assert len(traces) == 10
-        stats = setup.last_engine_stats
-        [rung] = [d for d in stats.degradations if "attempt 1" in d]
-        assert "backoff" in rung
-        recorded = float(rung.split("backoff ")[1].rstrip("s)"))
-        assert abs(recorded - policy.delay_for(1)) < 5e-4
-
-    def test_zero_backoff_ladder_records_no_delay(self):
-        setup = make_setup()
-        assembled = setup.assemble_text(ACTIVE_RESET)
-        setup.machine.arm_faults(
-            FaultPlan([FaultSpec("timing_overflow", shot=0)]))
-        setup.run_resilient(assembled, 5)
-        assert all("backoff" not in d
-                   for d in setup.last_engine_stats.degradations)
 
 
 FRAME_CLIFFORD = """

@@ -458,8 +458,8 @@ class TestBackendPolicy:
             ExperimentSetup.create(plant_backend="tableau")
 
     def test_policy_assigned_later_is_checked_at_run_time(self):
-        """``run_resilient`` reassigns the policy attribute, so the
-        run keeps its own check."""
+        """``plant_backend_policy`` is a public attribute a caller
+        may reassign, so the run keeps its own check."""
         machine = make_machine(FIG4_PROGRAM)
         machine.plant_backend_policy = "tableau"
         with pytest.raises(RuntimeFault, match="'tableau'"):
