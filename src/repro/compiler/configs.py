@@ -49,7 +49,7 @@ class DSEConfig:
         return list(range(minimum, max_width + 1))
 
     def label(self) -> str:
-        """Human-readable form used in bench output."""
+        """Human-readable form used in report output."""
         parts = [self.timing]
         if self.timing == "ts3":
             parts.append(f"wPI={self.pi_width}")

@@ -16,7 +16,7 @@ Section 1.2:
 This module renders a schedule into QuMIS-style assembly (``wait`` /
 ``pulse`` / ``trigger`` / ``measure`` mnemonics following the QuMA
 paper) and counts instructions, providing the baseline series for the
-Fig. 7 and issue-rate benches.
+Fig. 7 and issue-rate comparisons.
 """
 
 from __future__ import annotations

@@ -71,7 +71,7 @@ def run_allxy_experiment(shots: int = 200, seed: int = 7,
 
 
 def format_allxy_table(result: AllXYResult) -> str:
-    """Render the Fig. 11 series as text (bench output)."""
+    """Render the Fig. 11 series as text (example output)."""
     lines = ["step  F|1> q0 (meas/ideal)   F|1> q2 (meas/ideal)"]
     for i, step in enumerate(result.steps):
         lines.append(

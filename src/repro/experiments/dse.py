@@ -24,7 +24,7 @@ from repro.workloads.grover_sqrt import grover_sqrt_circuit
 from repro.workloads.ising import ising_circuit
 from repro.workloads.rb import rb_dse_circuit
 
-#: Paper claims used as shape checks by the benches (Section 4.2).
+#: Paper claims used as shape checks by ``tests/paper`` (Section 4.2).
 PAPER_CLAIMS = {
     "rb_w4_reduction_vs_baseline": 0.62,      # "up to 62 % (RB)"
     "config9_w2_eff_ops": {"RB": 1.795, "IM": 1.485, "SR": 1.118},
@@ -145,7 +145,7 @@ def issue_rate_analysis(benchmarks: DSEBenchmarks | None = None,
 
 
 def format_dse_table(table: DSETable) -> str:
-    """Render Fig. 7 as a text table (bench output)."""
+    """Render Fig. 7 as a text table (example output)."""
     lines = []
     for benchmark, counts in table.counts.items():
         lines.append(f"--- {benchmark} ---")

@@ -66,14 +66,3 @@ def run_rabi_experiment(num_steps: int = 21, shots: int = 200,
         populations=populations,
         ideal=rabi_ideal_curve(num_steps),
         pi_pulse_step=fit_pi_pulse_step(populations))
-
-
-def format_rabi_report(result: RabiResult) -> str:
-    """Render the oscillation and calibration outcome."""
-    lines = ["step  P(1) measured  P(1) ideal"]
-    for step, measured, ideal in zip(result.steps, result.populations,
-                                     result.ideal):
-        lines.append(f"{step:4d}  {measured:13.3f}  {ideal:10.3f}")
-    lines.append(f"calibrated pi pulse: X_AMP_{result.pi_pulse_step} "
-                 f"(ideal: step {(len(result.steps) - 1) // 2})")
-    return "\n".join(lines)

@@ -45,7 +45,7 @@ class ResetResult:
     #: replay path (shots via interpreter vs replay, cache hits).
     engine_stats: EngineStats = field(default_factory=EngineStats)
 
-    def matches_paper(self, tolerance: float = 0.05) -> bool:
+    def matches_paper(self, tolerance: float = 0.04) -> bool:
         """Within ``tolerance`` of the paper's 82.7 %."""
         return abs(self.ground_probability -
                    PAPER_RESET_PROBABILITY) <= tolerance

@@ -6,8 +6,8 @@ and everything else at 100 MHz (10 ns cycle); the UHFQC link is a 32-bit
 digital interface at 50 MHz.  The latency constants below model those
 paths; they are calibrated once so the two measured feedback latencies
 of Section 5 (~92 ns fast conditional, ~316 ns CFC) emerge from the
-simulated pipelines (``benchmarks/bench_feedback_latency.py`` checks
-both).
+simulated pipelines (``tests/paper/test_sec5_feedback_latency.py``
+checks both).
 
 ``late_policy`` selects what the timing controller does when the
 reserve phase falls behind the timeline (the quantum-operation
@@ -17,8 +17,9 @@ issue-rate problem, Section 1.2):
   (the default; real experiments are mis-timed and must be rejected);
 * ``"slip"`` — stall the timer until the event arrives and record the
   slippage, modelling a queue-driven timing controller that waits on an
-  empty queue.  Used by the issue-rate benchmarks to *quantify* how far
-  an ISA configuration falls behind.
+  empty queue.  Used by the issue-rate tests
+  (``tests/paper/test_sec43_issue_rate.py``) to *quantify* how far an
+  ISA configuration falls behind.
 """
 
 from __future__ import annotations

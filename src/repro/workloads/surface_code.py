@@ -20,9 +20,9 @@ picks up X instead of Z.  A round emits every Z check, then every X
 check, each group in ancilla order: disjoint checks schedule in
 parallel, the compiler's SOMQ merging packs the identical Y90/measure
 layers into masked operations (quantified in
-``benchmarks/bench_surface_code.py``), and interleaving the groups
-(Z, X, Z, X ...) lengthens a distance-5 round with X checks from 71 to
-83 cycles.
+``tests/paper/test_sec42_surface_code_somq.py``), and interleaving the
+groups (Z, X, Z, X ...) lengthens a distance-5 round with X checks
+from 71 to 83 cycles.
 
 With data prepared in |0...0> the Z syndromes are deterministic and an
 injected X or Y error must fire exactly the Z checks whose plaquette

@@ -1,4 +1,4 @@
-"""Tests for the experiment report formatters (bench output surfaces)."""
+"""Tests for the experiment report formatters and paper-match helpers."""
 
 import pytest
 

@@ -1,27 +1,20 @@
-"""Integration tests of the Section 5 experiment reproductions.
+"""Reduced-size experiment checks that no full-size paper test makes.
 
-These run reduced-size versions (fewer shots / shorter sequences) of
-the benchmark harness; the full-size numbers are produced by the
-benches in ``benchmarks/``.
+The paper's figures are asserted at full size in ``tests/paper/`` (see
+its README for the claims table); the checks here cover what those
+leave out: Grover tomography on a noiseless plant, the width-vs-
+parallelism ordering of Fig. 7 and the QuMIS/eQASM issue-rate bounds
+on the IM and RB loads.
 """
 
 import pytest
 
-from repro.experiments.allxy import run_allxy_experiment
-from repro.experiments.cfc import (
-    measure_feedback_latencies,
-    run_cfc_verification,
-)
 from repro.experiments.dse import (
     build_benchmarks,
-    config9_effective_ops,
     issue_rate_analysis,
     run_dse,
 )
 from repro.experiments.grover import run_grover_tomography
-from repro.experiments.rabi import run_rabi_experiment
-from repro.experiments.rb_timing import run_rb_timing_experiment
-from repro.experiments.reset import run_active_reset_experiment
 from repro.experiments.runner import ExperimentSetup
 from repro.quantum import NoiseModel
 
@@ -31,81 +24,7 @@ def small_benchmarks():
     return build_benchmarks(rb_cliffords=64)
 
 
-class TestActiveReset:
-    def test_reset_probability_near_paper(self):
-        result = run_active_reset_experiment(shots=800, seed=5)
-        # Paper: 82.7 %, readout-limited.
-        assert result.ground_probability == pytest.approx(0.827, abs=0.05)
-
-    def test_conditional_execution_rate(self):
-        result = run_active_reset_experiment(shots=800, seed=6)
-        # X90 gives ~50 % |1>, so C_X should fire about half the time.
-        assert result.conditional_executed_fraction == pytest.approx(
-            0.5, abs=0.08)
-
-    def test_noiseless_reset_is_perfect(self):
-        result = run_active_reset_experiment(
-            shots=100, seed=1, noise=NoiseModel.noiseless())
-        assert result.ground_probability == 1.0
-
-
-class TestCFC:
-    def test_alternation(self):
-        result = run_cfc_verification(rounds=12)
-        assert result.alternates
-        assert result.applied_operations == ["X", "Y"] * 6
-
-    def test_latencies_match_paper(self):
-        result = measure_feedback_latencies()
-        assert result.fast_conditional_matches()   # ~92 ns
-        assert result.cfc_matches()                # ~316 ns
-        # CFC flexibility costs ~3-4x latency (the paper's trade-off).
-        ratio = result.cfc_ns / result.fast_conditional_ns
-        assert 2.5 < ratio < 4.5
-
-
-class TestRBTiming:
-    def test_error_grows_with_interval(self):
-        result = run_rb_timing_experiment(
-            intervals_ns=(320, 80, 20), max_length=200, num_lengths=4,
-            num_sequences=2, seed=3)
-        errors = result.error_by_interval()
-        assert errors[320] > errors[80] > errors[20] > 0
-
-    def test_interval_20_near_paper_error(self):
-        result = run_rb_timing_experiment(
-            intervals_ns=(20,), max_length=300, num_lengths=5,
-            num_sequences=2, seed=4)
-        # Paper: 0.10 % at 20 ns.
-        assert result.error_by_interval()[20] == pytest.approx(
-            0.0010, abs=4e-4)
-
-
-class TestAllXY:
-    def test_staircase_reproduced(self):
-        result = run_allxy_experiment(shots=80, seed=7)
-        assert result.rms_error_a() < 0.1
-        assert result.rms_error_b() < 0.1
-        # The staircase has all three plateaus.
-        assert min(result.measured_a) < 0.15
-        assert max(result.measured_a) > 0.85
-
-
-class TestRabi:
-    def test_oscillation_and_calibration(self):
-        result = run_rabi_experiment(num_steps=9, shots=120, seed=13)
-        # Pi pulse at the midpoint of a full 2*pi sweep.
-        assert result.pi_pulse_step == 4
-        assert result.max_deviation() < 0.15
-
-
 class TestGrover:
-    def test_single_oracle_fidelity(self):
-        setup = ExperimentSetup.create(seed=17)
-        fidelity = run_grover_tomography(3, setup, shots=120)
-        # Paper: 85.6 % average; generous band for one reduced run.
-        assert 0.75 < fidelity < 0.97
-
     def test_noiseless_fidelity_is_high(self):
         setup = ExperimentSetup.create(noise=NoiseModel.noiseless(),
                                        seed=2)
@@ -116,43 +35,12 @@ class TestGrover:
 
 
 class TestDSE:
-    def test_paper_headline_rb_reduction(self, small_benchmarks):
-        table = run_dse(small_benchmarks)
-        # "By increasing w from 1 to 4, the number of instructions can
-        # be reduced up to 62 % (RB)" — config 1, w=1 -> w=4.
-        reduction = table.reduction_vs_baseline("RB", 1, 4)
-        assert reduction == pytest.approx(0.62, abs=0.04)
-
     def test_parallel_benchmarks_benefit_more_from_width(
             self, small_benchmarks):
         table = run_dse(small_benchmarks)
         rb = table.reduction_vs_baseline("RB", 1, 4)
         sr = table.reduction_vs_baseline("SR", 1, 4)
         assert rb > sr
-
-    def test_somq_benefits_ordering(self, small_benchmarks):
-        # SOMQ: RB max ~42 %, IM ~24 % (w=1), SR <= ~7 %.
-        table = run_dse(small_benchmarks)
-        rb = table.reduction_between("RB", 5, 2, 9, 2)
-        im = table.reduction_between("IM", 5, 1, 9, 1)
-        sr = table.reduction_between("SR", 5, 1, 9, 1)
-        assert rb == pytest.approx(0.42, abs=0.06)
-        assert im == pytest.approx(0.24, abs=0.06)
-        assert sr < 0.12
-        assert rb > im > sr
-
-    def test_config2_helps_sequential_most(self, small_benchmarks):
-        table = run_dse(small_benchmarks)
-        sr = table.reduction_between("SR", 1, 2, 2, 2)
-        rb = table.reduction_between("RB", 1, 2, 2, 2)
-        assert sr > rb
-
-    def test_effective_ops_ordering(self, small_benchmarks):
-        eff = config9_effective_ops(small_benchmarks)
-        # RB (parallel) > IM > SR (sequential), growing with w for RB.
-        assert eff["RB"][2] > eff["IM"][2] > eff["SR"][2]
-        assert eff["RB"][4] > eff["RB"][2]
-        assert eff["SR"][4] == pytest.approx(eff["SR"][2], abs=0.4)
 
     def test_issue_rate_quimis_vs_eqasm(self, small_benchmarks):
         report = issue_rate_analysis(small_benchmarks)

@@ -1,4 +1,4 @@
-"""E3 — Fig. 11: the two-qubit AllXY staircase.
+"""Fig. 11: the two-qubit AllXY staircase.
 
 Runs the 42 interleaved gate-pair combinations on the simulated
 two-qubit setup (full stack: OpenQL-like compile -> assemble -> QuMA v2
@@ -6,22 +6,13 @@ two-qubit setup (full stack: OpenQL-like compile -> assemble -> QuMA v2
 against the ideal staircase (the red line of Fig. 11).
 """
 
-import pytest
-
-from repro.experiments.allxy import (
-    format_allxy_table,
-    run_allxy_experiment,
-)
+from repro.experiments.allxy import run_allxy_experiment
 
 SHOTS = 150
 
 
-def test_fig11_two_qubit_allxy(benchmark):
-    result = benchmark.pedantic(run_allxy_experiment,
-                                kwargs={"shots": SHOTS, "seed": 7},
-                                rounds=1, iterations=1)
-    print()
-    print(format_allxy_table(result))
+def test_fig11_two_qubit_allxy():
+    result = run_allxy_experiment(shots=SHOTS, seed=7)
     # "Matches well with the expectation": small RMS deviation and all
     # three plateaus present on both qubits.
     assert result.rms_error_a() < 0.08

@@ -1,4 +1,4 @@
-"""E4 — Fig. 12: single-qubit RB error per gate vs gate interval.
+"""Fig. 12: single-qubit RB error per gate vs gate interval.
 
 Paper: error per gate falls from 0.71 % at a 320 ns interval to 0.10 %
 at 20 ns — a factor ~7 — demonstrating why eQASM exposes timing at the
@@ -11,19 +11,13 @@ import pytest
 
 from repro.experiments.rb_timing import (
     PAPER_ERROR_PER_GATE,
-    format_rb_table,
     run_rb_timing_experiment,
 )
 
 
-def test_fig12_rb_error_vs_interval(benchmark):
-    result = benchmark.pedantic(
-        run_rb_timing_experiment,
-        kwargs={"max_length": 1000, "num_lengths": 7,
-                "num_sequences": 2, "seed": 11},
-        rounds=1, iterations=1)
-    print()
-    print(format_rb_table(result))
+def test_fig12_rb_error_vs_interval():
+    result = run_rb_timing_experiment(max_length=1000, num_lengths=7,
+                                      num_sequences=2, seed=11)
     errors = result.error_by_interval()
     # Monotone in the interval.
     ordered = sorted(errors)

@@ -1,4 +1,4 @@
-"""E12 — Sections 1.2 / 4.3: the quantum-operation issue-rate problem.
+"""Sections 1.2 / 4.3: the quantum-operation issue-rate problem.
 
 Two views:
 
@@ -13,7 +13,6 @@ Two views:
 """
 
 import numpy as np
-import pytest
 
 from repro.core import Assembler, seven_qubit_instantiation
 from repro.experiments.dse import build_benchmarks, issue_rate_analysis
@@ -21,15 +20,8 @@ from repro.quantum import NoiseModel, QuantumPlant
 from repro.uarch import QuMAv2, UarchConfig, slip_config
 
 
-def test_static_issue_rate(benchmark):
-    benchmarks = build_benchmarks(rb_cliffords=512)
-    report = benchmark.pedantic(issue_rate_analysis, args=(benchmarks,),
-                                rounds=1, iterations=1)
-    print()
-    print("benchmark   Rreq/Rallowed QuMIS   Rreq/Rallowed eQASM cfg9 w2")
-    for name in ("RB", "IM", "SR"):
-        print(f"{name:9s}   {report.quimis[name]:10.2f}           "
-              f"{report.eqasm[name]:10.2f}")
+def test_static_issue_rate():
+    report = issue_rate_analysis(build_benchmarks(rb_cliffords=512))
     for name in ("RB", "IM", "SR"):
         assert report.eqasm[name] < report.quimis[name]
     # The paper observed QuMIS failing even at 2 qubits; at 7 the
@@ -57,27 +49,18 @@ SOMQ_STYLE = "\n".join(
     + ["STOP"])
 
 
-def test_dynamic_slip_quimis_vs_somq(benchmark):
-    def run_both():
-        isa, machine = _machine(slip_config())
-        assembler = Assembler(isa)
-        machine.load(assembler.assemble_text(QUMIS_STYLE))
-        quimis_trace = machine.run_shot()
-        machine.load(assembler.assemble_text(SOMQ_STYLE))
-        somq_trace = machine.run_shot()
-        return quimis_trace, somq_trace
-
-    quimis_trace, somq_trace = benchmark.pedantic(run_both, rounds=1,
-                                                  iterations=1)
-    print(f"\nper-qubit encoding: {len(quimis_trace.slips)} slipped "
-          f"points, max slip {quimis_trace.max_slip_ns():.0f} ns")
-    print(f"SOMQ encoding:      {len(somq_trace.slips)} slipped "
-          f"points, max slip {somq_trace.max_slip_ns():.0f} ns")
+def test_dynamic_slip_quimis_vs_somq():
+    isa, machine = _machine(slip_config())
+    assembler = Assembler(isa)
+    machine.load(assembler.assemble_text(QUMIS_STYLE))
+    quimis_trace = machine.run_shot()
+    machine.load(assembler.assemble_text(SOMQ_STYLE))
+    somq_trace = machine.run_shot()
     assert quimis_trace.max_slip_ns() > 0
     assert somq_trace.slips == []
 
 
-def test_timing_queue_depth_ablation(benchmark):
+def test_timing_queue_depth_ablation():
     """A deep timing queue lets the reserve phase run ahead through
     bursty regions; depth 1 serialises reserve and trigger."""
 
@@ -89,18 +72,12 @@ def test_timing_queue_depth_ablation(benchmark):
         + ["X S0", "0, X S1", "0, X S2", "0, X S3"] * 3
         + ["STOP"])
 
-    def run_depths():
-        results = {}
-        for depth in (1, 4, 1024):
-            isa, machine = _machine(slip_config(UarchConfig(
-                timing_queue_depth=depth, late_policy="slip")))
-            machine.load(Assembler(isa).assemble_text(bursty))
-            trace = machine.run_shot()
-            results[depth] = trace.max_slip_ns()
-        return results
-
-    results = benchmark.pedantic(run_depths, rounds=1, iterations=1)
-    print("\ntiming-queue depth -> max slip:",
-          {d: f"{s:.0f} ns" for d, s in results.items()})
+    results = {}
+    for depth in (1, 4, 1024):
+        isa, machine = _machine(slip_config(UarchConfig(
+            timing_queue_depth=depth, late_policy="slip")))
+        machine.load(Assembler(isa).assemble_text(bursty))
+        trace = machine.run_shot()
+        results[depth] = trace.max_slip_ns()
     # Deeper queues never hurt; the deep queue absorbs the burst best.
     assert results[1024] <= results[4] <= results[1]

@@ -1,0 +1,46 @@
+"""Section 5: two-qubit Grover's search with MLE tomography.
+
+Paper: algorithmic fidelity (readout-corrected) 85.6 %, limited by the
+CZ gate.  The reproduction runs all four oracles through the full
+stack, performs nine-setting Pauli tomography with readout correction
+and MLE projection, and checks the per-oracle and average fidelities.
+"""
+
+from repro.experiments.grover import run_grover_experiment
+from repro.quantum.noise import (
+    DecoherenceModel,
+    GateErrorModel,
+    NoiseModel,
+    ReadoutErrorModel,
+)
+
+SHOTS = 150
+
+
+def test_grover_tomography_fidelity():
+    result = run_grover_experiment(shots=SHOTS, seed=17)
+    assert result.matches_paper()      # 85.6 % +- 6 points
+    # Every oracle individually lands in a plausible band.
+    for fidelity in result.fidelities.values():
+        assert 0.7 < fidelity < 0.97
+
+
+def test_grover_is_cz_limited():
+    """Ablation for "limited by the CZ gate": halving the CZ error
+    raises the fidelity markedly; removing single-qubit error barely
+    moves it."""
+    low_cz = NoiseModel(
+        decoherence=DecoherenceModel(),
+        readout=ReadoutErrorModel(),
+        gate_error=GateErrorModel(single_qubit_error=1.5e-3,
+                                  two_qubit_error=0.035))
+    no_1q = NoiseModel(
+        decoherence=DecoherenceModel(),
+        readout=ReadoutErrorModel(),
+        gate_error=GateErrorModel(single_qubit_error=0.0,
+                                  two_qubit_error=0.07))
+    base = run_grover_experiment(shots=100, seed=23)
+    better_cz = run_grover_experiment(shots=100, seed=23, noise=low_cz)
+    no_single = run_grover_experiment(shots=100, seed=23, noise=no_1q)
+    assert better_cz.average_fidelity > base.average_fidelity + 0.02
+    assert abs(no_single.average_fidelity - base.average_fidelity) < 0.05
