@@ -82,12 +82,17 @@ def gate_event_superop(unitary: bytes, gaps_ns: tuple[float, ...],
         raise PlantError(
             f"a {len(unitary)}-byte unitary does not match {k} qubits")
     matrix = np.frombuffer(unitary, dtype=complex).reshape(dim, dim)
-    idle = [np.eye(1, dtype=complex)]
+    # The targets' idle Kraus product: every kron(A, B, ...) of one
+    # operator per target, stacked, built one target at a time.
+    idle = np.ones((1, 1, 1), dtype=complex)
     for gap in gaps_ns:
-        idle = [np.kron(before, operator) for before in idle
-                for operator in noise.decoherence.idle_channel(gap)]
+        channel = np.asarray(noise.decoherence.idle_channel(gap),
+                             dtype=complex)
+        size = idle.shape[1] * 2
+        idle = np.einsum("kab,lcd->klacbd", idle, channel).reshape(
+            -1, size, size)
     return _frozen(superoperator(noise.gate_error.channel_for(k))
-                   @ np.kron(matrix, matrix.conj())
+                   @ superoperator([matrix])
                    @ superoperator(idle))
 
 

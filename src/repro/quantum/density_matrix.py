@@ -39,9 +39,14 @@ def superoperator(kraus: list[np.ndarray]) -> np.ndarray:
     It acts on the row-major vectorisation of rho, where
     ``vec(K rho K^dag) = kron(K, conj(K)) vec(rho)``; composing
     channels is multiplying their superoperators (Wood, Biamonte and
-    Cory, arXiv:1111.6950).
+    Cory, arXiv:1111.6950).  The sum is one contraction over the
+    stacked Kraus set: entry ``(i*d + a, j*d + b)`` is
+    ``sum_k K_k[i, j] conj(K_k[a, b])``.
     """
-    return sum(np.kron(operator, operator.conj()) for operator in kraus)
+    stacked = np.asarray(kraus, dtype=complex)
+    dim = stacked.shape[-1]
+    return np.einsum("kij,kab->iajb", stacked,
+                     stacked.conj()).reshape(dim * dim, dim * dim)
 
 
 def _operator(operator: np.ndarray, num_qubits: int) -> np.ndarray:

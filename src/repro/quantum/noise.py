@@ -49,6 +49,12 @@ def phase_damping(lam: float) -> list[np.ndarray]:
     return [k0, k1]
 
 
+#: The Paulis of one and two qubits, identity first (two-qubit ones
+#: as ``kron(a, b)``), built once for :func:`depolarizing`.
+_PAULIS = {1: [gates.I, gates.X, gates.Y, gates.Z]}
+_PAULIS[2] = [np.kron(a, b) for a in _PAULIS[1] for b in _PAULIS[1]]
+
+
 def depolarizing(p: float, num_qubits: int = 1) -> list[np.ndarray]:
     """Depolarizing channel with error probability ``p``.
 
@@ -59,11 +65,7 @@ def depolarizing(p: float, num_qubits: int = 1) -> list[np.ndarray]:
         raise PlantError(f"p {p} outside [0, 1]")
     if num_qubits not in (1, 2):
         raise PlantError("depolarizing supports 1 or 2 qubits")
-    paulis_1q = [gates.I, gates.X, gates.Y, gates.Z]
-    if num_qubits == 1:
-        operators = paulis_1q
-    else:
-        operators = [np.kron(a, b) for a in paulis_1q for b in paulis_1q]
+    operators = _PAULIS[num_qubits]
     num_errors = len(operators) - 1
     kraus = [math.sqrt(1 - p) * operators[0]]
     kraus.extend(math.sqrt(p / num_errors) * op for op in operators[1:])

@@ -615,7 +615,9 @@ class QuMAv2:
         :mod:`repro.uarch.replay`): walk it once per chunk of up to
         ``_CHUNK_SHOTS`` shots as index cohorts
         (:meth:`TimelineTree.sample_cohort`), growing unseen paths on
-        the interpreter as it goes, and yield the chunk as one
+        the interpreter as it goes (a binary without ``FMR`` or
+        conditional micro-ops builds its terminals from the first
+        growth shot instead), and yield the chunk as one
         :class:`ShotBatch` (a group per reached terminal, plus the
         growth traces), counted into ``stats`` before it is yielded:
         its growth shots as interpreter shots and cache misses, the
@@ -634,7 +636,8 @@ class QuMAv2:
         stats.killed_loads = report.killed_load_count
         stats.bounded_loops = report.bounded_loop_count
         tree, stats.tree_reused = self._replay_tree(
-            report.cross_run_cacheable, lambda: TimelineTree(self.plant))
+            report.cross_run_cacheable, lambda: TimelineTree(
+                self.plant, outcome_independent=not self._frame_blockers()))
 
         def track_tree() -> None:
             stats.tree_nodes = tree.node_count
@@ -977,7 +980,10 @@ class QuMAv2:
         beyond the prefix sample fresh randomness.  The observed
         pre-collapse probabilities — the segment-boundary snapshots —
         are recorded through the plant's measure observer and inserted
-        into the tree.
+        into the tree.  A feedback-free binary's tree calls this only
+        for its root and internal nodes; it builds its terminals from
+        the first such shot's trace
+        (:meth:`TimelineTree.sample_cohort`).
         """
         samples: list[MeasurementSample] = []
 

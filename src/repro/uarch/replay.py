@@ -64,6 +64,19 @@ shot is pure replay.  Programs whose outcome space never saturates
 degrade transparently to interpreter throughput — every shot is then a
 (cheap) failed walk plus one genuine interpreter shot.
 
+A **feedback-free** binary (no ``FMR``, no conditional micro-operation,
+no queued mock) has one timeline whatever its outcomes: the classical
+domain is a constant function of them.  Its tree keeps the first
+growth shot's trace as the *reference* template, and a terminal the
+walk finds missing is built, not grown: its template is the
+reference with the path's outcomes spliced in
+(:meth:`ShotTrace.with_sampled_results`), and no shot runs.  Only
+internal nodes, whose ``P(1)`` depends on the path, still grow by an
+interpreter shot, so a one-measurement program (a Rabi or Ramsey sweep
+point) grows in one shot.  A forced growth shot draws nothing from the
+plant's generator, so building instead leaves every seeded count as it
+was.
+
 **Mocked measurements** (the paper's CFC verification programs the
 UHFQC to fabricate results) do not replay.  A draining mock queue
 makes consecutive shots observe values the outcome tree does not key
@@ -365,8 +378,9 @@ class _TreeNode:
     from the timeline, its pre-collapse ``p_one``) and the
     outcome-keyed children; terminal nodes carry the frozen trace
     ``template`` of the completed path.  A node inserted by
-    :meth:`TimelineTree.grow` is always fully characterised as one or
-    the other.
+    :meth:`TimelineTree.grow` or built by
+    :meth:`TimelineTree._build_terminal` is always fully characterised
+    as one or the other.
     """
 
     __slots__ = ("qubit", "start_ns", "p_one", "children", "template")
@@ -395,7 +409,11 @@ class TimelineTree:
     interpreter shots insert their observed outcome path and trace;
     cached shots are sampled without any plant work, a chunk at a time
     by :meth:`sample_cohort`.
-    The root is created by the first growth shot.  Growth stops
+    The root is created by the first growth shot.  When the machine
+    declares the timeline ``outcome_independent`` (the binary has no
+    ``FMR``, conditional micro-op or queued mock), that shot's trace
+    is kept as the reference template and missing terminals are built
+    from it (:meth:`_build_terminal`) instead of grown.  Growth stops
     (but sampling keeps degrading gracefully to interpreter shots) when
     the caps are hit or when two shots with the same outcome history
     disagree — a determinism violation such as timing driven by a value
@@ -403,12 +421,17 @@ class TimelineTree:
     """
 
     def __init__(self, plant: QuantumPlant, max_depth: int = 64,
-                 max_nodes: int = 8192):
+                 max_nodes: int = 8192, outcome_independent: bool = False):
         self._plant = plant
         self._readout = plant.noise.readout
         self._root: _TreeNode | None = None
         self._max_depth = max_depth
         self._max_nodes = max_nodes
+        self._outcome_independent = outcome_independent
+        #: The first growth shot's trace when the timeline does not
+        #: depend on the outcomes: every terminal is this template with
+        #: its own path's outcomes.
+        self._reference: ShotTrace | None = None
         self.node_count = 0
         self.path_count = 0
         #: Why the tree stopped growing (None while growth is allowed).
@@ -490,7 +513,10 @@ class TimelineTree:
         and inserts its path, and the rest of the cohort continues
         down the grown branch.  While the branch stays missing (growth
         stopped) every further shot of the cohort is a growth shot of
-        its own.
+        its own.  On an outcome-independent timeline an unexplored
+        edge at the reference's measurement depth is built as a
+        terminal instead (:meth:`_build_terminal`) and the whole
+        cohort lands on it as cached shots: ``grow`` is not called.
         """
         rng = self._plant.rng
         readout = self._readout
@@ -500,6 +526,8 @@ class TimelineTree:
         while stack:
             parent, key, indices, prefix = stack.pop()
             node = self._child(parent, key)
+            if node is None and parent is not None:
+                node = self._build_terminal(parent, key, prefix)
             grown = 0
             while grown < len(indices) and not _walkable(node):
                 batch.growth[int(indices[grown])] = grow(prefix)
@@ -525,6 +553,32 @@ class TimelineTree:
                     pair = (code >> 1, code & 1)
                     stack.append((node, pair, branch, prefix + [pair]))
         return batch
+
+    def _build_terminal(self, parent: _TreeNode, key: tuple[int, int],
+                        prefix: list[tuple[int, int]]
+                        ) -> _TreeNode | None:
+        """Insert ``parent``'s missing child on edge ``key`` as a
+        terminal built from the reference template, or return None
+        when the path must grow by an interpreter shot instead.
+
+        Only an outcome-independent timeline builds, once its reference
+        exists, and only a child at the reference's measurement depth:
+        the template is then ``reference.with_sampled_results(prefix)``,
+        the one timeline with this path's outcomes.  Growth stops at
+        the node cap as it does for an interpreter shot's path."""
+        reference = self._reference
+        if reference is None or self.growth_stopped_reason is not None \
+                or len(prefix) != len(reference.results):
+            return None
+        if self.node_count >= self._max_nodes:
+            self.growth_stopped_reason = self._node_cap_reason()
+            return None
+        child = _TreeNode()
+        child.template = reference.with_sampled_results(prefix)
+        parent.children[key] = child
+        self.node_count += 1
+        self.path_count += 1
+        return child
 
     # ------------------------------------------------------------------
     # Fault injection (chaos testing of the audit machinery)
@@ -603,7 +657,13 @@ class TimelineTree:
         except ReplayError as error:
             self.growth_stopped_reason = str(error)
             return False
+        if self._outcome_independent and self._reference is None:
+            self._reference = trace
         return True
+
+    def _node_cap_reason(self) -> str:
+        return (f"timeline tree exceeds the {self._max_nodes}-node cap "
+                f"(outcome space not saturating)")
 
     def _check_pairing(self, samples: list[MeasurementSample],
                        trace: ShotTrace) -> None:
@@ -649,9 +709,7 @@ class TimelineTree:
             child = node.children.get(key)
             if child is None:
                 if self.node_count >= self._max_nodes:
-                    raise ReplayError(
-                        f"timeline tree exceeds the {self._max_nodes}-"
-                        f"node cap (outcome space not saturating)")
+                    raise ReplayError(self._node_cap_reason())
                 child = _TreeNode()
                 node.children[key] = child
                 self.node_count += 1

@@ -6,7 +6,9 @@ one cached Liouville superoperator.  The property below pins it
 against a verbatim port of the Kraus path it replaced: per-qubit idle
 channels, then the unitary, then the gate-error channel, each Kraus
 operator applied to a copy of rho through the statevector kernels and
-the copies summed.
+the copies summed.  Each superoperator is built by one contraction
+over its stacked Kraus set, pinned against the ``sum kron(K, K*)``
+it replaced.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.quantum.backend import (
     gate_event_superop,
     idle_superop,
 )
+from repro.quantum.density_matrix import superoperator
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
 from repro.quantum.statevector import _apply_unitary_1q, _apply_unitary_2q
 from repro.topology import surface7, two_qubit_chip
@@ -156,6 +159,43 @@ class TestFusedMatchesKrausPath:
         expected.apply_gate(unitary, qubits)
         assert np.max(np.abs(backend.state.matrix - expected.matrix)) \
             < 1e-12
+
+
+class TestSuperoperatorContraction:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 2 ** 32))
+    def test_superoperator_is_the_kron_sum(self, k, count, seed):
+        """The one-contraction superoperator equals ``sum kron(K,
+        K*)`` on a random (not necessarily trace-preserving) Kraus
+        set."""
+        rng = np.random.default_rng(seed)
+        dim = 1 << k
+        kraus = [rng.normal(size=(dim, dim)) + 1j * rng.normal(
+            size=(dim, dim)) for _ in range(count)]
+        expected = sum(np.kron(operator, operator.conj())
+                       for operator in kraus)
+        assert np.max(np.abs(superoperator(kraus) - expected)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1.0, 2e5), st.floats(1.0, 2e5), noise_models(),
+           st.integers(0, 2 ** 32))
+    def test_two_qubit_event_with_distinct_gaps(self, gap_a, gap_b, noise,
+                                                seed):
+        """A 2q event whose targets idled over two different non-zero
+        gaps: the einsum-built idle product keeps each gap on its own
+        target."""
+        if gap_a == gap_b:
+            gap_b += 1.0
+        rng = np.random.default_rng(seed)
+        reference = random_rho(rng, 2)
+        unitary = random_unitary(rng, 2)
+        state = DensityMatrix(2, reference)
+        state.apply_superop(
+            gate_event_superop(unitary.tobytes(), (gap_a, gap_b), noise),
+            (0, 1))
+        expected = kraus_gate_event(reference, unitary, (0, 1),
+                                    (gap_a, gap_b), noise)
+        assert np.max(np.abs(state.matrix - expected)) < 1e-12
 
 
 class TestSuperopCache:

@@ -9,20 +9,51 @@ itself, the invariant the multiplicity fold relies on (a terminal's
 edge keys are its template's own outcomes), that every replay run
 — plain, with an armed fault plan, or audited — walks the tree once
 per chunk, and that ``run_iter`` delivers the walk's ``ShotBatch`` in
-shot order.
+shot order.  A feedback-free binary builds its terminals from its
+first growth shot's trace instead of growing each by an interpreter
+shot; its seeded counts are pinned to those the growth shots gave.
 """
+
+import hashlib
+import json
+import math
 
 import numpy as np
 import pytest
 
 from repro.core import Assembler, two_qubit_instantiation
+from repro.core.operations import add_rabi_amplitude_operations, \
+    default_operation_set
 from repro.experiments.cfc import FIG5_PROGRAM
 from repro.experiments.reset import FIG4_PROGRAM as ACTIVE_RESET
+from repro.experiments.runner import ExperimentSetup
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.uarch import FaultPlan, FaultSpec, QuMAv2, ShotTrace, \
     TimelineTree
 from repro.uarch.machine import _CHUNK_SHOTS
 from repro.uarch.replay import _DETERMINISTIC_EPS
+from repro.workloads.rabi import rabi_step_circuit
+
+#: One measurement, no feedback: one timeline whatever the outcome.
+RABI = """
+SMIS S2, {2}
+QWAIT 10000
+X90 S2
+MEASZ S2
+QWAIT 50
+STOP
+"""
+
+RAMSEY = """
+SMIS S2, {2}
+QWAIT 10000
+X90 S2
+QWAIT 600
+X90 S2
+MEASZ S2
+QWAIT 50
+STOP
+"""
 
 
 def make_machine(text, seed, noise=None):
@@ -262,3 +293,86 @@ def test_run_iter_delivers_the_walk_in_shot_order(monkeypatch):
             assert traces[shot] is not template
         covered.update(indices.tolist())
     assert covered == set(range(400))
+
+
+def test_cold_feedback_free_run_grows_one_shot(monkeypatch):
+    """A cold Rabi run under readout error runs one interpreter shot,
+    for the root; the cohort reaches all four ``(raw, reported)``
+    terminals, each built from that shot's trace, and lands on them as
+    cached shots."""
+    machine = make_machine(RABI, seed=38)
+    batches = []
+    sample_cohort = TimelineTree.sample_cohort
+
+    def recorded(tree, *args, **kwargs):
+        batches.append(sample_cohort(tree, *args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(TimelineTree, "sample_cohort", recorded)
+    machine.run_counts(2000)
+    stats = machine.engine_stats
+    assert stats.engine == "replay"
+    assert stats.interpreter_shots == stats.segment_cache_misses == 1
+    assert stats.tree_paths == 4
+    assert stats.replay_shots == stats.segment_cache_hits == 1999
+    (batch,) = batches
+    assert sorted(template.outcome_path() for template, _ in batch.groups) \
+        == [((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),)]
+    (reference,) = batch.growth.values()
+    for template, _ in batch.groups:
+        assert template.triggers is reference.triggers
+
+
+def test_built_terminals_respect_the_node_cap():
+    """Building a terminal counts against the node cap like growing
+    one: at the cap growth stops, and every shot that reaches a
+    missing terminal runs on the interpreter."""
+    machine = make_machine(RABI, seed=40)
+    tree = TimelineTree(machine.plant, max_nodes=2,
+                        outcome_independent=True)
+    batch = tree.sample_cohort(
+        500, lambda prefix: machine._grow_tree_shot(tree, prefix))
+    assert "node cap" in tree.growth_stopped_reason
+    assert tree.node_count == 2 and tree.path_count == 1
+    assert len(batch.growth) > 1
+    assert len(batch.growth) + sum(
+        len(indices) for _, indices in batch.groups) == 500
+
+
+@pytest.mark.parametrize("program", [ACTIVE_RESET, FIG5_PROGRAM],
+                         ids=["fig4-conditional", "fig5-fmr"])
+def test_feedback_runs_grow_one_path_per_shot(program):
+    """Conditional micro-ops and ``FMR`` fork the timeline: every path
+    still grows by its own interpreter shot."""
+    machine = make_machine(program, seed=39)
+    machine.run_counts(3000)
+    stats = machine.engine_stats
+    assert stats.engine == "replay"
+    assert stats.interpreter_shots == stats.tree_paths > 1
+
+
+def sweep_point_digest(program, seed: int) -> str:
+    """SHA-256 of a cold sweep point's ``ShotCounts``: the Rabi pulses
+    registered as in a Rabi sweep, a fresh seeded set-up, 1000 shots."""
+    operations = default_operation_set()
+    add_rabi_amplitude_operations(operations, 8, max_angle=2.0 * math.pi)
+    setup = ExperimentSetup.create(isa=two_qubit_instantiation(operations),
+                                   noise=NoiseModel(), seed=seed)
+    setup.machine.load(program(setup))
+    counts = setup.machine.run_counts(1000)
+    assert setup.machine.engine_stats.interpreter_shots == 1
+    return hashlib.sha256(
+        json.dumps(counts.as_dict(), sort_keys=True).encode()).hexdigest()
+
+
+#: Captured while every terminal still grew by a forced interpreter
+#: shot: a forced shot draws nothing from the plant's generator, so
+#: building the terminals instead leaves the counts bit for bit.
+@pytest.mark.parametrize("program, seed, expected", [
+    (lambda setup: setup.compile_circuit(rabi_step_circuit(3, qubit=2)),
+     41, "e54b08f350e883d1c3024140bd1022ee94a75b04adee4a4cad42b9c1d34d6736"),
+    (lambda setup: setup.assemble_text(RAMSEY),
+     42, "4fa316ccda4783d3fe9ec647e460e66759a4aee9d5d251625adf29623f244fe5"),
+], ids=["rabi", "ramsey"])
+def test_cold_sweep_point_counts_are_pinned(program, seed, expected):
+    assert sweep_point_digest(program, seed) == expected

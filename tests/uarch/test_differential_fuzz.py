@@ -100,7 +100,8 @@ def clifford_only_noise() -> NoiseModel:
                                   two_qubit_error=0.0))
 
 
-def generate_case(seed: int) -> tuple[str, list[int], bool]:
+def generate_case(seed: int, feedback: bool = True
+                  ) -> tuple[str, list[int], bool]:
     """One random well-formed program + mock plan + backend shape.
 
     The third element is the ``clifford_only`` shape flag: such cases
@@ -121,17 +122,29 @@ def generate_case(seed: int) -> tuple[str, list[int], bool]:
     schedule valid, small waits separate gate bundles.  Measurements
     are capped at 3 per shot so the outcome tree saturates within the
     shot budget.
+
+    ``feedback=False`` draws a feedback-free case instead: no ``FMR``,
+    no conditional micro-op, no live load and no mock plan, with one
+    plain measurement among the other blocks.
     """
     rng = np.random.default_rng(seed)
     clifford_only = bool(rng.random() < 0.3)
     lines = ["SMIS S0, {0}", "SMIS S2, {2}", "LDI R0, 1", "QWAIT 10000"]
-    kinds = list(rng.choice(
-        ["gate", "qwait", "fce", "cfc", "dead_store", "spill_reload",
-         "live_load", "qwaitr", "counted_loop"],
-        size=int(rng.integers(4, 9)),
-        p=[0.20, 0.12, 0.18, 0.18, 0.08, 0.08, 0.03, 0.05, 0.08]))
-    if not any(kind in ("fce", "cfc") for kind in kinds):
-        kinds[-1] = "cfc"
+    if feedback:
+        kinds = list(rng.choice(
+            ["gate", "qwait", "fce", "cfc", "dead_store", "spill_reload",
+             "live_load", "qwaitr", "counted_loop"],
+            size=int(rng.integers(4, 9)),
+            p=[0.20, 0.12, 0.18, 0.18, 0.08, 0.08, 0.03, 0.05, 0.08]))
+        if not any(kind in ("fce", "cfc") for kind in kinds):
+            kinds[-1] = "cfc"
+    else:
+        kinds = list(rng.choice(
+            ["gate", "qwait", "dead_store", "spill_reload", "qwaitr",
+             "counted_loop"],
+            size=int(rng.integers(3, 8)),
+            p=[0.35, 0.2, 0.1, 0.15, 0.1, 0.1]))
+        kinds.insert(int(rng.integers(0, len(kinds) + 1)), "measure")
     measurements = 0
     label = 0
     for kind in kinds:
@@ -144,6 +157,9 @@ def generate_case(seed: int) -> tuple[str, list[int], bool]:
             lines += [f"QWAIT {int(rng.integers(1, 40))}"]
         elif kind == "qwaitr":
             lines += [f"LDI R8, {int(rng.integers(1, 30))}", "QWAITR R8"]
+        elif kind == "measure":
+            measurements += 1
+            lines += ["X90 S2", "MEASZ S2", "QWAIT 50"]
         elif kind == "fce":
             measurements += 1
             lines += ["X90 S2", "MEASZ S2", "QWAIT 50",
@@ -193,7 +209,7 @@ def generate_case(seed: int) -> tuple[str, list[int], bool]:
     lines += ["QWAIT 50", "STOP"]
 
     mock_plan: list[int] = []
-    if measurements and rng.random() < 0.4:
+    if feedback and measurements and rng.random() < 0.4:
         if rng.random() < 0.5:
             length = int(rng.integers(1, 60))   # exhausts mid-run
         else:
@@ -350,6 +366,13 @@ def check_engines_agree(text: str, mock_plan: list[int], seed: int,
         else:
             route = "replay"
             assert replay.last_run_engine == "replay"
+        if "FMR" not in text and \
+                not any(gate in text for gate in CONDITIONAL_GATES) and \
+                all(len(trace.results) == 1 for trace in replay_traces):
+            # One timeline whatever the outcome: the cold run's first
+            # growth shot grows the root, and every terminal is built
+            # from its trace.
+            assert stats.interpreter_shots == 1
 
     # Per-path timing-bit identity on every shared outcome path.
     interp_by_path = {}
@@ -400,6 +423,19 @@ def test_interpreter_and_replay_are_equivalent(seed):
         # The mocked run never reached replay; the same program without
         # mocks must pass the full equivalence.
         check_engines_agree(text, [], seed, noise, clifford_only)
+
+
+@pytest.mark.parametrize("seed", range(SEED_COUNT))
+def test_feedback_free_cases_grow_one_shot(seed):
+    """Feedback-free cases pass every equivalence check, and their
+    cold replay run makes exactly one growth shot (asserted inside
+    :func:`check_engines_agree`)."""
+    text, mock_plan, clifford_only = generate_case(seed, feedback=False)
+    assert not mock_plan
+    noise = clifford_only_noise() if clifford_only else NoiseModel()
+    route = check_engines_agree(text, mock_plan, seed, noise,
+                                clifford_only)
+    assert route in ("replay", "timing-violation")
 
 
 def pauli_gate_noise() -> NoiseModel:

@@ -470,7 +470,12 @@ class TestReplayAudit:
         what a slow fast path looks like: a silent fallback, the wrong
         plant backend, growth shots that add no tree path, or a tree
         that misses more often than it hits.  A sweep's later runs
-        reuse the saturated tree with no growth at all."""
+        reuse the saturated tree with no growth at all.  The two
+        feedback-free scenarios build their terminals from the first
+        growth shot's trace: Rabi (one measurement) runs that shot
+        alone, AllXY (two simultaneous measurements) also grows its
+        depth-one nodes.  Every feedback scenario grows one path per
+        interpreter shot."""
         build, backend, runs = REPLAY_SCENARIOS[scenario]
         machine = build(1.0)
         for run in range(runs):
@@ -485,7 +490,11 @@ class TestReplayAudit:
             assert stats.replay_audits == walked.count() > 0
             assert stats.audit_divergences == 0
             assert stats.last_audit.mismatched_fields == ()
-            if run == 0:
+            if run == 0 and scenario == "rabi":
+                assert stats.interpreter_shots == 1 < stats.tree_paths
+            elif run == 0 and scenario == "allxy":
+                assert 0 < stats.interpreter_shots < stats.tree_paths
+            elif run == 0:
                 assert 0 < stats.interpreter_shots == stats.tree_paths
             else:
                 assert stats.tree_reused
