@@ -98,8 +98,7 @@ class ExperimentSetup:
     def compile_circuit(self, circuit: Circuit,
                         interval_cycles: int | None = None,
                         initialize_cycles: int = 10000,
-                        final_wait_cycles: int = 50,
-                        use_cache: bool = True) -> AssembledProgram:
+                        final_wait_cycles: int = 50) -> AssembledProgram:
         """Schedule + codegen + assemble a circuit (cached).
 
         ``interval_cycles`` forces a fixed gate-start interval (the
@@ -107,18 +106,15 @@ class ExperimentSetup:
         keeps the timeline open past the last measurement, matching the
         paper's trailing QWAIT.  Identical circuit/parameter
         combinations return the cached :class:`AssembledProgram`
-        (compilation is deterministic and the result is never mutated);
-        pass ``use_cache=False`` to force a fresh compile.
+        (compilation is deterministic and the result is never mutated).
         """
-        key = None
-        if use_cache:
-            key = (circuit.name, circuit.num_qubits,
-                   tuple((op.name, op.qubits) for op in circuit.operations),
-                   interval_cycles, initialize_cycles, final_wait_cycles)
-            cached = self._program_cache.get(key)
-            if cached is not None:
-                self._program_cache.move_to_end(key)
-                return cached
+        key = (circuit.name, circuit.num_qubits,
+               tuple((op.name, op.qubits) for op in circuit.operations),
+               interval_cycles, initialize_cycles, final_wait_cycles)
+        cached = self._program_cache.get(key)
+        if cached is not None:
+            self._program_cache.move_to_end(key)
+            return cached
         if interval_cycles is None:
             schedule = schedule_asap(circuit, self.isa.operations)
         else:
@@ -129,10 +125,9 @@ class ExperimentSetup:
                                      initialize_cycles=initialize_cycles,
                                      final_wait_cycles=final_wait_cycles)
         assembled = self.assembler.assemble_program(program)
-        if key is not None:
-            self._program_cache[key] = assembled
-            while len(self._program_cache) > _PROGRAM_CACHE_CAPACITY:
-                self._program_cache.popitem(last=False)
+        self._program_cache[key] = assembled
+        while len(self._program_cache) > _PROGRAM_CACHE_CAPACITY:
+            self._program_cache.popitem(last=False)
         return assembled
 
     def assemble_text(self, text: str) -> AssembledProgram:

@@ -395,61 +395,48 @@ class SweepService:
     def _drive(self, job: _Job, number: int,
                pool: WorkerPool) -> Iterator[PointResult]:
         obs = self.observability
-        if obs is None:
-            yield from self._drive_impl(job, number, pool)
-            return
-        span = obs.begin("service.sweep", sweep=job.spec.name,
-                         points=job.spec.num_points,
-                         shots=job.spec.shots)
-        try:
-            yield from self._drive_impl(job, number, pool)
-        finally:
-            obs.end(span)
-            self.stats.publish_metrics(obs.metrics)
-
-    def _drive_impl(self, job: _Job, number: int,
-                    pool: WorkerPool) -> Iterator[PointResult]:
-        spec = job.spec
-        config = self.config
-        stats = self.stats
-        total = spec.num_points
-        stats.points_total += total
-        self._dispatch_ns.clear()
-
+        span = None if obs is None else obs.begin(
+            "service.sweep", sweep=job.spec.name,
+            points=job.spec.num_points, shots=job.spec.shots)
         journal = None
-        completed: dict[int, PointResult] = {}
-        if job.journal_path is not None:
-            journal = CheckpointJournal(job.journal_path,
-                                        fsync=config.journal_fsync)
-            payloads = journal.load(spec)
-            if journal.torn_records_dropped:
-                stats.journal_torn_records += \
-                    journal.torn_records_dropped
-                self._event(
-                    "journal_torn",
-                    detail=f"dropped {journal.torn_records_dropped} "
-                           f"torn/corrupt record(s)")
-            for index in sorted(payloads):
-                result = PointResult.from_payload(
-                    spec, payloads[index], resumed=True)
-                completed[index] = result
-                stats.points_resumed += 1
-                yield result
-
-        pending: deque[int] = deque(index for index in range(total)
-                                    if index not in completed)
-        if not pending:
-            if journal is not None:
-                journal.close()
-            stats.sweeps_completed += 1
-            return
-
-        if not pool.started:
-            pool.start(spec)
-        started = time.monotonic()
-        restarts = 0
-        failures: dict[int, int] = {}
         try:
+            spec = job.spec
+            config = self.config
+            stats = self.stats
+            total = spec.num_points
+            stats.points_total += total
+            self._dispatch_ns.clear()
+
+            completed: dict[int, PointResult] = {}
+            if job.journal_path is not None:
+                journal = CheckpointJournal(job.journal_path,
+                                            fsync=config.journal_fsync)
+                payloads = journal.load(spec)
+                if journal.torn_records_dropped:
+                    stats.journal_torn_records += \
+                        journal.torn_records_dropped
+                    self._event(
+                        "journal_torn",
+                        detail=f"dropped {journal.torn_records_dropped} "
+                               f"torn/corrupt record(s)")
+                for index in sorted(payloads):
+                    result = PointResult.from_payload(
+                        spec, payloads[index], resumed=True)
+                    completed[index] = result
+                    stats.points_resumed += 1
+                    yield result
+
+            pending: deque[int] = deque(index for index in range(total)
+                                        if index not in completed)
+            if not pending:
+                stats.sweeps_completed += 1
+                return
+
+            if not pool.started:
+                pool.start(spec)
+            started = time.monotonic()
+            restarts = 0
+            failures: dict[int, int] = {}
             while len(completed) < total:
                 self._check_sweep_deadline(spec, started, completed,
                                            total)
@@ -486,12 +473,15 @@ class SweepService:
                             last_event=message["error"])
                 restarts = self._supervise(pool, spec, pending,
                                            completed, restarts)
+            for handle in pool.handles:
+                handle.release()
+            stats.sweeps_completed += 1
         finally:
             if journal is not None:
                 journal.close()
-        for handle in pool.handles:
-            handle.release()
-        stats.sweeps_completed += 1
+            if obs is not None:
+                obs.end(span)
+                self.stats.publish_metrics(obs.metrics)
 
     # -- dispatch ------------------------------------------------------
     def _dispatch(self, pool: WorkerPool, spec: SweepSpec, number: int,
@@ -594,11 +584,9 @@ class SweepService:
             # (and flushed) before anyone sees it, so a crash between
             # journal and yield re-serves it from the journal rather
             # than losing it.
-            if obs is None:
-                journal.append_point(payload)
-            else:
-                journal_start = obs.clock()
-                journal.append_point(payload)
+            journal_start = None if obs is None else obs.clock()
+            journal.append_point(payload)
+            if obs is not None:
                 journal_end = obs.clock()
                 obs.metrics.observe("service.journal.append.time_ns",
                                     journal_end - journal_start)

@@ -20,15 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import ConfigurationError
-from repro.core.microcode import DeviceKind, MicroOperation, MicroOpRole
+from repro.core.microcode import DeviceKind, MicroOperation
 from repro.core.operations import OperationSet
 from repro.topology.chip import QuantumChipTopology
-
-#: Cached groupings kept before :meth:`DeviceEventDistributor.route`
-#: starts over (a looping shot meets a new timing-point cycle per
-#: iteration).
-ROUTE_CACHE_CAPACITY = 4096
-
 
 @dataclass(frozen=True)
 class DeviceId:
@@ -112,39 +106,10 @@ class DeviceEventDistributor:
     * measurement micro-ops -> the UHFQC of the qubit's feedline
       (multiple qubits on one feedline share one device operation —
       frequency-multiplexed readout).
-
-    :meth:`route` is the machine's cached form of :meth:`distribute`.
     """
 
     def __init__(self, topology: QuantumChipTopology):
         self.topology = topology
-        # (cycle, *ids of the micro-ops) -> (the micro-ops, the routes);
-        # holding the micro-ops keeps their ids from being reused.
-        self._routes: dict[tuple, tuple] = {}
-
-    def clear_route_cache(self) -> None:
-        """Forget every cached grouping (a new binary was loaded)."""
-        self._routes.clear()
-
-    def route(self, cycle: int, qubit_micro_ops: list[QubitMicroOp]
-              ) -> tuple[tuple[tuple[str, int], DeviceOperation], ...]:
-        """:meth:`distribute`, cached per cycle and micro-op objects,
-        with each device operation's queue key: the device as the plain
-        ``(kind value, index)`` pair, cheap to hash.  The device
-        operations are shared by every shot that reserves the same
-        point; the machine's decoded micro-ops are themselves cached,
-        so a repeated shot routes nothing."""
-        key = (cycle, *map(id, qubit_micro_ops))
-        cached = self._routes.get(key)
-        if cached is None:
-            if len(self._routes) >= ROUTE_CACHE_CAPACITY:
-                self._routes.clear()
-            routes = tuple(
-                ((operation.device.kind.value, operation.device.index),
-                 operation)
-                for operation in self.distribute(cycle, qubit_micro_ops))
-            cached = self._routes[key] = (tuple(qubit_micro_ops), routes)
-        return cached[1]
 
     def distribute(self, cycle: int,
                    qubit_micro_ops: list[QubitMicroOp]

@@ -93,7 +93,6 @@ from repro.quantum.plant import QuantumPlant
 from repro.quantum.stabilizer import cached_clifford_action
 from repro.uarch.config import UarchConfig
 from repro.uarch.devices import (
-    ROUTE_CACHE_CAPACITY,
     DeviceEventDistributor,
     DeviceOperation,
     EventQueue,
@@ -141,6 +140,10 @@ _CHUNK_SHOTS = 65536
 #: shot kinds (growth, audit, interpreter) keep full per-shot
 #: histograms.
 _WALK_COUNTER = "engine.replay.walk"
+
+#: Cached routings kept before :meth:`QuMAv2._planned_routes` starts
+#: over (a looping shot meets a new timing-point cycle per iteration).
+ROUTE_CACHE_CAPACITY = 4096
 
 #: The machine-level replay blockers.  Trajectory-sampled Pauli gate
 #: noise on the stabilizer backend is the regime the Pauli-frame batch
@@ -196,6 +199,16 @@ class _PlannedOp(NamedTuple):
     pair: tuple[int, int] | None
 
 
+class _BinaryVerdict(NamedTuple):
+    """What the loaded binary alone decides about engine and backend:
+    its dataflow report and its own blocker reasons per engine."""
+
+    report: DataMemoryReport
+    replay: list[str]
+    tableau: list[str]
+    frame: list[str]
+
+
 def _stats_view(field_name: str, doc: str) -> property:
     """A read-only ``QuMAv2`` attribute reading one field of
     :attr:`QuMAv2.engine_stats`."""
@@ -246,10 +259,10 @@ class QuMAv2:
         self.q_registers = MeasurementResultRegisters(isa.topology.qubits)
         self.execution_flags = ExecutionFlagsFile(isa.topology.qubits)
         self._instructions: list[Instruction] = []
-        # id(routes) -> (routes, ((queue key, device op, plan), ...)):
-        # the trigger plan of every device operation of one cached
-        # routing of the distributor (see _planned_routes).
-        self._trigger_plans: dict[int, tuple[tuple, tuple]] = {}
+        # (cycle, *ids of the micro-ops) -> (the micro-ops, ((queue key,
+        # device op, plan), ...)); holding the micro-ops keeps their ids
+        # from being reused (see _planned_routes).
+        self._trigger_plans: dict[tuple, tuple[tuple, tuple]] = {}
         # Per-instance handler cache: starts as the class dispatch
         # table and absorbs subclass resolutions as they are seen.
         self._dispatch: dict[type, Callable] = dict(self._DISPATCH)
@@ -361,7 +374,6 @@ class QuMAv2:
                                          span="machine.load",
                                          instructions=len(words))
         self.quantum_pipeline.clear_decode_cache()
-        self.distributor.clear_route_cache()
         self._trigger_plans.clear()
         if words != self._words:
             self._words = words
@@ -374,8 +386,7 @@ class QuMAv2:
         frame engine's reference recording — with the (noise, config,
         backend kind) it was built under."""
         self._data_memory_report: DataMemoryReport | None = None
-        self._replay_reasons: list[str] | None = None
-        self._operation_reasons: tuple[list[str], list[str]] | None = None
+        self._verdict: _BinaryVerdict | None = None
         self._tree: TimelineTree | None = None
         self._tree_key: tuple | None = None
 
@@ -571,25 +582,29 @@ class QuMAv2:
         ``stats`` themselves; an interpreter run is labelled here, with
         every blocker as its reason.
 
-        The dataflow report is read once and feeds the replay engine's
-        stats and the cacheability of what either fast engine keeps.
-        Stochastic Pauli gate noise blocks the outcome-keyed replay
-        tree, but when it is the *only* blocker a feedback-free Clifford
-        program rides the Pauli-frame batch (one reference tableau shot
-        per loaded binary plus vectorised per-shot frames, see
-        :mod:`repro.quantum.pauli_frame`) — so the frame engine's own
-        checks run only then.
+        The binary's static verdict (:meth:`_binary_verdict`) decides
+        with two run-time facts, stochastic Pauli gate noise on the
+        stabilizer backend and queued mock results: with neither a
+        static replay blocker nor a mock, a run takes the replay tree
+        without that noise and the Pauli-frame batch with it, if the
+        binary has no frame blocker (:mod:`repro.quantum.pauli_frame`).
         """
         if not use_replay:
             reasons = ["replay disabled by caller"]
         else:
-            report = self.data_memory_report()
-            reasons = self._replay_blockers(kind)
-            if reasons == [_TRAJECTORY_BLOCKER] and \
-                    not self._frame_blockers():
-                return self._frame_shots(shots, stats, plan, report)
-            if not reasons:
-                return self._replay_shots(shots, stats, plan, report)
+            verdict = self._binary_verdict()
+            trajectory = (kind == "stabilizer" and
+                          not self.plant.noise.gate_error.is_zero)
+            mocked = self.measurement_unit.has_any_mock_results()
+            fast = not verdict.replay and not mocked
+            if fast and not trajectory:
+                return self._replay_shots(
+                    shots, stats, plan, verdict.report,
+                    outcome_independent=not verdict.frame)
+            if fast and not verdict.frame:
+                return self._frame_shots(shots, stats, plan, verdict.report)
+            reasons = verdict.replay + [_TRAJECTORY_BLOCKER] * trajectory \
+                + [_MOCK_BLOCKER] * mocked
         stats.engine = "interpreter"
         stats.fallback_reason = "; ".join(reasons)
         return self._interpreter_shots(0, shots, stats, plan)
@@ -609,15 +624,15 @@ class QuMAv2:
                               histogram="engine.interpreter.shot.time_ns")
 
     def _replay_shots(self, shots: int, stats: EngineStats,
-                      plan: FaultPlan | None,
-                      report: DataMemoryReport) -> Iterator:
+                      plan: FaultPlan | None, report: DataMemoryReport,
+                      outcome_independent: bool) -> Iterator:
         """Serve the run from the branch-resolved timeline tree (see
         :mod:`repro.uarch.replay`): walk it once per chunk of up to
         ``_CHUNK_SHOTS`` shots as index cohorts
         (:meth:`TimelineTree.sample_cohort`), growing unseen paths on
-        the interpreter as it goes (a binary without ``FMR`` or
-        conditional micro-ops builds its terminals from the first
-        growth shot instead), and yield the chunk as one
+        the interpreter as it goes (an ``outcome_independent`` binary,
+        without ``FMR`` or conditional micro-ops, builds its terminals
+        from the first growth shot instead), and yield the chunk as one
         :class:`ShotBatch` (a group per reached terminal, plus the
         growth traces), counted into ``stats`` before it is yielded:
         its growth shots as interpreter shots and cache misses, the
@@ -637,7 +652,7 @@ class QuMAv2:
         stats.bounded_loops = report.bounded_loop_count
         tree, stats.tree_reused = self._replay_tree(
             report.cross_run_cacheable, lambda: TimelineTree(
-                self.plant, outcome_independent=not self._frame_blockers()))
+                self.plant, outcome_independent=outcome_independent))
 
         def track_tree() -> None:
             stats.tree_nodes = tree.node_count
@@ -824,13 +839,14 @@ class QuMAv2:
                 span="machine.dataflow")
         return self._data_memory_report
 
-    def _binary_operation_reasons(self) -> tuple[list[str], list[str]]:
-        """The loaded binary's halves of the tableau and frame verdicts
-        (:meth:`plant_backend_reasons`, :meth:`_frame_blockers`), from
-        one pass over the distinct operation names of its bundles in
-        program order; computed once per binary."""
-        if self._operation_reasons is None:
+    def _binary_verdict(self) -> _BinaryVerdict:
+        """The loaded binary's :class:`_BinaryVerdict`, computed once
+        per binary: the module-level replay analysis over its dataflow
+        report, and the tableau and frame reasons from one pass over
+        the distinct operation names of its bundles in program order."""
+        if self._verdict is None:
             instructions = self._instructions
+            report = self.data_memory_report()
             tableau = [] if instructions else ["no program loaded"]
             frame = []
             if any(isinstance(instruction, Fmr)
@@ -853,18 +869,16 @@ class QuMAv2:
                     frame.append(
                         f"operation {name!r} executes conditionally (the "
                         f"gate sequence forks on per-shot outcomes)")
-                for micro_op in micro_ops:
-                    if micro_op.is_measurement:
-                        continue
-                    unitary = self.isa.operations.get(
-                        micro_op.operation).unitary
-                    if unitary is not None and \
-                            cached_clifford_action(unitary) is None:
-                        tableau.append(f"operation {micro_op.operation!r} "
-                                       f"is not Clifford")
-                        break
-            self._operation_reasons = tableau, frame
-        return self._operation_reasons
+                unitary = self.isa.operations.get(name).unitary
+                if unitary is not None and not all(
+                        micro_op.is_measurement for micro_op in micro_ops) \
+                        and cached_clifford_action(unitary) is None:
+                    tableau.append(f"operation {name!r} is not Clifford")
+            self._verdict = _BinaryVerdict(
+                report, replay_unsupported_reasons(
+                    instructions, self.microcode, data_memory_report=report),
+                tableau, frame)
+        return self._verdict
 
     def plant_backend_reasons(self) -> list[str]:
         """Every reason the loaded binary + noise model cannot run on
@@ -881,7 +895,7 @@ class QuMAv2:
         per loaded binary; the noise verdict is re-read per call so a
         swapped ``plant.noise`` is honoured immediately.
         """
-        reasons = list(self._binary_operation_reasons()[0])
+        reasons = list(self._binary_verdict().tableau)
         if not self.plant.noise.is_pauli_plus_readout:
             reasons.append(
                 "noise model has non-Pauli idle decoherence (T1/T2)")
@@ -1035,29 +1049,15 @@ class QuMAv2:
         stabilizer tableau *and* the noise model carries stochastic
         Pauli gate error, each shot samples a fresh Pauli trajectory —
         state the outcome-keyed tree cannot key on — so such runs stay
-        on the interpreter (which the tableau still accelerates).  With
-        zero gate error the tableau is deterministic given the outcome
+        off the replay tree (the Pauli-frame batch or the interpreter,
+        which the tableau still accelerates, serves them).  With zero
+        gate error the tableau is deterministic given the outcome
         history and both fast paths compound.  Queued mock results
         (CFC verification) are the other: consecutive shots read
         different fabricated bits, and these short experiments run on
         the interpreter."""
         kind, _ = self._select_plant_backend()
-        return self._replay_blockers(kind)
-
-    def _binary_replay_reasons(self) -> list[str]:
-        """The binary's own replay blockers (the module-level
-        :func:`~repro.uarch.replay.replay_unsupported_reasons`),
-        computed once per loaded binary."""
-        if self._replay_reasons is None:
-            self._replay_reasons = replay_unsupported_reasons(
-                self._instructions, self.microcode,
-                data_memory_report=self.data_memory_report())
-        return self._replay_reasons
-
-    def _replay_blockers(self, kind: str) -> list[str]:
-        """:meth:`replay_unsupported_reasons` for an already selected
-        backend ``kind``."""
-        reasons = list(self._binary_replay_reasons())
+        reasons = list(self._binary_verdict().replay)
         if kind == "stabilizer" and \
                 not self.plant.noise.gate_error.is_zero:
             reasons.append(_TRAJECTORY_BLOCKER)
@@ -1080,13 +1080,8 @@ class QuMAv2:
         stabilizer backend with nonzero Pauli gate error — the one
         regime replay cannot serve.
         """
-        return self._binary_replay_reasons() + self._frame_blockers()
-
-    def _frame_blockers(self) -> list[str]:
-        """The frame engine's own blockers (FMR, conditional
-        micro-operations, mock results) — see
-        :meth:`frame_batch_unsupported_reasons`."""
-        reasons = list(self._binary_operation_reasons()[1])
+        verdict = self._binary_verdict()
+        reasons = verdict.replay + verdict.frame
         if self.measurement_unit.has_any_mock_results():
             reasons.append(_MOCK_BLOCKER)
         return reasons
@@ -1445,22 +1440,25 @@ class QuMAv2:
             self._outstanding_triggers += 1
 
     def _planned_routes(self, point: ReservedPoint) -> tuple:
-        """The distributor's cached routing of ``point``, each device
-        operation with its trigger plan (a tuple of :class:`_PlannedOp`,
-        one per micro-op).  Plans are derived once per routing object
-        (guarded by identity; the entry holds the routing, so its id
-        is never reused while cached), dropped by :meth:`load` and
-        bounded like the route cache."""
-        routes = self.distributor.route(point.cycle, point.micro_ops)
-        cached = self._trigger_plans.get(id(routes))
-        if cached is not None and cached[0] is routes:
-            return cached[1]
-        if len(self._trigger_plans) >= ROUTE_CACHE_CAPACITY:
-            self._trigger_plans.clear()
-        planned = tuple((queue_key, device_op, self._trigger_plan(device_op))
-                        for queue_key, device_op in routes)
-        self._trigger_plans[id(routes)] = (routes, planned)
-        return planned
+        """The distributor's routing of ``point``: each device
+        operation with its plain ``(kind value, index)`` queue key and
+        its trigger plan (a tuple of :class:`_PlannedOp`), cached per
+        cycle and micro-op objects (shared across shots by the decode
+        cache), dropped by :meth:`load` and bounded by
+        ``ROUTE_CACHE_CAPACITY``."""
+        micro_ops = point.micro_ops
+        key = (point.cycle, *map(id, micro_ops))
+        cached = self._trigger_plans.get(key)
+        if cached is None:
+            if len(self._trigger_plans) >= ROUTE_CACHE_CAPACITY:
+                self._trigger_plans.clear()
+            planned = tuple(
+                ((device_op.device.kind.value, device_op.device.index),
+                 device_op, self._trigger_plan(device_op))
+                for device_op in self.distributor.distribute(point.cycle,
+                                                             micro_ops))
+            cached = self._trigger_plans[key] = (tuple(micro_ops), planned)
+        return cached[1]
 
     def _trigger_plan(self, device_op: DeviceOperation
                       ) -> tuple[_PlannedOp, ...]:

@@ -18,8 +18,16 @@ one on a same-seeded twin, with identical ``EngineStats``.
 The four engine labels on the machine (``last_run_engine``,
 ``replay_fallback_reason``, ``last_plant_backend``,
 ``plant_backend_reason``) must read exactly the run's ``engine_stats``.
+
+The engine decision itself is a table over the binary's static verdict
+and two run-time facts (Pauli gate noise on the tableau, queued mock
+results): each row pins the engine, the fallback reason and the
+``outcome_independent`` flag the replay engine is handed.  The verdict
+is computed once per loaded binary: the dataflow pass and the
+module-level replay analysis run once over a cold and a warm run.
 """
 
+import collections
 import hashlib
 import json
 
@@ -31,7 +39,9 @@ from repro.experiments.reset import FIG4_PROGRAM as ACTIVE_RESET
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
 from repro.uarch import FaultPlan, FaultSpec, QuMAv2, ShotCounts
-from repro.uarch.machine import _CHUNK_SHOTS
+from repro.uarch import machine as machine_module
+from repro.uarch.machine import _CHUNK_SHOTS, _MOCK_BLOCKER, \
+    _TRAJECTORY_BLOCKER
 
 #: LD above the only ST to its address: the load observes the previous
 #: shot, a hard replay blocker.
@@ -284,3 +294,94 @@ def test_stats_never_trail_delivered_traces(engine):
         seen.add(snapshot.shots_total)
     assert delivered == shots
     assert seen == {_CHUNK_SHOTS, shots}
+
+
+#: The dataflow pass's reason for LIVE_LOAD's load.
+LIVE_LOAD_REASON = (
+    "LD at pc 3 reads data memory address 0x100 that ST at pc 4 writes "
+    "— the stored value is live across shots (no same-shot store kills "
+    "the load first)")
+
+#: name -> (program, Pauli gate noise, queued mocks, use_replay,
+#: expected engine, expected fallback reason, the outcome_independent
+#: flag handed to the replay engine (None: it is not called)).
+DECISIONS = {
+    "caller-forced interpreter": (
+        ACTIVE_RESET, False, False, False,
+        "interpreter", "replay disabled by caller", None),
+    "static blocker": (
+        LIVE_LOAD, False, False, True,
+        "interpreter", LIVE_LOAD_REASON, None),
+    "replay with feedback": (
+        ACTIVE_RESET, False, False, True, "replay", None, False),
+    "replay without feedback": (
+        FRAME_CLIFFORD, False, False, True, "replay", None, True),
+    "frame": (
+        FRAME_CLIFFORD, True, False, True, "frame", None, None),
+    "frame blocked by C_X": (
+        ACTIVE_RESET, True, False, True,
+        "interpreter", _TRAJECTORY_BLOCKER, None),
+    "queued mocks": (
+        FRAME_CLIFFORD, False, True, True,
+        "interpreter", _MOCK_BLOCKER, None),
+    "queued mocks under Pauli noise": (
+        FRAME_CLIFFORD, True, True, True, "interpreter",
+        f"{_TRAJECTORY_BLOCKER}; {_MOCK_BLOCKER}", None),
+}
+
+
+@pytest.mark.parametrize("row", list(DECISIONS))
+def test_engine_decision_table(row, monkeypatch):
+    text, pauli, mocked, use_replay, engine, reason, independent = \
+        DECISIONS[row]
+    machine = make_machine(text, seed=110,
+                           noise=pauli_noise() if pauli else None)
+    if mocked:
+        machine.measurement_unit.inject_mock_results(2, [1, 0])
+    flags = []
+    replay_shots = machine._replay_shots
+
+    def spy(*args, **kwargs):
+        flags.append(kwargs["outcome_independent"])
+        return replay_shots(*args, **kwargs)
+
+    monkeypatch.setattr(machine, "_replay_shots", spy)
+    machine.run_counts(200, use_replay=use_replay)
+    stats = machine.engine_stats
+    assert stats.engine == engine
+    assert stats.fallback_reason == reason
+    assert flags == ([] if independent is None else [independent])
+
+
+@pytest.mark.parametrize("text, pauli, engine", [
+    (ACTIVE_RESET, False, "replay"),
+    (FRAME_CLIFFORD, True, "frame"),
+    (LIVE_LOAD, False, "interpreter")], ids=["replay", "frame",
+                                             "static-blocker"])
+def test_verdict_is_computed_once_per_binary(text, pauli, engine,
+                                             monkeypatch):
+    """A cold and a warm run of one binary analyse it once: one
+    dataflow report and one module-level replay analysis; the backend
+    verdict is read once per run."""
+    calls = collections.Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(QuMAv2, "data_memory_report", counted(
+        "dataflow", QuMAv2.data_memory_report))
+    monkeypatch.setattr(QuMAv2, "plant_backend_reasons", counted(
+        "backend", QuMAv2.plant_backend_reasons))
+    monkeypatch.setattr(machine_module, "replay_unsupported_reasons",
+                        counted("replay",
+                                machine_module.replay_unsupported_reasons))
+    machine = make_machine(text, seed=111,
+                           noise=pauli_noise() if pauli else None)
+    machine.run_counts(100)
+    assert machine.last_run_engine == engine
+    assert calls == {"dataflow": 1, "replay": 1, "backend": 1}
+    machine.run_counts(100)
+    assert calls == {"dataflow": 1, "replay": 1, "backend": 2}

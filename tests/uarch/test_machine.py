@@ -13,6 +13,8 @@ from repro.core.errors import (
 )
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.uarch import QuMAv2, UarchConfig, slip_config
+from repro.uarch.devices import QubitMicroOp
+from repro.uarch.quantum_pipeline import ReservedPoint
 
 
 def make_machine(isa=None, noise=None, seed=0, config=None):
@@ -208,6 +210,28 @@ class TestTriggerPlans:
         machine.run_shot()
         assert all(new is old for new, old
                    in zip(self._plans(machine), plans, strict=True))
+
+    def test_routes_have_plain_keys_and_are_reused(self):
+        """One cache keyed by cycle and micro-op objects holds each
+        point's routing (the distributor's grouping, with plain
+        ``(kind value, index)`` queue keys) and its trigger plans."""
+        machine = make_machine(isa=seven_qubit_instantiation())
+        microcode = machine.microcode
+        entries = [QubitMicroOp(microcode.translate_name("MEASZ")[0], 0),
+                   QubitMicroOp(microcode.translate_name("MEASZ")[0], 3),
+                   QubitMicroOp(microcode.translate_name("X")[0], 1)]
+        planned = machine._planned_routes(ReservedPoint(4, entries))
+        assert [device_op for _, device_op, _ in planned] == \
+            machine.distributor.distribute(4, entries)
+        assert [key for key, _, _ in planned] == [("measurement", 0),
+                                                  ("microwave", 1)]
+        assert machine._planned_routes(
+            ReservedPoint(4, list(entries))) is planned
+        assert machine._planned_routes(
+            ReservedPoint(5, entries))[0][1].cycle == 5
+        load(machine, self.X_THEN_MEASURE)
+        assert machine._planned_routes(
+            ReservedPoint(4, entries)) is not planned
 
     def test_conditional_flag_evaluated_every_shot(self):
         machine = make_machine(seed=5)
