@@ -10,21 +10,21 @@ simulation (Knill's trick, the engine behind stim-style samplers)
 removes the repetition: run one noise-free *reference* shot on the
 tableau per loaded binary, recording the Clifford sequence, every
 stochastic-error site and the measurement structure into an immutable
-:class:`FrameRecording`; then propagate whole batches of per-shot
-*frames* — the Pauli error each shot has accumulated — through the
-recording.  Like Stim's reference sample, the recording is computed
-once and kept: the machine reuses it for every later run of the same
-binary, noise model, config and backend (see
+:class:`FrameRecording`; then sample whole batches of per-shot
+*frames* — the Pauli error each shot has accumulated — from the
+recording's fault table.  Like Stim's reference sample, the recording
+is computed once and kept: the machine reuses it for every later run
+of the same binary, noise model, config and backend (see
 :meth:`repro.uarch.machine.QuMAv2._frame_shots`).
 
 **Layout** (Gidney, "Stim: a fast stabilizer circuit simulator",
-Quantum 5, 497, 2021): the batch is qubit-major and bit-packed, 64
-shots per machine word.  Row ``2q`` of a ``(2n, ⌈shots/64⌉)`` uint64
-plane array holds the X bits of qubit ``q`` for every shot, row
-``2q + 1`` its Z bits; shot ``s`` is bit ``s % 64`` of word
-``s // 64``, and the bits past ``shots`` in the last word are always
-zero.  Measurement outcomes leave the batch in the same packing, one
-row per measurement.
+Quantum 5, 497, 2021): outcomes leave the batch bit-packed, 64 shots
+per machine word.  Row ``m`` of a ``(measurements, ⌈shots/64⌉)``
+uint64 array holds measurement ``m`` of every shot; shot ``s`` is bit
+``s % 64`` of word ``s // 64``, and the bits past ``shots`` in the
+last word are always zero.  A frame is a Pauli on ``n`` qubits, its
+plane row ``2q`` the X bit of qubit ``q`` and row ``2q + 1`` its Z
+bit.
 
 **Gates are XORs of planes.**  A frame ``P`` commutes through a
 recorded Clifford ``U`` as ``P -> U P U^dag`` with the sign discarded
@@ -33,32 +33,52 @@ GF(2)-linear map of the (x, z) bits — the symplectic representation —
 so the image of any frame is the XOR of the images of its set bits:
 ``bits[v] == XOR of bits[1 << i]`` over the bits ``i`` of ``v``.  Each
 output plane of a gate is therefore the XOR of the input planes that
-:attr:`CliffordAction.bits` ``[1 << i]`` routes to it, for all 64 shots
-of a word at once.  :func:`~repro.quantum.stabilizer.plane_program`
-reduces that 2k x 2k binary matrix to a short sequence of in-place
-``plane[d] ^= plane[s]`` steps (a CZ is two, an H three, a Pauli gate
-none); the tableau runs the same steps on its int columns.
-
-**Noise is sampled exactly and sparsely.**  A depolarizing site of
-probability ``p`` hits each shot independently, so the number of hits
-is ``k ~ Binomial(shots, p)`` and, given ``k``, the hit shots are a
-uniform ``k``-subset; each hit gets a uniform non-identity Pauli,
-XORed into the planes one bit at a time.  At ``p = 1e-3`` that is a
-few dozen bits per site instead of one uniform per shot.  Readout
-assignment error flips a packed Bernoulli mask sampled the same way,
-one mask per rate (``p01`` on shots that read 0, ``p10`` on shots that
-read 1; one mask when the two rates are equal).
+:attr:`CliffordAction.bits` ``[1 << i]`` routes to it.
+:func:`~repro.quantum.stabilizer.plane_program` reduces that 2k x 2k
+binary matrix to a short sequence of in-place ``plane[d] ^= plane[s]``
+steps (a CZ is two, an H three, a Pauli gate none); the tableau runs
+the same steps on its int columns, and so does
+:meth:`GateStep.conjugate` when the fault table is built.
 
 **Measurements.**  A measurement of ``Z_a`` whose reference outcome
 was *deterministic* reports ``reference ^ x_a`` and leaves the frame
-unchanged; one whose reference outcome was *random* reports fresh fair
-bits ``o`` (packed random words) and, on the shots where
-``o ^ x_a`` disagrees with the reference outcome, multiplies the frame
-by the reference run's pre-collapse pivot stabilizer ``Q`` (the
-anticommuting generator :meth:`StabilizerTableau.collapse` pivots on):
-``Q`` maps the reference's post-measurement branch onto the other
-branch, so the frame keeps tracking the shot's true state relative to
-the reference trajectory.
+unchanged.  One whose reference outcome was *random* reports a fresh
+fair bit ``o`` and, on the shots where ``o ^ x_a`` disagrees with the
+reference outcome, multiplies the frame by the reference run's
+pre-collapse pivot stabilizer ``Q`` (the anticommuting generator
+:meth:`StabilizerTableau.collapse` pivots on): ``Q`` maps the
+reference's post-measurement branch onto the other branch, so the
+frame keeps tracking the shot's true state relative to the reference
+trajectory.  The batch re-parametrises that coin as
+``f = o ^ x_a ^ reference``.  Because ``o`` is fair and independent of
+the frame, so is ``f``; the outcome is ``f ^ x_a ^ reference``, and the
+frame absorbs ``Q`` wherever ``f`` is set.  Every random input is then
+independent of every other: the elementary faults (each plane bit of
+each gate-error site) and the coins ``f``.
+
+**The fault table.**  With the coins re-parametrised, every frame and
+every raw outcome is an affine GF(2) function of those inputs: the
+reference outcome XOR the inputs that reach it.  :func:`fault_table`
+finds which, once per recording (:meth:`FrameRecorder.freeze`): it
+walks the steps over Python-int bit columns, one int per plane row
+whose bit ``j`` says whether input ``j`` has reached that plane, runs
+each gate's XOR program on them, and reads ``x_a`` at each
+measurement.  Transposed, that is the set of raw rows each elementary
+fault and each coin flips, and by linearity a site's Pauli ``v`` flips
+the XOR of its bits' sets.  No row count is capped.
+
+**Noise is sampled exactly and sparsely, with no step walk.**  A
+depolarizing site of probability ``p`` hits each shot independently
+with a uniform non-identity Pauli.  :func:`propagate_frames` draws all
+sites of one ``(p, arity)`` group at once: ``k ~ Binomial(sites x
+shots, p)`` hit cells, a uniform ``k``-subset of the grid and a
+uniform Pauli per hit, each hit XORing its table rows into its shot's
+bit.  Each coin is a packed fair word XORed into its rows, and the
+reference outcomes are one XOR with the valid-bit mask.  Readout
+assignment error flips a packed Bernoulli mask over the
+``measurements x shots`` grid sampled the same way, one mask per rate
+(``p01`` on shots that read 0, ``p10`` on shots that read 1; one mask
+when the two rates are equal).
 
 **Eligibility rule** (enforced statically by
 :meth:`repro.uarch.machine.QuMAv2.frame_batch_unsupported_reasons`):
@@ -81,6 +101,7 @@ tableau (and the dense density matrix) up to sampling error.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,9 +116,6 @@ WORD = np.dtype("<u8")
 
 #: ``_BIT[i]`` is the word with only bit ``i`` set.
 _BIT = np.left_shift(np.ones(64, dtype=WORD), np.arange(64, dtype=WORD))
-
-#: Bit positions of the (x, z) planes of a 1- or 2-qubit Pauli index.
-_PLANE_SHIFTS = np.arange(4)
 
 _NO_HITS = np.zeros(0, dtype=np.int64)
 
@@ -130,12 +148,30 @@ def unpack_shots(planes: np.ndarray, shots: int) -> np.ndarray:
                          bitorder="little").T
 
 
+def valid_words(shots: int) -> np.ndarray:
+    """The packed mask of a batch's ``shots`` bits, padding clear."""
+    words = words_for(shots)
+    valid = np.full(words, ~np.uint64(0), dtype=WORD)
+    valid[-1] >>= np.uint64(64 * words - shots)
+    return valid
+
+
+def _set_bits(value: int) -> list[int]:
+    """The positions of the set bits of ``value``, ascending."""
+    bits = []
+    while value:
+        low = value & -value
+        bits.append(low.bit_length() - 1)
+        value ^= low
+    return bits
+
+
 @dataclass(frozen=True, slots=True)
 class GateStep:
     """One Clifford applied during the reference shot.  ``xors`` is
-    its frame action as in-place plane XORs on the batch's global
-    plane rows: the action's own column program
-    (:attr:`CliffordAction.program`, the one the tableau runs)."""
+    its frame action as in-place plane XORs on the global plane rows:
+    the action's own column program (:attr:`CliffordAction.program`,
+    the one the tableau runs)."""
 
     action: CliffordAction
     indices: tuple[int, ...]
@@ -146,6 +182,13 @@ class GateStep:
                 for plane in (0, 1)]
         object.__setattr__(self, "xors", tuple(
             (rows[d], rows[s]) for d, s in self.action.program))
+
+    def conjugate(self, columns) -> None:
+        """Push frames through the gate: ``columns`` holds one int per
+        plane row (bit ``j`` of each int is frame ``j``'s bit on that
+        plane), updated in place by :attr:`xors`."""
+        for d, s in self.xors:
+            columns[d] ^= columns[s]
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,15 +235,157 @@ class MeasureStep:
 
 
 @dataclass(frozen=True, slots=True)
+class FaultGroup:
+    """The gate-error sites of one ``(probability, arity)``, drawn
+    together.  ``sites`` are their positions in the recording's step
+    tuple; site ``i``'s non-identity Pauli ``v`` is table key
+    ``first + i * paulis + v - 1``."""
+
+    probability: float
+    paulis: int
+    sites: tuple[int, ...]
+    first: int
+
+
+@dataclass(frozen=True, slots=True)
+class FaultTable:
+    """Which raw measurement rows each random input of a recording
+    flips (see the module docstring).
+
+    Key ``k``'s rows are ``rows[starts[k]:starts[k + 1]]`` (keys as in
+    :class:`FaultGroup`); coin ``c`` (the ``c``-th random measurement)
+    flips ``coin_rows[coin_of == c]``, its own row first; ``ones`` are
+    the rows whose reference outcome is 1.
+    """
+
+    measurements: int
+    groups: tuple[FaultGroup, ...]
+    starts: np.ndarray
+    rows: np.ndarray
+    coins: int
+    coin_rows: np.ndarray
+    coin_of: np.ndarray
+    ones: np.ndarray
+
+    def outcomes(self, keys: np.ndarray, hit_shots: np.ndarray,
+                 coin_words: np.ndarray, valid: np.ndarray
+                 ) -> np.ndarray:
+        """The packed ``(measurements, words)`` raw outcomes of a
+        batch: key ``keys[i]`` fired on shot ``hit_shots[i]``,
+        ``coin_words`` the ``(coins, words)`` packed coins (padding
+        clear) and ``valid`` the batch's :func:`valid_words`."""
+        words = len(valid)
+        raw = np.zeros((self.measurements, words), dtype=WORD)
+        counts = self.starts[keys + 1] - self.starts[keys]
+        ends = np.cumsum(counts)
+        if len(ends) and ends[-1]:
+            # Each hit expands into its key's rows (a CSR gather).
+            entry = np.arange(ends[-1]) + np.repeat(
+                self.starts[keys] - ends + counts, counts)
+            shot = np.repeat(hit_shots, counts)
+            np.bitwise_xor.at(raw.reshape(-1),
+                              self.rows[entry] * words + (shot >> 6),
+                              _BIT[shot & 63])
+        if self.coins:
+            np.bitwise_xor.at(raw, self.coin_rows,
+                              coin_words[self.coin_of])
+        raw[self.ones] ^= valid
+        return raw
+
+
+def fault_table(steps: tuple[GateStep | NoiseStep | MeasureStep, ...]
+                ) -> FaultTable:
+    """Build the :class:`FaultTable` of a recorded step sequence.
+
+    One walk over Python-int bit columns: ``columns[r]`` has bit ``j``
+    set when input ``j`` — an elementary fault (one plane bit of one
+    noise site) or a random measurement's coin — has reached plane row
+    ``r``.  Gates run their XOR program on the columns; a raw row's
+    inputs are ``columns[2a]`` at its measurement, plus its own coin;
+    the coin then enters the pivot's rows.
+    """
+    columns: defaultdict[int, int] = defaultdict(int)
+    effects: list[int] = []
+    sites: list[tuple[int, NoiseStep, int]] = []
+    coin_inputs: list[int] = []
+    ones: list[int] = []
+    inputs = 0
+    for position, step in enumerate(steps):
+        if isinstance(step, GateStep):
+            step.conjugate(columns)
+        elif isinstance(step, NoiseStep):
+            for bit, row in enumerate(step.rows.tolist()):
+                columns[row] ^= 1 << (inputs + bit)
+            sites.append((position, step, inputs))
+            inputs += len(step.rows)
+        else:  # MeasureStep
+            effect = columns[2 * step.index]
+            if step.pivot_rows is not None:
+                coin = 1 << inputs
+                coin_inputs.append(inputs)
+                inputs += 1
+                effect ^= coin
+                for row in step.pivot_rows.tolist():
+                    columns[row] ^= coin
+            if step.reference_raw:
+                ones.append(len(effects))
+            effects.append(effect)
+    # Transpose: the raw rows (as a bit mask) each input flips.
+    flips = [0] * inputs
+    for row, effect in enumerate(effects):
+        for j in _set_bits(effect):
+            flips[j] |= 1 << row
+
+    grouped: dict[tuple[float, int], list[tuple[int, int]]] = {}
+    for position, step, first_input in sites:
+        grouped.setdefault((step.probability, len(step.rows)), []) \
+            .append((position, first_input))
+    groups = []
+    key_rows: list[list[int]] = []
+    for (probability, planes), members in grouped.items():
+        groups.append(FaultGroup(
+            probability=probability, paulis=(1 << planes) - 1,
+            sites=tuple(position for position, _ in members),
+            first=len(key_rows)))
+        for _, first_input in members:
+            # By linearity Pauli v flips the XOR of its plane bits'
+            # rows: v's mask is that of v without its lowest bit, XOR
+            # the lowest bit's.
+            masks = [0]
+            for v in range(1, 1 << planes):
+                low = (v & -v).bit_length() - 1
+                masks.append(masks[v & (v - 1)] ^ flips[first_input + low])
+                key_rows.append(_set_bits(masks[v]))
+    coin_rows = [_set_bits(flips[j]) for j in coin_inputs]
+
+    def flat(lists: list[list[int]]) -> np.ndarray:
+        return _frozen(np.fromiter((r for rows in lists for r in rows),
+                                   dtype=np.intp))
+
+    return FaultTable(
+        measurements=len(effects),
+        groups=tuple(groups),
+        starts=_frozen(np.cumsum([0] + [len(r) for r in key_rows],
+                                 dtype=np.intp)),
+        rows=flat(key_rows),
+        coins=len(coin_rows),
+        coin_rows=flat(coin_rows),
+        coin_of=_frozen(np.repeat(np.arange(len(coin_rows), dtype=np.intp),
+                                  [len(r) for r in coin_rows])),
+        ones=_frozen(np.array(ones, dtype=np.intp)))
+
+
+@dataclass(frozen=True, slots=True)
 class FrameRecording:
     """One reference shot's step sequence, frozen: the steps in the
-    order the shot applied them and how many of them are
-    measurements (the outcome rows :func:`propagate_frames` returns).
-    Immutable down to its arrays, so one recording can serve every
-    later run of its binary."""
+    order the shot applied them, how many of them are measurements
+    (the outcome rows :func:`propagate_frames` returns) and their
+    :class:`FaultTable`.  Immutable down to its arrays, so one
+    recording can serve every later run of its binary."""
 
     steps: tuple[GateStep | NoiseStep | MeasureStep, ...]
     measurements: int
+    faults: FaultTable = field(repr=False, compare=False)
 
 
 class FrameRecorder:
@@ -215,7 +400,7 @@ class FrameRecorder:
     measurements through :meth:`record_measurement`, which captures the
     pre-collapse structure the batch needs before collapsing the
     tableau exactly as a plain shot would.  :meth:`freeze` turns the
-    capture into the :class:`FrameRecording` the batch propagates.
+    capture into the :class:`FrameRecording` the batch samples from.
     """
 
     def __init__(self) -> None:
@@ -223,8 +408,10 @@ class FrameRecorder:
         self.measure_count = 0
 
     def freeze(self) -> FrameRecording:
-        """The captured steps as an immutable :class:`FrameRecording`."""
-        return FrameRecording(tuple(self.steps), self.measure_count)
+        """The captured steps as an immutable :class:`FrameRecording`,
+        with its fault table built once here."""
+        steps = tuple(self.steps)
+        return FrameRecording(steps, self.measure_count, fault_table(steps))
 
     def record_gate(self, action: CliffordAction,
                     indices: tuple[int, ...]) -> None:
@@ -258,110 +445,70 @@ class FrameRecorder:
         return result
 
 
-def _sample_hits(rng: np.random.Generator, shots: int,
-                 probability: float) -> np.ndarray:
-    """The shots an independent Bernoulli(``probability``) event hits:
-    ``k ~ Binomial(shots, p)``, then a uniform ``k``-subset of
-    ``range(shots)`` (in no particular order).  Draws nothing when
-    ``probability`` is zero."""
+def _sample_cells(rng: np.random.Generator, cells: int,
+                  probability: float) -> np.ndarray:
+    """The cells of a ``range(cells)`` grid an independent
+    Bernoulli(``probability``) event hits: ``k ~ Binomial(cells, p)``,
+    then a uniform ``k``-subset (in no particular order).  Draws
+    nothing when ``probability`` is zero."""
     if probability <= 0.0:
         return _NO_HITS
-    hits = int(rng.binomial(shots, probability))
+    hits = int(rng.binomial(cells, probability))
     if not hits:
         return _NO_HITS
-    return rng.choice(shots, size=hits, replace=False, shuffle=False)
+    return rng.choice(cells, size=hits, replace=False, shuffle=False)
 
 
-def _bernoulli_words(rng: np.random.Generator, shots: int,
-                     probability: float) -> np.ndarray:
-    """A packed mask with each of ``shots`` bits set independently with
-    ``probability`` (:func:`_sample_hits`), padding bits clear."""
-    mask = np.zeros(words_for(shots), dtype=WORD)
-    hits = _sample_hits(rng, shots, probability)
-    if len(hits):
-        np.bitwise_or.at(mask, hits >> 6, _BIT[hits & 63])
-    return mask
-
-
-def apply_gate(planes: np.ndarray, step: GateStep) -> None:
-    """Push every frame of ``planes`` through one recorded Clifford."""
-    for d, s in step.xors:
-        np.bitwise_xor(planes[d], planes[s], out=planes[d])
-
-
-def _apply_noise(planes: np.ndarray, step: NoiseStep, shots: int,
-                 rng: np.random.Generator) -> None:
-    """Inject one depolarizing site: a uniform non-identity Pauli on
-    each hit shot, XORed bit by bit into its planes."""
-    hits = _sample_hits(rng, shots, step.probability)
-    if not len(hits):
-        return
-    paulis = rng.integers(1, 4 ** len(step.indices), size=len(hits))
-    hit, plane = np.nonzero(
-        (paulis[:, None] >> _PLANE_SHIFTS[:len(step.rows)]) & 1)
-    shot = hits[hit]
-    np.bitwise_xor.at(planes.reshape(-1),
-                      step.rows[plane] * planes.shape[1] + (shot >> 6),
-                      _BIT[shot & 63])
+def _bernoulli_rows(rng: np.random.Generator, rows: int, shots: int,
+                    probability: float) -> np.ndarray:
+    """A packed ``(rows, words)`` mask with each of the ``rows x
+    shots`` bits set independently with ``probability``, padding bits
+    clear: the hit cells set on a boolean grid padded to whole words,
+    then packed."""
+    width = 64 * words_for(shots)
+    hits = _sample_cells(rng, rows * shots, probability)
+    grid = np.zeros((rows, width), dtype=bool)
+    grid.reshape(-1)[hits + hits // shots * (width - shots)] = True
+    return np.packbits(grid, axis=1, bitorder="little").view(WORD)
 
 
 def propagate_frames(recording: FrameRecording, num_qubits: int,
                      shots: int, rng: np.random.Generator,
                      readout: ReadoutErrorModel
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Push ``shots`` Pauli frames through a recorded step sequence.
+    """Sample ``shots`` Pauli frames of a recording and their outcomes.
 
     Returns ``(raw, reported)`` packed ``(recording.measurements,
     words)`` uint64 arrays — one row per measurement in the reference
     shot's order, shot ``s`` at bit ``s % 64`` of word ``s // 64``,
     padding bits clear (:func:`unpack_shots` gives the ``(shots,
-    measurements)`` matrix).  The frames are ``(2 * num_qubits,
-    words)`` packed planes (see the module docstring): a gate XORs
-    whole planes, a noise site or a readout error flips the few bits
-    its exact sparse sample hit, and a random measurement draws packed
-    fair words.
+    measurements)`` matrix).  No step is walked: each fault group
+    draws its hit cells and Paulis at once and XORs their table rows
+    in, each coin a packed fair word (see the module docstring).  The
+    frames live on ``num_qubits`` qubits; the recording's table has
+    already fixed every effect they can have on the outcomes.
     """
     if shots < 1:
         raise PlantError("need at least one shot to propagate")
-    words = words_for(shots)
-    valid = np.full(words, ~np.uint64(0), dtype=WORD)
-    valid[-1] >>= np.uint64(64 * words - shots)
-    planes = np.zeros((2 * num_qubits, words), dtype=WORD)
-    raw = np.zeros((recording.measurements, words), dtype=WORD)
-    reported = np.zeros((recording.measurements, words), dtype=WORD)
-    row = 0
-    for step in recording.steps:
-        if isinstance(step, GateStep):
-            apply_gate(planes, step)
-        elif isinstance(step, NoiseStep):
-            _apply_noise(planes, step, shots, rng)
-        else:  # MeasureStep
-            x = planes[2 * step.index]
-            out = raw[row]
-            if step.pivot_rows is None:
-                # Deterministic reference outcome: the frame's X
-                # component flips it; projection changes nothing.
-                if step.reference_raw:
-                    np.bitwise_xor(x, valid, out=out)
-                else:
-                    out[:] = x
-            else:
-                # Random reference outcome: every shot's outcome is a
-                # fresh fair coin; shots landing on the branch the
-                # reference did not take absorb the pivot stabilizer
-                # into their frame.
-                out[:] = rng.integers(0, 1 << 64, size=words,
-                                      dtype=np.uint64)
-                out &= valid
-                flip = out ^ x
-                if step.reference_raw:
-                    flip ^= valid
-                if flip.any():
-                    planes[step.pivot_rows] ^= flip
-            flips = _bernoulli_words(rng, shots, readout.p01)
-            if readout.p10 != readout.p01:
-                flips &= ~out
-                flips |= _bernoulli_words(rng, shots, readout.p10) & out
-            np.bitwise_xor(out, flips, out=reported[row])
-            row += 1
-    return raw, reported
+    table = recording.faults
+    valid = valid_words(shots)
+    keys = [_NO_HITS]
+    hit_shots = [_NO_HITS]
+    for group in table.groups:
+        site, shot = np.divmod(_sample_cells(
+            rng, len(group.sites) * shots, group.probability), shots)
+        if len(site):
+            keys.append(group.first + site * group.paulis
+                        + rng.integers(0, group.paulis, size=len(site)))
+            hit_shots.append(shot)
+    coin_words = rng.integers(0, 1 << 64, size=(table.coins, len(valid)),
+                              dtype=np.uint64)
+    coin_words &= valid
+    raw = table.outcomes(np.concatenate(keys), np.concatenate(hit_shots),
+                         coin_words, valid)
+    flips = _bernoulli_rows(rng, table.measurements, shots, readout.p01)
+    if readout.p10 != readout.p01:
+        flips &= ~raw
+        flips |= _bernoulli_rows(rng, table.measurements, shots,
+                                 readout.p10) & raw
+    return raw, raw ^ flips

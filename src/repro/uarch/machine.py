@@ -1095,17 +1095,20 @@ class QuMAv2:
         The engine needs one reference shot of the loaded binary
         (:meth:`_frame_reference`): its trace is the frozen timeline
         template, its :class:`FrameRecording` the Clifford sequence,
-        every deferred gate-error site and the measurement structure.
-        The first run records it and keeps it for the loaded binary in
-        the slot :meth:`_replay_tree` manages, so a later run under
-        the same noise model, config and backend kind skips the
-        reference shot (``frame_reference_shots == 0``,
+        every deferred gate-error site, the measurement structure and
+        the fault table built from them when the recording is frozen:
+        the raw outcome rows each elementary fault and each random
+        measurement's coin flips.  The first run records it and keeps
+        it, table included, for the loaded binary in the slot
+        :meth:`_replay_tree` manages, so a later run under the same
+        noise model, config and backend kind skips the reference shot
+        and builds no table (``frame_reference_shots == 0``,
         ``tree_reused``).  A binary whose loads may read host-written
         memory (not :attr:`DataMemoryReport.cross_run_cacheable`)
         records afresh every run, and a run in which a fault fired
-        keeps nothing.  Chunks of bit-packed per-shot frames then
-        propagate through the recording (:func:`propagate_frames`,
-        called once per chunk); each chunk is counted into ``stats``
+        keeps nothing.  Each chunk's outcomes are then sampled from
+        the table with no step walk (:func:`propagate_frames`, called
+        once per chunk); each chunk is counted into ``stats``
         and yielded as one :class:`ShotBatch`: one group of every shot
         on the reference template, with packed ``(measurements,
         words)`` raw and reported outcome columns.  The fault plan's

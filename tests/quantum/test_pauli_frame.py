@@ -1,30 +1,39 @@
-"""Bit-packed Pauli frames against the unpacked propagation they replaced.
+"""The Pauli-frame fault table against the unpacked walk it replaced.
 
-``propagate_frames`` keeps the batch as qubit-major bit planes, 64
-shots per uint64 word: a gate XORs whole planes, a noise site flips the
-few bits an exact sparse sample (binomial hit count, uniform hit
-subset) hit, and outcomes leave packed.  ``reference_propagate`` below
-is a verbatim port of the ``(shots, n)`` uint8 propagation it replaced
-(a 16-entry table gather per gate, one uniform per shot per noise
-site), with only its gate branch lifted into ``reference_gate``.  The
-two draw differently, so they are compared gate by gate bit for bit and
-over whole recordings by distribution.  Pinned here:
+``propagate_frames`` walks no steps: the recording's fault table, built
+once by one walk over Python-int bit columns, says which raw
+measurement rows every elementary fault (one plane bit of one noise
+site) and every random measurement's coin flips, and a batch draws its
+hits and coins and XORs their rows into the packed outcomes.
+``reference_propagate`` below is a verbatim port of the ``(shots, n)``
+uint8 propagation the packed frames once replaced (a 16-entry table
+gather per gate, one uniform per shot per noise site, one fair
+outcome per shot per random measurement), with only its gate branch
+lifted into ``reference_gate``.  Pinned here:
 
 * every Clifford action is GF(2)-linear — ``bits[v]`` is the XOR of
-  ``bits[1 << i]`` over the set bits of ``v`` — the invariant the
-  packed gate needs and the table gather never did; and the XOR program
+  ``bits[1 << i]`` over the set bits of ``v`` — and the XOR program
   derived from it reproduces the whole table;
-* a packed gate step equals the table gather on random frames, for
-  every gate of the surface-17 recording and of a small frame-eligible
-  program, padding bits staying clear;
-* at 100k+ shots the joint outcome histograms of the two propagations
-  agree by chi-squared, on deterministic and random (pivot) measurements
-  and asymmetric readout error;
+* the int-column gate step the table build runs equals the table
+  gather on random frames, for every gate of the surface-17 recording
+  and of a small frame-eligible program;
+* exact identity: with the faults and coins forced, the table's raw
+  outcomes equal the reference walk's bit for bit — every single
+  elementary fault of the surface-17 (2 and 17 rounds),
+  frame-clifford, GHZ and deterministic-ones recordings, and random
+  multi-fault and coin assignments;
+* at 100k+ shots the joint outcome histograms of the batch and the
+  reference agree by chi-squared, on deterministic and random (pivot)
+  measurements, asymmetric readout error and a record wider than one
+  64-bit word;
+* the recording and its table are immutable and built once: a warm
+  frame run builds no table;
 * padding never leaks into results: with ``p01 = 1`` every shot reads
   one, and ``run_iter`` yields exactly the requested shots, at word and
   chunk boundaries.
 """
 
+from collections import Counter
 from functools import reduce
 from unittest import mock
 
@@ -38,7 +47,7 @@ from repro.core.errors import PlantError
 from repro.core.isa import seventeen_qubit_instantiation
 from repro.core.operations import default_operation_set
 from repro.experiments.runner import ExperimentSetup
-from repro.quantum import NoiseModel, QuantumPlant, gates
+from repro.quantum import NoiseModel, QuantumPlant, gates, pauli_frame
 from repro.quantum.noise import (
     DecoherenceModel,
     GateErrorModel,
@@ -50,10 +59,11 @@ from repro.quantum.pauli_frame import (
     GateStep,
     MeasureStep,
     NoiseStep,
-    apply_gate,
+    fault_table,
     pack_shots,
     propagate_frames,
     unpack_shots,
+    valid_words,
     words_for,
 )
 from repro.quantum.stabilizer import (
@@ -170,11 +180,11 @@ def frame_clifford_machine(seed=0, readout=ReadoutErrorModel()):
     return machine
 
 
-def surface17_machine(seed=0):
+def surface17_machine(seed=0, rounds=2):
     setup = ExperimentSetup.create(isa=seventeen_qubit_instantiation(),
                                    noise=pauli_noise(), seed=seed)
     setup.machine.load(setup.compile_circuit(
-        surface17_circuit(rounds=2, reset=False)))
+        surface17_circuit(rounds=rounds, reset=False)))
     return setup.machine
 
 
@@ -212,6 +222,11 @@ def tableau_recording(num_qubits, program, seed=0):
     return recorder.freeze()
 
 
+#: Surface-17 syndrome rounds whose record is wider than one packed
+#: word: the cycle measures four ancillas a round, 68 rows in all.
+WIDE_ROUNDS = 17
+
+
 #: GHZ preparation with mid-circuit random measurements: multi-qubit
 #: pivots, outcomes correlated through the frames, strong noise.
 GHZ_PROGRAM = [
@@ -225,13 +240,24 @@ GHZ_PROGRAM = [
 ]
 
 
+#: Deterministic measurements whose reference outcome is one, and one
+#: whose outcome follows an earlier random measurement's coin.
+ONES_PROGRAM = [
+    ("X", (0,)), ("E", (0,), 0.05),
+    ("CNOT", (0, 1)), ("E", (0, 1), 0.08),
+    ("M", (0,)), ("M", (1,)),
+    ("H", (2,)), ("CNOT", (2, 1)), ("E", (2, 1), 0.08),
+    ("M", (2,)), ("M", (1,)),
+]
+
+
 def with_probability(recording, probability):
     """``recording`` with every noise site at ``probability``."""
-    return FrameRecording(
-        tuple(NoiseStep(step.indices, probability)
-              if isinstance(step, NoiseStep) else step
-              for step in recording.steps),
-        recording.measurements)
+    steps = tuple(NoiseStep(step.indices, probability)
+                  if isinstance(step, NoiseStep) else step
+                  for step in recording.steps)
+    return FrameRecording(steps, recording.measurements,
+                          fault_table(steps))
 
 
 # ----------------------------------------------------------------------
@@ -319,11 +345,19 @@ def test_nonlinear_table_is_refused():
 
 
 # ----------------------------------------------------------------------
-# The packed gate kernel, bit for bit
+# The int-column gate step of the table build, bit for bit
 # ----------------------------------------------------------------------
 def interleave(fx, fz):
     """``(shots, n)`` X and Z matrices as ``(shots, 2n)`` plane rows."""
     return np.stack((fx, fz), axis=2).reshape(len(fx), -1)
+
+
+def int_columns(planes):
+    """``(shots, rows)`` plane bits as one Python int per plane row,
+    bit ``s`` the bit of shot ``s``."""
+    return [int.from_bytes(np.packbits(column, bitorder="little")
+                           .tobytes(), "little")
+            for column in np.asarray(planes, dtype=np.uint8).T]
 
 
 def recorded_gates():
@@ -340,14 +374,17 @@ def recorded_gates():
 @pytest.mark.parametrize("step,num_qubits", recorded_gates())
 @pytest.mark.parametrize("shots", [1, 64, 200])
 def test_packed_gate_equals_table_gather(step, num_qubits, shots):
+    """:meth:`GateStep.conjugate` on int columns (the fault-table
+    walk) equals the 16-entry table gather, no bit past ``shots``
+    set."""
     rng = np.random.default_rng(shots)
     fx = rng.integers(0, 2, size=(shots, num_qubits), dtype=np.uint8)
     fz = rng.integers(0, 2, size=(shots, num_qubits), dtype=np.uint8)
-    planes = pack_shots(interleave(fx, fz))
-    apply_gate(planes, step)
+    columns = int_columns(interleave(fx, fz))
+    step.conjugate(columns)
     reference_gate(fx, fz, step)
-    assert np.array_equal(unpack_shots(planes, shots), interleave(fx, fz))
-    assert np.array_equal(planes, pack_shots(interleave(fx, fz)))
+    assert columns == int_columns(interleave(fx, fz))
+    assert all(column >> shots == 0 for column in columns)
 
 
 def test_surface17_recording_shape():
@@ -361,24 +398,55 @@ def test_surface17_recording_shape():
     assert kinds.count("MeasureStep") == recording.measurements == 8
 
 
+def test_wide_recording_spans_more_than_one_word():
+    """The fault table caps no row count: a long surface-17 record's
+    late faults flip rows past 64."""
+    recording, _ = machine_recording(surface17_machine(rounds=WIDE_ROUNDS))
+    assert recording.measurements == recording.faults.measurements == 68
+    assert recording.faults.rows.max() >= 64
+
+
 def test_recording_is_immutable():
-    """The machine keeps a recording for its loaded binary and
-    propagates every later run through it, so nothing in it can be
-    changed in place: the value, its step tuple and the step arrays."""
+    """The machine keeps a recording for its loaded binary and samples
+    every later run from it, so nothing in it can be changed in place:
+    the value, its step tuple, the step arrays and the fault table's
+    arrays."""
     recording = tableau_recording(3, GHZ_PROGRAM)
     assert isinstance(recording.steps, tuple)
     with pytest.raises(AttributeError):
         recording.measurements = 0
+    table = recording.faults
+    with pytest.raises(AttributeError):
+        table.coins = 0
+    assert isinstance(table.groups, tuple)
+    with pytest.raises(AttributeError):
+        table.groups[0].probability = 0.0
     arrays = [array for step in recording.steps
               for array in ((step.rows,) if isinstance(step, NoiseStep)
                             else (step.pivot_x, step.pivot_z,
                                   step.pivot_rows)
                             if isinstance(step, MeasureStep) else ())
               if array is not None]
-    assert arrays
+    arrays += [table.starts, table.rows, table.coin_rows, table.coin_of,
+               table.ones]
+    assert arrays and all(len(array) for array in arrays)
     for array in arrays:
         with pytest.raises(ValueError):
             array[0] ^= 1
+
+
+def test_warm_frame_run_builds_no_table():
+    """The table is built once, when the reference shot's recording is
+    frozen; a run that reuses the kept recording builds none."""
+    machine = frame_clifford_machine()
+    with mock.patch.object(pauli_frame, "fault_table",
+                           wraps=pauli_frame.fault_table) as build:
+        machine.run_counts(100)
+        assert machine.engine_stats.frame_reference_shots == 1
+        assert build.call_count == 1
+        machine.run_counts(100)
+        assert machine.engine_stats.tree_reused
+        assert build.call_count == 1
 
 
 def test_pack_round_trip_keeps_padding_clear():
@@ -394,12 +462,152 @@ def test_pack_round_trip_keeps_padding_clear():
 
 
 # ----------------------------------------------------------------------
+# The fault table against the reference walk, bit for bit
+# ----------------------------------------------------------------------
+class ScriptedRng:
+    """Stands in for the generator ``reference_propagate`` draws from,
+    returning forced draws in call order."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def random(self, size):
+        return next(self.draws)
+
+    def integers(self, low, high, size, dtype=None):
+        return next(self.draws)
+
+
+def forced_reference_raw(recording, num_qubits, hit, paulis, outcomes):
+    """The reference walk's raw outcomes with every draw forced: noise
+    site ``i`` hits the shots ``hit[i]`` with Paulis ``paulis[i]``,
+    random measurement ``c`` reports ``outcomes[c]``, and no readout
+    error flips anything."""
+    shots = hit.shape[1]
+    draws = []
+    site = coin = 0
+    for step in recording.steps:
+        if isinstance(step, NoiseStep):
+            draws.append(np.where(hit[site], 0.0, 1.0))
+            if hit[site].any():
+                draws.append(paulis[site])
+            site += 1
+        elif isinstance(step, MeasureStep):
+            if step.pivot_rows is not None:
+                draws.append(outcomes[coin])
+                coin += 1
+            draws.append(np.ones(shots))          # readout: never flips
+    rng = ScriptedRng(draws)
+    raw, _ = reference_propagate(recording.steps, num_qubits, shots, rng,
+                                 ReadoutErrorModel(p01=0.0, p10=0.0))
+    assert next(rng.draws, None) is None
+    return raw
+
+
+def forced_table_raw(recording, hit, paulis, outcomes):
+    """The fault table's raw outcomes under the same forced faults.
+    The table's coins are ``f = o ^ x_a ^ reference``: coin ``c`` is
+    solved from the forced outcome ``o`` and its row's value with
+    coins ``c`` and later unset (a coin flips only its own row and
+    later ones)."""
+    table = recording.faults
+    shots = hit.shape[1]
+    slot = {position: (group, index) for group in table.groups
+            for index, position in enumerate(group.sites)}
+    noise = [position for position, step in enumerate(recording.steps)
+             if isinstance(step, NoiseStep)]
+    keys, hit_shots = [], []
+    for site, position in enumerate(noise):
+        group, index = slot[position]
+        shot = np.flatnonzero(hit[site])
+        keys.append(group.first + index * group.paulis
+                    + paulis[site][shot].astype(np.int64) - 1)
+        hit_shots.append(shot)
+    keys, hit_shots = np.concatenate(keys), np.concatenate(hit_shots)
+    measures = [step for step in recording.steps
+                if isinstance(step, MeasureStep)]
+    coin_rows = [row for row, step in enumerate(measures)
+                 if step.pivot_rows is not None]
+    assert len(coin_rows) == table.coins
+    valid = valid_words(shots)
+    coins = np.zeros((table.coins, len(valid)), dtype=np.uint64)
+    for coin, row in enumerate(coin_rows):
+        raw = table.outcomes(keys, hit_shots, coins, valid)
+        coins[coin] = pack_shots(outcomes[coin][:, None])[0] ^ raw[row]
+    raw = table.outcomes(keys, hit_shots, coins, valid)
+    tail = np.unpackbits(raw.view(np.uint8), axis=1,
+                         bitorder="little")[:, shots:]
+    assert not tail.any()
+    return unpack_shots(raw, shots)
+
+
+def identity_recordings():
+    return [
+        pytest.param(*machine_recording(surface17_machine()),
+                     id="surface17"),
+        pytest.param(*machine_recording(frame_clifford_machine()),
+                     id="frame-clifford"),
+        pytest.param(tableau_recording(3, GHZ_PROGRAM), 3, id="ghz"),
+        pytest.param(tableau_recording(3, ONES_PROGRAM), 3, id="ones"),
+        pytest.param(*machine_recording(surface17_machine(
+            rounds=WIDE_ROUNDS)), id="surface17-wide"),
+    ]
+
+
+def noise_sites(recording):
+    return [step for step in recording.steps
+            if isinstance(step, NoiseStep)]
+
+
+@pytest.mark.parametrize("recording,num_qubits", identity_recordings())
+def test_every_single_fault_matches_the_reference(recording, num_qubits):
+    """Shot 0 is fault-free; every later shot carries exactly one
+    elementary fault — one plane bit of one noise site — and the
+    random measurements report seeded coins."""
+    sites = noise_sites(recording)
+    faults = [(site, 1 << bit) for site, step in enumerate(sites)
+              for bit in range(len(step.rows))]
+    shots = 1 + len(faults)
+    hit = np.zeros((len(sites), shots), dtype=bool)
+    paulis = np.zeros((len(sites), shots), dtype=np.uint8)
+    for shot, (site, pauli) in enumerate(faults, start=1):
+        hit[site, shot] = True
+        paulis[site, shot] = pauli
+    outcomes = np.random.default_rng(11).integers(
+        0, 2, size=(recording.faults.coins, shots), dtype=np.uint8)
+    assert np.array_equal(
+        forced_table_raw(recording, hit, paulis, outcomes),
+        forced_reference_raw(recording, num_qubits, hit, paulis,
+                             outcomes))
+
+
+@pytest.mark.parametrize("recording,num_qubits", identity_recordings())
+@pytest.mark.parametrize("density", [0.05, 0.4])
+def test_random_fault_assignments_match_the_reference(
+        recording, num_qubits, density):
+    """Random multi-fault shots: each site hit with probability
+    ``density`` by a uniform non-identity Pauli, with random coins."""
+    rng = np.random.default_rng(int(density * 100))
+    sites = noise_sites(recording)
+    shots = 300
+    hit = rng.random((len(sites), shots)) < density
+    paulis = np.array([rng.integers(1, 4 ** len(step.indices), size=shots)
+                       for step in sites], dtype=np.uint8)
+    outcomes = rng.integers(0, 2, size=(recording.faults.coins, shots),
+                            dtype=np.uint8)
+    assert np.array_equal(
+        forced_table_raw(recording, hit, paulis, outcomes),
+        forced_reference_raw(recording, num_qubits, hit, paulis,
+                             outcomes))
+
+
+# ----------------------------------------------------------------------
 # Whole recordings, in distribution
 # ----------------------------------------------------------------------
 def joint_histogram(rows: np.ndarray) -> dict:
-    keys, counts = np.unique(rows, axis=0, return_counts=True)
-    return {tuple(key): count
-            for key, count in zip(keys.tolist(), counts.tolist())}
+    """Shot count per joint outcome, keyed by the packed outcome row
+    (a wide record's rows sort too slowly as arrays)."""
+    return Counter(map(bytes, np.packbits(rows, axis=1)))
 
 
 def assert_same_distribution(hist_a: dict, hist_b: dict) -> None:
@@ -430,6 +638,9 @@ def distribution_cases():
                      id="frame-clifford"),
         pytest.param(tableau_recording(3, GHZ_PROGRAM), 3,
                      ReadoutErrorModel(p01=0.05, p10=0.15), id="ghz"),
+        pytest.param(*machine_recording(surface17_machine(
+            rounds=WIDE_ROUNDS)), ReadoutErrorModel(p01=0.01, p10=0.03),
+            id="surface17-wide"),
     ]
 
 

@@ -172,11 +172,18 @@ def route_all_growth(count=QuMAv2.run_counts):
 #: exact sparse noise sampler (binomial hit count, uniform hit subset)
 #: and packed readout masks draw in a new order, with the same
 #: distribution — pinned against the unpacked propagation in
-#: tests/quantum/test_pauli_frame.py.  The audit-divergence digests
-#: were re-pinned when audits moved onto the cohort walk: the tree
-#: fault fires at the chunk start, the walked terminals are audited
-#: before the chunk is delivered, and the diverging chunk is re-served
-#: whole by the interpreter, so that run is labelled "interpreter".
+#: tests/quantum/test_pauli_frame.py.  It was re-pinned again when
+#: frame noise moved onto the recording's fault table: each group of
+#: noise sites draws its hit cells over the sites x shots grid at once,
+#: coins are re-parametrised against the reference outcome, and one
+#: readout mask per rate covers every row, so the draws move and the
+#: law does not — pinned bit for bit against the unpacked walk under
+#: forced faults and by distribution in the same file.  The
+#: audit-divergence digests were re-pinned when audits moved onto the
+#: cohort walk: the tree fault fires at the chunk start, the walked
+#: terminals are audited before the chunk is delivered, and the
+#: diverging chunk is re-served whole by the interpreter, so that run
+#: is labelled "interpreter".
 ROUTES = {
     "static-blocker": (
         route_static_blocker, "interpreter",
@@ -192,7 +199,7 @@ ROUTES = {
         "815cc4c26369c08c773f6da7a702dd5f0bbc0b246b742d302cca7733f085b082"),
     "frame-batch": (
         route_frame_batch, "frame",
-        "fa1af651896579c2e763605aeadec5270bbee7b200a4cb17510858386e0723b7",
+        "1963c2394b0f8d4b55b90343641362f4144ab197177407d590e43ebb486646db",
         "f056b970df08d3610c1d9bc789ce177986632a233167df08c2ad78bed444aba4"),
     "frame-reference-fault": (
         route_frame_reference_fault, "interpreter",
