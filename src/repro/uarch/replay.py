@@ -32,11 +32,13 @@ stored ``P(1)`` (and the readout-error model), follow the matching
 edge, and hand out the terminal template.  The tree is keyed on the
 sampled ``(raw, reported)`` pairs, so every shot that reaches a
 terminal has exactly that terminal's outcomes,
-``template.outcome_path()``.  Every run walks a whole chunk of shots
-at once (:meth:`TimelineTree.sample_cohort`): each internal node draws
-one vectorised Bernoulli and one vectorised readout flip for the
-cohort of shots that reached it and splits the cohort among its
-children, so the Python cost is per tree node, not per shot.  The
+``template.outcome_path()``.  One uniform per shot picks a node's
+edge by inversion against the cumulative law of its four edges.
+Every run walks a whole chunk of shots at once
+(:meth:`TimelineTree.sample_cohort`): each internal node draws one
+vectorised uniform for the cohort of shots that reached it and splits
+the cohort among its children, so the Python cost is per tree node,
+not per shot.  The
 walk returns one :class:`~repro.uarch.trace.ShotBatch`, the value the
 Pauli-frame engine delivers too: each reached terminal is a group of
 shot indices sharing its template, each growth shot a trace.
@@ -442,6 +444,22 @@ class TimelineTree:
         """``parent``'s child on edge ``key``; the root for no parent."""
         return self._root if parent is None else parent.children.get(key)
 
+    def _edge_cuts(self, p_one: float) -> tuple[float, float, float]:
+        """The cumulative edge law at ``P(1) = p_one`` (clamped within
+        ``_DETERMINISTIC_EPS`` of 0 or 1): a shot's uniform takes edge
+        ``(k & 1, k >> 1)``, ``k`` the number of cuts at or below it.
+        Ordered by reported bit, the middle cut is ``P(reported 0)``:
+        same-seed runs under other noise flip a shot's reported bit
+        only across that one cut, which keeps their outcomes coupled."""
+        if p_one <= _DETERMINISTIC_EPS:
+            p_one = 0.0
+        elif p_one >= 1.0 - _DETERMINISTIC_EPS:
+            p_one = 1.0
+        readout = self._readout
+        both_zero = (1.0 - p_one) * (1.0 - readout.p01)
+        return (both_zero, both_zero + p_one * readout.p10,
+                1.0 - p_one * (1.0 - readout.p10))
+
     # ------------------------------------------------------------------
     # Replay (pure tree walk)
     # ------------------------------------------------------------------
@@ -449,16 +467,16 @@ class TimelineTree:
                                    list[tuple[int, int]]]:
         """Sample one shot from the cached tree.
 
-        Walks from the root, drawing each measurement's raw outcome
-        from the node's pre-collapse ``P(1)`` and its reported outcome
-        from the readout-error model — the same conditional
-        probabilities the interpreter would sample, so the joint
-        distribution is exact.  Returns ``(template, outcomes)`` on a
-        complete cached path — the terminal's frozen trace, *not*
-        spliced, and the sampled ``(raw, reported)`` pairs in result
-        order, which equal ``template.outcome_path()`` (splice them
-        with :meth:`ShotTrace.with_sampled_results`, or fold the
-        template itself with :meth:`ShotCounts.add`) — or ``(None,
+        Walks from the root, drawing each measurement's ``(raw,
+        reported)`` edge with one uniform against the node's cuts
+        (:meth:`_edge_cuts`, from ``P(1)`` and the readout-error model)
+        — the interpreter's probabilities, so the law is exact.
+        Returns ``(template, outcomes)`` on a complete cached path —
+        the terminal's frozen trace, *not* spliced, and the sampled
+        ``(raw, reported)`` pairs in result order, which equal
+        ``template.outcome_path()`` (splice them with
+        :meth:`ShotTrace.with_sampled_results`, or fold the template
+        itself with :meth:`ShotCounts.add`) — or ``(None,
         outcome_prefix)`` when an unexplored edge is reached; the
         caller then runs an interpreter shot with that prefix forced.
 
@@ -467,7 +485,6 @@ class TimelineTree:
         benchmark hooks :meth:`sample_cohort` instead.
         """
         rng = self._plant.rng
-        readout = self._readout
         node = self._root
         outcomes: list[tuple[int, int]] = []
         if node is None:
@@ -475,16 +492,12 @@ class TimelineTree:
         while node.template is None:
             if node.qubit < 0:
                 return None, outcomes    # cold node: no probe yet
-            p_one = node.p_one
-            if p_one <= _DETERMINISTIC_EPS:
-                raw = 0
-            elif p_one >= 1.0 - _DETERMINISTIC_EPS:
-                raw = 1
-            else:
-                raw = 1 if rng.random() < p_one else 0
-            reported = readout.apply(raw, rng)
-            outcomes.append((raw, reported))
-            child = node.children.get((raw, reported))
+            uniform = rng.random()
+            code = sum(uniform >= cut
+                       for cut in self._edge_cuts(node.p_one))
+            pair = (code & 1, code >> 1)
+            outcomes.append(pair)
+            child = node.children.get(pair)
             if child is None:
                 return None, outcomes    # unexplored branch: grow here
             node = child
@@ -496,16 +509,12 @@ class TimelineTree:
         """Sample ``shots`` shots as index cohorts, returned as one
         :class:`ShotBatch` of terminal groups and growth traces.
 
-        The whole chunk starts at the root; each internal node
-        draws one vectorised Bernoulli against its ``P(1)`` for the
-        cohort that reached it (no draw within
-        ``_DETERMINISTIC_EPS`` of 0 or 1, as in :meth:`sample_shot`),
-        one vectorised readout flip
-        (:meth:`ReadoutErrorModel.apply_many`), and splits the cohort
-        among its (at most four) ``(raw, reported)`` children.  Each
-        shot's outcomes are drawn from the same conditional
-        probabilities as in :meth:`sample_shot`, so the joint
-        distribution is exact; only the order of the draws differs.
+        The whole chunk starts at the root; each internal node draws
+        one uniform per shot of the cohort that reached it, reads each
+        shot's edge off its cuts (:meth:`_edge_cuts`, as
+        :meth:`sample_shot` does) and splits the cohort among its (at
+        most four) children by one stable partition on the edge code.
+        The law is exact; only the order of the draws differs.
 
         Where a cohort reaches a cold node or an unexplored edge, its
         first shot becomes a growth shot: ``grow(prefix)`` runs it on
@@ -519,7 +528,6 @@ class TimelineTree:
         cohort lands on it as cached shots: ``grow`` is not called.
         """
         rng = self._plant.rng
-        readout = self._readout
         batch = ShotBatch(shots)
         # (parent node, edge key, shot indices, outcome prefix)
         stack = [(None, None, np.arange(shots), [])]
@@ -539,19 +547,20 @@ class TimelineTree:
             if node.template is not None:
                 batch.groups.append((node.template, indices))
                 continue
-            p_one = node.p_one
-            if p_one <= _DETERMINISTIC_EPS:
-                raw = np.zeros(len(indices), dtype=np.uint8)
-            elif p_one >= 1.0 - _DETERMINISTIC_EPS:
-                raw = np.ones(len(indices), dtype=np.uint8)
-            else:
-                raw = (rng.random(len(indices)) < p_one).view(np.uint8)
-            codes = 2 * raw + readout.apply_many(raw, rng)
+            uniforms = rng.random(len(indices))
+            past = [uniforms >= cut for cut in self._edge_cuts(node.p_one)]
+            codes = past[0].view(np.uint8) + past[1]
+            codes += past[2]
+            # Code k's shots sit at [bounds[k], bounds[k + 1]).
+            bounds = [0, *(len(indices) - np.count_nonzero(mask)
+                           for mask in past), len(indices)]
+            ordered = indices[np.argsort(codes, kind="stable")]
             for code in (3, 2, 1, 0):        # (0, 0) is walked first
-                branch = indices[codes == code]
-                if len(branch):
-                    pair = (code >> 1, code & 1)
-                    stack.append((node, pair, branch, prefix + [pair]))
+                start, end = bounds[code], bounds[code + 1]
+                if start < end:
+                    pair = (code & 1, code >> 1)
+                    stack.append((node, pair, ordered[start:end],
+                                  prefix + [pair]))
         return batch
 
     def _build_terminal(self, parent: _TreeNode, key: tuple[int, int],

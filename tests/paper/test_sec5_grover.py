@@ -28,7 +28,16 @@ def test_grover_tomography_fidelity():
 def test_grover_is_cz_limited():
     """Ablation for "limited by the CZ gate": halving the CZ error
     raises the fidelity markedly; removing single-qubit error barely
-    moves it."""
+    moves it.
+
+    The three runs share seed 23, so their shots share uniforms
+    (common random numbers): the same shot draws the same numbers in
+    each noise model, and only the models' differences move its
+    outcomes.  That coupling is why 100 shots resolve a 0.05
+    difference; with independent seeds the noise between runs is
+    comparable to the bound.  Any change to how the replay walk or the
+    plant draws (keyed per-shot draws included) must keep one draw
+    per shot per measurement in shot order, or re-size this check."""
     low_cz = NoiseModel(
         decoherence=DecoherenceModel(),
         readout=ReadoutErrorModel(),

@@ -120,6 +120,13 @@ def reference_gate(fx, fz, step):
         fz[:, b] = (image >> 3) & 1
 
 
+def reference_readout(raw, rng, readout):
+    """One uniform per shot, in shot order, flipping each raw bit with
+    its assignment probability."""
+    flip_probability = np.where(raw == 0, readout.p01, readout.p10)
+    return raw ^ (rng.random(len(raw)) < flip_probability)
+
+
 def reference_propagate(steps, num_qubits, shots, rng, readout):
     if shots < 1:
         raise PlantError("need at least one shot to propagate")
@@ -152,7 +159,7 @@ def reference_propagate(steps, num_qubits, shots, rng, readout):
                     fx[flip] ^= step.pivot_x
                     fz[flip] ^= step.pivot_z
             raw_columns.append(raw)
-            reported_columns.append(readout.apply_many(raw, rng))
+            reported_columns.append(reference_readout(raw, rng, readout))
     if not raw_columns:
         empty = np.zeros((shots, 0), dtype=np.uint8)
         return empty, empty.copy()

@@ -1,14 +1,19 @@
 """Cohort replay: a chunk of shots walks the tree as index
 cohorts (``TimelineTree.sample_cohort``).
 
-The cohort draws every node's outcomes for all of its shots at once,
-so the draw order is node-major instead of shot-major; each shot still
-samples from the same conditional probabilities.  These tests pin that
-exactness against the path probabilities computed from the tree
-itself, the invariant the multiplicity fold relies on (a terminal's
-edge keys are its template's own outcomes), that every replay run
-— plain, with an armed fault plan, or audited — walks the tree once
-per chunk, and that ``run_iter`` delivers the walk's ``ShotBatch`` in
+Each internal node draws one uniform per shot of the cohort that
+reached it, all at once, and reads each shot's ``(raw, reported)``
+edge off the node's cumulative edge law: the draw order is node-major
+instead of shot-major, and raw outcome and readout error share one
+draw, but each shot still samples from the same conditional
+probabilities.  These tests pin that exactness against the path
+probabilities computed from the tree itself — under symmetric,
+asymmetric and one-sided readout error and near-deterministic nodes
+— and pin that the one-shot walk reads the same edge rule, the
+invariant the multiplicity fold relies on (a terminal's edge keys are
+its template's own outcomes), that every replay run — plain, with an
+armed fault plan, or audited — walks the tree once per chunk, and
+that ``run_iter`` delivers the walk's ``ShotBatch`` in
 shot order.  A feedback-free binary builds its terminals from its
 first growth shot's trace instead of growing each by an interpreter
 shot; its seeded counts are pinned to those the growth shots gave.
@@ -28,6 +33,7 @@ from repro.experiments.cfc import FIG5_PROGRAM
 from repro.experiments.reset import FIG4_PROGRAM as ACTIVE_RESET
 from repro.experiments.runner import ExperimentSetup
 from repro.quantum import NoiseModel, QuantumPlant
+from repro.quantum.noise import ReadoutErrorModel
 from repro.uarch import FaultPlan, FaultSpec, QuMAv2, ShotTrace, \
     TimelineTree
 from repro.uarch.machine import _CHUNK_SHOTS
@@ -109,18 +115,53 @@ def path_probabilities(tree, readout):
     return terminals, missing
 
 
-def test_cohort_terminal_counts_match_exact_path_probabilities():
+def pin_near_deterministic(tree):
+    """Move every second-measurement ``P(1)`` to within
+    ``_DETERMINISTIC_EPS`` of the bit it leans to (active reset's
+    second measurement reads a nearly prepared state)."""
+    for node in tree._root.children.values():
+        if node.template is None:
+            near_one = node.p_one > 0.5
+            node.p_one = 1.0 - _DETERMINISTIC_EPS / 2 if near_one \
+                else _DETERMINISTIC_EPS / 2
+
+
+#: Readout models the walk's exact law is checked under: the
+#: calibrated symmetric default, an asymmetric one (a walk that swaps
+#: ``p01`` and ``p10`` fails it) and a one-sided one (a 0 is never
+#: misread, so no ``(0, 1)`` edge may appear).
+READOUTS = {
+    "symmetric": ReadoutErrorModel(),
+    "asymmetric": ReadoutErrorModel(p01=0.02, p10=0.15),
+    "one-sided": ReadoutErrorModel(p01=0.0, p10=0.2),
+}
+
+
+@pytest.mark.parametrize("readout, nudge, min_paths", [
+    (READOUTS["symmetric"], None, 8),
+    (READOUTS["asymmetric"], None, 8),
+    # A node has at most three edges when a 0 is never misread.
+    (READOUTS["one-sided"], None, 7),
+    (READOUTS["asymmetric"], pin_near_deterministic, 8),
+], ids=["symmetric", "asymmetric", "one-sided", "near-deterministic"])
+def test_cohort_terminal_counts_match_exact_path_probabilities(
+        readout, nudge, min_paths):
     """Grow the active-reset tree, then sample 200k shots as one
     cohort against the frozen tree (the growth callback inserts
     nothing, so a shot reaching an unexplored edge is counted under
     that edge).  The observed counts per terminal and per unexplored
-    edge must fit the exact path probabilities (chi-squared)."""
+    edge must fit the exact path probabilities (chi-squared), and no
+    shot may take an edge of probability zero.  The near-deterministic
+    case moves nodes' ``P(1)`` to within ``_DETERMINISTIC_EPS`` of 0
+    and of 1 after growth, where the walk clamps them."""
     from scipy.stats import chisquare
-    machine = make_machine(ACTIVE_RESET, seed=31)
+    machine = make_machine(ACTIVE_RESET, seed=31,
+                           noise=NoiseModel(readout=readout))
     machine.run_counts(3000)
     tree = cached_tree(machine)
-    assert tree.path_count >= 8
-    readout = machine.plant.noise.readout
+    assert tree.path_count >= min_paths
+    if nudge is not None:
+        nudge(tree)
     terminals, missing = path_probabilities(tree, readout)
     assert sum(terminals.values()) + sum(missing.values()) == \
         pytest.approx(1.0)
@@ -138,6 +179,7 @@ def test_cohort_terminal_counts_match_exact_path_probabilities():
                 for template, indices in batch.groups}
     assert len(batch.growth) == sum(grown.values())
     assert sum(observed.values()) + len(batch.growth) == shots
+    assert set(observed) <= set(terminals)
     assert set(grown) <= set(missing)
 
     bins = [(observed.get(key, 0), probability * shots)
@@ -152,9 +194,35 @@ def test_cohort_terminal_counts_match_exact_path_probabilities():
     observed_counts = np.array([o for o, _ in bins], dtype=float)
     expected_counts = np.array([e for _, e in bins])
     expected_counts *= observed_counts.sum() / expected_counts.sum()
-    assert len(bins) >= 8
+    assert len(bins) >= min_paths
     _, p_value = chisquare(observed_counts, expected_counts)
     assert p_value > 1e-3
+
+
+def test_one_shot_walk_reads_the_cohort_edge_rule():
+    """``sample_shot`` and a one-shot cohort draw the same uniforms in
+    the same order, so on a saturated tree they must take the same
+    path from the same seed: both read each edge off the node's
+    cumulative cuts."""
+    readout = READOUTS["asymmetric"]
+    machine = make_machine(ACTIVE_RESET, seed=30,
+                           noise=NoiseModel(readout=readout))
+    machine.run_counts(3000)
+    tree = cached_tree(machine)
+    paths = set()
+    for seed in range(300):
+        machine.plant.rng = np.random.default_rng(seed)
+        template, outcomes = tree.sample_shot()
+        machine.plant.rng = np.random.default_rng(seed)
+        batch = tree.sample_cohort(1, lambda prefix: ShotTrace())
+        if template is None:
+            assert batch.growth
+            continue
+        ((walked, _),) = batch.groups
+        assert walked is template
+        assert template.outcome_path() == tuple(outcomes)
+        paths.add(tuple(outcomes))
+    assert len(paths) >= 6
 
 
 def test_cohort_grows_one_representative_per_unexplored_edge():
@@ -368,11 +436,14 @@ def sweep_point_digest(program, seed: int) -> str:
 #: Captured while every terminal still grew by a forced interpreter
 #: shot: a forced shot draws nothing from the plant's generator, so
 #: building the terminals instead leaves the counts bit for bit.
+#: Re-pinned when each node began drawing one uniform per shot against
+#: its cumulative edge law instead of a raw Bernoulli and a readout
+#: flip: the draws move, the law does not (the chi-squared test above).
 @pytest.mark.parametrize("program, seed, expected", [
     (lambda setup: setup.compile_circuit(rabi_step_circuit(3, qubit=2)),
-     41, "e54b08f350e883d1c3024140bd1022ee94a75b04adee4a4cad42b9c1d34d6736"),
+     41, "d48a2ca3ef09a27635f9a76f1a81080aa2e736858dd7ce61d1d3cdd4ea52a4a0"),
     (lambda setup: setup.assemble_text(RAMSEY),
-     42, "4fa316ccda4783d3fe9ec647e460e66759a4aee9d5d251625adf29623f244fe5"),
+     42, "c528cfbd451af3562348716ae6a05d08c714f1ab3f5fba358003c2bf098f53f1"),
 ], ids=["rabi", "ramsey"])
 def test_cold_sweep_point_counts_are_pinned(program, seed, expected):
     assert sweep_point_digest(program, seed) == expected

@@ -183,7 +183,15 @@ def route_all_growth(count=QuMAv2.run_counts):
 #: cohort walk: the tree fault fires at the chunk start, the walked
 #: terminals are audited before the chunk is delivered, and the
 #: diverging chunk is re-served whole by the interpreter, so that run
-#: is labelled "interpreter".
+#: is labelled "interpreter".  The warm-replay and audit-divergence
+#: digests were re-pinned again when each tree node began drawing one
+#: uniform per shot and reading its ``(raw, reported)`` edge off the
+#: node's cumulative edge law, edges ordered by reported bit (one draw
+#: where there were two): the
+#: counts move with the draws, and so do the stats, because the shots
+#: a run grows the tree by depend on the walk's draws.  The law is the
+#: same — pinned by chi-squared, under symmetric, asymmetric and
+#: one-sided readout, in tests/uarch/test_cohort_replay.py.
 ROUTES = {
     "static-blocker": (
         route_static_blocker, "interpreter",
@@ -195,8 +203,8 @@ ROUTES = {
         "c62f61b70d93fef8278581f80d687ec39f6fe00bd833ff0209d06d34d968d314"),
     "warm-replay": (
         route_warm_replay, "replay",
-        "cbdc96b04a470991d86e25258896834830c21141bae41387c487e9b8f54b5d11",
-        "815cc4c26369c08c773f6da7a702dd5f0bbc0b246b742d302cca7733f085b082"),
+        "3db93c27263d3da53c0e245595fbc863a361ea72d0d3034e36898a7c48591803",
+        "429278a1fe0c73e47bf66a5de8ed40dd61b52df3532353b5afa3fe4562dc6d69"),
     "frame-batch": (
         route_frame_batch, "frame",
         "1963c2394b0f8d4b55b90343641362f4144ab197177407d590e43ebb486646db",
@@ -207,8 +215,8 @@ ROUTES = {
         "27d1bae201693e1caf732e7a0ee4cb117111deaeded8b99da261acd063345583"),
     "audit-divergence": (
         route_audit_divergence, "interpreter",
-        "73630f37cd9ec4e23b4635c91839f3865e3da755e0111559e311ba6e31f102ba",
-        "66c76fab5c93ada1fa4f1c486ea0d69854fbb3dfdac23126403b103b61c5f6d6"),
+        "d13325cb1e7f72cd7813f1c8cc78adf4084cca95d87cf19825a1f8b4e40d894d",
+        "159aa0bac31aad96cfcd1a007b8acee02b737ede2204b216c0b0fb3f0873e0c3"),
     "all-growth": (
         route_all_growth, "interpreter",
         "202c51821aec9b8b1532dbc102df7a2c964d9c467cf010c11ba4e9213c0006b8",
