@@ -114,6 +114,7 @@ from repro.uarch.trace import (
     ResultRecord,
     ShotBatch,
     ShotCounts,
+    ShotGroup,
     ShotTrace,
     SlipRecord,
     TriggerRecord,
@@ -684,14 +685,14 @@ class QuMAv2:
                 # random stream): each cached shot earns
                 # ``audit_fraction``, and one audit of a terminal checks
                 # every shot on it, so it spends all whole credit.
-                for template, indices in batch.groups:
-                    credit += len(indices) * self.audit_fraction
+                for group in batch.groups:
+                    credit += group.size * self.audit_fraction
                     if credit < 1.0 - 1e-12:
                         continue
                     credit -= math.floor(credit + 1e-12)
-                    shot_index = first + int(indices[0])
+                    shot_index = first + int(group.indices[0])
                     mismatched, detail = self._timed(
-                        self._audit_replay_shot, template,
+                        self._audit_replay_shot, group.template,
                         histogram="engine.replay.audit.time_ns")
                     stats.replay_audits += 1
                     stats.last_audit = ReplayAudit(
@@ -1137,7 +1138,7 @@ class QuMAv2:
                     histogram="engine.frame.batch.time_ns", shots=chunk)
                 stats.shots_total += chunk
                 stats.frame_batched += chunk
-                yield ShotBatch(chunk, [(template, np.arange(chunk))],
+                yield ShotBatch(chunk, [ShotGroup(template, chunk)],
                                 raw, reported)
         finally:
             if plan is not None and plan.fired_this_run:

@@ -37,18 +37,23 @@ edge by inversion against the cumulative law of its four edges.
 Every run walks a whole chunk of shots at once
 (:meth:`TimelineTree.sample_cohort`): each internal node draws one
 vectorised uniform for the cohort of shots that reached it and splits
-the cohort among its children, so the Python cost is per tree node,
-not per shot.  The
-walk returns one :class:`~repro.uarch.trace.ShotBatch`, the value the
-Pauli-frame engine delivers too: each reached terminal is a group of
-shot indices sharing its template, each growth shot a trace.
-``run_iter`` splices each shot's trace from its terminal
-(:meth:`ShotTrace.with_sampled_results`); ``run_counts`` folds each
-terminal once with its multiplicity (:meth:`ShotCounts.add`).  The
-terminal is also the unit of the self-verifying audit: one shadow
-interpreter run forced onto its outcome path checks every shot that
-reached it, before the chunk is delivered.  An armed fault plan sees
-one shot index per chunk, the chunk's first shot.
+the cohort among its children by counts — how many uniforms fall
+between each pair of cuts — so the Python cost is per tree node, not
+per shot.  The walk returns one :class:`~repro.uarch.trace.ShotBatch`,
+the value the Pauli-frame engine delivers too: each reached terminal
+is a group (:class:`~repro.uarch.trace.ShotGroup`) of the shots
+sharing its template, each growth shot a trace.  A group carries its
+size; its shot indices are built from the kept uniforms only when
+something reads them.  ``run_iter`` does, splicing each shot's trace
+from its terminal (:meth:`ShotTrace.with_sampled_results`);
+``run_counts`` does not, folding each terminal once with its
+multiplicity (:meth:`ShotCounts.add`, with the terminal's memoised
+fold plan).  The terminal is also the unit of the self-verifying
+audit: one shadow interpreter run forced onto its outcome path checks
+every shot that reached it, before the chunk is delivered (an audit
+names the terminal's first shot, so a fired audit reads its indices).
+An armed fault plan sees one shot index per chunk, the chunk's first
+shot.
 No plant state is touched at all — the chain rule over per-node
 conditional probabilities reproduces the interpreter's joint outcome
 distribution exactly, whichever order the draws are made in.
@@ -105,7 +110,7 @@ cannot model — force the interpreter for the entire run; see
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -114,7 +119,7 @@ from repro.core.instructions import Bundle, Instruction
 from repro.core.microcode import MicrocodeUnit
 from repro.quantum.plant import QuantumPlant
 from repro.uarch.dataflow import analyze_data_memory
-from repro.uarch.trace import ShotBatch, ShotTrace
+from repro.uarch.trace import FoldPlan, ShotBatch, ShotGroup, ShotTrace
 
 #: Probabilities closer than this to 0/1 are treated as deterministic
 #: when sampling a node, so a forced interpreter continuation can never
@@ -379,13 +384,15 @@ class _TreeNode:
     Internal nodes carry the next measurement (``qubit``/``start_ns``
     from the timeline, its pre-collapse ``p_one``) and the
     outcome-keyed children; terminal nodes carry the frozen trace
-    ``template`` of the completed path.  A node inserted by
+    ``template`` of the completed path (and, once walked, its fold
+    ``plan``).  A node inserted by
     :meth:`TimelineTree.grow` or built by
     :meth:`TimelineTree._build_terminal` is always fully characterised
     as one or the other.
     """
 
-    __slots__ = ("qubit", "start_ns", "p_one", "children", "template")
+    __slots__ = ("qubit", "start_ns", "p_one", "children", "template",
+                 "plan")
 
     def __init__(self):
         self.qubit = -1                  # -1 until characterised
@@ -393,6 +400,57 @@ class _TreeNode:
         self.p_one = 0.0
         self.children: dict[tuple[int, int], "_TreeNode"] = {}
         self.template: ShotTrace | None = None
+        #: The template's fold plan, built when a walk first reaches it.
+        self.plan: FoldPlan | None = None
+
+
+class _Split:
+    """An internal node's split of the cohort that reached it: the
+    cohort, one kept uniform per shot of it, and the node's cuts.
+    Each child's cohort is a slice of :meth:`ordered`."""
+
+    __slots__ = ("cohort", "uniforms", "cuts", "_ordered")
+
+    def __init__(self, cohort: "_Cohort", uniforms: np.ndarray,
+                 cuts: tuple[float, float, float]):
+        self.cohort = cohort
+        self.uniforms = uniforms
+        self.cuts = cuts
+        self._ordered: np.ndarray | None = None
+
+    def ordered(self) -> np.ndarray:
+        """The cohort's shot indices stably partitioned by edge code
+        (code ``k`` counts the cuts at or below a shot's uniform),
+        built on the first call; the uniforms are dropped then."""
+        if self._ordered is None:
+            past = [self.uniforms >= cut for cut in self.cuts]
+            codes = past[0].view(np.uint8) + past[1]
+            codes += past[2]
+            self._ordered = self.cohort.indices()[
+                np.argsort(codes, kind="stable")]
+            self.uniforms = None
+        return self._ordered
+
+
+class _Cohort(NamedTuple):
+    """Shots ``start .. end - 1`` of ``split.ordered()``; of the chunk
+    itself at the root (``split`` None)."""
+
+    split: _Split | None
+    start: int
+    end: int
+
+    def indices(self) -> np.ndarray:
+        """The cohort's shot indices, ascending."""
+        if self.split is None:
+            return np.arange(self.start, self.end)
+        return self.split.ordered()[self.start:self.end]
+
+    def first(self) -> int:
+        """The cohort's first shot index, without building the rest."""
+        if self.split is None:
+            return self.start
+        return int(self.split.ordered()[self.start])
 
 
 def _walkable(node: _TreeNode | None) -> bool:
@@ -506,15 +564,23 @@ class TimelineTree:
     def sample_cohort(self, shots: int,
                       grow: Callable[[list[tuple[int, int]]], ShotTrace]
                       ) -> ShotBatch:
-        """Sample ``shots`` shots as index cohorts, returned as one
+        """Sample ``shots`` shots as cohorts, returned as one
         :class:`ShotBatch` of terminal groups and growth traces.
 
         The whole chunk starts at the root; each internal node draws
-        one uniform per shot of the cohort that reached it, reads each
-        shot's edge off its cuts (:meth:`_edge_cuts`, as
-        :meth:`sample_shot` does) and splits the cohort among its (at
-        most four) children by one stable partition on the edge code.
-        The law is exact; only the order of the draws differs.
+        one uniform per shot of the cohort that reached it, and each
+        child's cohort is the shots whose uniform falls between two of
+        the node's cuts (:meth:`_edge_cuts`, the edge rule of
+        :meth:`sample_shot`), counted off the cuts.  The law is exact;
+        only the order of the draws differs.  A cohort is a size plus
+        a slice of its parent's split (:class:`_Split`): the node's
+        uniforms are kept, and the split's shot indices — one stable
+        partition of the parent cohort's indices by edge code — are
+        built only when something reads them (a spliced trace, a fired
+        audit, a growth shot's key), once per node, shared by its
+        children.  A terminal group carries its template, its size and
+        its node's memoised :class:`FoldPlan`, so a plain fold of a
+        warm chunk partitions nothing.
 
         Where a cohort reaches a cold node or an unexplored edge, its
         first shot becomes a growth shot: ``grow(prefix)`` runs it on
@@ -529,37 +595,37 @@ class TimelineTree:
         """
         rng = self._plant.rng
         batch = ShotBatch(shots)
-        # (parent node, edge key, shot indices, outcome prefix)
-        stack = [(None, None, np.arange(shots), [])]
+        # (parent node, edge key, cohort, outcome prefix)
+        stack = [(None, None, _Cohort(None, 0, shots), [])]
         while stack:
-            parent, key, indices, prefix = stack.pop()
+            parent, key, cohort, prefix = stack.pop()
             node = self._child(parent, key)
             if node is None and parent is not None:
                 node = self._build_terminal(parent, key, prefix)
-            grown = 0
-            while grown < len(indices) and not _walkable(node):
-                batch.growth[int(indices[grown])] = grow(prefix)
-                grown += 1
+            while cohort.start < cohort.end and not _walkable(node):
+                batch.growth[cohort.first()] = grow(prefix)
+                cohort = cohort._replace(start=cohort.start + 1)
                 node = self._child(parent, key)
-            indices = indices[grown:]
-            if not len(indices):
+            size = cohort.end - cohort.start
+            if not size:
                 continue
             if node.template is not None:
-                batch.groups.append((node.template, indices))
+                if node.plan is None:
+                    node.plan = FoldPlan.of(node.template)
+                batch.groups.append(ShotGroup(node.template, size,
+                                              cohort.indices, node.plan))
                 continue
-            uniforms = rng.random(len(indices))
-            past = [uniforms >= cut for cut in self._edge_cuts(node.p_one)]
-            codes = past[0].view(np.uint8) + past[1]
-            codes += past[2]
-            # Code k's shots sit at [bounds[k], bounds[k + 1]).
-            bounds = [0, *(len(indices) - np.count_nonzero(mask)
-                           for mask in past), len(indices)]
-            ordered = indices[np.argsort(codes, kind="stable")]
+            split = _Split(cohort, rng.random(size),
+                           self._edge_cuts(node.p_one))
+            # Code k's shots sit at [bounds[k], bounds[k + 1]) of the
+            # split's stable partition.
+            bounds = [0, *(int(np.count_nonzero(split.uniforms < cut))
+                           for cut in split.cuts), size]
             for code in (3, 2, 1, 0):        # (0, 0) is walked first
                 start, end = bounds[code], bounds[code + 1]
                 if start < end:
                     pair = (code & 1, code >> 1)
-                    stack.append((node, pair, ordered[start:end],
+                    stack.append((node, pair, _Cohort(split, start, end),
                                   prefix + [pair]))
         return batch
 
@@ -613,6 +679,7 @@ class TimelineTree:
             return None
         node = terminals[int(rng.integers(len(terminals)))]
         template = node.template
+        node.plan = None
         if template.triggers:
             index = int(rng.integers(len(template.triggers)))
             record = template.triggers[index]

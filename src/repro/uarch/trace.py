@@ -137,17 +137,31 @@ class ShotTrace:
         return max((record.slip_ns for record in self.slips), default=0.0)
 
 
-class _FoldPlan(NamedTuple):
-    """What folding a batch of one frozen template needs: its measured
-    qubits in sorted order, the result index holding each one's final
-    result, and its slip summary.  Holding the template keeps its
-    ``id`` (the plan's key) from being reused."""
+class FoldPlan(NamedTuple):
+    """What folding shots of one frozen template needs, built once per
+    template (:meth:`of`): its measured qubits in sorted order, the
+    result index holding each one's final result, the template's own
+    joint key (its final ``(qubit, reported)`` pairs) and its slip
+    summary.  Holding the template keeps its ``id`` (a memo key) from
+    being reused."""
 
     template: ShotTrace
     qubits: tuple[int, ...]
     columns: list[int]
+    key: tuple[tuple[int, int], ...]
     slips: int
     max_slip_ns: float
+
+    @classmethod
+    def of(cls, template: ShotTrace) -> "FoldPlan":
+        final = {record.qubit: index
+                 for index, record in enumerate(template.results)}
+        qubits = tuple(sorted(final))
+        columns = [final[qubit] for qubit in qubits]
+        key = tuple((qubit, template.results[column].reported_result)
+                    for qubit, column in zip(qubits, columns))
+        return cls(template, qubits, columns, key, len(template.slips),
+                   template.max_slip_ns())
 
 
 @dataclass(slots=True)
@@ -165,7 +179,7 @@ class ShotCounts:
     one by one (:meth:`ShotBatch.fold` picks the way).  Only the
     *final* result of each qubit per shot is aggregated
     (:meth:`ShotTrace.last_result`).  Besides the per-qubit counters
-    the aggregate keeps one small fold plan per distinct
+    the aggregate keeps one small :class:`FoldPlan` per distinct
     :meth:`add_batch` template, never one per shot.
     """
 
@@ -177,34 +191,34 @@ class ShotCounts:
         default_factory=dict)
     total_slips: int = 0
     max_slip_ns: float = 0.0
-    #: Reused per-shot scratch buffer (qubit -> last reported result),
-    #: preallocated once so 10k+-shot runs do not churn a dict per shot.
-    _last: dict = field(default_factory=dict, repr=False, compare=False)
     #: Fold plans of the templates seen by :meth:`add_batch`, keyed by
     #: ``id(template)``.
     _plans: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def add(self, trace: ShotTrace, shots: int = 1) -> None:
+    def add(self, trace: ShotTrace, shots: int = 1,
+            plan: FoldPlan | None = None) -> None:
         """Fold ``shots`` identical shots of ``trace`` into the
-        aggregate — the same as ``shots`` calls of ``add(trace)``."""
+        aggregate — the same as ``shots`` calls of ``add(trace)``.
+        ``plan`` is ``FoldPlan.of(trace)`` when the caller keeps one (a
+        replay terminal's, memoised on its tree node); otherwise it is
+        built for this call and not kept."""
         if not shots:
             return
+        if plan is None:
+            plan = FoldPlan.of(trace)
         self.shots += shots
-        last = self._last
-        last.clear()
-        for record in trace.results:
-            last[record.qubit] = record.reported_result
-        for qubit, bit in last.items():
-            self.measured[qubit] = self.measured.get(qubit, 0) + shots
+        self.total_slips += plan.slips * shots
+        if plan.max_slip_ns > self.max_slip_ns:
+            self.max_slip_ns = plan.max_slip_ns
+        key = plan.key
+        if not key:
+            return
+        measured, ones = self.measured, self.ones
+        for qubit, bit in key:
+            measured[qubit] = measured.get(qubit, 0) + shots
             if bit:
-                self.ones[qubit] = self.ones.get(qubit, 0) + shots
-        if last:
-            key = tuple(sorted(last.items()))
-            self.joint[key] = self.joint.get(key, 0) + shots
-        self.total_slips += len(trace.slips) * shots
-        slip = trace.max_slip_ns()
-        if slip > self.max_slip_ns:
-            self.max_slip_ns = slip
+                ones[qubit] = ones.get(qubit, 0) + shots
+        self.joint[key] = self.joint.get(key, 0) + shots
 
     def add_batch(self, template: ShotTrace, reported: np.ndarray,
                   shots: int) -> None:
@@ -225,14 +239,8 @@ class ShotCounts:
             return
         plan = self._plans.get(id(template))
         if plan is None:
-            final = {record.qubit: index
-                     for index, record in enumerate(template.results)}
-            qubits = tuple(sorted(final))
-            plan = _FoldPlan(template, qubits,
-                             [final[qubit] for qubit in qubits],
-                             len(template.slips), template.max_slip_ns())
-            self._plans[id(template)] = plan
-        _, qubits, columns, slips, max_slip_ns = plan
+            plan = self._plans[id(template)] = FoldPlan.of(template)
+        _, qubits, columns, _, slips, max_slip_ns = plan
         self.shots += shots
         self.total_slips += slips * shots
         if max_slip_ns > self.max_slip_ns:
@@ -329,32 +337,66 @@ class ShotCounts:
         return counts
 
 
+class ShotGroup:
+    """The ``size`` shots of a :class:`ShotBatch` that share one frozen
+    trace ``template``: a replay terminal's cohort, or a Pauli-frame
+    chunk's every shot.
+
+    ``indices``, the group's shot indices in the batch (an ascending
+    int array), is built on first read: the group is made with the
+    array itself, with a zero-argument callable that builds it, or
+    with None for a group of every shot ``0 .. size - 1``.  Counting a
+    group reads only ``size``; splicing its traces, or naming one of
+    its shots, reads ``indices``.  ``plan`` is the template's
+    :class:`FoldPlan` when the engine keeps one (a replay terminal's,
+    memoised on its tree node), or None.
+    """
+
+    __slots__ = ("template", "size", "plan", "_indices")
+
+    def __init__(self, template: ShotTrace, size: int, indices=None,
+                 plan: FoldPlan | None = None):
+        self.template = template
+        self.size = size
+        self.plan = plan
+        self._indices = indices
+
+    @property
+    def indices(self) -> np.ndarray:
+        indices = self._indices
+        if indices is None:
+            indices = self._indices = np.arange(self.size)
+        elif callable(indices):
+            indices = self._indices = indices()
+        return indices
+
+
 class ShotBatch:
     """One chunk of shots ``0 .. shots - 1`` delivered by a fast engine.
 
-    ``groups`` holds ``(template, indices)`` pairs: the shots at
-    ``indices`` (an int array) share the frozen trace ``template``.  A
-    replay terminal is one group; a Pauli-frame chunk is one group that
-    covers every shot.  ``growth`` maps a shot index to the interpreter
-    trace run for it (a replay growth shot).  Without columns a group's
-    shots have the template's own outcomes,
-    ``template.outcome_path()`` — the replay tree is keyed on exactly
-    those pairs.  With ``raw``/``reported`` columns — bit-packed
-    ``(measurements, words)`` 0/1 outcomes over the batch's shots, shot
-    ``s`` at bit ``s % 64`` of word ``s // 64``
-    (:func:`~repro.quantum.pauli_frame.propagate_frames`) — a group
-    shot's outcomes are its own column bits instead.
+    ``groups`` holds :class:`ShotGroup` values: the shots of a group
+    share its frozen trace ``template``.  A replay terminal is one
+    group; a Pauli-frame chunk is one group that covers every shot.
+    ``growth`` maps a shot index to the interpreter trace run for it
+    (a replay growth shot).  Without columns a group's shots have the
+    template's own outcomes, ``template.outcome_path()`` — the replay
+    tree is keyed on exactly those pairs.  With ``raw``/``reported``
+    columns — bit-packed ``(measurements, words)`` 0/1 outcomes over
+    the batch's shots, shot ``s`` at bit ``s % 64`` of word ``s //
+    64`` (:func:`~repro.quantum.pauli_frame.propagate_frames`) — a
+    group shot's outcomes are its own column bits instead.
 
     ``run_iter`` splices the batch in shot order (:meth:`traces`) and
     ``run_counts`` folds it whole (:meth:`fold`); both give the same
-    aggregate.  The engine that yields a batch has already counted it
-    into its run's ``EngineStats``.
+    aggregate.  Only the splice, and the fold of a column group that
+    is a strict subset of the batch, read a group's shot indices; a
+    plain fold reads sizes alone.  The engine that yields a batch has
+    already counted it into its run's ``EngineStats``.
     """
 
     __slots__ = ("shots", "groups", "growth", "raw", "reported")
 
-    def __init__(self, shots: int,
-                 groups: list[tuple[ShotTrace, np.ndarray]] | None = None,
+    def __init__(self, shots: int, groups: list[ShotGroup] | None = None,
                  raw: np.ndarray | None = None,
                  reported: np.ndarray | None = None):
         self.shots = shots
@@ -368,9 +410,9 @@ class ShotBatch:
         or a group shot spliced from its template
         (:meth:`ShotTrace.with_sampled_results`) as it is reached."""
         group_of = np.full(self.shots, -1, dtype=np.intp)
-        for group, (_, indices) in enumerate(self.groups):
-            group_of[indices] = group
-        templates = [template for template, _ in self.groups]
+        for number, group in enumerate(self.groups):
+            group_of[group.indices] = number
+        templates = [group.template for group in self.groups]
         paths = [template.outcome_path() for template in templates]
         rows = itertools.repeat(None) if self.reported is None else zip(
             unpack_shots(self.raw, self.shots).tolist(),
@@ -384,18 +426,18 @@ class ShotBatch:
 
     def fold(self, counts: ShotCounts) -> None:
         """Fold the batch into ``counts``: a group without columns once
-        with its multiplicity (:meth:`ShotCounts.add`), a group with
-        columns through its packed reported columns
+        with its multiplicity (:meth:`ShotCounts.add`, with the group's
+        plan), a group with columns through its packed reported columns
         (:meth:`ShotCounts.add_batch`), and each growth trace once.
         Equal to adding :meth:`traces` one by one."""
-        for template, indices in self.groups:
+        for group in self.groups:
             if self.reported is None:
-                counts.add(template, shots=len(indices))
+                counts.add(group.template, group.size, group.plan)
                 continue
             reported = self.reported
-            if len(indices) < self.shots:
+            if group.size < self.shots:
                 reported = pack_shots(
-                    unpack_shots(reported, self.shots)[indices])
-            counts.add_batch(template, reported, len(indices))
+                    unpack_shots(reported, self.shots)[group.indices])
+            counts.add_batch(group.template, reported, group.size)
         for trace in self.growth.values():
             counts.add(trace)

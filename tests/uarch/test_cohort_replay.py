@@ -175,8 +175,7 @@ def test_cohort_terminal_counts_match_exact_path_probabilities(
 
     shots = 200_000
     batch = tree.sample_cohort(shots, frozen_grow)
-    observed = {id(template): len(indices)
-                for template, indices in batch.groups}
+    observed = {id(group.template): group.size for group in batch.groups}
     assert len(batch.growth) == sum(grown.values())
     assert sum(observed.values()) + len(batch.growth) == shots
     assert set(observed) <= set(terminals)
@@ -218,8 +217,8 @@ def test_one_shot_walk_reads_the_cohort_edge_rule():
         if template is None:
             assert batch.growth
             continue
-        ((walked, _),) = batch.groups
-        assert walked is template
+        (walked,) = batch.groups
+        assert walked.template is template
         assert template.outcome_path() == tuple(outcomes)
         paths.add(tuple(outcomes))
     assert len(paths) >= 6
@@ -353,13 +352,14 @@ def test_run_iter_delivers_the_walk_in_shot_order(monkeypatch):
     for shot, trace in batch.growth.items():
         assert traces[shot] is trace
     covered = set(batch.growth)
-    for template, indices in batch.groups:
+    for group in batch.groups:
+        template = group.template
         path = template.outcome_path()
-        for shot in indices.tolist():
+        for shot in group.indices.tolist():
             assert traces[shot].outcome_path() == path
             assert traces[shot].triggers is template.triggers
             assert traces[shot] is not template
-        covered.update(indices.tolist())
+        covered.update(group.indices.tolist())
     assert covered == set(range(400))
 
 
@@ -384,11 +384,11 @@ def test_cold_feedback_free_run_grows_one_shot(monkeypatch):
     assert stats.tree_paths == 4
     assert stats.replay_shots == stats.segment_cache_hits == 1999
     (batch,) = batches
-    assert sorted(template.outcome_path() for template, _ in batch.groups) \
+    assert sorted(group.template.outcome_path() for group in batch.groups) \
         == [((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),)]
     (reference,) = batch.growth.values()
-    for template, _ in batch.groups:
-        assert template.triggers is reference.triggers
+    for group in batch.groups:
+        assert group.template.triggers is reference.triggers
 
 
 def test_built_terminals_respect_the_node_cap():
@@ -404,7 +404,7 @@ def test_built_terminals_respect_the_node_cap():
     assert tree.node_count == 2 and tree.path_count == 1
     assert len(batch.growth) > 1
     assert len(batch.growth) + sum(
-        len(indices) for _, indices in batch.groups) == 500
+        group.size for group in batch.groups) == 500
 
 
 @pytest.mark.parametrize("program", [ACTIVE_RESET, FIG5_PROGRAM],

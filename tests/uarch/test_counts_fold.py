@@ -13,7 +13,9 @@ measured qubits than fit one packed machine word; and on any shot
 count, whole words and partial last words alike.  Both engines deliver
 a chunk as one ``ShotBatch`` (template groups, growth traces, optional
 packed columns), whose ``fold`` must equal its own ``traces`` folded
-one by one.
+one by one.  A replay terminal's fold plan (``FoldPlan``) is built
+once and kept on its tree node, so folding it chunk after chunk must
+equal its spliced shots too.
 """
 
 import json
@@ -24,7 +26,8 @@ from hypothesis import strategies as st
 
 from repro.quantum.pauli_frame import pack_shots
 from repro.uarch import ShotCounts, ShotTrace
-from repro.uarch.trace import ResultRecord, ShotBatch, SlipRecord
+from repro.uarch.trace import FoldPlan, ResultRecord, ShotBatch, \
+    ShotGroup, SlipRecord
 
 
 @st.composite
@@ -80,7 +83,9 @@ def shot_batches(draw):
     Without columns each group has its own template and outcomes (a
     replay chunk); with packed raw/reported columns every group
     template shares one result layout, the column rows (a frame chunk
-    is the one-group case)."""
+    is the one-group case).  A group's indices are an array, or (as
+    the engines make them) built on first read or implied by a group
+    of every shot."""
     shots = draw(st.integers(1, 200))
     groups = draw(st.integers(1, 3))
     columns = draw(st.booleans())
@@ -100,10 +105,18 @@ def shot_batches(draw):
         shape = (shots, len(base.results))
         raw = pack_shots(rng.integers(0, 2, size=shape))
         reported = pack_shots(rng.random(shape) < 0.3)
-    batch = ShotBatch(shots, [
-        (template, np.flatnonzero(owner == group))
-        for group, template in enumerate(group_templates)
-        if (owner == group).any()], raw, reported)
+    lazy = draw(st.booleans())
+    batch = ShotBatch(shots)
+    for group, template in enumerate(group_templates):
+        indices = np.flatnonzero(owner == group)
+        size = len(indices)
+        if not size:
+            continue
+        if lazy:                           # as the engines make them
+            indices = None if size == shots else (lambda chosen=indices:
+                                                   chosen)
+        batch.groups.append(ShotGroup(template, size, indices))
+    batch.raw, batch.reported = raw, reported
     growth_template = draw(templates())
     for shot in np.flatnonzero(owner < 0).tolist():
         batch.growth[shot] = own_outcomes(growth_template, rng)
@@ -193,6 +206,26 @@ def test_shot_batch_fold_equals_folded_traces(batch):
     by_batch = ShotCounts()
     batch.fold(by_batch)
     assert serialised(by_batch) == serialised(by_trace)
+
+
+@settings(max_examples=100, deadline=None)
+@given(template=templates(), seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.integers(1, 300), min_size=1, max_size=5))
+def test_repeated_terminal_folds_equal_spliced_adds(template, seed, sizes):
+    """A replay terminal folded chunk after chunk with its one kept
+    plan (``ShotBatch.fold`` of a group carrying it) equals the same
+    shots spliced from it and added one by one.  Neither way leaves a
+    plan in the aggregate: ``add`` keeps none per trace."""
+    terminal = own_outcomes(template, np.random.default_rng(seed))
+    plan = FoldPlan.of(terminal)
+    path = list(terminal.outcome_path())
+    folded, spliced = ShotCounts(), ShotCounts()
+    for size in sizes:
+        ShotBatch(size, [ShotGroup(terminal, size, plan=plan)]).fold(folded)
+        for _ in range(size):
+            spliced.add(terminal.with_sampled_results(path))
+    assert serialised(folded) == serialised(spliced)
+    assert not folded._plans and not spliced._plans
 
 
 def test_zero_measurement_frame_batch():

@@ -444,8 +444,8 @@ REPLAY_SCENARIOS = {
 
 
 class WalkedTerminals:
-    """Records every cohort walk's terminals (template, shot
-    indices), in walk order, one list per chunk."""
+    """Records every cohort walk's terminal groups (template, size,
+    shot indices), in walk order, one list per chunk."""
 
     def __init__(self, monkeypatch):
         self.chunks = []
@@ -511,11 +511,11 @@ class TestReplayAudit:
         machine.run(300)
         [terminals] = walked.chunks
         cached, audited = 0, []
-        for _, indices in terminals:
+        for group in terminals:
             before = math.floor(cached * fraction + 1e-9)
-            cached += len(indices)
+            cached += group.size
             if math.floor(cached * fraction + 1e-9) > before:
-                audited.append(int(indices[0]))
+                audited.append(int(group.indices[0]))
         stats = machine.engine_stats
         assert 0 < len(audited) < len(terminals)
         assert stats.replay_audits == len(audited)
