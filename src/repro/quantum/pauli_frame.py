@@ -67,18 +67,25 @@ measurement.  Transposed, that is the set of raw rows each elementary
 fault and each coin flips, and by linearity a site's Pauli ``v`` flips
 the XOR of its bits' sets.  No row count is capped.
 
-**Noise is sampled exactly and sparsely, with no step walk.**  A
-depolarizing site of probability ``p`` hits each shot independently
-with a uniform non-identity Pauli.  :func:`propagate_frames` draws all
-sites of one ``(p, arity)`` group at once: ``k ~ Binomial(sites x
-shots, p)`` hit cells, a uniform ``k``-subset of the grid and a
-uniform Pauli per hit, each hit XORing its table rows into its shot's
-bit.  Each coin is a packed fair word XORed into its rows, and the
-reference outcomes are one XOR with the valid-bit mask.  Readout
-assignment error flips a packed Bernoulli mask over the
-``measurements x shots`` grid sampled the same way, one mask per rate
-(``p01`` on shots that read 0, ``p10`` on shots that read 1; one mask
-when the two rates are equal).
+**Noise is sampled exactly, with no step walk.**  A depolarizing site
+of probability ``p`` hits each shot independently with a uniform
+non-identity Pauli.  :func:`propagate_frames` draws all sites of one
+``(p, arity)`` group at once, sparsely: ``k ~ Binomial(sites x shots,
+p)`` hit cells, a uniform ``k``-subset of the grid and a uniform Pauli
+per hit, each hit XORing its table rows into its shot's bit.  Each
+coin is a packed fair word XORed into its rows, and the reference
+outcomes are one XOR with the valid-bit mask.  Readout assignment
+error flips a packed Bernoulli mask over the ``measurements x shots``
+grid, one mask per rate (``p01`` on shots that read 0, ``p10`` on
+shots that read 1; one mask when the two rates are equal).  At a
+readout rate of several percent a uniform subset of the grid costs
+more than the grid itself, so the mask is drawn densely plus a sparse
+remainder (:func:`_bernoulli_rows`): one random byte per cell sets it
+with probability ``a = T / 256``, ``T = min(floor(256 p), 255)``, and
+the sparse sampler above ORs in cells at ``q = (p - a) / (1 - a)``.
+The cell stays clear only if both miss, so it is set with probability
+``1 - (1 - a)(1 - q) = p`` exactly, independently of every other
+cell.
 
 **Eligibility rule** (enforced statically by
 :meth:`repro.uarch.machine.QuMAv2.frame_batch_unsupported_reasons`):
@@ -463,11 +470,26 @@ def _bernoulli_rows(rng: np.random.Generator, rows: int, shots: int,
                     probability: float) -> np.ndarray:
     """A packed ``(rows, words)`` mask with each of the ``rows x
     shots`` bits set independently with ``probability``, padding bits
-    clear: the hit cells set on a boolean grid padded to whole words,
-    then packed."""
+    clear.
+
+    Dense part: one random byte per cell of the grid padded to whole
+    words, set where it is below ``T = floor(256 p)`` (capped at 255),
+    so Bernoulli(``a = T / 256``).  Sparse remainder: the cells
+    :func:`_sample_cells` draws at ``q = (p - a) / (1 - a)``, OR-ed in.
+    A cell is then clear with probability ``(1 - a)(1 - q) = 1 - p``.
+    ``T = 0`` (``p < 1/256``) draws no bytes and ``q = 0`` (``p = k /
+    256``) no cells; ``p = 0`` draws nothing."""
     width = 64 * words_for(shots)
-    hits = _sample_cells(rng, rows * shots, probability)
-    grid = np.zeros((rows, width), dtype=bool)
+    threshold = min(int(256 * probability), 255)
+    if threshold:
+        grid = rng.bit_generator.random_raw(rows * width // 8).view(
+            np.uint8).reshape(rows, width) < threshold
+        grid[:, shots:] = False
+    else:
+        grid = np.zeros((rows, width), dtype=bool)
+    dense = threshold / 256
+    hits = _sample_cells(rng, rows * shots,
+                         (probability - dense) / (1 - dense))
     grid.reshape(-1)[hits + hits // shots * (width - shots)] = True
     return np.packbits(grid, axis=1, bitorder="little").view(WORD)
 

@@ -31,6 +31,11 @@ lifted into ``reference_gate``.  Pinned here:
 * padding never leaks into results: with ``p01 = 1`` every shot reads
   one, and ``run_iter`` yields exactly the requested shots, at word and
   chunk boundaries.
+* the readout mask (one random byte per cell plus a sparse remainder)
+  is exact: its draws at ``p = 0``, ``p = 1``, ``p = k/256`` and ``p <
+  1/256``, the ``p01``/``p10`` split on the raw outcome, and at five
+  rates over 10^6 cells the rate overall, per row and per bit position,
+  adjacent-cell independence and clear padding.
 """
 
 from collections import Counter
@@ -714,3 +719,146 @@ def test_packed_outputs_keep_padding_clear(shots):
         tail = np.unpackbits(packed.view(np.uint8), axis=1,
                              bitorder="little")[:, shots:]
         assert not tail.any()
+
+
+# ----------------------------------------------------------------------
+# The readout mask: dense bytes plus a sparse remainder
+# ----------------------------------------------------------------------
+#: Each statistical test below fails a correct sampler with probability
+#: at most this (Bonferroni over the comparisons the test makes; every
+#: p-value is an exact two-sided binomial one).
+MASK_FALSE_POSITIVE_RATE = 1e-6
+
+#: 16 rows of 65,599 shots: over 10^6 cells, a partial last word.
+MASK_ROWS, MASK_SHOTS = 16, 65_599
+
+MASK_RATES = [1 / 512, 24 / 256, 0.095, 0.5, 1 - 1e-6]
+
+
+def mask_bits(mask, shots):
+    """The ``(rows, shots)`` 0/1 grid of a packed mask, after checking
+    its padding bits are clear."""
+    bits = np.unpackbits(mask.view(np.uint8), axis=1, bitorder="little")
+    assert not bits[:, shots:].any()
+    return bits[:, :shots]
+
+
+def assert_binomial(successes, trials, probability, comparisons):
+    """Every count in ``successes`` (of the matching ``trials``) is
+    consistent with Binomial(trials, probability) at the test's false
+    positive rate split over ``comparisons``."""
+    from scipy.stats import binom
+    successes = np.asarray(successes)
+    trials = np.broadcast_to(trials, successes.shape)
+    p_values = np.minimum(1.0, 2 * np.minimum(
+        binom.cdf(successes, trials, probability),
+        binom.sf(successes - 1, trials, probability)))
+    assert p_values.min() > MASK_FALSE_POSITIVE_RATE / comparisons, \
+        (probability, p_values.min())
+
+
+def test_zero_rate_mask_draws_nothing():
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    mask = pauli_frame._bernoulli_rows(rng, 3, 130, 0.0)
+    assert mask.shape == (3, words_for(130)) and not mask.any()
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("shots", [1, 63, 64, 65, 200])
+def test_full_rate_mask_sets_every_valid_bit(shots):
+    """``p = 1`` caps the byte threshold at 255 (no division by zero);
+    the remainder, at ``q = 1``, sets the rest."""
+    mask = pauli_frame._bernoulli_rows(np.random.default_rng(shots), 3,
+                                       shots, 1.0)
+    assert mask_bits(mask, shots).all()
+
+
+@pytest.mark.parametrize("numerator", [1, 24, 128, 255])
+def test_dyadic_rate_mask_skips_the_sparse_draw(numerator):
+    """At ``p = k / 256`` the mask draws one byte per padded cell and
+    nothing else."""
+    rows, shots = 5, 130
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+    pauli_frame._bernoulli_rows(rng, rows, shots, numerator / 256)
+    twin.bit_generator.random_raw(rows * words_for(shots) * 8)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("probability", [1e-4, 1 / 512, 0.0039])
+def test_small_rate_mask_is_the_pure_sparse_path(probability):
+    """Below ``1/256`` no byte is drawn: the mask is exactly the cells
+    the sparse sampler picks, placed row by row."""
+    rows, shots = 7, 1000
+    rng, twin = np.random.default_rng(2), np.random.default_rng(2)
+    mask = pauli_frame._bernoulli_rows(rng, rows, shots, probability)
+    hits = pauli_frame._sample_cells(twin, rows * shots, probability)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    expected = np.zeros(rows * shots, dtype=np.uint8)
+    expected[hits] = 1
+    assert np.array_equal(mask_bits(mask, shots),
+                          expected.reshape(rows, shots))
+
+
+@pytest.mark.parametrize("p01,p10", [(1.0, 0.0), (0.0, 1.0)])
+def test_asymmetric_readout_splits_on_the_raw_outcome(p01, p10):
+    """``p01`` flips only the cells that read 0, ``p10`` only those that
+    read 1: at rates 1 and 0 every shot reports ``p01``'s side."""
+    recording, num_qubits = machine_recording(frame_clifford_machine())
+    shots = 1000
+    raw, reported = propagate_frames(
+        recording, num_qubits, shots, np.random.default_rng(3),
+        ReadoutErrorModel(p01=p01, p10=p10))
+    raw_bits = unpack_shots(raw, shots)
+    assert 0 < raw_bits.mean() < 1
+    assert np.array_equal(mask_bits(reported, shots),
+                          np.full((recording.measurements, shots), int(p01),
+                                  dtype=np.uint8))
+
+
+def test_asymmetric_readout_rates_hold_per_raw_outcome():
+    recording, num_qubits = machine_recording(frame_clifford_machine())
+    shots = 200_000
+    p01, p10 = 0.095, 0.02
+    raw, reported = propagate_frames(
+        recording, num_qubits, shots, np.random.default_rng(8),
+        ReadoutErrorModel(p01=p01, p10=p10))
+    raw_bits = unpack_shots(raw, shots)
+    flipped = raw_bits ^ unpack_shots(reported, shots)
+    for read, rate in ((0, p01), (1, p10)):
+        cells = raw_bits == read
+        assert_binomial(flipped[cells].sum(), cells.sum(), rate, 2)
+
+
+@pytest.mark.parametrize("probability", MASK_RATES)
+def test_mask_rate_overall_per_row_and_per_bit(probability):
+    """The rate over the whole grid, per row and per bit position
+    ``s % 64`` (a byte-to-bit packing error biases some positions)."""
+    mask = pauli_frame._bernoulli_rows(
+        np.random.default_rng(21), MASK_ROWS, MASK_SHOTS, probability)
+    bits = mask_bits(mask, MASK_SHOTS)
+    positions = np.zeros(64, dtype=np.int64)
+    np.add.at(positions, np.arange(MASK_SHOTS) % 64, bits.sum(axis=0))
+    trials = MASK_ROWS * np.bincount(np.arange(MASK_SHOTS) % 64)
+    comparisons = 1 + MASK_ROWS + 64
+    assert_binomial(bits.sum(), bits.size, probability, comparisons)
+    assert_binomial(bits.sum(axis=1), MASK_SHOTS, probability, comparisons)
+    assert_binomial(positions, trials, probability, comparisons)
+
+
+@pytest.mark.parametrize("probability", MASK_RATES)
+def test_mask_adjacent_cells_are_independent(probability):
+    """Each cell of the 2x2 table of horizontally (shots ``s, s + 1``,
+    across byte and word boundaries) and vertically (rows ``r, r +
+    1``) adjacent cells holds its independent share."""
+    mask = pauli_frame._bernoulli_rows(
+        np.random.default_rng(22), MASK_ROWS, MASK_SHOTS, probability)
+    bits = mask_bits(mask, MASK_SHOTS).astype(np.int64)
+    for first, second in ((bits[:, :-1], bits[:, 1:]),
+                          (bits[:-1], bits[1:])):
+        table = np.bincount((2 * first + second).ravel(), minlength=4)
+        law = np.array([(1 - probability) ** 2,
+                        (1 - probability) * probability,
+                        probability * (1 - probability),
+                        probability ** 2])
+        assert_binomial(table, table.sum(), law, 8)

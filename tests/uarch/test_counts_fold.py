@@ -21,13 +21,14 @@ equal its spliced shots too.
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.quantum.pauli_frame import pack_shots
 from repro.uarch import ShotCounts, ShotTrace
-from repro.uarch.trace import FoldPlan, ResultRecord, ShotBatch, \
-    ShotGroup, SlipRecord
+from repro.uarch.trace import _PACKED_COUNT_QUBITS, FoldPlan, \
+    ResultRecord, ShotBatch, ShotGroup, SlipRecord
 
 
 @st.composite
@@ -226,6 +227,35 @@ def test_repeated_terminal_folds_equal_spliced_adds(template, seed, sizes):
             spliced.add(terminal.with_sampled_results(path))
     assert serialised(folded) == serialised(spliced)
     assert not folded._plans and not spliced._plans
+
+
+@pytest.mark.parametrize("final_qubits", [_PACKED_COUNT_QUBITS - 1,
+                                          _PACKED_COUNT_QUBITS,
+                                          _PACKED_COUNT_QUBITS + 1])
+@pytest.mark.parametrize("shots", [1, 63, 64, 65, 20_000])
+def test_add_batch_at_the_packed_count_threshold(final_qubits, shots):
+    """``add_batch`` counts on the packed words up to
+    ``_PACKED_COUNT_QUBITS`` final qubits and by per-shot keys past it;
+    both equal the spliced traces folded one by one, on whole and
+    partial last words.  Every qubit is measured twice, so the final
+    rows are every other result row."""
+    qubits = [qubit for qubit in range(final_qubits) for _ in range(2)]
+    template = ShotTrace(
+        results=[ResultRecord(qubit=qubit, raw_result=0, reported_result=0,
+                              measure_start_ns=100.0 * index,
+                              arrival_ns=100.0 * index + 60.0)
+                 for index, qubit in enumerate(qubits)],
+        slips=[SlipRecord(cycle=1, due_ns=0.0, actual_ns=30.0)])
+    rng = np.random.default_rng(shots + final_qubits)
+    reported = (rng.random((shots, len(qubits)))
+                < rng.uniform(0.05, 0.95, size=len(qubits)))
+    reported = reported.astype(np.uint8)
+    by_trace = ShotCounts()
+    for outcomes in spliced_rows(template, reported, reported):
+        by_trace.add(template.with_sampled_results(outcomes))
+    by_batch = ShotCounts()
+    by_batch.add_batch(template, pack_shots(reported), shots)
+    assert serialised(by_batch) == serialised(by_trace)
 
 
 def test_zero_measurement_frame_batch():

@@ -178,7 +178,10 @@ def route_all_growth(count=QuMAv2.run_counts):
 #: coins are re-parametrised against the reference outcome, and one
 #: readout mask per rate covers every row, so the draws move and the
 #: law does not — pinned bit for bit against the unpacked walk under
-#: forced faults and by distribution in the same file.  The
+#: forced faults and by distribution in the same file.  It was re-pinned
+#: a third time when the readout mask became one random byte per cell
+#: plus a sparse remainder: exact in law, its rate and independence
+#: pinned in tests/quantum/test_pauli_frame.py.  The
 #: audit-divergence digests were re-pinned when audits moved onto the
 #: cohort walk: the tree fault fires at the chunk start, the walked
 #: terminals are audited before the chunk is delivered, and the
@@ -207,7 +210,7 @@ ROUTES = {
         "429278a1fe0c73e47bf66a5de8ed40dd61b52df3532353b5afa3fe4562dc6d69"),
     "frame-batch": (
         route_frame_batch, "frame",
-        "1963c2394b0f8d4b55b90343641362f4144ab197177407d590e43ebb486646db",
+        "33ddb43062ef596d0d5eceb08a913ad0a1ad1fe1309fd8c29663951209e418d0",
         "f056b970df08d3610c1d9bc789ce177986632a233167df08c2ad78bed444aba4"),
     "frame-reference-fault": (
         route_frame_reference_fault, "interpreter",
