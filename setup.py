@@ -1,8 +1,10 @@
-"""Legacy setup shim.
+"""Setuptools shim: the package is declared in ``setup.cfg``.
 
-The modern build path (PEP 660 editable install) requires the ``wheel``
-package; this shim keeps ``python setup.py develop`` and offline
-``pip install -e .`` working in environments without it.
+``pip install -e .`` needs the ``wheel`` package and, without
+``--no-build-isolation``, network access to fetch setuptools into its
+build environment; offline and without ``wheel`` it fails with
+``invalid command 'bdist_wheel'``.  There, ``python setup.py develop``
+installs the same editable package.
 """
 
 from setuptools import setup

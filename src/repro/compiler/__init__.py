@@ -17,7 +17,6 @@ from repro.compiler.configs import (
     get_config,
     sweep,
 )
-from repro.compiler.frontend import CQASMFrontend, parse_cqasm
 from repro.compiler.ir import Circuit, CircuitOp
 from repro.compiler.quimis import (
     QuMISGenerator,
@@ -33,7 +32,6 @@ from repro.compiler.scheduler import (
 
 __all__ = [
     "CHOSEN_CONFIG",
-    "CQASMFrontend",
     "CHOSEN_WIDTH",
     "Circuit",
     "CircuitOp",
@@ -46,7 +44,6 @@ __all__ = [
     "Schedule",
     "ScheduledOp",
     "count_for_config",
-    "parse_cqasm",
     "count_instructions",
     "count_point_words",
     "effective_ops_per_bundle",

@@ -52,13 +52,6 @@ class Schedule:
         return max((entry.cycle + entry.duration
                     for entry in self.scheduled), default=0)
 
-    def average_parallelism(self) -> float:
-        """Mean operations per timing point."""
-        points = self.cycles()
-        if not points:
-            return 0.0
-        return len(self.scheduled) / len(points)
-
     def gaps(self) -> list[int]:
         """Interval (cycles) before each timing point.
 

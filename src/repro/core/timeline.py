@@ -73,21 +73,6 @@ class Timeline:
 
     points: list[TimingPoint] = field(default_factory=list)
 
-    def total_cycles(self) -> int:
-        """Cycle at which the last operation finishes."""
-        end = 0
-        for point in self.points:
-            for op in point.operations:
-                end = max(end, point.cycle + op.operation.duration_cycles)
-        return end
-
-    def operations_at(self, cycle: int) -> list[TimedOperation]:
-        """Operations starting at a given cycle (empty if none)."""
-        for point in self.points:
-            if point.cycle == cycle:
-                return list(point.operations)
-        return []
-
     def all_operations(self) -> list[tuple[int, TimedOperation]]:
         """Flat (cycle, operation) list in time order."""
         out = []

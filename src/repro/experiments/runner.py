@@ -202,17 +202,6 @@ class ExperimentSetup:
         :meth:`repro.uarch.machine.QuMAv2.clear_replay_cache`)."""
         self.machine.clear_replay_cache()
 
-    def run_circuit(self, circuit: Circuit, shots: int,
-                    interval_cycles: int | None = None,
-                    initialize_cycles: int = 10000,
-                    final_wait_cycles: int = 50) -> list[ShotTrace]:
-        """Compile and run a circuit in one call."""
-        assembled = self.compile_circuit(
-            circuit, interval_cycles=interval_cycles,
-            initialize_cycles=initialize_cycles,
-            final_wait_cycles=final_wait_cycles)
-        return self.run(assembled, shots)
-
     def run_circuit_iter(self, circuit: Circuit, shots: int,
                          interval_cycles: int | None = None,
                          initialize_cycles: int = 10000,

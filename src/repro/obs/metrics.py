@@ -210,13 +210,6 @@ class Histogram:
             histogram.max_value = float(payload["max"])
         return histogram
 
-    @classmethod
-    def from_values(cls, values,
-                    bounds: tuple[float, ...] = TIME_NS_BOUNDS) -> "Histogram":
-        histogram = cls(bounds)
-        histogram.record_many(values)
-        return histogram
-
 
 class MetricsRegistry:
     """Named metrics with get-or-create access and sorted snapshots."""

@@ -1,4 +1,5 @@
-"""Quantum-state substrate: gates, simulators, noise, plant, tomography."""
+"""Quantum-state substrate: gates, the dense and stabilizer simulators,
+noise, plant, tomography."""
 
 from repro.quantum.backend import DenseBackend, PlantBackend
 from repro.quantum.density_matrix import DensityMatrix
@@ -16,7 +17,6 @@ from repro.quantum.stabilizer import (
     clifford_action_of,
     is_clifford,
 )
-from repro.quantum.statevector import Statevector, basis_state, zero_state
 
 __all__ = [
     "AppliedOperation",
@@ -31,9 +31,6 @@ __all__ = [
     "ReadoutErrorModel",
     "StabilizerBackend",
     "StabilizerTableau",
-    "Statevector",
-    "basis_state",
     "clifford_action_of",
     "is_clifford",
-    "zero_state",
 ]

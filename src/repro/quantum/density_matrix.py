@@ -9,8 +9,10 @@ one kernel, :meth:`DensityMatrix.apply_superop`.  Measurement is still
 sampled per shot so the control flow of the microarchitecture (fast
 conditional execution, CFC) sees genuine random outcomes.
 
-Index convention matches :mod:`repro.quantum.statevector`: qubit 0 is
-the most significant bit of the computational basis.
+Qubit index convention: qubit 0 is the most significant bit of the
+computational basis index, i.e. for ``n`` qubits, basis state
+``|q0 q1 ... q(n-1)>`` has index ``q0 * 2**(n-1) + ... + q(n-1)``, and
+a k-qubit unitary's own basis puts its first target qubit first.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 import numpy as np
 
 from repro.core.errors import PlantError
-from repro.quantum.statevector import Statevector
 
 
 #: Most multiply-adds one matrix product in
@@ -117,16 +118,6 @@ class DensityMatrix:
             if not math.isclose(trace, 1.0, abs_tol=1e-8):
                 raise PlantError(f"trace is {trace}, expected 1")
             self._matrix = matrix.copy()
-
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_statevector(cls, state: Statevector) -> "DensityMatrix":
-        """|psi><psi| for a pure state."""
-        amplitudes = state.amplitudes_view
-        return cls(state.num_qubits, np.outer(amplitudes,
-                                              amplitudes.conj()))
 
     # ------------------------------------------------------------------
     # Accessors
@@ -243,14 +234,6 @@ class DensityMatrix:
     # ------------------------------------------------------------------
     # Comparisons
     # ------------------------------------------------------------------
-    def fidelity_with_pure(self, state: Statevector) -> float:
-        """<psi| rho |psi> against a pure reference state."""
-        if state.num_qubits != self.num_qubits:
-            raise PlantError("qubit count mismatch")
-        amplitudes = state.amplitudes_view
-        value = amplitudes.conj() @ self._matrix @ amplitudes
-        return float(value.real)
-
     def fidelity(self, other: "DensityMatrix") -> float:
         """Uhlmann fidelity F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 

@@ -117,20 +117,3 @@ def is_unitary(matrix: np.ndarray, atol: float = 1e-10) -> bool:
     identity = np.eye(matrix.shape[0])
     deviation = np.abs(matrix.conj().T @ matrix - identity)
     return bool((deviation <= atol + 1e-5 * identity).all())
-
-
-def gates_equivalent(a: np.ndarray, b: np.ndarray, atol: float = 1e-9) -> bool:
-    """Whether two unitaries are equal up to global phase."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        return False
-    # Find the first non-negligible entry of b to extract the phase.
-    flat_b = b.ravel()
-    index = int(np.argmax(np.abs(flat_b)))
-    if abs(flat_b[index]) < atol:
-        return bool(np.allclose(a, b, atol=atol))
-    phase = a.ravel()[index] / flat_b[index]
-    if abs(abs(phase) - 1.0) > 1e-6:
-        return False
-    return bool(np.allclose(a, phase * b, atol=atol))

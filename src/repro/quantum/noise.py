@@ -142,17 +142,6 @@ class DecoherenceModel:
         dephasing = phase_damping(lam)
         return compose_channels(damping, dephasing)
 
-    def average_gate_infidelity(self, duration_ns: float) -> float:
-        """Coherence-limited average infidelity of an idle of given length.
-
-        Standard expression for a single qubit idling under T1/T2:
-        ``1 - F_avg = (3 - exp(-t/T1) - 2 exp(-t/T2)) / 6``.
-        Useful for calibrating Fig. 12 expectations analytically.
-        """
-        e1 = math.exp(-duration_ns / self.t1_ns)
-        e2 = math.exp(-duration_ns / self.t2_ns)
-        return (3.0 - e1 - 2.0 * e2) / 6.0
-
 
 def compose_channels(first: list[np.ndarray],
                      second: list[np.ndarray]) -> list[np.ndarray]:

@@ -369,9 +369,3 @@ class QuantumPlant:
     def density_matrix(self) -> DensityMatrix:
         """Copy of the current joint state (dense backend only)."""
         return self.backend.density_matrix()
-
-    def qubit_free_at(self, qubit: int) -> float:
-        """Time at which the qubit's last operation completes."""
-        if qubit not in self._qubit_free_at:
-            raise PlantError(f"qubit {qubit} not on chip")
-        return self._qubit_free_at[qubit]

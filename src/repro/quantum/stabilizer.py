@@ -499,24 +499,6 @@ class StabilizerTableau:
         """The phase bits as a canonical (2n,) uint8 vector."""
         return self._unpack([self.r])[0]
 
-    # ------------------------------------------------------------------
-    # Inspection (tests / debugging)
-    # ------------------------------------------------------------------
-    def stabilizer_strings(self) -> list[str]:
-        """The stabilizer generators as signed Pauli strings."""
-        letters = {0: "I", 1: "X", 2: "Z", 3: "Y"}
-        x = self.x_bits()
-        z = self.z_bits()
-        r = self.r_bits()
-        out = []
-        n = self.num_qubits
-        for row in range(n, 2 * n):
-            body = "".join(
-                letters[int(x[row, q]) | (int(z[row, q]) << 1)]
-                for q in range(n))
-            out.append(("-" if r[row] else "+") + body)
-        return out
-
 
 _IDLE_REFUSED = (
     "idle T1/T2 decoherence is not a Pauli channel; the stabilizer "

@@ -20,7 +20,6 @@ Readout-error correction is applied at the expectation-value level
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ import numpy as np
 from repro.core.errors import PlantError
 from repro.quantum import gates
 from repro.quantum.density_matrix import DensityMatrix
-from repro.quantum.statevector import Statevector
 
 #: Pre-rotation applied before a z-basis readout to measure each Pauli.
 #: Measuring X: rotate by -pi/2 about y (maps x-axis onto z-axis).
@@ -38,9 +36,6 @@ BASIS_PREROTATION = {
     "Y": gates.X90,
     "Z": gates.I,
 }
-
-PAULI_LABELS = ("I", "X", "Y", "Z")
-
 
 @dataclass(frozen=True)
 class TomographySetting:
@@ -182,18 +177,9 @@ def mle_tomography(
     return DensityMatrix(2, rho)
 
 
-def state_fidelity(rho: DensityMatrix, target: Statevector) -> float:
-    """<psi| rho |psi> against the ideal algorithm output."""
-    return rho.fidelity_with_pure(target)
-
-
-def ideal_pauli_terms(state: Statevector) -> dict[tuple[str, str], float]:
-    """Exact Pauli expectation values of a two-qubit pure state."""
-    if state.num_qubits != 2:
-        raise PlantError("two-qubit states only")
-    rho = DensityMatrix.from_statevector(state).matrix
-    terms = {}
-    for label0, label1 in itertools.product(PAULI_LABELS, PAULI_LABELS):
-        operator = np.kron(gates.PAULIS[label0], gates.PAULIS[label1])
-        terms[(label0, label1)] = float(np.trace(rho @ operator).real)
-    return terms
+def state_fidelity(rho: DensityMatrix, psi: np.ndarray) -> float:
+    """<psi| rho |psi> against the ideal algorithm output's amplitudes."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (1 << rho.num_qubits,):
+        raise PlantError("qubit count mismatch")
+    return float((psi.conj() @ rho.matrix @ psi).real)

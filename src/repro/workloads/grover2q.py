@@ -22,8 +22,10 @@ operation set configured for the Section 5 experiments
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.compiler.ir import Circuit
-from repro.quantum import Statevector, gates
+from repro.quantum import gates
 
 
 def _emit_h(circuit: Circuit, qubit: int, native: bool) -> None:
@@ -84,11 +86,21 @@ def grover2q_circuit(marked_state: int, qubit_a: int = 0, qubit_b: int = 2,
     return circuit
 
 
-def grover2q_ideal_state(marked_state: int) -> Statevector:
-    """The ideal two-qubit output state (the marked basis state)."""
-    state = Statevector(2)
+def grover2q_ideal_state(marked_state: int) -> np.ndarray:
+    """The ideal two-qubit output amplitudes (the marked basis state).
+
+    Each operation's matrix is lifted to the pair with ``np.kron``,
+    qubit 0 the most significant bit, and applied to |00>.
+    """
+    state = np.zeros(4, dtype=complex)
+    state[0] = 1.0
     circuit = grover2q_circuit(marked_state, qubit_a=0, qubit_b=1,
                                num_qubits=2, native=False)
     for op in circuit:
-        state.apply_gate(gates.gate_matrix(op.name), op.qubits)
+        unitary = gates.gate_matrix(op.name)
+        if op.qubits == (0,):
+            unitary = np.kron(unitary, gates.I)
+        elif op.qubits == (1,):
+            unitary = np.kron(gates.I, unitary)
+        state = unitary @ state
     return state

@@ -181,7 +181,8 @@ class TestExecutableCodegen:
         cycles = [point.cycle for point in timeline.points]
         # Schedule points 0 and 1 map to 50 and 51 after the init wait.
         assert cycles == [50, 51]
-        names_first = {op.name for op in timeline.operations_at(50)}
+        names_first = {op.name for point in timeline.points
+                       if point.cycle == 50 for op in point.operations}
         assert names_first == {"X", "Y"}
 
     def test_large_wait_split_into_multiple_qwaits(self, isa, ops):

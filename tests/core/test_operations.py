@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quantum_oracle import gates_equivalent
 from repro.core.errors import ConfigurationError
 from repro.core.operations import (
     ExecutionFlag,
@@ -165,8 +166,8 @@ class TestRabiOperations:
         # Step 0 is identity, last step is a pi rotation (X).
         zero = ops.get("X_AMP_0").unitary
         last = ops.get("X_AMP_2").unitary
-        assert gates.gates_equivalent(zero, gates.I)
-        assert gates.gates_equivalent(last, gates.X)
+        assert gates_equivalent(zero, gates.I)
+        assert gates_equivalent(last, gates.X)
 
     def test_rejects_single_step(self):
         with pytest.raises(ConfigurationError):

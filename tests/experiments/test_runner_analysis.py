@@ -25,7 +25,7 @@ def setup():
 class TestRunner:
     def test_compile_and_run_x_gate(self, setup):
         circuit = Circuit("t", 3).add("X", 2).add("MEASZ", 2)
-        traces = setup.run_circuit(circuit, shots=20)
+        traces = setup.run(setup.compile_circuit(circuit), shots=20)
         assert all(trace.last_result(2) == 1 for trace in traces)
 
     def test_survival_probability_exact(self, setup):
@@ -35,7 +35,7 @@ class TestRunner:
 
     def test_interval_compilation_spreads_gates(self, setup):
         circuit = Circuit("t", 3).add("X", 0).add("Y", 0)
-        setup.run_circuit(circuit, shots=1, interval_cycles=16)
+        setup.run(setup.compile_circuit(circuit, interval_cycles=16), shots=1)
         log = setup.machine.plant.operations_log
         starts = [op.start_ns for op in log if op.name in ("X", "Y")]
         assert starts[1] - starts[0] == pytest.approx(320.0)

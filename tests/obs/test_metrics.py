@@ -20,6 +20,12 @@ from repro.obs import (
 )
 
 
+def histogram_of(values, bounds):
+    histogram = Histogram(bounds)
+    histogram.record_many(values)
+    return histogram
+
+
 class TestExponentialBounds:
     def test_values(self):
         assert exponential_bounds(1.0, 2.0, 4) == (1.0, 2.0, 4.0, 8.0)
@@ -75,13 +81,12 @@ class TestHistogramPercentiles:
         assert Histogram((1.0,)).percentile(0.5) == 0.0
 
     def test_clamped_to_observed_extremes(self):
-        h = Histogram.from_values([5.0, 5.0, 5.0], (1.0, 10.0, 100.0))
+        h = histogram_of([5.0, 5.0, 5.0], (1.0, 10.0, 100.0))
         assert h.percentile(0.0) == 5.0
         assert h.percentile(1.0) == 5.0
 
     def test_interpolates_within_bucket(self):
-        h = Histogram.from_values(range(1, 101), (25.0, 50.0, 75.0,
-                                                  100.0))
+        h = histogram_of(range(1, 101), (25.0, 50.0, 75.0, 100.0))
         assert h.percentile(0.50) == pytest.approx(50.0, abs=1.0)
         assert h.percentile(0.99) == pytest.approx(99.0, abs=1.0)
 
@@ -93,10 +98,9 @@ class TestHistogramPercentiles:
 class TestHistogramMerge:
     def test_merge_is_exact_bucketwise_addition(self):
         bounds = (1.0, 2.0, 4.0)
-        a = Histogram.from_values([0.5, 1.5, 3.0], bounds)
-        b = Histogram.from_values([3.5, 100.0], bounds)
-        combined = Histogram.from_values([0.5, 1.5, 3.0, 3.5, 100.0],
-                                         bounds)
+        a = histogram_of([0.5, 1.5, 3.0], bounds)
+        b = histogram_of([3.5, 100.0], bounds)
+        combined = histogram_of([0.5, 1.5, 3.0, 3.5, 100.0], bounds)
         a.merge(b)
         assert a.bucket_counts == combined.bucket_counts
         assert a.count == combined.count
@@ -109,13 +113,13 @@ class TestHistogramMerge:
             Histogram((1.0, 2.0)).merge(Histogram((1.0, 3.0)))
 
     def test_copy_is_independent(self):
-        original = Histogram.from_values([1.0], (2.0,))
+        original = histogram_of([1.0], (2.0,))
         clone = original.copy()
         clone.record(1.0)
         assert original.count == 1 and clone.count == 2
 
     def test_as_dict_from_dict_roundtrip(self):
-        h = Histogram.from_values([0.5, 3.0, 9.0], (1.0, 4.0))
+        h = histogram_of([0.5, 3.0, 9.0], (1.0, 4.0))
         rebuilt = Histogram.from_dict(
             json.loads(json.dumps(h.as_dict())))
         assert rebuilt.as_dict() == h.as_dict()

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from quantum_oracle import density_matrix_of, zero_state
 from repro.core.errors import PlantError
-from repro.quantum import DensityMatrix, Statevector, gates, zero_state
+from repro.quantum import DensityMatrix, gates
 from repro.quantum.noise import amplitude_damping, depolarizing
+from repro.quantum.tomography import state_fidelity
 
 
 class TestConstruction:
@@ -20,7 +22,7 @@ class TestConstruction:
     def test_from_statevector(self):
         state = zero_state(1)
         state.apply_gate(gates.H, (0,))
-        rho = DensityMatrix.from_statevector(state)
+        rho = density_matrix_of(state)
         assert rho.purity() == pytest.approx(1.0)
         assert rho.probability_one(0) == pytest.approx(0.5)
 
@@ -46,7 +48,7 @@ class TestUnitaryEvolution:
                                 (gates.S, (1,)), (gates.CZ, (0, 1))]:
             state.apply_gate(unitary, qubits)
             rho.apply_gate(unitary, qubits)
-        expected = DensityMatrix.from_statevector(state)
+        expected = density_matrix_of(state)
         assert np.allclose(rho.matrix, expected.matrix, atol=1e-10)
 
     def test_qubit_order_embedding(self):
@@ -79,7 +81,7 @@ class TestUnitaryEvolution:
             rho.apply_gate(gates.H if qubit % 2 else gates.X90, (qubit,))
         state.apply_gate(unitary, qubits)
         rho.apply_gate(unitary, qubits)
-        expected = DensityMatrix.from_statevector(state)
+        expected = density_matrix_of(state)
         assert np.allclose(rho.matrix, expected.matrix, atol=1e-12)
 
     def test_superop_shape_must_match_targets(self):
@@ -205,14 +207,14 @@ class TestFidelity:
     def test_fidelity_with_pure_match(self):
         state = zero_state(2)
         state.apply_gate(gates.H, (0,))
-        rho = DensityMatrix.from_statevector(state)
-        assert rho.fidelity_with_pure(state) == pytest.approx(1.0)
+        rho = density_matrix_of(state)
+        assert state_fidelity(rho, state.amplitudes) == pytest.approx(1.0)
 
     def test_fidelity_with_orthogonal(self):
         rho = DensityMatrix(1)
         excited = zero_state(1)
         excited.apply_gate(gates.X, (0,))
-        assert rho.fidelity_with_pure(excited) == pytest.approx(0.0)
+        assert state_fidelity(rho, excited.amplitudes) == pytest.approx(0.0)
 
     def test_uhlmann_fidelity_pure_states(self):
         rho = DensityMatrix(1)
@@ -227,4 +229,4 @@ class TestFidelity:
 
     def test_mismatched_sizes(self):
         with pytest.raises(PlantError):
-            DensityMatrix(1).fidelity_with_pure(zero_state(2))
+            state_fidelity(DensityMatrix(1), zero_state(2).amplitudes)

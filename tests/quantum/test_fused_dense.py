@@ -6,7 +6,7 @@ one cached Liouville superoperator.  The property below pins it
 against a verbatim port of the Kraus path it replaced: per-qubit idle
 channels, then the unitary, then the gate-error channel, each Kraus
 operator applied to a copy of rho through the statevector kernels and
-the copies summed.  Each superoperator is built by one contraction
+the copies summed (the kernels of ``quantum_oracle``).  Each superoperator is built by one contraction
 over its stacked Kraus set, pinned against the ``sum kron(K, K*)``
 it replaced.
 """
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quantum_oracle import _apply_unitary_1q, _apply_unitary_2q
 from repro.core.errors import PlantError
 from repro.obs import Observability
 from repro.quantum import DensityMatrix, NoiseModel, QuantumPlant, gates
@@ -26,7 +27,6 @@ from repro.quantum.backend import (
 )
 from repro.quantum.density_matrix import superoperator
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
-from repro.quantum.statevector import _apply_unitary_1q, _apply_unitary_2q
 from repro.topology import surface7, two_qubit_chip
 
 
@@ -272,7 +272,7 @@ class TestPlantGateEvent:
         with pytest.raises(PlantError, match="overlaps"):
             plant.apply_unitary("CZ", gates.CZ, (0, 2), 200.0, 40.0)
         assert np.array_equal(plant.density_matrix().matrix, before)
-        assert plant.qubit_free_at(0) == 0.0
+        assert plant._qubit_free_at[0] == 0.0
 
     @pytest.mark.parametrize("chip", [two_qubit_chip, surface7])
     def test_gate_histogram_records_one_sample_per_gate(self, chip):

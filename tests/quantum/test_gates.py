@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from quantum_oracle import gates_equivalent
 from repro.quantum import gates
 
 
@@ -76,42 +77,42 @@ class TestUnitarity:
 
 class TestGateAlgebra:
     def test_x90_squared_is_x(self):
-        assert gates.gates_equivalent(gates.X90 @ gates.X90, gates.X)
+        assert gates_equivalent(gates.X90 @ gates.X90, gates.X)
 
     def test_y90_squared_is_y(self):
-        assert gates.gates_equivalent(gates.Y90 @ gates.Y90, gates.Y)
+        assert gates_equivalent(gates.Y90 @ gates.Y90, gates.Y)
 
     def test_x90_xm90_cancel(self):
-        assert gates.gates_equivalent(gates.X90 @ gates.XM90, gates.I)
+        assert gates_equivalent(gates.X90 @ gates.XM90, gates.I)
 
     def test_y90_ym90_cancel(self):
-        assert gates.gates_equivalent(gates.Y90 @ gates.YM90, gates.I)
+        assert gates_equivalent(gates.Y90 @ gates.YM90, gates.I)
 
     def test_hadamard_squared_identity(self):
-        assert gates.gates_equivalent(gates.H @ gates.H, gates.I)
+        assert gates_equivalent(gates.H @ gates.H, gates.I)
 
     def test_s_squared_is_z(self):
-        assert gates.gates_equivalent(gates.S @ gates.S, gates.Z)
+        assert gates_equivalent(gates.S @ gates.S, gates.Z)
 
     def test_t_squared_is_s(self):
-        assert gates.gates_equivalent(gates.T @ gates.T, gates.S)
+        assert gates_equivalent(gates.T @ gates.T, gates.S)
 
     def test_pauli_products(self):
-        assert gates.gates_equivalent(gates.X @ gates.Y, gates.Z)
-        assert gates.gates_equivalent(gates.Y @ gates.Z, gates.X)
-        assert gates.gates_equivalent(gates.Z @ gates.X, gates.Y)
+        assert gates_equivalent(gates.X @ gates.Y, gates.Z)
+        assert gates_equivalent(gates.Y @ gates.Z, gates.X)
+        assert gates_equivalent(gates.Z @ gates.X, gates.Y)
 
     def test_rx_pi_is_x(self):
-        assert gates.gates_equivalent(gates.rx(math.pi), gates.X)
+        assert gates_equivalent(gates.rx(math.pi), gates.X)
 
     def test_ry_pi_is_y(self):
-        assert gates.gates_equivalent(gates.ry(math.pi), gates.Y)
+        assert gates_equivalent(gates.ry(math.pi), gates.Y)
 
     def test_rz_pi_is_z(self):
-        assert gates.gates_equivalent(gates.rz(math.pi), gates.Z)
+        assert gates_equivalent(gates.rz(math.pi), gates.Z)
 
     def test_rotation_composition(self):
-        assert gates.gates_equivalent(gates.rx(0.3) @ gates.rx(0.4),
+        assert gates_equivalent(gates.rx(0.3) @ gates.rx(0.4),
                                       gates.rx(0.7))
 
     def test_cz_is_diagonal_symmetric(self):
@@ -121,7 +122,7 @@ class TestGateAlgebra:
     def test_cnot_from_cz_and_hadamards(self):
         # CNOT = (I (x) H) CZ (I (x) H) with qubit 1 as the target.
         ih = np.kron(gates.I, gates.H)
-        assert gates.gates_equivalent(ih @ gates.CZ @ ih, gates.CNOT)
+        assert gates_equivalent(ih @ gates.CZ @ ih, gates.CNOT)
 
     def test_swap_from_three_cnots(self):
         cnot_01 = gates.CNOT
@@ -129,7 +130,7 @@ class TestGateAlgebra:
         cnot_10 = np.kron(gates.H, gates.H) @ gates.CNOT @ \
             np.kron(gates.H, gates.H)
         product = cnot_01 @ cnot_10 @ cnot_01
-        assert gates.gates_equivalent(product, gates.SWAP)
+        assert gates_equivalent(product, gates.SWAP)
 
 
 class TestHelpers:
@@ -145,12 +146,13 @@ class TestHelpers:
         matrix[0, 0] = 99
         assert gates.STANDARD_GATES["X"][0, 0] == 0
 
+    # The oracle the identities above rely on must not be vacuous.
     def test_gates_equivalent_detects_phase(self):
-        assert gates.gates_equivalent(1j * gates.X, gates.X)
-        assert not gates.gates_equivalent(gates.X, gates.Z)
+        assert gates_equivalent(1j * gates.X, gates.X)
+        assert not gates_equivalent(gates.X, gates.Z)
 
     def test_gates_equivalent_shape_mismatch(self):
-        assert not gates.gates_equivalent(gates.X, gates.CZ)
+        assert not gates_equivalent(gates.X, gates.CZ)
 
     def test_gates_equivalent_rejects_scaled(self):
-        assert not gates.gates_equivalent(2.0 * gates.X, gates.X)
+        assert not gates_equivalent(2.0 * gates.X, gates.X)

@@ -125,15 +125,13 @@ class TestShotLifecycle:
         plant.apply_unitary("X", gates.X, (0,), 0.0, 20.0)
         plant.reset_shot()
         assert plant.probability_one(0) == pytest.approx(0.0)
-        assert plant.qubit_free_at(0) == 0.0
+        assert plant._qubit_free_at[0] == 0.0
         assert plant.operations_log == []
 
     def test_qubit_free_at(self):
         plant = noiseless_plant()
         plant.apply_unitary("X", gates.X, (2,), 100.0, 20.0)
-        assert plant.qubit_free_at(2) == pytest.approx(120.0)
-        with pytest.raises(PlantError):
-            plant.qubit_free_at(5)
+        assert plant._qubit_free_at[2] == pytest.approx(120.0)
 
 
 class TestBackendTable:

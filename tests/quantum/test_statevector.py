@@ -1,11 +1,12 @@
-"""Tests for the statevector simulator."""
+"""Tests for the statevector oracle (``quantum_oracle.Statevector``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quantum_oracle import Statevector, basis_state, zero_state
 from repro.core.errors import PlantError
-from repro.quantum import Statevector, basis_state, gates, zero_state
+from repro.quantum import gates
 
 
 class TestConstruction:

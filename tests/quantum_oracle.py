@@ -1,9 +1,10 @@
-"""Pure-state (statevector) simulator.
+"""Test-side quantum oracles, independent of the dense kernel.
 
-Used where noise is irrelevant: verifying that compiled circuits
-implement the intended unitary (Grover square root, Ising model,
-Clifford inversion in randomized benchmarking) and computing ideal
-reference curves (the AllXY staircase).
+A pure-state (statevector) simulator with its own in-place one- and
+two-qubit kernels: the dense density matrix, the fused gate-event
+superoperators, the compiled benchmark circuits and the noiseless
+machine are checked against it.  ``gates_equivalent`` compares
+unitaries up to global phase.
 
 Qubit index convention: qubit 0 is the most significant bit of the
 computational basis index, i.e. for ``n`` qubits, basis state
@@ -18,6 +19,7 @@ import math
 import numpy as np
 
 from repro.core.errors import PlantError
+from repro.quantum.density_matrix import DensityMatrix
 
 
 class Statevector:
@@ -56,9 +58,7 @@ class Statevector:
     def amplitudes_view(self) -> np.ndarray:
         """A read-only view of the amplitude vector (no copy).
 
-        Hot paths (fidelity, tomography, density-matrix construction)
-        should prefer this over :attr:`amplitudes`; the view is
-        invalidated by the next gate application.
+        The view is invalidated by the next gate application.
         """
         view = self._amplitudes.view()
         view.flags.writeable = False
@@ -211,3 +211,27 @@ def basis_state(num_qubits: int, index: int) -> Statevector:
     amplitudes = np.zeros(dim, dtype=complex)
     amplitudes[index] = 1.0
     return Statevector(num_qubits, amplitudes)
+
+
+def density_matrix_of(state: Statevector) -> DensityMatrix:
+    """|psi><psi| for a pure state."""
+    amplitudes = state.amplitudes_view
+    return DensityMatrix(state.num_qubits,
+                         np.outer(amplitudes, amplitudes.conj()))
+
+
+def gates_equivalent(a: np.ndarray, b: np.ndarray, atol: float = 1e-9) -> bool:
+    """Whether two unitaries are equal up to global phase."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        return False
+    # Find the first non-negligible entry of b to extract the phase.
+    flat_b = b.ravel()
+    index = int(np.argmax(np.abs(flat_b)))
+    if abs(flat_b[index]) < atol:
+        return bool(np.allclose(a, b, atol=atol))
+    phase = a.ravel()[index] / flat_b[index]
+    if abs(abs(phase) - 1.0) > 1e-6:
+        return False
+    return bool(np.allclose(a, phase * b, atol=atol))

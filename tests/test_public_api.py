@@ -1,5 +1,6 @@
 """Public-API surface tests: exports resolve, __all__ is consistent,
-and the README quickstart works as written."""
+and the quickstarts of the ``repro`` package docstring and
+``examples/quickstart.py`` work as written."""
 
 import importlib
 import re
@@ -27,6 +28,11 @@ DISTANCE2_CLONE_NAMES = {
     "surface_code_circuit", "Syndrome", "expected_z_syndrome",
     "run_surface_code_experiment",
 }
+
+#: Names that left the API: the plant keeps two state representations
+#: (dense density matrix, stabilizer tableau) and no cQASM frontend.
+REMOVED_NAMES = {"Statevector", "zero_state", "basis_state",
+                 "CQASMFrontend", "parse_cqasm"}
 
 
 class TestExports:
@@ -64,6 +70,18 @@ class TestExports:
                     if re.search("17|49|seventeen|forty", name)]
         assert not set(exported) & DISTANCE2_CLONE_NAMES
 
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_removed_names_stay_removed(self, package):
+        module = importlib.import_module(package)
+        exported = getattr(module, "__all__", dir(module))
+        assert not set(exported) & REMOVED_NAMES
+
+    @pytest.mark.parametrize("module", ["repro.quantum.statevector",
+                                        "repro.compiler.frontend"])
+    def test_removed_modules_do_not_import(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
     def test_version(self):
         import repro
         assert repro.__version__ == "1.0.0"
@@ -93,7 +111,7 @@ class TestReadmeQuickstart:
         setup = ExperimentSetup.create(seed=1)
         circuit = Circuit("bell", 3).add("Y90", 0).add("CZ", 0, 2) \
             .add("MEASZ", 0)
-        traces = setup.run_circuit(circuit, shots=20)
+        traces = setup.run(setup.compile_circuit(circuit), shots=20)
         assert all(t.last_result(0) in (0, 1) for t in traces)
 
 

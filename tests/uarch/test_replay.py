@@ -346,7 +346,7 @@ class TestProgramCache:
 
 class TestAmplitudesView:
     def test_view_is_read_only_and_copy_free(self):
-        from repro.quantum.statevector import zero_state
+        from quantum_oracle import zero_state
         state = zero_state(2)
         view = state.amplitudes_view
         assert view[0] == 1.0

@@ -84,7 +84,9 @@ class TestTimelineCrossCheck:
     @settings(max_examples=20, deadline=None)
     def test_machine_preserves_unitary_semantics(self, circuit):
         """The noiseless machine must act as the ideal circuit unitary."""
-        from repro.quantum import zero_state, gates
+        from quantum_oracle import zero_state
+        from repro.quantum import gates
+        from repro.quantum.tomography import state_fidelity
         schedule = schedule_asap(circuit, _ISA.operations)
         program = EQASMCodeGenerator(_ISA).generate(
             schedule, initialize_cycles=50, emit_stop=True)
@@ -98,5 +100,6 @@ class TestTimelineCrossCheck:
         reference = zero_state(7)
         for op in circuit:
             reference.apply_gate(gates.gate_matrix(op.name), op.qubits)
-        fidelity = plant.density_matrix().fidelity_with_pure(reference)
+        fidelity = state_fidelity(plant.density_matrix(),
+                                  reference.amplitudes)
         assert fidelity == pytest.approx(1.0, abs=1e-8)

@@ -1,9 +1,9 @@
 """Tests for AllXY, Rabi, Ising, Grover-sqrt and Grover-2q workloads."""
 
-import numpy as np
 import pytest
 
-from repro.quantum import Statevector, gates, zero_state
+from quantum_oracle import zero_state
+from repro.quantum import gates
 from repro.workloads.allxy import (
     ALLXY_PAIRS,
     allxy_ideal_staircase,
@@ -103,7 +103,7 @@ class TestIsing:
         from repro.core.operations import default_operation_set
         circuit = ising_circuit(steps=20, include_measurement=False)
         schedule = schedule_asap(circuit, default_operation_set())
-        assert schedule.average_parallelism() > 5.0
+        assert len(schedule.scheduled) / len(schedule.cycles()) > 5.0
 
     def test_layer_name_diversity(self):
         # A layer must hold several distinct names (limits SOMQ).
@@ -126,7 +126,7 @@ class TestGroverSqrt:
         circuit = grover_sqrt_circuit(iterations=1,
                                       include_measurement=False)
         schedule = schedule_asap(circuit, default_operation_set())
-        assert schedule.average_parallelism() < 2.5
+        assert len(schedule.scheduled) / len(schedule.cycles()) < 2.5
 
     def test_toffoli_truth_table(self):
         for a in (0, 1):
@@ -169,7 +169,7 @@ class TestGrover2Q:
     @pytest.mark.parametrize("marked", range(4))
     def test_ideal_output_is_marked_state(self, marked):
         state = grover2q_ideal_state(marked)
-        assert state.probability(marked) == pytest.approx(1.0)
+        assert abs(state[marked]) ** 2 == pytest.approx(1.0)
 
     @pytest.mark.parametrize("marked", range(4))
     def test_native_equals_gate_level(self, marked):

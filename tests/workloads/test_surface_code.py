@@ -57,7 +57,7 @@ class TestCircuit(CircuitCases):
         ops = default_operation_set()
         schedule = schedule_asap(rotated_surface_circuit(2, rounds=3), ops)
         # The two Z-checks run concurrently: parallelism well above 1.
-        assert schedule.average_parallelism() > 1.5
+        assert len(schedule.scheduled) / len(schedule.cycles()) > 1.5
 
 
 class TestSyndromes(SyndromeCases):
