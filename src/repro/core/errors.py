@@ -123,14 +123,6 @@ class ShotTimeoutError(GuardFault):
     """
 
 
-class BackendFaultError(GuardFault):
-    """A plant backend failed mid-operation (gate application error,
-    snapshot integrity violation, injected chaos fault).
-
-    Context: ``backend``, ``operation``, ``qubits``, ``site``.
-    """
-
-
 class QueueOverflowError(GuardFault):
     """A hardware queue exceeded the instantiation's depth — the
     CC-Light per-instantiation limit the runtime must report rather

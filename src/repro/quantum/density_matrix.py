@@ -127,10 +127,6 @@ class DensityMatrix:
         """A copy of the density matrix."""
         return self._matrix.copy()
 
-    def purity(self) -> float:
-        """Tr(rho^2); 1 for pure states."""
-        return float(np.trace(self._matrix @ self._matrix).real)
-
     def probabilities(self) -> np.ndarray:
         """Diagonal of rho — computational basis probabilities."""
         return np.clip(self._matrix.diagonal().real, 0.0, 1.0)
@@ -230,28 +226,3 @@ class DensityMatrix:
             raise PlantError(
                 f"collapse of qubit {qubit} to {result} has probability 0")
         self._matrix = self._matrix / trace
-
-    # ------------------------------------------------------------------
-    # Comparisons
-    # ------------------------------------------------------------------
-    def fidelity(self, other: "DensityMatrix") -> float:
-        """Uhlmann fidelity F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
-
-        Matrix square roots are taken by eigendecomposition with small
-        negative eigenvalues (numerical noise on singular states)
-        clipped to zero, which keeps pure/rank-deficient states exact.
-        """
-        if other.num_qubits != self.num_qubits:
-            raise PlantError("qubit count mismatch")
-
-        def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-            hermitian = (matrix + matrix.conj().T) / 2.0
-            eigenvalues, eigenvectors = np.linalg.eigh(hermitian)
-            eigenvalues = np.clip(eigenvalues, 0.0, None)
-            return (eigenvectors * np.sqrt(eigenvalues)) @ \
-                eigenvectors.conj().T
-
-        sqrt_rho = psd_sqrt(self._matrix)
-        inner = psd_sqrt(sqrt_rho @ other._matrix @ sqrt_rho)
-        value = np.trace(inner).real
-        return float(min(max(value ** 2, 0.0), 1.0))

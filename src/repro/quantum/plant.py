@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.errors import BackendFaultError, PlantError, ResourceError
+from repro.core.errors import PlantError, ResourceError
 from repro.quantum.backend import DenseBackend, PlantBackend
 from repro.quantum.density_matrix import DensityMatrix
 from repro.quantum.noise import NoiseModel
@@ -121,9 +121,6 @@ class QuantumPlant:
         self.measure_observer = None
         #: Admission budget for backend state (overridable per plant).
         self.memory_limit_bytes = self.DEFAULT_MEMORY_LIMIT_BYTES
-        #: Armed :class:`~repro.uarch.faults.FaultPlan` (None in
-        #: production) — set by :meth:`QuMAv2.arm_faults`.
-        self.fault_plan = None
         #: Attached :class:`repro.obs.Observability` (None = disabled)
         #: — set through :attr:`QuMAv2.observability`.  When present,
         #: backend gate/measure kernel time lands in per-backend
@@ -280,25 +277,17 @@ class QuantumPlant:
                       duration_ns: float) -> None:
         """Apply a named unitary on physical qubit addresses at a time.
 
-        After the ``backend_gate`` fault check, every target's gap
-        since its previous operation is taken (an overlap raises
-        before any state changes).  The backend then applies the whole
-        gate event at once: the targets decohere over their gaps, the
-        gate acts instantaneously at its start time, and the gate
-        error follows.  The qubits are marked busy until ``start_ns +
-        duration_ns``.  With observability attached, the backend's
-        gate histogram times the whole event, idle decay included.
+        Every target's gap since its previous operation is taken first
+        (an overlap raises before any state changes).  The backend then
+        applies the whole gate event at once: the targets decohere over
+        their gaps, the gate acts instantaneously at its start time,
+        and the gate error follows.  The qubits are marked busy until
+        ``start_ns + duration_ns``.  With observability attached, the
+        backend's gate histogram times the whole event, idle decay
+        included.
         """
         if not qubits:
             raise PlantError(f"operation {name} has no target qubits")
-        plan = self.fault_plan
-        if plan is not None and plan.fire("backend_gate", operation=name,
-                                          qubits=qubits):
-            raise BackendFaultError(
-                f"injected backend fault while applying {name} to "
-                f"qubits {qubits} on the {self._backend_kind} backend",
-                backend=self._backend_kind, operation=name,
-                qubits=qubits, site="backend_gate")
         if len(qubits) == 1:
             index, gap = self._idle_gap(qubits[0], start_ns)
             indices, gaps = (index,), (gap,)

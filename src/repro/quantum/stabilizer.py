@@ -24,9 +24,9 @@ of column ANDs and XORs over all 2n rows at once; CPython's arbitrary-precision
 ints carry any chip width with no per-op conversion.  A random
 measurement multiplies the pivot stabilizer into every anticommuting
 row in one pass over the columns, summing the rowsum i-exponents mod 4
-in a two-bit counter sliced across the rows.  The canonical unpacked
-image (:meth:`~StabilizerTableau.x_bits` etc.) is the (2n, n) bit
-array of the generators.
+in a two-bit counter sliced across the rows.  Unpacked, the columns
+are the canonical (2n, n) bit array of the generators: bit ``i`` of
+column ``q`` is entry ``(i, q)``.
 
 Gate application does **not** hard-code per-gate update rules.  Instead
 the symplectic action of any configured unitary is *derived
@@ -474,30 +474,6 @@ class StabilizerTableau:
         result = 1 if rng.random() < 0.5 else 0
         self._collapse_random(a, column, result)
         return result
-
-    # ------------------------------------------------------------------
-    # Canonical unpacked image (tests / debugging)
-    # ------------------------------------------------------------------
-    def _unpack(self, columns: list[int]) -> np.ndarray:
-        """Int columns as a (len(columns), 2n) uint8 bit array."""
-        rows = 2 * self.num_qubits
-        size = (rows + 7) // 8
-        raw = np.frombuffer(
-            b"".join(c.to_bytes(size, "little") for c in columns),
-            dtype=np.uint8).reshape(len(columns), size)
-        return np.unpackbits(raw, axis=1, count=rows, bitorder="little")
-
-    def x_bits(self) -> np.ndarray:
-        """The X bits as a canonical (2n, n) uint8 array."""
-        return np.ascontiguousarray(self._unpack(self.x).T)
-
-    def z_bits(self) -> np.ndarray:
-        """The Z bits as a canonical (2n, n) uint8 array."""
-        return np.ascontiguousarray(self._unpack(self.z).T)
-
-    def r_bits(self) -> np.ndarray:
-        """The phase bits as a canonical (2n,) uint8 vector."""
-        return self._unpack([self.r])[0]
 
 
 _IDLE_REFUSED = (

@@ -3,34 +3,36 @@
 eQASM defines runtime error conditions — timing violations, queue
 overflows, comparison-flag hazards — that the reproduction models on
 the happy path; this module makes the *unhappy* paths exercisable.  A
-:class:`FaultPlan` arms named injection sites across the machine, the
-measurement unit, and the plant, firing deterministically (by shot
-index, site, and seed) so every runtime guard has a test that proves
-detection, structured reporting, and recovery.
+:class:`FaultPlan` arms named injection sites in the machine and the
+measurement unit, firing deterministically (by shot index, site, and
+seed) so every runtime guard has a test that proves detection,
+structured reporting, and recovery.
 
 Injection sites
 ---------------
 
-``backend_gate``
-    The plant backend raises mid-gate
-    (:class:`~repro.core.errors.BackendFaultError` from
-    :meth:`QuantumPlant.apply_unitary`).
+Each in-machine site stands in for a real condition its guard exists
+for:
+
 ``measurement_stall``
-    A started readout's result is lost on the analog link; the result
-    event never arrives and an FMR waiting on it times out with a
-    structured :class:`~repro.core.errors.ShotTimeoutError`.
+    A result lost on the readout link: the readout ran, but its result
+    never reaches the controller.  An FMR waiting on it times out with
+    a structured :class:`~repro.core.errors.ShotTimeoutError`; a
+    Pauli-frame reference shot that lost one raises
+    :class:`~repro.core.errors.ExperimentIntegrityError`.
 ``timing_overflow``
-    The timing queue overflows at reserve time
+    Timing-queue depth: the reserve phase cannot enqueue against a
+    saturated timing controller
     (:class:`~repro.core.errors.QueueOverflowError` with the
     instantiation's depth in context).
 ``tree_bitflip``
-    A terminal node of the replay timeline tree is corrupted in place,
-    at a chunk start on a tree that already has a terminal; the
-    self-verifying audit detects the divergence, drops the tree, and
-    degrades the run.
+    A replay bug: a terminal node of the replay timeline tree is
+    corrupted in place, at a chunk start on a tree that already has a
+    terminal.  The self-verifying audit must catch it: it detects the
+    divergence, drops the tree and degrades the run.
 ``mock_exhaust``
-    The measurement unit's mock-result queues are cleared mid-run
-    (the UHFQC's fabricated-result program dying); subsequent
+    A dying mock-result program (the UHFQC's fabricated results): the
+    measurement unit's mock queues are cleared mid-run, later
     measurements fall through to the real plant and the run recovers.
 
 Process-level sites (the sweep-serving layer)
@@ -58,7 +60,7 @@ faults.
     result somehow surface later.
 
 The plan is shared by reference: :meth:`QuMAv2.arm_faults` hands the
-same object to the plant and the measurement unit, and the machine
+same object to the measurement unit, and the machine
 advances :attr:`FaultPlan.current_shot` so all hooks agree on when to
 fire.  The interpreter advances it once per shot; the fast engines
 (replay and Pauli-frame) once per chunk of shots, to the chunk's
@@ -77,7 +79,6 @@ from repro.core.errors import ConfigurationError
 
 #: Every site a :class:`FaultPlan` can arm.
 FAULT_SITES = (
-    "backend_gate",
     "measurement_stall",
     "timing_overflow",
     "tree_bitflip",
@@ -175,11 +176,6 @@ class FaultPlan:
                 continue
             return index
         return None
-
-    def armed(self, site: str) -> bool:
-        """Whether any budget remains for ``site`` (at any shot)."""
-        return any(spec.site == site and remaining > 0
-                   for spec, remaining in zip(self.specs, self._remaining))
 
     def would_fire(self, site: str) -> bool:
         """Whether :meth:`fire` would trigger now, without consuming."""

@@ -47,6 +47,7 @@ from repro.core.encoding import InstructionDecoder
 from repro.core.errors import (
     ConfigurationError,
     EQASMError,
+    ExperimentIntegrityError,
     QueueOverflowError,
     RuntimeFault,
     ShotTimeoutError,
@@ -339,15 +340,13 @@ class QuMAv2:
     def arm_faults(self, plan: FaultPlan | None) -> None:
         """Arm a deterministic fault-injection plan (None disarms).
 
-        The one plan is distributed to every subsystem with an
-        injection site — the machine itself (``timing_overflow``,
-        ``measurement_stall``, ``tree_bitflip``), the plant
-        (``backend_gate``) and the measurement unit (``mock_exhaust``)
-        — so one chaos experiment coordinates shot-pinned failures
-        across the whole stack.
+        The one plan is shared by the two subsystems with an injection
+        site — the machine itself (``timing_overflow``,
+        ``measurement_stall``, ``tree_bitflip``) and the measurement
+        unit (``mock_exhaust``) — so one chaos experiment coordinates
+        shot-pinned failures across both.
         """
         self.fault_plan = plan
-        self.plant.fault_plan = plan
         self.measurement_unit.fault_plan = plan
 
     def disarm_faults(self) -> None:
@@ -699,10 +698,19 @@ class QuMAv2:
                         shot_index=shot_index, mismatched_fields=mismatched,
                         tree_evicted=bool(mismatched), detail=detail)
                     if mismatched:
+                        # The run keeps its "replay" label only if an
+                        # earlier chunk was served from the tree.
                         stats.audit_divergences += 1
-                        self._degrade(stats, "replay", (
-                            f"replay audit divergence at shot "
-                            f"{shot_index} ({', '.join(mismatched)})"))
+                        reason = (f"replay audit divergence at shot "
+                                  f"{shot_index} ({', '.join(mismatched)})")
+                        stats.degradations.append(
+                            f"replay -> interpreter: {reason}")
+                        stats.fallback_reason = reason
+                        if stats.replay_shots == 0:
+                            stats.engine = "interpreter"
+                        if self._obs is not None:
+                            self._obs.event("machine.degradation",
+                                            engine="replay", detail=reason)
                         self._evict_tree(tree)
                         yield from self._interpreter_shots(
                             first, shots, stats, plan)
@@ -759,19 +767,6 @@ class QuMAv2:
             obs.metrics.inc(f"{counter}.timed_shots", counted)
         self._nested_ns = outer_ns + elapsed_ns
         return result
-
-    def _degrade(self, stats: EngineStats, engine: str,
-                 reason: str) -> None:
-        """Record that ``engine`` handed the rest of the run to the
-        interpreter (and, when tracing, emit it as an event).  The run
-        keeps its fast-path label only if that path served any shot."""
-        stats.degradations.append(f"{engine} -> interpreter: {reason}")
-        stats.fallback_reason = reason
-        if stats.replay_shots == 0 and stats.frame_batched == 0:
-            stats.engine = "interpreter"
-        if self._obs is not None:
-            self._obs.event("machine.degradation", engine=engine,
-                            detail=reason)
 
     #: Trace fields the self-verifying audit compares bit-for-bit.
     _AUDIT_FIELDS = ("triggers", "results", "slips",
@@ -932,10 +927,9 @@ class QuMAv2:
         ``(template, recording)`` — and whether an earlier run built
         it.  The kept value serves when the noise model, config and
         plant backend kind are unchanged since it was built; otherwise
-        ``build()`` makes a fresh one, which replaces it unless it is
-        None (a failed frame reference shot keeps nothing).  The frozen
-        noise/config dataclasses compare by value, so swapping either
-        out rebuilds.  One slot serves both engines: for a given
+        ``build()`` makes a fresh one, which replaces it (a build that
+        raises keeps nothing).  The frozen noise/config dataclasses
+        compare by value, so swapping either out rebuilds.  One slot serves both engines: for a given
         binary and key, the engine a run picks is fixed (frame only
         with Pauli gate noise on the tableau, replay only without).
 
@@ -953,7 +947,7 @@ class QuMAv2:
         if cacheable and self._tree is not None and self._tree_key == key:
             return self._tree, True
         built = build()
-        if cacheable and built is not None:
+        if cacheable:
             self._tree, self._tree_key = built, key
         return built, False
 
@@ -1113,17 +1107,13 @@ class QuMAv2:
         and yielded as one :class:`ShotBatch`: one group of every shot
         on the reference template, with packed ``(measurements,
         words)`` raw and reported outcome columns.  The fault plan's
-        shot index advances per chunk.  A failed reference shot
-        degrades the whole run gracefully to the per-shot tableau
-        interpreter, recorded in :attr:`EngineStats.degradations`.
+        shot index advances per chunk.  A failed reference shot ends
+        the run with its error and keeps nothing.
         """
         stats.engine = "frame"
         reference, stats.tree_reused = self._replay_tree(
             report.cross_run_cacheable,
             lambda: self._frame_reference(stats, plan))
-        if reference is None:
-            yield from self._interpreter_shots(0, shots, stats, plan)
-            return
         template, recording = reference
         readout = self.plant.noise.readout
         num_qubits = self.plant.num_qubits
@@ -1146,39 +1136,33 @@ class QuMAv2:
 
     def _frame_reference(self, stats: EngineStats,
                          plan: FaultPlan | None
-                         ) -> tuple[ShotTrace, FrameRecording] | None:
+                         ) -> tuple[ShotTrace, FrameRecording]:
         """Run the frame engine's reference shot: one noise-free
         interpreter shot with a :class:`FrameRecorder` installed on the
-        stabilizer backend.  Returns its trace and frozen recording,
-        or None after degrading ``stats`` when the shot failed (e.g.
-        the ``backend_gate`` fault site) or its recording cannot drive
-        the splice."""
+        stabilizer backend.  Returns its trace and frozen recording.
+        A failed shot raises its own structured error, as a failed
+        growth shot does.  A recording that cannot drive the splice
+        raises :class:`ExperimentIntegrityError`: the recorder counts
+        every measurement the backend collapsed, the trace every result
+        that arrived, and a result lost on the link
+        (``measurement_stall``) leaves the trace one short."""
         backend = self.plant.backend
         recorder = FrameRecorder()
         if plan is not None:
             plan.begin_shot(0)
-        degraded_reason = None
         backend.frame_recorder = recorder
         try:
             template = self._timed(self.run_shot,
                                    span="engine.frame.reference_shot")
-        except EQASMError as error:
-            degraded_reason = (f"frame reference shot failed "
-                               f"({type(error).__name__}: {error})")
         finally:
             backend.frame_recorder = None
-        if degraded_reason is None and \
-                recorder.measure_count != len(template.results):
-            # Forced/mocked results would bypass the backend recorder;
-            # eligibility excludes them, so a mismatch means the
-            # recording cannot drive the splice — never serve from it.
-            degraded_reason = (
+        if recorder.measure_count != len(template.results):
+            raise ExperimentIntegrityError(
                 f"frame recording captured {recorder.measure_count} "
                 f"measurements but the reference trace holds "
-                f"{len(template.results)}")
-        if degraded_reason is not None:
-            self._degrade(stats, "frame", degraded_reason)
-            return None
+                f"{len(template.results)}",
+                recorded=recorder.measure_count,
+                traced=len(template.results))
         stats.frame_reference_shots += 1
         return template, recorder.freeze()
 

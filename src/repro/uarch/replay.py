@@ -248,10 +248,9 @@ class EngineStats:
     #: The most recent audit, with the mismatched trace fields (empty
     #: when it passed).
     last_audit: ReplayAudit | None = None
-    #: Fast engines that handed the rest of this run to the
-    #: interpreter, in order: "replay -> interpreter: <reason>" after
-    #: an audit divergence, "frame -> interpreter: <reason>" after a
-    #: failed frame reference shot.
+    #: "replay -> interpreter: <reason>" when an audit divergence
+    #: handed the rest of this run to the interpreter (at most one per
+    #: run; the divergence is its only writer).
     degradations: list[str] = field(default_factory=list)
     #: Human-readable descriptions of every injected fault that fired
     #: during this run (empty when no :class:`FaultPlan` is armed).

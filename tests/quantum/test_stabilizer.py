@@ -430,10 +430,28 @@ class MintermTableau(StabilizerTableau):
             self.r ^= flips
 
 
+def tableau_bits(tableau: StabilizerTableau
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical unpacked image of the int columns: the X and Z
+    bits as (2n, n) uint8 arrays and the phases as a (2n,) vector."""
+    rows = 2 * tableau.num_qubits
+    size = (rows + 7) // 8
+
+    def unpack(columns: list[int]) -> np.ndarray:
+        raw = np.frombuffer(
+            b"".join(c.to_bytes(size, "little") for c in columns),
+            dtype=np.uint8).reshape(len(columns), size)
+        return np.unpackbits(raw, axis=1, count=rows, bitorder="little")
+
+    return (np.ascontiguousarray(unpack(tableau.x).T),
+            np.ascontiguousarray(unpack(tableau.z).T),
+            unpack([tableau.r])[0])
+
+
 def stabilizer_strings(tableau: StabilizerTableau) -> list[str]:
     """The stabilizer generators as signed Pauli strings."""
     letters = {0: "I", 1: "X", 2: "Z", 3: "Y"}
-    x, z, r = tableau.x_bits(), tableau.z_bits(), tableau.r_bits()
+    x, z, r = tableau_bits(tableau)
     n = tableau.num_qubits
     return [("-" if r[row] else "+") + "".join(
                 letters[int(x[row, q]) | (int(z[row, q]) << 1)]
@@ -446,9 +464,10 @@ def _assert_same_state(packed: StabilizerTableau,
     """Bit-level equality: the int-column tableau's canonical unpacked
     image must match the boolean reference bit for bit — state AND
     phase rows, destabilizers included."""
-    np.testing.assert_array_equal(packed.x_bits(), boolean.x)
-    np.testing.assert_array_equal(packed.z_bits(), boolean.z)
-    np.testing.assert_array_equal(packed.r_bits(), boolean.r)
+    x, z, r = tableau_bits(packed)
+    np.testing.assert_array_equal(x, boolean.x)
+    np.testing.assert_array_equal(z, boolean.z)
+    np.testing.assert_array_equal(r, boolean.r)
 
 
 def _assert_same_pivot(packed: StabilizerTableau, boolean: BooleanTableau,

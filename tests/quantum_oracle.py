@@ -4,7 +4,8 @@ A pure-state (statevector) simulator with its own in-place one- and
 two-qubit kernels: the dense density matrix, the fused gate-event
 superoperators, the compiled benchmark circuits and the noiseless
 machine are checked against it.  ``gates_equivalent`` compares
-unitaries up to global phase.
+unitaries up to global phase; ``purity`` and ``uhlmann_fidelity``
+measure density matrices.
 
 Qubit index convention: qubit 0 is the most significant bit of the
 computational basis index, i.e. for ``n`` qubits, basis state
@@ -218,6 +219,34 @@ def density_matrix_of(state: Statevector) -> DensityMatrix:
     amplitudes = state.amplitudes_view
     return DensityMatrix(state.num_qubits,
                          np.outer(amplitudes, amplitudes.conj()))
+
+
+def purity(rho: DensityMatrix) -> float:
+    """Tr(rho^2); 1 for pure states."""
+    matrix = rho.matrix
+    return float(np.trace(matrix @ matrix).real)
+
+
+def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Uhlmann fidelity F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
+
+    Matrix square roots are taken by eigendecomposition with small
+    negative eigenvalues (numerical noise on singular states) clipped
+    to zero, which keeps pure/rank-deficient states exact.
+    """
+    if rho.num_qubits != sigma.num_qubits:
+        raise PlantError("qubit count mismatch")
+
+    def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
+        hermitian = (matrix + matrix.conj().T) / 2.0
+        eigenvalues, eigenvectors = np.linalg.eigh(hermitian)
+        eigenvalues = np.clip(eigenvalues, 0.0, None)
+        return (eigenvectors * np.sqrt(eigenvalues)) @ eigenvectors.conj().T
+
+    sqrt_rho = psd_sqrt(rho.matrix)
+    inner = psd_sqrt(sqrt_rho @ sigma.matrix @ sqrt_rho)
+    value = np.trace(inner).real
+    return float(min(max(value ** 2, 0.0), 1.0))
 
 
 def gates_equivalent(a: np.ndarray, b: np.ndarray, atol: float = 1e-9) -> bool:

@@ -79,8 +79,9 @@ BACKEND_MIX: Counter = Counter()
 
 #: Chaos-shape aggregate (same reporting path): how each fuzz case
 #: under fault injection resolved — "recovered in-run (site)" when the
-#: machine's own degradations delivered every shot, or "aborted
-#: (site)" when the fired fault surfaced as its structured guard fault.
+#: machine's own degradations delivered every shot, "aborted (site)"
+#: when the fired fault surfaced as its structured guard fault, or
+#: "timing-violation" when the program violates timing on its own.
 CHAOS_MIX: Counter = Counter()
 
 #: Pauli-frame-shape aggregate (same reporting path): how each
@@ -582,8 +583,8 @@ def test_frame_batched_equivalence(seed):
 
 
 #: Sites the chaos shape draws from: every machine-level fault site.
-CHAOS_SITES = ("backend_gate", "measurement_stall", "timing_overflow",
-               "tree_bitflip", "mock_exhaust")
+CHAOS_SITES = ("measurement_stall", "timing_overflow", "tree_bitflip",
+               "mock_exhaust")
 
 CHAOS_SHOTS = 40
 
@@ -592,11 +593,11 @@ def reachable_chaos_sites(machine, mock_plan) -> list[str]:
     """The :data:`CHAOS_SITES` a loaded case can actually fire.
 
     Every generated program runs gates, measurements and timing points
-    on each shot, so the first three sites are always reachable.  A
+    on each shot, so the first two sites are always reachable.  A
     tree bit-flip needs a replay tree (a replay-eligible program with
     no queued mock results), and a mock-queue wipe needs injected mock
     results."""
-    sites = ["backend_gate", "measurement_stall", "timing_overflow"]
+    sites = ["measurement_stall", "timing_overflow"]
     if not machine.replay_unsupported_reasons():
         sites.append("tree_bitflip")
     if mock_plan:
@@ -615,15 +616,29 @@ def test_fault_injection_chaos(seed):
     disarmed re-run of the same program is healthy again (no
     degradations, every audit clean).  The fault site is drawn from
     the sites the case can reach, so either outcome must have
-    actually fired its fault.
+    actually fired its fault.  A program that violates timing on a
+    fresh disarmed same-seed twin is counted as a timing violation
+    before any fault is armed: the violation is the program's own, and
+    a disarmed re-run could never recover from it.
     """
     text, mock_plan, clifford_only = generate_case(seed)
     noise = clifford_only_noise() if clifford_only else NoiseModel()
-    setup = ExperimentSetup.create(noise=noise, seed=30_000 + seed,
-                                   audit_fraction=1.0)
-    if mock_plan:
-        setup.machine.measurement_unit.inject_mock_results(2, mock_plan)
+
+    def fresh_setup():
+        setup = ExperimentSetup.create(noise=noise, seed=30_000 + seed,
+                                       audit_fraction=1.0)
+        if mock_plan:
+            setup.machine.measurement_unit.inject_mock_results(2,
+                                                               mock_plan)
+        return setup
+
+    setup = fresh_setup()
     assembled = setup.assemble_text(text)
+    try:
+        fresh_setup().run(assembled, CHAOS_SHOTS)
+    except TimingViolationError:
+        CHAOS_MIX["timing-violation"] += 1
+        return
     setup.machine.load(assembled)
     sites = reachable_chaos_sites(setup.machine, mock_plan)
     rng = np.random.default_rng(77_000 + seed)

@@ -1,10 +1,10 @@
 """Seeded output pins for every engine route of ``QuMAv2.run_iter``.
 
-The machine drives one run through one of seven routes: the
+The machine drives one run through one of six routes: the
 static-blocker interpreter, the caller-forced interpreter, warm replay,
-the Pauli-frame batch, and three ways a selected fast path ends up on
-the interpreter (a faulted frame reference shot, an audit divergence,
-a replay run whose every shot was a growth shot).  Each route consumes
+the Pauli-frame batch, and two ways a selected replay run ends up on
+the interpreter (an audit divergence, a run whose every shot was a
+growth shot).  Each route consumes
 the plant RNG in its own order, so the SHA-256 of the run's
 ``ShotCounts`` and ``EngineStats`` on a fixed seed pins both the
 physics the route delivered and the draw order that produced it — a
@@ -142,12 +142,6 @@ def route_frame_batch(count=QuMAv2.run_counts):
     return machine, count(machine, 500)
 
 
-def route_frame_reference_fault(count=QuMAv2.run_counts):
-    machine = make_machine(FRAME_CLIFFORD, seed=105, noise=pauli_noise())
-    machine.arm_faults(FaultPlan([FaultSpec("backend_gate", shot=0)]))
-    return machine, count(machine, 100)
-
-
 def route_audit_divergence(count=QuMAv2.run_counts):
     machine = make_machine(ACTIVE_RESET, seed=106, audit_fraction=1.0)
     count(machine, 50)
@@ -212,10 +206,6 @@ ROUTES = {
         route_frame_batch, "frame",
         "33ddb43062ef596d0d5eceb08a913ad0a1ad1fe1309fd8c29663951209e418d0",
         "f056b970df08d3610c1d9bc789ce177986632a233167df08c2ad78bed444aba4"),
-    "frame-reference-fault": (
-        route_frame_reference_fault, "interpreter",
-        "d9f3dcb227ae397ac7aaeb1e65a0422a2fe64bfd3178f3fa4a0698d46bfffdab",
-        "27d1bae201693e1caf732e7a0ee4cb117111deaeded8b99da261acd063345583"),
     "audit-divergence": (
         route_audit_divergence, "interpreter",
         "d13325cb1e7f72cd7813f1c8cc78adf4084cca95d87cf19825a1f8b4e40d894d",

@@ -23,9 +23,9 @@ from repro.core import (
     two_qubit_instantiation,
 )
 from repro.core.errors import (
-    BackendFaultError,
     ConfigurationError,
     EQASMError,
+    ExperimentIntegrityError,
     GuardFault,
     QueueOverflowError,
     ResourceError,
@@ -151,57 +151,28 @@ class TestFaultPlan:
 
     def test_nonpositive_count_rejected(self):
         with pytest.raises(ConfigurationError):
-            FaultSpec("backend_gate", count=0)
+            FaultSpec("measurement_stall", count=0)
 
     def test_shot_pinning_and_budget(self):
-        plan = FaultPlan([FaultSpec("backend_gate", shot=2, count=1)])
+        plan = FaultPlan([FaultSpec("measurement_stall", shot=2, count=1)])
         plan.begin_run()
         plan.begin_shot(0)
-        assert not plan.fire("backend_gate")
+        assert not plan.fire("measurement_stall")
         plan.begin_shot(2)
-        assert plan.would_fire("backend_gate")
-        assert plan.fire("backend_gate", qubit=2)
+        assert plan.would_fire("measurement_stall")
+        assert plan.fire("measurement_stall", qubit=2)
         # Budget consumed: the same site never fires again.
-        assert not plan.fire("backend_gate")
+        assert not plan.fire("measurement_stall")
         assert plan.fired_this_run
         [record] = plan.records
-        assert record.site == "backend_gate" and record.shot == 2
+        assert record.site == "measurement_stall" and record.shot == 2
         assert ("qubit", 2) in record.context
-        assert "backend_gate@shot2" in record.describe()
+        assert "measurement_stall@shot2" in record.describe()
 
     def test_every_site_is_armable(self):
         plan = FaultPlan([FaultSpec(site) for site in FAULT_SITES])
         for site in FAULT_SITES:
-            assert plan.armed(site)
-
-
-class TestBackendGateFault:
-    def test_detection_and_context(self):
-        machine = make_machine()
-        machine.arm_faults(FaultPlan([FaultSpec("backend_gate",
-                                                shot=0)]))
-        with pytest.raises(BackendFaultError) as info:
-            machine.run(5)
-        error = info.value
-        assert error.backend == "dense"
-        assert error.site == "backend_gate"
-        assert error.operation  # the faulting gate name
-        assert isinstance(error, RuntimeFault)  # old catchers survive
-        # The poisoned tree never reaches the cross-run cache.
-        assert machine._tree is None
-        assert machine.engine_stats.faults_injected
-
-    def test_recovery_after_disarm(self):
-        setup = make_setup()
-        assembled = setup.assemble_text(ACTIVE_RESET)
-        setup.machine.arm_faults(FaultPlan([FaultSpec("backend_gate",
-                                                      shot=0)]))
-        with pytest.raises(BackendFaultError) as info:
-            setup.run(assembled, 20)
-        assert info.value.site == "backend_gate"
-        assert info.value.backend == "dense"
-        setup.machine.disarm_faults()
-        assert_clean_rerun(setup, assembled, 20)
+            assert plan.would_fire(site)
 
 
 class TestMeasurementStallFault:
@@ -547,13 +518,14 @@ class TestReplayAudit:
         machine = make_machine(CFC_FMR, seed=7, audit_fraction=1.0)
         machine.run_counts(200)
         assert machine.engine_stats.engine == "replay"
-        machine.arm_faults(FaultPlan([FaultSpec("backend_gate", shot=0)]))
+        machine.arm_faults(FaultPlan([FaultSpec("measurement_stall",
+                                                shot=0)]))
         traces = machine.run(50)
         stats = machine.engine_stats
         assert stats.replay_audits == 1
         assert stats.audit_divergences == 1
         assert stats.last_audit.mismatched_fields == ("shadow-exception",)
-        assert "BackendFaultError" in stats.last_audit.detail
+        assert "ShotTimeoutError" in stats.last_audit.detail
         assert len(traces) == 50
         assert stats.engine == "interpreter"
         assert stats.interpreter_shots == stats.shots_total == 50
@@ -594,7 +566,7 @@ class TestGuardFaultHierarchy:
             JobDeadlineError,
             WorkerPoolError,
         )
-        for cls in (ResourceError, ShotTimeoutError, BackendFaultError,
+        for cls in (ResourceError, ShotTimeoutError,
                     QueueOverflowError, JobDeadlineError,
                     AdmissionRejectedError, WorkerPoolError):
             assert issubclass(cls, GuardFault)
@@ -641,10 +613,10 @@ class TestFrameBatchedChaos:
     """Faults firing *inside* a frame-batched run.
 
     The frame engine's whole-run state is one reference shot plus its
-    recording, so any fault there must degrade the entire run
-    gracefully to the per-shot tableau interpreter — every shot still
-    delivered, the rung recorded in ``degradations``, the fault in
-    ``faults_injected``."""
+    recording, so a fault there ends the run with a structured error
+    and keeps nothing: a result lost on the link leaves the recording
+    one measurement ahead of the trace, which cannot drive the
+    splice."""
 
     def test_clean_frame_run(self):
         machine = make_frame_machine()
@@ -659,29 +631,19 @@ class TestFrameBatchedChaos:
         assert stats.shots_total == 50
         assert len(traces) == 50
 
-    def test_backend_gate_fault_degrades_to_interpreter(self):
-        machine = make_frame_machine()
-        machine.arm_faults(FaultPlan([FaultSpec("backend_gate",
-                                                shot=0)]))
-        traces = machine.run(30)
-        stats = machine.engine_stats
-        # The fault hit the reference shot; the whole run fell back to
-        # the per-shot tableau interpreter and still delivered.
-        assert len(traces) == 30
-        assert machine.last_run_engine == "interpreter"
-        assert stats.engine == "interpreter"
-        assert stats.frame_batched == 0
-        assert stats.interpreter_shots == 30
-        assert any(d.startswith("frame -> interpreter")
-                   for d in stats.degradations)
-        assert any("backend_gate" in f for f in stats.faults_injected)
-        assert "BackendFaultError" in stats.fallback_reason
-
     def test_recovery_after_disarm(self):
         machine = make_frame_machine()
-        machine.arm_faults(FaultPlan([FaultSpec("backend_gate",
+        machine.arm_faults(FaultPlan([FaultSpec("measurement_stall",
                                                 shot=0)]))
-        machine.run(10)
+        with pytest.raises(ExperimentIntegrityError) as info:
+            machine.run(10)
+        assert info.value.recorded == 2 and info.value.traced == 1
+        stats = machine.engine_stats
+        assert stats.frame_reference_shots == 0
+        assert stats.shots_total == 0
+        assert not stats.degradations
+        assert any("measurement_stall" in f for f in stats.faults_injected)
+        assert machine._tree is None
         machine.disarm_faults()
         traces = machine.run(20)
         stats = machine.engine_stats

@@ -26,6 +26,7 @@ from repro.core import (
     rotated_surface_instantiation,
     two_qubit_instantiation,
 )
+from repro.core.errors import ExperimentIntegrityError
 from repro.experiments.reset import FIG4_PROGRAM as ACTIVE_RESET
 from repro.experiments.runner import ExperimentSetup
 from repro.quantum import NoiseModel, QuantumPlant
@@ -358,17 +359,18 @@ class TestKeptFrameRecording:
         assert_reused(run_frame(machine))
 
     def test_degraded_reference_shot_keeps_nothing(self):
-        """A reference shot failed by ``backend_gate`` at shot 0
+        """A result lost on the link (``measurement_stall`` at shot 0)
+        fails the reference shot with ``ExperimentIntegrityError`` and
         leaves the slot empty; the disarmed rerun records exactly once
         and the run after it reuses that recording."""
         machine = frame_machine()
-        machine.arm_faults(FaultPlan([FaultSpec("backend_gate", shot=0)]))
-        machine.run_counts(30)
+        machine.arm_faults(FaultPlan([FaultSpec("measurement_stall",
+                                                shot=0)]))
+        with pytest.raises(ExperimentIntegrityError):
+            machine.run_counts(30)
         stats = machine.engine_stats
-        assert stats.engine == "interpreter"
         assert stats.frame_reference_shots == 0
-        assert any(d.startswith("frame -> interpreter")
-                   for d in stats.degradations)
+        assert not stats.degradations
         assert machine._tree is None
 
         machine.disarm_faults()
