@@ -14,7 +14,6 @@ from repro.core.errors import (
     OperationConflictError,
     ParseError,
     PlantError,
-    QueueOverflowError,
     ResourceError,
     RuntimeFault,
     ShotTimeoutError,
@@ -77,7 +76,6 @@ __all__ = [
     "OperationSet",
     "ParseError",
     "PlantError",
-    "QueueOverflowError",
     "ResourceError",
     "Program",
     "QuantumOperation",

@@ -123,15 +123,6 @@ class ShotTimeoutError(GuardFault):
     """
 
 
-class QueueOverflowError(GuardFault):
-    """A hardware queue exceeded the instantiation's depth — the
-    CC-Light per-instantiation limit the runtime must report rather
-    than break on.
-
-    Context: ``queue``, ``depth``, ``occupancy``.
-    """
-
-
 class JobDeadlineError(GuardFault):
     """A serving-layer job (a sweep, or one of its shards) exceeded its
     deadline — the work was stopped and accounted for rather than left

@@ -7,14 +7,17 @@ assignment error.  Simulated per shot, every trajectory repeats the
 sampled — so at 17 qubits the interpreter spends its time re-deriving
 an identical Clifford sequence thousands of times.  Pauli-frame
 simulation (Knill's trick, the engine behind stim-style samplers)
-removes the repetition: run one noise-free *reference* shot on the
-tableau per loaded binary, recording the Clifford sequence, every
-stochastic-error site and the measurement structure into an immutable
-:class:`FrameRecording`; then sample whole batches of per-shot
+removes the repetition: run one noise-free *reference* shot per
+loaded binary with the plant's recording open
+(:attr:`repro.quantum.plant.QuantumPlant.recording`), derive from its
+calls the Clifford sequence, every stochastic-error site and the
+measurement structure as an immutable :class:`FrameRecording`
+(:func:`frame_recording`); then sample whole batches of per-shot
 *frames* — the Pauli error each shot has accumulated — from the
 recording's fault table.  Like Stim's reference sample, the recording
-is computed once and kept: the machine reuses it for every later run
-of the same binary, noise model, config and backend (see
+is a pure function of the noiseless circuit, computed once and kept:
+the machine reuses it for every later run of the same binary, noise
+model, config and backend (see
 :meth:`repro.uarch.machine.QuMAv2._frame_shots`).
 
 **Layout** (Gidney, "Stim: a fast stabilizer circuit simulator",
@@ -59,7 +62,7 @@ each gate-error site) and the coins ``f``.
 **The fault table.**  With the coins re-parametrised, every frame and
 every raw outcome is an affine GF(2) function of those inputs: the
 reference outcome XOR the inputs that reach it.  :func:`fault_table`
-finds which, once per recording (:meth:`FrameRecorder.freeze`): it
+finds which, once per recording (:func:`frame_recording`): it
 walks the steps over Python-int bit columns, one int per plane row
 whose bit ``j`` says whether input ``j`` has reached that plane, runs
 each gate's XOR program on them, and reads ``x_a`` at each
@@ -114,8 +117,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.errors import PlantError
-from repro.quantum.noise import ReadoutErrorModel
-from repro.quantum.stabilizer import CliffordAction, StabilizerTableau
+from repro.quantum.noise import NoiseModel, ReadoutErrorModel
+from repro.quantum.plant import AppliedOperation
+from repro.quantum.stabilizer import (
+    CliffordAction,
+    StabilizerTableau,
+    cached_clifford_action,
+)
 
 #: One packed word: 64 shots, little-endian so a byte view orders the
 #: bits by shot.
@@ -395,61 +403,47 @@ class FrameRecording:
     faults: FaultTable = field(repr=False, compare=False)
 
 
-class FrameRecorder:
-    """Captures one reference shot's step sequence for frame batching.
+def frame_recording(calls: list[AppliedOperation], noise: NoiseModel,
+                    qubits: tuple[int, ...]) -> FrameRecording:
+    """Derive the :class:`FrameRecording` of a noise-free reference
+    shot from its plant recording.
 
-    The machine installs a recorder as
-    :attr:`repro.quantum.stabilizer.StabilizerBackend.frame_recorder`
-    for exactly one interpreter shot.  The backend then records every
-    applied Clifford, *defers* every stochastic gate-error site
-    (recorded, not sampled — the reference trajectory must be
-    noise-free for the frames to carry the noise exactly) and routes
-    measurements through :meth:`record_measurement`, which captures the
-    pre-collapse structure the batch needs before collapsing the
-    tableau exactly as a plain shot would.  :meth:`freeze` turns the
-    capture into the :class:`FrameRecording` the batch samples from.
+    ``calls`` are the shot's recorded gates and measurements on the
+    physical ``qubits`` (dense index = position).  The gates re-run on
+    a fresh tableau, each followed by an error site at the real
+    ``noise`` model's probability for its arity (none at zero); a
+    measurement reads its pivot stabilizer when random and collapses
+    onto the recorded ``raw``.  The fault table is built once here.
     """
-
-    def __init__(self) -> None:
-        self.steps: list[GateStep | NoiseStep | MeasureStep] = []
-        self.measure_count = 0
-
-    def freeze(self) -> FrameRecording:
-        """The captured steps as an immutable :class:`FrameRecording`,
-        with its fault table built once here."""
-        steps = tuple(self.steps)
-        return FrameRecording(steps, self.measure_count, fault_table(steps))
-
-    def record_gate(self, action: CliffordAction,
-                    indices: tuple[int, ...]) -> None:
-        self.steps.append(GateStep(action=action, indices=indices))
-
-    def record_gate_error(self, indices: tuple[int, ...],
-                          probability: float) -> None:
-        self.steps.append(NoiseStep(indices=indices,
-                                    probability=probability))
-
-    def record_measurement(self, tableau: StabilizerTableau, index: int,
-                           rng: np.random.Generator) -> int:
-        """Measure ``index`` on the reference tableau, recording the
-        pre-collapse probability and (for random outcomes) the pivot
-        stabilizer.  The RNG draw matches
-        :meth:`StabilizerTableau.measure` exactly, so the reference
-        trajectory is reproducible against a plain noise-free shot."""
-        p_one = tableau.probability_one(index)
-        if p_one == 0.5:
-            pivot = tableau.pivot_stabilizer(index)
+    index_of = {address: index for index, address in enumerate(qubits)}
+    errors = {1: noise.gate_error.single_qubit_error,
+              2: noise.gate_error.two_qubit_error}
+    tableau = StabilizerTableau(len(qubits))
+    steps: list[GateStep | NoiseStep | MeasureStep] = []
+    measurements = 0
+    for call in calls:
+        indices = tuple(index_of[address] for address in call.qubits)
+        if call.unitary is not None:
+            action = cached_clifford_action(call.unitary)
+            tableau.apply(action, indices)
+            steps.append(GateStep(action=action, indices=indices))
+            probability = errors[len(indices)]
+            if probability:
+                steps.append(NoiseStep(indices=indices,
+                                       probability=probability))
+            continue
+        (index,) = indices
+        pivot_x = pivot_z = None
+        pivot = tableau.pivot_stabilizer(index)
+        if pivot is not None:
             pivot_x, pivot_z = tableau.row_paulis(pivot)
-            result = 1 if rng.random() < 0.5 else 0
-        else:
-            pivot_x = pivot_z = None
-            result = int(p_one)
-        tableau.collapse(index, result)
-        self.steps.append(MeasureStep(
-            index=index, p_one=p_one, reference_raw=result,
+        tableau.collapse(index, call.raw)
+        steps.append(MeasureStep(
+            index=index, p_one=call.p_one, reference_raw=call.raw,
             pivot_x=pivot_x, pivot_z=pivot_z))
-        self.measure_count += 1
-        return result
+        measurements += 1
+    steps = tuple(steps)
+    return FrameRecording(steps, measurements, fault_table(steps))
 
 
 def _sample_cells(rng: np.random.Generator, cells: int,
@@ -494,7 +488,7 @@ def _bernoulli_rows(rng: np.random.Generator, rows: int, shots: int,
     return np.packbits(grid, axis=1, bitorder="little").view(WORD)
 
 
-def propagate_frames(recording: FrameRecording, num_qubits: int,
+def propagate_frames(recording: FrameRecording,
                      shots: int, rng: np.random.Generator,
                      readout: ReadoutErrorModel
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -506,9 +500,7 @@ def propagate_frames(recording: FrameRecording, num_qubits: int,
     padding bits clear (:func:`unpack_shots` gives the ``(shots,
     measurements)`` matrix).  No step is walked: each fault group
     draws its hit cells and Paulis at once and XORs their table rows
-    in, each coin a packed fair word (see the module docstring).  The
-    frames live on ``num_qubits`` qubits; the recording's table has
-    already fixed every effect they can have on the outcomes.
+    in, each coin a packed fair word (see the module docstring).
     """
     if shots < 1:
         raise PlantError("need at least one shot to propagate")

@@ -43,6 +43,14 @@ The plant enforces monotonic per-qubit time: an operation scheduled
 before the previous one on the same qubit has finished indicates a
 control bug (the paper inserts a 1 us wait after measurements precisely
 to avoid this) and raises :class:`~repro.core.errors.PlantError`.
+
+One record of what a shot asked of the plant, whatever the backend:
+:attr:`QuantumPlant.recording` is None unless a reader opens it (sets
+it to a list) around a shot, and while open holds every gate and
+measurement call as an :class:`AppliedOperation`, in call order.  Its
+readers are replay growth (the pre-collapse P(1) of each measurement),
+the Pauli-frame reference shot (whose frame recording is derived from
+it, :func:`repro.quantum.pauli_frame.frame_recording`) and tests.
 """
 
 from __future__ import annotations
@@ -64,12 +72,20 @@ _BACKEND_TYPES: dict[str, type[PlantBackend]] = {
 
 
 class AppliedOperation(NamedTuple):
-    """Trace record of one operation the plant actually performed."""
+    """One plant call of an open :attr:`QuantumPlant.recording`.
+
+    A gate carries its configured ``unitary``; a measurement (named
+    ``"MEASZ"``, no unitary) its pre-collapse ``p_one`` and ``raw``
+    physical outcome.  ``qubits`` are physical addresses.
+    """
 
     name: str
     qubits: tuple[int, ...]
     start_ns: float
     duration_ns: float
+    unitary: np.ndarray | None = None
+    p_one: float | None = None
+    raw: int | None = None
 
 
 class QuantumPlant:
@@ -113,12 +129,9 @@ class QuantumPlant:
         self._backend_kind = backend
         self._backend: PlantBackend | None = None
         self._qubit_free_at = {address: 0.0 for address in topology.qubits}
-        self.operations_log: list[AppliedOperation] = []
-        #: Optional hook called as ``observer(qubit, start_ns, p_one)``
-        #: just before every projective collapse — the branch-resolved
-        #: replay engine records the pre-collapse P(1) at each segment
-        #: boundary through this.  Survives :meth:`reset_shot`.
-        self.measure_observer = None
+        #: The open recording (see the module docstring), or None.  A
+        #: reader sets a list, runs its shot and sets None again.
+        self.recording: list[AppliedOperation] | None = None
         #: Admission budget for backend state (overridable per plant).
         self.memory_limit_bytes = self.DEFAULT_MEMORY_LIMIT_BYTES
         #: Attached :class:`repro.obs.Observability` (None = disabled)
@@ -230,7 +243,6 @@ class QuantumPlant:
         self.backend.reset()
         self._qubit_free_at = {address: 0.0
                                for address in self.topology.qubits}
-        self.operations_log = []
 
     def qubit_index(self, address: int) -> int:
         """Dense simulator index for a physical qubit address."""
@@ -306,8 +318,9 @@ class QuantumPlant:
         end_ns = start_ns + duration_ns
         for address in qubits:
             self._qubit_free_at[address] = end_ns
-        self.operations_log.append(
-            AppliedOperation(name, qubits, start_ns, duration_ns))
+        if self.recording is not None:
+            self.recording.append(AppliedOperation(
+                name, qubits, start_ns, duration_ns, unitary))
 
     def measure(self, qubit: int, start_ns: float,
                 duration_ns: float, forced: int | None = None) -> int:
@@ -322,15 +335,16 @@ class QuantumPlant:
         to re-run an interpreter shot along an already-sampled outcome
         prefix (the forced outcome was itself drawn from this state's
         pre-collapse distribution, so the statistics stay exact).
+        With the recording open, the pre-collapse P(1) is computed once
+        and handed to the backend's sample, which draws as without it.
         """
         index, gap = self._idle_gap(qubit, start_ns)
         backend = self.backend
         if gap:
             backend.apply_idle(index, gap, self.noise.decoherence)
-        p_one = None
-        if self.measure_observer is not None:
-            p_one = backend.probability_one(index)
-            self.measure_observer(qubit, start_ns, p_one)
+        recording = self.recording
+        p_one = (backend.probability_one(index) if recording is not None
+                 else None)
         obs = self.observability
         if obs is not None:
             measure_start = obs.tracer.clock()
@@ -343,9 +357,10 @@ class QuantumPlant:
             self._obs_kernels(obs)[2].record(
                 obs.tracer.clock() - measure_start)
         self._qubit_free_at[qubit] = start_ns + duration_ns
-        self.operations_log.append(
-            AppliedOperation(name="MEASZ", qubits=(qubit,),
-                             start_ns=start_ns, duration_ns=duration_ns))
+        if recording is not None:
+            recording.append(AppliedOperation(
+                "MEASZ", (qubit,), start_ns, duration_ns, p_one=p_one,
+                raw=result))
         return result
 
     # ------------------------------------------------------------------

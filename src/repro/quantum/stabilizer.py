@@ -48,12 +48,11 @@ refuses it, and the machine's backend selection keeps such noise
 models on the dense backend.  Readout assignment error is classical
 and lives in the measurement-discrimination unit, untouched.
 
-The backend also exports the hooks the Pauli-frame batched engine
-(:mod:`repro.quantum.pauli_frame`) records its reference shot through:
-setting :attr:`StabilizerBackend.frame_recorder` turns one shot into a
-noise-free reference run whose Clifford sequence, gate-error sites and
-measurement structure the recorder captures for vectorised multi-shot
-frame propagation.
+The backend knows no engine.  The Pauli-frame batched engine
+(:mod:`repro.quantum.pauli_frame`) derives its recording from the
+plant's backend-independent recording of a reference shot, re-running
+the recorded gates on a fresh :class:`StabilizerTableau` and reading
+each random measurement's :meth:`~StabilizerTableau.pivot_stabilizer`.
 """
 
 from __future__ import annotations
@@ -493,14 +492,6 @@ class StabilizerBackend(PlantBackend):
     trajectory* and exact in distribution over shots, at polynomial
     cost — surface-code-scale chips run where the dense backend cannot
     allocate its matrix.
-
-    Setting :attr:`frame_recorder` (a
-    :class:`repro.quantum.pauli_frame.FrameRecorder`) turns the next
-    shot into the Pauli-frame engine's *reference* run: gates and
-    measurements are recorded, and stochastic gate error is *deferred*
-    to the batched frames instead of being sampled here — the
-    reference trajectory must be noise-free for the frames to carry
-    the noise exactly.
     """
 
     kind = "stabilizer"
@@ -508,9 +499,6 @@ class StabilizerBackend(PlantBackend):
     def __init__(self, num_qubits: int):
         super().__init__(num_qubits)
         self.tableau = StabilizerTableau(num_qubits)
-        #: When set, this shot is a Pauli-frame reference run — see
-        #: the class docstring.  Cleared by the machine in a finally.
-        self.frame_recorder = None
         # id(unitary) -> (unitary, action): the pulse library hands out
         # one read-only array per operation, so a gate event finds its
         # action by identity; the entry holds the array, so its id is
@@ -531,9 +519,8 @@ class StabilizerBackend(PlantBackend):
         The error is a sampled uniform non-identity Pauli, which
         exactly unravels the dense backend's channel: with probability
         ``p`` one of the ``4^k - 1`` non-identity Paulis is injected,
-        so the distribution over shots matches.  During a Pauli-frame
-        reference shot the gate and the error site are *recorded*
-        instead — the batched frames sample the error per shot.
+        so the distribution over shots matches.  At ``p == 0`` it
+        draws nothing.
         """
         if any(gaps_ns) and not noise.decoherence.is_negligible:
             raise PlantError(_IDLE_REFUSED)
@@ -557,14 +544,7 @@ class StabilizerBackend(PlantBackend):
         else:
             raise PlantError("only 1- and 2-qubit gates are supported")
         self.tableau.apply(action, indices)
-        recorder = self.frame_recorder
-        if recorder is not None:
-            recorder.record_gate(action, indices)
-        if p == 0.0:
-            return
-        if recorder is not None:
-            recorder.record_gate_error(indices, p)
-        elif rng.random() < p:
+        if p != 0.0 and rng.random() < p:
             v = int(rng.integers(1, 4 ** k))
             self.tableau.apply_pauli(v, indices)
 
@@ -579,9 +559,6 @@ class StabilizerBackend(PlantBackend):
     def measure(self, index: int, rng: np.random.Generator,
                 p_one: float | None = None) -> int:
         # p_one goes unused: the tableau decides with a column test.
-        if self.frame_recorder is not None:
-            return self.frame_recorder.record_measurement(
-                self.tableau, index, rng)
         return self.tableau.measure(index, rng)
 
     def collapse(self, index: int, result: int) -> None:

@@ -22,7 +22,6 @@ from repro.uarch.quantum_pipeline import OpSel, QuantumPipeline, ReservedPoint
 from repro.uarch.replay import (
     EngineStats,
     ReplayAudit,
-    MeasurementSample,
     ReplayError,
     TimelineTree,
     replay_unsupported_reasons,
@@ -46,7 +45,6 @@ __all__ = [
     "FaultPlan",
     "FaultRecord",
     "FaultSpec",
-    "MeasurementSample",
     "MeasurementUnit",
     "OpSel",
     "PendingResult",

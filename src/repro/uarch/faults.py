@@ -1,8 +1,9 @@
 """Deterministic fault injection for the engine x backend matrix.
 
-eQASM defines runtime error conditions — timing violations, queue
-overflows, comparison-flag hazards — that the reproduction models on
-the happy path; this module makes the *unhappy* paths exercisable.  A
+eQASM defines runtime error conditions — timing violations, results
+lost on the readout link, comparison-flag hazards — that the
+reproduction models on the happy path; this module makes the
+*unhappy* paths exercisable.  A
 :class:`FaultPlan` arms named injection sites in the machine and the
 measurement unit, firing deterministically (by shot index, site, and
 seed) so every runtime guard has a test that proves detection,
@@ -20,11 +21,6 @@ for:
     a structured :class:`~repro.core.errors.ShotTimeoutError`; a
     Pauli-frame reference shot that lost one raises
     :class:`~repro.core.errors.ExperimentIntegrityError`.
-``timing_overflow``
-    Timing-queue depth: the reserve phase cannot enqueue against a
-    saturated timing controller
-    (:class:`~repro.core.errors.QueueOverflowError` with the
-    instantiation's depth in context).
 ``tree_bitflip``
     A replay bug: a terminal node of the replay timeline tree is
     corrupted in place, at a chunk start on a tree that already has a
@@ -80,7 +76,6 @@ from repro.core.errors import ConfigurationError
 #: Every site a :class:`FaultPlan` can arm.
 FAULT_SITES = (
     "measurement_stall",
-    "timing_overflow",
     "tree_bitflip",
     "mock_exhaust",
     "worker_crash",

@@ -38,6 +38,7 @@ import heapq
 import itertools
 import math
 from contextlib import closing
+from dataclasses import replace
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -48,7 +49,6 @@ from repro.core.errors import (
     ConfigurationError,
     EQASMError,
     ExperimentIntegrityError,
-    QueueOverflowError,
     RuntimeFault,
     ShotTimeoutError,
     TimingViolationError,
@@ -85,9 +85,10 @@ from repro.core.registers import (
     MeasurementResultRegisters,
     to_unsigned32,
 )
+from repro.quantum.noise import GateErrorModel
 from repro.quantum.pauli_frame import (
-    FrameRecorder,
     FrameRecording,
+    frame_recording,
     propagate_frames,
 )
 from repro.quantum.plant import QuantumPlant
@@ -105,7 +106,6 @@ from repro.uarch.measurement import MeasurementUnit, PendingResult
 from repro.uarch.quantum_pipeline import QuantumPipeline, ReservedPoint
 from repro.uarch.replay import (
     EngineStats,
-    MeasurementSample,
     ReplayAudit,
     TimelineTree,
     replay_unsupported_reasons,
@@ -341,10 +341,10 @@ class QuMAv2:
         """Arm a deterministic fault-injection plan (None disarms).
 
         The one plan is shared by the two subsystems with an injection
-        site — the machine itself (``timing_overflow``,
-        ``measurement_stall``, ``tree_bitflip``) and the measurement
-        unit (``mock_exhaust``) — so one chaos experiment coordinates
-        shot-pinned failures across both.
+        site — the machine itself (``measurement_stall``,
+        ``tree_bitflip``) and the measurement unit (``mock_exhaust``)
+        — so one chaos experiment coordinates shot-pinned failures
+        across both.
         """
         self.fault_plan = plan
         self.measurement_unit.fault_plan = plan
@@ -986,30 +986,23 @@ class QuMAv2:
         The already-sampled outcome prefix (where the tree walk fell
         off a cached path) is forced onto the measurement unit, so the
         interpreter re-derives exactly the missing branch; measurements
-        beyond the prefix sample fresh randomness.  The observed
-        pre-collapse probabilities — the segment-boundary snapshots —
-        are recorded through the plant's measure observer and inserted
-        into the tree.  A feedback-free binary's tree calls this only
-        for its root and internal nodes; it builds its terminals from
-        the first such shot's trace
+        beyond the prefix sample fresh randomness.  The shot runs with
+        the plant's recording open; its measurements, each with its
+        pre-collapse probability (the segment-boundary snapshot), are
+        inserted into the tree.  A feedback-free binary's tree calls
+        this only for its root and internal nodes; it builds its
+        terminals from the first such shot's trace
         (:meth:`TimelineTree.sample_cohort`).
         """
-        samples: list[MeasurementSample] = []
-
-        def observe(qubit: int, start_ns: float, p_one: float) -> None:
-            samples.append(MeasurementSample(qubit=qubit,
-                                             start_ns=start_ns,
-                                             p_one=p_one))
-
-        self.plant.measure_observer = observe
+        calls = self.plant.recording = []
         if outcome_prefix:
             self.measurement_unit.force_results(outcome_prefix)
         try:
             trace = self.run_shot()
         finally:
-            self.plant.measure_observer = None
+            self.plant.recording = None
             self.measurement_unit.clear_forced_results()
-        tree.grow(samples, trace)
+        tree.grow([call for call in calls if call.unitary is None], trace)
         return trace
 
     def run_counts(self, shots: int, use_replay: bool = True) -> ShotCounts:
@@ -1090,8 +1083,8 @@ class QuMAv2:
         The engine needs one reference shot of the loaded binary
         (:meth:`_frame_reference`): its trace is the frozen timeline
         template, its :class:`FrameRecording` the Clifford sequence,
-        every deferred gate-error site, the measurement structure and
-        the fault table built from them when the recording is frozen:
+        every gate-error site, the measurement structure and the fault
+        table built from them when the recording is derived:
         the raw outcome rows each elementary fault and each random
         measurement's coin flips.  The first run records it and keeps
         it, table included, for the loaded binary in the slot
@@ -1116,14 +1109,13 @@ class QuMAv2:
             lambda: self._frame_reference(stats, plan))
         template, recording = reference
         readout = self.plant.noise.readout
-        num_qubits = self.plant.num_qubits
         try:
             for first in range(0, shots, _CHUNK_SHOTS):
                 chunk = min(shots - first, _CHUNK_SHOTS)
                 if plan is not None:
                     plan.begin_shot(first)
                 raw, reported = self._timed(
-                    propagate_frames, recording, num_qubits, chunk,
+                    propagate_frames, recording, chunk,
                     self.plant.rng, readout, span="engine.frame.batch",
                     histogram="engine.frame.batch.time_ns", shots=chunk)
                 stats.shots_total += chunk
@@ -1137,34 +1129,41 @@ class QuMAv2:
     def _frame_reference(self, stats: EngineStats,
                          plan: FaultPlan | None
                          ) -> tuple[ShotTrace, FrameRecording]:
-        """Run the frame engine's reference shot: one noise-free
-        interpreter shot with a :class:`FrameRecorder` installed on the
-        stabilizer backend.  Returns its trace and frozen recording.
-        A failed shot raises its own structured error, as a failed
-        growth shot does.  A recording that cannot drive the splice
-        raises :class:`ExperimentIntegrityError`: the recorder counts
-        every measurement the backend collapsed, the trace every result
-        that arrived, and a result lost on the link
-        (``measurement_stall``) leaves the trace one short."""
-        backend = self.plant.backend
-        recorder = FrameRecorder()
+        """Run the frame engine's reference shot: one interpreter shot
+        under the plant's noise with gate error zeroed (the noise is
+        restored in a ``finally``), with the plant's recording open.
+        Returns its trace and the :class:`FrameRecording` derived from
+        the recorded calls under the real noise model
+        (:func:`frame_recording`).  A failed shot raises its own
+        structured error, as a failed growth shot does.  A recording
+        that cannot drive the splice raises
+        :class:`ExperimentIntegrityError`: the recording holds every
+        measurement the plant collapsed, the trace every result that
+        arrived, and a result lost on the link (``measurement_stall``)
+        leaves the trace one short."""
+        plant = self.plant
+        noise = plant.noise
         if plan is not None:
             plan.begin_shot(0)
-        backend.frame_recorder = recorder
+        calls = plant.recording = []
+        plant.noise = replace(noise, gate_error=GateErrorModel(0.0, 0.0))
         try:
             template = self._timed(self.run_shot,
                                    span="engine.frame.reference_shot")
         finally:
-            backend.frame_recorder = None
-        if recorder.measure_count != len(template.results):
+            plant.recording = None
+            plant.noise = noise
+        recorded = sum(call.unitary is None for call in calls)
+        if recorded != len(template.results):
             raise ExperimentIntegrityError(
-                f"frame recording captured {recorder.measure_count} "
+                f"frame recording captured {recorded} "
                 f"measurements but the reference trace holds "
                 f"{len(template.results)}",
-                recorded=recorder.measure_count,
+                recorded=recorded,
                 traced=len(template.results))
         stats.frame_reference_shots += 1
-        return template, recorder.freeze()
+        return template, frame_recording(calls, noise,
+                                         plant.topology.qubits)
 
     # ------------------------------------------------------------------
     # Classical pipeline
@@ -1367,19 +1366,6 @@ class QuMAv2:
     def _schedule_point(self, point: ReservedPoint) -> None:
         """Timing-queue insertion: compute the trigger time and enqueue."""
         config = self._config
-        plan = self.fault_plan
-        if plan is not None and plan.fire(
-                "timing_overflow", cycle=point.cycle,
-                occupancy=self._outstanding_triggers,
-                depth=config.timing_queue_depth):
-            # Injected saturation: the timing controller stops draining,
-            # so the reserve phase's enqueue can never complete.
-            raise QueueOverflowError(
-                f"timing queue overflow injected at cycle {point.cycle}: "
-                f"the reserve phase cannot enqueue against a saturated "
-                f"timing controller",
-                queue="timing", depth=config.timing_queue_depth,
-                occupancy=self._outstanding_triggers, cycle=point.cycle)
         reserve_done = (point.reserved_at_ns +
                         config.quantum_pipeline_depth_cycles *
                         config.classical_cycle_ns)

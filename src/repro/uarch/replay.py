@@ -63,7 +63,10 @@ the tree: it re-runs the full interpreter with the already-sampled
 outcome prefix **forced** (the measurement unit replays the sampled
 ``(raw, reported)`` pairs, collapsing the plant accordingly), so the
 interpreter shot both is a statistically exact sample *and* explores
-exactly the missing branch (a cohort grows one such shot per
+exactly the missing branch.  The shot runs with the plant's recording
+open (:attr:`~repro.quantum.plant.QuantumPlant.recording`), and each
+recorded measurement's pre-collapse ``P(1)`` becomes its node's
+(a cohort grows one such shot per
 unexplored edge it reaches and sends the rest of its shots down the
 grown branch).  For a two-measurement active-reset program
 the tree saturates after a handful of probe shots; afterwards every
@@ -117,7 +120,7 @@ import numpy as np
 from repro.core.errors import ConfigurationError
 from repro.core.instructions import Bundle, Instruction
 from repro.core.microcode import MicrocodeUnit
-from repro.quantum.plant import QuantumPlant
+from repro.quantum.plant import AppliedOperation, QuantumPlant
 from repro.uarch.dataflow import analyze_data_memory
 from repro.uarch.trace import FoldPlan, ShotBatch, ShotGroup, ShotTrace
 
@@ -322,22 +325,6 @@ class EngineStats:
         if self.faults_injected:
             registry.inc("engine.faults_injected",
                          len(self.faults_injected))
-
-
-@dataclass(frozen=True, slots=True)
-class MeasurementSample:
-    """One measurement observed during an interpreter (growth) shot.
-
-    Recorded in chronological plant order: the measured qubit, the
-    trigger-time start of the integration window, and the pre-collapse
-    ``P(1)`` — the distilled segment-boundary snapshot the tree samples
-    from, recorded by the plant's measure observer *before* the
-    collapse.
-    """
-
-    qubit: int
-    start_ns: float
-    p_one: float
 
 
 def replay_unsupported_reasons(
@@ -707,12 +694,15 @@ class TimelineTree:
     # ------------------------------------------------------------------
     # Growth (insert an interpreter shot's observed path)
     # ------------------------------------------------------------------
-    def grow(self, samples: list[MeasurementSample],
+    def grow(self, samples: list[AppliedOperation],
              trace: ShotTrace) -> bool:
         """Insert one interpreter shot's outcome path into the tree.
 
-        ``samples`` are the chronological segment-boundary observations
-        of the shot; ``trace`` is its full interpreter trace.  Returns
+        ``samples`` are the shot's measurements as the plant recorded
+        them, in chronological plant order: the measured qubit, the
+        trigger-time start of the integration window and the
+        pre-collapse ``P(1)``, the segment-boundary snapshot the tree
+        samples from.  ``trace`` is its full interpreter trace.  Returns
         False (and permanently stops growth on determinism violations)
         when the path cannot be cached; the shot itself is still valid.
         """
@@ -740,7 +730,7 @@ class TimelineTree:
         return (f"timeline tree exceeds the {self._max_nodes}-node cap "
                 f"(outcome space not saturating)")
 
-    def _check_pairing(self, samples: list[MeasurementSample],
+    def _check_pairing(self, samples: list[AppliedOperation],
                        trace: ShotTrace) -> None:
         """The k-th observed measurement (chronological trigger order)
         must be the k-th trace result (chronological arrival order) —
@@ -751,34 +741,36 @@ class TimelineTree:
                 f"{len(samples)} observed measurements vs "
                 f"{len(trace.results)} trace results")
         for sample, record in zip(samples, trace.results):
-            if (sample.qubit != record.qubit or
+            (qubit,) = sample.qubits
+            if (qubit != record.qubit or
                     abs(sample.start_ns - record.measure_start_ns) > 1e-9):
                 raise ReplayError(
-                    f"measurement on qubit {sample.qubit} at "
+                    f"measurement on qubit {qubit} at "
                     f"{sample.start_ns} ns does not match result record "
                     f"for qubit {record.qubit} at "
                     f"{record.measure_start_ns} ns")
 
-    def _insert(self, root: _TreeNode, samples: list[MeasurementSample],
+    def _insert(self, root: _TreeNode, samples: list[AppliedOperation],
                 trace: ShotTrace) -> None:
         node = root
         for sample, record in zip(samples, trace.results):
+            (qubit,) = sample.qubits
             if node.template is not None:
                 raise ReplayError(
                     "determinism violation: a shot with this outcome "
                     "history previously terminated, this one measures "
-                    f"qubit {sample.qubit}")
+                    f"qubit {qubit}")
             if node.qubit < 0:
-                node.qubit = sample.qubit
+                node.qubit = qubit
                 node.start_ns = sample.start_ns
                 node.p_one = sample.p_one
-            elif (node.qubit != sample.qubit or
+            elif (node.qubit != qubit or
                     abs(node.start_ns - sample.start_ns) > 1e-9):
                 raise ReplayError(
                     "determinism violation: same outcome history, "
                     "different next measurement (qubit "
                     f"{node.qubit} at {node.start_ns} ns vs qubit "
-                    f"{sample.qubit} at {sample.start_ns} ns) — timing "
+                    f"{qubit} at {sample.start_ns} ns) — timing "
                     "depends on state outside the outcome history")
             key = (record.raw_result, record.reported_result)
             child = node.children.get(key)

@@ -15,6 +15,7 @@ from repro.experiments.analysis import (
 from repro.experiments.runner import ExperimentSetup
 from repro.quantum import NoiseModel
 from repro.quantum.noise import ReadoutErrorModel
+from shot_recording import recorded_shot
 
 
 @pytest.fixture()
@@ -35,8 +36,8 @@ class TestRunner:
 
     def test_interval_compilation_spreads_gates(self, setup):
         circuit = Circuit("t", 3).add("X", 0).add("Y", 0)
-        setup.run(setup.compile_circuit(circuit, interval_cycles=16), shots=1)
-        log = setup.machine.plant.operations_log
+        setup.machine.load(setup.compile_circuit(circuit, interval_cycles=16))
+        _, log = recorded_shot(setup.machine)
         starts = [op.start_ns for op in log if op.name in ("X", "Y")]
         assert starts[1] - starts[0] == pytest.approx(320.0)
 

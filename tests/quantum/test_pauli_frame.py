@@ -28,6 +28,11 @@ lifted into ``reference_gate``.  Pinned here:
   64-bit word;
 * the recording and its table are immutable and built once: a warm
   frame run builds no table;
+* the recording derived from the plant's recording of the reference
+  shot equals, step for step and array for array, the one the
+  stabilizer backend's recorder hook captured before the derivation
+  replaced it (SHA-256 digests of surface-17 at 2 and 17 rounds and of
+  ``FRAME_CLIFFORD``);
 * padding never leaks into results: with ``p01 = 1`` every shot reads
   one, and ``run_iter`` yields exactly the requested shots, at word and
   chunk boundaries.
@@ -38,6 +43,7 @@ lifted into ``reference_gate``.  Pinned here:
   adjacent-cell independence and clear padding.
 """
 
+import hashlib
 from collections import Counter
 from functools import reduce
 from unittest import mock
@@ -59,7 +65,6 @@ from repro.quantum.noise import (
     ReadoutErrorModel,
 )
 from repro.quantum.pauli_frame import (
-    FrameRecorder,
     FrameRecording,
     GateStep,
     MeasureStep,
@@ -72,6 +77,7 @@ from repro.quantum.pauli_frame import (
     words_for,
 )
 from repro.quantum.stabilizer import (
+    CliffordAction,
     StabilizerTableau,
     cached_clifford_action,
     clifford_action_of,
@@ -201,18 +207,72 @@ def surface17_machine(seed=0, rounds=2):
 
 
 def machine_recording(machine):
-    """The recording and qubit count the machine's frame engine
-    propagates."""
+    """The recording the machine's frame engine propagates, and the
+    machine's qubit count."""
     seen = []
 
-    def capture(recording, num_qubits, *args, **kwargs):
-        seen.append((recording, num_qubits))
-        return propagate_frames(recording, num_qubits, *args, **kwargs)
+    def capture(recording, *args, **kwargs):
+        seen.append(recording)
+        return propagate_frames(recording, *args, **kwargs)
 
     with mock.patch.object(machine_module, "propagate_frames", capture):
         machine.run_counts(1)
     assert machine.engine_stats.engine == "frame"
-    return seen[0]
+    return seen[0], machine.plant.num_qubits
+
+
+class FrameRecorder:
+    """Builds a :class:`FrameRecording` step by step on a tableau, for
+    the hand-written recordings below, whose error sites carry their
+    own probabilities.
+
+    :meth:`record_gate` and :meth:`record_gate_error` append a Clifford
+    and a deferred error site; :meth:`record_measurement` captures the
+    pre-collapse structure the batch needs before collapsing the
+    tableau exactly as a plain shot would.  :meth:`freeze` turns the
+    capture into the :class:`FrameRecording` the batch samples from.
+    """
+
+    def __init__(self) -> None:
+        self.steps: list[GateStep | NoiseStep | MeasureStep] = []
+        self.measure_count = 0
+
+    def freeze(self) -> FrameRecording:
+        """The captured steps as an immutable :class:`FrameRecording`,
+        with its fault table built once here."""
+        steps = tuple(self.steps)
+        return FrameRecording(steps, self.measure_count, fault_table(steps))
+
+    def record_gate(self, action: CliffordAction,
+                    indices: tuple[int, ...]) -> None:
+        self.steps.append(GateStep(action=action, indices=indices))
+
+    def record_gate_error(self, indices: tuple[int, ...],
+                          probability: float) -> None:
+        self.steps.append(NoiseStep(indices=indices,
+                                    probability=probability))
+
+    def record_measurement(self, tableau: StabilizerTableau, index: int,
+                           rng: np.random.Generator) -> int:
+        """Measure ``index`` on the reference tableau, recording the
+        pre-collapse probability and (for random outcomes) the pivot
+        stabilizer.  The RNG draw matches
+        :meth:`StabilizerTableau.measure` exactly, so the reference
+        trajectory is reproducible against a plain noise-free shot."""
+        p_one = tableau.probability_one(index)
+        if p_one == 0.5:
+            pivot = tableau.pivot_stabilizer(index)
+            pivot_x, pivot_z = tableau.row_paulis(pivot)
+            result = 1 if rng.random() < 0.5 else 0
+        else:
+            pivot_x = pivot_z = None
+            result = int(p_one)
+        tableau.collapse(index, result)
+        self.steps.append(MeasureStep(
+            index=index, p_one=p_one, reference_raw=result,
+            pivot_x=pivot_x, pivot_z=pivot_z))
+        self.measure_count += 1
+        return result
 
 
 def tableau_recording(num_qubits, program, seed=0):
@@ -447,9 +507,68 @@ def test_recording_is_immutable():
             array[0] ^= 1
 
 
+def recording_digests(recording):
+    """SHA-256 of a recording's steps (every field and pivot array) and
+    of its fault table (every field and array, dtype and shape
+    included)."""
+    steps = hashlib.sha256()
+    for step in recording.steps:
+        if isinstance(step, GateStep):
+            fields = ("G", step.indices, step.action.bits.tolist(),
+                      step.action.sign.tolist(), step.xors)
+        elif isinstance(step, NoiseStep):
+            fields = ("E", step.indices, step.probability,
+                      step.rows.tolist())
+        else:
+            fields = ("M", step.index, step.p_one, step.reference_raw,
+                      *(None if bits is None else bits.tolist()
+                        for bits in (step.pivot_x, step.pivot_z,
+                                     step.pivot_rows)))
+        steps.update(repr(fields).encode())
+    steps.update(repr(recording.measurements).encode())
+    table = recording.faults
+    faults = hashlib.sha256(repr((table.measurements, table.coins,
+                                  table.groups)).encode())
+    for name in ("starts", "rows", "coin_rows", "coin_of", "ones"):
+        array = getattr(table, name)
+        faults.update(repr((name, array.dtype.str, array.shape)).encode())
+        faults.update(np.ascontiguousarray(array).tobytes())
+    return steps.hexdigest(), faults.hexdigest()
+
+
+#: ``recording_digests`` of the recordings the stabilizer backend's
+#: recorder hook captured during the reference shot (seed 0), before the
+#: frame recording was derived from the plant's recording instead:
+#: ``(steps, measurements, (steps digest, fault-table digest))``.
+HOOK_RECORDED_DIGESTS = {
+    "surface17": (88, 8, (
+        "610d57002e88a2acccaccdb30f3347265dc60db5ebc059362d4a9af3fe5bb8a4",
+        "a70adf6d92df69684d809cd07567d7681d7f8f70b7b1d5c91f8e7b35ca034075")),
+    "surface17-wide": (748, 68, (
+        "e79d5f2e1c39b55c42acc128ee046a4e66c775215bd932bc8cf4c72344dade5b",
+        "08b368990b3421a8de793834c52fd785be1092fa323d641c8114a921e9c469dc")),
+    "frame-clifford": (8, 2, (
+        "bd4653798453cf9334ea171338fe95843ee04b9f2288866cbdb6ce53db5e6ef1",
+        "74ce4e424f9c361eadd10c0ff81984dc453dfa04c3fafe92772be03de3a2b165")),
+}
+
+
+@pytest.mark.parametrize("label,machine", [
+    pytest.param(label, machine, id=label) for label, machine in (
+        ("surface17", surface17_machine),
+        ("surface17-wide", lambda: surface17_machine(rounds=WIDE_ROUNDS)),
+        ("frame-clifford", frame_clifford_machine))])
+def test_derived_recording_equals_the_hook_recorded_one(label, machine):
+    """The frame recording derived from the plant's recording of the
+    reference shot, with its fault table, is the hook-recorded one."""
+    recording, _ = machine_recording(machine())
+    assert (len(recording.steps), recording.measurements,
+            recording_digests(recording)) == HOOK_RECORDED_DIGESTS[label]
+
+
 def test_warm_frame_run_builds_no_table():
     """The table is built once, when the reference shot's recording is
-    frozen; a run that reuses the kept recording builds none."""
+    derived; a run that reuses the kept recording builds none."""
     machine = frame_clifford_machine()
     with mock.patch.object(pauli_frame, "fault_table",
                            wraps=pauli_frame.fault_table) as build:
@@ -661,7 +780,7 @@ def distribution_cases():
 def test_packed_propagation_matches_reference(recording, num_qubits,
                                               readout):
     shots = 120_000
-    raw, reported = propagate_frames(recording, num_qubits, shots,
+    raw, reported = propagate_frames(recording, shots,
                                      np.random.default_rng(1), readout)
     ref_raw, ref_reported = reference_propagate(
         recording.steps, num_qubits, shots, np.random.default_rng(2),
@@ -683,7 +802,7 @@ def test_random_measurement_pivots_correlate_outcomes():
     recording = with_probability(tableau_recording(3, GHZ_PROGRAM), 0.0)
     assert any(step.pivot_rows is not None and len(step.pivot_rows) > 2
                for step in recording.steps if isinstance(step, MeasureStep))
-    raw, _ = propagate_frames(recording, 3, 1000, np.random.default_rng(5),
+    raw, _ = propagate_frames(recording, 1000, np.random.default_rng(5),
                               ReadoutErrorModel(p01=0.0, p10=0.0))
     bits = unpack_shots(raw, 1000)
     assert 0.4 < bits[:, 1].mean() < 0.6
@@ -711,9 +830,9 @@ def test_padding_never_reaches_results(shots):
 
 @pytest.mark.parametrize("shots", [1, 63, 64, 65, 200])
 def test_packed_outputs_keep_padding_clear(shots):
-    recording, num_qubits = machine_recording(frame_clifford_machine())
+    recording, _ = machine_recording(frame_clifford_machine())
     raw, reported = propagate_frames(
-        recording, num_qubits, shots, np.random.default_rng(shots),
+        recording, shots, np.random.default_rng(shots),
         ReadoutErrorModel(p01=1.0, p10=1.0))
     for packed in (raw, reported):
         tail = np.unpackbits(packed.view(np.uint8), axis=1,
@@ -804,10 +923,10 @@ def test_small_rate_mask_is_the_pure_sparse_path(probability):
 def test_asymmetric_readout_splits_on_the_raw_outcome(p01, p10):
     """``p01`` flips only the cells that read 0, ``p10`` only those that
     read 1: at rates 1 and 0 every shot reports ``p01``'s side."""
-    recording, num_qubits = machine_recording(frame_clifford_machine())
+    recording, _ = machine_recording(frame_clifford_machine())
     shots = 1000
     raw, reported = propagate_frames(
-        recording, num_qubits, shots, np.random.default_rng(3),
+        recording, shots, np.random.default_rng(3),
         ReadoutErrorModel(p01=p01, p10=p10))
     raw_bits = unpack_shots(raw, shots)
     assert 0 < raw_bits.mean() < 1
@@ -817,11 +936,11 @@ def test_asymmetric_readout_splits_on_the_raw_outcome(p01, p10):
 
 
 def test_asymmetric_readout_rates_hold_per_raw_outcome():
-    recording, num_qubits = machine_recording(frame_clifford_machine())
+    recording, _ = machine_recording(frame_clifford_machine())
     shots = 200_000
     p01, p10 = 0.095, 0.02
     raw, reported = propagate_frames(
-        recording, num_qubits, shots, np.random.default_rng(8),
+        recording, shots, np.random.default_rng(8),
         ReadoutErrorModel(p01=p01, p10=p10))
     raw_bits = unpack_shots(raw, shots)
     flipped = raw_bits ^ unpack_shots(reported, shots)

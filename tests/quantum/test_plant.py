@@ -37,24 +37,25 @@ class TestAddressMapping:
     def test_off_chip_operation_raises_plant_error(self, backend):
         """An address the chip lacks is a PlantError on every entry
         point and backend, never a bare KeyError from the busy-time
-        table; the failed call leaves no trace in the log."""
+        table; the failed call leaves no trace in the recording."""
         plant = QuantumPlant(two_qubit_chip(), noise=NoiseModel.noiseless(),
                              rng=np.random.default_rng(0), backend=backend)
+        plant.recording = []
         with pytest.raises(PlantError, match="not on chip"):
             plant.apply_unitary("X", gates.X, (5,), 0.0, 20.0)
         with pytest.raises(PlantError, match="not on chip"):
             plant.apply_unitary("CNOT", gates.CNOT, (0, 5), 0.0, 40.0)
         with pytest.raises(PlantError, match="not on chip"):
             plant.measure(5, start_ns=0.0, duration_ns=300.0)
-        assert plant.operations_log == []
+        assert plant.recording == []
 
 
 class TestObservedMeasurement:
     def test_p_one_is_computed_once_with_the_same_draw(self,
                                                        monkeypatch):
-        """With a measure observer (a replay tree growing) the dense
-        P(1) is computed once, handed to the observer and reused for
-        the sample: same outcome, same RNG stream as unobserved."""
+        """With the recording open (a replay tree growing) the dense
+        P(1) is computed once, recorded and reused for the sample:
+        same outcome, same RNG stream as with the recording closed."""
         calls = []
         probability_one = DensityMatrix.probability_one
 
@@ -63,21 +64,21 @@ class TestObservedMeasurement:
             return probability_one(state, qubit)
 
         monkeypatch.setattr(DensityMatrix, "probability_one", counting)
-        observed = []
         outcomes = {}
         for watched in (False, True):
             plant = QuantumPlant(two_qubit_chip(), noise=NoiseModel(),
                                  rng=np.random.default_rng(5))
             plant.apply_unitary("X90", gates.X90, (2,), 0.0, 20.0)
             if watched:
-                plant.measure_observer = \
-                    lambda qubit, start_ns, p_one: observed.append(p_one)
+                plant.recording = []
             calls.clear()
             outcomes[watched] = (plant.measure(2, 20.0, 300.0),
                                  plant.rng.random())
             assert len(calls) == 1
         assert outcomes[True] == outcomes[False]
-        assert observed == [pytest.approx(0.5, abs=0.01)]
+        (measured,) = plant.recording
+        assert measured.p_one == pytest.approx(0.5, abs=0.01)
+        assert measured.raw == outcomes[True][0]
 
 
 class TestUnitaries:
@@ -111,12 +112,24 @@ class TestUnitaries:
         with pytest.raises(PlantError):
             plant.apply_unitary("X", gates.X, (), 0.0, 20.0)
 
-    def test_operations_log(self):
+    def test_recording_holds_the_calls_in_order(self):
+        """Closed by default; open, it holds each gate with its unitary
+        and each measurement with its pre-collapse P(1) and outcome."""
         plant = noiseless_plant()
+        plant.apply_unitary("X", gates.X, (2,), 0.0, 20.0)
+        assert plant.recording is None
+        plant.recording = []
         plant.apply_unitary("X90", gates.X90, (0,), 0.0, 20.0)
-        plant.measure(0, 20.0, 300.0)
-        names = [op.name for op in plant.operations_log]
-        assert names == ["X90", "MEASZ"]
+        plant.measure(2, 20.0, 300.0)
+        gate, measurement = plant.recording
+        assert gate.name == "X90" and gate.qubits == (0,)
+        assert gate.unitary is gates.X90 and gate.p_one is None
+        assert (gate.start_ns, gate.duration_ns) == (0.0, 20.0)
+        assert measurement.name == "MEASZ" and measurement.qubits == (2,)
+        assert measurement.unitary is None
+        assert (measurement.p_one, measurement.raw) == (1.0, 1)
+        assert (measurement.start_ns, measurement.duration_ns) == \
+            (20.0, 300.0)
 
 
 class TestShotLifecycle:
@@ -126,7 +139,6 @@ class TestShotLifecycle:
         plant.reset_shot()
         assert plant.probability_one(0) == pytest.approx(0.0)
         assert plant._qubit_free_at[0] == 0.0
-        assert plant.operations_log == []
 
     def test_qubit_free_at(self):
         plant = noiseless_plant()

@@ -19,8 +19,8 @@ from repro.experiments.cfc import CFC_TWO_ROUND_PROGRAM as CFC_TWO_ROUND
 from repro.experiments.reset import FIG4_PROGRAM as ACTIVE_RESET
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
+from repro.quantum.plant import AppliedOperation
 from repro.uarch import (
-    MeasurementSample,
     QuMAv2,
     ShotTrace,
     TimelineTree,
@@ -39,6 +39,12 @@ def make_machine(isa=None, noise=None, seed=0):
 
 def load(machine, text):
     machine.load(Assembler(machine.isa).assemble_text(text))
+
+
+def recorded_measurement(qubit, start_ns, p_one=0.5, raw=0):
+    """A measurement as the plant's open recording holds it."""
+    return AppliedOperation("MEASZ", (qubit,), start_ns, 300.0,
+                            p_one=p_one, raw=raw)
 
 
 def reported_path(trace):
@@ -195,8 +201,8 @@ class TestTreeSaturation:
                              noise=NoiseModel(),
                              rng=np.random.default_rng(3))
         tree = TimelineTree(plant, max_depth=1)
-        samples = [MeasurementSample(qubit=2, start_ns=0.0, p_one=0.5),
-                   MeasurementSample(qubit=2, start_ns=500.0, p_one=0.5)]
+        samples = [recorded_measurement(2, 0.0),
+                   recorded_measurement(2, 500.0)]
         trace = ShotTrace()  # only the length of .results matters here
         assert not tree.grow(samples, trace)
         assert "cap" in tree.growth_stopped_reason
@@ -246,11 +252,11 @@ class TestTreeSaturation:
         record = ResultRecord(qubit=2, raw_result=0, reported_result=0,
                               measure_start_ns=0.0, arrival_ns=100.0)
         trace = ShotTrace(results=[record])
-        sample = MeasurementSample(qubit=2, start_ns=0.0, p_one=0.5)
+        sample = recorded_measurement(2, 0.0)
         assert tree.grow([sample], trace)
         # Same (empty) outcome history, different first measurement:
         # only possible when timing depends on non-outcome state.
-        other = MeasurementSample(qubit=0, start_ns=0.0, p_one=0.5)
+        other = recorded_measurement(0, 0.0)
         other_trace = ShotTrace(results=[ResultRecord(
             qubit=0, raw_result=0, reported_result=0,
             measure_start_ns=0.0, arrival_ns=100.0)])

@@ -152,19 +152,21 @@ class TestMeasurementUnit:
     def test_mock_results_bypass_plant(self):
         unit, plant = self.make_unit()
         unit.inject_mock_results(2, [1, 0, 1])
+        plant.recording = []
         results = [unit.start_measurement(2, t * 1000.0).reported_result
                    for t in range(3)]
         assert results == [1, 0, 1]
-        assert plant.operations_log == []
+        assert plant.recording == []
 
     def test_mock_exhaustion_falls_back_to_plant(self):
         unit, plant = self.make_unit()
         unit.inject_mock_results(0, [1])
+        plant.recording = []
         assert unit.start_measurement(0, 0.0).reported_result == 1
         assert not unit.has_mock_results(0)
         pending = unit.start_measurement(0, 1000.0)
         assert pending.raw_result == 0  # real plant, ground state
-        assert len(plant.operations_log) == 1
+        assert len(plant.recording) == 1
 
     def test_mock_rejects_non_bits(self):
         unit, _ = self.make_unit()

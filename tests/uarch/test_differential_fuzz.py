@@ -583,8 +583,7 @@ def test_frame_batched_equivalence(seed):
 
 
 #: Sites the chaos shape draws from: every machine-level fault site.
-CHAOS_SITES = ("measurement_stall", "timing_overflow", "tree_bitflip",
-               "mock_exhaust")
+CHAOS_SITES = ("measurement_stall", "tree_bitflip", "mock_exhaust")
 
 CHAOS_SHOTS = 40
 
@@ -592,12 +591,11 @@ CHAOS_SHOTS = 40
 def reachable_chaos_sites(machine, mock_plan) -> list[str]:
     """The :data:`CHAOS_SITES` a loaded case can actually fire.
 
-    Every generated program runs gates, measurements and timing points
-    on each shot, so the first two sites are always reachable.  A
-    tree bit-flip needs a replay tree (a replay-eligible program with
-    no queued mock results), and a mock-queue wipe needs injected mock
-    results."""
-    sites = ["measurement_stall", "timing_overflow"]
+    Every generated program measures on each shot, so the first site
+    is always reachable.  A tree bit-flip needs a replay tree (a
+    replay-eligible program with no queued mock results), and a
+    mock-queue wipe needs injected mock results."""
+    sites = ["measurement_stall"]
     if not machine.replay_unsupported_reasons():
         sites.append("tree_bitflip")
     if mock_plan:

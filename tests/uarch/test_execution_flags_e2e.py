@@ -19,6 +19,7 @@ from repro.core.operations import (
 )
 from repro.quantum import NoiseModel, QuantumPlant, gates
 from repro.uarch import QuMAv2
+from shot_recording import recorded_shot
 
 
 def make_machine(operations=None, seed=0):
@@ -122,10 +123,12 @@ class TestLastTwoEqualFlag:
 class TestCancelledGatesDoNotTouchPlant:
     def test_cancelled_operation_absent_from_log(self):
         isa, machine = make_machine()
-        run_with_mock(machine, isa,
-                      PROGRAM_ONE_MEAS.replace("GATE", "C_X"), [0])
-        assert all(op.name != "C_X"
-                   for op in machine.plant.operations_log)
+        machine.measurement_unit.clear_mock_results()
+        machine.measurement_unit.inject_mock_results(2, [0])
+        machine.load(Assembler(isa).assemble_text(
+            PROGRAM_ONE_MEAS.replace("GATE", "C_X")))
+        _, log = recorded_shot(machine)
+        assert all(op.name != "C_X" for op in log)
 
     def test_somq_conditional_filters_per_qubit(self):
         """A conditional SOMQ gate on both qubits cancels only on the
@@ -144,10 +147,9 @@ class TestCancelledGatesDoNotTouchPlant:
         STOP
         """
         machine.load(Assembler(isa).assemble_text(text))
-        trace = machine.run_shot()
+        trace, log = recorded_shot(machine)
         cx = {t.qubits[0]: t.executed for t in trace.triggers
               if t.name == "C_X"}
         assert cx == {0: True, 2: False}
-        applied = [op.qubits for op in machine.plant.operations_log
-                   if op.name == "C_X"]
+        applied = [op.qubits for op in log if op.name == "C_X"]
         assert applied == [(0,)]

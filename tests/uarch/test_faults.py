@@ -27,7 +27,6 @@ from repro.core.errors import (
     EQASMError,
     ExperimentIntegrityError,
     GuardFault,
-    QueueOverflowError,
     ResourceError,
     RuntimeFault,
     ShotTimeoutError,
@@ -196,31 +195,6 @@ class TestMeasurementStallFault:
             setup.run(assembled, 10)
         assert info.value.qubit == 2
         assert info.value.register == 1
-        setup.machine.disarm_faults()
-        assert_clean_rerun(setup, assembled, 10)
-
-
-class TestTimingOverflowFault:
-    def test_detection_and_context(self):
-        machine = make_machine()
-        machine.arm_faults(FaultPlan([FaultSpec("timing_overflow",
-                                                shot=0)]))
-        with pytest.raises(QueueOverflowError) as info:
-            machine.run(2)
-        error = info.value
-        assert error.queue == "timing"
-        assert error.depth == machine.config.timing_queue_depth
-        assert error.occupancy >= 0
-
-    def test_recovery_after_disarm(self):
-        setup = make_setup()
-        assembled = setup.assemble_text(ACTIVE_RESET)
-        setup.machine.arm_faults(
-            FaultPlan([FaultSpec("timing_overflow", shot=0)]))
-        with pytest.raises(QueueOverflowError) as info:
-            setup.run(assembled, 10)
-        assert info.value.queue == "timing"
-        assert info.value.depth == setup.machine.config.timing_queue_depth
         setup.machine.disarm_faults()
         assert_clean_rerun(setup, assembled, 10)
 
@@ -566,8 +540,7 @@ class TestGuardFaultHierarchy:
             JobDeadlineError,
             WorkerPoolError,
         )
-        for cls in (ResourceError, ShotTimeoutError,
-                    QueueOverflowError, JobDeadlineError,
+        for cls in (ResourceError, ShotTimeoutError, JobDeadlineError,
                     AdmissionRejectedError, WorkerPoolError):
             assert issubclass(cls, GuardFault)
             assert issubclass(cls, RuntimeFault)

@@ -15,6 +15,7 @@ from repro.quantum import NoiseModel, QuantumPlant
 from repro.uarch import QuMAv2, UarchConfig, slip_config
 from repro.uarch.devices import QubitMicroOp
 from repro.uarch.quantum_pipeline import ReservedPoint
+from shot_recording import recorded_shot
 
 
 def make_machine(isa=None, noise=None, seed=0, config=None):
@@ -47,8 +48,7 @@ class TestFig3AllXYRoutine:
     def test_operations_applied_in_order(self):
         machine = make_machine()
         load(machine, self.TEXT)
-        machine.run_shot()
-        log = machine.plant.operations_log
+        _, log = recorded_shot(machine)
         names = [op.name for op in log]
         # Y on both qubits (SOMQ, one device channel per qubit), then
         # X90 and X, then two measurements.
@@ -60,8 +60,7 @@ class TestFig3AllXYRoutine:
         # Y immediately after init, X90/X 20 ns later, MEASZ 40 ns later.
         machine = make_machine()
         load(machine, self.TEXT)
-        machine.run_shot()
-        log = machine.plant.operations_log
+        _, log = recorded_shot(machine)
         start = {op.name: op.start_ns for op in log}
         assert start["X90"] - start["Y"] == pytest.approx(20.0)
         assert start["MEASZ"] - start["Y"] == pytest.approx(40.0)
@@ -69,9 +68,8 @@ class TestFig3AllXYRoutine:
     def test_somq_y_on_both_qubits(self):
         machine = make_machine()
         load(machine, self.TEXT)
-        machine.run_shot()
-        y_ops = [op for op in machine.plant.operations_log
-                 if op.name == "Y"]
+        _, log = recorded_shot(machine)
+        y_ops = [op for op in log if op.name == "Y"]
         assert sorted(q for op in y_ops for q in op.qubits) == [0, 2]
 
     def test_measurement_results_recorded(self):
@@ -136,9 +134,8 @@ class TestFig4ActiveReset:
     def test_conditional_gate_only_in_plant_log_when_executed(self):
         machine = make_machine(seed=9)
         load(machine, self.TEXT)
-        trace = machine.run_shot()
-        cx_applied = [op for op in machine.plant.operations_log
-                      if op.name == "C_X"]
+        trace, log = recorded_shot(machine)
+        cx_applied = [op for op in log if op.name == "C_X"]
         cx_trigger = [t for t in trace.triggers if t.name == "C_X"]
         assert len(cx_applied) == (1 if cx_trigger[0].executed else 0)
 
@@ -238,14 +235,14 @@ class TestTriggerPlans:
         load(machine, TestFig4ActiveReset.TEXT)
         executed = []
         for _ in range(60):
-            trace = machine.run_shot()
+            trace, log = recorded_shot(machine)
             first_result = trace.results_for(2)[0].reported_result
             (cx,) = [t for t in trace.triggers if t.name == "C_X"]
             # A cancelled trigger keeps its record, executed=False.
             assert cx.executed == (first_result == 1)
             assert cx.condition == "LAST_ONE"
             assert cx.qubits == (2,)
-            applied = [op.name for op in machine.plant.operations_log]
+            applied = [op.name for op in log]
             assert ("C_X" in applied) == cx.executed
             executed.append(cx.executed)
         assert any(executed) and not all(executed)
@@ -278,10 +275,9 @@ class TestFig5CFC:
         load(machine, self.TEXT)
         saw = set()
         for _ in range(60):
-            trace = machine.run_shot()
+            trace, log = recorded_shot(machine)
             result = trace.results_for(2)[0].reported_result
-            applied = [op.name for op in machine.plant.operations_log
-                       if op.qubits == (0,)]
+            applied = [op.name for op in log if op.qubits == (0,)]
             assert len(applied) == 1
             expected = "Y" if result == 1 else "X"
             assert applied[0] == expected
@@ -304,9 +300,8 @@ class TestFig5CFC:
         load(machine, self.TEXT)
         applied = []
         for _ in range(20):
-            machine.run_shot()
-            ops = [op.name for op in machine.plant.operations_log
-                   if op.qubits == (0,)]
+            _, log = recorded_shot(machine)
+            ops = [op.name for op in log if op.qubits == (0,)]
             applied.extend(ops)
         assert applied == ["X", "Y"] * 10
 
@@ -314,9 +309,8 @@ class TestFig5CFC:
         machine = make_machine(seed=4)
         machine.measurement_unit.inject_mock_results(2, [1])
         load(machine, self.TEXT)
-        machine.run_shot()
-        measured = [op for op in machine.plant.operations_log
-                    if op.name == "MEASZ"]
+        _, log = recorded_shot(machine)
+        measured = [op for op in log if op.name == "MEASZ"]
         assert measured == []
 
     def test_fmr_deadlock_detected(self):
@@ -416,9 +410,8 @@ class TestTwoQubitGates:
         CZ T0
         STOP
         """)
-        machine.run_shot()
-        cz_ops = [op for op in machine.plant.operations_log
-                  if op.name == "CZ"]
+        _, log = recorded_shot(machine)
+        cz_ops = [op for op in log if op.name == "CZ"]
         assert len(cz_ops) == 1
         assert cz_ops[0].qubits == (0, 2)
 
@@ -446,9 +439,8 @@ class TestTwoQubitGates:
         CZ T0
         STOP
         """)
-        machine.run_shot()
-        cz_ops = [op for op in machine.plant.operations_log
-                  if op.name == "CZ"]
+        _, log = recorded_shot(machine)
+        cz_ops = [op for op in log if op.name == "CZ"]
         assert len(cz_ops) == 2
         assert {op.qubits for op in cz_ops} == {(2, 0), (1, 4)}
 

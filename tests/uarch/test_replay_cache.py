@@ -26,7 +26,7 @@ from repro.core import (
     rotated_surface_instantiation,
     two_qubit_instantiation,
 )
-from repro.core.errors import ExperimentIntegrityError
+from repro.core.errors import ExperimentIntegrityError, RuntimeFault
 from repro.experiments.reset import FIG4_PROGRAM as ACTIVE_RESET
 from repro.experiments.runner import ExperimentSetup
 from repro.quantum import NoiseModel, QuantumPlant
@@ -468,3 +468,78 @@ class TestEngineStatsSnapshot:
         assert len(mid_flight) == 1
         assert mid_flight[0].shots_total == 30     # one 30-shot chunk
         assert setup.last_engine_stats.shots_total == 30
+
+
+class TestPlantRecordingIsClosed:
+    """The plant's recording is opened only by its reader, around one
+    shot.  After a growth shot, an audit, a plain interpreter run and a
+    frame reference shot, raising or not, it is closed again and the
+    plant holds its own noise model (the reference shot runs with gate
+    error zeroed)."""
+
+    @staticmethod
+    def assert_closed(machine, noise):
+        assert machine.plant.recording is None
+        assert machine.plant.noise is noise
+
+    def test_after_growth_and_audit_shots(self):
+        noise = NoiseModel()
+        isa = two_qubit_instantiation()
+        machine = QuMAv2(isa, QuantumPlant(isa.topology, noise=noise,
+                                           rng=np.random.default_rng(4)),
+                         audit_fraction=1.0)
+        load(machine, ACTIVE_RESET)
+        machine.run_counts(50)
+        stats = machine.engine_stats
+        assert stats.engine == "replay"
+        assert stats.interpreter_shots > 0 and stats.replay_audits > 0
+        self.assert_closed(machine, noise)
+
+    def test_after_a_plain_interpreter_run(self):
+        noise = NoiseModel()
+        machine = make_machine(noise=noise, seed=4)
+        load(machine, ACTIVE_RESET)
+        machine.run(5, use_replay=False)
+        assert machine.engine_stats.engine == "interpreter"
+        self.assert_closed(machine, noise)
+
+    def test_after_a_frame_reference_shot(self):
+        machine = frame_machine()
+        noise = machine.plant.noise
+        assert_recorded(run_frame(machine))
+        self.assert_closed(machine, noise)
+
+    def test_after_a_reference_shot_that_raises(self):
+        """A result lost on the link at shot 0 fails the reference
+        shot's count check; the recording and the noise are restored
+        all the same."""
+        machine = frame_machine()
+        noise = machine.plant.noise
+        machine.arm_faults(FaultPlan([FaultSpec("measurement_stall",
+                                                shot=0)]))
+        with pytest.raises(ExperimentIntegrityError) as info:
+            machine.run_counts(30)
+        assert (info.value.recorded, info.value.traced) == (2, 1)
+        self.assert_closed(machine, noise)
+
+    @pytest.mark.parametrize("engine", ["frame", "replay"])
+    def test_after_a_shot_that_raises_inside(self, engine):
+        """A reference or growth shot that raises after the plant ran
+        (here: once its gates and measurements are recorded) leaves
+        the recording closed and the noise restored."""
+        machine = frame_machine() if engine == "frame" else \
+            make_machine(noise=NoiseModel(), seed=4)
+        if engine == "replay":
+            load(machine, ACTIVE_RESET)
+        noise = machine.plant.noise
+        run_shot = machine.run_shot
+
+        def failing_shot():
+            run_shot()
+            assert machine.plant.recording
+            raise RuntimeFault("shot failed after the plant ran")
+
+        machine.run_shot = failing_shot
+        with pytest.raises(RuntimeFault, match="after the plant ran"):
+            machine.run_counts(10)
+        self.assert_closed(machine, noise)

@@ -20,6 +20,7 @@ from repro.core import (
 )
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.uarch import QuMAv2
+from shot_recording import recorded_shot
 
 _ISA = seven_qubit_instantiation()
 _SINGLE_NAMES = ("I", "X", "Y", "X90", "Y90", "XM90", "YM90", "H")
@@ -48,8 +49,7 @@ def run_on_machine(program):
                          rng=np.random.default_rng(0))
     machine = QuMAv2(_ISA, plant)
     machine.load(assembled)
-    machine.run_shot()
-    return plant.operations_log
+    return recorded_shot(machine)[1]
 
 
 class TestTimelineCrossCheck:
