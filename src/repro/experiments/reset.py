@@ -42,7 +42,7 @@ class ResetResult:
     readout_fidelity: float
     #: Per-run execution-engine statistics — active reset exercises
     #: fast conditional execution, so this shows the branch-resolved
-    #: replay path (shots via interpreter vs replay, cache hits).
+    #: replay path (shots via interpreter vs replay).
     engine_stats: EngineStats = field(default_factory=EngineStats)
 
     def matches_paper(self, tolerance: float = 0.04) -> bool:

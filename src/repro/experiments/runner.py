@@ -172,7 +172,7 @@ class ExperimentSetup:
     @property
     def last_engine_stats(self) -> EngineStats:
         """Engine statistics of the most recent ``run*`` call: shots
-        via interpreter vs replay, segment-cache hits/misses, fallback
+        via interpreter vs replay, segment-cache misses, fallback
         reasons (see :class:`~repro.uarch.replay.EngineStats`).  The
         object is *live* while a ``run_iter`` stream is being consumed
         — use :meth:`engine_stats_snapshot` for a stable copy."""
@@ -183,7 +183,7 @@ class ExperimentSetup:
 
         Long sweeps consuming :meth:`run_iter` can report the engine
         mix mid-flight (shots so far, interpreter vs replay split,
-        segment-cache hits) without aliasing the live, still-mutating
+        segment-cache misses) without aliasing the live, still-mutating
         stats object."""
         return self.machine.engine_stats_snapshot()
 

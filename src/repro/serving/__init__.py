@@ -56,12 +56,12 @@ The durability contract
    shard, and only stragglers are killed; a drain that ends any other
    way (an error, a deadline, a closed generator) kills its workers.
 
-Chaos coverage: the process-level fault sites
-(:data:`~repro.uarch.faults.PROCESS_FAULT_SITES` — ``worker_crash``,
-``worker_hang``, ``result_drop``) are armed on the *service* via the
-same deterministic :class:`~repro.uarch.faults.FaultPlan` machinery as
-the in-process sites, and the chaos suite asserts the recovered
-distribution equals the fault-free one bit for bit.
+Chaos coverage: the fault sites
+(:data:`~repro.uarch.faults.FAULT_SITES` — ``worker_crash``,
+``worker_hang``, ``result_drop``) are armed on the *service* via a
+deterministic :class:`~repro.uarch.faults.FaultPlan`, and the chaos
+suite asserts the recovered distribution equals the fault-free one
+bit for bit.  The machine itself carries no injection hook.
 """
 
 from repro.serving.journal import CheckpointJournal, record_digest

@@ -296,8 +296,8 @@ class SweepService:
     # Chaos
     # ------------------------------------------------------------------
     def arm_faults(self, plan: FaultPlan | None) -> None:
-        """Arm a process-level chaos plan (None disarms).  Only the
-        :data:`~repro.uarch.faults.PROCESS_FAULT_SITES` fire here; the
+        """Arm a process-level chaos plan (None disarms).  Every site
+        of :data:`~repro.uarch.faults.FAULT_SITES` fires here; the
         plan's shot index means *sweep point index*."""
         self.fault_plan = plan
 

@@ -48,7 +48,6 @@ from repro.core.encoding import InstructionDecoder
 from repro.core.errors import (
     ConfigurationError,
     EQASMError,
-    ExperimentIntegrityError,
     RuntimeFault,
     ShotTimeoutError,
     TimingViolationError,
@@ -101,7 +100,6 @@ from repro.uarch.devices import (
     PulseLibrary,
 )
 from repro.uarch.dataflow import DataMemoryReport, analyze_data_memory
-from repro.uarch.faults import FaultPlan
 from repro.uarch.measurement import MeasurementUnit, PendingResult
 from repro.uarch.quantum_pipeline import QuantumPipeline, ReservedPoint
 from repro.uarch.replay import (
@@ -129,9 +127,8 @@ from repro.uarch.trace import (
 #: run_iter consumer promptly.  Either engine yields a chunk as one
 #: ShotBatch, which run_counts folds whole and run_iter splices one
 #: trace at a time, and counts it into the run's EngineStats whole
-#: before yielding it.  Either engine advances the fault plan's shot
-#: index once per chunk, to its first shot; a replay chunk is also the
-#: unit its audits run on.
+#: before yielding it; a replay chunk is also the unit its audits run
+#: on.
 _CHUNK_SHOTS = 65536
 
 #: Cached tree walks are timed into this counter pair (``.time_ns`` +
@@ -272,7 +269,7 @@ class QuMAv2:
         #: run — the default), or "dense"/"stabilizer" to pin a backend.
         self.plant_backend_policy = plant_backend
         #: Per-run engine statistics (engine and backend chosen and why,
-        #: shots per engine, segment-cache hits/misses); replaced by
+        #: shots per engine, segment-cache misses); replaced by
         #: each run_iter().  The engine/backend labels below read it.
         self.engine_stats = EngineStats()
         # The words of the loaded binary; the state derived from them
@@ -286,11 +283,6 @@ class QuMAv2:
         #: Divergence drops the tree and degrades the run — see
         #: :meth:`_replay_shots`.
         self.audit_fraction = audit_fraction
-        #: Armed :class:`~repro.uarch.faults.FaultPlan` (None in
-        #: production) — see :meth:`arm_faults`.
-        self.fault_plan: FaultPlan | None = None
-        # Fault records already mirrored as trace events this run.
-        self._fault_record_base = 0
         # Wall time of the timed calls nested in the current _timed call.
         self._nested_ns = 0
         #: Observability handle (:class:`repro.obs.Observability`, None
@@ -336,22 +328,6 @@ class QuMAv2:
     plant_backend_reason = _stats_view(
         "plant_backend_reason", "Why the last run kept the dense backend "
         "(None on the tableau).")
-
-    def arm_faults(self, plan: FaultPlan | None) -> None:
-        """Arm a deterministic fault-injection plan (None disarms).
-
-        The one plan is shared by the two subsystems with an injection
-        site — the machine itself (``measurement_stall``,
-        ``tree_bitflip``) and the measurement unit (``mock_exhaust``)
-        — so one chaos experiment coordinates shot-pinned failures
-        across both.
-        """
-        self.fault_plan = plan
-        self.measurement_unit.fault_plan = plan
-
-    def disarm_faults(self) -> None:
-        """Remove any armed fault-injection plan."""
-        self.arm_faults(None)
 
     # ------------------------------------------------------------------
     # Program loading
@@ -545,7 +521,6 @@ class QuMAv2:
         # onto the wrong measurements), so multi-shot runs always start
         # from a clean slate.
         self.measurement_unit.clear_forced_results()
-        plan = self.fault_plan
         try:
             if shots <= 0:
                 return
@@ -558,16 +533,9 @@ class QuMAv2:
             self.plant.use_backend(kind)
             stats.plant_backend = kind
             stats.plant_backend_reason = reason
-            if plan is not None:
-                plan.begin_run()
-                self._fault_record_base = len(plan.records)
-            engine = self._timed(
-                self._choose_engine, kind, use_replay, shots, stats, plan,
+            yield from self._timed(
+                self._choose_engine, kind, use_replay, shots, stats,
                 span="machine.replay_analysis")
-            try:
-                yield from engine
-            finally:
-                self._sync_faults(stats, plan)
         finally:
             if obs is not None:
                 obs.record_engine_run(stats)
@@ -575,8 +543,7 @@ class QuMAv2:
                         plant_backend=stats.plant_backend)
 
     def _choose_engine(self, kind: str, use_replay: bool, shots: int,
-                       stats: EngineStats, plan: FaultPlan | None
-                       ) -> Iterator:
+                       stats: EngineStats) -> Iterator:
         """The (unstarted) shot generator of the engine the loaded
         program can use on backend ``kind``.  The fast paths label
         ``stats`` themselves; an interpreter run is labelled here, with
@@ -593,38 +560,43 @@ class QuMAv2:
             reasons = ["replay disabled by caller"]
         else:
             verdict = self._binary_verdict()
-            trajectory = (kind == "stabilizer" and
-                          not self.plant.noise.gate_error.is_zero)
-            mocked = self.measurement_unit.has_any_mock_results()
-            fast = not verdict.replay and not mocked
-            if fast and not trajectory:
+            blockers = self._run_blockers(kind)
+            fast = not verdict.replay and _MOCK_BLOCKER not in blockers
+            if fast and not blockers:
                 return self._replay_shots(
-                    shots, stats, plan, verdict.report,
+                    shots, stats, verdict.report,
                     outcome_independent=not verdict.frame)
             if fast and not verdict.frame:
-                return self._frame_shots(shots, stats, plan, verdict.report)
-            reasons = verdict.replay + [_TRAJECTORY_BLOCKER] * trajectory \
-                + [_MOCK_BLOCKER] * mocked
+                return self._frame_shots(shots, stats, verdict.report)
+            reasons = verdict.replay + blockers
         stats.engine = "interpreter"
         stats.fallback_reason = "; ".join(reasons)
-        return self._interpreter_shots(0, shots, stats, plan)
+        return self._interpreter_shots(shots, stats)
 
-    def _interpreter_shots(self, first_shot: int, shots: int,
-                           stats: EngineStats, plan: FaultPlan | None
+    def _run_blockers(self, kind: str | None) -> list[str]:
+        """The run-time fast-path blockers, in reason order: stochastic
+        Pauli gate noise on backend ``kind`` (None skips that check)
+        and queued mock results."""
+        reasons = []
+        if kind == "stabilizer" and not self.plant.noise.gate_error.is_zero:
+            reasons.append(_TRAJECTORY_BLOCKER)
+        if self.measurement_unit.has_any_mock_results():
+            reasons.append(_MOCK_BLOCKER)
+        return reasons
+
+    def _interpreter_shots(self, shots: int, stats: EngineStats
                            ) -> Iterator[ShotTrace]:
-        """Shots ``first_shot`` .. ``shots - 1``, one full interpreter
-        shot each: the whole run when a hard blocker rules the fast
-        paths out, the rest of the run when one degrades."""
-        for shot_index in range(first_shot, shots):
-            if plan is not None:
-                plan.begin_shot(shot_index)
+        """``shots`` full interpreter shots: the whole run when a hard
+        blocker rules the fast paths out, the rest of the run when one
+        degrades."""
+        for _ in range(shots):
             stats.shots_total += 1
             stats.interpreter_shots += 1
             yield self._timed(self.run_shot,
                               histogram="engine.interpreter.shot.time_ns")
 
     def _replay_shots(self, shots: int, stats: EngineStats,
-                      plan: FaultPlan | None, report: DataMemoryReport,
+                      report: DataMemoryReport,
                       outcome_independent: bool) -> Iterator:
         """Serve the run from the branch-resolved timeline tree (see
         :mod:`repro.uarch.replay`): walk it once per chunk of up to
@@ -636,10 +608,7 @@ class QuMAv2:
         :class:`ShotBatch` (a group per reached terminal, plus the
         growth traces), counted into ``stats`` before it is yielded:
         its growth shots as interpreter shots and cache misses, the
-        rest as replay shots and cache hits.  An armed fault plan
-        advances its shot index once per chunk, to the chunk's first
-        shot, and may corrupt a cached template there
-        (``tree_bitflip``).  With ``audit_fraction > 0`` the walked
+        rest as replay shots.  With ``audit_fraction > 0`` the walked
         terminals are audited before the chunk is counted and yielded;
         a divergence drops the chunk uncounted, evicts the tree and
         hands the chunk and the rest of the run to
@@ -667,77 +636,63 @@ class QuMAv2:
                 histogram="engine.replay.growth_shot.time_ns")
 
         credit = 0.0
-        try:
-            for first in range(0, shots, _CHUNK_SHOTS):
-                chunk = min(shots - first, _CHUNK_SHOTS)
-                if plan is not None:
-                    plan.begin_shot(first)
-                    if plan.would_fire("tree_bitflip"):
-                        detail = tree.corrupt_random_template(plan.rng)
-                        if detail is not None:
-                            plan.fire("tree_bitflip", detail=detail)
-                batch = self._timed(tree.sample_cohort, chunk, grow,
-                                    counter=_WALK_COUNTER, counted=chunk)
-                track_tree()
-                # Deterministic audit cadence (a credit accumulator,
-                # not an RNG draw, so audits never perturb the plant's
-                # random stream): each cached shot earns
-                # ``audit_fraction``, and one audit of a terminal checks
-                # every shot on it, so it spends all whole credit.
-                for group in batch.groups:
-                    credit += group.size * self.audit_fraction
-                    if credit < 1.0 - 1e-12:
-                        continue
-                    credit -= math.floor(credit + 1e-12)
-                    shot_index = first + int(group.indices[0])
-                    mismatched, detail = self._timed(
-                        self._audit_replay_shot, group.template,
-                        histogram="engine.replay.audit.time_ns")
-                    stats.replay_audits += 1
-                    stats.last_audit = ReplayAudit(
-                        shot_index=shot_index, mismatched_fields=mismatched,
-                        tree_evicted=bool(mismatched), detail=detail)
-                    if mismatched:
-                        # The run keeps its "replay" label only if an
-                        # earlier chunk was served from the tree.
-                        stats.audit_divergences += 1
-                        reason = (f"replay audit divergence at shot "
-                                  f"{shot_index} ({', '.join(mismatched)})")
-                        stats.degradations.append(
-                            f"replay -> interpreter: {reason}")
-                        stats.fallback_reason = reason
-                        if stats.replay_shots == 0:
-                            stats.engine = "interpreter"
-                        if self._obs is not None:
-                            self._obs.event("machine.degradation",
-                                            engine="replay", detail=reason)
-                        self._evict_tree(tree)
-                        yield from self._interpreter_shots(
-                            first, shots, stats, plan)
-                        return
-                grown = len(batch.growth)
-                stats.shots_total += chunk
-                stats.interpreter_shots += grown
-                stats.segment_cache_misses += grown
-                stats.replay_shots += chunk - grown
-                stats.segment_cache_hits += chunk - grown
-                yield batch
-            if stats.replay_shots == 0:
-                # Every shot was a growth shot — e.g. the outcome paths
-                # exceed the tree caps from shot one.  Reporting
-                # "replay" for a 100%-interpreter run would be a lie.
-                reason = ("replay selected but every shot ran as an "
-                          "interpreter growth shot")
-                if tree.growth_stopped_reason is not None:
-                    reason += f" ({tree.growth_stopped_reason})"
-                stats.engine = "interpreter"
-                stats.fallback_reason = reason
-        finally:
-            if plan is not None and plan.fired_this_run:
-                # A fault that fired during this run may have stopped
-                # tree growth early or corrupted cached state; never
-                # let the tree leak into later runs.
-                self._evict_tree(tree)
+        for first in range(0, shots, _CHUNK_SHOTS):
+            chunk = min(shots - first, _CHUNK_SHOTS)
+            batch = self._timed(tree.sample_cohort, chunk, grow,
+                                counter=_WALK_COUNTER, counted=chunk)
+            track_tree()
+            # Deterministic audit cadence (a credit accumulator, not an
+            # RNG draw, so audits never perturb the plant's random
+            # stream): each cached shot earns ``audit_fraction``, and
+            # one audit of a terminal checks every shot on it, so it
+            # spends all whole credit.
+            for group in batch.groups:
+                credit += group.size * self.audit_fraction
+                if credit < 1.0 - 1e-12:
+                    continue
+                credit -= math.floor(credit + 1e-12)
+                shot_index = first + int(group.indices[0])
+                mismatched, detail = self._timed(
+                    self._audit_replay_shot, group.template,
+                    histogram="engine.replay.audit.time_ns")
+                stats.replay_audits += 1
+                stats.last_audit = ReplayAudit(
+                    shot_index=shot_index, mismatched_fields=mismatched,
+                    tree_evicted=bool(mismatched), detail=detail)
+                if mismatched:
+                    # The run keeps its "replay" label only if an
+                    # earlier chunk was served from the tree.
+                    stats.audit_divergences += 1
+                    reason = (f"replay audit divergence at shot "
+                              f"{shot_index} ({', '.join(mismatched)})")
+                    stats.degradations.append(
+                        f"replay -> interpreter: {reason}")
+                    stats.fallback_reason = reason
+                    if stats.replay_shots == 0:
+                        stats.engine = "interpreter"
+                    if self._obs is not None:
+                        self._obs.event("machine.degradation",
+                                        engine="replay", detail=reason)
+                    if self._tree is tree:
+                        self._tree = None  # no later run reuses it
+                    yield from self._interpreter_shots(shots - first, stats)
+                    return
+            grown = len(batch.growth)
+            stats.shots_total += chunk
+            stats.interpreter_shots += grown
+            stats.segment_cache_misses += grown
+            stats.replay_shots += chunk - grown
+            yield batch
+        if stats.replay_shots == 0:
+            # Every shot was a growth shot — e.g. the outcome paths
+            # exceed the tree caps from shot one.  Reporting "replay"
+            # for a 100%-interpreter run would be a lie.
+            reason = ("replay selected but every shot ran as an "
+                      "interpreter growth shot")
+            if tree.growth_stopped_reason is not None:
+                reason += f" ({tree.growth_stopped_reason})"
+            stats.engine = "interpreter"
+            stats.fallback_reason = reason
 
     def _timed(self, call, *args, span: str | None = None,
                histogram: str | None = None, counter: str | None = None,
@@ -801,28 +756,6 @@ class QuMAv2:
         return mismatched, (
             "cached replay trace diverged from its interpreter shadow"
             if mismatched else "")
-
-    def _evict_tree(self, tree) -> None:
-        """Stop reusing ``tree`` (a timeline tree or frame reference)
-        in later runs (the in-run reference is the caller's to
-        abandon)."""
-        if self._tree is tree:
-            self._tree = None
-
-    def _sync_faults(self, stats: EngineStats,
-                     plan: FaultPlan | None) -> None:
-        """Mirror the plan's fired-fault records into the run stats
-        (and, when tracing, emit each new record as a trace event)."""
-        if plan is None:
-            return
-        stats.faults_injected = [record.describe()
-                                 for record in plan.records]
-        obs = self._obs
-        if obs is not None:
-            for record in plan.records[self._fault_record_base:]:
-                obs.event("machine.fault_injected",
-                          detail=record.describe())
-            self._fault_record_base = len(plan.records)
 
     def data_memory_report(self) -> DataMemoryReport:
         """The dataflow pass's verdict on the loaded binary's ``LD``/
@@ -1045,13 +978,7 @@ class QuMAv2:
         different fabricated bits, and these short experiments run on
         the interpreter."""
         kind, _ = self._select_plant_backend()
-        reasons = list(self._binary_verdict().replay)
-        if kind == "stabilizer" and \
-                not self.plant.noise.gate_error.is_zero:
-            reasons.append(_TRAJECTORY_BLOCKER)
-        if self.measurement_unit.has_any_mock_results():
-            reasons.append(_MOCK_BLOCKER)
-        return reasons
+        return self._binary_verdict().replay + self._run_blockers(kind)
 
     def frame_batch_unsupported_reasons(self) -> list[str]:
         """Every reason the loaded program cannot use the Pauli-frame
@@ -1069,13 +996,9 @@ class QuMAv2:
         regime replay cannot serve.
         """
         verdict = self._binary_verdict()
-        reasons = verdict.replay + verdict.frame
-        if self.measurement_unit.has_any_mock_results():
-            reasons.append(_MOCK_BLOCKER)
-        return reasons
+        return verdict.replay + verdict.frame + self._run_blockers(None)
 
     def _frame_shots(self, shots: int, stats: EngineStats,
-                     plan: FaultPlan | None,
                      report: DataMemoryReport) -> Iterator:
         """Serve ``shots`` shots through the Pauli-frame batched
         engine (see :mod:`repro.quantum.pauli_frame`).
@@ -1093,41 +1016,32 @@ class QuMAv2:
         and builds no table (``frame_reference_shots == 0``,
         ``tree_reused``).  A binary whose loads may read host-written
         memory (not :attr:`DataMemoryReport.cross_run_cacheable`)
-        records afresh every run, and a run in which a fault fired
-        keeps nothing.  Each chunk's outcomes are then sampled from
-        the table with no step walk (:func:`propagate_frames`, called
-        once per chunk); each chunk is counted into ``stats``
-        and yielded as one :class:`ShotBatch`: one group of every shot
-        on the reference template, with packed ``(measurements,
-        words)`` raw and reported outcome columns.  The fault plan's
-        shot index advances per chunk.  A failed reference shot ends
-        the run with its error and keeps nothing.
+        records afresh every run.  Each chunk's outcomes are then
+        sampled from the table with no step walk
+        (:func:`propagate_frames`, called once per chunk); each chunk is
+        counted into ``stats`` and yielded as one :class:`ShotBatch`:
+        one group of every shot on the reference template, with packed
+        ``(measurements, words)`` raw and reported outcome columns.  A
+        failed reference shot ends the run with its error and keeps
+        nothing.
         """
         stats.engine = "frame"
-        reference, stats.tree_reused = self._replay_tree(
+        (template, recording), stats.tree_reused = self._replay_tree(
             report.cross_run_cacheable,
-            lambda: self._frame_reference(stats, plan))
-        template, recording = reference
+            lambda: self._frame_reference(stats))
         readout = self.plant.noise.readout
-        try:
-            for first in range(0, shots, _CHUNK_SHOTS):
-                chunk = min(shots - first, _CHUNK_SHOTS)
-                if plan is not None:
-                    plan.begin_shot(first)
-                raw, reported = self._timed(
-                    propagate_frames, recording, chunk,
-                    self.plant.rng, readout, span="engine.frame.batch",
-                    histogram="engine.frame.batch.time_ns", shots=chunk)
-                stats.shots_total += chunk
-                stats.frame_batched += chunk
-                yield ShotBatch(chunk, [ShotGroup(template, chunk)],
-                                raw, reported)
-        finally:
-            if plan is not None and plan.fired_this_run:
-                self._evict_tree(reference)
+        for first in range(0, shots, _CHUNK_SHOTS):
+            chunk = min(shots - first, _CHUNK_SHOTS)
+            raw, reported = self._timed(
+                propagate_frames, recording, chunk,
+                self.plant.rng, readout, span="engine.frame.batch",
+                histogram="engine.frame.batch.time_ns", shots=chunk)
+            stats.shots_total += chunk
+            stats.frame_batched += chunk
+            yield ShotBatch(chunk, [ShotGroup(template, chunk)],
+                            raw, reported)
 
-    def _frame_reference(self, stats: EngineStats,
-                         plan: FaultPlan | None
+    def _frame_reference(self, stats: EngineStats
                          ) -> tuple[ShotTrace, FrameRecording]:
         """Run the frame engine's reference shot: one interpreter shot
         under the plant's noise with gate error zeroed (the noise is
@@ -1135,16 +1049,13 @@ class QuMAv2:
         Returns its trace and the :class:`FrameRecording` derived from
         the recorded calls under the real noise model
         (:func:`frame_recording`).  A failed shot raises its own
-        structured error, as a failed growth shot does.  A recording
-        that cannot drive the splice raises
-        :class:`ExperimentIntegrityError`: the recording holds every
-        measurement the plant collapsed, the trace every result that
-        arrived, and a result lost on the link (``measurement_stall``)
-        leaves the trace one short."""
+        structured error, as a failed growth shot does.  The recording
+        holds every measurement the plant collapsed and the trace every
+        result that arrived: a frame-eligible binary has no conditional
+        micro-op or mock, and :meth:`run_shot` drains every result
+        event, so the two always agree."""
         plant = self.plant
         noise = plant.noise
-        if plan is not None:
-            plan.begin_shot(0)
         calls = plant.recording = []
         plant.noise = replace(noise, gate_error=GateErrorModel(0.0, 0.0))
         try:
@@ -1153,14 +1064,6 @@ class QuMAv2:
         finally:
             plant.recording = None
             plant.noise = noise
-        recorded = sum(call.unitary is None for call in calls)
-        if recorded != len(template.results):
-            raise ExperimentIntegrityError(
-                f"frame recording captured {recorded} "
-                f"measurements but the reference trace holds "
-                f"{len(template.results)}",
-                recorded=recorded,
-                traced=len(template.results))
         stats.frame_reference_shots += 1
         return template, frame_recording(calls, noise,
                                          plant.topology.qubits)
@@ -1520,23 +1423,13 @@ class QuMAv2:
                 continue
             kind = planned.kind
             if kind == _MEASURE:
-                self._start_measurement(planned.qubit, time_ns)
+                pending = self.measurement_unit.start_measurement(
+                    planned.qubit, time_ns)
+                self._push_event(pending.arrival_ns, "result", pending)
             elif kind == _SINGLE:
                 self._apply_gate(planned, planned.qubits, time_ns)
             else:
                 self._collect_pair_half(planned, cycle, time_ns)
-
-    def _start_measurement(self, qubit: int, time_ns: float) -> None:
-        pending = self.measurement_unit.start_measurement(qubit, time_ns)
-        plan = self.fault_plan
-        if plan is not None and plan.fire(
-                "measurement_stall", qubit=qubit,
-                measure_start_ns=time_ns):
-            # The result is lost on the UHFQC link: the readout ran but
-            # nothing ever arrives at the controller.  A dependent FMR
-            # then stalls forever and the shot-timeout guard fires.
-            return
-        self._push_event(pending.arrival_ns, "result", pending)
 
     def _on_result_arrival(self, time_ns: float,
                            pending: PendingResult) -> None:

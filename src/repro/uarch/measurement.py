@@ -53,9 +53,6 @@ class MeasurementUnit:
         self.measurement_duration_cycles = measurement_duration_cycles
         self._mock_results: dict[int, deque[int]] = {}
         self._forced_results: deque[tuple[int, int]] = deque()
-        #: Armed :class:`~repro.uarch.faults.FaultPlan` (None in
-        #: production) — set by :meth:`QuMAv2.arm_faults`.
-        self.fault_plan = None
 
     # ------------------------------------------------------------------
     # Mock-result injection (CFC verification, Section 5)
@@ -137,13 +134,6 @@ class MeasurementUnit:
         caller schedules the Q-register/flag updates at that time.
         """
         duration = self.measurement_duration_ns()
-        plan = self.fault_plan
-        if (plan is not None and self._mock_results and
-                plan.fire("mock_exhaust", qubit=qubit)):
-            # The UHFQC's fabricated-result program dies: every queued
-            # mock vanishes and this (and all later) measurements fall
-            # through to the real plant.
-            self.clear_mock_results()
         queue = self._mock_results.get(qubit)
         if queue:
             raw = reported = queue.popleft()  # mocks bypass the analog chain

@@ -52,8 +52,6 @@ fold plan).  The terminal is also the unit of the self-verifying
 audit: one shadow interpreter run forced onto its outcome path checks
 every shot that reached it, before the chunk is delivered (an audit
 names the terminal's first shot, so a fired audit reads its indices).
-An armed fault plan sees one shot index per chunk, the chunk's first
-shot.
 No plant state is touched at all — the chain rule over per-node
 conditional probabilities reproduces the interpreter's joint outcome
 distribution exactly, whichever order the draws are made in.
@@ -200,7 +198,8 @@ class EngineStats:
     #: Shots that ran through the full interpreter (probe/growth shots
     #: on the replay path count here too).
     interpreter_shots: int = 0
-    #: Shots served purely from the timeline-segment tree.
+    #: Shots served purely from the timeline-segment tree (tree walks
+    #: that found a complete cached path).
     replay_shots: int = 0
     #: Shots served by the Pauli-frame batched engine (vectorised frame
     #: rows over the reference shot's frozen timeline).  The
@@ -214,8 +213,6 @@ class EngineStats:
     #: not delivered shots — they count in neither ``shots_total`` nor
     #: ``interpreter_shots``.
     frame_reference_shots: int = 0
-    #: Tree walks that found a complete cached path.
-    segment_cache_hits: int = 0
     #: Tree walks that hit an unexplored outcome edge (each miss costs
     #: one interpreter shot which grows the tree).
     segment_cache_misses: int = 0
@@ -255,9 +252,6 @@ class EngineStats:
     #: handed the rest of this run to the interpreter (at most one per
     #: run; the divergence is its only writer).
     degradations: list[str] = field(default_factory=list)
-    #: Human-readable descriptions of every injected fault that fired
-    #: during this run (empty when no :class:`FaultPlan` is armed).
-    faults_injected: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
         """JSON-ready summary of every field."""
@@ -273,21 +267,19 @@ class EngineStats:
         """
         copy = replace(self)
         copy.degradations = list(self.degradations)
-        copy.faults_injected = list(self.faults_injected)
         return copy
 
     #: How the counters publish into a metrics registry: dataclass
     #: field -> hierarchical metric name (the ``engine.*`` namespace of
     #: :mod:`repro.obs`).  Only numeric counters appear here; labels
     #: (engine, backend, reasons) publish as selection counters and
-    #: degradations/faults as list-length counters.
+    #: degradations as a list-length counter.
     _METRIC_NAMES = {
         "shots_total": "engine.shots_total",
         "interpreter_shots": "engine.interpreter.shots",
         "replay_shots": "engine.replay.cached_shots",
         "frame_batched": "engine.frame.batched_shots",
         "frame_reference_shots": "engine.frame.reference_shots",
-        "segment_cache_hits": "engine.replay.segment_cache.hits",
         "segment_cache_misses": "engine.replay.segment_cache.misses",
         "dead_stores": "engine.dataflow.dead_stores",
         "killed_loads": "engine.dataflow.killed_loads",
@@ -322,9 +314,6 @@ class EngineStats:
             registry.inc("engine.replay.tree.reused_runs")
         if self.degradations:
             registry.inc("engine.degradations", len(self.degradations))
-        if self.faults_injected:
-            registry.inc("engine.faults_injected",
-                         len(self.faults_injected))
 
 
 def replay_unsupported_reasons(
@@ -640,56 +629,6 @@ class TimelineTree:
         self.node_count += 1
         self.path_count += 1
         return child
-
-    # ------------------------------------------------------------------
-    # Fault injection (chaos testing of the audit machinery)
-    # ------------------------------------------------------------------
-    def corrupt_random_template(self, rng) -> str | None:
-        """Deliberately corrupt one cached terminal template.
-
-        Used by the ``tree_bitflip`` fault-injection site to prove the
-        self-verifying audit detects cache corruption: one terminal
-        node's frozen trace is replaced by a tampered copy (a trigger
-        time shifted by 1 ns, or the classical time for trigger-free
-        traces).  Returns a description of the tampering, or None when
-        the tree has no terminal template yet.
-        """
-        terminals: list[_TreeNode] = []
-        stack = [] if self._root is None else [self._root]
-        while stack:
-            node = stack.pop()
-            if node.template is not None:
-                terminals.append(node)
-            stack.extend(node.children.values())
-        if not terminals:
-            return None
-        node = terminals[int(rng.integers(len(terminals)))]
-        template = node.template
-        node.plan = None
-        if template.triggers:
-            index = int(rng.integers(len(template.triggers)))
-            record = template.triggers[index]
-            triggers = list(template.triggers)
-            triggers[index] = record._replace(
-                trigger_ns=record.trigger_ns + 1.0,
-                output_ns=record.output_ns + 1.0)
-            node.template = ShotTrace(
-                triggers=triggers,
-                results=template.results,
-                slips=template.slips,
-                instructions_executed=template.instructions_executed,
-                classical_time_ns=template.classical_time_ns,
-                stop_reached=template.stop_reached)
-            return (f"trigger {index} ({record.name}) of a cached "
-                    f"template shifted by 1 ns")
-        node.template = ShotTrace(
-            triggers=template.triggers,
-            results=template.results,
-            slips=template.slips,
-            instructions_executed=template.instructions_executed,
-            classical_time_ns=template.classical_time_ns + 1.0,
-            stop_reached=template.stop_reached)
-        return "classical time of a cached template shifted by 1 ns"
 
     # ------------------------------------------------------------------
     # Growth (insert an interpreter shot's observed path)

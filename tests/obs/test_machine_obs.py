@@ -19,7 +19,8 @@ from repro.obs.__main__ import main as obs_main
 from repro.obs.report import load_chrome_trace
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
-from repro.uarch import EngineStats, FaultPlan, FaultSpec, QuMAv2
+from repro.uarch import EngineStats, QuMAv2
+from tree_corruption import corrupt_random_template
 
 ACTIVE_RESET = """
 SMIS S2, {2}
@@ -125,23 +126,20 @@ class TestTracedReplayRun:
         assert snapshot["engine.replay.walk.time_ns"]["value"] > 0
         assert snapshot["engine.replay.audit.time_ns"]["count"] == audits
 
-    def test_in_run_degradation_and_fault_are_events(self):
-        """A fired fault and the audit divergence it causes are
-        instant events, mirroring ``EngineStats.faults_injected`` and
-        ``EngineStats.degradations``."""
+    def test_in_run_degradation_is_an_event(self):
+        """The audit divergence a corrupted tree causes is an instant
+        event, mirroring ``EngineStats.degradations``; the machine
+        emits no fault-injection event."""
         obs = Observability()
         machine = make_machine(seed=3, observability=obs)
         machine.audit_fraction = 1.0
-        machine.run(50)  # grow the tree the fault corrupts
-        machine.arm_faults(FaultPlan([FaultSpec("tree_bitflip")],
-                                     seed=9))
+        machine.run(50)  # grow the tree the test corrupts
+        corrupt_random_template(machine._tree, np.random.default_rng(9))
         assert len(machine.run(120)) == 120
         stats = machine.engine_stats
         events = obs.tracer.events()
-        faults = [event.attributes["detail"] for event in events
-                  if event.name == "machine.fault_injected"]
-        assert faults == stats.faults_injected
-        assert "tree_bitflip" in faults[0]
+        assert not [event for event in events
+                    if event.name == "machine.fault_injected"]
         [degradation] = [event for event in events
                          if event.name == "machine.degradation"]
         assert degradation.attributes["engine"] == "replay"
@@ -228,25 +226,25 @@ class TestEngineStatsContract:
     REQUIRED_FIELDS = {
         "engine", "plant_backend", "shots_total", "interpreter_shots",
         "replay_shots", "frame_batched", "frame_reference_shots",
-        "segment_cache_hits", "segment_cache_misses", "degradations",
-        "faults_injected",
+        "segment_cache_misses", "degradations",
     }
+    #: Fields dropped from the record; none may come back.
+    REMOVED_FIELDS = {"tree_roots", "mock_results_replayed",
+                      "faults_injected", "segment_cache_hits"}
 
     def test_as_dict_exposes_every_field(self):
         field_names = {field.name for field in
                        dataclasses.fields(EngineStats)}
         assert self.REQUIRED_FIELDS <= field_names
+        assert not self.REMOVED_FIELDS & field_names
         assert set(EngineStats().as_dict()) == field_names
 
     def test_snapshot_is_deep_enough_copy(self):
         stats = EngineStats()
         stats.degradations.append("rung")
-        stats.faults_injected.append("fault")
         copy = stats.snapshot()
         stats.degradations.append("later")
-        stats.faults_injected.append("later")
         assert copy.degradations == ["rung"]
-        assert copy.faults_injected == ["fault"]
 
     def test_publish_metrics_namespace(self):
         from repro.obs import MetricsRegistry

@@ -44,7 +44,7 @@ def chaos_config(**overrides) -> ServiceConfig:
     return ServiceConfig(**base)
 
 
-def chaos_plan(seed: int = 0) -> FaultPlan:
+def chaos_plan() -> FaultPlan:
     """``NUM_FAULTS`` faults cycled over the three process sites, each
     pinned to a distinct sweep point."""
     specs = []
@@ -52,7 +52,7 @@ def chaos_plan(seed: int = 0) -> FaultPlan:
         site = PROCESS_FAULT_SITES[fault % len(PROCESS_FAULT_SITES)]
         point = (fault * NUM_POINTS) // max(NUM_FAULTS, 1)
         specs.append(FaultSpec(site, shot=point))
-    return FaultPlan(specs, seed=seed)
+    return FaultPlan(specs)
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ class TestChaosIdentity:
     def test_supervision_is_structured_telemetry(self, reference):
         spec, expected = reference
         service = SweepService(chaos_config(),
-                               fault_plan=chaos_plan(seed=1))
+                               fault_plan=chaos_plan())
         result = service.run_sweep(spec)
         assert result.counts_by_index() == expected
 
@@ -122,7 +122,7 @@ class TestChaosIdentity:
         spec, expected = reference
         path = tmp_path / "chaos.jsonl"
         service = SweepService(chaos_config(),
-                               fault_plan=chaos_plan(seed=2))
+                               fault_plan=chaos_plan())
         result = service.run_sweep(spec, journal_path=path)
         assert result.counts_by_index() == expected
         # The journal now holds the full sweep: a resume-only service
@@ -176,7 +176,7 @@ class TestKillNineResume:
         spec, expected = reference
         path = tmp_path / "killed-chaos.jsonl"
         service = SweepService(chaos_config(),
-                               fault_plan=chaos_plan(seed=3))
+                               fault_plan=chaos_plan())
         service.submit(spec, journal_path=path)
         stream = service.serve()
         next(stream)

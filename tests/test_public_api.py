@@ -39,6 +39,11 @@ REMOVED_NAMES = {"Statevector", "zero_state", "basis_state",
                  "QueueOverflowError", "MeasurementSample"}
 
 
+#: What left the machine with its fault hook.
+REMOVED_MACHINE_ATTRIBUTES = {"arm_faults", "disarm_faults", "fault_plan"}
+REMOVED_FAULT_SITES = {"measurement_stall", "tree_bitflip", "mock_exhaust"}
+
+
 class TestExports:
     @pytest.mark.parametrize("package", PACKAGES)
     def test_all_names_resolve(self, package):
@@ -85,6 +90,27 @@ class TestExports:
     def test_removed_modules_do_not_import(self, module):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
+
+    def test_machine_carries_no_fault_hook(self):
+        """The machine, its measurement unit and its replay tree hold
+        no fault plan or injection routine, and the in-machine fault
+        sites are no longer sites: only the sweep service's process
+        sites can be armed."""
+        import numpy as np
+        from repro.core import ConfigurationError, two_qubit_instantiation
+        from repro.quantum import QuantumPlant
+        from repro.uarch import FAULT_SITES, FaultSpec, QuMAv2, TimelineTree
+        isa = two_qubit_instantiation()
+        machine = QuMAv2(isa, QuantumPlant(
+            isa.topology, rng=np.random.default_rng(0)))
+        for name in REMOVED_MACHINE_ATTRIBUTES:
+            assert not hasattr(machine, name)
+        assert not hasattr(machine.measurement_unit, "fault_plan")
+        assert not hasattr(TimelineTree, "corrupt_random_template")
+        assert not set(FAULT_SITES) & REMOVED_FAULT_SITES
+        for site in REMOVED_FAULT_SITES:
+            with pytest.raises(ConfigurationError):
+                FaultSpec(site)
 
     def test_version(self):
         import repro

@@ -5,7 +5,8 @@ summary (it survives ``-q`` output capture), so the nightly 500-seed
 CI job's log shows at a glance whether programs that should replay
 quietly regressed onto the interpreter.  Cases with a mock plan count
 in their own "interpreter (mock results)" bucket, apart from the
-static blockers.
+static blockers.  The plant-backend, corrupted-tree audit and
+Pauli-frame mixes follow.
 """
 
 import sys
@@ -35,13 +36,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                           for name, count in sorted(backends.items()))
         terminalreporter.write_line(
             f"differential-fuzz plant-backend mix — {parts}")
-    chaos = getattr(fuzz_module, "CHAOS_MIX", None)
-    if chaos:
-        total = sum(chaos.values())
+    audits = getattr(fuzz_module, "AUDIT_MIX", None)
+    if audits:
+        total = sum(audits.values())
         parts = ", ".join(f"{name}: {count}"
-                          for name, count in sorted(chaos.items()))
+                          for name, count in sorted(audits.items()))
         terminalreporter.write_line(
-            f"fault-injection chaos mix over {total} cases — {parts}")
+            f"corrupted-tree audit mix over {total} cases — {parts}")
     frames = getattr(fuzz_module, "FRAME_MIX", None)
     if frames:
         total = sum(frames.values())

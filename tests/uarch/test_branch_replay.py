@@ -180,7 +180,6 @@ class TestTreeSaturation:
         # saturates after at most 16 growth shots.
         assert stats.interpreter_shots <= 16
         assert stats.replay_shots >= 484
-        assert stats.segment_cache_hits == stats.replay_shots
         assert stats.segment_cache_misses == stats.interpreter_shots
         assert stats.tree_paths == stats.interpreter_shots
         assert stats.growth_stopped_reason is None

@@ -11,10 +11,9 @@ probabilities computed from the tree itself — under symmetric,
 asymmetric and one-sided readout error and near-deterministic nodes
 — and pin that the one-shot walk reads the same edge rule, the
 invariant the multiplicity fold relies on (a terminal's edge keys are
-its template's own outcomes), that every replay run — plain, with an
-armed fault plan, or audited — walks the tree once per chunk, and
-that ``run_iter`` delivers the walk's ``ShotBatch`` in
-shot order.  A feedback-free binary builds its terminals from its
+its template's own outcomes), that every replay run — plain or
+audited — walks the tree once per chunk, and that ``run_iter``
+delivers the walk's ``ShotBatch`` in shot order.  A feedback-free binary builds its terminals from its
 first growth shot's trace instead of growing each by an interpreter
 shot; its seeded counts are pinned to those the growth shots gave.
 """
@@ -34,8 +33,7 @@ from repro.experiments.reset import FIG4_PROGRAM as ACTIVE_RESET
 from repro.experiments.runner import ExperimentSetup
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import ReadoutErrorModel
-from repro.uarch import FaultPlan, FaultSpec, QuMAv2, ShotTrace, \
-    TimelineTree
+from repro.uarch import QuMAv2, ShotTrace, TimelineTree
 from repro.uarch.machine import _CHUNK_SHOTS
 from repro.uarch.replay import _DETERMINISTIC_EPS
 from repro.workloads.rabi import rabi_step_circuit
@@ -301,20 +299,9 @@ class CountingWalks:
         monkeypatch.setattr(TimelineTree, "sample_cohort", counted_cohort)
 
 
-def planned(machine):
-    machine.arm_faults(FaultPlan([FaultSpec("tree_bitflip",
-                                            shot=10**6)]))
-
-
-def audited(machine):
-    machine.audit_fraction = 0.1
-
-
-@pytest.mark.parametrize("arm", [planned, audited],
-                         ids=["fault-plan", "audits"])
-def test_planned_and_audited_runs_walk_once_per_chunk(monkeypatch, arm):
+def test_audited_run_walks_once_per_chunk(monkeypatch):
     machine = make_machine(ACTIVE_RESET, seed=35)
-    arm(machine)
+    machine.audit_fraction = 0.1
     walks = CountingWalks(monkeypatch)
     machine.run_counts(_CHUNK_SHOTS + 10)
     assert machine.engine_stats.engine == "replay"
@@ -382,7 +369,7 @@ def test_cold_feedback_free_run_grows_one_shot(monkeypatch):
     assert stats.engine == "replay"
     assert stats.interpreter_shots == stats.segment_cache_misses == 1
     assert stats.tree_paths == 4
-    assert stats.replay_shots == stats.segment_cache_hits == 1999
+    assert stats.replay_shots == 1999
     (batch,) = batches
     assert sorted(group.template.outcome_path() for group in batch.groups) \
         == [((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),)]

@@ -46,20 +46,19 @@ import numpy as np
 import pytest
 
 from repro.core import Assembler, two_qubit_instantiation
-from repro.core.errors import GuardFault, TimingViolationError
+from repro.core.errors import TimingViolationError
 from repro.experiments.runner import ExperimentSetup
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
 from repro.uarch import (
-    FAULT_SITES,
-    FaultPlan,
-    FaultSpec,
     QuMAv2,
     ShotCounts,
+    TimelineTree,
     analyze_data_memory,
     dataflow,
 )
 from repro.uarch.machine import _MOCK_BLOCKER
+from tree_corruption import corrupt_template, kept_terminals
 
 DEFAULT_SEED_COUNT = 25
 SEED_COUNT = int(os.environ.get("EQASM_FUZZ_SEEDS", DEFAULT_SEED_COUNT))
@@ -77,12 +76,14 @@ ENGINE_MIX: Counter = Counter()
 #: other case on the dense matrix, identically on both engines.
 BACKEND_MIX: Counter = Counter()
 
-#: Chaos-shape aggregate (same reporting path): how each fuzz case
-#: under fault injection resolved — "recovered in-run (site)" when the
-#: machine's own degradations delivered every shot, "aborted (site)"
-#: when the fired fault surfaced as its structured guard fault, or
-#: "timing-violation" when the program violates timing on its own.
-CHAOS_MIX: Counter = Counter()
+#: Audit-shape aggregate (same reporting path): how each fuzz case's
+#: run on a corrupted replay tree resolved — "divergence caught" when
+#: a cached shot landed on a corrupted terminal and the audit evicted
+#: the tree, "no corrupted terminal walked" when none did, "not
+#: replayable" or "not cross-run cacheable" for a case that keeps no
+#: tree to corrupt, or "timing-violation" when the program violates
+#: timing on its own.
+AUDIT_MIX: Counter = Counter()
 
 #: Pauli-frame-shape aggregate (same reporting path): how each
 #: ``pauli_frame`` fuzz case resolved — served by the frame-batched
@@ -582,42 +583,25 @@ def test_frame_batched_equivalence(seed):
                                joint_histogram(dense_traces))
 
 
-#: Sites the chaos shape draws from: every machine-level fault site.
-CHAOS_SITES = ("measurement_stall", "tree_bitflip", "mock_exhaust")
-
 CHAOS_SHOTS = 40
 
 
-def reachable_chaos_sites(machine, mock_plan) -> list[str]:
-    """The :data:`CHAOS_SITES` a loaded case can actually fire.
-
-    Every generated program measures on each shot, so the first site
-    is always reachable.  A tree bit-flip needs a replay tree (a
-    replay-eligible program with no queued mock results), and a
-    mock-queue wipe needs injected mock results."""
-    sites = ["measurement_stall"]
-    if not machine.replay_unsupported_reasons():
-        sites.append("tree_bitflip")
-    if mock_plan:
-        sites.append("mock_exhaust")
-    return sites
-
-
 @pytest.mark.parametrize("seed", range(SEED_COUNT))
-def test_fault_injection_chaos(seed):
-    """Random programs x random fault plans, self-verifying replay on.
+def test_fault_injection_chaos(seed, monkeypatch):
+    """Random programs x a corrupted replay tree, self-verifying replay
+    on.
 
-    The hardened stack's contract under chaos: every run either
-    delivers all shots (the machine's in-run degradations) or aborts
-    with the fired fault's structured :class:`GuardFault` — never
-    silent corruption, never a bare non-library exception — and a
-    disarmed re-run of the same program is healthy again (no
-    degradations, every audit clean).  The fault site is drawn from
-    the sites the case can reach, so either outcome must have
-    actually fired its fault.  A program that violates timing on a
-    fresh disarmed same-seed twin is counted as a timing violation
-    before any fault is armed: the violation is the program's own, and
-    a disarmed re-run could never recover from it.
+    The audit's contract on the one fault no program can produce, a
+    kept tree whose cached templates no longer match the interpreter:
+    for a replay-eligible, cross-run-cacheable case the tree is grown,
+    every kept terminal is corrupted (``tree_corruption``), and an
+    audited run (``audit_fraction=1.0``) must still deliver every shot
+    — with exactly one audit divergence, the chunk re-served by the
+    interpreter and the tree evicted whenever a cached shot landed on a
+    corrupted terminal, and no divergence otherwise.  Every case then
+    re-runs clean: no divergence, no degradation.  A program that
+    violates timing on a fresh same-seed twin is counted as a timing
+    violation: the violation is the program's own.
     """
     text, mock_plan, clifford_only = generate_case(seed)
     noise = clifford_only_noise() if clifford_only else NoiseModel()
@@ -631,53 +615,56 @@ def test_fault_injection_chaos(seed):
         return setup
 
     setup = fresh_setup()
+    machine = setup.machine
     assembled = setup.assemble_text(text)
     try:
         fresh_setup().run(assembled, CHAOS_SHOTS)
     except TimingViolationError:
-        CHAOS_MIX["timing-violation"] += 1
+        AUDIT_MIX["timing-violation"] += 1
         return
-    setup.machine.load(assembled)
-    sites = reachable_chaos_sites(setup.machine, mock_plan)
-    rng = np.random.default_rng(77_000 + seed)
-    site = sites[int(rng.integers(len(sites)))]
-    shot = int(rng.integers(0, 20)) if rng.random() < 0.7 else None
-    if shot is not None and not setup.machine.replay_unsupported_reasons():
-        # A replay run advances the plan's shot index once per chunk,
-        # and CHAOS_SHOTS fit in one: shot 0 is the only index its
-        # sites see.  On a cold tree it is the first growth shot.
-        shot = 0
-    plan = FaultPlan([FaultSpec(site, shot=shot)], seed=seed)
-    try:
-        if site == "tree_bitflip":
-            # The fault needs a cached terminal template at the chunk
-            # start: grow the tree first, disarmed.
-            setup.machine.run_counts(CHAOS_SHOTS)
-        setup.machine.arm_faults(plan)
-        traces = setup.run(assembled, CHAOS_SHOTS)
-    except TimingViolationError:
-        CHAOS_MIX["timing-violation"] += 1
-        return
-    except GuardFault:
-        # An abort is acceptable only as the structured guard fault of
-        # a fault that fired (anything else propagates and fails the
-        # test).
-        assert plan.records, f"{site} abort (shot {shot}) fired no fault"
-        CHAOS_MIX[f"aborted ({site})"] += 1
+    machine.load(assembled)
+    if machine.replay_unsupported_reasons():
+        AUDIT_MIX["not replayable"] += 1
+    elif not machine.data_memory_report().cross_run_cacheable:
+        AUDIT_MIX["not cross-run cacheable"] += 1
     else:
-        assert len(traces) == CHAOS_SHOTS
-        assert plan.records, f"{site} fault (shot {shot}) never fired"
-        CHAOS_MIX[f"recovered in-run ({site})"] += 1
+        machine.run_counts(CHAOS_SHOTS)  # grow the tree
+        rng = np.random.default_rng(77_000 + seed)
+        corrupted = {}
+        for node in kept_terminals(machine._tree):
+            corrupt_template(node, rng)
+            corrupted[id(node.template)] = node.template
+        walked = []
+        sample_cohort = TimelineTree.sample_cohort
 
-    # Recovery: disarm, reset caches and queues, re-run clean.
-    setup.machine.disarm_faults()
-    setup.machine.clear_replay_cache()
-    setup.machine.measurement_unit.clear_mock_results()
+        def recorded(tree, *args, **kwargs):
+            batch = sample_cohort(tree, *args, **kwargs)
+            walked.extend(group.template for group in batch.groups)
+            return batch
+
+        monkeypatch.setattr(TimelineTree, "sample_cohort", recorded)
+        traces = setup.run(assembled, CHAOS_SHOTS)
+        monkeypatch.undo()
+        assert len(traces) == CHAOS_SHOTS
+        stats = machine.engine_stats
+        served = any(id(template) in corrupted for template in walked)
+        assert stats.audit_divergences == int(served)
+        if served:
+            assert stats.last_audit.tree_evicted
+            assert machine._tree is None
+            assert stats.interpreter_shots == stats.shots_total \
+                == CHAOS_SHOTS
+            AUDIT_MIX["divergence caught"] += 1
+        else:
+            AUDIT_MIX["no corrupted terminal walked"] += 1
+
+    # Recovery: reset caches and queues, re-run clean.
+    machine.clear_replay_cache()
+    machine.measurement_unit.clear_mock_results()
     if mock_plan:
-        setup.machine.measurement_unit.inject_mock_results(2, mock_plan)
+        machine.measurement_unit.inject_mock_results(2, mock_plan)
     clean = setup.run(assembled, CHAOS_SHOTS)
     assert len(clean) == CHAOS_SHOTS
-    stats = setup.machine.engine_stats
+    stats = machine.engine_stats
     assert stats.audit_divergences == 0
     assert not stats.degradations
-    assert not stats.faults_injected

@@ -38,10 +38,11 @@ from repro.core import Assembler, two_qubit_instantiation
 from repro.experiments.reset import FIG4_PROGRAM as ACTIVE_RESET
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
-from repro.uarch import FaultPlan, FaultSpec, QuMAv2, ShotCounts
+from repro.uarch import QuMAv2, ShotCounts
 from repro.uarch import machine as machine_module
 from repro.uarch.machine import _CHUNK_SHOTS, _MOCK_BLOCKER, \
     _TRAJECTORY_BLOCKER
+from tree_corruption import corrupt_random_template
 
 #: LD above the only ST to its address: the load observes the previous
 #: shot, a hard replay blocker.
@@ -145,7 +146,7 @@ def route_frame_batch(count=QuMAv2.run_counts):
 def route_audit_divergence(count=QuMAv2.run_counts):
     machine = make_machine(ACTIVE_RESET, seed=106, audit_fraction=1.0)
     count(machine, 50)
-    machine.arm_faults(FaultPlan([FaultSpec("tree_bitflip")], seed=9))
+    corrupt_random_template(machine._tree, np.random.default_rng(9))
     return machine, count(machine, 120)
 
 
@@ -161,7 +162,13 @@ def route_all_growth(count=QuMAv2.run_counts):
 #: the exactness of that order is pinned statistically in
 #: tests/uarch/test_cohort_replay.py.  The stats digests were re-pinned
 #: when ``EngineStats`` dropped ``tree_roots`` and
-#: ``mock_results_replayed`` (no run's draws changed).  The frame-batch
+#: ``mock_results_replayed``, and again when it dropped
+#: ``faults_injected`` and ``segment_cache_hits`` (a copy of
+#: ``replay_shots``); no run's draws changed either time.  The
+#: audit-divergence route corrupts the kept tree directly
+#: (``tree_corruption.corrupt_random_template`` on a ``seed=9`` RNG)
+#: where it once armed a machine fault plan that did so at the chunk
+#: start: the same trigger of the same terminal, before the same walk.  The frame-batch
 #: counts digest was re-pinned when the frames became bit-packed: the
 #: exact sparse noise sampler (binomial hit count, uniform hit subset)
 #: and packed readout masks draw in a new order, with the same
@@ -193,27 +200,27 @@ ROUTES = {
     "static-blocker": (
         route_static_blocker, "interpreter",
         "99b5ed961746ac202ae56a1bb7f78510375b8c06b0e0040304985a24867cfde4",
-        "e7e808078ea5320e61a4ad3933436cc52e60013994d56ca2c638e53684121d0a"),
+        "ea45f3c2eb3d7625a9b92e5bad5fcb78385293f326eabb4cc0b17d4512ec9670"),
     "replay-disabled": (
         route_replay_disabled, "interpreter",
         "84c7e5a42ad5b6b11e53b06a1fe98dd3fdc9d98f032b888750d500bcaa89a98b",
-        "c62f61b70d93fef8278581f80d687ec39f6fe00bd833ff0209d06d34d968d314"),
+        "4e31559698ffd1d2ab0b564b9180da8765ea0f6fbe0e4901a0f51556a7aa2e5c"),
     "warm-replay": (
         route_warm_replay, "replay",
         "3db93c27263d3da53c0e245595fbc863a361ea72d0d3034e36898a7c48591803",
-        "429278a1fe0c73e47bf66a5de8ed40dd61b52df3532353b5afa3fe4562dc6d69"),
+        "e5bd1e628177770fdd6e9c754f493bfd1b5c26d553fdfd5183a9256be6692b73"),
     "frame-batch": (
         route_frame_batch, "frame",
         "33ddb43062ef596d0d5eceb08a913ad0a1ad1fe1309fd8c29663951209e418d0",
-        "f056b970df08d3610c1d9bc789ce177986632a233167df08c2ad78bed444aba4"),
+        "bb6754c18c2f265f677f7376b8321eb9b0eba1b5e5a32d702919df67016156ac"),
     "audit-divergence": (
         route_audit_divergence, "interpreter",
         "d13325cb1e7f72cd7813f1c8cc78adf4084cca95d87cf19825a1f8b4e40d894d",
-        "159aa0bac31aad96cfcd1a007b8acee02b737ede2204b216c0b0fb3f0873e0c3"),
+        "f1d8dd1d7e40fcb28e28155151101d93e7a9e98d06330a4dd44268f69549cd9a"),
     "all-growth": (
         route_all_growth, "interpreter",
         "202c51821aec9b8b1532dbc102df7a2c964d9c467cf010c11ba4e9213c0006b8",
-        "9bcd6f4a5749b3f5c8f2a3b2718c2516b03509aa11fe01f207b88ae6dcf842ee"),
+        "8985fd214e6028bd51e3a51c5530c0282fd40a2f6444ebda4adc85e39af4156a"),
 }
 
 

@@ -1,14 +1,20 @@
-"""Chaos suite: every fault-injection site, end to end.
+"""Guard suite: the machine's runtime guards, end to end.
 
-For each site of :data:`repro.uarch.faults.FAULT_SITES` the suite
-proves the full hardening contract:
+Each guard is reached the way a real run reaches it — a program that
+deadlocks an ``FMR``, a shot past its time budget, a dense request past
+the memory budget — or, for the self-verifying replay audit, by
+corrupting the kept replay tree directly (``tree_corruption``), the
+one failure no program can produce.  Each proves:
 
-1. **detection** — the injected failure surfaces as the documented
-   structured error (or an in-run degradation recorded in
+1. **detection** — the failure surfaces as the documented structured
+   error (or an in-run degradation recorded in
    ``EngineStats.degradations``) instead of silent corruption;
 2. **context** — the error carries its machine-readable context keys;
-3. **recovery** — a clean re-run after disarming delivers every shot
-   with no degradations.
+3. **recovery** — a clean re-run delivers every shot with no
+   degradations.
+
+The :class:`~repro.uarch.faults.FaultPlan` schedule itself (armed on
+the sweep service, never on the machine) is pinned here too.
 """
 
 import math
@@ -25,11 +31,16 @@ from repro.core import (
 from repro.core.errors import (
     ConfigurationError,
     EQASMError,
-    ExperimentIntegrityError,
     GuardFault,
     ResourceError,
     RuntimeFault,
     ShotTimeoutError,
+)
+from repro.core.operations import (
+    ExecutionFlag,
+    OperationKind,
+    QuantumOperation,
+    default_operation_set,
 )
 from repro.experiments.cfc import CFC_SCRATCH_PROGRAM, CFC_TWO_ROUND_PROGRAM
 from repro.experiments.runner import ExperimentSetup
@@ -47,6 +58,7 @@ from repro.uarch import (
     UarchConfig,
 )
 from repro.workloads.surface_code import rotated_surface_circuit
+from tree_corruption import corrupt_random_template, kept_terminals
 
 ACTIVE_RESET = """
 SMIS S2, {2}
@@ -63,6 +75,17 @@ CFC_FMR = """
 SMIS S2, {2}
 X S2
 MEASZ S2
+FMR R1, Q2
+STOP
+"""
+
+#: A conditional measurement cancelled at trigger time (no result has
+#: set the LAST_ONE flag yet) still counts toward C_2, so the FMR that
+#: follows waits for a result that never comes.
+CANCELLED_MEASUREMENT_FMR = """
+SMIS S2, {2}
+QWAIT 100
+C_MEASZ S2
 FMR R1, Q2
 STOP
 """
@@ -126,21 +149,6 @@ def make_machine(text=ACTIVE_RESET, seed=0, config=None,
     return machine
 
 
-def make_setup(seed=0, **kwargs):
-    return ExperimentSetup.create(noise=NoiseModel(), seed=seed,
-                                  **kwargs)
-
-
-def assert_clean_rerun(setup, assembled, shots):
-    """A disarmed re-run delivers every shot with no degradations and
-    no fired fault."""
-    assert len(setup.run(assembled, shots)) == shots
-    stats = setup.last_engine_stats
-    assert stats.shots_total == shots
-    assert not stats.degradations
-    assert not stats.faults_injected
-
-
 class TestFaultPlan:
     """The deterministic schedule itself."""
 
@@ -150,73 +158,64 @@ class TestFaultPlan:
 
     def test_nonpositive_count_rejected(self):
         with pytest.raises(ConfigurationError):
-            FaultSpec("measurement_stall", count=0)
+            FaultSpec("worker_crash", count=0)
 
     def test_shot_pinning_and_budget(self):
-        plan = FaultPlan([FaultSpec("measurement_stall", shot=2, count=1)])
-        plan.begin_run()
+        plan = FaultPlan([FaultSpec("worker_crash", shot=2, count=1)])
         plan.begin_shot(0)
-        assert not plan.fire("measurement_stall")
+        assert not plan.fire("worker_crash")
         plan.begin_shot(2)
-        assert plan.would_fire("measurement_stall")
-        assert plan.fire("measurement_stall", qubit=2)
+        assert plan.fire("worker_crash", point=2)
         # Budget consumed: the same site never fires again.
-        assert not plan.fire("measurement_stall")
-        assert plan.fired_this_run
+        assert not plan.fire("worker_crash")
         [record] = plan.records
-        assert record.site == "measurement_stall" and record.shot == 2
-        assert ("qubit", 2) in record.context
-        assert "measurement_stall@shot2" in record.describe()
+        assert record.site == "worker_crash" and record.shot == 2
+        assert ("point", 2) in record.context
 
     def test_every_site_is_armable(self):
         plan = FaultPlan([FaultSpec(site) for site in FAULT_SITES])
         for site in FAULT_SITES:
-            assert plan.would_fire(site)
+            assert plan.fire(site)
 
 
-class TestMeasurementStallFault:
-    def test_detection_and_context(self):
-        machine = make_machine(CFC_FMR)
-        machine.arm_faults(FaultPlan([FaultSpec("measurement_stall",
-                                                shot=1)]))
-        with pytest.raises(ShotTimeoutError) as info:
-            machine.run(3, use_replay=False)
-        error = info.value
-        assert error.qubit == 2
-        assert error.register == 1
-        assert "waits forever" in str(error)
-
-    def test_recovery_after_disarm(self):
-        setup = make_setup()
-        assembled = setup.assemble_text(CFC_FMR)
-        setup.machine.arm_faults(
-            FaultPlan([FaultSpec("measurement_stall", shot=0)]))
-        with pytest.raises(ShotTimeoutError) as info:
-            setup.run(assembled, 10)
-        assert info.value.qubit == 2
-        assert info.value.register == 1
-        setup.machine.disarm_faults()
-        assert_clean_rerun(setup, assembled, 10)
+def cancelled_measurement_machine():
+    """A two-qubit machine whose operation set adds ``C_MEASZ``, a
+    measurement gated on the LAST_ONE flag, loaded with
+    :data:`CANCELLED_MEASUREMENT_FMR`."""
+    ops = default_operation_set()
+    ops.add(QuantumOperation(name="C_MEASZ",
+                             kind=OperationKind.MEASUREMENT,
+                             duration_cycles=15,
+                             condition=ExecutionFlag.LAST_ONE))
+    return make_machine(CANCELLED_MEASUREMENT_FMR,
+                        isa=two_qubit_instantiation(ops))
 
 
-def _terminals(tree):
-    """The tree's nodes that carry a frozen trace template."""
-    stack = [] if tree._root is None else [tree._root]
-    terminals = []
-    while stack:
-        node = stack.pop()
-        if node.template is not None:
-            terminals.append(node)
-        stack.extend(node.children.values())
-    return terminals
+class TestFmrDeadlock:
+    def test_cancelled_measurement_deadlocks_fmr(self):
+        """The CFC counter C_i counts a conditional measurement when it
+        is reserved, and fast conditional execution cancels it at
+        trigger time, so no result ever decrements C_2: the FMR on Q2
+        can never complete, and the guard names qubit and register."""
+        for use_replay in (True, False):
+            machine = cancelled_measurement_machine()
+            with pytest.raises(ShotTimeoutError) as info:
+                machine.run(3, use_replay=use_replay)
+            error = info.value
+            assert error.qubit == 2
+            assert error.register == 1
+            assert "waits forever" in str(error)
 
 
 class TestTreeBitflipFault:
+    """A corrupted terminal of the kept replay tree (a replay bug no
+    program can produce, planted with :mod:`tree_corruption`)."""
+
     def test_audit_detects_and_recovers(self):
         machine = make_machine(audit_fraction=1.0, seed=3)
         machine.run(50)  # grow + cache the tree
-        machine.arm_faults(FaultPlan([FaultSpec("tree_bitflip")],
-                                     seed=9))
+        assert corrupt_random_template(machine._tree,
+                                       np.random.default_rng(9))
         traces = machine.run(120)
         stats = machine.engine_stats
         # The sweep never crashes; the corruption is detected by the
@@ -228,11 +227,8 @@ class TestTreeBitflipFault:
         assert stats.last_audit.tree_evicted
         assert stats.last_audit.mismatched_fields
         assert stats.degradations
-        assert any("tree_bitflip" in fault
-                   for fault in stats.faults_injected)
         assert machine._tree is None
-        # Clean recovery: disarm, re-run, audits all pass.
-        machine.disarm_faults()
+        # Clean recovery: the re-run regrows the tree, audits all pass.
         machine.run(50)
         assert machine.engine_stats.audit_divergences == 0
 
@@ -242,11 +238,11 @@ class TestTreeBitflipFault:
         machine = make_machine(seed=3)
         machine.run(50)
         tree = machine._tree
-        before = {id(node): node.template for node in _terminals(tree)}
-        detail = tree.corrupt_random_template(np.random.default_rng(9))
+        before = {id(node): node.template for node in kept_terminals(tree)}
+        detail = corrupt_random_template(tree, np.random.default_rng(9))
         assert "shifted by 1 ns" in detail
         changed = [(before[id(node)], node.template)
-                   for node in _terminals(tree)
+                   for node in kept_terminals(tree)
                    if node.template is not before[id(node)]]
         assert len(changed) == 1
         (old, new), = changed
@@ -258,38 +254,6 @@ class TestTreeBitflipFault:
         assert b == a._replace(trigger_ns=a.trigger_ns + 1.0,
                                output_ns=a.output_ns + 1.0)
         assert new.results == old.results
-
-    def test_unaudited_bitflip_still_evicts_cache(self):
-        # Without auditing the corruption cannot be *detected*, but the
-        # end-of-run hygiene still drops the tampered tree so it cannot
-        # leak into later runs.
-        machine = make_machine(seed=3)
-        machine.run(50)
-        machine.arm_faults(FaultPlan([FaultSpec("tree_bitflip")],
-                                     seed=9))
-        machine.run(20)
-        assert machine._tree is None
-
-
-class TestMockExhaustFault:
-    def test_run_falls_through_to_plant_and_recovers(self):
-        machine = make_machine()
-        machine.measurement_unit.inject_mock_results(2, [1] * 6)
-        machine.arm_faults(FaultPlan([FaultSpec("mock_exhaust",
-                                                shot=1)]))
-        traces = machine.run(6, use_replay=False)
-        assert len(traces) == 6
-        stats = machine.engine_stats
-        assert any("mock_exhaust" in fault
-                   for fault in stats.faults_injected)
-        # The queue was wiped mid-run: everything queued is gone and
-        # later measurements sampled the real plant.
-        assert machine.measurement_unit.remaining_mock_results(2) == 0
-        # Recovery: re-injection works and drains normally.
-        machine.disarm_faults()
-        machine.measurement_unit.inject_mock_results(2, [0, 1])
-        machine.run(1, use_replay=False)
-        assert machine.measurement_unit.remaining_mock_results(2) == 0
 
 
 class TestAdmissionControl:
@@ -431,7 +395,7 @@ class TestReplayAudit:
             assert stats.fallback_reason is None
             assert stats.plant_backend == backend, \
                 stats.plant_backend_reason
-            assert stats.segment_cache_hits > stats.interpreter_shots
+            assert stats.replay_shots > stats.interpreter_shots
             assert stats.replay_audits == walked.count() > 0
             assert stats.audit_divergences == 0
             assert stats.last_audit.mismatched_fields == ()
@@ -488,12 +452,24 @@ class TestReplayAudit:
     def test_shadow_exception_is_a_divergence(self):
         """A shadow run that raises fails its audit: the undelivered
         chunk is dropped, the tree evicted, and every shot of the run
-        comes from the interpreter."""
+        comes from the interpreter.  The warm run grows nothing, so its
+        first interpreter shot is the audit's shadow; here it fails the
+        way an FMR deadlock does."""
         machine = make_machine(CFC_FMR, seed=7, audit_fraction=1.0)
         machine.run_counts(200)
         assert machine.engine_stats.engine == "replay"
-        machine.arm_faults(FaultPlan([FaultSpec("measurement_stall",
-                                                shot=0)]))
+        run_shot = machine.run_shot
+        shadows = []
+
+        def first_shot_deadlocks():
+            if not shadows:
+                shadows.append(True)
+                raise ShotTimeoutError(
+                    "FMR R1, Q2 waits forever: no measurement result "
+                    "will ever arrive", qubit=2, register=1)
+            return run_shot()
+
+        machine.run_shot = first_shot_deadlocks
         traces = machine.run(50)
         stats = machine.engine_stats
         assert stats.replay_audits == 1
@@ -583,13 +559,8 @@ def make_frame_machine(seed=0):
 
 
 class TestFrameBatchedChaos:
-    """Faults firing *inside* a frame-batched run.
-
-    The frame engine's whole-run state is one reference shot plus its
-    recording, so a fault there ends the run with a structured error
-    and keeps nothing: a result lost on the link leaves the recording
-    one measurement ahead of the trace, which cannot drive the
-    splice."""
+    """The frame-batched engine: a clean run, and the physics it
+    shares with the interpreter."""
 
     def test_clean_frame_run(self):
         machine = make_frame_machine()
@@ -604,31 +575,9 @@ class TestFrameBatchedChaos:
         assert stats.shots_total == 50
         assert len(traces) == 50
 
-    def test_recovery_after_disarm(self):
-        machine = make_frame_machine()
-        machine.arm_faults(FaultPlan([FaultSpec("measurement_stall",
-                                                shot=0)]))
-        with pytest.raises(ExperimentIntegrityError) as info:
-            machine.run(10)
-        assert info.value.recorded == 2 and info.value.traced == 1
-        stats = machine.engine_stats
-        assert stats.frame_reference_shots == 0
-        assert stats.shots_total == 0
-        assert not stats.degradations
-        assert any("measurement_stall" in f for f in stats.faults_injected)
-        assert machine._tree is None
-        machine.disarm_faults()
-        traces = machine.run(20)
-        stats = machine.engine_stats
-        assert len(traces) == 20
-        assert machine.last_run_engine == "frame"
-        assert stats.frame_batched == 20
-        assert not stats.degradations
-        assert not stats.faults_injected
-
     def test_frame_statistics_match_interpreter_under_no_fault(self):
-        """Sanity anchor for the chaos tests: the degraded path and
-        the frame path sample the same physics."""
+        """Sanity anchor: the interpreter and the frame path sample
+        the same physics."""
         frame = make_frame_machine(seed=3)
         frame_traces = frame.run(400)
         interp = make_frame_machine(seed=4)

