@@ -59,7 +59,7 @@ from repro.serving.journal import CheckpointJournal
 from repro.serving.supervisor import WorkerPool
 from repro.serving.sweep import PointResult, SweepSpec
 from repro.serving.worker import Shard
-from repro.uarch.faults import PROCESS_FAULT_SITES, FaultPlan
+from repro.uarch.faults import FAULT_SITES, FaultPlan
 from repro.uarch.trace import ShotCounts
 
 
@@ -528,9 +528,8 @@ class SweepService:
             index = pending.popleft()
             indices.append(index)
             plan.begin_shot(index)
-            for site in PROCESS_FAULT_SITES:
-                if plan.fire(site, point=index,
-                             worker=handle.worker_id):
+            for site in FAULT_SITES:
+                if plan.fire(site):
                     self.stats.chaos_directives.append(
                         f"{site}@point{index}")
                     self._event("chaos", worker=handle.worker_id,

@@ -13,7 +13,6 @@ from repro.uarch.devices import (
 from repro.uarch.faults import (
     FAULT_SITES,
     FaultPlan,
-    FaultRecord,
     FaultSpec,
 )
 from repro.uarch.machine import QuMAv2
@@ -43,7 +42,6 @@ __all__ = [
     "EventQueue",
     "FAULT_SITES",
     "FaultPlan",
-    "FaultRecord",
     "FaultSpec",
     "MeasurementUnit",
     "OpSel",

@@ -48,9 +48,6 @@ FAULT_SITES = (
     "result_drop",
 )
 
-#: The same sites under the name the serving layer imports.
-PROCESS_FAULT_SITES = FAULT_SITES
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -75,36 +72,24 @@ class FaultSpec:
             raise ConfigurationError("fault count must be positive")
 
 
-@dataclass(frozen=True)
-class FaultRecord:
-    """One fired fault, for post-mortem inspection."""
-
-    site: str
-    shot: int
-    context: tuple[tuple[str, object], ...] = ()
-
-
 class FaultPlan:
     """A deterministic schedule of failures over a sweep.
 
-    The plan is stateful: each spec's budget is consumed as it fires,
-    and :attr:`records` accumulates every injection for assertions.
+    The plan is stateful: each spec's budget is consumed as it fires.
     """
 
     def __init__(self, specs):
         self.specs = tuple(specs)
         self._remaining = [spec.count for spec in self.specs]
-        self.records: list[FaultRecord] = []
         self.current_shot = 0
 
     def begin_shot(self, shot_index: int) -> None:
         self.current_shot = shot_index
 
-    def fire(self, site: str, **context) -> bool:
+    def fire(self, site: str) -> bool:
         """Consume one budget unit for ``site`` if a spec matches.
 
-        Returns ``True`` when the caller should inject the failure; the
-        injection is recorded with its context for later inspection.
+        Returns ``True`` when the caller should inject the failure.
         """
         for index, spec in enumerate(self.specs):
             if spec.site != site or self._remaining[index] <= 0:
@@ -112,8 +97,5 @@ class FaultPlan:
             if spec.shot is not None and spec.shot != self.current_shot:
                 continue
             self._remaining[index] -= 1
-            self.records.append(FaultRecord(
-                site=site, shot=self.current_shot,
-                context=tuple(sorted(context.items()))))
             return True
         return False

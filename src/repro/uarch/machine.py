@@ -200,12 +200,16 @@ class _PlannedOp(NamedTuple):
 
 class _BinaryVerdict(NamedTuple):
     """What the loaded binary alone decides about engine and backend:
-    its dataflow report and its own blocker reasons per engine."""
+    its dataflow report, its own blocker reasons per engine, and
+    whether every shot reserves what the first one did (no ``FMR``, no
+    replay blocker, no conditional measurement: see
+    :meth:`QuMAv2._interpreter_shots`)."""
 
     report: DataMemoryReport
     replay: list[str]
     tableau: list[str]
     frame: list[str]
+    reserves_once: bool
 
 
 def _stats_view(field_name: str, doc: str) -> property:
@@ -265,6 +269,11 @@ class QuMAv2:
         # Per-instance handler cache: starts as the class dispatch
         # table and absorbs subclass resolutions as they are seen.
         self._dispatch: dict[type, Callable] = dict(self._DISPATCH)
+        # Open only around one shot of _interpreter_shots: the list the
+        # pipeline shot records its trigger-phase events into, or the
+        # (events, first trace) a scheduled shot re-runs.
+        self._stream: list[tuple] | None = None
+        self._scheduled: tuple[tuple, ShotTrace] | None = None
         #: Plant-backend policy: "auto" (static Clifford/noise pass per
         #: run — the default), or "dense"/"stabilizer" to pin a backend.
         self.plant_backend_policy = plant_backend
@@ -381,6 +390,9 @@ class QuMAv2:
         self._last_qreg_write_ns: dict[int, float] = {}
         # Keyed by the distributor's plain (kind value, index) pairs.
         self._device_queues: dict[tuple[str, int], EventQueue] = {}
+        # The shot's started measurements in start order; result, flag
+        # and Q-register events carry an index into it.
+        self._measured: list[PendingResult] = []
         self._trace = ShotTrace()
 
     def reset_shot(self) -> None:
@@ -402,9 +414,15 @@ class QuMAv2:
     # Shot execution
     # ------------------------------------------------------------------
     def run_shot(self, max_instructions: int = 2_000_000) -> ShotTrace:
-        """Execute the loaded program once and return its trace."""
+        """Execute the loaded program once and return its trace.
+
+        Called directly it always runs the whole pipeline; only a
+        scheduled shot of :meth:`_interpreter_shots` re-runs the
+        recorded trigger stream instead (:meth:`_run_scheduled`)."""
         if not self._instructions:
             raise RuntimeFault("no program loaded")
+        if self._scheduled is not None:
+            return self._run_scheduled(*self._scheduled)
         self.reset_shot()
         trace = self._trace
         budget_ns = self._config.shot_time_budget_ns
@@ -465,6 +483,17 @@ class QuMAv2:
         shot's memory, untranslatable operations, queued mock results)
         fall back to the interpreter transparently; ``use_replay=False``
         forces the interpreter.
+
+        An interpreter run of more than one shot reserves once when the
+        binary has no ``FMR``, no replay blocker and no conditional
+        measurement: without ``FMR`` no outcome flows back into the
+        reserve phase, so only the first shot runs the classical
+        pipeline, decode, timing queue and event heap, and every later
+        shot re-runs its recorded trigger stream against the live plant
+        (fast conditional execution still reads each shot's own
+        results).  The traces and every plant RNG draw equal the
+        per-shot pipeline's; ``use_replay=False`` keeps that pipeline
+        for every shot.
         """
         return list(self.run_iter(shots, use_replay=use_replay))
 
@@ -556,6 +585,7 @@ class QuMAv2:
         without that noise and the Pauli-frame batch with it, if the
         binary has no frame blocker (:mod:`repro.quantum.pauli_frame`).
         """
+        reserve_once = False
         if not use_replay:
             reasons = ["replay disabled by caller"]
         else:
@@ -569,9 +599,10 @@ class QuMAv2:
             if fast and not verdict.frame:
                 return self._frame_shots(shots, stats, verdict.report)
             reasons = verdict.replay + blockers
+            reserve_once = verdict.reserves_once
         stats.engine = "interpreter"
         stats.fallback_reason = "; ".join(reasons)
-        return self._interpreter_shots(shots, stats)
+        return self._interpreter_shots(shots, stats, reserve_once)
 
     def _run_blockers(self, kind: str | None) -> list[str]:
         """The run-time fast-path blockers, in reason order: stochastic
@@ -584,16 +615,42 @@ class QuMAv2:
             reasons.append(_MOCK_BLOCKER)
         return reasons
 
-    def _interpreter_shots(self, shots: int, stats: EngineStats
+    def _interpreter_shots(self, shots: int, stats: EngineStats,
+                           reserve_once: bool = False
                            ) -> Iterator[ShotTrace]:
-        """``shots`` full interpreter shots: the whole run when a hard
+        """``shots`` interpreter shots: the whole run when a hard
         blocker rules the fast paths out, the rest of the run when one
-        degrades."""
-        for _ in range(shots):
+        degrades.
+
+        With ``reserve_once`` (a :attr:`_BinaryVerdict.reserves_once`
+        binary on a replay-enabled run of more than one shot) only the
+        first shot runs the pipeline.  It records its trigger phase, in
+        processing order, into :attr:`_stream`: each device operation's
+        trigger with its plan, each result arrival and each flag
+        update.  Without ``FMR`` no outcome reaches the reserve phase,
+        so every later shot would reserve, schedule and trigger the
+        same stream; a scheduled shot (still served by
+        :meth:`run_shot`) re-runs it against the live plant instead
+        (:meth:`_run_scheduled`), bit-identical to the pipeline.  The
+        stream lives for this run only."""
+        scheduled = None
+        for index in range(shots):
             stats.shots_total += 1
             stats.interpreter_shots += 1
-            yield self._timed(self.run_shot,
-                              histogram="engine.interpreter.shot.time_ns")
+            record = reserve_once and index == 0 and shots > 1
+            stream = self._stream = [] if record else None
+            self._scheduled = scheduled
+            try:
+                trace = self._timed(
+                    self.run_shot,
+                    histogram="engine.interpreter.shot.time_ns")
+            finally:
+                self._stream = self._scheduled = None
+            if record:
+                # The shot-invariant fields, in lists no consumer holds.
+                scheduled = (tuple(stream), replace(
+                    trace, triggers=[], results=[], slips=list(trace.slips)))
+            yield trace
 
     def _replay_shots(self, shots: int, stats: EngineStats,
                       report: DataMemoryReport,
@@ -771,18 +828,21 @@ class QuMAv2:
     def _binary_verdict(self) -> _BinaryVerdict:
         """The loaded binary's :class:`_BinaryVerdict`, computed once
         per binary: the module-level replay analysis over its dataflow
-        report, and the tableau and frame reasons from one pass over
-        the distinct operation names of its bundles in program order."""
+        report, and the tableau and frame reasons and the reserve-once
+        eligibility from one pass over the distinct operation names of
+        its bundles in program order."""
         if self._verdict is None:
             instructions = self._instructions
             report = self.data_memory_report()
             tableau = [] if instructions else ["no program loaded"]
             frame = []
-            if any(isinstance(instruction, Fmr)
-                   for instruction in instructions):
+            has_fmr = any(isinstance(instruction, Fmr)
+                          for instruction in instructions)
+            if has_fmr:
                 frame.append(
                     "FMR feedback can fork the Clifford sequence on "
                     "per-shot outcomes")
+            conditional_measurement = False
             names = dict.fromkeys(
                 slot.name for instruction in instructions
                 if isinstance(instruction, Bundle)
@@ -793,20 +853,25 @@ class QuMAv2:
                 except ConfigurationError:
                     tableau.append(f"operation {name!r} is not translatable")
                     continue
-                if any(micro_op.condition is not ExecutionFlag.ALWAYS
-                       for micro_op in micro_ops):
+                conditional = [micro_op for micro_op in micro_ops
+                               if micro_op.condition
+                               is not ExecutionFlag.ALWAYS]
+                if conditional:
                     frame.append(
                         f"operation {name!r} executes conditionally (the "
                         f"gate sequence forks on per-shot outcomes)")
+                    conditional_measurement |= any(
+                        micro_op.is_measurement for micro_op in conditional)
                 unitary = self.isa.operations.get(name).unitary
                 if unitary is not None and not all(
                         micro_op.is_measurement for micro_op in micro_ops) \
                         and cached_clifford_action(unitary) is None:
                     tableau.append(f"operation {name!r} is not Clifford")
+            replay = replay_unsupported_reasons(
+                instructions, self.microcode, data_memory_report=report)
             self._verdict = _BinaryVerdict(
-                report, replay_unsupported_reasons(
-                    instructions, self.microcode, data_memory_report=report),
-                tableau, frame)
+                report, replay, tableau, frame,
+                not (has_fmr or replay or conditional_measurement))
         return self._verdict
 
     def plant_backend_reasons(self) -> list[str]:
@@ -1379,20 +1444,63 @@ class QuMAv2:
 
     def _process_event(self, event: tuple) -> None:
         time_ns, _, _, kind, payload = event
+        if self._stream is not None and kind != "qreg":
+            self._stream.append(event)
         if kind == "trigger":
             self._outstanding_triggers -= 1
             self._trigger_device_operation(time_ns, *payload)
         elif kind == "result":
             self._on_result_arrival(time_ns, payload)
         elif kind == "flag":
-            self.execution_flags.on_result(payload.qubit,
-                                           payload.reported_result)
+            pending = self._measured[payload]
+            self.execution_flags.on_result(pending.qubit,
+                                           pending.reported_result)
         elif kind == "qreg":
-            self.q_registers.register(payload.qubit).on_result(
-                payload.reported_result)
-            self._last_qreg_write_ns[payload.qubit] = time_ns
+            pending = self._measured[payload]
+            self.q_registers.register(pending.qubit).on_result(
+                pending.reported_result)
+            self._last_qreg_write_ns[pending.qubit] = time_ns
         else:
             raise RuntimeFault(f"unknown event kind {kind}")
+
+    def _run_scheduled(self, stream: tuple, first: ShotTrace) -> ShotTrace:
+        """A scheduled shot: re-run the first shot's trigger-phase
+        ``stream`` (see :meth:`_interpreter_shots`) against the live
+        plant.  Each trigger tests its execution flags live and
+        releases through :meth:`_release`, each result is recorded
+        through :meth:`_record_result` and each flag update reads this
+        shot's own result, so every plant call, RNG draw and trace
+        field is the pipeline's.  No instruction is fetched, no point
+        scheduled and no event heap touched; the shot-invariant fields
+        (slips, instruction count, classical time, stop flag) are the
+        first shot's, in fresh lists.
+
+        Only the trigger-phase state is reset.  The reserve-phase state
+        (pipeline, GPRs, comparison flags, data memory) stays as the
+        first shot left it, which is what every shot of an FMR-free
+        binary leaves; no Q register is written, since ``FMR``, their
+        only reader, rules the stream out."""
+        self.plant.reset_shot()
+        self.execution_flags.reset()
+        self._pending_pairs = {}
+        measured = self._measured = []
+        trace = self._trace = ShotTrace(
+            slips=list(first.slips),
+            instructions_executed=first.instructions_executed,
+            classical_time_ns=first.classical_time_ns,
+            stop_reached=first.stop_reached)
+        release = self._release
+        record_result = self._record_result
+        on_result = self.execution_flags.on_result
+        for time_ns, _, _, kind, payload in stream:
+            if kind == "trigger":
+                release(time_ns, payload[1], payload[2])
+            elif kind == "result":
+                record_result(time_ns, measured[payload])
+            else:
+                pending = measured[payload]
+                on_result(pending.qubit, pending.reported_result)
+        return trace
 
     # ------------------------------------------------------------------
     # Trigger phase: FCE + pulse generation + measurement start
@@ -1400,7 +1508,6 @@ class QuMAv2:
     def _trigger_device_operation(self, time_ns: float, queue: EventQueue,
                                   device_op: DeviceOperation,
                                   plan: tuple[_PlannedOp, ...]) -> None:
-        config = self._config
         # The timing controller consumes the device's event queue in
         # FIFO order; triggers are chronological per device, so the
         # popped entry must be the one due now.
@@ -1409,6 +1516,19 @@ class QuMAv2:
             raise RuntimeFault(
                 f"event queue of {device_op.device} delivered operations "
                 f"out of order")
+        measured = self._measured
+        started = len(measured)
+        self._release(time_ns, device_op, plan)
+        for index in range(started, len(measured)):
+            self._push_event(measured[index].arrival_ns, "result", index)
+
+    def _release(self, time_ns: float, device_op: DeviceOperation,
+                 plan: tuple[_PlannedOp, ...]) -> None:
+        """Fast conditional execution of one triggered device
+        operation: test each micro-op's execution flag, record the
+        trigger, and play the released gates or start the released
+        measurements (appended to :attr:`_measured`)."""
+        config = self._config
         output_ns = (time_ns + config.fce_evaluation_ns +
                      config.codeword_output_ns)
         cycle = device_op.cycle
@@ -1423,28 +1543,30 @@ class QuMAv2:
                 continue
             kind = planned.kind
             if kind == _MEASURE:
-                pending = self.measurement_unit.start_measurement(
-                    planned.qubit, time_ns)
-                self._push_event(pending.arrival_ns, "result", pending)
+                self._measured.append(self.measurement_unit.start_measurement(
+                    planned.qubit, time_ns))
             elif kind == _SINGLE:
                 self._apply_gate(planned, planned.qubits, time_ns)
             else:
                 self._collect_pair_half(planned, cycle, time_ns)
 
-    def _on_result_arrival(self, time_ns: float,
-                           pending: PendingResult) -> None:
+    def _on_result_arrival(self, time_ns: float, index: int) -> None:
         config = self._config
-        self._trace.results.append(ResultRecord(
-            pending.qubit, pending.raw_result, pending.reported_result,
-            pending.measure_start_ns, time_ns))
+        self._record_result(time_ns, self._measured[index])
         # Execution flags refresh after ingest + combinatorial update;
         # the Q register write crosses into the classical domain.
         self._push_event(
             time_ns + config.result_ingest_ns + config.flag_update_ns,
-            "flag", pending)
+            "flag", index)
         self._push_event(
             time_ns + config.result_ingest_ns + config.qreg_write_ns,
-            "qreg", pending)
+            "qreg", index)
+
+    def _record_result(self, time_ns: float, pending: PendingResult) -> None:
+        """Record a measurement result arriving at ``time_ns``."""
+        self._trace.results.append(ResultRecord(
+            pending.qubit, pending.raw_result, pending.reported_result,
+            pending.measure_start_ns, time_ns))
 
     def _apply_gate(self, planned: _PlannedOp, qubits: tuple[int, ...],
                     time_ns: float) -> None:

@@ -20,7 +20,7 @@ import os
 import pytest
 
 from repro.serving import ServiceConfig, SweepService
-from repro.uarch.faults import PROCESS_FAULT_SITES, FaultPlan, FaultSpec
+from repro.uarch.faults import FAULT_SITES, FaultPlan, FaultSpec
 
 from serving_workload import MAX_STEPS, make_spec, run_points_inline
 
@@ -49,7 +49,7 @@ def chaos_plan() -> FaultPlan:
     pinned to a distinct sweep point."""
     specs = []
     for fault in range(NUM_FAULTS):
-        site = PROCESS_FAULT_SITES[fault % len(PROCESS_FAULT_SITES)]
+        site = FAULT_SITES[fault % len(FAULT_SITES)]
         point = (fault * NUM_POINTS) // max(NUM_FAULTS, 1)
         specs.append(FaultSpec(site, shot=point))
     return FaultPlan(specs)
@@ -77,7 +77,7 @@ class TestChaosIdentity:
         assert len(stats.chaos_directives) == NUM_FAULTS
         sites = {directive.split("@")[0]
                  for directive in stats.chaos_directives}
-        assert sites == set(PROCESS_FAULT_SITES[:NUM_FAULTS])
+        assert sites == set(FAULT_SITES[:NUM_FAULTS])
         # ...and supervision recovered from each: a crash shows up as
         # a worker death, a hang or a dropped result as a watchdog
         # kill (which of the two watchdogs fires first is timing).

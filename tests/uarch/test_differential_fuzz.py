@@ -558,6 +558,20 @@ def test_frame_batched_equivalence(seed):
         assert stats.frame_batched == 0
         assert stats.interpreter_shots == SHOTS
         assert "trajectory" in frame.replay_fallback_reason
+        # Without FMR the run reserves once: its later shots re-run the
+        # first shot's trigger stream, and must equal the same-seed
+        # per-shot pipeline trace for trace on every field.
+        pipeline, pipeline_traces = run_frame_engine(
+            text, seed=40_000 + seed, use_replay=False)
+        assert len(frame_traces) == len(pipeline_traces) == SHOTS
+        for trace, expected in zip(frame_traces, pipeline_traces):
+            assert trace.triggers == expected.triggers
+            assert trace.results == expected.results
+            assert trace.slips == expected.slips
+            assert trace.instructions_executed == \
+                expected.instructions_executed
+            assert trace.classical_time_ns == expected.classical_time_ns
+            assert trace.stop_reached == expected.stop_reached
         FRAME_MIX["ineligible (conditional gate)"] += 1
 
     # Per-path timing-bit identity against the per-shot tableau run.

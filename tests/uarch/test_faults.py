@@ -165,12 +165,12 @@ class TestFaultPlan:
         plan.begin_shot(0)
         assert not plan.fire("worker_crash")
         plan.begin_shot(2)
-        assert plan.fire("worker_crash", point=2)
-        # Budget consumed: the same site never fires again.
+        assert plan.fire("worker_crash")
+        # Budget consumed: the same site never fires again, at the
+        # pinned point or any other.
         assert not plan.fire("worker_crash")
-        [record] = plan.records
-        assert record.site == "worker_crash" and record.shot == 2
-        assert ("point", 2) in record.context
+        plan.begin_shot(3)
+        assert not plan.fire("worker_crash")
 
     def test_every_site_is_armable(self):
         plan = FaultPlan([FaultSpec(site) for site in FAULT_SITES])
