@@ -300,14 +300,19 @@ class QuantumPlant:
         """
         if not qubits:
             raise PlantError(f"operation {name} has no target qubits")
-        if len(qubits) == 1:
-            index, gap = self._idle_gap(qubits[0], start_ns)
-            indices, gaps = (index,), (gap,)
-        else:
-            indices, gaps = zip(*[self._idle_gap(address, start_ns)
-                                  for address in qubits])
-        backend = self.backend
-        obs = self.observability
+        # _idle_gap inlined (the interpreter's per-gate path); () + t is t.
+        index_of = self._index_of
+        qubit_free_at = self._qubit_free_at
+        indices = gaps = ()
+        for address in qubits:
+            index = index_of.get(address)
+            free_at = qubit_free_at.get(address)
+            if index is None or start_ns < free_at - 1e-9:
+                self._idle_gap(address, start_ns)  # raises
+            indices += (index,)
+            gaps += (start_ns - free_at if start_ns > free_at else 0.0,)
+        backend = self._backend or self.backend
+        obs = self._observability
         if obs is not None:
             gate_start = obs.tracer.clock()
         backend.apply_gate_event(name, unitary, indices, gaps, self.noise,
@@ -317,7 +322,7 @@ class QuantumPlant:
                 obs.tracer.clock() - gate_start)
         end_ns = start_ns + duration_ns
         for address in qubits:
-            self._qubit_free_at[address] = end_ns
+            qubit_free_at[address] = end_ns
         if self.recording is not None:
             self.recording.append(AppliedOperation(
                 name, qubits, start_ns, duration_ns, unitary))

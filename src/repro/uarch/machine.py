@@ -177,6 +177,7 @@ _MEASURE = 0
 _SOURCE_HALF = 1
 _TARGET_HALF = 2
 _SINGLE = 4
+_RESULT, _FLAG = 8, 16  # a ShotProgram's two other step kinds
 
 
 class _PlannedOp(NamedTuple):
@@ -196,6 +197,32 @@ class _PlannedOp(NamedTuple):
     unitary: np.ndarray | None
     duration_cycles: int
     pair: tuple[int, int] | None
+
+
+class _Step(NamedTuple):
+    """A :class:`ShotProgram` step: a result or flag event's measurement
+    ``index``, or what a micro-op trigger's release needs."""
+
+    kind: int
+    time_ns: float
+    index: int = -1
+    qubit: int = -1
+    flag: ExecutionFlag | None = None  # None for ALWAYS: never tested
+    executed: TriggerRecord | None = None
+    cancelled: TriggerRecord | None = None
+    name: str = ""
+    unitary: np.ndarray | None = None
+    targets: tuple[int, ...] | None = None
+    duration_ns: float = 0.0
+    key: tuple | None = None
+
+
+class ShotProgram(NamedTuple):
+    """An FMR-free binary's first pipeline shot, compiled for its run:
+    the steps in processing order and the trace's shot-invariant part."""
+
+    steps: tuple[_Step, ...]
+    first: ShotTrace
 
 
 class _BinaryVerdict(NamedTuple):
@@ -271,9 +298,9 @@ class QuMAv2:
         self._dispatch: dict[type, Callable] = dict(self._DISPATCH)
         # Open only around one shot of _interpreter_shots: the list the
         # pipeline shot records its trigger-phase events into, or the
-        # (events, first trace) a scheduled shot re-runs.
+        # program a scheduled shot runs.
         self._stream: list[tuple] | None = None
-        self._scheduled: tuple[tuple, ShotTrace] | None = None
+        self._scheduled: ShotProgram | None = None
         #: Plant-backend policy: "auto" (static Clifford/noise pass per
         #: run — the default), or "dense"/"stabilizer" to pin a backend.
         self.plant_backend_policy = plant_backend
@@ -418,11 +445,11 @@ class QuMAv2:
 
         Called directly it always runs the whole pipeline; only a
         scheduled shot of :meth:`_interpreter_shots` re-runs the
-        recorded trigger stream instead (:meth:`_run_scheduled`)."""
+        compiled shot program instead (:meth:`_run_scheduled`)."""
         if not self._instructions:
             raise RuntimeFault("no program loaded")
         if self._scheduled is not None:
-            return self._run_scheduled(*self._scheduled)
+            return self._run_scheduled(self._scheduled)
         self.reset_shot()
         trace = self._trace
         budget_ns = self._config.shot_time_budget_ns
@@ -629,10 +656,10 @@ class QuMAv2:
         trigger with its plan, each result arrival and each flag
         update.  Without ``FMR`` no outcome reaches the reserve phase,
         so every later shot would reserve, schedule and trigger the
-        same stream; a scheduled shot (still served by
-        :meth:`run_shot`) re-runs it against the live plant instead
-        (:meth:`_run_scheduled`), bit-identical to the pipeline.  The
-        stream lives for this run only."""
+        same stream; a scheduled shot (still served by :meth:`run_shot`)
+        runs it, compiled into a :class:`ShotProgram`, against the live
+        plant instead (:meth:`_run_scheduled`), bit-identical to the
+        pipeline.  The program lives for this run only."""
         scheduled = None
         for index in range(shots):
             stats.shots_total += 1
@@ -647,9 +674,7 @@ class QuMAv2:
             finally:
                 self._stream = self._scheduled = None
             if record:
-                # The shot-invariant fields, in lists no consumer holds.
-                scheduled = (tuple(stream), replace(
-                    trace, triggers=[], results=[], slips=list(trace.slips)))
+                scheduled = self._compile_program(stream, trace)
             yield trace
 
     def _replay_shots(self, shots: int, stats: EngineStats,
@@ -1463,43 +1488,81 @@ class QuMAv2:
         else:
             raise RuntimeFault(f"unknown event kind {kind}")
 
-    def _run_scheduled(self, stream: tuple, first: ShotTrace) -> ShotTrace:
-        """A scheduled shot: re-run the first shot's trigger-phase
-        ``stream`` (see :meth:`_interpreter_shots`) against the live
-        plant.  Each trigger tests its execution flags live and
-        releases through :meth:`_release`, each result is recorded
-        through :meth:`_record_result` and each flag update reads this
-        shot's own result, so every plant call, RNG draw and trace
-        field is the pipeline's.  No instruction is fetched, no point
-        scheduled and no event heap touched; the shot-invariant fields
-        (slips, instruction count, classical time, stop flag) are the
-        first shot's, in fresh lists.
+    def _compile_program(self, stream: list[tuple], first: ShotTrace
+                         ) -> ShotProgram:
+        """Compile the first shot's trigger-phase ``stream``, its times
+        as :meth:`_release` computes them; an operation without a pulse
+        still raises only when a shot releases it."""
+        config = self._config
+        steps = []
+        for time_ns, _, _, kind, payload in stream:
+            if kind != "trigger":
+                steps.append(_Step(_RESULT if kind == "result" else _FLAG,
+                                   time_ns, index=payload))
+                continue
+            cycle = payload[1].cycle
+            output_ns = (time_ns + config.fce_evaluation_ns +
+                         config.codeword_output_ns)
+            for planned in payload[2]:
+                executed, cancelled = (TriggerRecord(
+                    planned.name, planned.qubits, cycle, time_ns, output_ns,
+                    passed, planned.condition) for passed in (True, False))
+                steps.append(_Step(
+                    planned.kind, time_ns, qubit=planned.qubit,
+                    flag=(None if planned.flag is ExecutionFlag.ALWAYS
+                          else planned.flag),
+                    executed=executed, cancelled=cancelled,
+                    name=planned.name, unitary=planned.unitary,
+                    targets=(planned.qubits if planned.kind == _SINGLE
+                             else planned.pair),
+                    duration_ns=(planned.duration_cycles *
+                                 config.quantum_cycle_ns),
+                    key=(cycle, planned.pair)))
+        return ShotProgram(tuple(steps), replace(
+            first, triggers=[], results=[], slips=list(first.slips)))
 
-        Only the trigger-phase state is reset.  The reserve-phase state
-        (pipeline, GPRs, comparison flags, data memory) stays as the
-        first shot left it, which is what every shot of an FMR-free
-        binary leaves; no Q register is written, since ``FMR``, their
-        only reader, rules the stream out."""
+    def _run_scheduled(self, program: ShotProgram) -> ShotTrace:
+        """A scheduled shot: run ``program`` against the live plant in
+        one loop, testing each flag live and releasing as
+        :meth:`_release` would, so every plant call, RNG draw and trace
+        field is the pipeline's.  Only the trigger-phase state is reset:
+        every shot of an FMR-free binary leaves the reserve-phase state
+        the first one did, and writes no Q register (``FMR`` reads them)."""
         self.plant.reset_shot()
         self.execution_flags.reset()
-        self._pending_pairs = {}
+        pending_pairs = self._pending_pairs = {}
         measured = self._measured = []
-        trace = self._trace = ShotTrace(
-            slips=list(first.slips),
-            instructions_executed=first.instructions_executed,
-            classical_time_ns=first.classical_time_ns,
-            stop_reached=first.stop_reached)
-        release = self._release
+        first = program.first
+        trace = self._trace = replace(first, triggers=[], results=[],
+                                      slips=list(first.slips))
+        record_trigger = trace.triggers.append
         record_result = self._record_result
+        test = self.execution_flags.test
         on_result = self.execution_flags.on_result
-        for time_ns, _, _, kind, payload in stream:
-            if kind == "trigger":
-                release(time_ns, payload[1], payload[2])
-            elif kind == "result":
-                record_result(time_ns, measured[payload])
-            else:
-                pending = measured[payload]
+        start_measurement = self.measurement_unit.start_measurement
+        apply_unitary = self.plant.apply_unitary
+        for (kind, time_ns, index, qubit, flag, executed, cancelled, name,
+             unitary, targets, duration_ns, key) in program.steps:
+            if kind == _RESULT:
+                record_result(time_ns, measured[index])
+            elif kind == _FLAG:
+                pending = measured[index]
                 on_result(pending.qubit, pending.reported_result)
+            elif flag is not None and not test(qubit, flag):
+                record_trigger(cancelled)
+            elif kind == _MEASURE:
+                record_trigger(executed)
+                measured.append(start_measurement(qubit, time_ns))
+            else:
+                record_trigger(executed)
+                if kind != _SINGLE:
+                    halves = pending_pairs.pop(key, 0) | kind
+                    if halves != 3:
+                        pending_pairs[key] = halves
+                        continue
+                if unitary is None:
+                    unitary = self.pulses.unitary_for(name)  # raises
+                apply_unitary(name, unitary, targets, time_ns, duration_ns)
         return trace
 
     # ------------------------------------------------------------------
@@ -1526,8 +1589,9 @@ class QuMAv2:
                  plan: tuple[_PlannedOp, ...]) -> None:
         """Fast conditional execution of one triggered device
         operation: test each micro-op's execution flag, record the
-        trigger, and play the released gates or start the released
-        measurements (appended to :attr:`_measured`)."""
+        trigger, and start a released measurement (appended to
+        :attr:`_measured`), join a released pair half or play a
+        released gate (a pair's when both halves are in)."""
         config = self._config
         output_ns = (time_ns + config.fce_evaluation_ns +
                      config.codeword_output_ns)
@@ -1545,10 +1609,24 @@ class QuMAv2:
             if kind == _MEASURE:
                 self._measured.append(self.measurement_unit.start_measurement(
                     planned.qubit, time_ns))
-            elif kind == _SINGLE:
-                self._apply_gate(planned, planned.qubits, time_ns)
-            else:
-                self._collect_pair_half(planned, cycle, time_ns)
+                continue
+            targets = planned.qubits
+            if kind != _SINGLE:
+                targets = planned.pair
+                if targets is None:
+                    raise RuntimeFault(
+                        f"{planned.name} micro-op lacks pair info")
+                key = (cycle, targets)
+                halves = self._pending_pairs.pop(key, 0) | kind
+                if halves != 3:
+                    self._pending_pairs[key] = halves
+                    continue
+            unitary = planned.unitary
+            if unitary is None:
+                unitary = self.pulses.unitary_for(planned.name)  # raises
+            self.plant.apply_unitary(
+                planned.name, unitary, targets, time_ns,
+                planned.duration_cycles * config.quantum_cycle_ns)
 
     def _on_result_arrival(self, time_ns: float, index: int) -> None:
         config = self._config
@@ -1567,30 +1645,6 @@ class QuMAv2:
         self._trace.results.append(ResultRecord(
             pending.qubit, pending.raw_result, pending.reported_result,
             pending.measure_start_ns, time_ns))
-
-    def _apply_gate(self, planned: _PlannedOp, qubits: tuple[int, ...],
-                    time_ns: float) -> None:
-        """Play a released gate's pulse on ``qubits``."""
-        unitary = planned.unitary
-        if unitary is None:
-            unitary = self.pulses.unitary_for(planned.name)  # raises
-        self.plant.apply_unitary(
-            planned.name, unitary, qubits, time_ns,
-            planned.duration_cycles * self._config.quantum_cycle_ns)
-
-    def _collect_pair_half(self, planned: _PlannedOp, cycle: int,
-                           time_ns: float) -> None:
-        """Two-qubit gates: apply the joint unitary when both the
-        source and target micro-operations have been released."""
-        if planned.pair is None:
-            raise RuntimeFault(
-                f"{planned.name} micro-op lacks pair info")
-        key = (cycle, planned.pair)
-        halves = self._pending_pairs.pop(key, 0) | planned.kind
-        if halves != 3:
-            self._pending_pairs[key] = halves
-        else:
-            self._apply_gate(planned, planned.pair, time_ns)
 
     # ------------------------------------------------------------------
     # Introspection helpers

@@ -50,6 +50,50 @@ class TestAddressMapping:
         assert plant.recording == []
 
 
+def backend_state(plant):
+    """A copy of the backend's whole state."""
+    backend = plant.backend
+    if backend.kind == "dense":
+        return backend.density_matrix().matrix.copy()
+    tableau = backend.tableau
+    return list(tableau.x), list(tableau.z), tableau.r
+
+
+class TestGateEventChecks:
+    """A gate event checks every target before any state changes."""
+
+    @pytest.mark.parametrize("backend", ["dense", "stabilizer"])
+    @pytest.mark.parametrize("second, match", [(5, "not on chip"),
+                                               (2, "overlaps")])
+    def test_failing_second_target_changes_nothing(self, backend, second,
+                                                   match):
+        """A two-qubit event whose first target passes and whose second
+        is off-chip or still busy raises, and leaves the state, the
+        busy times, the open recording and the RNG as they were."""
+        noise = NoiseModel(
+            decoherence=DecoherenceModel(t1_ns=1e15, t2_ns=1e15),
+            gate_error=GateErrorModel(single_qubit_error=0.02,
+                                      two_qubit_error=0.05))
+        plant = QuantumPlant(two_qubit_chip(), noise=noise,
+                             rng=np.random.default_rng(3), backend=backend)
+        plant.apply_unitary("X90", gates.X90, (0,), 0.0, 20.0)
+        plant.apply_unitary("X", gates.X, (2,), 100.0, 20.0)
+        plant.recording = []
+        state = backend_state(plant)
+        free_at = dict(plant._qubit_free_at)
+        rng_state = plant.rng.bit_generator.state
+        with pytest.raises(PlantError, match=match):
+            plant.apply_unitary("CNOT", gates.CNOT, (0, second), 110.0, 40.0)
+        after = backend_state(plant)
+        if backend == "dense":
+            assert np.array_equal(after, state)
+        else:
+            assert after == state
+        assert plant._qubit_free_at == free_at
+        assert plant.recording == []
+        assert plant.rng.bit_generator.state == rng_state
+
+
 class TestObservedMeasurement:
     def test_p_one_is_computed_once_with_the_same_draw(self,
                                                        monkeypatch):

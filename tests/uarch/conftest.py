@@ -1,52 +1,45 @@
 """uarch test-session hooks.
 
-Prints the differential-fuzz engine-selection mix in the terminal
-summary (it survives ``-q`` output capture), so the nightly 500-seed
-CI job's log shows at a glance whether programs that should replay
-quietly regressed onto the interpreter.  Cases with a mock plan count
-in their own "interpreter (mock results)" bucket, apart from the
-static blockers.  The plant-backend, corrupted-tree audit and
-Pauli-frame mixes follow.
+Prints the differential-fuzz mixes in the terminal summary (it
+survives ``-q`` output capture), so the nightly 500-seed CI job's log
+shows at a glance whether programs that should replay quietly
+regressed onto the interpreter.  Cases with a mock plan count in their
+own "interpreter (mock results)" bucket, apart from the static
+blockers.  Each of the engine, plant-backend, corrupted-tree audit and
+Pauli-frame mixes prints on its own whenever it is non-empty, so a run
+that selects one fuzz test still shows that test's mix.
 """
 
 import sys
+
+#: (the fuzz module's mix, its summary line's label, whether the label
+#: carries the case total).
+_MIXES = (
+    ("ENGINE_MIX", "differential-fuzz engine mix", True),
+    ("BACKEND_MIX", "differential-fuzz plant-backend mix", False),
+    ("AUDIT_MIX", "corrupted-tree audit mix", True),
+    ("FRAME_MIX", "pauli-frame fuzz mix", True),
+)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # Look the fuzz module up however pytest imported it (rootdir
     # top-level name or namespace-package path) — importing it here
-    # would create a second instance with an empty counter.
+    # would create a second instance with empty counters.
     fuzz_module = None
     for name, module in list(sys.modules.items()):
-        if name.rpartition(".")[2] == "test_differential_fuzz":
-            if getattr(module, "ENGINE_MIX", None):
-                fuzz_module = module
-                break
+        if name.rpartition(".")[2] == "test_differential_fuzz" and any(
+                getattr(module, mix, None) for mix, _, _ in _MIXES):
+            fuzz_module = module
+            break
     if fuzz_module is None:
         return
-    mix = fuzz_module.ENGINE_MIX
-    total = sum(mix.values())
-    parts = ", ".join(f"{name}: {count}"
-                      for name, count in sorted(mix.items()))
-    terminalreporter.write_line(
-        f"differential-fuzz engine mix over {total} cases — {parts}")
-    backends = getattr(fuzz_module, "BACKEND_MIX", None)
-    if backends:
+    for mix_name, label, with_total in _MIXES:
+        mix = getattr(fuzz_module, mix_name, None)
+        if not mix:
+            continue
+        if with_total:
+            label = f"{label} over {sum(mix.values())} cases"
         parts = ", ".join(f"{name}: {count}"
-                          for name, count in sorted(backends.items()))
-        terminalreporter.write_line(
-            f"differential-fuzz plant-backend mix — {parts}")
-    audits = getattr(fuzz_module, "AUDIT_MIX", None)
-    if audits:
-        total = sum(audits.values())
-        parts = ", ".join(f"{name}: {count}"
-                          for name, count in sorted(audits.items()))
-        terminalreporter.write_line(
-            f"corrupted-tree audit mix over {total} cases — {parts}")
-    frames = getattr(fuzz_module, "FRAME_MIX", None)
-    if frames:
-        total = sum(frames.values())
-        parts = ", ".join(f"{name}: {count}"
-                          for name, count in sorted(frames.items()))
-        terminalreporter.write_line(
-            f"pauli-frame fuzz mix over {total} cases — {parts}")
+                          for name, count in sorted(mix.items()))
+        terminalreporter.write_line(f"{label} — {parts}")

@@ -31,10 +31,11 @@ from repro.core.operations import (
 )
 from repro.experiments.reset import FIG4_PROGRAM
 from repro.experiments.runner import ExperimentSetup
-from repro.quantum import NoiseModel, QuantumPlant
+from repro.quantum import NoiseModel, QuantumPlant, gates
 from repro.quantum.noise import DecoherenceModel, GateErrorModel
 from repro.uarch import QuMAv2, slip_config
 from repro.uarch.quantum_pipeline import QuantumPipeline
+from repro.uarch.trace import ShotCounts
 from repro.workloads.surface17 import surface17_circuit
 
 SHOTS = 12
@@ -70,6 +71,24 @@ MEASZ S2
 QWAIT 50
 C_X S2
 MEASZ S2
+STOP
+"""
+
+#: A conditional CNOT after both qubits' first readout: its source
+#: half is released by qubit 0's flag and its target half by qubit 2's,
+#: so the pair applies only on shots that read both as 1.
+CONDITIONAL_PAIR = """
+SMIS S0, {0}
+SMIS S2, {2}
+SMIS S3, {0, 2}
+SMIT T0, {(0, 2)}
+QWAIT 10000
+X90 S3
+MEASZ S3
+QWAIT 50
+C_CNOT T0
+QWAIT 10
+MEASZ S3
 STOP
 """
 
@@ -145,6 +164,20 @@ def two_qubit_machine(text, seed, operations=None):
     return machine
 
 
+def conditional_pair_operations():
+    operations = default_operation_set()
+    operations.add(QuantumOperation(name="C_CNOT",
+                                    kind=OperationKind.TWO_QUBIT,
+                                    duration_cycles=2, unitary=gates.CNOT,
+                                    condition=ExecutionFlag.LAST_ONE))
+    return operations
+
+
+def conditional_pair(seed):
+    return two_qubit_machine(CONDITIONAL_PAIR, seed,
+                             conditional_pair_operations())
+
+
 def conditional_measurement_operations():
     operations = default_operation_set()
     operations.add(QuantumOperation(name="C_MEASZ",
@@ -158,11 +191,11 @@ def fig4(seed):
     return two_qubit_machine(FIG4_PROGRAM, seed)
 
 
-def surface17(seed):
+def surface17(seed, rounds=1):
     setup = ExperimentSetup.create(isa=seventeen_qubit_instantiation(),
                                    noise=pauli_noise(), seed=seed)
     setup.machine.load(setup.compile_circuit(
-        surface17_circuit(rounds=1, reset=True)))
+        surface17_circuit(rounds=rounds, reset=True)))
     return setup.machine
 
 
@@ -222,6 +255,7 @@ ELIGIBLE = {
     "early-conditional": lambda seed: two_qubit_machine(EARLY_CONDITIONAL,
                                                         seed),
     "slipping": slipping,
+    "conditional-pair": conditional_pair,
 }
 
 
@@ -253,6 +287,36 @@ def test_conditional_gates_are_live(bundles):
     executed = {trigger.executed for trace in traces
                 for trigger in trace.triggers if trigger.name == "C_X"}
     assert executed == {True, False}
+
+
+def test_conditional_pair_halves_are_live(bundles):
+    """Each half of the conditional pair tests its own qubit's flag:
+    over a run the pair applies on some shots (both halves released)
+    and not on others (one or neither)."""
+    machine, traces, _ = run_counted(conditional_pair, 2, bundles,
+                                     shots=40)
+    released = {sum(trigger.executed for trigger in trace.triggers
+                    if trigger.name == "C_CNOT") for trace in traces}
+    assert released == {0, 1, 2}
+
+
+def test_run_counts_equal_the_pipeline_fold(bundles):
+    """``run_counts(n)`` on two surface-17 rounds with reset (the
+    interpreter-bound benchmark circuit) reserves once and equals the
+    fold of the same-seed per-shot pipeline's traces."""
+    def build(seed):
+        return surface17(seed, rounds=2)
+
+    per_shot = one_shot_bundles(build, 3, bundles)
+    machine = build(3)
+    bundles.clear()
+    counts = machine.run_counts(SHOTS)
+    assert machine.last_run_engine == "interpreter"
+    assert len(bundles) == per_shot
+    expected = ShotCounts()
+    for trace in build(3).run(SHOTS, use_replay=False):
+        expected.add(trace)
+    assert counts.as_dict() == expected.as_dict()
 
 
 def test_slips_are_kept(bundles):
