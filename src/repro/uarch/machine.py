@@ -170,38 +170,25 @@ _PLANT_BACKEND_POLICIES = ("auto", "dense", "stabilizer")
 _EVENT_PRIORITY = {"result": 0, "flag": 1, "qreg": 1, "trigger": 2}
 _TRIGGER_PRIORITY = _EVENT_PRIORITY["trigger"]
 
-#: What a released micro-operation does (:attr:`_PlannedOp.kind`).  A
-#: pair half's kind is its bit in the machine's pending-pair halves
-#: (source 1 | target 2); the joint gate fires when both are in.
+#: What a :class:`_Step` does when it runs.  A pair half's kind is its
+#: bit in the machine's pending-pair halves (source 1 | target 2); the
+#: joint gate fires when both are in.
 _MEASURE = 0
 _SOURCE_HALF = 1
 _TARGET_HALF = 2
 _SINGLE = 4
-_RESULT, _FLAG = 8, 16  # a ShotProgram's two other step kinds
-
-
-class _PlannedOp(NamedTuple):
-    """One micro-operation of a device operation, resolved for the
-    trigger phase: everything the timing controller needs that the
-    loaded binary fixes, so a trigger reads no enum name, role or
-    pulse table.  ``unitary`` is the pulse library's read-only array
-    (None for a measurement, or for an operation without a pulse,
-    which then raises when released, as it always has)."""
-
-    qubit: int
-    flag: ExecutionFlag
-    condition: str
-    name: str
-    qubits: tuple[int, ...]
-    kind: int
-    unitary: np.ndarray | None
-    duration_cycles: int
-    pair: tuple[int, int] | None
+_RESULT, _FLAG = 8, 16  # a result arrival, an execution-flag update
 
 
 class _Step(NamedTuple):
-    """A :class:`ShotProgram` step: a result or flag event's measurement
-    ``index``, or what a micro-op trigger's release needs."""
+    """The one representation of the trigger phase: one micro-op of a
+    triggered device operation, or a result or flag event's
+    measurement ``index``.  A micro-op step holds everything the loaded
+    binary and the trigger time fix, both trigger records (executed and
+    cancelled) included, so running it reads no enum name, role or
+    pulse table.  ``unitary`` is the pulse library's read-only array
+    (None for a measurement, or for an operation without a pulse, which
+    then raises when released, as it always has)."""
 
     kind: int
     time_ns: float
@@ -218,8 +205,9 @@ class _Step(NamedTuple):
 
 
 class ShotProgram(NamedTuple):
-    """An FMR-free binary's first pipeline shot, compiled for its run:
-    the steps in processing order and the trace's shot-invariant part."""
+    """An FMR-free binary's first pipeline shot, kept for its run: the
+    steps it ran, in processing order, and the trace's shot-invariant
+    part."""
 
     steps: tuple[_Step, ...]
     first: ShotTrace
@@ -289,17 +277,13 @@ class QuMAv2:
         self.q_registers = MeasurementResultRegisters(isa.topology.qubits)
         self.execution_flags = ExecutionFlagsFile(isa.topology.qubits)
         self._instructions: list[Instruction] = []
-        # (cycle, *ids of the micro-ops) -> (the micro-ops, ((queue key,
-        # device op, plan), ...)); holding the micro-ops keeps their ids
-        # from being reused (see _planned_routes).
-        self._trigger_plans: dict[tuple, tuple[tuple, tuple]] = {}
         # Per-instance handler cache: starts as the class dispatch
         # table and absorbs subclass resolutions as they are seen.
         self._dispatch: dict[type, Callable] = dict(self._DISPATCH)
         # Open only around one shot of _interpreter_shots: the list the
-        # pipeline shot records its trigger-phase events into, or the
-        # program a scheduled shot runs.
-        self._stream: list[tuple] | None = None
+        # pipeline shot records the steps it runs into, or the program a
+        # scheduled shot runs.
+        self._stream: list[_Step] | None = None
         self._scheduled: ShotProgram | None = None
         #: Plant-backend policy: "auto" (static Clifford/noise pass per
         #: run — the default), or "dense"/"stabilizer" to pin a backend.
@@ -332,13 +316,19 @@ class QuMAv2:
     def config(self) -> UarchConfig:
         """The clock/latency/queue parameters.  Assigning a new config
         also hands it to the measurement unit (result transport and
-        integration window)."""
+        integration window) and drops the cached trigger steps."""
         return self._config
 
     @config.setter
     def config(self, config: UarchConfig) -> None:
         self._config = config
         self.measurement_unit.config = config
+        # (cycle, due, *ids of the micro-ops) -> (the micro-ops, ((queue
+        # key, device op, steps), ...)); holding the micro-ops keeps
+        # their ids from being reused.  The steps carry times derived
+        # from the config, so a new one starts the cache over (see
+        # _planned_routes).
+        self._trigger_plans: dict[tuple, tuple[tuple, tuple]] = {}
 
     @property
     def observability(self):
@@ -443,9 +433,10 @@ class QuMAv2:
     def run_shot(self, max_instructions: int = 2_000_000) -> ShotTrace:
         """Execute the loaded program once and return its trace.
 
-        Called directly it always runs the whole pipeline; only a
-        scheduled shot of :meth:`_interpreter_shots` re-runs the
-        compiled shot program instead (:meth:`_run_scheduled`)."""
+        Called directly it always runs the whole pipeline, whose
+        trigger phase runs each event's steps (:meth:`_run_steps`);
+        only a scheduled shot of :meth:`_interpreter_shots` runs the
+        first shot's steps again instead (:meth:`_run_scheduled`)."""
         if not self._instructions:
             raise RuntimeFault("no program loaded")
         if self._scheduled is not None:
@@ -516,11 +507,11 @@ class QuMAv2:
         measurement: without ``FMR`` no outcome flows back into the
         reserve phase, so only the first shot runs the classical
         pipeline, decode, timing queue and event heap, and every later
-        shot re-runs its recorded trigger stream against the live plant
-        (fast conditional execution still reads each shot's own
-        results).  The traces and every plant RNG draw equal the
-        per-shot pipeline's; ``use_replay=False`` keeps that pipeline
-        for every shot.
+        shot runs the trigger steps it ran against the live plant, in
+        the same loop (fast conditional execution still reads each
+        shot's own results).  The traces and every plant RNG draw equal
+        the per-shot pipeline's; ``use_replay=False`` keeps that
+        pipeline for every shot.
         """
         return list(self.run_iter(shots, use_replay=use_replay))
 
@@ -651,15 +642,17 @@ class QuMAv2:
 
         With ``reserve_once`` (a :attr:`_BinaryVerdict.reserves_once`
         binary on a replay-enabled run of more than one shot) only the
-        first shot runs the pipeline.  It records its trigger phase, in
-        processing order, into :attr:`_stream`: each device operation's
-        trigger with its plan, each result arrival and each flag
+        first shot runs the pipeline.  It records the steps its trigger
+        phase runs (:class:`_Step`), in processing order, into
+        :attr:`_stream`: each device operation's micro-op steps (the
+        route cache's own objects), each result arrival and each flag
         update.  Without ``FMR`` no outcome reaches the reserve phase,
         so every later shot would reserve, schedule and trigger the
-        same stream; a scheduled shot (still served by :meth:`run_shot`)
-        runs it, compiled into a :class:`ShotProgram`, against the live
-        plant instead (:meth:`_run_scheduled`), bit-identical to the
-        pipeline.  The program lives for this run only."""
+        same steps; a scheduled shot (still served by :meth:`run_shot`)
+        runs them, as a :class:`ShotProgram`, through the same
+        :meth:`_run_steps` against the live plant instead
+        (:meth:`_run_scheduled`), bit-identical to the pipeline.  The
+        program lives for this run only."""
         scheduled = None
         for index in range(shots):
             stats.shots_total += 1
@@ -674,7 +667,8 @@ class QuMAv2:
             finally:
                 self._stream = self._scheduled = None
             if record:
-                scheduled = self._compile_program(stream, trace)
+                scheduled = ShotProgram(tuple(stream), replace(
+                    trace, triggers=[], results=[], slips=list(trace.slips)))
             yield trace
 
     def _replay_shots(self, shots: int, stats: EngineStats,
@@ -1390,7 +1384,7 @@ class QuMAv2:
         queues = self._device_queues
         events = self._events
         sequence = self._event_sequence
-        for queue_key, device_op, plan in self._planned_routes(point):
+        for queue_key, device_op, steps in self._planned_routes(point, due):
             queue = queues.get(queue_key)
             if queue is None:
                 queue = queues[queue_key] = EventQueue(
@@ -1403,56 +1397,70 @@ class QuMAv2:
                 self._process_event(event)
             queue.push(device_op)
             heapq.heappush(events, (due, _TRIGGER_PRIORITY, next(sequence),
-                                    "trigger", (queue, device_op, plan)))
+                                    "trigger", (queue, device_op, steps)))
             self._outstanding_triggers += 1
 
-    def _planned_routes(self, point: ReservedPoint) -> tuple:
-        """The distributor's routing of ``point``: each device
-        operation with its plain ``(kind value, index)`` queue key and
-        its trigger plan (a tuple of :class:`_PlannedOp`), cached per
-        cycle and micro-op objects (shared across shots by the decode
-        cache), dropped by :meth:`load` and bounded by
+    def _planned_routes(self, point: ReservedPoint, due: float) -> tuple:
+        """The distributor's routing of ``point``, triggered at ``due``:
+        each device operation with its plain ``(kind value, index)``
+        queue key and its trigger steps (:meth:`_trigger_steps`),
+        cached per cycle, trigger time and micro-op objects (shared
+        across shots by the decode cache), dropped by :meth:`load` and
+        by a new :attr:`config`, and bounded by
         ``ROUTE_CACHE_CAPACITY``."""
         micro_ops = point.micro_ops
-        key = (point.cycle, *map(id, micro_ops))
+        key = (point.cycle, due, *map(id, micro_ops))
         cached = self._trigger_plans.get(key)
         if cached is None:
             if len(self._trigger_plans) >= ROUTE_CACHE_CAPACITY:
                 self._trigger_plans.clear()
             planned = tuple(
                 ((device_op.device.kind.value, device_op.device.index),
-                 device_op, self._trigger_plan(device_op))
+                 device_op, self._trigger_steps(device_op, due))
                 for device_op in self.distributor.distribute(point.cycle,
                                                              micro_ops))
             cached = self._trigger_plans[key] = (tuple(micro_ops), planned)
         return cached[1]
 
-    def _trigger_plan(self, device_op: DeviceOperation
-                      ) -> tuple[_PlannedOp, ...]:
-        """Resolve each micro-op of ``device_op`` for the trigger
-        phase (see :class:`_PlannedOp`)."""
-        plan = []
+    def _trigger_steps(self, device_op: DeviceOperation,
+                       due: float) -> tuple[_Step, ...]:
+        """Resolve each micro-op of ``device_op``, triggered at
+        ``due``, into its :class:`_Step`.  A pair half without pair
+        info raises here, whether or not a shot releases it."""
+        config = self._config
+        cycle = device_op.cycle
+        output_ns = due + config.fce_evaluation_ns + config.codeword_output_ns
+        steps = []
         for entry in device_op.micro_ops:
             micro_op = entry.micro_op
             name = micro_op.operation
+            flag = micro_op.condition
+            qubits = targets = (entry.qubit,)
             unitary = None
             if micro_op.is_measurement:
                 kind = _MEASURE
             else:
                 if micro_op.role is MicroOpRole.SINGLE:
                     kind = _SINGLE
-                elif micro_op.role is MicroOpRole.SOURCE:
-                    kind = _SOURCE_HALF
                 else:
-                    kind = _TARGET_HALF
+                    kind = (_SOURCE_HALF if micro_op.role is MicroOpRole.SOURCE
+                            else _TARGET_HALF)
+                    targets = entry.pair
+                    if targets is None:
+                        raise RuntimeFault(f"{name} micro-op lacks pair info")
                 if self.pulses.operations.get(name).unitary is not None:
                     unitary = self.pulses.unitary_for(name)
-            plan.append(_PlannedOp(
-                qubit=entry.qubit, flag=micro_op.condition,
-                condition=micro_op.condition.name, name=name,
-                qubits=(entry.qubit,), kind=kind, unitary=unitary,
-                duration_cycles=micro_op.duration_cycles, pair=entry.pair))
-        return tuple(plan)
+            executed, cancelled = (TriggerRecord(
+                name, qubits, cycle, due, output_ns, passed, flag.name)
+                for passed in (True, False))
+            steps.append(_Step(
+                kind, due, qubit=entry.qubit,
+                flag=None if flag is ExecutionFlag.ALWAYS else flag,
+                executed=executed, cancelled=cancelled, name=name,
+                unitary=unitary, targets=targets,
+                duration_ns=micro_op.duration_cycles * config.quantum_cycle_ns,
+                key=(cycle, entry.pair)))
+        return tuple(steps)
 
     # ------------------------------------------------------------------
     # Deterministic-domain event machinery
@@ -1468,83 +1476,94 @@ class QuMAv2:
             self._process_event(heapq.heappop(events))
 
     def _process_event(self, event: tuple) -> None:
+        """Process one event: a ``qreg`` event writes its Q register;
+        any other runs its steps (:meth:`_run_steps`, recorded into an
+        open :attr:`_stream`) and pushes what follows them."""
         time_ns, _, _, kind, payload = event
-        if self._stream is not None and kind != "qreg":
-            self._stream.append(event)
-        if kind == "trigger":
-            self._outstanding_triggers -= 1
-            self._trigger_device_operation(time_ns, *payload)
-        elif kind == "result":
-            self._on_result_arrival(time_ns, payload)
-        elif kind == "flag":
-            pending = self._measured[payload]
-            self.execution_flags.on_result(pending.qubit,
-                                           pending.reported_result)
-        elif kind == "qreg":
-            pending = self._measured[payload]
+        measured = self._measured
+        if kind == "qreg":
+            pending = measured[payload]
             self.q_registers.register(pending.qubit).on_result(
                 pending.reported_result)
             self._last_qreg_write_ns[pending.qubit] = time_ns
+            return
+        if kind == "trigger":
+            self._outstanding_triggers -= 1
+            queue, device_op, steps = payload
+            # The timing controller consumes the device's event queue in
+            # FIFO order; triggers are chronological per device, so the
+            # popped entry must be the one due now.
+            if queue.pop() is not device_op:
+                raise RuntimeFault(
+                    f"event queue of {device_op.device} delivered "
+                    f"operations out of order")
         else:
-            raise RuntimeFault(f"unknown event kind {kind}")
-
-    def _compile_program(self, stream: list[tuple], first: ShotTrace
-                         ) -> ShotProgram:
-        """Compile the first shot's trigger-phase ``stream``, its times
-        as :meth:`_release` computes them; an operation without a pulse
-        still raises only when a shot releases it."""
-        config = self._config
-        steps = []
-        for time_ns, _, _, kind, payload in stream:
-            if kind != "trigger":
-                steps.append(_Step(_RESULT if kind == "result" else _FLAG,
-                                   time_ns, index=payload))
-                continue
-            cycle = payload[1].cycle
-            output_ns = (time_ns + config.fce_evaluation_ns +
-                         config.codeword_output_ns)
-            for planned in payload[2]:
-                executed, cancelled = (TriggerRecord(
-                    planned.name, planned.qubits, cycle, time_ns, output_ns,
-                    passed, planned.condition) for passed in (True, False))
-                steps.append(_Step(
-                    planned.kind, time_ns, qubit=planned.qubit,
-                    flag=(None if planned.flag is ExecutionFlag.ALWAYS
-                          else planned.flag),
-                    executed=executed, cancelled=cancelled,
-                    name=planned.name, unitary=planned.unitary,
-                    targets=(planned.qubits if planned.kind == _SINGLE
-                             else planned.pair),
-                    duration_ns=(planned.duration_cycles *
-                                 config.quantum_cycle_ns),
-                    key=(cycle, planned.pair)))
-        return ShotProgram(tuple(steps), replace(
-            first, triggers=[], results=[], slips=list(first.slips)))
+            steps = (payload,)
+        started = len(measured)
+        self._run_steps(steps)
+        if self._stream is not None:
+            self._stream.extend(steps)
+        if kind == "trigger":
+            for index in range(started, len(measured)):
+                arrival_ns = measured[index].arrival_ns
+                self._push_event(arrival_ns, "result",
+                                 _Step(_RESULT, arrival_ns, index))
+        elif kind == "result":
+            # Execution flags refresh after ingest + combinatorial
+            # update; the Q register write crosses into the classical
+            # domain.
+            config = self._config
+            flag_ns = time_ns + config.result_ingest_ns + config.flag_update_ns
+            self._push_event(flag_ns, "flag",
+                             _Step(_FLAG, flag_ns, payload.index))
+            self._push_event(
+                time_ns + config.result_ingest_ns + config.qreg_write_ns,
+                "qreg", payload.index)
 
     def _run_scheduled(self, program: ShotProgram) -> ShotTrace:
-        """A scheduled shot: run ``program`` against the live plant in
-        one loop, testing each flag live and releasing as
-        :meth:`_release` would, so every plant call, RNG draw and trace
-        field is the pipeline's.  Only the trigger-phase state is reset:
-        every shot of an FMR-free binary leaves the reserve-phase state
-        the first one did, and writes no Q register (``FMR`` reads them)."""
+        """A scheduled shot: run ``program``'s steps against the live
+        plant in one :meth:`_run_steps` call, testing each flag live,
+        so every plant call, RNG draw and trace field is the
+        pipeline's.  Only the trigger-phase state is reset: every shot
+        of an FMR-free binary leaves the reserve-phase state the first
+        one did, and writes no Q register (``FMR`` reads them)."""
         self.plant.reset_shot()
         self.execution_flags.reset()
-        pending_pairs = self._pending_pairs = {}
-        measured = self._measured = []
+        self._pending_pairs = {}
+        self._measured = []
         first = program.first
         trace = self._trace = replace(first, triggers=[], results=[],
                                       slips=list(first.slips))
-        record_trigger = trace.triggers.append
-        record_result = self._record_result
+        self._run_steps(program.steps)
+        return trace
+
+    # ------------------------------------------------------------------
+    # Trigger phase: FCE + pulse generation + measurement start
+    # ------------------------------------------------------------------
+    def _run_steps(self, steps) -> None:
+        """Run trigger-phase steps in order, the one release loop: a
+        result step records its arrival, a flag step updates the
+        execution flags, and a micro-op step is fast conditional
+        execution — test its flag, record the trigger, and start a
+        released measurement (appended to :attr:`_measured`), join a
+        released pair half or play a released gate (a pair's when both
+        halves are in)."""
+        pending_pairs = self._pending_pairs
+        measured = self._measured
+        record_trigger = self._trace.triggers.append
+        record_result = self._trace.results.append
         test = self.execution_flags.test
         on_result = self.execution_flags.on_result
         start_measurement = self.measurement_unit.start_measurement
         apply_unitary = self.plant.apply_unitary
         for (kind, time_ns, index, qubit, flag, executed, cancelled, name,
-             unitary, targets, duration_ns, key) in program.steps:
+             unitary, targets, duration_ns, key) in steps:
             if kind == _RESULT:
-                record_result(time_ns, measured[index])
+                pending = measured[index]
+                record_result(ResultRecord(
+                    pending.qubit, pending.raw_result,
+                    pending.reported_result, pending.measure_start_ns,
+                    time_ns))
             elif kind == _FLAG:
                 pending = measured[index]
                 on_result(pending.qubit, pending.reported_result)
@@ -1563,92 +1582,3 @@ class QuMAv2:
                 if unitary is None:
                     unitary = self.pulses.unitary_for(name)  # raises
                 apply_unitary(name, unitary, targets, time_ns, duration_ns)
-        return trace
-
-    # ------------------------------------------------------------------
-    # Trigger phase: FCE + pulse generation + measurement start
-    # ------------------------------------------------------------------
-    def _trigger_device_operation(self, time_ns: float, queue: EventQueue,
-                                  device_op: DeviceOperation,
-                                  plan: tuple[_PlannedOp, ...]) -> None:
-        # The timing controller consumes the device's event queue in
-        # FIFO order; triggers are chronological per device, so the
-        # popped entry must be the one due now.
-        popped = queue.pop()
-        if popped is not device_op:
-            raise RuntimeFault(
-                f"event queue of {device_op.device} delivered operations "
-                f"out of order")
-        measured = self._measured
-        started = len(measured)
-        self._release(time_ns, device_op, plan)
-        for index in range(started, len(measured)):
-            self._push_event(measured[index].arrival_ns, "result", index)
-
-    def _release(self, time_ns: float, device_op: DeviceOperation,
-                 plan: tuple[_PlannedOp, ...]) -> None:
-        """Fast conditional execution of one triggered device
-        operation: test each micro-op's execution flag, record the
-        trigger, and start a released measurement (appended to
-        :attr:`_measured`), join a released pair half or play a
-        released gate (a pair's when both halves are in)."""
-        config = self._config
-        output_ns = (time_ns + config.fce_evaluation_ns +
-                     config.codeword_output_ns)
-        cycle = device_op.cycle
-        test = self.execution_flags.test
-        triggers = self._trace.triggers
-        for planned in plan:
-            passed = test(planned.qubit, planned.flag)
-            triggers.append(TriggerRecord(
-                planned.name, planned.qubits, cycle, time_ns, output_ns,
-                passed, planned.condition))
-            if not passed:
-                continue
-            kind = planned.kind
-            if kind == _MEASURE:
-                self._measured.append(self.measurement_unit.start_measurement(
-                    planned.qubit, time_ns))
-                continue
-            targets = planned.qubits
-            if kind != _SINGLE:
-                targets = planned.pair
-                if targets is None:
-                    raise RuntimeFault(
-                        f"{planned.name} micro-op lacks pair info")
-                key = (cycle, targets)
-                halves = self._pending_pairs.pop(key, 0) | kind
-                if halves != 3:
-                    self._pending_pairs[key] = halves
-                    continue
-            unitary = planned.unitary
-            if unitary is None:
-                unitary = self.pulses.unitary_for(planned.name)  # raises
-            self.plant.apply_unitary(
-                planned.name, unitary, targets, time_ns,
-                planned.duration_cycles * config.quantum_cycle_ns)
-
-    def _on_result_arrival(self, time_ns: float, index: int) -> None:
-        config = self._config
-        self._record_result(time_ns, self._measured[index])
-        # Execution flags refresh after ingest + combinatorial update;
-        # the Q register write crosses into the classical domain.
-        self._push_event(
-            time_ns + config.result_ingest_ns + config.flag_update_ns,
-            "flag", index)
-        self._push_event(
-            time_ns + config.result_ingest_ns + config.qreg_write_ns,
-            "qreg", index)
-
-    def _record_result(self, time_ns: float, pending: PendingResult) -> None:
-        """Record a measurement result arriving at ``time_ns``."""
-        self._trace.results.append(ResultRecord(
-            pending.qubit, pending.raw_result, pending.reported_result,
-            pending.measure_start_ns, time_ns))
-
-    # ------------------------------------------------------------------
-    # Introspection helpers
-    # ------------------------------------------------------------------
-    def instruction_memory(self) -> list[Instruction]:
-        """The decoded instruction memory contents."""
-        return list(self._instructions)

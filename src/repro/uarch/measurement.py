@@ -73,14 +73,6 @@ class MeasurementUnit:
                 raise ConfigurationError(f"mock result {result} not a bit")
         self._mock_results.setdefault(qubit, deque()).extend(results)
 
-    def has_mock_results(self, qubit: int) -> bool:
-        """Whether fabricated results remain queued for a qubit."""
-        return bool(self._mock_results.get(qubit))
-
-    def remaining_mock_results(self, qubit: int) -> int:
-        """How many fabricated results are still queued for a qubit."""
-        return len(self._mock_results.get(qubit, ()))
-
     def has_any_mock_results(self) -> bool:
         """Whether fabricated results remain queued for *any* qubit
         (a machine-level blocker of both fast engines: draining queues

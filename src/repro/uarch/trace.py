@@ -42,7 +42,8 @@ class TriggerRecord(NamedTuple):
     the operation was cancelled.  ``output_ns`` is when the digital
     output left the controller (used for latency measurements).  Like
     :class:`ResultRecord`, an immutable named tuple: the interpreter
-    builds one per trigger of every shot.
+    prebuilds both of a trigger's records (executed and cancelled) once
+    per loaded binary and trigger time, and every shot appends one.
     """
 
     name: str

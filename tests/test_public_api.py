@@ -112,6 +112,15 @@ class TestExports:
             with pytest.raises(ConfigurationError):
                 FaultSpec(site)
 
+    def test_test_only_accessors_left_src(self):
+        """Accessors that only tests called are test helpers now
+        (``tests/machine_probes.py``)."""
+        from repro.uarch import QuMAv2
+        from repro.uarch.measurement import MeasurementUnit
+        assert not hasattr(QuMAv2, "instruction_memory")
+        for name in ("has_mock_results", "remaining_mock_results"):
+            assert not hasattr(MeasurementUnit, name)
+
     def test_version(self):
         import repro
         assert repro.__version__ == "1.0.0"

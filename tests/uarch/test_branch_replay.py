@@ -27,6 +27,7 @@ from repro.uarch import (
     replay_unsupported_reasons,
 )
 from repro.uarch.machine import _MOCK_BLOCKER as MOCK_BLOCKER
+from machine_probes import instruction_memory
 
 
 def make_machine(isa=None, noise=None, seed=0):
@@ -311,7 +312,7 @@ class TestHardBlockerReporting:
         assert reasons[-1] == MOCK_BLOCKER
         # The module-level analysis judges the binary alone.
         assert replay_unsupported_reasons(
-            machine.instruction_memory(), machine.microcode) == reasons[:2]
+            instruction_memory(machine), machine.microcode) == reasons[:2]
         machine.run(1)
         assert machine.replay_fallback_reason == "; ".join(reasons)
 

@@ -30,6 +30,7 @@ from repro.uarch.trace import (
     SlipRecord,
     TriggerRecord,
 )
+from machine_probes import has_mock_results
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +164,7 @@ class TestMeasurementUnit:
         unit.inject_mock_results(0, [1])
         plant.recording = []
         assert unit.start_measurement(0, 0.0).reported_result == 1
-        assert not unit.has_mock_results(0)
+        assert not has_mock_results(unit, 0)
         pending = unit.start_measurement(0, 1000.0)
         assert pending.raw_result == 0  # real plant, ground state
         assert len(plant.recording) == 1
@@ -185,7 +186,7 @@ class TestMeasurementUnit:
         unit, _ = self.make_unit()
         unit.inject_mock_results(0, [1, 1])
         unit.clear_mock_results()
-        assert not unit.has_mock_results(0)
+        assert not has_mock_results(unit, 0)
 
 
 class TestTraceRecords:

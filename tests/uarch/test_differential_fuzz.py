@@ -58,6 +58,7 @@ from repro.uarch import (
     dataflow,
 )
 from repro.uarch.machine import _MOCK_BLOCKER
+from machine_probes import instruction_memory, remaining_mock_results
 from tree_corruption import corrupt_template, kept_terminals
 
 DEFAULT_SEED_COUNT = 25
@@ -348,8 +349,8 @@ def check_engines_agree(text: str, mock_plan: list[int], seed: int,
         assert replay.last_run_engine == "interpreter"
         assert replay.replay_fallback_reason == "; ".join(reasons)
         assert stats.interpreter_shots == SHOTS
-        assert (interpreter.measurement_unit.remaining_mock_results(2) ==
-                replay.measurement_unit.remaining_mock_results(2))
+        assert (remaining_mock_results(interpreter.measurement_unit, 2) ==
+                remaining_mock_results(replay.measurement_unit, 2))
     elif reasons:
         # Static blockers (live loads): transparent fallback, and the
         # run must still be a faithful interpreter run.
@@ -403,7 +404,7 @@ def assert_join_keying_is_sound(text: str) -> None:
     isa = two_qubit_instantiation()
     machine = QuMAv2(isa, QuantumPlant(isa.topology))
     machine.load(Assembler(isa).assemble_text(text))
-    instructions = machine.instruction_memory()
+    instructions = instruction_memory(machine)
     exploration = analyze_data_memory(instructions)
     joined = dataflow._report(
         instructions, dataflow._explore(instructions, join=True), "joined")

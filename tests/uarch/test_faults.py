@@ -58,6 +58,7 @@ from repro.uarch import (
     UarchConfig,
 )
 from repro.workloads.surface_code import rotated_surface_circuit
+from machine_probes import remaining_mock_results
 from tree_corruption import corrupt_random_template, kept_terminals
 
 ACTIVE_RESET = """
@@ -492,7 +493,7 @@ class TestReplayAudit:
         # audit never shadow-runs a shot and never double-drains.
         assert machine.engine_stats.engine == "interpreter"
         assert machine.engine_stats.replay_audits == 0
-        assert machine.measurement_unit.remaining_mock_results(2) == 20
+        assert remaining_mock_results(machine.measurement_unit, 2) == 20
 
     def test_invalid_fraction_rejected(self):
         isa = two_qubit_instantiation()

@@ -19,6 +19,7 @@ from repro.core import Assembler, two_qubit_instantiation
 from repro.experiments.cfc import CFC_SCRATCH_PROGRAM
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.uarch import QuMAv2, analyze_data_memory
+from machine_probes import instruction_memory
 
 
 def make_machine(seed=0, noise=None):
@@ -32,7 +33,7 @@ def make_machine(seed=0, noise=None):
 def analyze(text):
     machine = make_machine()
     machine.load(Assembler(machine.isa).assemble_text(text))
-    return analyze_data_memory(machine.instruction_memory())
+    return analyze_data_memory(instruction_memory(machine))
 
 
 def machine_report(text, seed=0):

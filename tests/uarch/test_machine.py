@@ -1,6 +1,8 @@
 """End-to-end machine tests: the paper's example programs executed on
 the full microarchitecture + plant."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.core.errors import (
     RuntimeFault,
     TimingViolationError,
 )
+from repro.core.microcode import MicroOpRole
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.uarch import QuMAv2, UarchConfig, slip_config
 from repro.uarch.devices import QubitMicroOp
@@ -153,8 +156,9 @@ class TestFig4ActiveReset:
 
 class TestTriggerPlans:
     """Each routed device operation is resolved once per loaded binary
-    into a trigger plan (condition, unitary, duration, role); the flag
-    itself is still evaluated at every trigger of every shot."""
+    and trigger time into its trigger steps (condition, unitary,
+    duration, role and both trigger records); the flag itself is still
+    evaluated at every trigger of every shot."""
 
     X_THEN_MEASURE = """
     SMIS S2, {2}
@@ -200,35 +204,96 @@ class TestTriggerPlans:
                        for old in first_plans)
 
     def test_plans_are_reused_across_shots(self):
+        """A second pipeline shot of an FMR-free binary allocates no
+        step: it runs the cached steps and records their prebuilt
+        trigger records."""
         machine = make_machine()
         load(machine, self.X_THEN_MEASURE)
         machine.run_shot()
         plans = self._plans(machine)
-        machine.run_shot()
+        steps = [step for plan in plans for step in plan]
+        trace = machine.run_shot()
         assert all(new is old for new, old
                    in zip(self._plans(machine), plans, strict=True))
+        assert len(trace.triggers) == len(steps)
+        assert all(record is step.executed for record, step
+                   in zip(trace.triggers, steps, strict=True))
 
     def test_routes_have_plain_keys_and_are_reused(self):
-        """One cache keyed by cycle and micro-op objects holds each
-        point's routing (the distributor's grouping, with plain
-        ``(kind value, index)`` queue keys) and its trigger plans."""
+        """One cache keyed by cycle, trigger time and micro-op objects
+        holds each point's routing (the distributor's grouping, with
+        plain ``(kind value, index)`` queue keys) and its trigger
+        steps."""
         machine = make_machine(isa=seven_qubit_instantiation())
         microcode = machine.microcode
         entries = [QubitMicroOp(microcode.translate_name("MEASZ")[0], 0),
                    QubitMicroOp(microcode.translate_name("MEASZ")[0], 3),
                    QubitMicroOp(microcode.translate_name("X")[0], 1)]
-        planned = machine._planned_routes(ReservedPoint(4, entries))
+        planned = machine._planned_routes(ReservedPoint(4, entries), 80.0)
         assert [device_op for _, device_op, _ in planned] == \
             machine.distributor.distribute(4, entries)
         assert [key for key, _, _ in planned] == [("measurement", 0),
                                                   ("microwave", 1)]
         assert machine._planned_routes(
-            ReservedPoint(4, list(entries))) is planned
+            ReservedPoint(4, list(entries)), 80.0) is planned
         assert machine._planned_routes(
-            ReservedPoint(5, entries))[0][1].cycle == 5
+            ReservedPoint(5, entries), 100.0)[0][1].cycle == 5
         load(machine, self.X_THEN_MEASURE)
         assert machine._planned_routes(
-            ReservedPoint(4, entries)) is not planned
+            ReservedPoint(4, entries), 80.0) is not planned
+
+    def test_trigger_time_is_part_of_the_key(self):
+        """The same point triggered at two times (a slipped timeline)
+        gets two step tuples, each carrying its own time in both
+        trigger records, at the same codeword-output offset."""
+        machine = make_machine()
+        entries = [QubitMicroOp(
+            machine.microcode.translate_name("C_X")[0], 2)]
+        point = ReservedPoint(4, entries)
+        ((_, _, early),) = machine._planned_routes(point, 80.0)
+        ((_, _, late),) = machine._planned_routes(point, 95.0)
+        assert early is not late
+        assert machine._planned_routes(point, 95.0)[0][2] is late
+        config = machine.config
+        offset = config.fce_evaluation_ns + config.codeword_output_ns
+        for (step,), due in ((early, 80.0), (late, 95.0)):
+            assert step.time_ns == due
+            for record, executed in ((step.executed, True),
+                                     (step.cancelled, False)):
+                assert record.executed is executed
+                assert (record.name, record.qubits, record.cycle) == \
+                    ("C_X", (2,), 4)
+                assert record.condition == "LAST_ONE"
+                assert record.trigger_ns == due
+                assert record.output_ns - record.trigger_ns == offset
+
+    def test_new_config_drops_the_steps(self):
+        """Steps carry times derived from the config, so assigning one
+        starts the cache over: the next shot's trigger records carry
+        the new codeword-output latency."""
+        machine = make_machine()
+        load(machine, self.X_THEN_MEASURE)
+        before = machine.run_shot()
+        config = machine.config
+        machine.config = replace(
+            config, codeword_output_ns=config.codeword_output_ns + 10.0)
+        assert machine._trigger_plans == {}
+        after = machine.run_shot()
+        assert [t.trigger_ns for t in after.triggers] == \
+            [t.trigger_ns for t in before.triggers]
+        assert [t.output_ns - 10.0 for t in after.triggers] == \
+            pytest.approx([t.output_ns for t in before.triggers])
+
+    def test_pair_half_without_pair_info_raises(self):
+        """A pair half must name its pair: the step builder refuses one
+        that does not, whether or not a shot would release it."""
+        machine = make_machine()
+        source = machine.microcode.translate_name("CZ")[0]
+        assert source.role is MicroOpRole.SOURCE
+        with pytest.raises(RuntimeFault, match="CZ micro-op lacks pair"):
+            machine._planned_routes(
+                ReservedPoint(4, [QubitMicroOp(source, 0)]), 80.0)
+        assert machine._trigger_plans == {}
 
     def test_conditional_flag_evaluated_every_shot(self):
         machine = make_machine(seed=5)

@@ -41,6 +41,7 @@ from repro.workloads.surface_code import (
     expected_rotated_z_syndrome,
     rotated_surface_circuit,
 )
+from machine_probes import instruction_memory
 
 T_GATE_PROGRAM = """
 SMIS S2, {2}
@@ -423,7 +424,7 @@ class TestRunCaches:
         passes = (
             machine.plant_backend_reasons,
             lambda: replay_unsupported_reasons(
-                machine.instruction_memory(), machine.microcode))
+                instruction_memory(machine), machine.microcode))
         for static_pass in passes:
             if reason is None:
                 with pytest.raises(RuntimeError, match="translator bug"):

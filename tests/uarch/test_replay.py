@@ -14,6 +14,7 @@ from repro.core import Assembler, seven_qubit_instantiation, \
     two_qubit_instantiation
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.uarch import QuMAv2, ShotCounts, slip_config
+from machine_probes import has_mock_results
 
 
 def make_machine(isa=None, noise=None, seed=0, config=None):
@@ -264,7 +265,7 @@ class TestReplayFallback:
         assert machine.last_run_engine == "interpreter"
         assert "mock results" in machine.replay_fallback_reason
         assert [trace.last_result(2) for trace in traces] == [1, 0, 1]
-        assert not machine.measurement_unit.has_mock_results(2)
+        assert not has_mock_results(machine.measurement_unit, 2)
         machine.run(3)
         assert machine.last_run_engine == "replay"
         assert machine.replay_fallback_reason is None
