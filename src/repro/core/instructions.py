@@ -19,10 +19,11 @@ Instruction taxonomy (Table 1):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from repro.core.errors import AssemblyError
-from repro.core.registers import ComparisonFlag
+from repro.core.registers import ComparisonFlag, to_unsigned32
 
 
 class Instruction:
@@ -37,6 +38,13 @@ class Instruction:
 
 # ----------------------------------------------------------------------
 # Auxiliary classical instructions
+#
+# Each register-writing ALU instruction (LDI, LDUI, NOT, AND/OR/XOR,
+# ADD/SUB) names the registers it reads in ``sources`` and computes its
+# result in ``evaluate(*source values)``; LD/ST compute their byte
+# address in ``address(base)``.  These are the only definitions of the
+# operations: the interpreter executes them and the data-memory
+# dataflow pass folds them.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Nop(Instruction):
@@ -71,7 +79,8 @@ class Br(Instruction):
 
     ``target`` may be a label (str, resolved by the assembler) or an
     already-resolved integer offset in instructions relative to the
-    *next* PC, matching "jump to PC + Offset".
+    branch's own PC, matching "jump to PC + Offset" (``BR ALWAYS, 1``
+    falls through).  Only resolved branches run or are analysed.
     """
 
     condition: ComparisonFlag
@@ -103,6 +112,11 @@ class Ldi(Instruction):
     rd: int
     imm: int
 
+    sources = ()
+
+    def evaluate(self) -> int:
+        return to_unsigned32(self.imm)
+
     def to_assembly(self) -> str:
         return f"LDI R{self.rd}, {self.imm}"
 
@@ -114,6 +128,13 @@ class Ldui(Instruction):
     rd: int
     imm: int
     rs: int
+
+    @property
+    def sources(self) -> tuple[int, ...]:
+        return (self.rs,)
+
+    def evaluate(self, s: int) -> int:
+        return ((self.imm & 0x7FFF) << 17) | (s & 0x1FFFF)
 
     def to_assembly(self) -> str:
         return f"LDUI R{self.rd}, {self.imm}, R{self.rs}"
@@ -127,6 +148,10 @@ class Ld(Instruction):
     rt: int
     imm: int
 
+    def address(self, base: int) -> int:
+        """Effective byte address for Rt holding ``base``."""
+        return to_unsigned32(base + self.imm)
+
     def to_assembly(self) -> str:
         return f"LD R{self.rd}, R{self.rt}({self.imm})"
 
@@ -138,6 +163,8 @@ class St(Instruction):
     rs: int
     rt: int
     imm: int
+
+    address = Ld.address
 
     def to_assembly(self) -> str:
         return f"ST R{self.rs}, R{self.rt}({self.imm})"
@@ -156,6 +183,10 @@ class Fmr(Instruction):
         return f"FMR R{self.rd}, Q{self.qubit}"
 
 
+_LOGICAL = {"AND": operator.and_, "OR": operator.or_, "XOR": operator.xor}
+_ARITHMETIC = {"ADD": operator.add, "SUB": operator.sub}
+
+
 @dataclass(frozen=True)
 class LogicalOp(Instruction):
     """``AND/OR/XOR Rd, Rs, Rt`` — bitwise logical operations."""
@@ -166,9 +197,16 @@ class LogicalOp(Instruction):
     rt: int
 
     def __post_init__(self) -> None:
-        if self.mnemonic_name not in ("AND", "OR", "XOR"):
+        if self.mnemonic_name not in _LOGICAL:
             raise AssemblyError(
                 f"invalid logical mnemonic {self.mnemonic_name}")
+
+    @property
+    def sources(self) -> tuple[int, ...]:
+        return (self.rs, self.rt)
+
+    def evaluate(self, s: int, t: int) -> int:
+        return to_unsigned32(_LOGICAL[self.mnemonic_name](s, t))
 
     def to_assembly(self) -> str:
         return f"{self.mnemonic_name} R{self.rd}, R{self.rs}, R{self.rt}"
@@ -180,6 +218,13 @@ class Not(Instruction):
 
     rd: int
     rt: int
+
+    @property
+    def sources(self) -> tuple[int, ...]:
+        return (self.rt,)
+
+    def evaluate(self, t: int) -> int:
+        return to_unsigned32(~t)
 
     def to_assembly(self) -> str:
         return f"NOT R{self.rd}, R{self.rt}"
@@ -195,9 +240,14 @@ class ArithOp(Instruction):
     rt: int
 
     def __post_init__(self) -> None:
-        if self.mnemonic_name not in ("ADD", "SUB"):
+        if self.mnemonic_name not in _ARITHMETIC:
             raise AssemblyError(
                 f"invalid arithmetic mnemonic {self.mnemonic_name}")
+
+    sources = LogicalOp.sources
+
+    def evaluate(self, s: int, t: int) -> int:
+        return to_unsigned32(_ARITHMETIC[self.mnemonic_name](s, t))
 
     def to_assembly(self) -> str:
         return f"{self.mnemonic_name} R{self.rd}, R{self.rs}, R{self.rt}"

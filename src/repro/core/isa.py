@@ -125,14 +125,6 @@ class EQASMInstantiation:
         """Largest immediate a QWAIT instruction can encode."""
         return (1 << self.qwait_immediate_width) - 1
 
-    def ns_to_cycles(self, duration_ns: float) -> int:
-        """Convert nanoseconds to (rounded) timing cycles."""
-        return round(duration_ns / self.cycle_time_ns)
-
-    def cycles_to_ns(self, cycles: int) -> float:
-        """Convert timing cycles to nanoseconds."""
-        return cycles * self.cycle_time_ns
-
     # ------------------------------------------------------------------
     # Mask helpers (assembly <-> register content translation)
     # ------------------------------------------------------------------

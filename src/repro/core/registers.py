@@ -15,6 +15,7 @@ All register files bounds-check addresses and raise
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 
 from repro.core.errors import InvalidAddressError
@@ -89,12 +90,27 @@ class ComparisonFlag(enum.IntEnum):
     LE = 10
     GT = 11
 
+    def holds(self, rs_value: int, rt_value: int) -> bool:
+        """Whether this flag is '1' after ``CMP`` of the two operand
+        values — the one comparison rule of the ISA."""
+        convert = to_signed32 if self >= ComparisonFlag.LT else to_unsigned32
+        return _RELATIONS[self](convert(rs_value), convert(rt_value))
+
+
+#: Each flag's relation, indexed by flag value (signedness is the
+#: operand conversion in :meth:`ComparisonFlag.holds`).
+_RELATIONS = (
+    lambda s, t: True, lambda s, t: False, operator.eq, operator.ne,
+    operator.lt, operator.ge, operator.le, operator.gt,
+    operator.lt, operator.ge, operator.le, operator.gt,
+)
+
 
 class ComparisonFlags:
-    """Holds the result of the most recent ``CMP``."""
+    """Holds the operands of the most recent ``CMP``; every flag is
+    tested through :meth:`ComparisonFlag.holds`."""
 
     def __init__(self):
-        self._flags: dict[ComparisonFlag, bool] = {}
         self.reset()
 
     def reset(self) -> None:
@@ -103,28 +119,12 @@ class ComparisonFlags:
         self.update(0, 0)
 
     def update(self, rs_value: int, rt_value: int) -> None:
-        """Set every flag from the unsigned 32-bit operand values."""
-        unsigned_s = to_unsigned32(rs_value)
-        unsigned_t = to_unsigned32(rt_value)
-        signed_s = to_signed32(rs_value)
-        signed_t = to_signed32(rt_value)
-        flags = self._flags
-        flags[ComparisonFlag.ALWAYS] = True
-        flags[ComparisonFlag.NEVER] = False
-        flags[ComparisonFlag.EQ] = unsigned_s == unsigned_t
-        flags[ComparisonFlag.NE] = unsigned_s != unsigned_t
-        flags[ComparisonFlag.LTU] = unsigned_s < unsigned_t
-        flags[ComparisonFlag.GEU] = unsigned_s >= unsigned_t
-        flags[ComparisonFlag.LEU] = unsigned_s <= unsigned_t
-        flags[ComparisonFlag.GTU] = unsigned_s > unsigned_t
-        flags[ComparisonFlag.LT] = signed_s < signed_t
-        flags[ComparisonFlag.GE] = signed_s >= signed_t
-        flags[ComparisonFlag.LE] = signed_s <= signed_t
-        flags[ComparisonFlag.GT] = signed_s > signed_t
+        """Record the operands every flag is now tested against."""
+        self._operands = (rs_value, rt_value)
 
     def test(self, flag: ComparisonFlag) -> bool:
         """Value of one comparison flag."""
-        return self._flags[flag]
+        return flag.holds(*self._operands)
 
 
 class TargetRegisterFile:

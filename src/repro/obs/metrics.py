@@ -125,10 +125,6 @@ class Histogram:
         if value > self.max_value:
             self.max_value = value
 
-    def record_many(self, values) -> None:
-        for value in values:
-            self.record(value)
-
     def merge(self, other: "Histogram") -> None:
         """Bucket-wise addition; bounds must match exactly."""
         if other.bounds != self.bounds:

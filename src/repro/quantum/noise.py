@@ -72,13 +72,6 @@ def depolarizing(p: float, num_qubits: int = 1) -> list[np.ndarray]:
     return kraus
 
 
-def is_trace_preserving(kraus: list[np.ndarray], atol: float = 1e-9) -> bool:
-    """Check ``sum K^dag K == I`` for a Kraus set."""
-    dim = kraus[0].shape[0]
-    total = sum(k.conj().T @ k for k in kraus)
-    return bool(np.allclose(total, np.eye(dim), atol=atol))
-
-
 @dataclass(frozen=True)
 class DecoherenceModel:
     """Per-qubit T1/T2 decoherence applied over idle durations.

@@ -60,7 +60,6 @@ from repro.serving.supervisor import WorkerPool
 from repro.serving.sweep import PointResult, SweepSpec
 from repro.serving.worker import Shard
 from repro.uarch.faults import FAULT_SITES, FaultPlan
-from repro.uarch.trace import ShotCounts
 
 
 @dataclass(frozen=True)
@@ -260,10 +259,6 @@ class SweepResult:
     results: dict[int, PointResult]
     stats: ServiceStats
 
-    def counts_by_index(self) -> dict[int, ShotCounts]:
-        return {index: result.counts
-                for index, result in sorted(self.results.items())}
-
 
 @dataclass(frozen=True)
 class _Job:
@@ -300,9 +295,6 @@ class SweepService:
         of :data:`~repro.uarch.faults.FAULT_SITES` fires here; the
         plan's shot index means *sweep point index*."""
         self.fault_plan = plan
-
-    def disarm_faults(self) -> None:
-        self.arm_faults(None)
 
     # ------------------------------------------------------------------
     # Submission / admission

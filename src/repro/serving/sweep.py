@@ -184,21 +184,6 @@ class PointResult:
     def params_dict(self) -> dict:
         return dict(self.params)
 
-    def payload(self) -> dict:
-        """The JSON-ready journal/queue representation."""
-        return {
-            "index": self.index,
-            "seed": self.seed,
-            "counts": self.counts.as_dict(),
-            "engine": self.engine,
-            "plant_backend": self.plant_backend,
-            "interpreter_shots": self.interpreter_shots,
-            "replay_shots": self.replay_shots,
-            "frame_batched": self.frame_batched,
-            "degradations": list(self.degradations),
-            "latency_s": self.latency_s,
-        }
-
     @classmethod
     def from_payload(cls, spec: SweepSpec, payload: Mapping,
                      worker: int | None = None,

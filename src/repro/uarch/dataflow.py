@@ -21,10 +21,13 @@ hard replay blocker.  Two observations remove almost all of it:
 
 The pass is one path-sensitive abstract execution of the binary.
 Registers start at zero each shot, ``LDI``/``LDUI`` introduce
-constants, the ALU folds them, and the comparison flags are modelled
-with the *real* :class:`~repro.core.registers.ComparisonFlags`
-semantics — so a branch whose ``CMP`` operands are statically known
-follows exactly one edge.  A branch whose condition depends on
+constants, and the ALU folds them.  Every fold goes through the
+instruction's own definition — ``evaluate`` of the ALU instructions,
+``address`` of ``LD``/``ST``, and
+:meth:`~repro.core.registers.ComparisonFlag.holds` on the last
+``CMP``'s operands — the same code the interpreter executes, so a
+branch whose ``CMP`` operands are statically known follows exactly
+the edge the interpreter takes.  A branch whose condition depends on
 run-time state (``FMR``/``FBR``/``LD`` results) explores both edges
 with the same state.  The result is an *exploded graph* over which two
 analyses run:
@@ -73,6 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.core.errors import InvalidRequestError
 from repro.core.instructions import (
     ArithOp,
     Br,
@@ -88,11 +92,7 @@ from repro.core.instructions import (
     St,
     Stop,
 )
-from repro.core.registers import (
-    ComparisonFlag,
-    ComparisonFlags,
-    to_unsigned32,
-)
+from repro.core.registers import ComparisonFlag
 
 #: Lattice top: the register may hold different values on different
 #: paths (or depends on run-time state such as memory or measurements).
@@ -141,8 +141,8 @@ class DataMemoryReport:
     #: node lies on a cycle).
     unbounded_loop_pcs: tuple[int, ...] = ()
     #: Which state keying produced the verdicts: "exploration"
-    #: (precise, loops unrolled), "joined" (pc-keyed budget fallback)
-    #: or "unresolved-labels" (no CFG to analyse).
+    #: (precise, loops unrolled) or "joined" (pc-keyed budget
+    #: fallback).
     analysis_mode: str = "exploration"
 
     @property
@@ -169,80 +169,41 @@ class DataMemoryReport:
 # ----------------------------------------------------------------------
 # Abstract transfer functions
 # ----------------------------------------------------------------------
+#: The register-writing ALU instructions: ``sources`` and ``evaluate``.
+_ALU = (Ldi, Ldui, Not, LogicalOp, ArithOp)
+
+
 def _transfer(state: dict, instruction: Instruction) -> dict:
     """Abstract execution of one instruction (GPR effects only).
 
     Returns ``state`` itself when the instruction writes no register,
     so steady-state loop bodies do not churn dict copies.
     """
-
-    def read(register: int):
-        return state.get(register, 0)
-
-    if isinstance(instruction, Ldi):
-        value = to_unsigned32(instruction.imm)
-        out = dict(state)
-        out[instruction.rd] = value
-        return out
-    if isinstance(instruction, Ldui):
-        low = read(instruction.rs)
-        out = dict(state)
-        if low is _UNKNOWN:
-            out[instruction.rd] = _UNKNOWN
-        else:
-            out[instruction.rd] = ((instruction.imm & 0x7FFF) << 17) | \
-                (low & 0x1FFFF)
-        return out
-    if isinstance(instruction, (Ld, Fmr)):
+    if isinstance(instruction, _ALU):
+        values = [state.get(register, 0)
+                  for register in instruction.sources]
+        value = _UNKNOWN if _UNKNOWN in values \
+            else instruction.evaluate(*values)
+    elif isinstance(instruction, (Ld, Fmr)):
         # Memory contents and measurement results are run-time state
         # this transfer does not model.
-        out = dict(state)
-        out[instruction.rd] = _UNKNOWN
-        return out
-    if isinstance(instruction, Not):
-        value = read(instruction.rt)
-        out = dict(state)
-        out[instruction.rd] = _UNKNOWN if value is _UNKNOWN else \
-            to_unsigned32(~value)
-        return out
-    if isinstance(instruction, (LogicalOp, ArithOp)):
-        s = read(instruction.rs)
-        t = read(instruction.rt)
-        out = dict(state)
-        if s is _UNKNOWN or t is _UNKNOWN:
-            out[instruction.rd] = _UNKNOWN
-        else:
-            name = instruction.mnemonic_name
-            if name == "AND":
-                result = s & t
-            elif name == "OR":
-                result = s | t
-            elif name == "XOR":
-                result = s ^ t
-            elif name == "ADD":
-                result = s + t
-            else:  # SUB
-                result = s - t
-            out[instruction.rd] = to_unsigned32(result)
-        return out
-    return state
-
-
-#: Memo table for _evaluate_condition — (operand pair, condition) ->
-#: verdict, shared across programs (the domain is value-keyed).
-_CONDITION_CACHE: dict = {}
+        value = _UNKNOWN
+    else:
+        return state
+    out = dict(state)
+    out[instruction.rd] = value
+    return out
 
 
 def _evaluate_condition(flags, condition: ComparisonFlag):
     """Outcome of ``BR``/``FBR`` ``condition`` under abstract ``flags``.
 
-    ``flags`` is either an ``(rs_value, rt_value)`` operand pair of the
-    dominating ``CMP`` (``(0, 0)`` before any CMP, matching the reset
-    state of :class:`ComparisonFlags`) or ``_UNKNOWN``.  Returns
-    True/False, or ``_UNKNOWN`` when the operands are unknown — except
-    for ``ALWAYS``/``NEVER``, which need no flags at all.  Evaluation
-    goes through the real :class:`ComparisonFlags` so the abstract and
-    concrete branch semantics can never drift.
+    ``flags`` is either the ``(rs_value, rt_value)`` operand pair of
+    the dominating ``CMP`` (``(0, 0)`` before any CMP, the reset state
+    of :class:`~repro.core.registers.ComparisonFlags`) or
+    ``_UNKNOWN``.  Returns :meth:`ComparisonFlag.holds` of the pair,
+    or ``_UNKNOWN`` when the operands are unknown — except for
+    ``ALWAYS``/``NEVER``, which need no flags at all.
     """
     if condition is ComparisonFlag.ALWAYS:
         return True
@@ -250,21 +211,7 @@ def _evaluate_condition(flags, condition: ComparisonFlag):
         return False
     if flags is _UNKNOWN:
         return _UNKNOWN
-    key = (flags, condition)
-    cached = _CONDITION_CACHE.get(key)
-    if cached is None:
-        probe = ComparisonFlags()
-        probe.update(*flags)
-        cached = probe.test(condition)
-        if len(_CONDITION_CACHE) < 4096:
-            _CONDITION_CACHE[key] = cached
-    return cached
-
-
-def _address_of(state: dict, base: int, imm: int):
-    """Effective byte address, exactly the interpreter's arithmetic."""
-    value = state.get(base, 0)
-    return _UNKNOWN if value is _UNKNOWN else to_unsigned32(value + imm)
+    return condition.holds(*flags)
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +277,9 @@ def _explore(instructions: list[Instruction],
     def address_at(pc: int, state: dict):
         instruction = instructions[pc]
         if isinstance(instruction, (St, Ld)):
-            return _address_of(state, instruction.rt, instruction.imm)
+            base = state.get(instruction.rt, 0)
+            return _UNKNOWN if base is _UNKNOWN else \
+                instruction.address(base)
         return None
 
     def intern(pc: int, state: dict, flags) -> int | None:
@@ -391,8 +340,7 @@ def _explore(instructions: list[Instruction],
                 if verdict is _UNKNOWN else int(verdict)
         else:
             out_state = _transfer(state, instruction)
-        if isinstance(instruction, Br) and \
-                isinstance(instruction.target, int):
+        if isinstance(instruction, Br):
             backward = instruction.target <= 0
             verdict = _evaluate_condition(flags, instruction.condition)
             if verdict is _UNKNOWN:
@@ -590,30 +538,19 @@ def _classify(stores: dict[int, set], load_count: int,
 # ----------------------------------------------------------------------
 def analyze_data_memory(
         instructions: Iterable[Instruction]) -> DataMemoryReport:
-    """Prove which loads/stores are replay-safe (see module docstring)."""
-    instructions = list(instructions)
-    store_total = sum(isinstance(i, St) for i in instructions)
-    load_total = sum(isinstance(i, Ld) for i in instructions)
-    if any(isinstance(i, Br) and isinstance(i.target, str)
-           for i in instructions):
-        # Unresolved labels never reach the machine (the assembler
-        # resolves them); there is no CFG to analyse, so classify the
-        # poisoning once: aliasing needs both a load and a store to be
-        # unprovable.  Store-only (or load-only) binaries are still
-        # trivially safe.
-        if store_total and load_total:
-            reasons: tuple[str, ...] = (
-                "program has unresolved branch labels — LD/ST aliasing "
-                "cannot be analysed",)
-            dead = 0
-        else:
-            reasons = ()
-            dead = store_total
-        return DataMemoryReport(
-            store_count=store_total, load_count=load_total,
-            dead_store_count=dead, killed_load_count=0,
-            live_reasons=reasons, analysis_mode="unresolved-labels")
+    """Prove which loads/stores are replay-safe (see module docstring).
 
+    ``instructions`` is a resolved program, as the machine decodes it
+    from a binary: a branch that still names a label has no target to
+    follow and raises :class:`~repro.core.errors.InvalidRequestError`.
+    """
+    instructions = list(instructions)
+    for pc, instruction in enumerate(instructions):
+        if isinstance(instruction, Br) and \
+                isinstance(instruction.target, str):
+            raise InvalidRequestError(
+                f"BR at pc {pc} names the unresolved label "
+                f"{instruction.target!r}; analyse the assembled program")
     graph = _explore(instructions)
     if graph is not None:
         return _report(instructions, graph, "exploration")

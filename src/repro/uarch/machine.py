@@ -82,7 +82,6 @@ from repro.core.registers import (
     ExecutionFlagsFile,
     GPRFile,
     MeasurementResultRegisters,
-    to_unsigned32,
 )
 from repro.quantum.noise import GateErrorModel
 from repro.quantum.pauli_frame import (
@@ -277,9 +276,6 @@ class QuMAv2:
         self.q_registers = MeasurementResultRegisters(isa.topology.qubits)
         self.execution_flags = ExecutionFlagsFile(isa.topology.qubits)
         self._instructions: list[Instruction] = []
-        # Per-instance handler cache: starts as the class dispatch
-        # table and absorbs subclass resolutions as they are seen.
-        self._dispatch: dict[type, Callable] = dict(self._DISPATCH)
         # Open only around one shot of _interpreter_shots: the list the
         # pipeline shot records the steps it runs into, or the program a
         # scheduled shot runs.
@@ -1158,26 +1154,12 @@ class QuMAv2:
     def _execute(self, instruction: Instruction) -> None:
         """Execute one instruction; updates PC and the classical clock.
 
-        Dispatch is a per-class handler table (built once at class
-        definition) instead of an ``isinstance`` chain — the lookup is
-        one dict access on the instruction's exact type, with a
-        one-time MRO walk for unseen subclasses.
+        Dispatch is one lookup of the instruction's exact type in the
+        class handler table (the decoder builds no subclasses).
         """
-        handler = self._dispatch.get(type(instruction))
-        if handler is None:
-            handler = self._resolve_handler(type(instruction))
-        next_pc = handler(self, instruction)
+        next_pc = self._DISPATCH[type(instruction)](self, instruction)
         self._classical_time_ns += self._config.classical_cycle_ns
         self._pc = self._pc + 1 if next_pc is None else next_pc
-
-    def _resolve_handler(self, cls: type) -> Callable:
-        """Find (and cache) the handler of an instruction subclass."""
-        for base in cls.__mro__[1:]:
-            handler = self._dispatch.get(base)
-            if handler is not None:
-                self._dispatch[cls] = handler
-                return handler
-        raise RuntimeFault(f"unhandled instruction {cls.__name__}")
 
     # Handlers return the next PC, or None for straight-line flow.
     def _exec_nop(self, instruction: Nop) -> None:
@@ -1189,9 +1171,6 @@ class QuMAv2:
         return None
 
     def _exec_br(self, instruction: Br) -> int | None:
-        if isinstance(instruction.target, str):
-            raise RuntimeFault(
-                f"unresolved branch label {instruction.target!r}")
         if self.comparison_flags.test(instruction.condition):
             config = self._config
             self._classical_time_ns += (config.branch_taken_penalty_cycles *
@@ -1204,56 +1183,25 @@ class QuMAv2:
         self.gprs.write(instruction.rd, value)
         return None
 
-    def _exec_ldi(self, instruction: Ldi) -> None:
-        self.gprs.write(instruction.rd, to_unsigned32(instruction.imm))
-        return None
-
-    def _exec_ldui(self, instruction: Ldui) -> None:
-        low = self.gprs.read(instruction.rs) & 0x1FFFF
-        value = ((instruction.imm & 0x7FFF) << 17) | low
-        self.gprs.write(instruction.rd, value)
+    def _exec_alu(self, instruction: Ldi | Ldui | Not | LogicalOp | ArithOp
+                  ) -> None:
+        read = self.gprs.read
+        self.gprs.write(instruction.rd, instruction.evaluate(
+            *[read(register) for register in instruction.sources]))
         return None
 
     def _exec_ld(self, instruction: Ld) -> None:
-        address = to_unsigned32(
-            self.gprs.read(instruction.rt) + instruction.imm)
+        address = instruction.address(self.gprs.read(instruction.rt))
         self.gprs.write(instruction.rd, self.memory.load(address))
         return None
 
     def _exec_st(self, instruction: St) -> None:
-        address = to_unsigned32(
-            self.gprs.read(instruction.rt) + instruction.imm)
+        address = instruction.address(self.gprs.read(instruction.rt))
         self.memory.store(address, self.gprs.read(instruction.rs))
         return None
 
     def _exec_fmr(self, instruction: Fmr) -> None:
         self._execute_fmr(instruction)
-        return None
-
-    def _exec_logical(self, instruction: LogicalOp) -> None:
-        s = self.gprs.read(instruction.rs)
-        t = self.gprs.read(instruction.rt)
-        if instruction.mnemonic_name == "AND":
-            result = s & t
-        elif instruction.mnemonic_name == "OR":
-            result = s | t
-        else:
-            result = s ^ t
-        self.gprs.write(instruction.rd, result)
-        return None
-
-    def _exec_not(self, instruction: Not) -> None:
-        self.gprs.write(instruction.rd, ~self.gprs.read(instruction.rt))
-        return None
-
-    def _exec_arith(self, instruction: ArithOp) -> None:
-        s = self.gprs.read(instruction.rs)
-        t = self.gprs.read(instruction.rt)
-        if instruction.mnemonic_name == "ADD":
-            result = s + t
-        else:
-            result = s - t
-        self.gprs.write(instruction.rd, result)
         return None
 
     def _exec_qwait(self, instruction: QWait) -> None:
@@ -1279,20 +1227,20 @@ class QuMAv2:
         return None
 
     #: The per-class dispatch table (STOP is intercepted by the fetch
-    #: loop before dispatch, exactly as before).
+    #: loop before dispatch).
     _DISPATCH: dict[type, Callable] = {
         Nop: _exec_nop,
         Cmp: _exec_cmp,
         Br: _exec_br,
         Fbr: _exec_fbr,
-        Ldi: _exec_ldi,
-        Ldui: _exec_ldui,
+        Ldi: _exec_alu,
+        Ldui: _exec_alu,
         Ld: _exec_ld,
         St: _exec_st,
         Fmr: _exec_fmr,
-        LogicalOp: _exec_logical,
-        Not: _exec_not,
-        ArithOp: _exec_arith,
+        LogicalOp: _exec_alu,
+        Not: _exec_alu,
+        ArithOp: _exec_alu,
         QWait: _exec_qwait,
         QWaitR: _exec_qwaitr,
         SMIS: _exec_smis,

@@ -3,8 +3,9 @@
 Implements the left half of Fig. 9's quantum pipeline:
 
 * the **timestamp manager** consumes QWAIT(R) and PI fields, producing
-  timing points (delegated to the same arithmetic as the architectural
-  timeline model);
+  timing points: it keeps its own cycle counter, which a non-zero
+  wait or PI advances (flushing the buffered point first) and a new
+  shot resets to zero;
 * each **VLIW lane** translates its q opcode through the microcode unit
   and reads its S/T target register;
 * the **quantum microinstruction buffer** resolves the mask-based qubit
@@ -164,11 +165,6 @@ class QuantumPipeline:
         pending = self._pending
         self._pending = None
         return pending
-
-    @property
-    def current_cycle(self) -> int:
-        """Cycle of the last generated timing point."""
-        return self._current_cycle
 
     # ------------------------------------------------------------------
     # VLIW lanes + microinstruction buffer

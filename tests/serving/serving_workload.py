@@ -94,6 +94,13 @@ def make_spec(name: str, num_points: int = 4, shots: int = 15,
         program_factory=program_factory)
 
 
+def counts_by_index(result):
+    """A collected :class:`~repro.serving.SweepResult`'s counts, keyed
+    by point index in index order."""
+    return {index: point.counts
+            for index, point in sorted(result.results.items())}
+
+
 def run_points_inline(setup, spec, indices=None):
     """Execute sweep points in-process (no worker pool) — the
     reference a crash-recovered distributed run must match bit for

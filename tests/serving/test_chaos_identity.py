@@ -22,7 +22,12 @@ import pytest
 from repro.serving import ServiceConfig, SweepService
 from repro.uarch.faults import FAULT_SITES, FaultPlan, FaultSpec
 
-from serving_workload import MAX_STEPS, make_spec, run_points_inline
+from serving_workload import (
+    MAX_STEPS,
+    counts_by_index,
+    make_spec,
+    run_points_inline,
+)
 
 NUM_POINTS = min(int(os.environ.get("EQASM_SERVICE_POINTS", "6")),
                  MAX_STEPS)
@@ -71,7 +76,7 @@ class TestChaosIdentity:
                                fault_plan=chaos_plan())
         result = service.run_sweep(spec)
 
-        assert result.counts_by_index() == expected
+        assert counts_by_index(result) == expected
         stats = result.stats
         # Every planned fault was actually injected...
         assert len(stats.chaos_directives) == NUM_FAULTS
@@ -97,7 +102,7 @@ class TestChaosIdentity:
         service = SweepService(chaos_config(),
                                fault_plan=chaos_plan())
         result = service.run_sweep(spec)
-        assert result.counts_by_index() == expected
+        assert counts_by_index(result) == expected
 
         events = result.stats.events
         kinds = {event.kind for event in events}
@@ -124,12 +129,12 @@ class TestChaosIdentity:
         service = SweepService(chaos_config(),
                                fault_plan=chaos_plan())
         result = service.run_sweep(spec, journal_path=path)
-        assert result.counts_by_index() == expected
+        assert counts_by_index(result) == expected
         # The journal now holds the full sweep: a resume-only service
         # serves every point without starting a single worker.
         resumed = SweepService(chaos_config()).run_sweep(
             spec, journal_path=path)
-        assert resumed.counts_by_index() == expected
+        assert counts_by_index(resumed) == expected
         assert resumed.stats.points_resumed == NUM_POINTS
 
 
@@ -155,7 +160,7 @@ class TestKillNineResume:
 
         fresh = SweepService(chaos_config())
         recovered = fresh.run_sweep(spec, journal_path=path)
-        assert recovered.counts_by_index() == expected
+        assert counts_by_index(recovered) == expected
         stats = fresh.stats
         # Durable before observable: everything the first service
         # yielded had already hit the journal, so it resumes rather
@@ -184,6 +189,6 @@ class TestKillNineResume:
 
         fresh = SweepService(chaos_config())
         recovered = fresh.run_sweep(spec, journal_path=path)
-        assert recovered.counts_by_index() == expected
+        assert counts_by_index(recovered) == expected
         assert (fresh.stats.points_resumed
                 + fresh.stats.points_completed) == NUM_POINTS

@@ -13,6 +13,8 @@ from repro.core.errors import InvalidRequestError, WorkerPoolError
 from repro.obs import Observability
 from repro.serving import ServiceConfig, SweepService, SweepSpec
 from repro.serving import supervisor
+from repro.serving.sweep import execution_payload
+from repro.uarch import EngineStats
 from repro.uarch.faults import FaultPlan, FaultSpec
 
 from serving_workload import (
@@ -96,10 +98,19 @@ class TestSharedPool:
                 # A late result of job 1 for a point index the second
                 # sweep has not served yet, from a live generation.
                 handle = pool.handles[0]
+                done = served[0]
+                stats = EngineStats(
+                    engine=done.engine, plant_backend=done.plant_backend,
+                    interpreter_shots=done.interpreter_shots,
+                    replay_shots=done.replay_shots,
+                    frame_batched=done.frame_batched,
+                    degradations=list(done.degradations))
                 forged.append({
                     "kind": "point", "worker": handle.worker_id,
                     "generation": handle.generation, "job": 1,
-                    "index": 0, "payload": served[0].payload()})
+                    "index": 0, "payload": execution_payload(
+                        first, first.point(0), done.counts, stats,
+                        done.latency_s)})
                 messages = forged + messages
             return messages
 

@@ -27,6 +27,7 @@ from serving_workload import (
     build_frame_setup,
     build_program,
     build_setup,
+    counts_by_index,
     make_spec,
     run_points_inline,
 )
@@ -101,7 +102,7 @@ class TestHappyPath:
         expected = run_points_inline(inline_setup, spec)
         service = SweepService(ServiceConfig(**FAST))
         result = service.run_sweep(spec)
-        assert result.counts_by_index() == expected
+        assert counts_by_index(result) == expected
         stats = result.stats
         assert stats.points_completed == 4
         assert stats.points_resumed == 0
@@ -168,11 +169,11 @@ class TestJournalResume:
         expected = run_points_inline(inline_setup, spec)
         first = SweepService(ServiceConfig(**FAST)).run_sweep(
             spec, journal_path=path)
-        assert first.counts_by_index() == expected
+        assert counts_by_index(first) == expected
 
         second = SweepService(ServiceConfig(**FAST)).run_sweep(
             spec, journal_path=path)
-        assert second.counts_by_index() == expected
+        assert counts_by_index(second) == expected
         assert all(r.resumed for r in second.results.values())
         stats = second.stats
         assert stats.points_resumed == 3
@@ -194,7 +195,7 @@ class TestJournalResume:
 
         service = SweepService(ServiceConfig(**FAST))
         result = service.run_sweep(spec, journal_path=path)
-        assert result.counts_by_index() == expected
+        assert counts_by_index(result) == expected
         stats = result.stats
         assert stats.points_resumed == 2
         assert stats.points_completed == 2
@@ -260,7 +261,7 @@ class TestAdmissionAndDeadlines:
         # are bit-identical.
         relaxed = SweepService(ServiceConfig(**FAST))
         result = relaxed.run_sweep(spec, journal_path=path)
-        assert result.counts_by_index() == expected
+        assert counts_by_index(result) == expected
 
     def test_deterministic_point_failure_exhausts_budget(self):
         poisoned = SweepSpec.from_params(

@@ -121,6 +121,28 @@ class TestExports:
         for name in ("has_mock_results", "remaining_mock_results"):
             assert not hasattr(MeasurementUnit, name)
 
+    def test_more_test_only_names_left_src(self):
+        """Names that only tests called live beside those tests:
+        ``current_cycle`` in ``tests/machine_probes.py``,
+        ``counts_by_index`` in ``tests/serving/serving_workload.py``,
+        ``is_trace_preserving`` in ``tests/quantum/test_noise.py``; the
+        rest were one-line conveniences.  A point's payload has one
+        builder, ``execution_payload``."""
+        from repro.core.isa import EQASMInstantiation
+        from repro.obs import Histogram
+        from repro.quantum import noise
+        from repro.serving import PointResult, SweepResult, SweepService
+        from repro.uarch import QuantumPipeline
+        for owner, name in ((QuantumPipeline, "current_cycle"),
+                            (SweepService, "disarm_faults"),
+                            (SweepResult, "counts_by_index"),
+                            (Histogram, "record_many"),
+                            (noise, "is_trace_preserving"),
+                            (EQASMInstantiation, "ns_to_cycles"),
+                            (EQASMInstantiation, "cycles_to_ns"),
+                            (PointResult, "payload")):
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+
     def test_version(self):
         import repro
         assert repro.__version__ == "1.0.0"

@@ -12,10 +12,13 @@ live in test_kill_analysis.py.)
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Assembler, two_qubit_instantiation
+from repro.core.instructions import Br, St
+from repro.core.registers import ComparisonFlag
 from repro.quantum import NoiseModel, QuantumPlant
-from repro.uarch import QuMAv2, analyze_data_memory
+from repro.uarch import QuMAv2, analyze_data_memory, dataflow
 from machine_probes import instruction_memory
 
 
@@ -314,3 +317,83 @@ class TestMachineIntegration:
         assert machine.engine_stats.fallback_reason == reasons[0]
         # The interpreter path genuinely executes the store.
         assert machine.memory.load(16) == 7
+
+
+# ----------------------------------------------------------------------
+# Abstract equals concrete
+# ----------------------------------------------------------------------
+_REGISTER = st.integers(0, 3).map(lambda index: f"R{index}")
+#: LDI immediates: anywhere in the signed 20-bit field, weighted
+#: towards its edges and the sign boundary.
+_LDI_IMMEDIATE = st.one_of(
+    st.integers(-(1 << 19), (1 << 19) - 1),
+    st.sampled_from([-(1 << 19), -(1 << 19) + 1, -2, -1, 0, 1,
+                     (1 << 17) - 1, 1 << 17, (1 << 19) - 1]))
+_ALU_LINE = st.one_of(
+    st.builds("LDI {}, {}".format, _REGISTER, _LDI_IMMEDIATE),
+    st.builds("LDUI {}, {}, {}".format, _REGISTER,
+              st.integers(0, (1 << 15) - 1), _REGISTER),
+    st.builds("NOT {}, {}".format, _REGISTER, _REGISTER),
+    st.builds("{} {}, {}, {}".format,
+              st.sampled_from(["AND", "OR", "XOR", "ADD", "SUB"]),
+              _REGISTER, _REGISTER, _REGISTER))
+
+
+class TestAbstractEqualsConcrete:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seeds=st.lists(_LDI_IMMEDIATE, min_size=4, max_size=4),
+           body=st.lists(_ALU_LINE, min_size=1, max_size=10),
+           value=_REGISTER, offset=st.sampled_from([0, 4, 64, 1024]),
+           left=_REGISTER, right=_REGISTER)
+    def test_store_address_and_branch_match_the_interpreter(
+            self, seeds, body, value, offset, left, right):
+        """On a straight-line program of the eight register-writing
+        instructions every register is a constant, so the exploration
+        must store where the interpreter stores and branch where it
+        branches, under every comparison flag.  R0-R3 start from LDI
+        seeds; the store's base folds all four computed registers,
+        masked to an aligned in-range word so that the interpreter's
+        store succeeds."""
+        machine = make_machine()
+        stored = []
+        store = machine.memory.store
+        machine.memory.store = \
+            lambda address, word: (stored.append(address),
+                                   store(address, word))
+        for flag in ComparisonFlag:
+            machine.load(Assembler(machine.isa).assemble_text(
+                "\n".join(f"LDI R{index}, {imm}"
+                          for index, imm in enumerate(seeds)) + "\n" +
+                "\n".join(body) + f"""
+                XOR R4, R0, R1
+                XOR R4, R4, R2
+                XOR R4, R4, R3
+                LDI R5, {0x7FFFC}
+                AND R4, R4, R5
+                ST {value}, R4({offset})
+                CMP {left}, {right}
+                BR {flag.name}, taken
+                LDI R6, 1
+                STOP
+                taken:
+                LDI R6, 2
+                STOP
+                """))
+            instructions = instruction_memory(machine)
+            stored.clear()
+            machine.run_shot()
+            graph = dataflow._explore(instructions)
+
+            store_pc = next(pc for pc, instruction
+                            in enumerate(instructions)
+                            if isinstance(instruction, St))
+            branch_pc = store_pc + 2
+            branch = instructions[branch_pc]
+            assert isinstance(branch, Br)
+            taken = machine.gprs.read(6) == 2
+            nodes = {pc: node for node, pc in enumerate(graph.pcs)}
+            assert len(nodes) == len(graph.pcs)  # one state per pc
+            assert [graph.addresses[nodes[store_pc]]] == stored
+            assert [graph.pcs[node]
+                    for node in graph.succs[nodes[branch_pc]]] == \
+                [branch_pc + branch.target if taken else branch_pc + 1]

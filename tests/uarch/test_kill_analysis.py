@@ -495,30 +495,24 @@ class TestTripCountResolution:
         # ~0.3 s on the dev container after the fix; minutes before.
         assert elapsed < 5.0
 
-    def test_unresolved_labels_poison_only_aliasing(self):
-        """Unresolved labels leave no CFG: aliasing is unprovable only
-        when both a load and a store exist; a store-only (or
-        load-only) binary stays safe."""
+    def test_unresolved_labels_are_rejected(self):
+        """A branch that still names a label has no target: the pass
+        analyses resolved programs only (the machine decodes binaries,
+        whose branch targets are offsets) and rejects the rest, with or
+        without memory traffic."""
+        from repro.core.errors import InvalidRequestError
         from repro.core.instructions import Br, Ld, Ldi, St, Stop
         from repro.core.registers import ComparisonFlag
 
-        store_only = [Ldi(rd=1, imm=64), St(rs=0, rt=1, imm=0),
-                      Br(condition=ComparisonFlag.NEVER, target="x"),
-                      Stop()]
-        report = analyze_data_memory(store_only)
-        assert report.replay_safe
-        assert report.analysis_mode == "unresolved-labels"
-
-        load_only = [Ldi(rd=1, imm=64), Ld(rd=2, rt=1, imm=0),
-                     Br(condition=ComparisonFlag.NEVER, target="x"),
-                     Stop()]
-        assert analyze_data_memory(load_only).replay_safe
-
-        both = store_only[:2] + load_only[1:]
-        report = analyze_data_memory(both)
-        assert not report.replay_safe
-        assert len(report.live_reasons) == 1
-        assert "unresolved" in report.live_reasons[0]
+        label = Br(condition=ComparisonFlag.NEVER, target="x")
+        for program in ([label, Stop()],
+                        [Ldi(rd=1, imm=64), St(rs=0, rt=1, imm=0),
+                         Ld(rd=2, rt=1, imm=0), label, Stop()]):
+            with pytest.raises(InvalidRequestError, match="'x'"):
+                analyze_data_memory(program)
+        resolved = [Ldi(rd=1, imm=64), St(rs=0, rt=1, imm=0),
+                    label.with_offset(1), Stop()]
+        assert analyze_data_memory(resolved).replay_safe
 
 
 class TestMachineIntegration:

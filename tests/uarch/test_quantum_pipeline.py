@@ -8,6 +8,7 @@ from repro.core.errors import AssemblyError, OperationConflictError
 from repro.core.instructions import Bundle, BundleOperation, SMIS, SMIT
 from repro.core.microcode import MicroOpRole
 from repro.uarch import OpSel, QuantumPipeline
+from machine_probes import current_cycle
 
 
 @pytest.fixture()
@@ -129,7 +130,7 @@ class TestBundleProcessing:
             bundle(BundleOperation("Y", ("S", 0)), pi=1), 10.0)
         assert flushed is not None
         assert flushed.cycle == 1
-        assert pipeline.current_cycle == 2
+        assert current_cycle(pipeline) == 2
 
     def test_wait_flushes(self, pipeline):
         pipeline.process_smis(SMIS(sd=0, qubits=frozenset({0})))
@@ -137,7 +138,7 @@ class TestBundleProcessing:
             bundle(BundleOperation("X", ("S", 0)), pi=1), 0.0)
         flushed = pipeline.process_wait(5)
         assert flushed is not None
-        assert pipeline.current_cycle == 6
+        assert current_cycle(pipeline) == 6
 
     def test_zero_wait_does_not_flush(self, pipeline):
         pipeline.process_smis(SMIS(sd=0, qubits=frozenset({0})))
@@ -168,7 +169,7 @@ class TestBundleProcessing:
         pipeline.process_bundle(
             bundle(BundleOperation("X", ("S", 0)), pi=1), 0.0)
         pipeline.reset()
-        assert pipeline.current_cycle == 0
+        assert current_cycle(pipeline) == 0
         assert pipeline.flush_pending() is None
         with pytest.raises(AssemblyError):
             pipeline.process_bundle(
