@@ -3,17 +3,22 @@
 Pipeline (Section 3.4.2 and 4.2):
 
 1. parse the listing into a :class:`~repro.core.program.Program`;
-2. semantic validation against the instantiation — operations are
-   configured, registers in range, SMIS/SMIT masks legal on the chip
-   topology (two selected edges sharing a qubit are rejected, per
-   Section 4.3), PI values within the PI field;
+2. check what the encoding spec cannot state, per operand kind of the
+   instruction table (:mod:`repro.core.instructions`): GPR indices
+   below ``isa.num_gprs``, FMR and SMIS qubits on the chip, and SMIT
+   pair masks legal on the topology (two selected edges sharing a
+   qubit are rejected, per Section 4.3);
 3. split bundles wider than the VLIW width into consecutive bundle
    instructions with PI = 0, filling the last word with QNOPs;
 4. hoist over-wide PIs into explicit QWAITs (a PI that does not fit the
    3-bit field becomes ``QWAIT pi`` + bundle with PI 0);
 5. resolve BR labels to instruction offsets (after splitting, since
    splitting changes addresses);
-6. encode each instruction to a 32-bit word.
+6. encode each instruction to a word.  The spec's field codecs check
+   every range it states — immediates, QWAIT and PI values, S/T
+   register indices, bundle-slot operations and register kinds — and
+   their :class:`~repro.core.errors.EncodingError` is raised as an
+   :class:`~repro.core.errors.AssemblyError` naming the instruction.
 
 The inverse direction — :class:`Disassembler` — reconstructs assembly
 text from words.
@@ -21,33 +26,48 @@ text from words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.encoding import InstructionDecoder, InstructionEncoder
-from repro.core.errors import AssemblyError
+from repro.core.errors import AssemblyError, EncodingError
 from repro.core.instructions import (
+    GPR,
+    MEMORY,
+    PAIRS,
+    QREG,
+    QUBITS,
     Br,
     Bundle,
     BundleOperation,
-    Fbr,
-    Fmr,
     Instruction,
-    Ld,
-    Ldi,
-    Ldui,
-    LogicalOp,
-    ArithOp,
-    Cmp,
-    Not,
     QWait,
-    QWaitR,
-    SMIS,
-    SMIT,
-    St,
 )
 from repro.core.isa import EQASMInstantiation
-from repro.core.operations import OperationKind
 from repro.core.program import Program
+
+
+def _check_gpr(isa: EQASMInstantiation, index: int) -> None:
+    if not 0 <= index < isa.num_gprs:
+        raise AssemblyError(f"R{index} out of range")
+
+
+def _check_qubit(isa: EQASMInstantiation, qubit: int) -> None:
+    if qubit not in isa.topology.qubits:
+        raise AssemblyError(f"Q{qubit} is not on chip {isa.topology.name}")
+
+
+#: What the encoding spec cannot state, per operand kind: the GPR file
+#: size, qubits on the chip and SMIT pair legality (two selected edges
+#: sharing a qubit are rejected, Section 4.3).  Every other range is a
+#: field codec's check, made when the instruction is encoded.
+_KIND_CHECKS = {
+    GPR: _check_gpr,
+    MEMORY: lambda isa, value: _check_gpr(isa, value[0]),
+    QREG: _check_qubit,
+    QUBITS: lambda isa, qubits: isa.qubit_mask(qubits),
+    PAIRS: lambda isa, pairs: isa.topology.validate_pair_mask(
+        isa.pair_mask(pairs)),
+}
 
 
 @dataclass
@@ -88,12 +108,29 @@ class Assembler:
         return assembled
 
     def assemble_program(self, program: Program) -> AssembledProgram:
-        """Assemble an already-parsed program."""
+        """Assemble an already-parsed program.
+
+        A range the encoding spec states (an immediate, a QWAIT or PI
+        value, an S/T register, a bundle slot) is checked by the
+        encoder; its :class:`~repro.core.errors.EncodingError` is
+        raised as an :class:`AssemblyError` naming the instruction's
+        index and text in the assembled program.
+        """
         self.validate(program)
         split = self.split_bundles(program)
         resolved = split.resolve_labels()
         self._validate_branch_offsets(resolved)
-        words = [self._encoder.encode(ins) for ins in resolved.instructions]
+        encode = self._encoder.encode
+        words: list[int] = []
+        try:
+            for instruction in resolved.instructions:
+                words.append(encode(instruction))
+        except EncodingError as error:
+            index = len(words)
+            raise AssemblyError(
+                f"instruction {index} "
+                f"({resolved.instructions[index].to_assembly()}): "
+                f"{error}") from None
         return AssembledProgram(program=resolved, words=words,
                                 word_size=self.isa.instruction_width // 8)
 
@@ -101,10 +138,15 @@ class Assembler:
     # Validation
     # ------------------------------------------------------------------
     def validate(self, program: Program) -> None:
-        """Semantic validation of every instruction (pre-splitting)."""
+        """Per-kind operand checks of every instruction (pre-splitting)
+        that the encoding spec cannot state."""
+        isa = self.isa
         for index, instruction in enumerate(program.instructions):
             try:
-                self._validate_instruction(instruction)
+                for kind, value in instruction.operand_values():
+                    check = _KIND_CHECKS.get(kind)
+                    if check is not None:
+                        check(isa, value)
             except AssemblyError as error:
                 raise AssemblyError(
                     f"instruction {index} "
@@ -112,86 +154,6 @@ class Assembler:
         for label, target in program.labels.items():
             if not 0 <= target <= len(program.instructions):
                 raise AssemblyError(f"label {label!r} out of range")
-
-    def _validate_gpr(self, name: str, address: int) -> None:
-        if not 0 <= address < self.isa.num_gprs:
-            raise AssemblyError(f"{name} R{address} out of range")
-
-    def _validate_instruction(self, ins: Instruction) -> None:
-        isa = self.isa
-        if isinstance(ins, (Cmp,)):
-            self._validate_gpr("Rs", ins.rs)
-            self._validate_gpr("Rt", ins.rt)
-        elif isinstance(ins, Fbr):
-            self._validate_gpr("Rd", ins.rd)
-        elif isinstance(ins, Ldi):
-            self._validate_gpr("Rd", ins.rd)
-            if not -(1 << 19) <= ins.imm < (1 << 19):
-                raise AssemblyError(f"LDI immediate {ins.imm} exceeds 20 bits")
-        elif isinstance(ins, Ldui):
-            self._validate_gpr("Rd", ins.rd)
-            self._validate_gpr("Rs", ins.rs)
-            if not 0 <= ins.imm < (1 << 15):
-                raise AssemblyError(
-                    f"LDUI immediate {ins.imm} exceeds 15 bits")
-        elif isinstance(ins, Ld):
-            self._validate_gpr("Rd", ins.rd)
-            self._validate_gpr("Rt", ins.rt)
-        elif isinstance(ins, St):
-            self._validate_gpr("Rs", ins.rs)
-            self._validate_gpr("Rt", ins.rt)
-        elif isinstance(ins, Fmr):
-            self._validate_gpr("Rd", ins.rd)
-            if ins.qubit not in isa.topology.qubits:
-                raise AssemblyError(
-                    f"FMR references qubit {ins.qubit} not on chip")
-        elif isinstance(ins, (LogicalOp, ArithOp)):
-            self._validate_gpr("Rd", ins.rd)
-            self._validate_gpr("Rs", ins.rs)
-            self._validate_gpr("Rt", ins.rt)
-        elif isinstance(ins, Not):
-            self._validate_gpr("Rd", ins.rd)
-            self._validate_gpr("Rt", ins.rt)
-        elif isinstance(ins, QWait):
-            if ins.cycles > isa.max_qwait:
-                raise AssemblyError(
-                    f"QWAIT {ins.cycles} exceeds the "
-                    f"{isa.qwait_immediate_width}-bit immediate")
-        elif isinstance(ins, QWaitR):
-            self._validate_gpr("Rs", ins.rs)
-        elif isinstance(ins, SMIS):
-            if not 0 <= ins.sd < isa.num_single_qubit_target_registers:
-                raise AssemblyError(f"S{ins.sd} out of range")
-            isa.qubit_mask(ins.qubits)  # raises for off-chip qubits
-        elif isinstance(ins, SMIT):
-            if not 0 <= ins.td < isa.num_two_qubit_target_registers:
-                raise AssemblyError(f"T{ins.td} out of range")
-            mask = isa.pair_mask(ins.pairs)  # raises for illegal pairs
-            isa.topology.validate_pair_mask(mask)
-        elif isinstance(ins, Bundle):
-            self._validate_bundle(ins)
-
-    def _validate_bundle(self, bundle: Bundle) -> None:
-        isa = self.isa
-        for slot in bundle.operations:
-            operation = isa.operations.get(slot.name)  # raises if unknown
-            if operation.kind is OperationKind.NOP:
-                if slot.register is not None:
-                    raise AssemblyError("QNOP takes no operand")
-                continue
-            if slot.register is None:
-                raise AssemblyError(
-                    f"operation {slot.name} needs a target register")
-            kind, index = slot.register
-            expected = "T" if operation.uses_two_qubit_target else "S"
-            if kind != expected:
-                raise AssemblyError(
-                    f"operation {slot.name} targets {expected} registers, "
-                    f"got {kind}{index}")
-            limit = (isa.num_two_qubit_target_registers if expected == "T"
-                     else isa.num_single_qubit_target_registers)
-            if not 0 <= index < limit:
-                raise AssemblyError(f"{kind}{index} out of range")
 
     def _validate_branch_offsets(self, program: Program) -> None:
         for index, ins in enumerate(program.instructions):

@@ -9,10 +9,10 @@ encoder/decoder here interpret it generically: encode packs each
 format's fields through its codec
 (:data:`repro.core.isaspec.bindings.CODECS`) into the word, decode
 unpacks the same fields and rebuilds the instruction object through the
-format's class binding
-(:data:`repro.core.isaspec.bindings.FORMAT_BINDINGS`).  The two
-directions share one table, which keeps them inverse by construction;
-there is no per-mnemonic code path.
+format's entry in the instruction table
+(:data:`repro.core.instructions.MNEMONICS`, the table the parser and
+printer read too).  The two directions share one table, which keeps
+them inverse by construction; there is no per-mnemonic code path.
 
 The paper's 32-bit instantiation ships as the registered
 ``fig8-32bit`` spec and reproduces Fig. 8 bit for bit (bundle flag at
@@ -33,22 +33,17 @@ on unrepresentable words.
 from __future__ import annotations
 
 from repro.core.errors import DecodingError, EncodingError
-from repro.core.instructions import Bundle, BundleOperation, Instruction
-from repro.core.isa import EQASMInstantiation
-from repro.core.isaspec.bindings import (
-    CODECS,
-    FORMAT_BINDINGS,
-    check_field,
-    format_name_for,
+from repro.core.instructions import (
+    MNEMONICS,
+    Bundle,
+    BundleOperation,
+    Instruction,
+    mnemonic_of,
 )
-from repro.core.isaspec.build import FAMILY_OPCODES
+from repro.core.isa import EQASMInstantiation
+from repro.core.isaspec.bindings import CODECS, check_field
 from repro.core.isaspec.model import BundleSlotSpec, EncodingSpec
 from repro.core.operations import OperationKind
-
-#: Single-format opcodes of the family layout (6-bit field below the
-#: flag bit).  Kept as a module-level table for compatibility; the
-#: authoritative assignment is the instantiation's spec.
-CLASSICAL_OPCODES = dict(FAMILY_OPCODES)
 
 
 class InstructionEncoder:
@@ -70,8 +65,7 @@ class InstructionEncoder:
         """
         if isinstance(instruction, Bundle):
             return self._encode_bundle(instruction)
-        name = format_name_for(instruction)
-        fmt = self._formats.get(name) if name is not None else None
+        fmt = self._formats.get(mnemonic_of(instruction))
         if fmt is None:
             raise EncodingError(
                 f"cannot encode {type(instruction).__name__}")
@@ -160,7 +154,7 @@ class InstructionDecoder:
         fmt = self._by_opcode.get(opcode)
         if fmt is None:
             raise DecodingError(f"unknown single-format opcode {opcode}")
-        cls, fixed = FORMAT_BINDINGS[fmt.name]
+        cls, fixed = MNEMONICS[fmt.name]
         kwargs = dict(fixed)
         for field in fmt.fields:
             raw = (word >> field.offset) & ((1 << field.width) - 1)

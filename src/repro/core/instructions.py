@@ -1,10 +1,26 @@
-"""Instruction dataclasses for eQASM (Table 1).
+"""Instruction dataclasses for eQASM (Table 1), and the one instruction
+table that defines their assembly form.
 
 The assembly level is the definition level of eQASM; these classes are
 the in-memory form of parsed assembly and the input/output of the binary
-encoder.  Each class knows how to print itself back to canonical
-assembly text (``to_assembly``), which gives us parse/print round-trip
-tests for free.
+encoder.  Every single-word instruction is defined once, here:
+
+* :data:`MNEMONICS` maps each mnemonic to its class and the fixed
+  constructor arguments it implies (``AND``/``OR``/``XOR`` share
+  ``LogicalOp``, ``ADD``/``SUB`` share ``ArithOp``);
+* each class lists its assembly operands in ``operands``, in order, as
+  ``(attribute or attributes, kind)``; an :class:`OperandKind` (GPR,
+  S/T/Q register, integer, comparison flag, branch target, memory
+  ``Rt(Imm)``, qubit set, pair set) has one parse and one render
+  function.
+
+The parser, the printer (:meth:`Instruction.to_assembly`), the
+assembler's per-kind checks and the binary encoder/decoder all read
+these two definitions; the instantiation's
+:class:`~repro.core.isaspec.EncodingSpec` holds a format for every key
+of :data:`MNEMONICS`.  The spec is the binary definition of an
+instruction, this table its assembly definition.  Quantum bundles keep
+their own syntax (:class:`Bundle`).
 
 Instruction taxonomy (Table 1):
 
@@ -20,17 +36,141 @@ Instruction taxonomy (Table 1):
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from repro.core.errors import AssemblyError
 from repro.core.registers import ComparisonFlag, to_unsigned32
 
+#: An integer literal: decimal or hex (``0x``), optionally negative.
+INT_LITERAL = re.compile(r"^-?(?:0[xX][0-9a-fA-F]+|\d+)$")
+
+
+class OperandKind(NamedTuple):
+    """How one assembly operand is written.
+
+    ``parse(token)`` returns the attribute value (a tuple of values for
+    an operand that fills several attributes) and raises
+    :class:`ValueError` on malformed text; ``render(value)`` is its
+    inverse.
+    """
+
+    parse: Callable[[str], object]
+    render: Callable[[object], str]
+
+
+def parse_int(token: str) -> int:
+    """Parse a decimal or hex (0x) integer literal."""
+    token = token.strip()
+    if not INT_LITERAL.match(token):
+        raise ValueError(f"not an integer literal: {token!r}")
+    return int(token, 0)
+
+
+def _register(prefix: str, what: str) -> OperandKind:
+    pattern = re.compile(rf"^[{prefix}{prefix.lower()}](\d+)$")
+
+    def parse(token: str) -> int:
+        match = pattern.match(token.strip())
+        if not match:
+            raise ValueError(f"expected {what} ({prefix}<i>), got {token!r}")
+        return int(match.group(1))
+
+    return OperandKind(parse, lambda index: f"{prefix}{index}")
+
+
+def _parse_flag(token: str) -> ComparisonFlag:
+    try:
+        return ComparisonFlag[token.strip().upper()]
+    except KeyError:
+        known = ", ".join(flag.name for flag in ComparisonFlag)
+        raise ValueError(f"unknown comparison flag {token!r}; "
+                         f"known flags: {known}")
+
+
+def _parse_target(token: str) -> str | int:
+    return parse_int(token) if INT_LITERAL.match(token) else token
+
+
+_MEMORY_RE = re.compile(
+    r"^[Rr](\d+)\s*\(\s*(-?(?:0[xX][0-9a-fA-F]+|\d+))\s*\)$")
+
+
+def _parse_memory(token: str) -> tuple[int, int]:
+    match = _MEMORY_RE.match(token)
+    if not match:
+        raise ValueError(f"memory operand must be Rt(Imm), got {token!r}")
+    return int(match.group(1)), int(match.group(2), 0)
+
+
+def _braced(token: str, what: str) -> str:
+    body = token.strip()
+    if not (body.startswith("{") and body.endswith("}")):
+        raise ValueError(f"{what} must be {{...}}, got {body!r}")
+    return body[1:-1].strip()
+
+
+def _parse_qubits(token: str) -> frozenset[int]:
+    inner = _braced(token, "qubit list")
+    if not inner:
+        raise ValueError("qubit list is empty")
+    return frozenset(parse_int(piece) for piece in inner.split(","))
+
+
+def _parse_pairs(token: str) -> frozenset[tuple[int, int]]:
+    pieces = re.findall(r"\(([^)]*)\)", _braced(token, "pair list"))
+    if not pieces:
+        raise ValueError("pair list is empty")
+    pairs = set()
+    for piece in pieces:
+        elements = piece.split(",")
+        if len(elements) != 2:
+            raise ValueError(f"pair ({piece}) must have two qubits")
+        pairs.add((parse_int(elements[0]), parse_int(elements[1])))
+    return frozenset(pairs)
+
+
+GPR = _register("R", "GPR")
+SREG = _register("S", "S register")
+TREG = _register("T", "T register")
+QREG = _register("Q", "qubit")
+INT = OperandKind(parse_int, str)
+FLAG = OperandKind(_parse_flag, lambda flag: flag.name)
+TARGET = OperandKind(_parse_target, str)
+MEMORY = OperandKind(_parse_memory, lambda value: f"R{value[0]}({value[1]})")
+QUBITS = OperandKind(
+    _parse_qubits,
+    lambda qubits: "{" + ", ".join(str(q) for q in sorted(qubits)) + "}")
+PAIRS = OperandKind(
+    _parse_pairs,
+    lambda pairs: "{" + ", ".join(f"({s}, {t})" for s, t in sorted(pairs))
+    + "}")
+
 
 class Instruction:
-    """Base class: every instruction renders to assembly text."""
+    """Base class: every instruction renders to assembly text.
+
+    ``operands`` lists a single-word instruction's assembly operands in
+    order, as ``(attribute or attributes, kind)``.
+    """
+
+    operands: tuple[tuple[str | tuple[str, ...], OperandKind], ...] = ()
+
+    def operand_values(self):
+        """``(kind, value)`` of each assembly operand, in order."""
+        for attrs, kind in self.operands:
+            if isinstance(attrs, str):
+                yield kind, getattr(self, attrs)
+            else:
+                yield kind, tuple(getattr(self, attr) for attr in attrs)
 
     def to_assembly(self) -> str:
-        raise NotImplementedError
+        mnemonic = mnemonic_of(self)
+        if not self.operands:
+            return mnemonic
+        return mnemonic + " " + ", ".join(
+            kind.render(value) for kind, value in self.operand_values())
 
     def __str__(self) -> str:
         return self.to_assembly()
@@ -50,16 +190,10 @@ class Instruction:
 class Nop(Instruction):
     """No operation."""
 
-    def to_assembly(self) -> str:
-        return "NOP"
-
 
 @dataclass(frozen=True)
 class Stop(Instruction):
     """End of program (instantiation extension; QuMIS precedent)."""
-
-    def to_assembly(self) -> str:
-        return "STOP"
 
 
 @dataclass(frozen=True)
@@ -69,8 +203,7 @@ class Cmp(Instruction):
     rs: int
     rt: int
 
-    def to_assembly(self) -> str:
-        return f"CMP R{self.rs}, R{self.rt}"
+    operands = (("rs", GPR), ("rt", GPR))
 
 
 @dataclass(frozen=True)
@@ -86,8 +219,7 @@ class Br(Instruction):
     condition: ComparisonFlag
     target: str | int
 
-    def to_assembly(self) -> str:
-        return f"BR {self.condition.name}, {self.target}"
+    operands = (("condition", FLAG), ("target", TARGET))
 
     def with_offset(self, offset: int) -> "Br":
         """A copy with the label replaced by a numeric offset."""
@@ -101,8 +233,7 @@ class Fbr(Instruction):
     condition: ComparisonFlag
     rd: int
 
-    def to_assembly(self) -> str:
-        return f"FBR {self.condition.name}, R{self.rd}"
+    operands = (("condition", FLAG), ("rd", GPR))
 
 
 @dataclass(frozen=True)
@@ -112,13 +243,11 @@ class Ldi(Instruction):
     rd: int
     imm: int
 
+    operands = (("rd", GPR), ("imm", INT))
     sources = ()
 
     def evaluate(self) -> int:
         return to_unsigned32(self.imm)
-
-    def to_assembly(self) -> str:
-        return f"LDI R{self.rd}, {self.imm}"
 
 
 @dataclass(frozen=True)
@@ -129,15 +258,14 @@ class Ldui(Instruction):
     imm: int
     rs: int
 
+    operands = (("rd", GPR), ("imm", INT), ("rs", GPR))
+
     @property
     def sources(self) -> tuple[int, ...]:
         return (self.rs,)
 
     def evaluate(self, s: int) -> int:
         return ((self.imm & 0x7FFF) << 17) | (s & 0x1FFFF)
-
-    def to_assembly(self) -> str:
-        return f"LDUI R{self.rd}, {self.imm}, R{self.rs}"
 
 
 @dataclass(frozen=True)
@@ -148,12 +276,11 @@ class Ld(Instruction):
     rt: int
     imm: int
 
+    operands = (("rd", GPR), (("rt", "imm"), MEMORY))
+
     def address(self, base: int) -> int:
         """Effective byte address for Rt holding ``base``."""
         return to_unsigned32(base + self.imm)
-
-    def to_assembly(self) -> str:
-        return f"LD R{self.rd}, R{self.rt}({self.imm})"
 
 
 @dataclass(frozen=True)
@@ -164,10 +291,8 @@ class St(Instruction):
     rt: int
     imm: int
 
+    operands = (("rs", GPR), (("rt", "imm"), MEMORY))
     address = Ld.address
-
-    def to_assembly(self) -> str:
-        return f"ST R{self.rs}, R{self.rt}({self.imm})"
 
 
 @dataclass(frozen=True)
@@ -179,8 +304,7 @@ class Fmr(Instruction):
     rd: int
     qubit: int
 
-    def to_assembly(self) -> str:
-        return f"FMR R{self.rd}, Q{self.qubit}"
+    operands = (("rd", GPR), ("qubit", QREG))
 
 
 _LOGICAL = {"AND": operator.and_, "OR": operator.or_, "XOR": operator.xor}
@@ -196,6 +320,8 @@ class LogicalOp(Instruction):
     rs: int
     rt: int
 
+    operands = (("rd", GPR), ("rs", GPR), ("rt", GPR))
+
     def __post_init__(self) -> None:
         if self.mnemonic_name not in _LOGICAL:
             raise AssemblyError(
@@ -208,9 +334,6 @@ class LogicalOp(Instruction):
     def evaluate(self, s: int, t: int) -> int:
         return to_unsigned32(_LOGICAL[self.mnemonic_name](s, t))
 
-    def to_assembly(self) -> str:
-        return f"{self.mnemonic_name} R{self.rd}, R{self.rs}, R{self.rt}"
-
 
 @dataclass(frozen=True)
 class Not(Instruction):
@@ -219,15 +342,14 @@ class Not(Instruction):
     rd: int
     rt: int
 
+    operands = (("rd", GPR), ("rt", GPR))
+
     @property
     def sources(self) -> tuple[int, ...]:
         return (self.rt,)
 
     def evaluate(self, t: int) -> int:
         return to_unsigned32(~t)
-
-    def to_assembly(self) -> str:
-        return f"NOT R{self.rd}, R{self.rt}"
 
 
 @dataclass(frozen=True)
@@ -239,6 +361,8 @@ class ArithOp(Instruction):
     rs: int
     rt: int
 
+    operands = LogicalOp.operands
+
     def __post_init__(self) -> None:
         if self.mnemonic_name not in _ARITHMETIC:
             raise AssemblyError(
@@ -248,9 +372,6 @@ class ArithOp(Instruction):
 
     def evaluate(self, s: int, t: int) -> int:
         return to_unsigned32(_ARITHMETIC[self.mnemonic_name](s, t))
-
-    def to_assembly(self) -> str:
-        return f"{self.mnemonic_name} R{self.rd}, R{self.rs}, R{self.rt}"
 
 
 # ----------------------------------------------------------------------
@@ -262,12 +383,11 @@ class QWait(Instruction):
 
     cycles: int
 
+    operands = (("cycles", INT),)
+
     def __post_init__(self) -> None:
         if self.cycles < 0:
             raise AssemblyError("QWAIT duration cannot be negative")
-
-    def to_assembly(self) -> str:
-        return f"QWAIT {self.cycles}"
 
 
 @dataclass(frozen=True)
@@ -276,8 +396,7 @@ class QWaitR(Instruction):
 
     rs: int
 
-    def to_assembly(self) -> str:
-        return f"QWAITR R{self.rs}"
+    operands = (("rs", GPR),)
 
 
 # ----------------------------------------------------------------------
@@ -290,22 +409,13 @@ class SMIS(Instruction):
     sd: int
     qubits: frozenset[int]
 
+    operands = (("sd", SREG), ("qubits", QUBITS))
+
     def __post_init__(self) -> None:
         if not self.qubits:
             raise AssemblyError(f"SMIS S{self.sd}: empty qubit list")
         if any(q < 0 for q in self.qubits):
             raise AssemblyError(f"SMIS S{self.sd}: negative qubit address")
-
-    def to_assembly(self) -> str:
-        body = ", ".join(str(q) for q in sorted(self.qubits))
-        return f"SMIS S{self.sd}, {{{body}}}"
-
-    def mask(self) -> int:
-        """The register content: one bit per selected qubit address."""
-        value = 0
-        for qubit in self.qubits:
-            value |= 1 << qubit
-        return value
 
 
 @dataclass(frozen=True)
@@ -320,13 +430,11 @@ class SMIT(Instruction):
     td: int
     pairs: frozenset[tuple[int, int]]
 
+    operands = (("td", TREG), ("pairs", PAIRS))
+
     def __post_init__(self) -> None:
         if not self.pairs:
             raise AssemblyError(f"SMIT T{self.td}: empty pair list")
-
-    def to_assembly(self) -> str:
-        body = ", ".join(f"({s}, {t})" for s, t in sorted(self.pairs))
-        return f"SMIT T{self.td}, {{{body}}}"
 
 
 # ----------------------------------------------------------------------
@@ -386,25 +494,41 @@ class Bundle(Instruction):
         return ops
 
 
-#: Mnemonic -> instruction class, for the parser's classical dispatch.
-CLASSICAL_MNEMONICS = {
-    "NOP": Nop,
-    "STOP": Stop,
-    "CMP": Cmp,
-    "BR": Br,
-    "FBR": Fbr,
-    "LDI": Ldi,
-    "LDUI": Ldui,
-    "LD": Ld,
-    "ST": St,
-    "FMR": Fmr,
-    "AND": LogicalOp,
-    "OR": LogicalOp,
-    "XOR": LogicalOp,
-    "NOT": Not,
-    "ADD": ArithOp,
-    "SUB": ArithOp,
+#: The instruction table: mnemonic -> (instruction class, fixed
+#: constructor kwargs), one entry per single-word instruction.  The
+#: parser looks mnemonics up here, the printer and the encoder find an
+#: object's mnemonic through :func:`mnemonic_of`, the decoder rebuilds
+#: objects from it, and an encoding spec is exhaustive when its format
+#: names equal its keys.
+MNEMONICS: dict[str, tuple[type[Instruction], dict[str, object]]] = {
+    "NOP": (Nop, {}),
+    "STOP": (Stop, {}),
+    "CMP": (Cmp, {}),
+    "BR": (Br, {}),
+    "FBR": (Fbr, {}),
+    "LDI": (Ldi, {}),
+    "LDUI": (Ldui, {}),
+    "LD": (Ld, {}),
+    "ST": (St, {}),
+    "FMR": (Fmr, {}),
+    "AND": (LogicalOp, {"mnemonic_name": "AND"}),
+    "OR": (LogicalOp, {"mnemonic_name": "OR"}),
+    "XOR": (LogicalOp, {"mnemonic_name": "XOR"}),
+    "NOT": (Not, {}),
+    "ADD": (ArithOp, {"mnemonic_name": "ADD"}),
+    "SUB": (ArithOp, {"mnemonic_name": "SUB"}),
+    "SMIS": (SMIS, {}),
+    "SMIT": (SMIT, {}),
+    "QWAIT": (QWait, {}),
+    "QWAITR": (QWaitR, {}),
 }
 
-WAITING_MNEMONICS = {"QWAIT": QWait, "QWAITR": QWaitR}
-TARGET_MNEMONICS = {"SMIS": SMIS, "SMIT": SMIT}
+_MNEMONIC_OF = {(cls, fixed.get("mnemonic_name")): name
+                for name, (cls, fixed) in MNEMONICS.items()}
+
+
+def mnemonic_of(instruction) -> str | None:
+    """The :data:`MNEMONICS` key an instruction object was built from
+    (None for a bundle or an object of no single-word class)."""
+    return _MNEMONIC_OF.get(
+        (type(instruction), getattr(instruction, "mnemonic_name", None)))

@@ -16,8 +16,8 @@ An :class:`EncodingSpec` consists of:
 * a shared classical **opcode field** (``opcode_offset`` /
   ``opcode_width``) present in every single-word format;
 * ``formats`` — one :class:`FormatSpec` per single-word instruction
-  format: a unique name (the binding key into
-  :data:`~repro.core.isaspec.bindings.FORMAT_BINDINGS`), a unique
+  format: a unique name (a mnemonic of the instruction table,
+  :data:`repro.core.instructions.MNEMONICS`), a unique
   opcode, and named :class:`FieldSpec` bit-fields.  Each field carries
   the LSB ``offset``, ``width``, the instruction ``attr`` it binds, and
   a ``codec`` name (one of :data:`~repro.core.isaspec.model.FIELD_CODECS`)
@@ -41,9 +41,10 @@ Validation invariants
    width is a multiple of 8 and at least 32.
 3. **Opcode sanity** — opcodes are unique and fit ``opcode_width``.
 4. **Signed-range sanity** — signed codecs get at least 2 bits.
-5. **Exhaustiveness** — format names and the instruction taxonomy
-   match in both directions, and each format's fields bind exactly the
-   required constructor attributes of its instruction class.
+5. **Exhaustiveness** — format names and the instruction table's
+   mnemonics (the ones the parser accepts) match in both directions,
+   and each format's fields bind exactly the required constructor
+   attributes of its instruction class.
 6. **Known codecs** — every field codec has an implementation.
 
 Invalid specs raise :class:`repro.core.errors.SpecError` at load time.
@@ -51,7 +52,7 @@ Use ``python -m repro.core.isaspec validate`` to check spec files and
 render markdown encoding reports.
 """
 
-from repro.core.isaspec.bindings import CODECS, FORMAT_BINDINGS, format_name_for
+from repro.core.isaspec.bindings import CODECS
 from repro.core.isaspec.build import FAMILY_OPCODES, build_encoding_spec
 from repro.core.isaspec.model import (
     FIELD_CODECS,
@@ -76,13 +77,11 @@ __all__ = [
     "EncodingSpec",
     "FAMILY_OPCODES",
     "FIELD_CODECS",
-    "FORMAT_BINDINGS",
     "FieldSpec",
     "FormatSpec",
     "REGISTERED_SPECS",
     "build_encoding_spec",
     "ensure_valid",
-    "format_name_for",
     "load_registered_spec",
     "registered_spec_names",
     "render_report",

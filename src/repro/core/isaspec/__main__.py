@@ -7,9 +7,11 @@ Usage::
     python -m repro.core.isaspec regenerate
 
 ``validate --all`` checks every registered spec: the file loads, passes
-:func:`~repro.core.isaspec.validate_spec`, and matches what the builder
-produces from the registered parameters (so builder and checked-in file
-cannot drift silently).  With ``--report-dir`` it also renders one
+:func:`~repro.core.isaspec.validate_spec` — whose exhaustiveness check
+reads the instruction table the parser reads, so a mnemonic the parser
+accepts but a spec cannot encode fails here — and matches what the
+builder produces from the registered parameters (so builder and
+checked-in file cannot drift silently).  With ``--report-dir`` it also renders one
 markdown encoding report per spec — the CI tier-1 job publishes these
 as artifacts.
 """

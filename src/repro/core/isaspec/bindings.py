@@ -1,96 +1,23 @@
-"""Bindings from spec data to the instruction taxonomy.
+"""Field codecs: how each spec field's raw bits map to an instruction
+attribute.
 
-The spec model (:mod:`.model`) is pure data; this module supplies the
-two code-side tables the generic encoder/decoder interprets it with:
-
-* :data:`FORMAT_BINDINGS` — format name -> (instruction class, fixed
-  constructor kwargs).  Formats sharing a class (AND/OR/XOR on
-  ``LogicalOp``, ADD/SUB on ``ArithOp``) differ only in the fixed
-  ``mnemonic_name`` kwarg, which is also how the encoder picks the
-  format for an instruction object (:func:`format_name_for`).
-* :data:`CODECS` — codec name -> (encode, decode) pair translating an
-  instruction attribute value to/from the raw unsigned field value.
-  Codecs receive the instantiation so mask codecs can consult the
-  topology and register codecs the register-file sizes.
+The spec model (:mod:`.model`) is pure data; :data:`CODECS` supplies
+the code the generic encoder/decoder interprets it with: codec name ->
+(encode, decode) pair translating an instruction attribute value
+to/from the raw unsigned field value.  Codecs receive the
+instantiation so mask codecs can consult the topology and register
+codecs the register-file sizes.  Which class a format's fields belong
+to is the instruction table's business
+(:data:`repro.core.instructions.MNEMONICS`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable
 
 from repro.core.errors import DecodingError, EncodingError
-from repro.core.instructions import (
-    ArithOp,
-    Br,
-    Cmp,
-    Fbr,
-    Fmr,
-    Ld,
-    Ldi,
-    Ldui,
-    LogicalOp,
-    Nop,
-    Not,
-    QWait,
-    QWaitR,
-    SMIS,
-    SMIT,
-    St,
-    Stop,
-)
 from repro.core.isaspec.model import FieldSpec
 from repro.core.registers import ComparisonFlag
-
-#: Format name -> (instruction class, fixed constructor kwargs).  One
-#: entry per single-word format of the eQASM taxonomy; a spec is
-#: *exhaustive* when its format names equal this table's keys (checked
-#: by :func:`repro.core.isaspec.validate_spec`).
-FORMAT_BINDINGS: dict[str, tuple[type, dict[str, object]]] = {
-    "NOP": (Nop, {}),
-    "STOP": (Stop, {}),
-    "CMP": (Cmp, {}),
-    "BR": (Br, {}),
-    "FBR": (Fbr, {}),
-    "LDI": (Ldi, {}),
-    "LDUI": (Ldui, {}),
-    "LD": (Ld, {}),
-    "ST": (St, {}),
-    "FMR": (Fmr, {}),
-    "AND": (LogicalOp, {"mnemonic_name": "AND"}),
-    "OR": (LogicalOp, {"mnemonic_name": "OR"}),
-    "XOR": (LogicalOp, {"mnemonic_name": "XOR"}),
-    "NOT": (Not, {}),
-    "ADD": (ArithOp, {"mnemonic_name": "ADD"}),
-    "SUB": (ArithOp, {"mnemonic_name": "SUB"}),
-    "SMIS": (SMIS, {}),
-    "SMIT": (SMIT, {}),
-    "QWAIT": (QWait, {}),
-    "QWAITR": (QWaitR, {}),
-}
-
-_ENCODE_KEY_TO_FORMAT: dict[tuple[type, str | None], str] = {
-    (cls, fixed.get("mnemonic_name")): name
-    for name, (cls, fixed) in FORMAT_BINDINGS.items()
-}
-
-
-def format_name_for(instruction) -> str | None:
-    """Resolve the format name an instruction object encodes under."""
-    key = (type(instruction), getattr(instruction, "mnemonic_name", None))
-    return _ENCODE_KEY_TO_FORMAT.get(key)
-
-
-def required_attrs(format_name: str) -> frozenset[str]:
-    """Constructor attributes the format's fields must supply: the
-    bound class's no-default dataclass fields minus the fixed kwargs."""
-    cls, fixed = FORMAT_BINDINGS[format_name]
-    required = set()
-    for f in dataclasses.fields(cls):
-        if f.default is dataclasses.MISSING and \
-                f.default_factory is dataclasses.MISSING:
-            required.add(f.name)
-    return frozenset(required - set(fixed))
 
 
 # ----------------------------------------------------------------------

@@ -75,10 +75,10 @@ class FieldSpec:
 class FormatSpec:
     """One single-word instruction format: an opcode plus its fields.
 
-    The format ``name`` doubles as the binding key into
-    :data:`repro.core.isaspec.bindings.FORMAT_BINDINGS`, which maps it
-    to the instruction class (and fixed constructor arguments, for
-    classes like ``LogicalOp`` that serve several formats).
+    The format ``name`` is a mnemonic of the instruction table,
+    :data:`repro.core.instructions.MNEMONICS`, which maps it to the
+    instruction class (and fixed constructor arguments, for classes
+    like ``LogicalOp`` that serve several mnemonics).
     """
 
     name: str

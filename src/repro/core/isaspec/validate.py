@@ -5,7 +5,9 @@ against the structural invariants listed in the package docstring —
 field overlap (including the opcode field and bundle flag bit), width
 coverage, opcode collisions and range, signed-field sanity, codec-name
 validity, and per-format exhaustiveness against the instruction
-taxonomy (:data:`~.bindings.FORMAT_BINDINGS`).  It returns a list of
+taxonomy (:data:`repro.core.instructions.MNEMONICS`, the table the
+parser reads, so a mnemonic the parser accepts and a spec cannot
+encode fails validation).  It returns a list of
 problem strings (empty = valid) so the CLI can print them all;
 :func:`ensure_valid` wraps it into a raising form for programmatic use.
 """
@@ -15,14 +17,21 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.errors import SpecError
-from repro.core.isaspec.bindings import (
-    CODECS,
-    FORMAT_BINDINGS,
-    required_attrs,
-)
+from repro.core.instructions import MNEMONICS
+from repro.core.isaspec.bindings import CODECS
 from repro.core.isaspec.model import EncodingSpec, FormatSpec
 
 _SIGNED_CODECS = {"int", "branch_offset"}
+
+
+def _required_attrs(format_name: str) -> frozenset[str]:
+    """Constructor attributes the format's fields must supply: the
+    bound class's no-default dataclass fields minus the fixed kwargs."""
+    cls, fixed = MNEMONICS[format_name]
+    required = {f.name for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING}
+    return frozenset(required - set(fixed))
 
 
 def _field_regions(spec: EncodingSpec, fmt: FormatSpec):
@@ -89,10 +98,10 @@ def validate_spec(spec: EncodingSpec) -> list[str]:
             seen_opcodes[fmt.opcode] = fmt.name
 
     # Exhaustiveness against the instruction taxonomy, both directions.
-    for missing in sorted(FORMAT_BINDINGS.keys() - seen_names):
+    for missing in sorted(MNEMONICS.keys() - seen_names):
         problems.append(
             f"spec does not cover instruction format {missing}")
-    for unknown in sorted(seen_names - FORMAT_BINDINGS.keys()):
+    for unknown in sorted(seen_names - MNEMONICS.keys()):
         problems.append(
             f"format {unknown} has no instruction-class binding")
 
@@ -115,14 +124,14 @@ def validate_spec(spec: EncodingSpec) -> list[str]:
                     f"format {fmt.name}: attribute {field.attr} bound "
                     f"by two fields")
             attrs.add(field.attr)
-        if fmt.name in FORMAT_BINDINGS:
-            needed = required_attrs(fmt.name)
+        if fmt.name in MNEMONICS:
+            needed = _required_attrs(fmt.name)
             for attr in sorted(needed - attrs):
                 problems.append(
                     f"format {fmt.name}: no field binds required "
                     f"attribute {attr}")
             for attr in sorted(attrs - needed):
-                cls, fixed = FORMAT_BINDINGS[fmt.name]
+                cls, fixed = MNEMONICS[fmt.name]
                 if attr not in {f.name for f in dataclasses.fields(cls)}:
                     problems.append(
                         f"format {fmt.name}: field binds unknown "

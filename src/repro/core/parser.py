@@ -13,13 +13,20 @@ Section 3 listings):
   ``1, X90 S0 | X S2`` or ``Y S7`` (PI defaults to 1) or
   ``0, CNOT T3 | QNOP``.
 
-Mnemonics and register names are case-insensitive; classical mnemonics
-are reserved words and may not be used as quantum operation names.
+Mnemonics and register names are case-insensitive; the mnemonics of
+single-word instructions are reserved words and may not be used as
+quantum operation names.
+
+There is one statement path.  A line whose first word is a key of the
+instruction table (:data:`repro.core.instructions.MNEMONICS`) is read
+through its class's ``operands``: the arity is checked and each token
+is parsed by its operand kind, so the parser holds no per-mnemonic
+code.  Any other line is a quantum bundle, which keeps its own syntax.
 
 The parser is purely syntactic: it does not need the operation
 configuration or chip topology.  Semantic checks (operation known,
 masks valid, registers in range) happen in
-:mod:`repro.core.program` / :mod:`repro.core.assembler`.
+:mod:`repro.core.assembler`.
 """
 
 from __future__ import annotations
@@ -29,38 +36,16 @@ from dataclasses import dataclass
 
 from repro.core.errors import ParseError
 from repro.core.instructions import (
-    ArithOp,
-    Br,
+    INT_LITERAL,
+    MNEMONICS,
     Bundle,
     BundleOperation,
-    CLASSICAL_MNEMONICS,
-    Cmp,
-    Fbr,
-    Fmr,
     Instruction,
-    Ld,
-    Ldi,
-    Ldui,
-    LogicalOp,
-    Nop,
-    Not,
-    QWait,
-    QWaitR,
-    SMIS,
-    SMIT,
-    St,
-    Stop,
+    parse_int,
 )
-from repro.core.registers import ComparisonFlag
 
 _LABEL_RE = re.compile(r"^([A-Za-z_]\w*):")
-_GPR_RE = re.compile(r"^[Rr](\d+)$")
-_SREG_RE = re.compile(r"^[Ss](\d+)$")
-_TREG_RE = re.compile(r"^[Tt](\d+)$")
-_QREG_RE = re.compile(r"^[Qq](\d+)$")
-_MEM_OPERAND_RE = re.compile(r"^[Rr](\d+)\s*\(\s*(-?(?:0[xX][0-9a-fA-F]+|\d+))\s*\)$")
 _BUNDLE_OP_RE = re.compile(r"^([A-Za-z_]\w*)(?:\s+([SsTt]\d+))?$")
-_INT_RE = re.compile(r"^-?(?:0[xX][0-9a-fA-F]+|\d+)$")
 
 
 @dataclass(frozen=True)
@@ -71,33 +56,6 @@ class ParsedLine:
     instruction: Instruction | None
     line_number: int
     source: str
-
-
-def parse_int(token: str) -> int:
-    """Parse a decimal or hex (0x) integer literal."""
-    token = token.strip()
-    if not _INT_RE.match(token):
-        raise ValueError(f"not an integer literal: {token!r}")
-    return int(token, 0)
-
-
-def parse_gpr(token: str) -> int:
-    """Parse a general-purpose register token like ``R5``."""
-    match = _GPR_RE.match(token.strip())
-    if not match:
-        raise ValueError(f"expected GPR (R<i>), got {token!r}")
-    return int(match.group(1))
-
-
-def parse_comparison_flag(token: str) -> ComparisonFlag:
-    """Parse a comparison-flag name like ``EQ`` or ``ALWAYS``."""
-    name = token.strip().upper()
-    try:
-        return ComparisonFlag[name]
-    except KeyError:
-        known = ", ".join(flag.name for flag in ComparisonFlag)
-        raise ValueError(f"unknown comparison flag {token!r}; "
-                         f"known flags: {known}")
 
 
 def _split_operands(text: str) -> list[str]:
@@ -157,149 +115,28 @@ class Parser:
         return ParsedLine(labels=tuple(labels), instruction=instruction,
                           line_number=line_number, source=raw)
 
-    # ------------------------------------------------------------------
-    # Statement dispatch
-    # ------------------------------------------------------------------
     def _parse_statement(self, text: str) -> Instruction:
-        head = text.split(None, 1)[0].rstrip(",").upper()
-        if head in CLASSICAL_MNEMONICS:
-            return self._parse_classical(head, text)
-        if head == "QWAIT":
-            return QWait(cycles=self._sole_int_operand("QWAIT", text))
-        if head == "QWAITR":
-            operands = self._operands("QWAITR", text, count=1)
-            return QWaitR(rs=parse_gpr(operands[0]))
-        if head == "SMIS":
-            return self._parse_smis(text)
-        if head == "SMIT":
-            return self._parse_smit(text)
-        return self._parse_bundle(text)
-
-    def _operands(self, mnemonic: str, text: str,
-                  count: int | None = None) -> list[str]:
-        """Split the operand list after a mnemonic, checking arity."""
-        rest = text.split(None, 1)
-        operand_text = rest[1] if len(rest) > 1 else ""
-        operands = _split_operands(operand_text)
-        if count is not None and len(operands) != count:
+        """One single-word instruction, read through its table entry
+        and operand kinds, or else a quantum bundle."""
+        parts = text.split(None, 1)
+        mnemonic = parts[0].rstrip(",").upper()
+        entry = MNEMONICS.get(mnemonic)
+        if entry is None:
+            return self._parse_bundle(text)
+        cls, fixed = entry
+        tokens = _split_operands(parts[1] if len(parts) > 1 else "")
+        if len(tokens) != len(cls.operands):
             raise ValueError(
-                f"{mnemonic} expects {count} operand(s), got {len(operands)}")
-        return operands
-
-    def _sole_int_operand(self, mnemonic: str, text: str) -> int:
-        operands = self._operands(mnemonic, text, count=1)
-        return parse_int(operands[0])
-
-    # ------------------------------------------------------------------
-    # Classical instructions
-    # ------------------------------------------------------------------
-    def _parse_classical(self, mnemonic: str, text: str) -> Instruction:
-        if mnemonic == "NOP":
-            self._operands("NOP", text, count=0)
-            return Nop()
-        if mnemonic == "STOP":
-            self._operands("STOP", text, count=0)
-            return Stop()
-        if mnemonic == "CMP":
-            operands = self._operands("CMP", text, count=2)
-            return Cmp(rs=parse_gpr(operands[0]), rt=parse_gpr(operands[1]))
-        if mnemonic == "BR":
-            operands = self._operands("BR", text, count=2)
-            condition = parse_comparison_flag(operands[0])
-            target_token = operands[1]
-            target: str | int
-            if _INT_RE.match(target_token):
-                target = parse_int(target_token)
+                f"{mnemonic} expects {len(cls.operands)} operand(s), "
+                f"got {len(tokens)}")
+        kwargs = dict(fixed)
+        for token, (attrs, kind) in zip(tokens, cls.operands):
+            value = kind.parse(token)
+            if isinstance(attrs, str):
+                kwargs[attrs] = value
             else:
-                target = target_token
-            return Br(condition=condition, target=target)
-        if mnemonic == "FBR":
-            operands = self._operands("FBR", text, count=2)
-            return Fbr(condition=parse_comparison_flag(operands[0]),
-                       rd=parse_gpr(operands[1]))
-        if mnemonic == "LDI":
-            operands = self._operands("LDI", text, count=2)
-            return Ldi(rd=parse_gpr(operands[0]), imm=parse_int(operands[1]))
-        if mnemonic == "LDUI":
-            operands = self._operands("LDUI", text, count=3)
-            return Ldui(rd=parse_gpr(operands[0]),
-                        imm=parse_int(operands[1]),
-                        rs=parse_gpr(operands[2]))
-        if mnemonic in ("LD", "ST"):
-            operands = self._operands(mnemonic, text, count=2)
-            match = _MEM_OPERAND_RE.match(operands[1])
-            if not match:
-                raise ValueError(
-                    f"{mnemonic} memory operand must be Rt(Imm), "
-                    f"got {operands[1]!r}")
-            rt = int(match.group(1))
-            imm = int(match.group(2), 0)
-            if mnemonic == "LD":
-                return Ld(rd=parse_gpr(operands[0]), rt=rt, imm=imm)
-            return St(rs=parse_gpr(operands[0]), rt=rt, imm=imm)
-        if mnemonic == "FMR":
-            operands = self._operands("FMR", text, count=2)
-            qubit_match = _QREG_RE.match(operands[1])
-            if not qubit_match:
-                raise ValueError(
-                    f"FMR second operand must be Q<i>, got {operands[1]!r}")
-            return Fmr(rd=parse_gpr(operands[0]),
-                       qubit=int(qubit_match.group(1)))
-        if mnemonic in ("AND", "OR", "XOR"):
-            operands = self._operands(mnemonic, text, count=3)
-            return LogicalOp(mnemonic_name=mnemonic,
-                             rd=parse_gpr(operands[0]),
-                             rs=parse_gpr(operands[1]),
-                             rt=parse_gpr(operands[2]))
-        if mnemonic == "NOT":
-            operands = self._operands("NOT", text, count=2)
-            return Not(rd=parse_gpr(operands[0]), rt=parse_gpr(operands[1]))
-        if mnemonic in ("ADD", "SUB"):
-            operands = self._operands(mnemonic, text, count=3)
-            return ArithOp(mnemonic_name=mnemonic,
-                           rd=parse_gpr(operands[0]),
-                           rs=parse_gpr(operands[1]),
-                           rt=parse_gpr(operands[2]))
-        raise ValueError(f"unhandled classical mnemonic {mnemonic}")
-
-    # ------------------------------------------------------------------
-    # Target-specify instructions
-    # ------------------------------------------------------------------
-    def _parse_smis(self, text: str) -> SMIS:
-        operands = self._operands("SMIS", text, count=2)
-        sreg_match = _SREG_RE.match(operands[0])
-        if not sreg_match:
-            raise ValueError(
-                f"SMIS first operand must be S<i>, got {operands[0]!r}")
-        body = operands[1].strip()
-        if not (body.startswith("{") and body.endswith("}")):
-            raise ValueError(f"SMIS qubit list must be {{...}}, got {body!r}")
-        inner = body[1:-1].strip()
-        if not inner:
-            raise ValueError("SMIS qubit list is empty")
-        qubits = frozenset(parse_int(tok) for tok in inner.split(","))
-        return SMIS(sd=int(sreg_match.group(1)), qubits=qubits)
-
-    def _parse_smit(self, text: str) -> SMIT:
-        operands = self._operands("SMIT", text, count=2)
-        treg_match = _TREG_RE.match(operands[0])
-        if not treg_match:
-            raise ValueError(
-                f"SMIT first operand must be T<i>, got {operands[0]!r}")
-        body = operands[1].strip()
-        if not (body.startswith("{") and body.endswith("}")):
-            raise ValueError(f"SMIT pair list must be {{...}}, got {body!r}")
-        inner = body[1:-1].strip()
-        pair_tokens = re.findall(r"\(([^)]*)\)", inner)
-        if not pair_tokens:
-            raise ValueError("SMIT pair list is empty")
-        pairs = set()
-        for token in pair_tokens:
-            elements = [piece.strip() for piece in token.split(",")]
-            if len(elements) != 2:
-                raise ValueError(f"pair ({token}) must have two qubits")
-            pairs.add((parse_int(elements[0]), parse_int(elements[1])))
-        return SMIT(td=int(treg_match.group(1)), pairs=frozenset(pairs))
+                kwargs.update(zip(attrs, value))
+        return cls(**kwargs)
 
     # ------------------------------------------------------------------
     # Quantum bundles
@@ -312,7 +149,7 @@ class Parser:
         first_comma = text.find(",")
         if first_comma > 0:
             head = text[:first_comma].strip()
-            if _INT_RE.match(head):
+            if INT_LITERAL.match(head):
                 pi = parse_int(head)
                 if pi < 0:
                     raise ValueError("PI cannot be negative")

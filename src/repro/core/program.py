@@ -5,10 +5,14 @@ instructions in order, with labels mapping to instruction indices.
 Label references in ``BR`` instructions are resolved to relative
 offsets ("jump to PC + Offset", Table 1) by :meth:`Program.resolve_labels`.
 
-Validation against an instantiation (register ranges, known operations,
-legal target masks) lives in :mod:`repro.core.assembler`, which also
-performs VLIW bundle splitting — splitting changes instruction indices,
-so label resolution is deferred until after it.
+Parsing and printing go through the instruction table of
+:mod:`repro.core.instructions` (each instruction's ``to_assembly``), so
+``Program.from_text(program.to_assembly())`` rebuilds the same
+instructions.  Validation against an instantiation (register ranges,
+known operations, legal target masks) lives in
+:mod:`repro.core.assembler`, which also performs VLIW bundle splitting
+— splitting changes instruction indices, so label resolution is
+deferred until after it.
 """
 
 from __future__ import annotations
@@ -85,11 +89,6 @@ class Program:
             else:
                 resolved.append(instruction)
         return Program(instructions=resolved, labels=dict(self.labels))
-
-    def has_unresolved_labels(self) -> bool:
-        """Whether any BR still carries a symbolic target."""
-        return any(isinstance(ins, Br) and isinstance(ins.target, str)
-                   for ins in self.instructions)
 
     # ------------------------------------------------------------------
     # Rendering

@@ -206,11 +206,6 @@ class TimelineBuilder:
         ordered = sorted(self._points.values(), key=lambda p: p.cycle)
         return Timeline(points=[p for p in ordered if p.operations])
 
-    @property
-    def current_cycle(self) -> int:
-        """The cycle of the last generated timing point."""
-        return self._current_cycle
-
 
 def build_timeline(isa: EQASMInstantiation, instructions,
                    gpr_reader: Callable[[int], int] | None = None) -> Timeline:

@@ -236,9 +236,8 @@ def execute_point(setup: ExperimentSetup, spec: SweepSpec,
     return counts, machine.engine_stats_snapshot(), latency_s
 
 
-def execution_payload(spec: SweepSpec, point: SweepPoint,
-                      counts: ShotCounts, stats: EngineStats,
-                      latency_s: float) -> dict:
+def execution_payload(point: SweepPoint, counts: ShotCounts,
+                      stats: EngineStats, latency_s: float) -> dict:
     """The queue/journal payload for a just-executed point."""
     return {
         "index": point.index,

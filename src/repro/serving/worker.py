@@ -135,8 +135,7 @@ def worker_main(worker_id: int, generation: int, spec: SweepSpec,
                 # The result message is lost in transit; the worker
                 # itself stays healthy and keeps serving the shard.
                 continue
-            payload = execution_payload(spec, point, counts, stats,
-                                        latency_s)
+            payload = execution_payload(point, counts, stats, latency_s)
             if observability is not None:
                 payload["obs"] = {
                     "chrome": observability.tracer.chrome_trace_events(),

@@ -1,6 +1,8 @@
 """Tests for the assembler: validation, bundle splitting, label
 resolution, encode/disassemble round trips."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.assembler import Assembler, Disassembler
@@ -36,6 +38,15 @@ class TestValidation:
         with pytest.raises(AssemblyError):
             assembler.assemble_text("LDI R32, 1")
 
+    @pytest.mark.parametrize("line", ["LDI R16, 1", "CMP R0, R16",
+                                      "LD R0, R16(0)", "QWAITR R16"])
+    def test_gpr_beyond_a_smaller_register_file(self, isa, line):
+        # R16 fits the 5-bit register fields, so only the register
+        # file size rejects it.
+        small = Assembler(dataclasses.replace(isa, num_gprs=16))
+        with pytest.raises(AssemblyError, match="R16 out of range"):
+            small.assemble_text(line)
+
     def test_off_chip_qubit_in_smis(self, assembler):
         with pytest.raises(Exception):
             assembler.assemble_text("SMIS S0, {9}")
@@ -70,6 +81,17 @@ class TestValidation:
     def test_qwait_too_large(self, assembler):
         with pytest.raises(AssemblyError):
             assembler.assemble_text(f"QWAIT {1 << 20}")
+
+    @pytest.mark.parametrize("line", ["LD R1, R2(16384)",
+                                      "LD R1, R2(-16385)",
+                                      "ST R1, R2(16384)",
+                                      "ST R1, R2(-16385)"])
+    def test_memory_immediate_overflow(self, assembler, line):
+        # The 15-bit signed LD/ST immediate: the encoder's range check
+        # names the instruction like every other assembly fault.
+        with pytest.raises(AssemblyError) as excinfo:
+            assembler.assemble_text(f"NOP\n{line}")
+        assert f"instruction 1 ({line})" in str(excinfo.value)
 
     def test_error_message_includes_instruction(self, assembler):
         with pytest.raises(AssemblyError) as excinfo:

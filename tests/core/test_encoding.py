@@ -4,11 +4,7 @@ property-based round trips."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.encoding import (
-    CLASSICAL_OPCODES,
-    InstructionDecoder,
-    InstructionEncoder,
-)
+from repro.core.encoding import InstructionDecoder, InstructionEncoder
 from repro.core.errors import EncodingError
 from repro.core.instructions import (
     ArithOp,
@@ -32,6 +28,7 @@ from repro.core.instructions import (
     Stop,
 )
 from repro.core.isa import seven_qubit_instantiation
+from repro.core.isaspec import FAMILY_OPCODES
 from repro.core.registers import ComparisonFlag
 
 
@@ -56,25 +53,25 @@ class TestFig8Layouts:
     def test_smis_layout(self, encoder):
         word = encoder.encode(SMIS(sd=7, qubits=frozenset({0, 2})))
         assert (word >> 31) == 0
-        assert (word >> 25) & 0x3F == CLASSICAL_OPCODES["SMIS"]
+        assert (word >> 25) & 0x3F == FAMILY_OPCODES["SMIS"]
         assert (word >> 20) & 0x1F == 7          # Sd
         assert word & 0x7F == 0b0000101          # 7-bit qubit mask
 
     def test_smit_layout(self, isa, encoder):
         word = encoder.encode(SMIT(td=3, pairs=frozenset({(2, 0)})))
         assert (word >> 31) == 0
-        assert (word >> 25) & 0x3F == CLASSICAL_OPCODES["SMIT"]
+        assert (word >> 25) & 0x3F == FAMILY_OPCODES["SMIT"]
         assert (word >> 20) & 0x1F == 3          # Td
         assert word & 0xFFFF == 1 << 0           # edge 0 = (2, 0)
 
     def test_qwait_layout(self, encoder):
         word = encoder.encode(QWait(cycles=10000))
-        assert (word >> 25) & 0x3F == CLASSICAL_OPCODES["QWAIT"]
+        assert (word >> 25) & 0x3F == FAMILY_OPCODES["QWAIT"]
         assert word & 0xFFFFF == 10000           # 20-bit immediate
 
     def test_qwaitr_layout(self, encoder):
         word = encoder.encode(QWaitR(rs=9))
-        assert (word >> 25) & 0x3F == CLASSICAL_OPCODES["QWAITR"]
+        assert (word >> 25) & 0x3F == FAMILY_OPCODES["QWAITR"]
         assert (word >> 15) & 0x1F == 9          # Rs field
 
     def test_bundle_layout(self, isa, encoder):

@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.core.errors import ConfigurationError, SpecError
+from repro.core.instructions import MNEMONICS, Instruction
 from repro.core.isaspec import (
     EncodingSpec,
     FieldSpec,
@@ -27,6 +28,7 @@ from repro.core.isaspec import (
 )
 from repro.core.isaspec.__main__ import main as isaspec_cli
 from repro.core.isaspec.registry import built_spec, spec_path
+from repro.core.parser import Parser
 
 
 def family_spec(width: int = 32, **overrides) -> EncodingSpec:
@@ -228,6 +230,23 @@ class TestCli:
         path = tmp_path / "good.json"
         path.write_text(family_spec(64).to_json())
         assert isaspec_cli(["validate", str(path)]) == 0
+
+    def test_validate_all_fails_on_an_unencodable_mnemonic(
+            self, capsys, monkeypatch):
+        """A mnemonic the parser accepts but no registered spec can
+        encode fails ``validate --all`` (CI's encoding-spec step): the
+        parser and the exhaustiveness check read one table."""
+        @dataclasses.dataclass(frozen=True)
+        class Halt(Instruction):
+            """An instruction no registered spec has a format for."""
+
+        monkeypatch.setitem(MNEMONICS, "HALT", (Halt, {}))
+        assert Parser().parse_line("HALT", 1).instruction == Halt()
+        assert isaspec_cli(["validate", "--all"]) == 1
+        out = capsys.readouterr().out
+        for name in REGISTERED_SPECS:
+            assert f"FAIL {spec_path(name)}" in out
+        assert "does not cover instruction format HALT" in out
 
     def test_validate_without_input_errors(self, capsys):
         assert isaspec_cli(["validate"]) == 2

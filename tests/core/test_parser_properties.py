@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.instructions import (
+    MNEMONICS,
     ArithOp,
     Br,
     Bundle,
@@ -23,6 +24,7 @@ from repro.core.instructions import (
     SMIT,
     St,
     Stop,
+    mnemonic_of,
 )
 from repro.core.parser import Parser
 from repro.core.program import Program
@@ -33,51 +35,62 @@ flag = st.sampled_from(list(ComparisonFlag))
 qubit = st.integers(min_value=0, max_value=6)
 op_names = st.sampled_from(["X", "Y", "X90", "MEASZ", "C_X", "H",
                             "X_AMP_3"])
+imm15 = st.integers(-(1 << 14), (1 << 14) - 1)
+label = st.from_regex(r"\A[A-Za-z_][A-Za-z0-9_]{0,8}\Z")
+pair = st.tuples(qubit, qubit)
+
+#: Mnemonic -> strategy for an instruction of that mnemonic; the keys
+#: are the instruction table's (``test_every_mnemonic_is_drawn``).
+SINGLE_WORD = {
+    "NOP": st.just(Nop()),
+    "STOP": st.just(Stop()),
+    "CMP": st.builds(Cmp, rs=gpr, rt=gpr),
+    "BR": st.builds(Br, condition=flag,
+                    target=st.one_of(st.integers(-1000, 1000), label)),
+    "FBR": st.builds(Fbr, condition=flag, rd=gpr),
+    "LDI": st.builds(Ldi, rd=gpr,
+                     imm=st.integers(-(1 << 19), (1 << 19) - 1)),
+    "LDUI": st.builds(Ldui, rd=gpr, imm=st.integers(0, (1 << 15) - 1),
+                      rs=gpr),
+    "LD": st.builds(Ld, rd=gpr, rt=gpr, imm=imm15),
+    "ST": st.builds(St, rs=gpr, rt=gpr, imm=imm15),
+    "FMR": st.builds(Fmr, rd=gpr, qubit=qubit),
+    "NOT": st.builds(Not, rd=gpr, rt=gpr),
+    "SMIS": st.builds(SMIS, sd=gpr, qubits=st.frozensets(
+        qubit, min_size=1, max_size=7)),
+    "SMIT": st.builds(SMIT, td=gpr, pairs=st.frozensets(
+        pair, min_size=1, max_size=4)),
+    "QWAIT": st.builds(QWait, cycles=st.integers(0, (1 << 20) - 1)),
+    "QWAITR": st.builds(QWaitR, rs=gpr),
+}
+for _name in ("AND", "OR", "XOR"):
+    SINGLE_WORD[_name] = st.builds(LogicalOp, st.just(_name), gpr, gpr, gpr)
+for _name in ("ADD", "SUB"):
+    SINGLE_WORD[_name] = st.builds(ArithOp, st.just(_name), gpr, gpr, gpr)
+
+bundles = st.builds(
+    Bundle,
+    operations=st.lists(st.builds(BundleOperation, name=op_names,
+                                  register=st.tuples(st.just("S"), gpr)),
+                        min_size=1, max_size=3).map(tuple),
+    pi=st.integers(0, 7), explicit_pi=st.just(True))
 
 
-@st.composite
-def instructions(draw):
-    kind = draw(st.integers(0, 13))
-    if kind == 0:
-        return Nop()
-    if kind == 1:
-        return Stop()
-    if kind == 2:
-        return Cmp(rs=draw(gpr), rt=draw(gpr))
-    if kind == 3:
-        return Br(condition=draw(flag),
-                  target=draw(st.integers(-1000, 1000)))
-    if kind == 4:
-        return Fbr(condition=draw(flag), rd=draw(gpr))
-    if kind == 5:
-        return Ldi(rd=draw(gpr),
-                   imm=draw(st.integers(-(1 << 19), (1 << 19) - 1)))
-    if kind == 6:
-        return Ldui(rd=draw(gpr), imm=draw(st.integers(0, (1 << 15) - 1)),
-                    rs=draw(gpr))
-    if kind == 7:
-        return Ld(rd=draw(gpr), rt=draw(gpr),
-                  imm=draw(st.integers(-(1 << 14), (1 << 14) - 1)))
-    if kind == 8:
-        return St(rs=draw(gpr), rt=draw(gpr),
-                  imm=draw(st.integers(-(1 << 14), (1 << 14) - 1)))
-    if kind == 9:
-        return Fmr(rd=draw(gpr), qubit=draw(qubit))
-    if kind == 10:
-        name = draw(st.sampled_from(["AND", "OR", "XOR"]))
-        return LogicalOp(name, rd=draw(gpr), rs=draw(gpr), rt=draw(gpr))
-    if kind == 11:
-        return QWait(cycles=draw(st.integers(0, (1 << 20) - 1)))
-    if kind == 12:
-        return SMIS(sd=draw(gpr),
-                    qubits=frozenset(draw(st.sets(qubit, min_size=1,
-                                                  max_size=7))))
-    operations = tuple(
-        BundleOperation(name=draw(op_names),
-                        register=("S", draw(gpr)))
-        for _ in range(draw(st.integers(1, 3))))
-    return Bundle(operations=operations, pi=draw(st.integers(0, 7)),
-                  explicit_pi=True)
+def instructions():
+    """Any single-word instruction, or a bundle."""
+    return st.one_of(*SINGLE_WORD.values(), bundles)
+
+
+class TestStrategyCoverage:
+    def test_every_mnemonic_is_drawn(self):
+        """The round trips below cover every key of the one table."""
+        assert SINGLE_WORD.keys() == MNEMONICS.keys()
+
+    @given(st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_each_strategy_draws_its_mnemonic(self, data):
+        for mnemonic, strategy in SINGLE_WORD.items():
+            assert mnemonic_of(data.draw(strategy)) == mnemonic
 
 
 class TestParsePrintRoundTrip:

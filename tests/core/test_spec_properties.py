@@ -20,7 +20,7 @@ from repro.core.isa import (
     seven_qubit_instantiation,
     two_qubit_instantiation,
 )
-from repro.core.isaspec.bindings import FORMAT_BINDINGS
+from repro.core.instructions import MNEMONICS
 from repro.core.instructions import Bundle, BundleOperation
 from repro.core.registers import ComparisonFlag
 
@@ -75,7 +75,7 @@ def test_format_roundtrips_in_range_values(isa_name, format_name, data):
     isa = ISAS[isa_name]
     encoder, decoder = CODERS[isa_name]
     fmt = isa.encoding_spec.format_named(format_name)
-    cls, fixed = FORMAT_BINDINGS[format_name]
+    cls, fixed = MNEMONICS[format_name]
     kwargs = dict(fixed)
     for field in fmt.fields:
         kwargs[field.attr] = data.draw(field_strategy(isa, field),

@@ -6,6 +6,7 @@ from repro.core.errors import AssemblyError, OperationConflictError
 from repro.core.isa import seven_qubit_instantiation
 from repro.core.program import Program
 from repro.core.timeline import TimelineBuilder, build_timeline
+from machine_probes import current_cycle
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +192,7 @@ class TestTimelineQueries:
         builder = TimelineBuilder(isa)
         program = Program.from_text("QWAIT 7\nQWAIT 3")
         builder.feed_program(program.instructions)
-        assert builder.current_cycle == 10
+        assert current_cycle(builder) == 10
 
     def test_classical_instructions_ignored(self, isa):
         text = """

@@ -11,7 +11,8 @@ def instruction_memory(machine):
 
 def current_cycle(pipeline):
     """Cycle of the last timing point a
-    :class:`~repro.uarch.QuantumPipeline` generated."""
+    :class:`~repro.uarch.QuantumPipeline` or a
+    :class:`~repro.core.timeline.TimelineBuilder` generated."""
     return pipeline._current_cycle
 
 

@@ -34,7 +34,7 @@ def reference_journal(inline_setup, tmp_path_factory):
             counts, stats, latency_s = execute_point(
                 inline_setup, spec, point)
             journal.append_point(execution_payload(
-                spec, point, counts, stats, latency_s))
+                point, counts, stats, latency_s))
             expected[index] = counts
     return spec, path.read_bytes(), expected
 

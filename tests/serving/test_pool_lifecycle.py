@@ -109,7 +109,7 @@ class TestSharedPool:
                     "kind": "point", "worker": handle.worker_id,
                     "generation": handle.generation, "job": 1,
                     "index": 0, "payload": execution_payload(
-                        first, first.point(0), done.counts, stats,
+                        first.point(0), done.counts, stats,
                         done.latency_s)})
                 messages = forged + messages
             return messages

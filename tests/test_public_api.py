@@ -143,6 +143,42 @@ class TestExports:
                             (PointResult, "payload")):
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
 
+    def test_front_end_names_left_src(self):
+        """The instruction table is the one mnemonic table; names only
+        tests called are test helpers (``current_cycle`` in
+        ``tests/machine_probes.py``, ``has_unresolved_labels`` in
+        ``tests/core/test_program_isa.py``), and dead ones are gone."""
+        import inspect
+        from repro.core import assembler, encoding, instructions
+        from repro.core.isaspec import bindings
+        from repro.core.program import Program
+        from repro.core.timeline import TimelineBuilder
+        from repro.serving.sweep import execution_payload
+        for owner, name in ((TimelineBuilder, "current_cycle"),
+                            (Program, "has_unresolved_labels"),
+                            (encoding, "CLASSICAL_OPCODES"),
+                            (instructions.SMIS, "mask"),
+                            (instructions, "CLASSICAL_MNEMONICS"),
+                            (instructions, "WAITING_MNEMONICS"),
+                            (instructions, "TARGET_MNEMONICS"),
+                            (bindings, "FORMAT_BINDINGS"),
+                            (bindings, "format_name_for"),
+                            (assembler.Assembler, "_validate_instruction"),
+                            (assembler.Assembler, "_validate_bundle")):
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+        assert "spec" not in inspect.signature(execution_payload).parameters
+
+    def test_one_to_assembly_per_single_word_instruction(self):
+        """Only the base class, ``Bundle`` and ``BundleOperation``
+        define ``to_assembly``; every single-word class prints through
+        its table entry and operand kinds."""
+        from repro.core.instructions import (
+            MNEMONICS, Bundle, BundleOperation, Instruction)
+        for cls, _ in MNEMONICS.values():
+            assert cls.to_assembly is Instruction.to_assembly, cls
+        assert "to_assembly" in vars(Bundle)
+        assert "to_assembly" in vars(BundleOperation)
+
     def test_version(self):
         import repro
         assert repro.__version__ == "1.0.0"
